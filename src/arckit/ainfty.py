@@ -22,18 +22,16 @@ given by the closed homotopy table.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import SparseMatrix, rank, solve
+from .exact import Echelon, SparseMatrix, rank, solve
 from .extalg import (
     ExtClass,
     HomElement,
     _differential_matrix,
-    _from_columns,
     _k_range,
-    _kernel_columns,
     _N2_BIGRADE,
     _sigma,
     basis_hom_element,
@@ -51,8 +49,6 @@ __all__ = [
     "build_splitting",
     "lambda_n",
     "m_n",
-    "AInfinityOps",
-    "ainfinity_ops",
     "stasheff_check",
     "vanishing_report",
     "composable_tuples",
@@ -111,14 +107,13 @@ class Splitting:
     independent tuples may be evaluated concurrently.
     """
 
-    def __init__(self, m: int, n: int, mode: str = "generic", variant: int = 0):
+    def __init__(self, m: int, n: int, mode: str = "generic"):
         if mode not in ("generic", "canonical-n2"):
             raise ValueError(f"unknown splitting mode {mode!r}")
         if mode == "canonical-n2" and n != 2:
             raise ValueError("mode 'canonical-n2' requires an n = 2 block")
         self.block = (m, n)
         self.mode = mode
-        self.variant = variant
         self._pairs: dict[tuple[Weight, Weight], dict[int, _SpaceSplit]] = {}
         self._lock = threading.Lock()
 
@@ -134,9 +129,6 @@ class Splitting:
             self._pairs[(lam, mu)] = data
         return data
 
-    def _complement_order(self, dim: int) -> range:
-        return range(dim - 1, -1, -1) if self.variant else range(dim)
-
     def _build_pair(self, lam: Weight, mu: Weight) -> dict[int, _SpaceSplit]:
         if lam.block != self.block or mu.block != self.block:
             raise ValueError("weights outside the block of this splitting")
@@ -146,60 +138,47 @@ class Splitting:
         )
         out: dict[int, _SpaceSplit] = {}
         l_prev: list[list[Fraction]] = []
-        prev_dim = 0
         for k in _k_range(lam, mu):
             space = hom_space(lam, mu, k)
             dim = len(space)
             if dim == 0:
                 out[k] = _SpaceSplit(space, 0, [], [], [], l_prev, SparseMatrix.zeros(0, 0))
-                l_prev, prev_dim = [], 0
+                l_prev = []
                 continue
+            span = Echelon(dim)
             d_prev = _differential_matrix(lam, mu, k - 1)
             b_cols = [d_prev.apply(vec) for vec in l_prev]
-            if rank(_from_columns(b_cols, dim)) != len(b_cols):
+            if not all(span.add(vec) for vec in b_cols):
                 raise ArithmeticError("d is not injective on the chosen L")
             # H: complement of B inside the cocycles
             classes = [c for c in labelled if c.k == k]
-            if canonical:
-                h_cols = [vectorize(c.element, space) for c in classes]
-            else:
-                h_cols = [vectorize(c.element, space) for c in classes]
-            current = rank(_from_columns(b_cols + h_cols, dim))
-            if current != len(b_cols) + len(h_cols):
+            h_cols = [vectorize(c.element, space) for c in classes]
+            if not all(span.add(vec) for vec in h_cols):
                 raise ArithmeticError(
                     "chosen H representatives meet the coboundaries"
                 )
-            d_k = _differential_matrix(lam, mu, k)
-            z_dim = dim - rank(d_k)
-            if current != z_dim:
+            if len(span) != dim - rank(_differential_matrix(lam, mu, k)):
                 raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
             # L: complement of the cocycles, seeded with the explicit
             # homotopies in canonical mode so that Q(products) matches
             # the closed homotopy table
-            chosen = b_cols + h_cols
             l_cols: list[list[Fraction]] = []
             if canonical:
                 for element in _homotopy_candidates(lam, mu, k):
                     vec = vectorize(element, space)
-                    trial = rank(_from_columns(chosen + [vec], dim))
-                    if trial != current + 1:
+                    if not span.add(vec):
                         raise ArithmeticError(
                             "homotopy element lies in the cocycles"
                         )
-                    chosen.append(vec)
                     l_cols.append(vec)
-                    current = trial
-            for i in self._complement_order(dim):
-                if current == dim:
+            for i in range(dim):
+                if len(span) == dim:
                     break
                 vec = [Fraction(0)] * dim
                 vec[i] = Fraction(1)
-                trial = rank(_from_columns(chosen + [vec], dim))
-                if trial > current:
-                    chosen.append(vec)
+                if span.add(vec):
                     l_cols.append(vec)
-                    current = trial
-            if current != dim:
+            if len(span) != dim:
                 raise ArithmeticError("failed to complete L to a complement")
             out[k] = _SpaceSplit(
                 space,
@@ -208,9 +187,9 @@ class Splitting:
                 classes,
                 l_cols,
                 l_prev,
-                _from_columns(b_cols + h_cols + l_cols, dim),
+                SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim),
             )
-            l_prev, prev_dim = l_cols, dim
+            l_prev = l_cols
         return out
 
     # -- the three maps -----------------------------------------------------
@@ -293,10 +272,8 @@ class Splitting:
                     )
 
 
-def build_splitting(
-    m: int, n: int, mode: str = "generic", variant: int = 0
-) -> Splitting:
-    return Splitting(m, n, mode, variant)
+def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
+    return Splitting(m, n, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -410,34 +387,6 @@ def composable_tuples(
     for c in classes:
         extend([c])
     return out
-
-
-@dataclass
-class AInfinityOps:
-    """m_n values on H-basis tuples, per arity."""
-
-    splitting: Splitting
-    arity: int
-    values: dict[int, dict[tuple, dict]] = field(default_factory=dict)
-
-    def value(self, items) -> dict:
-        key = tuple(_class_key(c) for c in items)
-        return self.values.get(len(items), {}).get(key, {})
-
-
-def ainfinity_ops(
-    split: Splitting, arity: int, include_idempotents: bool = False
-) -> AInfinityOps:
-    classes = split.all_h_classes(include_idempotents=include_idempotents)
-    ops = AInfinityOps(split, arity)
-    for n in range(2, arity + 1):
-        table: dict[tuple, dict] = {}
-        for chain in composable_tuples(classes, n):
-            coeffs = split.pi_coefficients(lambda_n(split, chain))
-            if coeffs:
-                table[tuple(_class_key(c) for c in chain)] = coeffs
-        ops.values[n] = table
-    return ops
 
 
 def stasheff_check(

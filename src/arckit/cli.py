@@ -242,7 +242,7 @@ def _doc_resolve(args) -> dict:
     _block_weights(m, n)
     lam = _parse_weight(args, "lam", m, n)
     cache = ResolutionCache(args.cache) if args.cache else None
-    key = (m, n, args.method, str(lam))
+    key = (m, n, str(lam), args.method)
     complex_ = cache_load(cache, key) if cache else None
     if complex_ is None:
         fn = resolve_cone if args.method == "cone" else resolve_generic
@@ -396,6 +396,8 @@ def _doc_ainfty(args) -> dict:
     from .ainfty import build_splitting, stasheff_check, vanishing_report
 
     m, n = args.m, args.n
+    if args.max_arity < 2:
+        raise UsageError(f"--max-arity must be at least 2, got {args.max_arity}")
     _block_weights(m, n)
     mode = "canonical-n2" if args.mode == "canonical" else "generic"
     if mode == "canonical-n2" and n != 2:
@@ -946,7 +948,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

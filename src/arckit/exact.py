@@ -6,13 +6,25 @@ all the deterministic conventions used everywhere:
 
 * coefficients are ``fractions.Fraction`` (arbitrary precision, always
   reduced, positive denominator);
-* Gaussian elimination scans columns left to right and rows top to bottom,
-  so the pivot order is the input order;
-* when a solve has free variables they are set to 0, and kernel bases are
-  the standard "one free variable = 1" vectors of the reduced echelon form.
+* the one elimination is ``Echelon``: the reduced row echelon form (RREF)
+  of a span, stored as sparse ``{col: Fraction}`` rows keyed by pivot
+  column and grown one vector at a time.  ``add`` reduces the new vector
+  against the rows, and if a remainder is left it is scaled to 1 at its
+  leftmost column and cleared from every other row;
+* ``rank``, ``kernel_basis`` and ``solve`` feed the matrix rows into an
+  ``Echelon``.  When a solve has free variables they are set to 0, and
+  kernel bases are the standard "one free variable = 1" vectors of the
+  RREF, one per free column in increasing order;
+* greedy choices ("keep the vector if it is new") are ``Echelon.add``
+  calls in the caller's order.
 
-These conventions make every derived artifact (cached resolutions, chosen
-cocycle representatives, homotopies) reproducible byte for byte.
+The RREF of a row space is unique, so these answers do not depend on the
+order in which rows are added and are the same vectors a dense left to
+right column scan of the whole matrix gives.  Whether a vector enlarges a
+span does not depend on the elimination either, so every greedy choice is
+the same too.  These conventions make every derived artifact (cached
+resolutions, chosen cocycle representatives, homotopies) reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-__all__ = ["Rational", "QPoly", "SparseMatrix", "rank", "kernel_basis", "solve"]
+__all__ = [
+    "Rational", "QPoly", "SparseMatrix", "Echelon", "rank", "kernel_basis", "solve",
+]
 
 #: The coefficient field.  All structure constants in scope are integers, so
 #: Q gives the same dimensions as C while staying exact.
@@ -182,6 +196,18 @@ class SparseMatrix:
         return SparseMatrix(nrows, ncols, entries)
 
     @staticmethod
+    def from_columns(
+        columns: Sequence[Sequence[Fraction | int]], rows: int
+    ) -> "SparseMatrix":
+        entries = {
+            (i, j): Fraction(v)
+            for j, column in enumerate(columns)
+            for i, v in enumerate(column)
+            if v != 0
+        }
+        return SparseMatrix(rows, len(columns), entries)
+
+    @staticmethod
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
 
@@ -248,45 +274,89 @@ class SparseMatrix:
         return out
 
 
-def _rref(
-    matrix: SparseMatrix,
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (dense) with the deterministic pivot rule.
 
-    Returns the RREF rows and the list of pivot column indices, in order.
-    Columns are scanned left to right; within a column the first row (top
-    to bottom) with a nonzero entry is the pivot row.
+
+def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+    """``target -= f * row`` in place, dropping the entries that become 0."""
+    for c, v in row.items():
+        x = target.get(c, 0) - f * v
+        if x:
+            target[c] = x
+        else:
+            del target[c]
+
+
+class Echelon:
+    """The RREF of a growing span inside Q^width.
+
+    ``rows`` maps each pivot column to its row, a sparse ``{col: Fraction}``
+    that is 1 at its pivot and 0 at every other pivot column.
     """
-    m = matrix.dense()
-    nrows, ncols = matrix.rows, matrix.cols
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        sel = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    return m, pivots
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: dict[int, dict[int, Fraction]] = {}
+
+    @staticmethod
+    def of_rows(
+        matrix: SparseMatrix, rhs: Sequence[Fraction | int] | None = None
+    ) -> "Echelon":
+        """The RREF of the matrix rows, with ``rhs`` as an extra last column."""
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (r, c), v in matrix.entries.items():
+            rows.setdefault(r, {})[c] = v
+        width = matrix.cols
+        if rhs is not None:
+            for r, v in enumerate(rhs):
+                if v:
+                    rows.setdefault(r, {})[width] = v
+            width += 1
+        span = Echelon(width)
+        for r in sorted(rows):
+            span.add(rows[r])
+        return span
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(
+        self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]
+    ) -> dict[int, Fraction]:
+        """The remainder of ``vec`` modulo the span, 0 at every pivot column."""
+        if not isinstance(vec, Mapping):
+            if len(vec) != self.width:
+                raise ValueError("vector length does not match the span width")
+            vec = dict(enumerate(vec))
+        out = {c: Fraction(v) for c, v in vec.items() if v}
+        rows = self.rows
+        # each row is 0 at the other pivots, so one pass clears them all
+        for p in [c for c in out if c in rows]:
+            _subtract(out, out[p], rows[p])
+        return out
+
+    def add(
+        self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]
+    ) -> bool:
+        """Extend the span by ``vec``; False, with no change, if it lies in it."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        pivot = min(row)
+        scale = row[pivot]
+        if scale != 1:
+            row = {c: v / scale for c, v in row.items()}
+        for other in self.rows.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        self.rows[pivot] = row
+        return True
 
 
 def rank(matrix: SparseMatrix) -> int:
     """Exact rank over Q."""
-    _, pivots = _rref(matrix)
-    return len(pivots)
+    return len(Echelon.of_rows(matrix))
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[list[Fraction]]:
@@ -296,15 +366,16 @@ def kernel_basis(matrix: SparseMatrix) -> list[list[Fraction]]:
     variable is set to 1, other free variables to 0, pivot variables
     back-substituted from the RREF.
     """
-    m, pivots = _rref(matrix)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
+    pivots = Echelon.of_rows(matrix).rows
     basis = []
-    for fc in free_cols:
+    for fc in range(matrix.cols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * matrix.cols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
+        for pc, row in pivots.items():
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -319,22 +390,10 @@ def solve(
     """
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length does not match row count")
-    aug = SparseMatrix(
-        matrix.rows,
-        matrix.cols + 1,
-        {
-            **{k: v for k, v in matrix.entries.items()},
-            **{
-                (r, matrix.cols): Fraction(v)
-                for r, v in enumerate(rhs)
-                if v != 0
-            },
-        },
-    )
-    m, pivots = _rref(aug)
+    pivots = Echelon.of_rows(matrix, rhs).rows
     if matrix.cols in pivots:
         return None  # a pivot in the rhs column means 0 = 1 somewhere
     x = [Fraction(0)] * matrix.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = m[i][matrix.cols]
+    for pc, row in pivots.items():
+        x[pc] = row.get(matrix.cols, Fraction(0))
     return x

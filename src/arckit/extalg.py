@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .arcalg import AlgebraElement, hom_basis, idempotent, multiply
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import SparseMatrix, kernel_basis, rank, solve
+from .exact import Echelon, SparseMatrix, kernel_basis, rank, solve
 from .resolve import ProjectiveComplex, _ab_type, resolve_cone
 
 __all__ = [
@@ -803,28 +803,17 @@ def _assert_independent(lam: Weight, mu: Weight, classes: list[ExtClass]) -> Non
         by_k.setdefault(c.k, []).append(c)
     for k, group in by_k.items():
         space = hom_space(lam, mu, k)
-        boundary = _differential_matrix(lam, mu, k - 1)
-        columns = [
-            [boundary[r, c] for r in range(boundary.rows)]
-            for c in range(boundary.cols)
-        ]
-        base_rank = rank(_from_columns(columns, len(space)))
-        vectors = columns + [vectorize(c.element, space) for c in group]
-        total = rank(_from_columns(vectors, len(space)))
-        if total != base_rank + len(group):
+        span = _coboundaries(lam, mu, k)
+        if not all(span.add(vectorize(c.element, space)) for c in group):
             raise ArithmeticError(
                 f"canonical degree-{k} representatives are dependent modulo "
                 f"coboundaries for ({lam}, {mu})"
             )
 
 
-def _from_columns(columns: list[list[Fraction]], rows: int) -> SparseMatrix:
-    entries = {}
-    for c, column in enumerate(columns):
-        for r, value in enumerate(column):
-            if value:
-                entries[(r, c)] = value
-    return SparseMatrix(rows, len(columns), entries)
+def _coboundaries(lam: Weight, mu: Weight, k: int) -> Echelon:
+    """The span of d(hom^{k-1}) inside hom^k(λ, μ)."""
+    return Echelon.of_rows(_differential_matrix(lam, mu, k - 1).transpose())
 
 
 def _generic_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
@@ -835,18 +824,9 @@ def _generic_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
         space = hom_space(lam, mu, k)
         if not space:
             continue
-        d = _differential_matrix(lam, mu, k)
-        prev = _differential_matrix(lam, mu, k - 1)
-        kernel = _kernel_columns(d)
-        chosen: list[list[Fraction]] = [
-            [prev[r, c] for r in range(prev.rows)] for c in range(prev.cols)
-        ]
-        current = rank(_from_columns(chosen, len(space)))
-        for vec in kernel:
-            trial = rank(_from_columns(chosen + [vec], len(space)))
-            if trial > current:
-                chosen.append(vec)
-                current = trial
+        span = _coboundaries(lam, mu, k)
+        for vec in kernel_basis(_differential_matrix(lam, mu, k)):
+            if span.add(vec):
                 total = None
                 for i, coeff in enumerate(vec):
                     if coeff:
@@ -854,10 +834,6 @@ def _generic_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
                         total = term if total is None else total + term
                 out.append(ExtClass("generic", lam, mu, total))
     return out
-
-
-def _kernel_columns(matrix: SparseMatrix) -> list[list[Fraction]]:
-    return kernel_basis(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +879,7 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     columns += [
         [boundary[r, c] for r in range(boundary.rows)] for c in range(boundary.cols)
     ]
-    matrix = _from_columns(columns, len(space))
+    matrix = SparseMatrix.from_columns(columns, len(space))
     solution = solve(matrix, vectorize(f, space))
     if solution is None:
         raise ArithmeticError("element does not decompose over the basis")

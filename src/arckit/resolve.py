@@ -40,7 +40,7 @@ from .diagrams import (
     length,
     total_nesting,
 )
-from .exact import QPoly, SparseMatrix, kernel_basis, rank, solve
+from .exact import Echelon, QPoly, SparseMatrix, kernel_basis, rank, solve
 from .repmod import cell_module, kl_poly_closed, projective_module, weights_in_block
 
 __all__ = [
@@ -621,52 +621,17 @@ def _head_generators(
                 out[lookup[d]] += coord * c
         return out
 
-    radical_vectors: list[list[Fraction]] = []
+    # greedy: keep a growing echelon of radical + chosen generators
+    span = Echelon(dim)
     positive = [z for z in algebra_basis(m, n) if z.degree > 0]
     for _, _, vec in syzygy:
         for z in positive:
-            image = act(z, vec)
-            if any(image):
-                radical_vectors.append(image)
-
-    # greedy: keep a growing echelon of radical + chosen generators
-    span_rows: list[list[Fraction]] = [list(v) for v in radical_vectors]
-
-    def reduces_to_zero(vec: list[Fraction]) -> bool:
-        # gaussian elimination against span_rows (kept in echelon lazily)
-        v = list(vec)
-        for row in span_rows:
-            pivot = next((k for k, x in enumerate(row) if x), None)
-            if pivot is not None and v[pivot]:
-                factor = v[pivot] / row[pivot]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return not any(v)
-
-    # echelonize span_rows once
-    span_rows = _echelon(span_rows)
-    generators = []
-    for alpha, deg, vec in sorted(
-        syzygy, key=lambda adv: (adv[1], str(adv[0]))
-    ):
-        if not reduces_to_zero(vec):
-            generators.append((alpha, deg, vec))
-            span_rows = _echelon(span_rows + [list(vec)])
-    return generators
-
-
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [list(r) for r in rows if any(r)]
-    out: list[list[Fraction]] = []
-    for row in rows:
-        for prev in out:
-            pivot = next(k for k, x in enumerate(prev) if x)
-            if row[pivot]:
-                factor = row[pivot] / prev[pivot]
-                row = [a - factor * b for a, b in zip(row, prev)]
-        if any(row):
-            out.append(row)
-    out.sort(key=lambda r: next(k for k, x in enumerate(r) if x))
-    return out
+            span.add(act(z, vec))
+    return [
+        (alpha, deg, vec)
+        for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))
+        if span.add(vec)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,18 @@ class TestExitCodes:
         code, _, _ = run(["multiply", "-m", "3", "-n", "2", "not a diagram", TRACE_Y])
         assert code == 2
 
+    def test_unwritable_output_is_error(self, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(["decomp", "-m", "2", "-n", "1", "-o", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_max_arity_below_two_is_usage_error(self):
+        code, out, _ = run(["ainfty", "-m", "1", "-n", "1", "--max-arity", "1"])
+        assert code == 2
+        assert out == ""
+
 
 class TestReports:
     def test_extdim_oracle_total(self):
@@ -184,6 +196,16 @@ class TestDeterminismAndCache:
         assert any(tmp_path.iterdir())
         warm = run(args)
         assert warm == cold
+
+    def test_cached_resolution_serves_verify(self, tmp_path):
+        # the resolve cache is filled by a plain run and read by --verify,
+        # whose document is not in the CLI cache yet
+        args = ["resolve", "-m", "2", "-n", "1", "--lambda", "vv^"]
+        cache = ["--cache", str(tmp_path)]
+        reference = run(args + ["--verify"])
+        assert reference[0] == 0
+        assert run(args + cache)[0] == 0
+        assert run(args + cache + ["--verify"]) == reference
 
     def test_cache_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ARCKIT_CACHE", str(tmp_path))

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from arckit import QPoly, SparseMatrix, kernel_basis, rank, solve
+from arckit.exact import Echelon
 
 
 class TestQPoly:
@@ -89,3 +91,91 @@ class TestSparseMatrix:
     def test_solve_inconsistent(self):
         a = SparseMatrix.from_rows([[1, 0], [1, 0]])
         assert solve(a, [1, 2]) is None
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=5):
+    """Small integer matrices, some rows and columns forced to zero."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    zero_rows = draw(st.sets(st.integers(0, max_dim)))
+    zero_cols = draw(st.sets(st.integers(0, max_dim)))
+    entries = {
+        (r, c): draw(st.integers(-3, 3))
+        for r in range(nrows)
+        for c in range(ncols)
+        if r not in zero_rows and c not in zero_cols
+    }
+    return SparseMatrix(nrows, ncols, entries)
+
+
+@st.composite
+def systems(draw):
+    """(A, b) with b either in the image of A or arbitrary (often inconsistent)."""
+    a = draw(sparse_matrices())
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+        return a, a.apply(x0)
+    return a, draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
+
+
+def _vectors(width):
+    return st.lists(
+        st.lists(st.integers(-2, 2), min_size=width, max_size=width), max_size=7
+    )
+
+
+class TestAgainstReference:
+    """The sparse incremental kernel equals the dense Fraction RREF exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_rank_and_kernel(self, a):
+        assert rank(a) == oracles.rank(a)
+        assert kernel_basis(a) == oracles.kernel_basis(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_solve(self, system):
+        a, b = system
+        assert solve(a, b) == oracles.solve(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(_vectors), st.randoms(use_true_random=False))
+    def test_greedy_add_selects_reference_vectors(self, vectors, rng):
+        width = len(vectors[0]) if vectors else 1
+        span = Echelon(width)
+        picked = [v for v in vectors if span.add(v)]
+        expected = []
+        for v in vectors:
+            trial = SparseMatrix.from_rows(expected + [v])
+            if oracles.rank(trial) > len(expected):
+                expected.append(v)
+        assert picked == expected
+        assert len(span) == len(expected)
+        # the stored rows are the RREF of the span, whatever the order of adds
+        rref, pivots = oracles._rref(SparseMatrix(len(expected), width, {
+            (i, j): v for i, row in enumerate(expected) for j, v in enumerate(row)
+        }))
+        reordered = Echelon(width)
+        for v in rng.sample(vectors, len(vectors)):
+            reordered.add(v)
+        for form in (span, reordered):
+            assert sorted(form.rows) == pivots
+            for i, pc in enumerate(pivots):
+                dense = [form.rows[pc].get(j, Fraction(0)) for j in range(width)]
+                assert dense == rref[i]
+
+    def test_reduce_leaves_nothing_of_the_span(self):
+        span = Echelon(3)
+        assert span.add([0, 2, 4]) and span.add([1, 1, 0])
+        assert not span.add([2, 4, 4])
+        assert span.reduce([1, 0, 0]) == {2: Fraction(2)}
+        with pytest.raises(ValueError):
+            span.add([1, 0])
+
+    def test_from_columns(self):
+        columns = [[1, 0, 2], [0, 0, 0], [3, -1, 0]]
+        assert SparseMatrix.from_columns(columns, 3) == (
+            SparseMatrix.from_rows(columns).transpose()
+        )
