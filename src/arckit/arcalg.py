@@ -56,7 +56,6 @@ __all__ = [
     "SurgeryPanel",
     "surgery_trace",
     "functor_image",
-    "upper_reduction",
 ]
 
 
@@ -102,14 +101,6 @@ class AlgebraElement:
 
     def degrees(self) -> set[int]:
         return {d.degree for d in self._terms}
-
-    def homogeneous_part(self, degree: int) -> "AlgebraElement":
-        return AlgebraElement(
-            {d: c for d, c in self._terms.items() if d.degree == degree}
-        )
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def __iter__(self) -> Iterator[tuple[OrientedCircleDiagram, Fraction]]:
         return iter(self._terms.items())
@@ -696,18 +687,15 @@ def surgery_trace(
 
 @dataclass(frozen=True)
 class Matching:
-    """The crossingless matching t_i (or its mirror) between neighbouring
-    blocks: a cap joins vertices i, i+1 of the larger block's number line,
-    all other strands are vertical.  Maps Λ_m^n data to Λ_{m-1}^{n-1}."""
+    """The crossingless matching t_i between neighbouring blocks: a cap
+    joins vertices i, i+1 of the larger block's number line, all other
+    strands are vertical.  Maps Λ_m^n data to Λ_{m-1}^{n-1}."""
 
-    kind: str  # "t" or "t_star"
     i: int
     source_block: tuple[int, int]  # (m, n) of the larger block
 
     def __post_init__(self):
         m, n = self.source_block
-        if self.kind not in ("t", "t_star"):
-            raise ValueError(f"unknown matching kind {self.kind!r}")
         if not 0 <= self.i < m + n - 1:
             raise ValueError(f"matching position {self.i} out of range")
 
@@ -715,14 +703,6 @@ class Matching:
     def target_block(self) -> tuple[int, int]:
         m, n = self.source_block
         return (m - 1, n - 1)
-
-    @property
-    def caps(self) -> int:
-        return 1 if self.kind == "t" else 0
-
-    @property
-    def cups(self) -> int:
-        return 0 if self.kind == "t" else 1
 
 
 def _shift_arcs(
@@ -735,17 +715,10 @@ def _shift_arcs(
     )
 
 
-def insert_weight(weight: Weight, i: int) -> Weight:
-    """γ with a 'v^' pair inserted so that it sits at positions i, i+1."""
-    return weight.insert_down_up(i)
-
-
 def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
     """The geometric-bimodule functor for t_i on morphisms between
     projectives: insert a 'v^' pair at (i, i+1) into the middle weight and
     a matching cup/cap pair into both halves of every basis diagram."""
-    if t.kind != "t":
-        raise ValueError("functor_image is implemented for t_i matchings")
     i = t.i
     out: dict[OrientedCircleDiagram, Fraction] = {}
     for diagram, coeff in element:
@@ -760,28 +733,8 @@ def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
         size = diagram.weight.size + 2
         new = OrientedCircleDiagram(
             CupDiagram(size, frozenset(cup_cups), frozenset(cup_rays)),
-            insert_weight(diagram.weight, i),
+            diagram.weight.insert_down_up(i),
             CapDiagram(size, frozenset(cap_cups), frozenset(cap_rays)),
         )
         out[new] = out.get(new, Fraction(0)) + coeff
     return AlgebraElement(out)
-
-
-def upper_reduction(t: Matching, cap: CapDiagram) -> tuple[CapDiagram, int]:
-    """Compose the matching t (drawn below) with a cap diagram of the
-    smaller block (drawn above), remove the upper number line, and count
-    the circles removed.
-
-    For a t_i matching the bottom line has m+n vertices; the cap (i, i+1)
-    of t plus the pulled-back arcs of ``cap`` form the reduced cap diagram.
-    """
-    if t.kind != "t":
-        raise ValueError("upper_reduction is implemented for t_i matchings")
-    if cap.size != sum(t.target_block):
-        raise ValueError("cap diagram size does not match the matching's target")
-    i = t.i
-    cups, rays = _shift_arcs(cap.cups, cap.rays, i)
-    cups.add((i, i + 1))
-    # a t_i matching has no cups, so composing cannot close any circle
-    reduced = CapDiagram(cap.size + 2, frozenset(cups), frozenset(rays))
-    return reduced, 0

@@ -4,19 +4,21 @@ resolution/A-infinity reports, SVG diagram rendering and result caching.
 Exit codes: 0 success, 1 domain error (weight/block mismatch, dead
 product, ...), 2 usage error (bad flags, malformed diagram strings).
 Output is an aligned text table by default or a JSON document with
-``--format json``; JSON documents round-trip through ``json`` verbatim,
-and ``--cache DIR`` (default from $ARCKIT_CACHE) reuses them byte for
-byte on warm runs.
+``--format json``; JSON documents round-trip through ``json`` verbatim.
+``--cache DIR`` (default from $ARCKIT_CACHE) keeps each document, and each
+resolution ``resolve`` computes, in one store (one file per result, named
+by the package source and the arguments, written atomically); warm runs
+print the same bytes, and a damaged entry is recomputed.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 
+from . import cache
 from .arcalg import AlgebraElement, basis, hom_basis, multiply, surgery_trace
 from .diagrams import OrientedCircleDiagram, Weight, weights_in_block
 from .extalg import (
@@ -27,14 +29,7 @@ from .extalg import (
     shelton_dims,
 )
 from .repmod import cartan_matrix, decomposition_matrix, kl_poly_closed, kl_poly_recursive
-from .resolve import (
-    ResolutionCache,
-    cache_load,
-    cache_store,
-    resolve_cone,
-    resolve_generic,
-    verify_resolution,
-)
+from .resolve import ResolutionCache, resolve_cone, resolve_generic, verify_resolution
 
 __all__ = ["main"]
 
@@ -132,7 +127,7 @@ def _parse_weight(args, name: str, m: int, n: int) -> Weight:
 
 def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
     try:
-        d = _checked_diagram(text)
+        d = OrientedCircleDiagram.parse(text)
     except ValueError as e:
         raise UsageError(f"malformed diagram {text!r}: {e}") from None
     if d.weight.block != (m, n):
@@ -140,10 +135,6 @@ def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
             f"diagram weight {d.weight} not in block ({m}|{n})"
         )
     return d
-
-
-def _checked_diagram(text: str) -> OrientedCircleDiagram:
-    return OrientedCircleDiagram.parse(text)
 
 
 def _block_weights(m: int, n: int):
@@ -241,14 +232,14 @@ def _doc_resolve(args) -> dict:
     m, n = args.m, args.n
     _block_weights(m, n)
     lam = _parse_weight(args, "lam", m, n)
-    cache = ResolutionCache(args.cache) if args.cache else None
+    stored = ResolutionCache(args.cache) if args.cache else None
     key = (m, n, str(lam), args.method)
-    complex_ = cache_load(cache, key) if cache else None
+    complex_ = stored.load(key) if stored else None
     if complex_ is None:
         fn = resolve_cone if args.method == "cone" else resolve_generic
         complex_ = fn(lam)
-        if cache:
-            cache_store(cache, key, complex_)
+        if stored:
+            stored.store(key, complex_)
     doc = {
         "block": [m, n],
         "lambda": str(lam),
@@ -896,9 +887,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_path(cache_dir: str, key: str) -> str:
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"cli-{digest}.json")
+def _cache_path(cache_dir: str, args) -> str:
+    """The store entry of the command's JSON document: every parsed
+    argument except the output format, the cache and the output path."""
+    relevant = {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("format", "cache", "output")
+    }
+    return cache.entry_path(cache_dir, f"cli {relevant!r}")
+
+
+def _load_document(path: str) -> dict | None:
+    text = cache.load(path)
+    try:
+        return json.loads(text) if text is not None else None
+    except ValueError:  # an entry that does not parse is a miss
+        return None
 
 
 def _emit(args, text: str):
@@ -919,24 +924,12 @@ def main(argv=None) -> int:
         if args.subcommand == "render":
             _emit(args, _run_render(args))
             return 0
-        document = None
-        cache_file = None
-        if args.cache:
-            os.makedirs(args.cache, exist_ok=True)
-            relevant = {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k not in ("format", "cache", "output")
-            }
-            cache_file = _cache_path(args.cache, repr(relevant))
-            if os.path.exists(cache_file):
-                with open(cache_file) as fh:
-                    document = json.load(fh)
+        cache_file = _cache_path(args.cache, args) if args.cache else None
+        document = _load_document(cache_file) if cache_file else None
         if document is None:
             document = _DOC[args.subcommand](args)
             if cache_file:
-                with open(cache_file, "w") as fh:
-                    json.dump(document, fh, indent=2, sort_keys=True)
+                cache.store(cache_file, json.dumps(document, indent=2, sort_keys=True))
         if args.format == "json":
             _emit(args, json.dumps(document, indent=2, sort_keys=True))
         else:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable
 
 __all__ = [
     "UP",
@@ -39,9 +39,7 @@ __all__ = [
     "bruhat_leq",
     "associated_cup_diagram",
     "associated_cap_diagram",
-    "degree",
-    "components",
-    "circle_type",
+    "weights_by_cup",
     "nesting",
 ]
 
@@ -107,9 +105,6 @@ class Weight:
 
     def up_positions(self) -> list[int]:
         return [i for i, c in enumerate(self.labels) if c == UP]
-
-    def down_positions(self) -> list[int]:
-        return [i for i, c in enumerate(self.labels) if c == DOWN]
 
     def __getitem__(self, i: int) -> str:
         return self.labels[i]
@@ -253,14 +248,6 @@ class CupDiagram:
         """Cups numbered by their right endpoints, left to right."""
         return sorted(self.cups, key=lambda c: c[1])
 
-    def partner(self, p: int) -> int | None:
-        for i, j in self.cups:
-            if p == i:
-                return j
-            if p == j:
-                return i
-        return None
-
     def __str__(self) -> str:
         return _format_arcs(self.cups, self.rays)
 
@@ -278,8 +265,6 @@ class CapDiagram:
         object.__setattr__(self, "rays", frozenset(self.rays))
         _validate_arcs(self.size, self.cups, self.rays)
 
-    caps = property(lambda self: self.cups)
-
     @staticmethod
     def parse(text: str, size: int | None = None) -> "CapDiagram":
         cups, rays = _parse_arcs(text)
@@ -292,14 +277,6 @@ class CapDiagram:
 
     def cups_sorted(self) -> list[tuple[int, int]]:
         return sorted(self.cups, key=lambda c: c[1])
-
-    def partner(self, p: int) -> int | None:
-        for i, j in self.cups:
-            if p == i:
-                return j
-            if p == j:
-                return i
-        return None
 
     def __str__(self) -> str:
         return _format_arcs(self.cups, self.rays)
@@ -383,6 +360,17 @@ def associated_cap_diagram(weight: Weight) -> CapDiagram:
     return associated_cup_diagram(weight).mirror()
 
 
+@lru_cache(maxsize=None)
+def weights_by_cup(m: int, n: int) -> dict[CupDiagram, Weight]:
+    """The weight α of the block with α̲ equal to each cup diagram; should
+    two weights share one, the first in ``weights_in_block`` order wins.
+    The dict is shared between callers and must not be modified."""
+    out: dict[CupDiagram, Weight] = {}
+    for alpha in weights_in_block(m, n):
+        out.setdefault(associated_cup_diagram(alpha), alpha)
+    return out
+
+
 @dataclass(frozen=True)
 class OrientedCircleDiagram:
     """A basis diagram: cup diagram, weight, cap diagram, all compatible."""
@@ -416,64 +404,6 @@ class OrientedCircleDiagram:
 
     def __repr__(self) -> str:
         return f"OrientedCircleDiagram({str(self)!r})"
-
-
-def degree(diagram: OrientedCircleDiagram) -> int:
-    return diagram.degree
-
-
-# ---------------------------------------------------------------------------
-# components of a glued circle diagram
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Component:
-    """A connected component of a glued cup+cap diagram."""
-
-    vertices: tuple[int, ...]
-    kind: Literal["circle", "line"]
-
-
-def components(
-    cup: CupDiagram, cap: CapDiagram
-) -> list[Component]:
-    """Connected components of the diagram obtained by gluing cup and cap."""
-    if cup.size != cap.size:
-        raise ValueError("size mismatch")
-    parent = list(range(cup.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int):
-        parent[find(a)] = find(b)
-
-    for i, j in cup.cups:
-        union(i, j)
-    for i, j in cap.cups:
-        union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in range(cup.size):
-        groups.setdefault(find(v), []).append(v)
-    ray_vertices = set(cup.rays) | set(cap.rays)
-    out = []
-    for verts in groups.values():
-        kind = "line" if any(v in ray_vertices for v in verts) else "circle"
-        out.append(Component(tuple(sorted(verts)), kind))
-    out.sort(key=lambda c: c.vertices[0])
-    return out
-
-
-def circle_type(component: Component, weight: Weight) -> str:
-    """'1' for an anticlockwise circle, 'x' clockwise, 'y' for a line."""
-    if component.kind == "line":
-        return "y"
-    leftmost = component.vertices[0]
-    return "1" if weight[leftmost] == DOWN else "x"
 
 
 def nesting(diagram: CupDiagram | CapDiagram, i: int) -> int:

@@ -93,9 +93,6 @@ class QPoly:
         """Largest exponent with nonzero coefficient (-1 for the zero poly)."""
         return max(self._coeffs) if self._coeffs else -1
 
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
     def __call__(self, value: int = 1) -> int:
         return sum(c * value**e for e, c in self._coeffs.items())
 

@@ -18,7 +18,6 @@ from functools import lru_cache
 from .arcalg import AlgebraElement, basis, hom_basis, multiply
 from .diagrams import (
     DOWN,
-    CupDiagram,
     OrientedCircleDiagram,
     Weight,
     associated_cap_diagram,
@@ -28,6 +27,7 @@ from .diagrams import (
     half_degree,
     length,
     relative_length,
+    weights_by_cup,
     weights_in_block,
 )
 from .exact import QPoly, SparseMatrix
@@ -40,7 +40,6 @@ __all__ = [
     "cartan_matrix",
     "kl_poly_recursive",
     "kl_poly_closed",
-    "kl_table",
     "cell_module",
     "projective_module",
 ]
@@ -173,20 +172,6 @@ def kl_poly_closed(lam: Weight, mu: Weight) -> QPoly:
     return out
 
 
-def kl_table(
-    m: int, n: int, method: str = "closed"
-) -> dict[tuple[Weight, Weight], QPoly]:
-    fn = kl_poly_closed if method == "closed" else kl_poly_recursive
-    ws = weights_in_block(m, n)
-    out = {}
-    for lam in ws:
-        for mu in ws:
-            p = fn(lam, mu)
-            if not p.is_zero():
-                out[(lam, mu)] = p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # explicit graded modules
 # ---------------------------------------------------------------------------
@@ -296,7 +281,7 @@ def cell_module(mu: Weight) -> GradedModule:
         for diagram, coeff in product:
             if diagram.weight != mu:
                 continue  # killed in the cellular quotient
-            new_alpha = _weight_with_cup(diagram.cup, m, n)
+            new_alpha = weights_by_cup(m, n)[diagram.cup]
             out[new_alpha] = out.get(new_alpha, Fraction(0)) + coeff
         return out
 
@@ -309,12 +294,3 @@ def cell_module(mu: Weight) -> GradedModule:
         degrees=degrees,
         action=_action_matrices(m, n, module_basis, act),
     )
-
-
-@lru_cache(maxsize=None)
-def _weight_with_cup(cup: CupDiagram, m: int, n: int) -> Weight:
-    """The weight α of the block with α̲ equal to the given cup diagram."""
-    for alpha in weights_in_block(m, n):
-        if associated_cup_diagram(alpha) == cup:
-            return alpha
-    raise ValueError(f"no weight in Λ_{m}^{n} has cup diagram {cup}")

@@ -18,13 +18,10 @@ sign tables; see :func:`sign_target_n1` / :func:`sign_target_n2`.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from . import __version__ as _tool_version
+from . import cache
 from .arcalg import (
     AlgebraElement,
     Matching,
@@ -39,6 +36,7 @@ from .diagrams import (
     associated_cup_diagram,
     length,
     total_nesting,
+    weights_by_cup,
 )
 from .exact import Echelon, QPoly, SparseMatrix, kernel_basis, rank, solve
 from .repmod import cell_module, kl_poly_closed, projective_module, weights_in_block
@@ -52,11 +50,7 @@ __all__ = [
     "sign_target_n1",
     "sign_target_n2",
     "ResolutionCache",
-    "cache_store",
-    "cache_load",
 ]
-
-FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,36 +242,23 @@ def _apply_functor(t: Matching, complex_: ProjectiveComplex) -> ProjectiveComple
     return ProjectiveComplex(new_weight, comps, diffs)
 
 
-def resolve_cone(
-    lam: Weight,
-    cache: "ResolutionCache | None" = None,
-    normalize: bool | None = None,
-) -> ProjectiveComplex:
+def resolve_cone(lam: Weight, normalize: bool | None = None) -> ProjectiveComplex:
     """The inductive cone resolution of M(λ).
 
     ``normalize`` controls the sign gauge: by default the output is
     rescaled onto the explicit sign tables when n ≤ 2 and left raw
     otherwise.
     """
-    m, n = lam.block
+    n = lam.n
     if normalize is None:
         normalize = n <= 2
-    key = (m, n, str(lam), "cone" if normalize else "cone_raw")
-    if cache is not None:
-        hit = cache.load(key)
-        if hit is not None:
-            return hit
-    out = _resolve_cone_raw(lam, cache)
+    out = _resolve_cone_raw(lam)
     if normalize and n <= 2 and len(out) > 1:
         out = _normalize_signs(out)
-    if cache is not None:
-        cache.store(key, out)
     return out
 
 
-def _resolve_cone_raw(
-    lam: Weight, cache: "ResolutionCache | None"
-) -> ProjectiveComplex:
+def _resolve_cone_raw(lam: Weight) -> ProjectiveComplex:
     m, n = lam.block
     candidates = [i for i in range(lam.size - 1) if lam.has_down_up_at(i)]
     if not candidates:
@@ -286,9 +267,9 @@ def _resolve_cone_raw(
     i = candidates[0]
     lam_deleted = lam.delete(i)   # in the smaller block
     lam_swapped = lam.swap(i)     # in the same block, one step shorter
-    t = Matching("t", i, (m, n))
-    upper = _apply_functor(t, resolve_cone(lam_deleted, cache, normalize=False))
-    lower = resolve_cone(lam_swapped, cache, normalize=False)
+    t = Matching(i, (m, n))
+    upper = _apply_functor(t, resolve_cone(lam_deleted, normalize=False))
+    lower = resolve_cone(lam_swapped, normalize=False)
     f0 = _canonical_inclusion(lam_swapped, lam)
     fs = _lift_chain_map(f0, lower, upper)
 
@@ -456,19 +437,10 @@ def _cover_data(summands: list[tuple[Weight, int]]):
     cup-weight, absolute degree)."""
     flat = []
     for idx, (mu, j) in enumerate(summands):
+        by_cup = weights_by_cup(*mu.block)
         for diag in _projective_basis(mu):
-            alpha = _cup_weight(diag)
-            flat.append((idx, diag, alpha, diag.degree + j))
+            flat.append((idx, diag, by_cup[diag.cup], diag.degree + j))
     return flat
-
-
-@lru_cache(maxsize=None)
-def _cup_weight(diagram: OrientedCircleDiagram) -> Weight:
-    m, n = diagram.weight.block
-    for alpha in weights_in_block(m, n):
-        if associated_cup_diagram(alpha) == diagram.cup:
-            return alpha
-    raise AssertionError("basis diagram with unrecognized cup half")
 
 
 def resolve_generic(lam: Weight) -> ProjectiveComplex:
@@ -492,7 +464,7 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     for diag in pbasis:
         vec = [Fraction(0)] * M.dim
         if diag.weight == lam:
-            vec[mindex[_cup_weight(diag)]] = Fraction(1)
+            vec[mindex[weights_by_cup(m, n)[diag.cup]]] = Fraction(1)
         cols.append(vec)
     aug = SparseMatrix(
         M.dim,
@@ -796,67 +768,23 @@ def _deserialize(weight: Weight, body: str) -> ProjectiveComplex:
 
 
 class ResolutionCache:
-    """One file per (m, n, weight, method) under ``directory``.
-
-    ``hits``/``misses``/``stores`` are exposed for instrumentation (the
-    cone recursion on Λ_m^n reuses cached Λ_{m-1}^{n-1} resolutions).
-    """
+    """Resolutions in the on-disk store under ``directory`` (see
+    :mod:`arckit.cache`), one entry per (m, n, weight, method) key."""
 
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     def _path(self, key: tuple[int, int, str, str]) -> str:
-        m, n, weight, method = key
-        name = f"{m}_{n}_{weight.replace('^', 'u').replace('v', 'd')}_{method}.res"
-        return os.path.join(self.directory, name)
+        return cache.entry_path(self.directory, f"resolution {key!r}")
 
     def load(self, key: tuple[int, int, str, str]) -> ProjectiveComplex | None:
-        path = self._path(key)
-        if not os.path.exists(path):
-            self.misses += 1
+        body = cache.load(self._path(key))
+        if body is None:
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            header_line = fh.readline()
-            body = fh.read()
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"corrupt cache header in {path}") from exc
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"cache format version {header.get('format_version')} != {FORMAT_VERSION}"
-            )
-        m, n, weight, method = key
-        if (header.get("m"), header.get("n"), header.get("weight"), header.get("method")) != (
-            m, n, weight, method,
-        ):
-            raise ValueError(f"cache header does not match key in {path}")
-        self.hits += 1
-        return _deserialize(Weight.parse(weight), body)
+            return _deserialize(Weight.parse(key[2]), body)
+        except (ValueError, LookupError, ArithmeticError):  # does not parse: a miss
+            return None
 
     def store(self, key: tuple[int, int, str, str], c: ProjectiveComplex) -> None:
-        m, n, weight, method = key
-        header = {
-            "format_version": FORMAT_VERSION,
-            "m": m,
-            "n": n,
-            "weight": weight,
-            "method": method,
-            "tool_version": _tool_version,
-        }
-        with open(self._path(key), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            fh.write(_serialize(c))
-        self.stores += 1
-
-
-def cache_store(cache: ResolutionCache, key: tuple[int, int, str, str], c: ProjectiveComplex) -> None:
-    cache.store(key, c)
-
-
-def cache_load(cache: ResolutionCache, key: tuple[int, int, str, str]) -> ProjectiveComplex | None:
-    return cache.load(key)
+        cache.store(self._path(key), _serialize(c))

@@ -143,7 +143,7 @@ class TestFunctor:
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_functor_preserves_multiplication(self, i):
         # the geometric-bimodule functor embeds Λ₂¹ morphisms into Λ₃²
-        t = Matching("t", i, (3, 2))
+        t = Matching(i, (3, 2))
         bs = [_elt(d) for d in basis(2, 1)]
         for x in bs:
             for y in bs:

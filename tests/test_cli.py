@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import arckit.cache
 from arckit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -206,6 +207,53 @@ class TestDeterminismAndCache:
         assert reference[0] == 0
         assert run(args + cache)[0] == 0
         assert run(args + cache + ["--verify"]) == reference
+
+    def test_truncated_document_entry_is_recomputed(self, tmp_path):
+        args = ["cartan", "-m", "2", "-n", "1"]
+        cache = ["--cache", str(tmp_path)]
+        reference = run(args)
+        assert run(args + cache) == reference
+        (entry,) = tmp_path.iterdir()
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[: len(whole) // 2])
+        assert run(args + cache) == reference
+        assert entry.read_bytes() == whole  # overwritten by the recomputation
+
+    def test_resolution_entry_missing_a_summand_line(self, tmp_path):
+        args = ["resolve", "-m", "2", "-n", "1", "--lambda", "vv^"]
+        cache = ["--cache", str(tmp_path)]
+        reference = run(args + ["--verify"])
+        assert run(args + cache)[0] == 0
+        (entry,) = [p for p in tmp_path.iterdir() if "\nsummand " in p.read_text()]
+        lines = entry.read_text().splitlines(keepends=True)
+        entry.write_text("".join(l for l in lines if not l.startswith("summand 1 ")))
+        # the --verify document is not cached, so the resolution entry is read
+        assert run(args + cache + ["--verify"]) == reference
+
+    def test_entry_under_other_source_is_not_served(self, tmp_path, monkeypatch):
+        args = ["klpoly", "-m", "2", "-n", "2", "--lambda", "vv^^", "--mu", "^^vv"]
+        cache = ["--cache", str(tmp_path)]
+        reference = run(args)
+        with monkeypatch.context() as patch:
+            # what another version of the code left behind for the same command
+            patch.setattr(arckit.cache, "source_digest", lambda: "0" * 64)
+            assert run(args + cache) == reference
+            (entry,) = tmp_path.iterdir()
+            arckit.cache.store(str(entry), json.dumps({"polynomial": "stale"}))
+            assert run(args + cache) == (0, "stale\n", "")
+        assert run(args + cache) == reference
+
+    def test_cache_holds_only_whole_entries(self, tmp_path):
+        cache = ["--cache", str(tmp_path)]
+        for args in (
+            ["resolve", "-m", "2", "-n", "2", "--lambda", "v^v^", "--verify"],
+            ["extdim", "-m", "2", "-n", "1", "--all", "--format", "json"],
+            ["klpoly", "-m", "2", "-n", "2", "--lambda", "vv^^", "--mu", "^^vv"],
+        ):
+            assert run(args + cache)[0] == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == 4  # three documents and one resolution
+        assert all(len(n) == 64 and set(n) <= set("0123456789abcdef") for n in names)
 
     def test_cache_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ARCKIT_CACHE", str(tmp_path))

@@ -15,7 +15,7 @@ from arckit import (
     length,
     weights_in_block,
 )
-from arckit.diagrams import cap_oriented, cup_oriented
+from arckit.diagrams import cap_oriented, cup_oriented, weights_by_cup
 
 
 def weight_strategy(m, n):
@@ -117,6 +117,15 @@ class TestDiagrams:
                 assert cap_oriented(cup.mirror(), w)
                 d = OrientedCircleDiagram(cup, w, cup.mirror())
                 assert d.degree == 0
+
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_weights_by_cup_matches_a_scan_of_the_block(self, m, n):
+        ws = weights_in_block(m, n)
+        by_cup = weights_by_cup(m, n)
+        assert len(by_cup) == len(ws)
+        for w in ws:
+            cup = associated_cup_diagram(w)
+            assert by_cup[cup] == next(a for a in ws if associated_cup_diagram(a) == cup)
 
     def test_degree_counts_clockwise_cups_and_caps(self):
         # one anticlockwise circle (degree 0) vs one clockwise circle

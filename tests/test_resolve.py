@@ -1,9 +1,15 @@
 """Linear projective resolutions: shape, signs, exactness, oracles."""
 
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import arckit.cache
 from arckit import (
     AlgebraElement,
     Weight,
@@ -18,8 +24,6 @@ from arckit.resolve import (
     ProjectiveComplex,
     ResolutionCache,
     _ab_type,
-    cache_load,
-    cache_store,
     expected_terms,
     sign_target_n1,
     sign_target_n2,
@@ -174,10 +178,72 @@ class TestCache:
         lam = weights_in_block(2, 2)[1]
         c = resolve_cone(lam)
         key = (2, 2, str(lam), "cone")
-        assert cache_load(cache, key) is None
-        cache_store(cache, key, c)
-        loaded = cache_load(cache, key)
+        assert cache.load(key) is None
+        cache.store(key, c)
+        loaded = cache.load(key)
         assert loaded is not None
         assert loaded.components == c.components
         assert loaded.differentials == c.differentials
         assert verify_resolution(loaded, lam) == []
+
+    def test_damaged_entry_is_a_miss(self, tmp_path):
+        cache = ResolutionCache(str(tmp_path))
+        lam = Weight.parse("v^v^")
+        key = (2, 2, str(lam), "generic")
+        c = resolve_generic(lam)
+        cache.store(key, c)
+        (entry,) = tmp_path.iterdir()
+        lines = entry.read_text().splitlines(keepends=True)
+        entry.write_text("".join(l for l in lines if not l.startswith("summand 1 ")))
+        assert cache.load(key) is None
+        cache.store(key, c)
+        assert cache.load(key).differentials == c.differentials
+
+    def test_failed_store_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        cache = ResolutionCache(str(tmp_path))
+        lam = Weight.parse("v^v^")
+        key = (2, 2, str(lam), "cone")
+        c = resolve_cone(lam)
+        cache.store(key, c)
+        (entry,) = tmp_path.iterdir()
+        whole = entry.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", interrupted)
+            with pytest.raises(OSError):
+                cache.store(key, resolve_cone(lam, normalize=False))
+        assert list(tmp_path.iterdir()) == [entry]  # no temp file left
+        assert entry.read_bytes() == whole
+        assert cache.load(key).differentials == c.differentials
+
+    def test_concurrent_stores_never_show_a_partial_entry(self, tmp_path):
+        path = str(tmp_path / "entry")
+        payloads = [str(k) * 200_000 for k in range(3)]
+        writer = (
+            "import sys\nfrom arckit import cache\n"
+            "for _ in range(20):\n    cache.store(sys.argv[1], sys.argv[2] * 200_000)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        procs = [
+            subprocess.Popen([sys.executable, "-c", writer, path, str(k)], env=env)
+            for k in range(3)
+        ]
+        deadline = time.monotonic() + 60
+        try:
+            reads = []
+            while any(p.poll() is None for p in procs) and time.monotonic() < deadline:
+                reads.append(arckit.cache.load(path))
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+            codes = [p.wait() for p in procs]
+        assert codes == [0, 0, 0]
+        reads.append(arckit.cache.load(path))
+        first = next(i for i, r in enumerate(reads) if r is not None)
+        # once an entry exists, every read sees one writer's whole payload
+        assert set(reads[first:]) <= set(payloads)
+        assert os.listdir(tmp_path) == ["entry"]
