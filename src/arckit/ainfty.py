@@ -39,6 +39,7 @@ from .extalg import (
     ext_basis,
     hom_differential,
     hom_space,
+    hom_element,
     homotopy_element,
     vectorize,
     zero_hom,
@@ -67,9 +68,7 @@ class _SpaceSplit:
 
     space: tuple
     b_count: int
-    h_vectors: list[list[Fraction]]
     h_classes: list[ExtClass]
-    l_vectors: list[list[Fraction]]
     l_prev: list[list[Fraction]]  # L-basis of hom^{k-1}, preimages under d
     matrix: SparseMatrix  # columns [B | H | L], invertible
 
@@ -142,7 +141,7 @@ class Splitting:
             space = hom_space(lam, mu, k)
             dim = len(space)
             if dim == 0:
-                out[k] = _SpaceSplit(space, 0, [], [], [], l_prev, SparseMatrix.zeros(0, 0))
+                out[k] = _SpaceSplit(space, 0, [], l_prev, SparseMatrix.zeros(0, 0))
                 l_prev = []
                 continue
             span = Echelon(dim)
@@ -183,9 +182,7 @@ class Splitting:
             out[k] = _SpaceSplit(
                 space,
                 len(b_cols),
-                h_cols,
                 classes,
-                l_cols,
                 l_prev,
                 SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim),
             )
@@ -231,18 +228,13 @@ class Splitting:
         if f.is_zero():
             return zero_hom(f.source, f.target, f.k - 1, f.j)
         data, coords = self._coordinates(f)
-        dom = hom_space(f.source, f.target, f.k - 1)
-        out = zero_hom(f.source, f.target, f.k - 1, f.j)
-        for i in range(data.b_count):
-            coeff = coords[i]
-            if not coeff:
-                continue
-            for row, value in enumerate(data.l_prev[i]):
-                if value:
-                    out = out + coeff * value * basis_hom_element(
-                        f.source, f.target, f.k - 1, dom[row]
-                    )
-        return out
+        vec = [Fraction(0)] * len(hom_space(f.source, f.target, f.k - 1))
+        for coeff, preimage in zip(coords[: data.b_count], data.l_prev):
+            if coeff:
+                for row, value in enumerate(preimage):
+                    if value:
+                        vec[row] += coeff * value
+        return hom_element(f.source, f.target, f.k - 1, vec, f.j)
 
     # -- derived data -------------------------------------------------------
 
@@ -389,16 +381,10 @@ def composable_tuples(
     return out
 
 
-def stasheff_check(
-    split: Splitting,
-    arity: int,
-    include_idempotents: bool = False,
-    classes: list[ExtClass] | None = None,
-) -> dict:
+def stasheff_check(split: Splitting, arity: int) -> dict:
     """Evaluate every Stasheff identity Σ (−1)^{r+st} m_{r+t+1}(1^r ⊗ m_s ⊗ 1^t)
     on all composable H-basis tuples up to the arity bound (m_1 = 0)."""
-    if classes is None:
-        classes = split.all_h_classes(include_idempotents=include_idempotents)
+    classes = split.all_h_classes(include_idempotents=False)
     violations = []
     checked = 0
     for n in range(2, arity + 1):
@@ -426,12 +412,10 @@ def stasheff_check(
     return {"arity": arity, "checked": checked, "violations": violations}
 
 
-def vanishing_report(
-    split: Splitting, arity: int, include_idempotents: bool = False
-) -> dict:
+def vanishing_report(split: Splitting, arity: int) -> dict:
     """Per-arity zero/nonzero summary plus the intermediate vanishing facts
     Q(λ_2)·Q(λ_2) = 0 and Q(λ_3) = 0 (when they hold)."""
-    classes = split.all_h_classes(include_idempotents=include_idempotents)
+    classes = split.all_h_classes(include_idempotents=False)
     m, n = split.block
 
     q2_zero = True

@@ -230,6 +230,20 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "SparseMatrix":
+        """The submatrix on the given distinct rows and columns, in that order."""
+        row_at = {r: i for i, r in enumerate(rows)}
+        col_at = {c: j for j, c in enumerate(cols)}
+        return SparseMatrix(
+            len(row_at),
+            len(col_at),
+            {
+                (row_at[r], col_at[c]): v
+                for (r, c), v in self.entries.items()
+                if r in row_at and c in col_at
+            },
+        )
+
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -235,6 +235,33 @@ def basis_hom_element(lam: Weight, mu: Weight, k: int, vector) -> HomElement:
     )
 
 
+def hom_element(
+    lam: Weight, mu: Weight, k: int, coords, j: int | None = None
+) -> HomElement:
+    """The element of hom^k(P_•(λ), P_•(μ)) with coordinates ``coords`` over
+    ``hom_space(λ, μ, k)``.
+
+    Its shift is ``j``, or that of the first nonzero coordinate when None;
+    a nonzero coordinate of another shift raises ValueError.
+    """
+    terms: dict[int, dict[tuple[int, int], dict]] = {}
+    for (p, s, t, diagram, shift), coeff in zip(hom_space(lam, mu, k), coords):
+        if not coeff:
+            continue
+        if j is None:
+            j = shift
+        elif shift != j:
+            raise ValueError("hom elements from different bigraded pieces")
+        terms.setdefault(p, {}).setdefault((s, t), {})[diagram] = coeff
+    if j is None:
+        raise ValueError("the zero vector needs an explicit shift j")
+    entries = {
+        p: {key: AlgebraElement(u) for key, u in block.items()}
+        for p, block in terms.items()
+    }
+    return HomElement(lam, mu, k, j, entries)
+
+
 def vectorize(f: HomElement, basis: tuple) -> list[Fraction]:
     index = {(p, s, t, d): i for i, (p, s, t, d, _) in enumerate(basis)}
     out = [Fraction(0)] * len(basis)
@@ -267,14 +294,12 @@ def _k_range(lam: Weight, mu: Weight) -> range:
     return range(-(len(resolution(mu)) - 1), len(resolution(lam)))
 
 
-def ext_dims(lam: Weight, mu: Weight, bigraded: bool = False) -> dict:
-    """Exact cohomology dimensions of hom(P_•(λ), P_•(μ)) by rank counts.
-
-    Returns {k: dim} (or {(k, j): dim} when ``bigraded``), zeros omitted.
-    """
+def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
+    """Exact cohomology dimensions {k: dim} of hom(P_•(λ), P_•(μ)) by rank
+    counts, zeros omitted."""
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    out: dict = {}
+    out: dict[int, int] = {}
     for k in _k_range(lam, mu):
         space = hom_space(lam, mu, k)
         if not space:
@@ -282,35 +307,9 @@ def ext_dims(lam: Weight, mu: Weight, bigraded: bool = False) -> dict:
         r_k = rank(_differential_matrix(lam, mu, k))
         r_prev = rank(_differential_matrix(lam, mu, k - 1))
         total = len(space) - r_k - r_prev
-        if not total:
-            continue
-        if not bigraded:
+        if total:
             out[k] = total
-            continue
-        # the differential preserves j, so split the count per shift
-        for j in sorted({v[4] for v in space}):
-            sub = [v for v in space if v[4] == j]
-            rj = rank(_restrict_matrix(lam, mu, k, j))
-            rj_prev = rank(_restrict_matrix(lam, mu, k - 1, j))
-            d = len(sub) - rj - rj_prev
-            if d:
-                out[(k, j)] = d
     return out
-
-
-def _restrict_matrix(lam: Weight, mu: Weight, k: int, j: int) -> SparseMatrix:
-    dom = hom_space(lam, mu, k)
-    cod = hom_space(lam, mu, k + 1)
-    cols = [i for i, v in enumerate(dom) if v[4] == j]
-    rows = [i for i, v in enumerate(cod) if v[4] == j]
-    full = _differential_matrix(lam, mu, k)
-    entries = {}
-    for rr, row in enumerate(rows):
-        for cc, col in enumerate(cols):
-            value = full[row, col]
-            if value:
-                entries[(rr, cc)] = value
-    return SparseMatrix(len(rows), len(cols), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -827,12 +826,7 @@ def _generic_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
         span = _coboundaries(lam, mu, k)
         for vec in kernel_basis(_differential_matrix(lam, mu, k)):
             if span.add(vec):
-                total = None
-                for i, coeff in enumerate(vec):
-                    if coeff:
-                        term = coeff * basis_hom_element(lam, mu, k, space[i])
-                        total = term if total is None else total + term
-                out.append(ExtClass("generic", lam, mu, total))
+                out.append(ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec)))
     return out
 
 
@@ -847,18 +841,11 @@ def find_homotopy(f: HomElement) -> HomElement | None:
     if f.is_zero():
         return zero_hom(f.source, f.target, f.k - 1, f.j)
     lam, mu, k = f.source, f.target, f.k
-    space = hom_space(lam, mu, k)
-    dom = hom_space(lam, mu, k - 1)
     matrix = _differential_matrix(lam, mu, k - 1)
-    target = vectorize(f, space)
-    solution = solve(matrix, target)
+    solution = solve(matrix, vectorize(f, hom_space(lam, mu, k)))
     if solution is None:
         return None
-    result = zero_hom(lam, mu, k - 1, f.j)
-    for i, coeff in enumerate(solution):
-        if coeff:
-            result = result + coeff * basis_hom_element(lam, mu, k - 1, dom[i])
-    return result
+    return hom_element(lam, mu, k - 1, solution, f.j)
 
 
 def decompose(f: HomElement, classes: list[ExtClass] | None = None):
@@ -873,7 +860,6 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     else:
         classes = [c for c in classes if c.k == k]
     space = hom_space(lam, mu, k)
-    dom = hom_space(lam, mu, k - 1)
     boundary = _differential_matrix(lam, mu, k - 1)
     columns = [vectorize(c.element, space) for c in classes]
     columns += [
@@ -888,11 +874,7 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
         for i, c in enumerate(classes)
         if solution[i]
     }
-    witness = zero_hom(lam, mu, k - 1, f.j)
-    for i, coeff in enumerate(solution[len(classes):]):
-        if coeff:
-            witness = witness + coeff * basis_hom_element(lam, mu, k - 1, dom[i])
-    return coeffs, witness
+    return coeffs, hom_element(lam, mu, k - 1, solution[len(classes):], f.j)
 
 
 # ---------------------------------------------------------------------------

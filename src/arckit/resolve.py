@@ -7,7 +7,12 @@ Two independent constructions are provided:
   geometric functor, lift the canonical degree-one inclusion to a chain map
   by degreewise linear solves, and take the cone.
 * :func:`resolve_generic` — iterated minimal projective covers computed by
-  exact kernel linear algebra; used as an oracle for the first.
+  exact kernel linear algebra; used as an oracle for the first.  A cover
+  ⊕P(μ)⟨j⟩ is realized in flat coordinates, each summand a block in the
+  basis order of ``projective_module(μ)``; the radical of a syzygy is read
+  off that module's cached action matrices, and the next differential's
+  matrix (shared with the exactness check of :func:`verify_resolution`)
+  comes from right multiplication by its entries.
 
 Both return :class:`ProjectiveComplex`.  Differentials point from
 component i to component i-1, each entry being a degree-one element of
@@ -242,18 +247,11 @@ def _apply_functor(t: Matching, complex_: ProjectiveComplex) -> ProjectiveComple
     return ProjectiveComplex(new_weight, comps, diffs)
 
 
-def resolve_cone(lam: Weight, normalize: bool | None = None) -> ProjectiveComplex:
-    """The inductive cone resolution of M(λ).
-
-    ``normalize`` controls the sign gauge: by default the output is
-    rescaled onto the explicit sign tables when n ≤ 2 and left raw
-    otherwise.
-    """
-    n = lam.n
-    if normalize is None:
-        normalize = n <= 2
+def resolve_cone(lam: Weight) -> ProjectiveComplex:
+    """The inductive cone resolution of M(λ), rescaled onto the explicit
+    sign tables when n ≤ 2 and left raw otherwise."""
     out = _resolve_cone_raw(lam)
-    if normalize and n <= 2 and len(out) > 1:
+    if lam.n <= 2 and len(out) > 1:
         out = _normalize_signs(out)
     return out
 
@@ -268,8 +266,8 @@ def _resolve_cone_raw(lam: Weight) -> ProjectiveComplex:
     lam_deleted = lam.delete(i)   # in the smaller block
     lam_swapped = lam.swap(i)     # in the same block, one step shorter
     t = Matching(i, (m, n))
-    upper = _apply_functor(t, resolve_cone(lam_deleted, normalize=False))
-    lower = resolve_cone(lam_swapped, normalize=False)
+    upper = _apply_functor(t, _resolve_cone_raw(lam_deleted))
+    lower = _resolve_cone_raw(lam_swapped)
     f0 = _canonical_inclusion(lam_swapped, lam)
     fs = _lift_chain_map(f0, lower, upper)
 
@@ -428,19 +426,38 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
 # ---------------------------------------------------------------------------
 
 
-def _projective_basis(mu: Weight) -> tuple[OrientedCircleDiagram, ...]:
-    return projective_module(mu).labels
-
-
 def _cover_data(summands: list[tuple[Weight, int]]):
     """Flattened basis of ⊕ P(μ)⟨j⟩: list of (summand index, diagram,
-    cup-weight, absolute degree)."""
+    cup-weight, absolute degree).  Each summand is a contiguous block of
+    coordinates in ``projective_module(μ).labels`` order."""
     flat = []
     for idx, (mu, j) in enumerate(summands):
         by_cup = weights_by_cup(*mu.block)
-        for diag in _projective_basis(mu):
+        for diag in projective_module(mu).labels:
             flat.append((idx, diag, by_cup[diag.cup], diag.degree + j))
     return flat
+
+
+def _flat_differential(
+    diff: dict[tuple[int, int], AlgebraElement], source_flat, target_flat
+) -> SparseMatrix:
+    """The matrix of a differential in flat cover coordinates (columns are
+    the source basis): entry (s, t) sends each basis diagram x of summand s
+    to x·d[s,t] in summand t."""
+    index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(target_flat)}
+    by_source: dict[int, list[tuple[int, AlgebraElement]]] = {}
+    for (s, t), u in diff.items():
+        by_source.setdefault(s, []).append((t, u))
+    entries: dict[tuple[int, int], Fraction] = {}
+    for col, (s, diag, _, _) in enumerate(source_flat):
+        x = AlgebraElement.from_diagram(diag)
+        for t, u in by_source.get(s, ()):
+            for d, c in multiply(x, u):
+                r = index.get((t, d))
+                if r is None:
+                    raise AssertionError("image left the projective summand")
+                entries[(r, col)] = entries.get((r, col), Fraction(0)) + c
+    return SparseMatrix(len(target_flat), len(source_flat), entries)
 
 
 def resolve_generic(lam: Weight) -> ProjectiveComplex:
@@ -451,89 +468,44 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     head is read off by exact rank computations, and the next differential
     comes straight from the chosen generators.
     """
-    m, n = lam.block
     M = cell_module(lam)
     # head of M(λ): L(λ) in degree 0, so the zeroth cover is P(λ)
     components: list[list[tuple[Weight, int]]] = [[(lam, 0)]]
     diffs: list[dict[tuple[int, int], AlgebraElement]] = []
 
-    # kernel of P(λ) → M(λ) in P(λ) coordinates
-    pbasis = _projective_basis(lam)
+    # kernel of P(λ) → M(λ): a diagram of middle weight λ maps to the basis
+    # vector of its cup-weight, every other diagram to 0
+    flat = _cover_data(components[0])
     mindex = {w: k for k, w in enumerate(M.labels)}
-    cols = []
-    for diag in pbasis:
-        vec = [Fraction(0)] * M.dim
-        if diag.weight == lam:
-            vec[mindex[weights_by_cup(m, n)[diag.cup]]] = Fraction(1)
-        cols.append(vec)
     aug = SparseMatrix(
         M.dim,
-        len(pbasis),
+        len(flat),
         {
-            (r, c): v
-            for c, vec in enumerate(cols)
-            for r, v in enumerate(vec)
-            if v
+            (mindex[alpha], col): Fraction(1)
+            for col, (_, diag, alpha, _) in enumerate(flat)
+            if diag.weight == lam
         },
     )
-    syzygy = _homogeneous_kernel(aug, _cover_data([(lam, 0)]))
+    syzygy = _homogeneous_kernel(aug, flat)
 
     while syzygy:
-        prev_summands = components[-1]
-        prev_flat = _cover_data(prev_summands)
-        generators = _head_generators(syzygy, prev_flat, prev_summands)
-        new_summands = [(alpha, deg) for (alpha, deg, _) in generators]
+        generators = _head_generators(syzygy, components[-1])
         diff: dict[tuple[int, int], AlgebraElement] = {}
-        for s, (alpha, deg, vec) in enumerate(generators):
-            per_summand: dict[int, AlgebraElement] = {}
-            for coord, (idx, diag, _, _) in zip(vec, prev_flat):
+        for s, (_, _, vec) in enumerate(generators):
+            for coord, (t, diag, _, _) in zip(vec, flat):
                 if coord:
-                    per_summand.setdefault(idx, AlgebraElement())
-                    per_summand[idx] = per_summand[idx] + coord * AlgebraElement.from_diagram(diag)
-            for t, u in per_summand.items():
-                diff[(s, t)] = u
-        components.append(new_summands)
+                    u = diff.get((s, t), AlgebraElement())
+                    diff[(s, t)] = u + coord * AlgebraElement.from_diagram(diag)
+        components.append([(alpha, deg) for (alpha, deg, _) in generators])
         diffs.append(diff)
         # next syzygy: kernel of ⊕P(α_g)⟨deg_g⟩ → previous cover
-        new_flat = _cover_data(new_summands)
-        prev_dim = len(prev_flat)
-        entries: dict[tuple[int, int], Fraction] = {}
-        prev_index = {diag: k for k, (idx, diag, _, _) in enumerate(prev_flat)}
-        prev_by_summand: dict[int, dict[OrientedCircleDiagram, int]] = {}
-        for k, (idx, diag, _, _) in enumerate(prev_flat):
-            prev_by_summand.setdefault(idx, {})[diag] = k
-        for col, (gidx, diag, _, _) in enumerate(new_flat):
-            image = _apply_map(diag, gidx, diff, prev_summands, prev_by_summand, prev_dim)
-            for r, v in image.items():
-                entries[(r, col)] = v
-        matrix = SparseMatrix(prev_dim, len(new_flat), entries)
-        syzygy = _homogeneous_kernel(matrix, new_flat)
+        new_flat = _cover_data(components[-1])
+        syzygy = _homogeneous_kernel(_flat_differential(diff, new_flat, flat), new_flat)
+        flat = new_flat
 
     return ProjectiveComplex(
         lam, tuple(tuple(comp) for comp in components), tuple(diffs)
     )
-
-
-def _apply_map(
-    diag: OrientedCircleDiagram,
-    gidx: int,
-    diff: dict[tuple[int, int], AlgebraElement],
-    prev_summands: list[tuple[Weight, int]],
-    prev_by_summand: dict[int, dict[OrientedCircleDiagram, int]],
-    prev_dim: int,
-) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for (s, t), u in diff.items():
-        if s != gidx:
-            continue
-        image = multiply(AlgebraElement.from_diagram(diag), u)
-        lookup = prev_by_summand.get(t, {})
-        for d, c in image:
-            r = lookup.get(d)
-            if r is None:
-                raise AssertionError("image left the projective summand")
-            out[r] = out.get(r, Fraction(0)) + c
-    return {r: v for r, v in out.items() if v}
 
 
 def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, list[Fraction]]]:
@@ -545,12 +517,7 @@ def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, l
     out = []
     for (alpha, deg) in sorted(blocks, key=lambda ad: (ad[1], str(ad[0]))):
         cols = blocks[(alpha, deg)]
-        sub_entries = {}
-        for (r, c), v in matrix.entries.items():
-            if c in cols:
-                sub_entries[(r, cols.index(c))] = v
-        sub = SparseMatrix(matrix.rows, len(cols), sub_entries)
-        for vec in kernel_basis(sub):
+        for vec in kernel_basis(matrix.restrict(range(matrix.rows), cols)):
             full = [Fraction(0)] * len(flat)
             for local, c in enumerate(cols):
                 full[c] = vec[local]
@@ -560,45 +527,40 @@ def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, l
 
 def _head_generators(
     syzygy: list[tuple[Weight, int, list[Fraction]]],
-    flat,
     summands: list[tuple[Weight, int]],
 ) -> list[tuple[Weight, int, list[Fraction]]]:
     """Minimal homogeneous generators of the syzygy module.
 
-    The radical of the span W is Σ_{deg z > 0} z·W; a deterministic greedy
-    pass picks syzygy basis vectors completing the radical to W, block by
-    (weight, degree) block in increasing degree.
+    The radical of the span W is Σ_{deg z > 0} z·W, where z acts on each
+    cover summand P(μ) through the cached action matrices of
+    ``projective_module(μ)`` (a z missing from them acts as zero); a
+    deterministic greedy pass picks syzygy basis vectors completing the
+    radical to W, block by (weight, degree) block in increasing degree.
     """
     if not syzygy:
         return []
     from .arcalg import basis as algebra_basis
 
-    m, n = summands[0][0].block
-    dim = len(flat)
-    by_summand: dict[int, dict[OrientedCircleDiagram, int]] = {}
-    for k, (idx, diag, _, _) in enumerate(flat):
-        by_summand.setdefault(idx, {})[diag] = k
-
-    def act(z: OrientedCircleDiagram, vec: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * dim
-        for k, coord in enumerate(vec):
-            if not coord:
-                continue
-            idx, diag, _, _ = flat[k]
-            image = multiply(
-                AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(diag)
-            )
-            lookup = by_summand[idx]
-            for d, c in image:
-                out[lookup[d]] += coord * c
-        return out
-
+    modules, starts, dim = [], [], 0
+    for mu, _ in summands:
+        modules.append(projective_module(mu))
+        starts.append(dim)
+        dim += modules[-1].dim
     # greedy: keep a growing echelon of radical + chosen generators
     span = Echelon(dim)
-    positive = [z for z in algebra_basis(m, n) if z.degree > 0]
+    positive = [z for z in algebra_basis(*summands[0][0].block) if z.degree > 0]
     for _, _, vec in syzygy:
         for z in positive:
-            span.add(act(z, vec))
+            image: dict[int, Fraction] = {}
+            for module, start in zip(modules, starts):
+                matrix = module.action.get(z)
+                if matrix is None:
+                    continue
+                for (r, c), v in matrix.entries.items():
+                    coord = vec[start + c]
+                    if coord:
+                        image[start + r] = image.get(start + r, 0) + v * coord
+            span.add(image)
     return [
         (alpha, deg, vec)
         for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))
@@ -671,46 +633,20 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
     return failures
 
 
-def _realize(c: ProjectiveComplex):
-    """Flattened graded bases and dense differential matrices per component."""
-    flats = [_cover_data(list(comp)) for comp in c.components]
-    matrices = []
-    for i in range(1, len(c)):
-        prev_flat, cur_flat = flats[i - 1], flats[i]
-        by_summand: dict[int, dict[OrientedCircleDiagram, int]] = {}
-        for k, (idx, diag, _, _) in enumerate(prev_flat):
-            by_summand.setdefault(idx, {})[diag] = k
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, (sidx, diag, _, _) in enumerate(cur_flat):
-            image = _apply_map(
-                diag, sidx, c.differentials[i - 1], list(c.components[i - 1]),
-                by_summand, len(prev_flat),
-            )
-            for r, v in image.items():
-                entries[(r, col)] = v
-        matrices.append(SparseMatrix(len(prev_flat), len(cur_flat), entries))
-    return flats, matrices
-
-
 def _check_exactness(c: ProjectiveComplex, lam: Weight) -> list[str]:
+    """Homology of the action-realized complex, degree by degree."""
     failures: list[str] = []
-    flats, matrices = _realize(c)
+    flats = [_cover_data(list(comp)) for comp in c.components]
+    matrices = [
+        _flat_differential(diff, flats[i], flats[i - 1])
+        for i, diff in enumerate(c.differentials, start=1)
+    ]
     degrees = sorted({deg for flat in flats for (_, _, _, deg) in flat})
     gdim_M = cell_module(lam).graded_dimension()
     for deg in degrees:
-        dims = [sum(1 for (_, _, _, d) in flat if d == deg) for flat in flats]
-        cols_per = [
-            [k for k, (_, _, _, d) in enumerate(flat) if d == deg] for flat in flats
-        ]
-        ranks = []
-        for i, mat in enumerate(matrices):
-            rows, cols = cols_per[i], cols_per[i + 1]
-            sub = {
-                (rows.index(r), cols.index(cc)): v
-                for (r, cc), v in mat.entries.items()
-                if r in set(rows) and cc in set(cols)
-            }
-            ranks.append(rank(SparseMatrix(len(rows), len(cols), sub)))
+        at = [[k for k, (_, _, _, d) in enumerate(flat) if d == deg] for flat in flats]
+        dims = [len(coords) for coords in at]
+        ranks = [rank(mat.restrict(at[i], at[i + 1])) for i, mat in enumerate(matrices)]
         # H_0 in this degree
         h0 = dims[0] - (ranks[0] if ranks else 0)
         if h0 != gdim_M.coeff(deg):

@@ -5,6 +5,9 @@ dense Gauss-Jordan elimination on ``Fraction``s that scans columns left to
 right, kept here so that the sparse incremental ``arckit.exact.Echelon``
 can be checked against it for exact equality.
 
+``restrict`` is the reference graded submatrix: dense row and column
+slicing, to check ``SparseMatrix.restrict`` against.
+
 ``hom_cohomology`` computes the cohomology dimensions of the hom complex
 between two explicit projective complexes directly with sparse linear
 algebra, without going through the Ext-algebra machinery, so it can serve
@@ -75,6 +78,12 @@ def solve(matrix: SparseMatrix, rhs) -> list[Fraction] | None:
     for i, pc in enumerate(pivots):
         x[pc] = m[i][matrix.cols]
     return x
+
+
+def restrict(matrix: SparseMatrix, rows, cols) -> list[list[Fraction]]:
+    """The dense submatrix on the given rows and columns, in that order."""
+    dense = matrix.dense()
+    return [[dense[r][c] for c in cols] for r in rows]
 
 
 def _hom_space(C, D, k):

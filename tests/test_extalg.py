@@ -19,10 +19,14 @@ from arckit.extalg import (
     decompose,
     end_quiver,
     ext_quiver,
+    _k_range,
     find_homotopy,
     hom_differential,
+    hom_element,
+    hom_space,
     homotopy_element,
     nullhomotopic_element,
+    vectorize,
 )
 from tables import (
     MULT_TABLE,
@@ -172,6 +176,27 @@ class TestHomotopyRegressions:
             assert (hom_differential(h) - target).is_zero()
             seen += 1
         assert seen == expected_count
+
+
+class TestCoordinates:
+    def test_hom_element_inverts_vectorize(self):
+        mixed = 0
+        ws = weights_in_block(2, 2)
+        for lam, mu in iproduct(ws, repeat=2):
+            for k in _k_range(lam, mu):
+                space = hom_space(lam, mu, k)
+                shifts = sorted({v[4] for v in space})
+                for j in shifts:
+                    vec = [i + 1 if v[4] == j else 0 for i, v in enumerate(space)]
+                    f = hom_element(lam, mu, k, vec)
+                    assert f.j == j and vectorize(f, space) == vec
+                if len(shifts) > 1:
+                    with pytest.raises(ValueError):
+                        hom_element(lam, mu, k, [1] * len(space))
+                    mixed += 1
+                zero = hom_element(lam, mu, k, [0] * len(space), j=3)
+                assert zero.is_zero() and zero.j == 3
+        assert mixed > 0
 
 
 class TestQuivers:

@@ -1,5 +1,6 @@
 """Linear projective resolutions: shape, signs, exactness, oracles."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from arckit.resolve import (
     ProjectiveComplex,
     ResolutionCache,
     _ab_type,
+    _serialize,
     expected_terms,
     sign_target_n1,
     sign_target_n2,
@@ -172,6 +174,53 @@ class TestOracleEquivalence:
                 assert hom_cohomology(gen[lam], gen[mu]) == ext_dims(lam, mu)
 
 
+# sha256 of _serialize(resolve_generic(λ)): the chosen generators and
+# differentials, not only the terms, stay fixed under refactoring
+GENERIC_DIGESTS = {
+    (2, 1): {
+        "^vv": "5a0b06e392c0af6e1ae29feb05b1f9d5d558a6f93e1613a9ef0e681ca196044f",
+        "v^v": "bbcbb4bbced57afbbe987135d602f31c5921bd91323ed97505ff1ee3d63d6dd8",
+        "vv^": "3c032d40a2d7e0e814874c01f5be02d670bb49f356c2d7777b9425140131ad55",
+    },
+    (3, 1): {
+        "^vvv": "271963822ace6d122861ed4b609d050900a8dbc7a9d37c90665ea0543dfd1756",
+        "v^vv": "76ce6b65a92c4457877d40f8cac2f5d6950d633304f09a1ca16857a7264eb74c",
+        "vv^v": "e7060c01f6c267ca6c28ec16ba957fc7d22acdf061643d63681d43bbf1b32862",
+        "vvv^": "033d2c0ba1a25b8aa3939f412ed57f2fb48061ba6b6b45e916a14dc3358d6d8c",
+    },
+    (2, 2): {
+        "^^vv": "64ed30ddb1696dd3da266fc06e7c0f102b4b60b1269d6d37161fb19616b2269e",
+        "^v^v": "4922775fb65e4df056b5531fedc79d187eccf1cbcbba1c8417ab6f86a46837a9",
+        "^vv^": "c75e0783696ad4af2d77bced67d69982c45d6335599862390a67be97cf4a524e",
+        "v^^v": "361bba4cb9eb0141f4d7698263f50b9ad1bfa6a825b09f9cae3a5a0fd8c2682f",
+        "v^v^": "03c5688070571c3f468a87e4ab1c332196307de34cd35f9d4566fdede6f86f52",
+        "vv^^": "1104c15f24b5af620b35868574a086381eea7ed8e0b41d954480556f65a4f679",
+    },
+    (3, 2): {
+        "^^vvv": "9f8758857ea81162f040203bf4eb44e13a234d605e7c0bf26b7984e667f2a496",
+        "^v^vv": "4dfb07d74fde0f6f7b38f1c18654c90a5e0ddc2b6d9b5a6731961605aa959091",
+        "^vv^v": "261d9665df36264edd723397f475dda8222820ca5fad66c30f28f7dc948ec9e3",
+        "v^^vv": "9c9ec36fd4ceb845bb380c09e62e54fab365f06fce8f4a85ec3bae09c515fb74",
+        "^vvv^": "aae673b731677ff16e534db31e2d2bddfdc5b2c3f133b9202b676f1a54d029bc",
+        "v^v^v": "a1b37badd3db6a22587a5f0963ac3d1c46575d256c70168b6205149ab9af800f",
+        "v^vv^": "c08d7c3f46466605282f5a9e2773dc125b20763521cb2e401d32aa3c056ff525",
+        "vv^^v": "1ba7d4979f7549ba2cc55bc730796e525bf8f969bf4f9dbde3246fb95ca3c07b",
+        "vv^v^": "9721d2be0bbdc56b1b5c93a144e01f0b446494d04a66b636766b8a53a00e5e37",
+        "vvv^^": "46d2710c348ab256029ca04873340782cf0cfdc95aa3190e8aa9c170596856c7",
+    },
+}
+
+
+class TestGenericPinned:
+    @pytest.mark.parametrize("m,n", sorted(GENERIC_DIGESTS))
+    def test_serialization_is_unchanged(self, m, n):
+        got = {
+            str(lam): hashlib.sha256(_serialize(resolve_generic(lam)).encode()).hexdigest()
+            for lam in weights_in_block(m, n)
+        }
+        assert got == GENERIC_DIGESTS[(m, n)]
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = ResolutionCache(str(tmp_path))
@@ -214,7 +263,7 @@ class TestCache:
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", interrupted)
             with pytest.raises(OSError):
-                cache.store(key, resolve_cone(lam, normalize=False))
+                cache.store(key, resolve_cone(Weight.parse("vv^^")))
         assert list(tmp_path.iterdir()) == [entry]  # no temp file left
         assert entry.read_bytes() == whole
         assert cache.load(key).differentials == c.differentials
