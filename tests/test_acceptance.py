@@ -26,7 +26,6 @@ from arckit import (
     idempotent,
     kl_poly_closed,
     kl_poly_recursive,
-    lambda_n,
     m_n,
     multiply,
     projective_module,
@@ -34,7 +33,6 @@ from arckit import (
     resolve_generic,
     shelton_dims,
     stasheff_check,
-    vanishing_report,
     verify_resolution,
     weights_in_block,
 )
@@ -263,9 +261,9 @@ class TestCriterion08FirstVanishing:
     and the homotopy kills every basis product outright."""
 
     @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_higher_products_vanish(self, N, request):
+    def test_higher_products_vanish(self, N, request, vanishing_reports):
         split = request.getfixturevalue(f"split_{N}1_generic")
-        report = vanishing_report(split, 6)
+        report = vanishing_reports(split, 6)
         assert report["q_lambda2_zero"]  # Q(a.b) = 0 for all basis pairs
         for arity in range(3, 7):
             assert report["per_arity"][arity]["nonzero_tuples"] == []
@@ -277,9 +275,9 @@ class TestCriterion09SecondVanishing:
     m_4 = m_5 = 0."""
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_report(self, m, request):
+    def test_report(self, m, request, vanishing_reports):
         split = request.getfixturevalue(f"split_{m}2_canonical")
-        report = vanishing_report(split, 5)
+        report = vanishing_reports(split, 5)
         assert report["q_lambda3_zero"]
         assert report["q_lambda2_products_zero"]
         assert report["per_arity"][3]["nonzero_tuples"] != []
@@ -288,25 +286,22 @@ class TestCriterion09SecondVanishing:
         assert report["per_arity"][5]["nonzero_tuples"] == []
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_zero_pattern_rows_vanish(self, m, request):
+    def test_zero_pattern_rows_vanish(self, m, request, m3_coefficients):
         split = request.getfixturevalue(f"split_{m}2_canonical")
-        classes = split.all_h_classes()
         checked = 0
-        for chain in composable_tuples(classes, 3):
+        for chain, coeffs in m3_coefficients(split):
             labels = tuple(c.label for c in chain)
             vals = chain_kls(chain)
             if any(labels == row and cond(*vals) for row, cond in ZERO_ROWS):
-                assert split.pi_coefficients(lambda_n(split, chain)) == {}
+                assert coeffs == {}
                 checked += 1
         assert checked > 0
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_nonzero_m3_families(self, m, request):
+    def test_nonzero_m3_families(self, m, request, m3_coefficients):
         split = request.getfixturevalue(f"split_{m}2_canonical")
-        classes = split.all_h_classes()
         observed = {}
-        for chain in composable_tuples(classes, 3):
-            coeffs = split.pi_coefficients(lambda_n(split, chain))
+        for chain, coeffs in m3_coefficients(split):
             if not coeffs:
                 continue
             assert len(coeffs) == 1
@@ -317,12 +312,11 @@ class TestCriterion09SecondVanishing:
             observed[key] = observed.get(key, 0) + 1
         assert observed == NONZERO_FAMILIES[(m, 2)]
 
-    def test_every_reachable_pattern_row_fires(self, split_32_canonical):
-        split = split_32_canonical
-        classes = split.all_h_classes()
+    def test_every_reachable_pattern_row_fires(
+        self, split_32_canonical, m3_coefficients
+    ):
         nonzero_labels = set()
-        for chain in composable_tuples(classes, 3):
-            coeffs = split.pi_coefficients(lambda_n(split, chain))
+        for chain, coeffs in m3_coefficients(split_32_canonical):
             if coeffs:
                 ((label, _, _, _), _), = coeffs.items()
                 nonzero_labels.add((tuple(c.label for c in chain), label))

@@ -14,6 +14,13 @@ from arckit.ainfty import (
     lambda_degree_bound_holds,
 )
 from arckit.extalg import compose
+from tables import (
+    FLAVOUR_TWINS,
+    NONZERO_FAMILIES,
+    PATTERN_ROWS,
+    ZERO_ROWS,
+    chain_kls,
+)
 
 
 class TestSplittingAxioms:
@@ -48,11 +55,75 @@ class TestM2:
             assert (got - want).is_zero()
 
 
-# The vanishing reports, the m_3 pattern rows and the arity-7/8 chain
-# checks are asserted once, in test_acceptance.py (TestCriterion08-10).
+class TestFirstVanishing:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_no_higher_products_in_n1_blocks(self, N, request, vanishing_reports):
+        split = request.getfixturevalue(f"split_{N}1_generic")
+        report = vanishing_reports(split, 6)
+        assert report["q_lambda2_zero"]
+        for arity in range(3, 7):
+            assert report["per_arity"][arity]["nonzero_tuples"] == []
+
+
+class TestSecondVanishing:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_canonical_report(self, m, request, vanishing_reports):
+        split = request.getfixturevalue(f"split_{m}2_canonical")
+        report = vanishing_reports(split, 5)
+        assert report["q_lambda3_zero"]
+        assert report["q_lambda2_products_zero"]
+        assert report["per_arity"][3]["nonzero_tuples"] != []
+        assert report["per_arity"][3]["max_abs_coefficient"] == 1
+        assert report["per_arity"][4]["nonzero_tuples"] == []
+        assert report["per_arity"][5]["nonzero_tuples"] == []
 
 
 class TestM3Pattern:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_zero_rows(self, m, request, m3_coefficients):
+        """Label triples the closed pattern fixes to zero give m_3 = 0."""
+        split = request.getfixturevalue(f"split_{m}2_canonical")
+        checked = 0
+        for chain, coeffs in m3_coefficients(split):
+            labels = tuple(c.label for c in chain)
+            vals = chain_kls(chain)
+            if any(
+                labels == row and cond(*vals) for row, cond in ZERO_ROWS
+            ):
+                assert coeffs == {}
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_nonzero_m3_is_a_signed_g_or_k(
+        self, m, request, m3_coefficients
+    ):
+        split = request.getfixturevalue(f"split_{m}2_canonical")
+        observed = {}
+        for chain, coeffs in m3_coefficients(split):
+            if not coeffs:
+                continue
+            assert len(coeffs) == 1
+            ((label, _, _, _), value), = coeffs.items()
+            assert label in ("G", "K")
+            assert abs(value) == 1
+            key = (tuple(c.label for c in chain), label)
+            observed[key] = observed.get(key, 0) + 1
+        assert observed == NONZERO_FAMILIES[(m, 2)]
+
+    def test_pattern_rows_covered(self, split_32_canonical, m3_coefficients):
+        """Each closed pattern row is realized on the (3|2) block, either
+        literally or through its documented one-step flavour twin."""
+        nonzero_labels = set()
+        for chain, coeffs in m3_coefficients(split_32_canonical):
+            if coeffs:
+                ((label, _, _, _), _), = coeffs.items()
+                nonzero_labels.add((tuple(c.label for c in chain), label))
+        for row, _, result in PATTERN_ROWS:
+            realized = row if (row, result) in nonzero_labels else FLAVOUR_TWINS.get(row)
+            assert realized is not None, row
+            assert (realized, result) in nonzero_labels, row
+
     def test_special_triple_nonzero(self, split_32_canonical):
         # the (J, Id, Ftilde) family carries a nonzero m_3
         split = split_32_canonical
@@ -71,6 +142,27 @@ class TestM3Pattern:
 
 
 class TestGeneralVanishing:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_no_composable_chains_beyond_the_bound(self, m, request):
+        # without idempotents no chain even reaches arity 7, so every
+        # m_l with l > 6 vanishes on non-degenerate arguments outright
+        split = request.getfixturevalue(f"split_{m}2_generic")
+        classes = split.all_h_classes(include_idempotents=False)
+        for arity in (7, 8):
+            assert composable_tuples(classes, arity) == []
+
+    def test_high_arity_vanishes_on_idempotent_padded_chains(
+        self, split_22_generic
+    ):
+        import random
+
+        split = split_22_generic
+        classes = split.all_h_classes(include_idempotents=True)
+        chains = composable_tuples(classes, 7)
+        rng = random.Random(20240823)
+        for chain in rng.sample(chains, 25):
+            assert m_n(split, chain).is_zero()
+
     def test_degree_bound_forces_vanishing(self, split_22_canonical):
         split = split_22_canonical
         classes = split.all_h_classes()
