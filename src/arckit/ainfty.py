@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import Echelon, SparseMatrix, rank, solve
+from .exact import Echelon, SparseMatrix, inverse, rank
 from .extalg import (
     ExtClass,
     HomElement,
@@ -70,7 +70,7 @@ class _SpaceSplit:
     b_count: int
     h_classes: list[ExtClass]
     l_prev: list[list[Fraction]]  # L-basis of hom^{k-1}, preimages under d
-    matrix: SparseMatrix  # columns [B | H | L], invertible
+    inverse: SparseMatrix  # of the matrix with columns [B | H | L]
 
 
 def _homotopy_candidates(lam: Weight, mu: Weight, k: int) -> list[HomElement]:
@@ -102,8 +102,12 @@ def _homotopy_candidates(lam: Weight, mu: Weight, k: int) -> list[HomElement]:
 class Splitting:
     """The block-wide splitting with projection Π and homotopy Q.
 
-    Immutable once built; the per-pair cache is guarded by a lock so
-    independent tuples may be evaluated concurrently.
+    Each (λ, μ) pair is split lazily, once, and cached; the per-pair cache
+    is guarded by a lock so independent tuples may be evaluated
+    concurrently.  For every hom^k the split stores the inverse of its
+    invertible [B | H | L] column matrix, so the coordinates that Π and Q
+    read are one matrix-vector product, the unique solution a fresh
+    ``solve`` would return.
     """
 
     def __init__(self, m: int, n: int, mode: str = "generic"):
@@ -184,7 +188,7 @@ class Splitting:
                 len(b_cols),
                 classes,
                 l_prev,
-                SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim),
+                inverse(SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim)),
             )
             l_prev = l_cols
         return out
@@ -195,10 +199,7 @@ class Splitting:
         data = self._pair(f.source, f.target).get(f.k)
         if data is None or not data.space:
             raise ValueError("element lies outside the hom complex")
-        solution = solve(data.matrix, vectorize(f, data.space))
-        if solution is None:
-            raise ArithmeticError("splitting matrix is singular")
-        return data, solution
+        return data, data.inverse.apply(vectorize(f, data.space))
 
     def pi(self, f: HomElement) -> HomElement:
         """Projection onto H along B ⊕ L."""

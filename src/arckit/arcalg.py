@@ -530,6 +530,14 @@ def _single(groups: list[list[_Vertex]]) -> list[_Vertex]:
     return groups[0]
 
 
+@lru_cache(maxsize=None)
+def _basis_product(
+    d1: OrientedCircleDiagram, d2: OrientedCircleDiagram
+) -> AlgebraElement:
+    """The surgery product of two composable basis diagrams, memoized."""
+    return _surgery_product(d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
+
+
 def multiply(
     x: AlgebraElement,
     y: AlgebraElement,
@@ -537,17 +545,25 @@ def multiply(
 ) -> AlgebraElement:
     """The product in K_m^n, extended bilinearly from basis diagrams.
 
-    ``pair_picker`` overrides the canonical leftmost-admissible surgery
-    order; it exists so tests can assert order-independence.
+    Each basis-diagram product comes from a process-wide memo keyed by the
+    diagram pair: the surgery procedure is deterministic, so a stored
+    product is the one a fresh surgery would give, and ``AlgebraElement``
+    is never changed in place (``terms`` hands out a copy), so sharing it
+    is safe.  ``pair_picker`` overrides the canonical leftmost-admissible
+    surgery order and always runs the surgery directly; it exists so tests
+    can assert order-independence.
     """
     total = AlgebraElement.zero()
     for d1, c1 in x:
         for d2, c2 in y:
             if d1.cap.cups != d2.cup.cups or d1.cap.rays != d2.cup.rays:
                 continue
-            part = _surgery_product(
-                d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, pair_picker
-            )
+            if pair_picker is None:
+                part = _basis_product(d1, d2)
+            else:
+                part = _surgery_product(
+                    d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, pair_picker
+                )
             total = total + (c1 * c2) * part
     return total
 

@@ -16,7 +16,12 @@ all the deterministic conventions used everywhere:
   kernel bases are the standard "one free variable = 1" vectors of the
   RREF, one per free column in increasing order;
 * greedy choices ("keep the vector if it is new") are ``Echelon.add``
-  calls in the caller's order.
+  calls in the caller's order;
+* a square system that is solved for many right-hand sides is factored
+  once: ``inverse`` runs one ``Echelon`` over the rows of ``[M | I]`` and
+  ``inverse(M).apply(b)`` replaces ``solve(M, b)``.  An invertible system
+  has exactly one solution, so every coordinate is the same ``Fraction``
+  ``solve`` would give.
 
 The RREF of a row space is unique, so these answers do not depend on the
 order in which rows are added and are the same vectors a dense left to
@@ -35,6 +40,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Rational", "QPoly", "SparseMatrix", "Echelon", "rank", "kernel_basis", "solve",
+    "inverse",
 ]
 
 #: The coefficient field.  All structure constants in scope are integers, so
@@ -278,10 +284,11 @@ class SparseMatrix:
     def apply(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
+        x = {c: Fraction(v) for c, v in enumerate(vec) if v}
         out = [Fraction(0)] * self.rows
         for (r, c), v in self.entries.items():
-            if vec[c]:
-                out[r] += v * Fraction(vec[c])
+            if c in x:
+                out[r] += v * x[c]
         return out
 
 
@@ -389,6 +396,28 @@ def kernel_basis(matrix: SparseMatrix) -> list[list[Fraction]]:
                 vec[pc] = -row[fc]
         basis.append(vec)
     return basis
+
+
+def inverse(matrix: SparseMatrix) -> SparseMatrix:
+    """The inverse of a square matrix; ArithmeticError if it is singular.
+
+    One ``Echelon`` pass over the rows of ``[M | I]``: the span always has
+    full rank, and its RREF is ``[I | M^-1]`` exactly when every pivot lies
+    in the M half.
+    """
+    n = matrix.rows
+    if matrix.cols != n:
+        raise ValueError("only a square matrix has an inverse")
+    augmented = dict(matrix.entries)
+    augmented.update({(r, n + r): Fraction(1) for r in range(n)})
+    span = Echelon.of_rows(SparseMatrix(n, 2 * n, augmented))
+    if any(p >= n for p in span.rows):
+        raise ArithmeticError("singular matrix has no inverse")
+    return SparseMatrix(
+        n,
+        n,
+        {(p, c - n): v for p, row in span.rows.items() for c, v in row.items() if c >= n},
+    )
 
 
 def solve(

@@ -3,7 +3,7 @@ several test modules assert on, are built once per session."""
 
 import pytest
 
-from arckit import build_splitting, lambda_n, vanishing_report
+from arckit import build_splitting, lambda_n, stasheff_check, vanishing_report
 from arckit.ainfty import composable_tuples
 
 
@@ -42,34 +42,38 @@ def split_32_generic():
     return build_splitting(3, 2, "generic")
 
 
+def _once_per_splitting(compute):
+    """``compute(split, *args)``, computed once per splitting and arguments."""
+    results = {}
+
+    def lookup(split, *args):
+        key = (split.block, split.mode, *args)
+        if key not in results:
+            results[key] = compute(split, *args)
+        return results[key]
+
+    return lookup
+
+
 @pytest.fixture(scope="session")
 def vanishing_reports():
-    """``vanishing_report(split, arity)``, computed once per splitting and
-    arity for every test that reads it."""
-    reports = {}
+    """``vanishing_report(split, arity)`` for every test that reads it."""
+    return _once_per_splitting(vanishing_report)
 
-    def report(split, arity):
-        key = (split.block, split.mode, arity)
-        if key not in reports:
-            reports[key] = vanishing_report(split, arity)
-        return reports[key]
 
-    return report
+@pytest.fixture(scope="session")
+def stasheff_reports():
+    """``stasheff_check(split, arity)`` for every test that reads it."""
+    return _once_per_splitting(stasheff_check)
 
 
 @pytest.fixture(scope="session")
 def m3_coefficients():
     """``[(chain, pi_coefficients(lambda_3(chain)))]`` over the composable
-    triples of ``split.all_h_classes()``, computed once per splitting."""
-    tables = {}
-
-    def table(split):
-        key = (split.block, split.mode)
-        if key not in tables:
-            tables[key] = [
-                (chain, split.pi_coefficients(lambda_n(split, chain)))
-                for chain in composable_tuples(split.all_h_classes(), 3)
-            ]
-        return tables[key]
-
-    return table
+    triples of ``split.all_h_classes()``."""
+    return _once_per_splitting(
+        lambda split: [
+            (chain, split.pi_coefficients(lambda_n(split, chain)))
+            for chain in composable_tuples(split.all_h_classes(), 3)
+        ]
+    )

@@ -32,7 +32,6 @@ from arckit import (
     resolve_cone,
     resolve_generic,
     shelton_dims,
-    stasheff_check,
     verify_resolution,
     weights_in_block,
 )
@@ -431,9 +430,11 @@ class TestCriterion11PropertySuites:
         "fixture",
         ["split_21_generic", "split_31_generic", "split_22_canonical", "split_22_generic"],
     )
-    def test_stasheff_identities_to_arity_five(self, fixture, request):
+    def test_stasheff_identities_to_arity_five(
+        self, fixture, request, stasheff_reports
+    ):
         split = request.getfixturevalue(fixture)
-        report = stasheff_check(split, 5)
+        report = stasheff_reports(split, 5)
         assert report["violations"] == []
         assert report["checked"] > 0
 

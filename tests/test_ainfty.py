@@ -6,14 +6,19 @@ import pytest
 from arckit import (
     lambda_n,
     m_n,
-    stasheff_check,
     weights_in_block,
 )
 from arckit.ainfty import (
     composable_tuples,
     lambda_degree_bound_holds,
 )
-from arckit.extalg import compose
+from arckit.exact import SparseMatrix, solve
+from arckit.extalg import (
+    _differential_matrix,
+    basis_hom_element,
+    compose,
+    vectorize,
+)
 from tables import (
     FLAVOUR_TWINS,
     NONZERO_FAMILIES,
@@ -43,6 +48,42 @@ class TestSplittingAxioms:
             q = split.q(compose(a1, a2))
             if not q.is_zero():
                 assert split.pi(q).is_zero()
+
+
+def _splitting_matrix(split, lam, mu, k):
+    """The [B | H | L] matrix of hom^k(λ, μ), rebuilt from the splitting:
+    B = d(L-basis of hom^{k-1}), H the classes, L the preimages kept for
+    hom^{k+1}."""
+    pair = split._pair(lam, mu)
+    data = pair[k]
+    b_cols = [_differential_matrix(lam, mu, k - 1).apply(v) for v in data.l_prev]
+    h_cols = [vectorize(c.element, data.space) for c in data.h_classes]
+    l_cols = pair[k + 1].l_prev if k + 1 in pair else []
+    columns = b_cols + h_cols + l_cols
+    assert len(columns) == len(data.space)
+    return SparseMatrix.from_columns(columns, len(data.space))
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("fixture", ["split_22_canonical", "split_31_generic"])
+    def test_factored_coordinates_equal_solve(self, fixture, request):
+        # Π and Q read coordinates from the stored inverse; an invertible
+        # system has one solution, so they are exactly solve's
+        split = request.getfixturevalue(fixture)
+        ws = weights_in_block(*split.block)
+        checked = 0
+        for lam in ws:
+            for mu in ws:
+                for k, data in split._pair(lam, mu).items():
+                    if not data.space:
+                        continue
+                    matrix = _splitting_matrix(split, lam, mu, k)
+                    for vector in data.space:
+                        f = basis_hom_element(lam, mu, k, vector)
+                        _, coords = split._coordinates(f)
+                        assert coords == solve(matrix, vectorize(f, data.space))
+                        checked += 1
+        assert checked > 0
 
 
 class TestM2:
@@ -181,8 +222,8 @@ class TestStasheff:
             "split_22_generic",
         ],
     )
-    def test_identities_to_arity_five(self, fixture, request):
+    def test_identities_to_arity_five(self, fixture, request, stasheff_reports):
         split = request.getfixturevalue(fixture)
-        report = stasheff_check(split, 5)
+        report = stasheff_reports(split, 5)
         assert report["violations"] == []
         assert report["checked"] > 0

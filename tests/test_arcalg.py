@@ -17,7 +17,12 @@ from arckit import (
     surgery_trace,
     weights_in_block,
 )
-from arckit.arcalg import algebra_dimension, hom_basis
+from arckit.arcalg import (
+    _basis_product,
+    _surgery_product,
+    algebra_dimension,
+    hom_basis,
+)
 
 
 def _elt(d):
@@ -114,6 +119,47 @@ class TestMultiplication:
         x = OrientedCircleDiagram.parse("cups=(0,1) rays=2 | v^v | cups=(0,1) rays=2")
         y = OrientedCircleDiagram.parse("cups=(1,2) rays=0 | vv^ | cups=(1,2) rays=0")
         assert multiply(_elt(x), _elt(y)).is_zero()
+
+
+def _direct(d1, d2):
+    return _surgery_product(d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
+
+
+def _composable_pairs(m, n):
+    return [
+        (d1, d2)
+        for d1 in basis(m, n)
+        for d2 in basis(m, n)
+        if d1.cap.cups == d2.cup.cups and d1.cap.rays == d2.cup.rays
+    ]
+
+
+class TestProductMemo:
+    """``multiply`` reads basis products from a memo; it must agree with a
+    fresh surgery on every composable pair, cold and warm."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 1)])
+    def test_memo_equals_direct_surgery(self, m, n):
+        pairs = _composable_pairs(m, n)
+        _basis_product.cache_clear()
+        for _ in ("empty memo", "warm memo"):
+            for d1, d2 in pairs:
+                assert multiply(_elt(d1), _elt(d2)) == _direct(d1, d2)
+        assert _basis_product.cache_info().hits >= len(pairs)
+
+    def test_changing_a_product_leaves_the_memo_alone(self):
+        d1, d2 = next(
+            (d1, d2) for d1, d2 in _composable_pairs(2, 2)
+            if len(_direct(d1, d2)) > 1
+        )
+        expected = _direct(d1, d2)
+        product = multiply(_elt(d1), _elt(d2))
+        terms = product.terms
+        for d in list(terms):
+            terms[d] = terms[d] * 7
+        terms[d1] = 1
+        assert multiply(_elt(d1), _elt(d2)) == expected
+        assert product == expected
 
 
 class TestSurgeryTrace:

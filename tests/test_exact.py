@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from arckit import QPoly, SparseMatrix, kernel_basis, rank, solve
-from arckit.exact import Echelon
+from arckit.exact import Echelon, inverse
 
 
 class TestQPoly:
@@ -94,10 +94,10 @@ class TestSparseMatrix:
 
 
 @st.composite
-def sparse_matrices(draw, max_dim=5):
+def sparse_matrices(draw, max_dim=5, square=False):
     """Small integer matrices, some rows and columns forced to zero."""
     nrows = draw(st.integers(0, max_dim))
-    ncols = draw(st.integers(0, max_dim))
+    ncols = nrows if square else draw(st.integers(0, max_dim))
     zero_rows = draw(st.sets(st.integers(0, max_dim)))
     zero_cols = draw(st.sets(st.integers(0, max_dim)))
     entries = {
@@ -107,6 +107,26 @@ def sparse_matrices(draw, max_dim=5):
         if r not in zero_rows and c not in zero_cols
     }
     return SparseMatrix(nrows, ncols, entries)
+
+
+@st.composite
+def invertible_matrices(draw, max_dim=5):
+    """L·U with rows permuted: L unit lower and U upper triangular with a
+    nonzero diagonal, small integer entries."""
+    n = draw(st.integers(0, max_dim))
+    entry = st.integers(-2, 2)
+    lower = SparseMatrix(n, n, {
+        (r, c): 1 if r == c else draw(entry) for r in range(n) for c in range(r + 1)
+    })
+    upper = SparseMatrix(n, n, {
+        (r, c): draw(st.sampled_from([-2, -1, 1, 3])) if r == c else draw(entry)
+        for r in range(n)
+        for c in range(r, n)
+    })
+    perm = draw(st.permutations(range(n)))
+    return SparseMatrix(n, n, {
+        (perm[r], c): v for (r, c), v in (lower @ upper).entries.items()
+    })
 
 
 @st.composite
@@ -189,6 +209,26 @@ class TestAgainstReference:
         sub = a.restrict(rows, cols)
         assert (sub.rows, sub.cols) == (len(rows), len(cols))
         assert sub.dense() == oracles.restrict(a, rows, cols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(invertible_matrices(), sparse_matrices(square=True)))
+    def test_inverse(self, a):
+        n = a.rows
+        if oracles.rank(a) < n:
+            with pytest.raises(ArithmeticError):
+                inverse(a)
+            return
+        inv = inverse(a)
+        assert inv @ a == SparseMatrix.identity(n) == a @ inv
+        for i in range(n):
+            unit = [int(r == i) for r in range(n)]
+            assert inv.apply(unit) == oracles.solve(a, unit)
+
+    def test_inverse_of_a_singular_or_non_square_matrix(self):
+        with pytest.raises(ArithmeticError):
+            inverse(SparseMatrix.from_rows([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError):
+            inverse(SparseMatrix.zeros(2, 3))
 
     def test_from_columns(self):
         columns = [[1, 0, 2], [0, 0, 0], [3, -1, 0]]
