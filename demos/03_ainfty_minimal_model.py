@@ -2,7 +2,7 @@
 watching the higher products vanish on one-cap blocks, and finding the
 genuinely nonzero m_3 on a two-cap block.
 
-Run with:  python3 demos/03_ainfty_minimal_model.py   (about a minute)
+Run with:  python3 demos/03_ainfty_minimal_model.py   (about a second)
 """
 
 from arckit import build_splitting, lambda_n, m_n, stasheff_check, vanishing_report

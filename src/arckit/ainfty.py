@@ -8,9 +8,11 @@ cocycles.  The homotopy Q is zero on H and L and (d|_L)^{-1} on B, so
 from the recursion
 
     λ_2(a_1, a_2) = a_1·a_2,
-    λ_n = − Σ_{k+l=n} (−1)^{k+(l−1)(|a_1|+…+|a_k|)} Qλ_k · Qλ_l,
+    λ_n = − Σ_{k+l=n} (−1)^{k+(l−1)(|a_1|+…+|a_k|)+(k−1)(|a_{k+1}|+…+|a_n|)}
+              Qλ_k(a_1, …, a_k) · Qλ_l(a_{k+1}, …, a_n),
 
-with the formal seed Qλ_1 = −Id, and m_n = Π(λ_n).
+with the formal seed Qλ_1 = −Id, and m_n = Π(λ_n).  With these signs the
+Stasheff identities fail on (3|2) from arity 4 on (ROADMAP item 1).
 
 Two splitting modes are supported.  "generic" picks deterministic echelon
 complements.  "canonical-n2" (n = 2 blocks only) uses the labelled
@@ -21,7 +23,6 @@ given by the closed homotopy table.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,12 +103,15 @@ def _homotopy_candidates(lam: Weight, mu: Weight, k: int) -> list[HomElement]:
 class Splitting:
     """The block-wide splitting with projection Π and homotopy Q.
 
-    Each (λ, μ) pair is split lazily, once, and cached; the per-pair cache
-    is guarded by a lock so independent tuples may be evaluated
-    concurrently.  For every hom^k the split stores the inverse of its
-    invertible [B | H | L] column matrix, so the coordinates that Π and Q
-    read are one matrix-vector product, the unique solution a fresh
-    ``solve`` would return.
+    Each (λ, μ) pair is split lazily, once, and cached.  For every hom^k
+    the split stores the inverse of its invertible [B | H | L] column
+    matrix, so the coordinates that Π and Q read are one matrix-vector
+    product, the unique solution a fresh ``solve`` would return.
+
+    Every H-class gets an index when its pair is split, and one memo keyed
+    by tuples of those indices holds, for each chain of classes evaluated,
+    Qλ (None when it vanishes) and the H-coordinates of m_n = Π(λ_n), both
+    read off one coordinate vector of λ_n.
     """
 
     def __init__(self, m: int, n: int, mode: str = "generic"):
@@ -118,18 +122,21 @@ class Splitting:
         self.block = (m, n)
         self.mode = mode
         self._pairs: dict[tuple[Weight, Weight], dict[int, _SpaceSplit]] = {}
-        self._lock = threading.Lock()
+        self._classes: list[ExtClass] = []
+        self._index: dict[int, int] = {}  # id(class) -> position in _classes
+        self._chains: dict[tuple[int, ...], tuple[HomElement | None, dict]] = {}
 
     # -- construction -------------------------------------------------------
 
     def _pair(self, lam: Weight, mu: Weight) -> dict[int, _SpaceSplit]:
-        with self._lock:
-            cached = self._pairs.get((lam, mu))
-        if cached is not None:
-            return cached
-        data = self._build_pair(lam, mu)
-        with self._lock:
-            self._pairs[(lam, mu)] = data
+        data = self._pairs.get((lam, mu))
+        if data is None:
+            data = self._pairs[(lam, mu)] = self._build_pair(lam, mu)
+            for space in data.values():
+                for c in space.h_classes:
+                    i = self._index[id(c)] = len(self._classes)
+                    self._classes.append(c)
+                    self._chains[(i,)] = (-1 * c.element, {})  # Qλ_1 = −Id, m_1 = 0
         return data
 
     def _build_pair(self, lam: Weight, mu: Weight) -> dict[int, _SpaceSplit]:
@@ -207,17 +214,18 @@ class Splitting:
             return f
         data, coords = self._coordinates(f)
         out = zero_hom(f.source, f.target, f.k, f.j)
-        for i, c in enumerate(data.h_classes):
-            coeff = coords[data.b_count + i]
-            if coeff:
-                out = out + coeff * c.element
+        for (_, _, _, i), coeff in self._h_coordinates(data, coords).items():
+            out = out + coeff * data.h_classes[i].element
         return out
 
     def pi_coefficients(self, f: HomElement) -> dict:
         """H-basis coordinates of Π(f), keyed by (label, k, j, position)."""
         if f.is_zero():
             return {}
-        data, coords = self._coordinates(f)
+        return self._h_coordinates(*self._coordinates(f))
+
+    @staticmethod
+    def _h_coordinates(data: _SpaceSplit, coords: list[Fraction]) -> dict:
         return {
             (c.label, c.k, c.j, i): coords[data.b_count + i]
             for i, c in enumerate(data.h_classes)
@@ -228,7 +236,10 @@ class Splitting:
         """The homotopy: zero on H and L, (d|_L)^{-1} on the boundaries."""
         if f.is_zero():
             return zero_hom(f.source, f.target, f.k - 1, f.j)
-        data, coords = self._coordinates(f)
+        return self._q(f, *self._coordinates(f))
+
+    @staticmethod
+    def _q(f: HomElement, data: _SpaceSplit, coords: list[Fraction]) -> HomElement:
         vec = [Fraction(0)] * len(hom_space(f.source, f.target, f.k - 1))
         for coeff, preimage in zip(coords[: data.b_count], data.l_prev):
             if coeff:
@@ -264,6 +275,60 @@ class Splitting:
                         f"1 − Π ≠ dQ + Qd on hom^{k}({lam}, {mu})"
                     )
 
+    # -- the chain memo -----------------------------------------------------
+
+    def _key(self, chain) -> tuple[int, ...]:
+        try:
+            return tuple(self._index[id(c)] for c in chain)
+        except KeyError:
+            raise ValueError("arguments must be H-classes of this splitting") from None
+
+    def _entry(self, key: tuple[int, ...]) -> tuple[HomElement | None, dict]:
+        """(Qλ or None, m-coefficients) of the chain of classes ``key``."""
+        entry = self._chains.get(key)
+        if entry is None:
+            lam = self._lambda(key)
+            if lam.is_zero():
+                entry = (None, {})
+            else:
+                data, coords = self._coordinates(lam)
+                q = self._q(lam, data, coords)
+                entry = (None if q.is_zero() else q, self._h_coordinates(data, coords))
+            self._chains[key] = entry
+        return entry
+
+    def _lambda(self, key: tuple[int, ...]) -> HomElement:
+        """λ_n of a chain, from the memoized Qλ of its cuts (zero unless
+        the chain is composable)."""
+        classes = [self._classes[i] for i in key]
+        degree = [c.k for c in classes]
+        total = zero_hom(
+            classes[0].source, classes[-1].target, sum(degree) + 2 - len(key),
+            sum(c.j for c in classes),
+        )
+        if any(a.target != b.source for a, b in zip(classes, classes[1:])):
+            return total
+        if len(key) == 2:
+            return compose(*classes)
+        for cut in range(1, len(key)):
+            left = self._entry(key[:cut])[0]
+            right = None if left is None else self._entry(key[cut:])[0]
+            if right is None:
+                continue
+            # with the left-to-right composition the Leibniz rule puts the
+            # sign on the right factor, so the Koszul weight carries the
+            # left degrees against l − 1 and the right ones against k − 1
+            k_len, l_len = cut, len(key) - cut
+            left_degrees, right_degrees = sum(degree[:cut]), sum(degree[cut:])
+            exponent = k_len + (l_len - 1) * left_degrees + (k_len - 1) * right_degrees
+            total = total + Fraction(-((-1) ** exponent)) * compose(left, right)
+        return total
+
+    def m_coefficients(self, chain) -> dict:
+        """``pi_coefficients(lambda_n(chain))`` of a composable chain of this
+        splitting's H-classes, read from the memo."""
+        return self._entry(self._key(chain))[1]
+
 
 def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
     return Splitting(m, n, mode)
@@ -274,75 +339,22 @@ def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
 # ---------------------------------------------------------------------------
 
 
-def _as_elements(items) -> list[HomElement]:
-    return [x.element if isinstance(x, ExtClass) else x for x in items]
-
-
-def _composable(elements: list[HomElement]) -> bool:
-    return all(
-        elements[i].target == elements[i + 1].source
-        for i in range(len(elements) - 1)
-    )
-
-
-def lambda_n(split: Splitting, items) -> HomElement:
-    """λ_n(a_1, …, a_n) by the memoized sub-interval recursion."""
-    elements = _as_elements(items)
-    n = len(elements)
-    if n < 2:
+def lambda_n(split: Splitting, chain) -> HomElement:
+    """λ_n(a_1, …, a_n) of the splitting's own H-classes, from the
+    splitting's memo of Qλ on every proper sub-chain."""
+    if len(chain) < 2:
         raise ValueError("λ_n needs at least two arguments")
-    k_total = sum(a.k for a in elements) + 2 - n
-    j_total = sum(a.j for a in elements)
-    if not _composable(elements) or any(a.is_zero() for a in elements):
-        return zero_hom(elements[0].source, elements[-1].target, k_total, j_total)
-
-    qlam: dict[tuple[int, int], HomElement] = {}
-    for i, a in enumerate(elements):
-        qlam[(i, i + 1)] = Fraction(-1) * a  # the formal seed Qλ_1 = −Id
-    degree = [a.k for a in elements]
-
-    def lam_interval(i: int, j: int) -> HomElement:
-        if j - i == 2:
-            return compose(elements[i], elements[i + 1])
-        total = None
-        for cut in range(i + 1, j):
-            k_len, l_len = cut - i, j - cut
-            # with the left-to-right composition the Leibniz rule puts the
-            # sign on the right factor, so the Koszul weight carries both
-            # the left degrees (against l_len - 1) and the right degrees
-            # (against k_len - 1)
-            exponent = (
-                k_len
-                + (l_len - 1) * sum(degree[i:cut])
-                + (k_len - 1) * sum(degree[cut:j])
-            )
-            term = (
-                Fraction(-((-1) ** exponent))
-                * compose(qlam[(i, cut)], qlam[(cut, j)])
-            )
-            total = term if total is None else total + term
-        return total
-
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            value = lam_interval(i, j)
-            if width < n:
-                qlam[(i, j)] = split.q(value)
-            else:
-                return value
-    raise AssertionError("unreachable")
+    return split._lambda(split._key(chain))
 
 
-def m_n(split: Splitting, items) -> HomElement:
+def m_n(split: Splitting, chain) -> HomElement:
     """m_n = Π(λ_n); m_2 is the multiplication on Ext."""
-    return split.pi(lambda_n(split, items))
+    return split.pi(lambda_n(split, chain))
 
 
 def lambda_degree_bound_holds(elements) -> bool:
     """The inequality from the general vanishing bound: with
     k_i = l(μ_i) − l(μ_{i+1}) − d_i, a nonzero λ_l needs Σd_i ≤ n²+2−l."""
-    elements = _as_elements(elements)
     n = elements[0].source.n
     total_d = sum(
         length(a.source) - length(a.target) - a.k for a in elements
@@ -383,32 +395,34 @@ def composable_tuples(
 
 
 def stasheff_check(split: Splitting, arity: int) -> dict:
-    """Evaluate every Stasheff identity Σ (−1)^{r+st} m_{r+t+1}(1^r ⊗ m_s ⊗ 1^t)
-    on all composable H-basis tuples up to the arity bound (m_1 = 0)."""
+    """Evaluate every Stasheff identity
+    Σ (−1)^{r+st+s(|a_1|+…+|a_r|)} m_{r+t+1}(1^r ⊗ m_s ⊗ 1^t) = 0
+    on all composable H-basis tuples up to the arity bound (m_1 = 0).
+
+    The inner m_s lands in H, so by multilinearity each term is a sum of
+    products of memo entries: the coefficient of each class the inner m_s
+    lands on times the outer m on the chain with that class in its place.
+    """
     classes = split.all_h_classes(include_idempotents=False)
     violations = []
     checked = 0
     for n in range(2, arity + 1):
         for chain in composable_tuples(classes, n):
-            elements = _as_elements(chain)
-            total = None
-            for s in range(2, n + 1):
+            key = split._key(chain)
+            total: dict = {}
+            for s in range(2, n):  # s = n would need the outer m_1, which is 0
                 for r in range(0, n - s + 1):
                     t = n - s - r
-                    if r + t + 1 < 2:
-                        continue  # outer m_1 vanishes on the minimal model
-                    inner = m_n(split, elements[r : r + s])
-                    if inner.is_zero():
-                        continue
-                    outer_args = elements[:r] + [inner] + elements[r + s :]
-                    term = m_n(split, outer_args)
-                    if term.is_zero():
-                        continue
-                    exponent = r + s * t + s * sum(a.k for a in elements[:r])
-                    term = Fraction((-1) ** exponent) * term
-                    total = term if total is None else total + term
+                    inner = split._entry(key[r : r + s])[1]
+                    sign = (-1) ** (r + s * t + s * sum(a.k for a in chain[:r]))
+                    pair = split._pair(chain[r].source, chain[r + s - 1].target)
+                    for (_, k, _, position), coeff in inner.items():
+                        (h,) = split._key([pair[k].h_classes[position]])
+                        outer = split._entry(key[:r] + (h,) + key[r + s :])[1]
+                        for where, value in outer.items():
+                            total[where] = total.get(where, 0) + sign * coeff * value
             checked += 1
-            if total is not None and not total.is_zero():
+            if any(total.values()):
                 violations.append(tuple(_class_key(c) for c in chain))
     return {"arity": arity, "checked": checked, "violations": violations}
 
@@ -419,41 +433,24 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
     classes = split.all_h_classes(include_idempotents=False)
     m, n = split.block
 
-    q2_zero = True
-    for a1, a2 in composable_tuples(classes, 2):
-        if not split.q(compose(a1, a2)).is_zero():
-            q2_zero = False
-            break
+    def q_lambda(chain) -> HomElement | None:
+        return split._entry(split._key(chain))[0]
 
-    q2q2_zero = True
-    for chain in composable_tuples(classes, 4):
-        a1, a2, a3, a4 = _as_elements(chain)
-        product = compose(
-            split.q(compose(a1, a2)), split.q(compose(a3, a4))
-        )
-        if not product.is_zero():
-            q2q2_zero = False
-            break
-
-    q3_zero = True
-    for chain in composable_tuples(classes, 3):
-        if not split.q(lambda_n(split, chain)).is_zero():
-            q3_zero = False
-            break
+    q2_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 2))
+    q2q2 = [(q_lambda(c[:2]), q_lambda(c[2:])) for c in composable_tuples(classes, 4)]
+    q2q2_zero = all(a is None or b is None or compose(a, b).is_zero() for a, b in q2q2)
+    q3_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 3))
 
     per_arity: dict[int, dict] = {}
     for width in range(2, arity + 1):
         max_abs = Fraction(0)
         nonzero = []
         for chain in composable_tuples(classes, width):
-            coeffs = split.pi_coefficients(lambda_n(split, chain))
+            coeffs = split.m_coefficients(chain)
             if coeffs:
                 nonzero.append(tuple(_class_key(c) for c in chain))
                 max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))
-        per_arity[width] = {
-            "max_abs_coefficient": max_abs,
-            "nonzero_tuples": nonzero,
-        }
+        per_arity[width] = {"max_abs_coefficient": max_abs, "nonzero_tuples": nonzero}
 
     return {
         "block": split.block,

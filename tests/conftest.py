@@ -1,10 +1,10 @@
-"""Shared fixtures: expensive splittings, and the A-infinity data that
-several test modules assert on, are built once per session."""
+"""Shared fixtures: the splittings are built once per session.  Each keeps
+the memo of its A-infinity operations, so tests that read the same
+reports and m_n tables share the work."""
 
 import pytest
 
-from arckit import build_splitting, lambda_n, stasheff_check, vanishing_report
-from arckit.ainfty import composable_tuples
+from arckit import build_splitting
 
 
 @pytest.fixture(scope="session")
@@ -40,40 +40,3 @@ def split_22_generic():
 @pytest.fixture(scope="session")
 def split_32_generic():
     return build_splitting(3, 2, "generic")
-
-
-def _once_per_splitting(compute):
-    """``compute(split, *args)``, computed once per splitting and arguments."""
-    results = {}
-
-    def lookup(split, *args):
-        key = (split.block, split.mode, *args)
-        if key not in results:
-            results[key] = compute(split, *args)
-        return results[key]
-
-    return lookup
-
-
-@pytest.fixture(scope="session")
-def vanishing_reports():
-    """``vanishing_report(split, arity)`` for every test that reads it."""
-    return _once_per_splitting(vanishing_report)
-
-
-@pytest.fixture(scope="session")
-def stasheff_reports():
-    """``stasheff_check(split, arity)`` for every test that reads it."""
-    return _once_per_splitting(stasheff_check)
-
-
-@pytest.fixture(scope="session")
-def m3_coefficients():
-    """``[(chain, pi_coefficients(lambda_3(chain)))]`` over the composable
-    triples of ``split.all_h_classes()``."""
-    return _once_per_splitting(
-        lambda split: [
-            (chain, split.pi_coefficients(lambda_n(split, chain)))
-            for chain in composable_tuples(split.all_h_classes(), 3)
-        ]
-    )

@@ -14,12 +14,20 @@ algebra, without going through the Ext-algebra machinery, so it can serve
 as a cross-check for resolutions produced by either construction.  Its
 ranks come from the reference kernel, so it does not share code with the
 kernel under test.
+
+``lambda_n``, ``m_n``, ``stasheff_check`` and ``vanishing_report`` are the
+reference A-infinity operations: every λ_n by the recursion from scratch,
+every Stasheff term through fresh inner and outer m_n, and each vanishing
+flag by applying Q again.  ``arckit.ainfty`` reads the same quantities off
+one memo per splitting and is checked against these.
 """
 
 from fractions import Fraction
 
 from arckit import SparseMatrix
+from arckit.ainfty import _class_key, composable_tuples
 from arckit.arcalg import AlgebraElement, hom_basis, multiply
+from arckit.extalg import ExtClass, HomElement, compose, zero_hom
 
 
 def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -137,3 +145,157 @@ def hom_cohomology(C, D) -> dict[int, int]:
         if h:
             dims[k] = h
     return dims
+
+
+# ---------------------------------------------------------------------------
+# the A-infinity operations by direct evaluation
+# ---------------------------------------------------------------------------
+
+
+def _as_elements(items) -> list[HomElement]:
+    return [x.element if isinstance(x, ExtClass) else x for x in items]
+
+
+def _composable(elements: list[HomElement]) -> bool:
+    return all(
+        elements[i].target == elements[i + 1].source
+        for i in range(len(elements) - 1)
+    )
+
+
+def lambda_n(split, items) -> HomElement:
+    """λ_n(a_1, …, a_n) by the per-call sub-interval recursion; the
+    arguments may be any hom elements."""
+    elements = _as_elements(items)
+    n = len(elements)
+    if n < 2:
+        raise ValueError("λ_n needs at least two arguments")
+    k_total = sum(a.k for a in elements) + 2 - n
+    j_total = sum(a.j for a in elements)
+    if not _composable(elements) or any(a.is_zero() for a in elements):
+        return zero_hom(elements[0].source, elements[-1].target, k_total, j_total)
+
+    qlam: dict[tuple[int, int], HomElement] = {}
+    for i, a in enumerate(elements):
+        qlam[(i, i + 1)] = Fraction(-1) * a  # the formal seed Qλ_1 = −Id
+    degree = [a.k for a in elements]
+
+    def lam_interval(i: int, j: int) -> HomElement:
+        if j - i == 2:
+            return compose(elements[i], elements[i + 1])
+        total = None
+        for cut in range(i + 1, j):
+            k_len, l_len = cut - i, j - cut
+            exponent = (
+                k_len
+                + (l_len - 1) * sum(degree[i:cut])
+                + (k_len - 1) * sum(degree[cut:j])
+            )
+            term = (
+                Fraction(-((-1) ** exponent))
+                * compose(qlam[(i, cut)], qlam[(cut, j)])
+            )
+            total = term if total is None else total + term
+        return total
+
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            value = lam_interval(i, j)
+            if width < n:
+                qlam[(i, j)] = split.q(value)
+            else:
+                return value
+    raise AssertionError("unreachable")
+
+
+def m_n(split, items) -> HomElement:
+    return split.pi(lambda_n(split, items))
+
+
+def stasheff_total(split, chain) -> HomElement | None:
+    """Σ (−1)^{r+st+s(|a_1|+…+|a_r|)} m_{r+t+1}(1^r ⊗ m_s ⊗ 1^t) on one
+    chain, every inner and outer m evaluated afresh (None: no terms)."""
+    elements = _as_elements(chain)
+    n = len(elements)
+    total = None
+    for s in range(2, n + 1):
+        for r in range(0, n - s + 1):
+            t = n - s - r
+            if r + t + 1 < 2:
+                continue  # outer m_1 vanishes on the minimal model
+            inner = m_n(split, elements[r : r + s])
+            if inner.is_zero():
+                continue
+            outer_args = elements[:r] + [inner] + elements[r + s :]
+            term = m_n(split, outer_args)
+            if term.is_zero():
+                continue
+            exponent = r + s * t + s * sum(a.k for a in elements[:r])
+            term = Fraction((-1) ** exponent) * term
+            total = term if total is None else total + term
+    return total
+
+
+def stasheff_check(split, arity: int) -> dict:
+    classes = split.all_h_classes(include_idempotents=False)
+    violations = []
+    checked = 0
+    for n in range(2, arity + 1):
+        for chain in composable_tuples(classes, n):
+            total = stasheff_total(split, chain)
+            checked += 1
+            if total is not None and not total.is_zero():
+                violations.append(tuple(_class_key(c) for c in chain))
+    return {"arity": arity, "checked": checked, "violations": violations}
+
+
+def vanishing_report(split, arity: int) -> dict:
+    classes = split.all_h_classes(include_idempotents=False)
+    m, n = split.block
+
+    q2_zero = True
+    for a1, a2 in composable_tuples(classes, 2):
+        if not split.q(compose(a1, a2)).is_zero():
+            q2_zero = False
+            break
+
+    q2q2_zero = True
+    for chain in composable_tuples(classes, 4):
+        a1, a2, a3, a4 = _as_elements(chain)
+        product = compose(
+            split.q(compose(a1, a2)), split.q(compose(a3, a4))
+        )
+        if not product.is_zero():
+            q2q2_zero = False
+            break
+
+    q3_zero = True
+    for chain in composable_tuples(classes, 3):
+        if not split.q(lambda_n(split, chain)).is_zero():
+            q3_zero = False
+            break
+
+    per_arity: dict[int, dict] = {}
+    for width in range(2, arity + 1):
+        max_abs = Fraction(0)
+        nonzero = []
+        for chain in composable_tuples(classes, width):
+            coeffs = split.pi_coefficients(lambda_n(split, chain))
+            if coeffs:
+                nonzero.append(tuple(_class_key(c) for c in chain))
+                max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))
+        per_arity[width] = {
+            "max_abs_coefficient": max_abs,
+            "nonzero_tuples": nonzero,
+        }
+
+    return {
+        "block": split.block,
+        "mode": split.mode,
+        "general_bound": n * n + 2,
+        "q_lambda2_zero": q2_zero,
+        "q_lambda2_products_zero": q2q2_zero,
+        "q_lambda3_zero": q3_zero,
+        "per_arity": per_arity,
+    }

@@ -32,6 +32,8 @@ from arckit import (
     resolve_cone,
     resolve_generic,
     shelton_dims,
+    stasheff_check,
+    vanishing_report,
     verify_resolution,
     weights_in_block,
 )
@@ -260,9 +262,9 @@ class TestCriterion08FirstVanishing:
     and the homotopy kills every basis product outright."""
 
     @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_higher_products_vanish(self, N, request, vanishing_reports):
+    def test_higher_products_vanish(self, N, request):
         split = request.getfixturevalue(f"split_{N}1_generic")
-        report = vanishing_reports(split, 6)
+        report = vanishing_report(split, 6)
         assert report["q_lambda2_zero"]  # Q(a.b) = 0 for all basis pairs
         for arity in range(3, 7):
             assert report["per_arity"][arity]["nonzero_tuples"] == []
@@ -274,9 +276,9 @@ class TestCriterion09SecondVanishing:
     m_4 = m_5 = 0."""
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_report(self, m, request, vanishing_reports):
+    def test_report(self, m, request):
         split = request.getfixturevalue(f"split_{m}2_canonical")
-        report = vanishing_reports(split, 5)
+        report = vanishing_report(split, 5)
         assert report["q_lambda3_zero"]
         assert report["q_lambda2_products_zero"]
         assert report["per_arity"][3]["nonzero_tuples"] != []
@@ -285,10 +287,11 @@ class TestCriterion09SecondVanishing:
         assert report["per_arity"][5]["nonzero_tuples"] == []
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_zero_pattern_rows_vanish(self, m, request, m3_coefficients):
+    def test_zero_pattern_rows_vanish(self, m, request):
         split = request.getfixturevalue(f"split_{m}2_canonical")
         checked = 0
-        for chain, coeffs in m3_coefficients(split):
+        for chain in composable_tuples(split.all_h_classes(), 3):
+            coeffs = split.m_coefficients(chain)
             labels = tuple(c.label for c in chain)
             vals = chain_kls(chain)
             if any(labels == row and cond(*vals) for row, cond in ZERO_ROWS):
@@ -297,10 +300,11 @@ class TestCriterion09SecondVanishing:
         assert checked > 0
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_nonzero_m3_families(self, m, request, m3_coefficients):
+    def test_nonzero_m3_families(self, m, request):
         split = request.getfixturevalue(f"split_{m}2_canonical")
         observed = {}
-        for chain, coeffs in m3_coefficients(split):
+        for chain in composable_tuples(split.all_h_classes(), 3):
+            coeffs = split.m_coefficients(chain)
             if not coeffs:
                 continue
             assert len(coeffs) == 1
@@ -311,11 +315,10 @@ class TestCriterion09SecondVanishing:
             observed[key] = observed.get(key, 0) + 1
         assert observed == NONZERO_FAMILIES[(m, 2)]
 
-    def test_every_reachable_pattern_row_fires(
-        self, split_32_canonical, m3_coefficients
-    ):
+    def test_every_reachable_pattern_row_fires(self, split_32_canonical):
         nonzero_labels = set()
-        for chain, coeffs in m3_coefficients(split_32_canonical):
+        for chain in composable_tuples(split_32_canonical.all_h_classes(), 3):
+            coeffs = split_32_canonical.m_coefficients(chain)
             if coeffs:
                 ((label, _, _, _), _), = coeffs.items()
                 nonzero_labels.add((tuple(c.label for c in chain), label))
@@ -430,11 +433,9 @@ class TestCriterion11PropertySuites:
         "fixture",
         ["split_21_generic", "split_31_generic", "split_22_canonical", "split_22_generic"],
     )
-    def test_stasheff_identities_to_arity_five(
-        self, fixture, request, stasheff_reports
-    ):
+    def test_stasheff_identities_to_arity_five(self, fixture, request):
         split = request.getfixturevalue(fixture)
-        report = stasheff_reports(split, 5)
+        report = stasheff_check(split, 5)
         assert report["violations"] == []
         assert report["checked"] > 0
 

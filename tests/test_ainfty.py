@@ -1,14 +1,21 @@
 """The minimal A-infinity model on the Ext algebra: splitting axioms,
 higher products, vanishing theorems and Stasheff identities."""
 
+import random
+
 import pytest
 
+import oracles
 from arckit import (
+    build_splitting,
     lambda_n,
     m_n,
+    stasheff_check,
+    vanishing_report,
     weights_in_block,
 )
 from arckit.ainfty import (
+    _class_key,
     composable_tuples,
     lambda_degree_bound_holds,
 )
@@ -98,9 +105,9 @@ class TestM2:
 
 class TestFirstVanishing:
     @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_no_higher_products_in_n1_blocks(self, N, request, vanishing_reports):
+    def test_no_higher_products_in_n1_blocks(self, N, request):
         split = request.getfixturevalue(f"split_{N}1_generic")
-        report = vanishing_reports(split, 6)
+        report = vanishing_report(split, 6)
         assert report["q_lambda2_zero"]
         for arity in range(3, 7):
             assert report["per_arity"][arity]["nonzero_tuples"] == []
@@ -108,9 +115,9 @@ class TestFirstVanishing:
 
 class TestSecondVanishing:
     @pytest.mark.parametrize("m", [2, 3])
-    def test_canonical_report(self, m, request, vanishing_reports):
+    def test_canonical_report(self, m, request):
         split = request.getfixturevalue(f"split_{m}2_canonical")
-        report = vanishing_reports(split, 5)
+        report = vanishing_report(split, 5)
         assert report["q_lambda3_zero"]
         assert report["q_lambda2_products_zero"]
         assert report["per_arity"][3]["nonzero_tuples"] != []
@@ -121,11 +128,12 @@ class TestSecondVanishing:
 
 class TestM3Pattern:
     @pytest.mark.parametrize("m", [2, 3])
-    def test_zero_rows(self, m, request, m3_coefficients):
+    def test_zero_rows(self, m, request):
         """Label triples the closed pattern fixes to zero give m_3 = 0."""
         split = request.getfixturevalue(f"split_{m}2_canonical")
         checked = 0
-        for chain, coeffs in m3_coefficients(split):
+        for chain in composable_tuples(split.all_h_classes(), 3):
+            coeffs = split.m_coefficients(chain)
             labels = tuple(c.label for c in chain)
             vals = chain_kls(chain)
             if any(
@@ -136,12 +144,11 @@ class TestM3Pattern:
         assert checked > 0
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_every_nonzero_m3_is_a_signed_g_or_k(
-        self, m, request, m3_coefficients
-    ):
+    def test_every_nonzero_m3_is_a_signed_g_or_k(self, m, request):
         split = request.getfixturevalue(f"split_{m}2_canonical")
         observed = {}
-        for chain, coeffs in m3_coefficients(split):
+        for chain in composable_tuples(split.all_h_classes(), 3):
+            coeffs = split.m_coefficients(chain)
             if not coeffs:
                 continue
             assert len(coeffs) == 1
@@ -152,11 +159,12 @@ class TestM3Pattern:
             observed[key] = observed.get(key, 0) + 1
         assert observed == NONZERO_FAMILIES[(m, 2)]
 
-    def test_pattern_rows_covered(self, split_32_canonical, m3_coefficients):
+    def test_pattern_rows_covered(self, split_32_canonical):
         """Each closed pattern row is realized on the (3|2) block, either
         literally or through its documented one-step flavour twin."""
         nonzero_labels = set()
-        for chain, coeffs in m3_coefficients(split_32_canonical):
+        for chain in composable_tuples(split_32_canonical.all_h_classes(), 3):
+            coeffs = split_32_canonical.m_coefficients(chain)
             if coeffs:
                 ((label, _, _, _), _), = coeffs.items()
                 nonzero_labels.add((tuple(c.label for c in chain), label))
@@ -222,8 +230,74 @@ class TestStasheff:
             "split_22_generic",
         ],
     )
-    def test_identities_to_arity_five(self, fixture, request, stasheff_reports):
+    def test_identities_to_arity_five(self, fixture, request):
         split = request.getfixturevalue(fixture)
-        report = stasheff_reports(split, 5)
+        report = stasheff_check(split, 5)
         assert report["violations"] == []
         assert report["checked"] > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: with the current A-infinity sign conventions "
+        "the identities fail at arity 4 on (3|2)",
+    )
+    @pytest.mark.parametrize("fixture", ["split_32_canonical", "split_32_generic"])
+    def test_identities_on_the_32_block(self, fixture, request):
+        split = request.getfixturevalue(fixture)
+        assert stasheff_check(split, 5)["violations"] == []
+
+
+def _chains(split, arities):
+    classes = split.all_h_classes(include_idempotents=False)
+    return [c for arity in arities for c in composable_tuples(classes, arity)]
+
+
+class TestMemoAgainstReference:
+    """The memo of Qλ and m_n against the direct evaluation in
+    ``tests/oracles.py``, which recomputes every λ_n from scratch."""
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["split_21_generic", "split_31_generic", "split_22_canonical", "split_22_generic"],
+    )
+    def test_reports_equal_the_reference(self, fixture, request):
+        split = request.getfixturevalue(fixture)
+        assert vanishing_report(split, 5) == oracles.vanishing_report(split, 5)
+        assert stasheff_check(split, 5) == oracles.stasheff_check(split, 5)
+
+    def test_stasheff_flags_equal_the_reference(self, split_32_canonical):
+        # every chain the memo flags, and a sample of those it does not,
+        # evaluated term by term with fresh inner and outer m_n
+        split = split_32_canonical
+        flagged = set(stasheff_check(split, 4)["violations"])
+        assert flagged
+        chains = _chains(split, range(2, 5))
+        keys = [tuple(_class_key(c) for c in chain) for chain in chains]
+        assert len(set(keys)) == len(keys)
+        hits = [c for c, key in zip(chains, keys) if key in flagged]
+        misses = [c for c, key in zip(chains, keys) if key not in flagged]
+        assert len(hits) == len(flagged)
+        for chain in hits:
+            total = oracles.stasheff_total(split, chain)
+            assert total is not None and not total.is_zero()
+        for chain in random.Random(20261018).sample(misses, 200):
+            total = oracles.stasheff_total(split, chain)
+            assert total is None or total.is_zero()
+
+    def test_lambda_n_equals_the_reference(self, split_32_canonical):
+        split = split_32_canonical
+        chains = _chains(split, range(2, 6))
+        assert len(chains) == 4232
+        for chain in random.Random(5).sample(chains, 500):
+            want = split.pi_coefficients(oracles.lambda_n(split, chain))
+            assert split.pi_coefficients(lambda_n(split, chain)) == want
+            assert split.m_coefficients(chain) == want
+
+    def test_foreign_arguments_are_rejected(self, split_22_canonical):
+        split = split_22_canonical
+        chain = composable_tuples(split.all_h_classes(), 2)[0]
+        other = build_splitting(2, 2, "canonical-n2")
+        with pytest.raises(ValueError):
+            lambda_n(other, chain)
+        with pytest.raises(ValueError):
+            m_n(split, [c.element for c in chain])
