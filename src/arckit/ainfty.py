@@ -34,13 +34,13 @@ from .extalg import (
     _differential_matrix,
     _k_range,
     _N2_BIGRADE,
+    _nonzero,
     _sigma,
     basis_hom_element,
     compose,
     ext_basis,
     hom_differential,
     hom_space,
-    hom_element,
     homotopy_element,
     vectorize,
     zero_hom,
@@ -162,7 +162,7 @@ class Splitting:
                 raise ArithmeticError("d is not injective on the chosen L")
             # H: complement of B inside the cocycles
             classes = [c for c in labelled if c.k == k]
-            h_cols = [vectorize(c.element, space) for c in classes]
+            h_cols = [vectorize(c.element) for c in classes]
             if not all(span.add(vec) for vec in h_cols):
                 raise ArithmeticError(
                     "chosen H representatives meet the coboundaries"
@@ -175,7 +175,7 @@ class Splitting:
             l_cols: list[list[Fraction]] = []
             if canonical:
                 for element in _homotopy_candidates(lam, mu, k):
-                    vec = vectorize(element, space)
+                    vec = vectorize(element)
                     if not span.add(vec):
                         raise ArithmeticError(
                             "homotopy element lies in the cocycles"
@@ -206,7 +206,7 @@ class Splitting:
         data = self._pair(f.source, f.target).get(f.k)
         if data is None or not data.space:
             raise ValueError("element lies outside the hom complex")
-        return data, data.inverse.apply(vectorize(f, data.space))
+        return data, data.inverse.apply(f.coords)
 
     def pi(self, f: HomElement) -> HomElement:
         """Projection onto H along B ⊕ L."""
@@ -240,13 +240,13 @@ class Splitting:
 
     @staticmethod
     def _q(f: HomElement, data: _SpaceSplit, coords: list[Fraction]) -> HomElement:
-        vec = [Fraction(0)] * len(hom_space(f.source, f.target, f.k - 1))
+        out: dict[int, Fraction] = {}
         for coeff, preimage in zip(coords[: data.b_count], data.l_prev):
             if coeff:
                 for row, value in enumerate(preimage):
                     if value:
-                        vec[row] += coeff * value
-        return hom_element(f.source, f.target, f.k - 1, vec, f.j)
+                        out[row] = out.get(row, 0) + coeff * value
+        return HomElement(f.source, f.target, f.k - 1, f.j, _nonzero(out))
 
     # -- derived data -------------------------------------------------------
 

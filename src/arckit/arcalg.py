@@ -52,6 +52,7 @@ __all__ = [
     "algebra_dimension",
     "idempotent",
     "hom_basis",
+    "basis_product",
     "multiply",
     "SurgeryPanel",
     "surgery_trace",
@@ -530,12 +531,28 @@ def _single(groups: list[list[_Vertex]]) -> list[_Vertex]:
     return groups[0]
 
 
+def _stackable(d1: OrientedCircleDiagram, d2: OrientedCircleDiagram) -> bool:
+    """Whether d1's cap diagram mirrors d2's cup diagram (else d1·d2 = 0)."""
+    return d1.cap.cups == d2.cup.cups and d1.cap.rays == d2.cup.rays
+
+
 @lru_cache(maxsize=None)
 def _basis_product(
     d1: OrientedCircleDiagram, d2: OrientedCircleDiagram
 ) -> AlgebraElement:
-    """The surgery product of two composable basis diagrams, memoized."""
     return _surgery_product(d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
+
+
+def basis_product(
+    d1: OrientedCircleDiagram, d2: OrientedCircleDiagram
+) -> AlgebraElement:
+    """The product of two basis diagrams, zero unless they stack.
+
+    Stacked pairs come from a process-wide memo: the surgery is
+    deterministic and an ``AlgebraElement`` is never changed in place
+    (``terms`` hands out a copy), so sharing a stored product is safe.
+    """
+    return _basis_product(d1, d2) if _stackable(d1, d2) else AlgebraElement()
 
 
 def multiply(
@@ -543,28 +560,25 @@ def multiply(
     y: AlgebraElement,
     pair_picker: Callable[[list[tuple[int, int]]], tuple[int, int]] | None = None,
 ) -> AlgebraElement:
-    """The product in K_m^n, extended bilinearly from basis diagrams.
+    """The product in K_m^n, extended bilinearly from ``basis_product``.
 
-    Each basis-diagram product comes from a process-wide memo keyed by the
-    diagram pair: the surgery procedure is deterministic, so a stored
-    product is the one a fresh surgery would give, and ``AlgebraElement``
-    is never changed in place (``terms`` hands out a copy), so sharing it
-    is safe.  ``pair_picker`` overrides the canonical leftmost-admissible
-    surgery order and always runs the surgery directly; it exists so tests
-    can assert order-independence.
+    ``pair_picker`` overrides the canonical leftmost-admissible surgery
+    order and runs the surgery directly, so tests can assert that the
+    product does not depend on the order.
     """
     total = AlgebraElement.zero()
     for d1, c1 in x:
         for d2, c2 in y:
-            if d1.cap.cups != d2.cup.cups or d1.cap.rays != d2.cup.rays:
-                continue
             if pair_picker is None:
-                part = _basis_product(d1, d2)
-            else:
+                part = basis_product(d1, d2)
+            elif _stackable(d1, d2):
                 part = _surgery_product(
                     d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, pair_picker
                 )
-            total = total + (c1 * c2) * part
+            else:
+                continue
+            if part:
+                total = total + (c1 * c2) * part
     return total
 
 
@@ -599,7 +613,7 @@ def surgery_trace(
     the final collapsed result diagram; raises ValueError on a middle
     mismatch and on products that die (all orientation branches zero).
     """
-    if x.cap.cups != y.cup.cups or x.cap.rays != y.cup.rays:
+    if not _stackable(x, y):
         raise ValueError("middle diagrams do not match; the product is zero")
     a, lam, b, mu, d = x.cup, x.weight, x.cap, y.weight, y.cap
     geometry = _SurgeryGeometry(a, b, d)

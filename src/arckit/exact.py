@@ -281,10 +281,17 @@ class SparseMatrix:
                 out[(r, c)] = out.get((r, c), Fraction(0)) + v * w
         return SparseMatrix(self.rows, other.cols, out)
 
-    def apply(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        x = {c: Fraction(v) for c, v in enumerate(vec) if v}
+    def apply(
+        self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]
+    ) -> list[Fraction]:
+        """The product with a dense vector or a sparse ``{col: value}`` one."""
+        if not isinstance(vec, Mapping):
+            if len(vec) != self.cols:
+                raise ValueError("vector length mismatch")
+            vec = dict(enumerate(vec))
+        x = {c: Fraction(v) for c, v in vec.items() if v}
+        if not all(0 <= c < self.cols for c in x):
+            raise ValueError("vector index out of range")
         out = [Fraction(0)] * self.rows
         for (r, c), v in self.entries.items():
             if c in x:

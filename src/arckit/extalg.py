@@ -3,16 +3,19 @@ the closed dimension recursion.
 
 Conventions
 -----------
-A :class:`HomElement` of bidegree (k, j) collects, for each homological
-degree p, a matrix of algebra elements from component p of the source
-resolution to component p−k of the target resolution shifted by ⟨j⟩.
-Resolutions are linear (component p sits in internal shift p), so every
-entry is homogeneous of internal degree k−j.
+hom^k(P_•(λ), P_•(μ)) has the ordered basis ``hom_space(λ, μ, k)``: one
+vector (p, s, t, diagram, j) per basis diagram from summand s of component
+p of the source resolution to summand t of component p−k of the target,
+of shift ⟨j⟩.  Resolutions are linear (component p sits in internal shift
+p), so each diagram has internal degree k−j.  A :class:`HomElement` of
+bidegree (k, j) is its sparse coordinates over that basis.
 
 The differential is d(f) = f∘d_target − (−1)^k d_source∘f, so degree-k
 cocycles are chain maps that commute (k even) or anticommute (k odd) with
 the differentials.  Composition is written left to right: (f·g)(x) =
-g(f(x)), realized on entries by the surgery product.
+g(f(x)).  Both act on basis vectors: d is one sparse matrix per k, built
+from the differentials of the two resolutions, and a product of two
+basis vectors is the surgery product of their diagrams.
 
 Canonical representatives carry the labels Id, F, Ftilde, G, K, J (and
 the nullhomotopic products A, B with their homotopies); their component
@@ -22,11 +25,11 @@ formulas are hard-coded for n ≤ 2.  The independent dimension oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .arcalg import AlgebraElement, hom_basis, idempotent, multiply
+from .arcalg import AlgebraElement, basis_product, hom_basis, idempotent, multiply
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, SparseMatrix, kernel_basis, rank, solve
 from .resolve import ProjectiveComplex, _ab_type, resolve_cone
@@ -68,34 +71,19 @@ def resolution(lam: Weight) -> ProjectiveComplex:
 class HomElement:
     """A homogeneous element of hom^k(P_•(source), P_•(target)⟨j⟩).
 
-    ``entries[p][(s, t)]`` is the block from summand s of component p of
-    the source to summand t of component p−k of the target, an element of
-    e_ν K e_ν' acting by right multiplication.
+    ``coords`` maps positions in ``hom_space(source, target, k)`` to the
+    nonzero coordinates of the element; every basis vector it names has
+    shift j.
     """
 
     source: Weight
     target: Weight
     k: int
     j: int
-    entries: dict[int, dict[tuple[int, int], AlgebraElement]] = field(
-        default_factory=dict
-    )
-
-    def entry(self, p: int, s: int, t: int) -> AlgebraElement:
-        return self.entries.get(p, {}).get((s, t), AlgebraElement())
+    coords: dict[int, Fraction] = field(default_factory=dict)
 
     def is_zero(self) -> bool:
-        return all(
-            u.is_zero() for block in self.entries.values() for u in block.values()
-        )
-
-    def _clean(self) -> "HomElement":
-        entries = {}
-        for p, block in self.entries.items():
-            kept = {key: u for key, u in block.items() if not u.is_zero()}
-            if kept:
-                entries[p] = kept
-        return HomElement(self.source, self.target, self.k, self.j, entries)
+        return not self.coords
 
     def __add__(self, other: "HomElement") -> "HomElement":
         if (self.source, self.target, self.k, self.j) != (
@@ -105,83 +93,56 @@ class HomElement:
             other.j,
         ):
             raise ValueError("hom elements from different bigraded pieces")
-        entries: dict[int, dict[tuple[int, int], AlgebraElement]] = {}
-        for term in (self, other):
-            for p, block in term.entries.items():
-                out = entries.setdefault(p, {})
-                for key, u in block.items():
-                    out[key] = out.get(key, AlgebraElement()) + u
-        return HomElement(self.source, self.target, self.k, self.j, entries)._clean()
+        coords = dict(self.coords)
+        for i, c in other.coords.items():
+            coords[i] = coords.get(i, 0) + c
+        return replace(self, coords=_nonzero(coords))
 
     def __rmul__(self, scalar) -> "HomElement":
         scalar = Fraction(scalar)
-        entries = {
-            p: {key: scalar * u for key, u in block.items()}
-            for p, block in self.entries.items()
-        }
-        return HomElement(self.source, self.target, self.k, self.j, entries)._clean()
+        coords = {i: scalar * c for i, c in self.coords.items()}
+        return replace(self, coords=_nonzero(coords))
 
     def __sub__(self, other: "HomElement") -> "HomElement":
         return self + (-1) * other
 
-    def check(self) -> None:
-        """Assert every entry sits in the right graded hom piece."""
-        src, tgt = resolution(self.source), resolution(self.target)
-        for p, block in self.entries.items():
-            q = p - self.k
-            for (s, t), u in block.items():
-                _, a = src.components[p][s]
-                _, b = tgt.components[q][t]
-                want = a - b - self.j
-                for diagram, _ in u:
-                    if diagram.degree != want:
-                        raise AssertionError(
-                            f"entry at p={p} has degree {diagram.degree}, "
-                            f"expected {want}"
-                        )
+
+def _nonzero(coords: dict[int, Fraction]) -> dict[int, Fraction]:
+    return {i: c for i, c in coords.items() if c}
 
 
 def zero_hom(lam: Weight, mu: Weight, k: int, j: int) -> HomElement:
     return HomElement(lam, mu, k, j, {})
 
 
+def _from_blocks(lam: Weight, mu: Weight, k: int, j: int, blocks) -> HomElement:
+    """The element whose block from summand s of component p to summand t
+    of component p−k is the sum of the algebra elements given for it in
+    ``blocks``, an iterable of ((p, s, t), element)."""
+    index = _hom_index(lam, mu, k)
+    coords: dict[int, Fraction] = {}
+    for (p, s, t), u in blocks:
+        for diagram, c in u:
+            where = index[(p, s, t, diagram, j)]
+            coords[where] = coords.get(where, 0) + c
+    return HomElement(lam, mu, k, j, _nonzero(coords))
+
+
 def identity_element(lam: Weight) -> HomElement:
     """The identity chain map of P_•(λ)."""
-    c = resolution(lam)
-    entries = {
-        p: {(s, s): idempotent(nu) for s, (nu, _) in enumerate(comp)}
-        for p, comp in enumerate(c.components)
-    }
-    return HomElement(lam, lam, 0, 0, entries)
+    blocks = (
+        ((p, s, s), idempotent(nu))
+        for p, comp in enumerate(resolution(lam).components)
+        for s, (nu, _) in enumerate(comp)
+    )
+    return _from_blocks(lam, lam, 0, 0, blocks)
 
 
 def hom_differential(f: HomElement) -> HomElement:
     """d(f) = f∘d_target − (−1)^k d_source∘f, of bidegree (k+1, j)."""
-    src, tgt = resolution(f.source), resolution(f.target)
-    sign = Fraction((-1) ** f.k)
-    entries: dict[int, dict[tuple[int, int], AlgebraElement]] = {}
-
-    def add(p, s, u, element):
-        if element.is_zero():
-            return
-        block = entries.setdefault(p, {})
-        block[(s, u)] = block.get((s, u), AlgebraElement()) + element
-
-    for p, block in f.entries.items():
-        q = p - f.k
-        # f then the target differential d_q : C_q → C_{q-1}
-        if 1 <= q < len(tgt):
-            for (s, t), u in block.items():
-                for (t2, u2), d_entry in tgt.differentials[q - 1].items():
-                    if t2 == t:
-                        add(p, s, u2, multiply(u, d_entry))
-        # the source differential d_{p+1} then f
-        if p + 1 < len(src):
-            for (s2, s), d_entry in src.differentials[p].items():
-                for (t0, t), u in block.items():
-                    if t0 == s:
-                        add(p + 1, s2, t, -sign * multiply(d_entry, u))
-    return HomElement(f.source, f.target, f.k + 1, f.j, entries)._clean()
+    image = _differential_matrix(f.source, f.target, f.k).apply(f.coords)
+    coords = {i: c for i, c in enumerate(image) if c}
+    return HomElement(f.source, f.target, f.k + 1, f.j, coords)
 
 
 def compose(f, g) -> HomElement:
@@ -190,20 +151,22 @@ def compose(f, g) -> HomElement:
     g = g.element if isinstance(g, ExtClass) else g
     if f.target != g.source:
         raise ValueError("target of the first factor must be source of the second")
-    entries: dict[int, dict[tuple[int, int], AlgebraElement]] = {}
-    for p, block in f.entries.items():
-        q = p - f.k
-        gblock = g.entries.get(q)
-        if not gblock:
-            continue
-        out = entries.setdefault(p, {})
-        for (s, t), u in block.items():
-            for (t0, v), w in gblock.items():
-                if t0 == t:
-                    product = multiply(u, w)
-                    if not product.is_zero():
-                        out[(s, v)] = out.get((s, v), AlgebraElement()) + product
-    return HomElement(f.source, g.target, f.k + g.k, f.j + g.j, entries)._clean()
+    k, j = f.k + g.k, f.j + g.j
+    left = hom_space(f.source, f.target, f.k)
+    right = hom_space(g.source, g.target, g.k)
+    starting: dict[tuple[int, int], list] = {}  # g's terms by (q, t)
+    for i, c in g.coords.items():
+        q, t, v, diagram, _ = right[i]
+        starting.setdefault((q, t), []).append((v, diagram, c))
+    index = _hom_index(f.source, g.target, k)
+    coords: dict[int, Fraction] = {}
+    for i, c in f.coords.items():
+        p, s, t, d1, _ = left[i]
+        for v, d2, c2 in starting.get((p - f.k, t), ()):
+            for diagram, c3 in basis_product(d1, d2):
+                where = index[(p, s, v, diagram, j)]
+                coords[where] = coords.get(where, 0) + c * c2 * c3
+    return HomElement(f.source, g.target, k, j, _nonzero(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -228,66 +191,86 @@ def hom_space(lam: Weight, mu: Weight, k: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _hom_index(lam: Weight, mu: Weight, k: int) -> dict[tuple, int]:
+    """The position of each ``hom_space(λ, μ, k)`` vector.  A term whose
+    shift differs from its basis vector's has no entry and raises KeyError."""
+    return {vector: i for i, vector in enumerate(hom_space(lam, mu, k))}
+
+
 def basis_hom_element(lam: Weight, mu: Weight, k: int, vector) -> HomElement:
-    p, s, t, diagram, j = vector
-    return HomElement(
-        lam, mu, k, j, {p: {(s, t): AlgebraElement.from_diagram(diagram)}}
-    )
+    where = _hom_index(lam, mu, k)[vector]
+    return HomElement(lam, mu, k, vector[4], {where: Fraction(1)})
 
 
 def hom_element(
     lam: Weight, mu: Weight, k: int, coords, j: int | None = None
 ) -> HomElement:
-    """The element of hom^k(P_•(λ), P_•(μ)) with coordinates ``coords`` over
-    ``hom_space(λ, μ, k)``.
+    """The element of hom^k(P_•(λ), P_•(μ)) with the dense coordinate list
+    ``coords`` over ``hom_space(λ, μ, k)``.
 
     Its shift is ``j``, or that of the first nonzero coordinate when None;
-    a nonzero coordinate of another shift raises ValueError.
+    a nonzero coordinate of another shift, or a list of the wrong length,
+    raises ValueError.
     """
-    terms: dict[int, dict[tuple[int, int], dict]] = {}
-    for (p, s, t, diagram, shift), coeff in zip(hom_space(lam, mu, k), coords):
-        if not coeff:
-            continue
-        if j is None:
-            j = shift
-        elif shift != j:
-            raise ValueError("hom elements from different bigraded pieces")
-        terms.setdefault(p, {}).setdefault((s, t), {})[diagram] = coeff
+    space = hom_space(lam, mu, k)
+    if len(coords) != len(space):
+        raise ValueError("coordinate list does not match the hom space")
+    out = {i: Fraction(c) for i, c in enumerate(coords) if c}
     if j is None:
-        raise ValueError("the zero vector needs an explicit shift j")
-    entries = {
-        p: {key: AlgebraElement(u) for key, u in block.items()}
-        for p, block in terms.items()
-    }
-    return HomElement(lam, mu, k, j, entries)
+        if not out:
+            raise ValueError("the zero vector needs an explicit shift j")
+        j = space[min(out)][4]
+    if any(space[i][4] != j for i in out):
+        raise ValueError("hom elements from different bigraded pieces")
+    return HomElement(lam, mu, k, j, out)
 
 
-def vectorize(f: HomElement, basis: tuple) -> list[Fraction]:
-    index = {(p, s, t, d): i for i, (p, s, t, d, _) in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
-    for p, block in f.entries.items():
-        for (s, t), u in block.items():
-            for diagram, coeff in u:
-                where = index.get((p, s, t, diagram))
-                if where is None:
-                    raise ValueError("element does not lie in the given hom space")
-                out[where] += coeff
+def vectorize(f: HomElement) -> list[Fraction]:
+    """The dense coordinate list of f over its own hom space."""
+    out = [Fraction(0)] * len(hom_space(f.source, f.target, f.k))
+    for i, c in f.coords.items():
+        out[i] = c
     return out
 
 
 @lru_cache(maxsize=None)
 def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
-    """Matrix of d: hom^k → hom^{k+1} in the canonical bases (columns are
-    hom^k basis vectors)."""
+    """Matrix of d: hom^k → hom^{k+1} in the ``hom_space`` bases.
+
+    Column i is d of basis vector i, read straight off the differentials
+    of the two resolutions: the vector's diagram times each entry of d_q
+    of the target leaving its summand, and −(−1)^k times each entry of
+    d_{p+1} of the source entering its summand times the diagram.
+    """
+    src, tgt = resolution(lam), resolution(mu)
     dom = hom_space(lam, mu, k)
-    cod = hom_space(lam, mu, k + 1)
+    # built here, not through the cached _hom_index: the matrix is cached,
+    # so each index is read once and keeping it would only hold memory
+    index = {vector: i for i, vector in enumerate(hom_space(lam, mu, k + 1))}
+    sign = Fraction(-((-1) ** k))
     entries: dict[tuple[int, int], Fraction] = {}
-    for col, vector in enumerate(dom):
-        image = hom_differential(basis_hom_element(lam, mu, k, vector))
-        for row, coeff in enumerate(vectorize(image, cod)):
-            if coeff:
-                entries[(row, col)] = coeff
-    return SparseMatrix(len(cod), len(dom), entries)
+    for col, (p, s, t, diagram, j) in enumerate(dom):
+        terms = []  # (block of the image, product, scale)
+        q = p - k
+        if 1 <= q < len(tgt):
+            for (t0, u), d_entry in tgt.differentials[q - 1].items():
+                if t0 == t:
+                    terms += [
+                        ((p, s, u), basis_product(diagram, d), c) for d, c in d_entry
+                    ]
+        if p + 1 < len(src):
+            for (s2, s0), d_entry in src.differentials[p].items():
+                if s0 == s:
+                    terms += [
+                        ((p + 1, s2, t), basis_product(d, diagram), sign * c)
+                        for d, c in d_entry
+                    ]
+        for block, product, scale in terms:
+            for d, c in product:
+                row = index[block + (d, j)]
+                entries[row, col] = entries.get((row, col), 0) + scale * c
+    return SparseMatrix(len(index), len(dom), entries)
 
 
 def _k_range(lam: Weight, mu: Weight) -> range:
@@ -428,9 +411,8 @@ def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElemen
     target summand does not occur are genuinely zero and are skipped.
     """
     src, tgt = resolution(lam), resolution(mu)
-    m = lam.block[0]
     degree = k - j
-    entries: dict[int, dict[tuple[int, int], AlgebraElement]] = {}
+    blocks = []
     for p, comp in enumerate(src.components):
         q = p - k
         if not 0 <= q < len(tgt):
@@ -438,7 +420,6 @@ def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElemen
         index = {}
         for t, (nu2, _) in enumerate(tgt.components[q]):
             index[(nu2.to_kl(), _ab_type(mu, nu2, q))] = t
-        block: dict[tuple[int, int], AlgebraElement] = {}
         for s, (nu, _) in enumerate(comp):
             S, T = nu.to_kl()
             typ = _ab_type(lam, nu, p)
@@ -449,13 +430,9 @@ def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElemen
                 if t is None:
                     continue
                 nu2 = tgt.components[q][t][0]
-                value = Fraction((-1) ** exponent) * _canonical_entry(
-                    nu, nu2, degree
-                )
-                block[(s, t)] = block.get((s, t), AlgebraElement()) + value
-        if block:
-            entries[p] = block
-    return HomElement(lam, mu, k, j, entries)._clean()
+                value = Fraction((-1) ** exponent) * _canonical_entry(nu, nu2, degree)
+                blocks.append(((p, s, t), value))
+    return _from_blocks(lam, mu, k, j, blocks)
 
 
 def _build_n1(lam: Weight, mu: Weight, label: str) -> HomElement:
@@ -470,17 +447,16 @@ def _build_n1(lam: Weight, mu: Weight, label: str) -> HomElement:
         drop = 1
     else:
         raise ValueError(f"unknown n=1 label {label!r}")
-    entries = {}
+    blocks = []
     for p, comp in enumerate(src.components):
         q = p - k
         if not 0 <= q < len(tgt):
             continue
         nu = comp[0][0]
         nu2 = tgt.components[q][0][0]
-        if nu2.to_j() != nu.to_j() - drop:
-            continue
-        entries[p] = {(0, 0): _canonical_entry(nu, nu2, drop)}
-    return HomElement(lam, mu, k, j, entries)._clean()
+        if nu2.to_j() == nu.to_j() - drop:
+            blocks.append(((p, 0, 0), _canonical_entry(nu, nu2, drop)))
+    return _from_blocks(lam, mu, k, j, blocks)
 
 
 def _sigma(lam: Weight, mu: Weight) -> int:
@@ -801,9 +777,8 @@ def _assert_independent(lam: Weight, mu: Weight, classes: list[ExtClass]) -> Non
     for c in classes:
         by_k.setdefault(c.k, []).append(c)
     for k, group in by_k.items():
-        space = hom_space(lam, mu, k)
         span = _coboundaries(lam, mu, k)
-        if not all(span.add(vectorize(c.element, space)) for c in group):
+        if not all(span.add(vectorize(c.element)) for c in group):
             raise ArithmeticError(
                 f"canonical degree-{k} representatives are dependent modulo "
                 f"coboundaries for ({lam}, {mu})"
@@ -842,7 +817,7 @@ def find_homotopy(f: HomElement) -> HomElement | None:
         return zero_hom(f.source, f.target, f.k - 1, f.j)
     lam, mu, k = f.source, f.target, f.k
     matrix = _differential_matrix(lam, mu, k - 1)
-    solution = solve(matrix, vectorize(f, hom_space(lam, mu, k)))
+    solution = solve(matrix, vectorize(f))
     if solution is None:
         return None
     return hom_element(lam, mu, k - 1, solution, f.j)
@@ -859,14 +834,14 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
         classes = [c for c in ext_basis(lam, mu) if c.k == k]
     else:
         classes = [c for c in classes if c.k == k]
-    space = hom_space(lam, mu, k)
     boundary = _differential_matrix(lam, mu, k - 1)
-    columns = [vectorize(c.element, space) for c in classes]
-    columns += [
-        [boundary[r, c] for r in range(boundary.rows)] for c in range(boundary.cols)
-    ]
-    matrix = SparseMatrix.from_columns(columns, len(space))
-    solution = solve(matrix, vectorize(f, space))
+    # columns [classes | d(hom^{k-1})]
+    width = len(classes)
+    entries = {(r, width + c): v for (r, c), v in boundary.entries.items()}
+    for i, c in enumerate(classes):
+        entries.update(((r, i), v) for r, v in c.element.coords.items())
+    matrix = SparseMatrix(boundary.rows, width + boundary.cols, entries)
+    solution = solve(matrix, vectorize(f))
     if solution is None:
         raise ArithmeticError("element does not decompose over the basis")
     coeffs = {

@@ -15,6 +15,13 @@ as a cross-check for resolutions produced by either construction.  Its
 ranks come from the reference kernel, so it does not share code with the
 kernel under test.
 
+``blocks``, ``block_compose`` and ``block_differential`` are the reference
+hom complex: an element as nested blocks ``{p: {(s, t): AlgebraElement}}``
+read off ``hom_space``, composed and differentiated block by block with
+``multiply``.  ``arckit.extalg`` works on coordinates over ``hom_space``
+with d as one matrix built from the resolutions, and is checked against
+these.
+
 ``lambda_n``, ``m_n``, ``stasheff_check`` and ``vanishing_report`` are the
 reference A-infinity operations: every λ_n by the recursion from scratch,
 every Stasheff term through fresh inner and outer m_n, and each vanishing
@@ -27,7 +34,7 @@ from fractions import Fraction
 from arckit import SparseMatrix
 from arckit.ainfty import _class_key, composable_tuples
 from arckit.arcalg import AlgebraElement, hom_basis, multiply
-from arckit.extalg import ExtClass, HomElement, compose, zero_hom
+from arckit.extalg import ExtClass, HomElement, compose, hom_space, resolution, zero_hom
 
 
 def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -145,6 +152,73 @@ def hom_cohomology(C, D) -> dict[int, int]:
         if h:
             dims[k] = h
     return dims
+
+
+# ---------------------------------------------------------------------------
+# the hom complex by blocks
+# ---------------------------------------------------------------------------
+
+
+def _clean(entries: dict) -> dict:
+    out = {}
+    for p, block in entries.items():
+        kept = {key: u for key, u in block.items() if not u.is_zero()}
+        if kept:
+            out[p] = kept
+    return out
+
+
+def blocks(f: HomElement) -> dict:
+    """f as {p: {(s, t): block}}: the block from summand s of component p
+    of the source resolution to summand t of component p−k of the target."""
+    entries: dict = {}
+    space = hom_space(f.source, f.target, f.k)
+    for i, c in f.coords.items():
+        p, s, t, diagram, j = space[i]
+        assert j == f.j, "coordinate outside the element's shift"
+        block = entries.setdefault(p, {})
+        term = AlgebraElement.from_diagram(diagram, c)
+        block[(s, t)] = block.get((s, t), AlgebraElement()) + term
+    return _clean(entries)
+
+
+def block_differential(f: HomElement) -> dict:
+    """The blocks of d(f) = f∘d_target − (−1)^k d_source∘f."""
+    src, tgt = resolution(f.source), resolution(f.target)
+    sign = Fraction((-1) ** f.k)
+    entries: dict = {}
+
+    def add(p, s, u, element):
+        block = entries.setdefault(p, {})
+        block[(s, u)] = block.get((s, u), AlgebraElement()) + element
+
+    for p, block in blocks(f).items():
+        q = p - f.k
+        if 1 <= q < len(tgt):
+            for (s, t), u in block.items():
+                for (t2, u2), d_entry in tgt.differentials[q - 1].items():
+                    if t2 == t:
+                        add(p, s, u2, multiply(u, d_entry))
+        if p + 1 < len(src):
+            for (s2, s), d_entry in src.differentials[p].items():
+                for (t0, t), u in block.items():
+                    if t0 == s:
+                        add(p + 1, s2, t, -sign * multiply(d_entry, u))
+    return _clean(entries)
+
+
+def block_compose(f: HomElement, g: HomElement) -> dict:
+    """The blocks of the left-to-right product f·g (apply f first)."""
+    assert f.target == g.source
+    gblocks = blocks(g)
+    entries: dict = {}
+    for p, block in blocks(f).items():
+        out = entries.setdefault(p, {})
+        for (s, t), u in block.items():
+            for (t0, v), w in gblocks.get(p - f.k, {}).items():
+                if t0 == t:
+                    out[(s, v)] = out.get((s, v), AlgebraElement()) + multiply(u, w)
+    return _clean(entries)
 
 
 # ---------------------------------------------------------------------------

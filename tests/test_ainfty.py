@@ -64,7 +64,7 @@ def _splitting_matrix(split, lam, mu, k):
     pair = split._pair(lam, mu)
     data = pair[k]
     b_cols = [_differential_matrix(lam, mu, k - 1).apply(v) for v in data.l_prev]
-    h_cols = [vectorize(c.element, data.space) for c in data.h_classes]
+    h_cols = [vectorize(c.element) for c in data.h_classes]
     l_cols = pair[k + 1].l_prev if k + 1 in pair else []
     columns = b_cols + h_cols + l_cols
     assert len(columns) == len(data.space)
@@ -88,7 +88,7 @@ class TestCoordinates:
                     for vector in data.space:
                         f = basis_hom_element(lam, mu, k, vector)
                         _, coords = split._coordinates(f)
-                        assert coords == solve(matrix, vectorize(f, data.space))
+                        assert coords == solve(matrix, vectorize(f))
                         checked += 1
         assert checked > 0
 

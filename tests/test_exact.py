@@ -68,6 +68,10 @@ class TestSparseMatrix:
         b = SparseMatrix.from_rows([[0, 1], [1, 0]])
         assert (a @ b).dense() == [[2, 1], [4, 3]]
         assert a.apply([1, 1]) == [3, 7]
+        assert a.apply({1: 1}) == a.apply([0, 1]) == [2, 4]
+        for bad in ([1], [1, 1, 1], {2: 1}, {-1: 1}):
+            with pytest.raises(ValueError):
+                a.apply(bad)
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy)

@@ -2,9 +2,12 @@
 labelled basis classes, the multiplication table, explicit homotopies
 and quiver presentations."""
 
+import random
 from itertools import product as iproduct
 
 import pytest
+
+import oracles
 
 from arckit import (
     Weight,
@@ -14,6 +17,8 @@ from arckit import (
     weights_in_block,
 )
 from arckit.extalg import (
+    _differential_matrix,
+    basis_hom_element,
     compose,
     construct_element,
     decompose,
@@ -26,6 +31,7 @@ from arckit.extalg import (
     hom_space,
     homotopy_element,
     nullhomotopic_element,
+    resolution,
     vectorize,
 )
 from tables import (
@@ -189,7 +195,9 @@ class TestCoordinates:
                 for j in shifts:
                     vec = [i + 1 if v[4] == j else 0 for i, v in enumerate(space)]
                     f = hom_element(lam, mu, k, vec)
-                    assert f.j == j and vectorize(f, space) == vec
+                    assert f.j == j and vectorize(f) == vec
+                    with pytest.raises(ValueError):
+                        hom_element(lam, mu, k, vec + [1])
                 if len(shifts) > 1:
                     with pytest.raises(ValueError):
                         hom_element(lam, mu, k, [1] * len(space))
@@ -197,6 +205,56 @@ class TestCoordinates:
                 zero = hom_element(lam, mu, k, [0] * len(space), j=3)
                 assert zero.is_zero() and zero.j == 3
         assert mixed > 0
+
+
+class TestFastPathsAgainstReference:
+    """d and composition on coordinates equal the blockwise reference."""
+
+    @pytest.mark.parametrize("block", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_differential_matrix(self, block):
+        ws = weights_in_block(*block)
+        for lam, mu in iproduct(ws, repeat=2):
+            C, D = resolution(lam), resolution(mu)
+            for k in _k_range(lam, mu):
+                dom, cod = oracles._hom_space(C, D, k), oracles._hom_space(C, D, k + 1)
+                want = oracles._dmatrix(C, D, k, dom, cod)
+                assert _differential_matrix(lam, mu, k).entries == want.entries
+
+    @staticmethod
+    def _assert_matches(f, g):
+        for x in (f, g):
+            assert oracles.blocks(hom_differential(x)) == oracles.block_differential(x)
+        product = compose(f, g)
+        assert (product.k, product.j) == (f.k + g.k, f.j + g.j)
+        assert oracles.blocks(product) == oracles.block_compose(f, g)
+        return not product.is_zero()
+
+    @pytest.mark.parametrize("block,method", [((2, 2), "auto"), ((3, 1), "generic")])
+    def test_ext_class_pairs(self, block, method):
+        ws = weights_in_block(*block)
+        bases = {
+            (a, b): ext_basis(a, b, method=method) for a, b in iproduct(ws, repeat=2)
+        }
+        nonzero = 0
+        for lam, mid, mu in iproduct(ws, repeat=3):
+            for f in bases[(lam, mid)]:
+                for g in bases[(mid, mu)]:
+                    nonzero += self._assert_matches(f.element, g.element)
+        assert nonzero > 0
+
+    def test_sampled_basis_vector_pairs(self):
+        ws = weights_in_block(3, 2)
+        rng = random.Random(7)
+
+        def sample(lam, mu):
+            k = rng.choice([k for k in _k_range(lam, mu) if hom_space(lam, mu, k)])
+            return basis_hom_element(lam, mu, k, rng.choice(hom_space(lam, mu, k)))
+
+        nonzero = 0
+        for _ in range(300):
+            lam, mid, mu = (rng.choice(ws) for _ in range(3))
+            nonzero += self._assert_matches(sample(lam, mid), sample(mid, mu))
+        assert nonzero > 0
 
 
 class TestQuivers:
