@@ -154,36 +154,38 @@ def idempotent(weight: Weight) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def basis(m: int, n: int) -> tuple[OrientedCircleDiagram, ...]:
-    """All basis diagrams of K_m^n in deterministic (α, β, ν) order."""
+def _basis_by_ends(
+    m: int, n: int
+) -> dict[tuple[Weight, Weight], tuple[OrientedCircleDiagram, ...]]:
+    """The oriented diagrams (α̲, ν, β̄) keyed by (α, β), in (α, β, ν) order."""
     weights = weights_in_block(m, n)
-    out = []
+    out = {}
     for alpha in weights:
         cup = associated_cup_diagram(alpha)
         for beta in weights:
             cap = associated_cap_diagram(beta)
+            found = []
             for nu in weights:
                 try:
-                    out.append(OrientedCircleDiagram(cup, nu, cap))
+                    found.append(OrientedCircleDiagram(cup, nu, cap))
                 except ValueError:
                     continue
-    return tuple(out)
+            out[(alpha, beta)] = tuple(found)
+    return out
 
 
 @lru_cache(maxsize=None)
+def basis(m: int, n: int) -> tuple[OrientedCircleDiagram, ...]:
+    """All basis diagrams of K_m^n in deterministic (α, β, ν) order."""
+    return tuple(d for found in _basis_by_ends(m, n).values() for d in found)
+
+
 def hom_basis(
     alpha: Weight, beta: Weight
 ) -> tuple[OrientedCircleDiagram, ...]:
-    """Basis of e_α K e_β: diagrams (α̲, ν, β̄) that are oriented."""
-    cup = associated_cup_diagram(alpha)
-    cap = associated_cap_diagram(beta)
-    out = []
-    for nu in weights_in_block(*alpha.block):
-        try:
-            out.append(OrientedCircleDiagram(cup, nu, cap))
-        except ValueError:
-            continue
-    return tuple(out)
+    """Basis of e_α K e_β: the diagrams (α̲, ν, β̄) of ``basis``, the same
+    objects, in ν order (empty for weights of different blocks)."""
+    return _basis_by_ends(*alpha.block).get((alpha, beta), ())
 
 
 def algebra_dimension(m: int, n: int) -> int:

@@ -384,6 +384,17 @@ class OrientedCircleDiagram:
             raise ValueError(f"cup half of {self} is not oriented")
         if not cap_oriented(self.cap, self.weight):
             raise ValueError(f"cap half of {self} is not oriented")
+        # every product memo and action matrix is keyed by basis diagrams,
+        # so the generated field hash is computed once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.cup, self.weight, self.cap)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: the stored hash mixes str hashes,
+        # which differ between processes, so it must not be pickled or copied
+        return (OrientedCircleDiagram, (self.cup, self.weight, self.cap))
 
     @staticmethod
     def parse(text: str) -> "OrientedCircleDiagram":

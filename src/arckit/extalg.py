@@ -283,13 +283,15 @@ def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     out: dict[int, int] = {}
+    ranks: dict[int, int] = {}  # d_k is both this k's r_k and the next r_prev
     for k in _k_range(lam, mu):
         space = hom_space(lam, mu, k)
         if not space:
             continue
-        r_k = rank(_differential_matrix(lam, mu, k))
-        r_prev = rank(_differential_matrix(lam, mu, k - 1))
-        total = len(space) - r_k - r_prev
+        for i in (k - 1, k):
+            if i not in ranks:
+                ranks[i] = rank(_differential_matrix(lam, mu, i))
+        total = len(space) - ranks[k] - ranks[k - 1]
         if total:
             out[k] = total
     return out

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arcalg import AlgebraElement, basis, hom_basis, multiply
+from .arcalg import AlgebraElement, basis, basis_product, hom_basis
 from .diagrams import (
     DOWN,
+    CupDiagram,
     OrientedCircleDiagram,
     Weight,
     associated_cap_diagram,
@@ -210,25 +211,38 @@ class GradedModule:
         return total
 
 
+@lru_cache(maxsize=None)
+def _stacking_on(m: int, n: int) -> dict[CupDiagram, list[OrientedCircleDiagram]]:
+    """The basis diagrams z of the block keyed by the cup diagram their cap
+    mirrors, in ``basis`` order: z·v is zero unless z is listed at v.cup."""
+    out: dict[CupDiagram, list[OrientedCircleDiagram]] = {}
+    for z in basis(m, n):
+        out.setdefault(z.cap.mirror(), []).append(z)
+    return out
+
+
 def _action_matrices(
     m: int,
     n: int,
-    module_basis: list,
-    act_on_basis,
+    diagrams: list[OrientedCircleDiagram],
+    rows_of,
 ) -> dict[OrientedCircleDiagram, SparseMatrix]:
-    """Action matrices for each algebra basis diagram.
+    """Action matrices for each algebra basis diagram, in ``basis`` order.
 
-    ``act_on_basis(z, v)`` returns the image of module basis vector v under
-    the basis diagram z as a dict {basis vector: coefficient}."""
-    index = {v: k for k, v in enumerate(module_basis)}
-    dim = len(module_basis)
+    Module basis vector k is the class of the basis diagram ``diagrams[k]``;
+    ``rows_of(product)`` reads z·diagrams[k] as a dict {row: coefficient}.
+    Only the z stacking on each diagram are multiplied."""
+    dim = len(diagrams)
+    stacking = _stacking_on(m, n)
+    entries: dict[OrientedCircleDiagram, dict[tuple[int, int], Fraction]] = {}
+    for col, v in enumerate(diagrams):
+        for z in stacking.get(v.cup, ()):
+            for row, coeff in rows_of(basis_product(z, v)).items():
+                block = entries.setdefault(z, {})
+                block[(row, col)] = block.get((row, col), Fraction(0)) + coeff
     out = {}
     for z in basis(m, n):
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, v in enumerate(module_basis):
-            for w, coeff in act_on_basis(z, v).items():
-                entries[(index[w], col)] = entries.get((index[w], col), Fraction(0)) + coeff
-        mat = SparseMatrix(dim, dim, entries)
+        mat = SparseMatrix(dim, dim, entries.get(z, {}))
         if not mat.is_zero():
             out[z] = mat
     return out
@@ -240,20 +254,16 @@ def projective_module(lam: Weight) -> GradedModule:
     the surgery product."""
     m, n = lam.block
     module_basis = [
-        d for d in basis(m, n) if d.cap == associated_cap_diagram(lam)
+        d for alpha in weights_in_block(m, n) for d in hom_basis(alpha, lam)
     ]
-
-    def act(z: OrientedCircleDiagram, v: OrientedCircleDiagram):
-        product = multiply(
-            AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(v)
-        )
-        return dict(product.terms)
-
+    index = {v: k for k, v in enumerate(module_basis)}
     return GradedModule(
         block=(m, n),
         labels=tuple(module_basis),
         degrees=tuple(d.degree for d in module_basis),
-        action=_action_matrices(m, n, module_basis, act),
+        action=_action_matrices(
+            m, n, module_basis, lambda product: {index[d]: c for d, c in product}
+        ),
     )
 
 
@@ -265,24 +275,25 @@ def cell_module(mu: Weight) -> GradedModule:
     the class of (α̲ μ μ̄) corresponds to the oriented cup diagram (α̲ μ|.
     """
     m, n = mu.block
-    cap = associated_cap_diagram(mu)
     module_basis = [
         alpha
         for alpha in weights_in_block(m, n)
         if cup_oriented(associated_cup_diagram(alpha), mu)
     ]
+    index = {alpha: k for k, alpha in enumerate(module_basis)}
+    # the basis diagram (α̲ μ μ̄) standing for each module vector α
+    reps = [
+        next(d for d in hom_basis(alpha, mu) if d.weight == mu)
+        for alpha in module_basis
+    ]
 
-    def act(z: OrientedCircleDiagram, alpha: Weight):
-        rep = OrientedCircleDiagram(associated_cup_diagram(alpha), mu, cap)
-        product = multiply(
-            AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(rep)
-        )
-        out: dict[Weight, Fraction] = {}
+    def rows_of(product: AlgebraElement) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
         for diagram, coeff in product:
             if diagram.weight != mu:
                 continue  # killed in the cellular quotient
-            new_alpha = weights_by_cup(m, n)[diagram.cup]
-            out[new_alpha] = out.get(new_alpha, Fraction(0)) + coeff
+            row = index[weights_by_cup(m, n)[diagram.cup]]
+            out[row] = out.get(row, Fraction(0)) + coeff
         return out
 
     degrees = tuple(
@@ -292,5 +303,5 @@ def cell_module(mu: Weight) -> GradedModule:
         block=(m, n),
         labels=tuple(module_basis),
         degrees=degrees,
-        action=_action_matrices(m, n, module_basis, act),
+        action=_action_matrices(m, n, reps, rows_of),
     )

@@ -560,7 +560,8 @@ def _head_generators(
                     coord = vec[start + c]
                     if coord:
                         image[start + r] = image.get(start + r, 0) + v * coord
-            span.add(image)
+            if image:
+                span.add(image)
     return [
         (alpha, deg, vec)
         for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))

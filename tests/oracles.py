@@ -22,6 +22,13 @@ read off ``hom_space``, composed and differentiated block by block with
 with d as one matrix built from the resolutions, and is checked against
 these.
 
+``module_action``, ``projective_action`` and ``cell_action`` are the
+reference module actions: every algebra basis diagram acts on every module
+vector through ``multiply`` on wrapped elements, and ``constructed_hom_basis``
+builds e_α K e_β by trying every middle weight.  ``arckit.repmod`` multiplies
+only the pairs that stack, and ``arckit.arcalg.hom_basis`` hands out the
+objects of ``basis``; both are checked against these.
+
 ``lambda_n``, ``m_n``, ``stasheff_check`` and ``vanishing_report`` are the
 reference A-infinity operations: every λ_n by the recursion from scratch,
 every Stasheff term through fresh inner and outer m_n, and each vanishing
@@ -33,7 +40,15 @@ from fractions import Fraction
 
 from arckit import SparseMatrix
 from arckit.ainfty import _class_key, composable_tuples
-from arckit.arcalg import AlgebraElement, hom_basis, multiply
+from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
+from arckit.diagrams import (
+    OrientedCircleDiagram,
+    associated_cap_diagram,
+    associated_cup_diagram,
+    cup_oriented,
+    weights_by_cup,
+    weights_in_block,
+)
 from arckit.extalg import ExtClass, HomElement, compose, hom_space, resolution, zero_hom
 
 
@@ -152,6 +167,80 @@ def hom_cohomology(C, D) -> dict[int, int]:
         if h:
             dims[k] = h
     return dims
+
+
+# ---------------------------------------------------------------------------
+# module actions and hom bases
+# ---------------------------------------------------------------------------
+
+
+def module_action(m, n, module_basis, act_on_basis) -> dict:
+    """The matrix of every basis diagram z of K_m^n with a nonzero action,
+    in ``basis`` order, from ``act_on_basis(z, v)`` on every module vector v
+    as a dict {module vector: coefficient}."""
+    index = {v: k for k, v in enumerate(module_basis)}
+    dim = len(module_basis)
+    out = {}
+    for z in basis(m, n):
+        entries: dict[tuple[int, int], Fraction] = {}
+        for col, v in enumerate(module_basis):
+            for w, coeff in act_on_basis(z, v).items():
+                entries[(index[w], col)] = entries.get((index[w], col), Fraction(0)) + coeff
+        mat = SparseMatrix(dim, dim, entries)
+        if not mat.is_zero():
+            out[z] = mat
+    return out
+
+
+def projective_action(lam) -> tuple[list, dict]:
+    """The labels and action matrices of P(λ) = K e_λ."""
+    m, n = lam.block
+    labels = [d for d in basis(m, n) if d.cap == associated_cap_diagram(lam)]
+
+    def act(z, v):
+        product = multiply(AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(v))
+        return dict(product.terms)
+
+    return labels, module_action(m, n, labels, act)
+
+
+def cell_action(mu) -> tuple[list, dict]:
+    """The labels and action matrices of M(μ), as P(μ) modulo the diagrams
+    of middle weight other than μ."""
+    m, n = mu.block
+    cap = associated_cap_diagram(mu)
+    labels = [
+        alpha
+        for alpha in weights_in_block(m, n)
+        if cup_oriented(associated_cup_diagram(alpha), mu)
+    ]
+
+    def act(z, alpha):
+        rep = OrientedCircleDiagram(associated_cup_diagram(alpha), mu, cap)
+        product = multiply(AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(rep))
+        out: dict = {}
+        for diagram, coeff in product:
+            if diagram.weight != mu:
+                continue
+            new_alpha = weights_by_cup(m, n)[diagram.cup]
+            out[new_alpha] = out.get(new_alpha, Fraction(0)) + coeff
+        return out
+
+    return labels, module_action(m, n, labels, act)
+
+
+def constructed_hom_basis(alpha, beta) -> list:
+    """The oriented diagrams (α̲, ν, β̄), a fresh object for each ν in
+    ``weights_in_block`` order."""
+    cup = associated_cup_diagram(alpha)
+    cap = associated_cap_diagram(beta)
+    out = []
+    for nu in weights_in_block(*alpha.block):
+        try:
+            out.append(OrientedCircleDiagram(cup, nu, cap))
+        except ValueError:
+            continue
+    return out
 
 
 # ---------------------------------------------------------------------------

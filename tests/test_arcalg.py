@@ -23,6 +23,7 @@ from arckit.arcalg import (
     algebra_dimension,
     hom_basis,
 )
+from oracles import constructed_hom_basis
 
 
 def _elt(d):
@@ -41,6 +42,16 @@ class TestBasis:
         ws = weights_in_block(2, 2)
         total = sum(len(hom_basis(a, b)) for a in ws for b in ws)
         assert total == len(basis(2, 2))
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+    def test_hom_basis_hands_out_the_basis_objects(self, m, n):
+        ids = {id(d) for d in basis(m, n)}
+        ws = weights_in_block(m, n)
+        for a in ws:
+            for b in ws:
+                found = hom_basis(a, b)
+                assert list(found) == constructed_hom_basis(a, b)
+                assert all(id(d) in ids for d in found)
 
 
 class TestIdempotents:

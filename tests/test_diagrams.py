@@ -1,6 +1,13 @@
 """Weights, cup/cap diagrams, orientations and degrees."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +22,7 @@ from arckit import (
     length,
     weights_in_block,
 )
+from arckit.arcalg import basis
 from arckit.diagrams import cap_oriented, cup_oriented, weights_by_cup
 
 
@@ -133,3 +141,35 @@ class TestDiagrams:
         high = OrientedCircleDiagram.parse("cups=(0,1) rays= | ^v | cups=(0,1) rays=")
         assert low.degree == 0
         assert high.degree == 2
+
+
+class TestStoredHash:
+    """A basis diagram hashes once, at construction, and never carries that
+    hash into another process: it mixes str hashes, which are per process."""
+
+    def test_hash_is_the_field_hash(self):
+        for d in basis(2, 2):
+            assert hash(d) == hash((d.cup, d.weight, d.cap))
+
+    def test_copies_hash_like_the_original(self):
+        for d in basis(2, 2):
+            for twin in (copy.copy(d), copy.deepcopy(d), dataclasses.replace(d)):
+                assert twin == d
+                assert hash(twin) == hash(d)
+
+    def test_pickle_from_another_hash_seed_is_found_in_the_basis(self):
+        seed = "0" if os.environ.get("PYTHONHASHSEED") == "4242" else "4242"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        script = (
+            "import pickle, sys\n"
+            "from arckit.arcalg import basis\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash('v^'), basis(2, 2))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        )
+        their_str_hash, diagrams = pickle.loads(proc.stdout)
+        assert their_str_hash != hash("v^")  # the two processes hash differently
+        position = {d: k for k, d in enumerate(basis(2, 2))}
+        assert [position[d] for d in diagrams] == list(range(len(basis(2, 2))))

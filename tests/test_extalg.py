@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 
+from arckit import extalg
 from arckit import (
     Weight,
     ext_basis,
@@ -255,6 +256,35 @@ class TestFastPathsAgainstReference:
             lam, mid, mu = (rng.choice(ws) for _ in range(3))
             nonzero += self._assert_matches(sample(lam, mid), sample(mid, mu))
         assert nonzero > 0
+
+
+class TestBlock42:
+    def test_ext_dims_match_the_recursion(self):
+        ws = weights_in_block(4, 2)
+        for lam, mu in iproduct(ws, repeat=2):
+            assert ext_dims(lam, mu) == _nonzero(shelton_dims(lam, mu))
+
+    def test_each_differential_is_ranked_once(self, monkeypatch):
+        made, ranked = {}, []
+        build, real_rank = extalg._differential_matrix, extalg.rank
+
+        def tagged(lam, mu, k):
+            matrix = build(lam, mu, k)
+            made[id(matrix)] = (lam, mu, k)
+            return matrix
+
+        def counting(matrix):
+            ranked.append(made[id(matrix)])
+            return real_rank(matrix)
+
+        monkeypatch.setattr(extalg, "_differential_matrix", tagged)
+        monkeypatch.setattr(extalg, "rank", counting)
+        ws = weights_in_block(4, 2)
+        for lam, mu in iproduct(ws, repeat=2):
+            ranked.clear()
+            ext_dims(lam, mu)
+            assert ranked
+            assert len(ranked) == len(set(ranked))
 
 
 class TestQuivers:

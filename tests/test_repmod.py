@@ -20,6 +20,10 @@ from arckit import (
     weights_in_block,
 )
 from arckit.arcalg import basis
+from oracles import cell_action, projective_action
+
+# blocks on which the fast paths are compared with their references
+REFERENCE_BLOCKS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)]
 
 
 class TestKLPolynomials:
@@ -116,3 +120,20 @@ class TestModules:
                 x = AlgebraElement.from_diagram(rng.choice(diagrams))
                 y = AlgebraElement.from_diagram(rng.choice(diagrams))
                 assert module.act(x) @ module.act(y) == module.act(multiply(x, y))
+
+
+def _action_items(action):
+    """Keys in order, each with its entries in order."""
+    return [(z, list(mat.entries.items())) for z, mat in action.items()]
+
+
+class TestActionsAgainstReference:
+    @pytest.mark.parametrize("m,n", REFERENCE_BLOCKS)
+    def test_projective_and_cell_actions(self, m, n):
+        for lam in weights_in_block(m, n):
+            for module, (labels, action) in (
+                (projective_module(lam), projective_action(lam)),
+                (cell_module(lam), cell_action(lam)),
+            ):
+                assert list(module.labels) == labels
+                assert _action_items(module.action) == _action_items(action)

@@ -1,6 +1,7 @@
 """Linear projective resolutions: shape, signs, exactness, oracles."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -219,6 +220,22 @@ class TestGenericPinned:
             for lam in weights_in_block(m, n)
         }
         assert got == GENERIC_DIGESTS[(m, n)]
+
+
+# sha256 of the JSON list, over weights_in_block(4, 2), of the terms() of
+# each resolve_generic(λ), every weight written as its string
+TERMS_42_DIGEST = "a4d6acc30bbf031479b3b103ec1c5ce942b7e56cec21804332e46070057ac3a8"
+
+
+class TestBlock42:
+    def test_generic_resolutions_verify_and_keep_their_terms(self):
+        terms = []
+        for lam in weights_in_block(4, 2):
+            complex_ = resolve_generic(lam)
+            assert verify_resolution(complex_, lam) == []
+            terms.append([[str(w) for w in row] for row in complex_.terms()])
+        assert len(terms) == 15
+        assert hashlib.sha256(json.dumps(terms).encode()).hexdigest() == TERMS_42_DIGEST
 
 
 class TestCache:
