@@ -28,7 +28,7 @@ surgery; circles are re-oriented through the leftmost-vertex rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
@@ -198,188 +198,170 @@ def algebra_dimension(m: int, n: int) -> int:
 #
 # During the procedure the stacked diagram has two number lines: line 0
 # (bottom, carrying the first factor's weight) and line 1 (top, second
-# factor's weight).  Vertices are encoded as (line, position).  Arcs are
-# frozensets of two vertices; "flip" arcs (cups/caps) force opposite labels
-# at their endpoints, "equal" arcs (vertical segments, stitched rays) force
-# equal labels.
+# factor's weight).  Vertices are encoded as (line, position).  Cups and
+# caps force opposite labels at their endpoints; vertical segments
+# (stitched rays, later also surgered columns) force equal labels.  A
+# vertex meets at most two arcs, and only the infinite ends meet one, so a
+# component is a circle or a line between two infinite ends.
 
 _Vertex = tuple[int, int]
+_PairPicker = Callable[[list[tuple[int, int]]], tuple[int, int]]
+_Step = tuple[tuple[int, int], list[_Vertex], list[_Vertex], list[list[_Vertex]]]
+_FLIP = {UP: DOWN, DOWN: UP}
 
 
-def _component_map(
-    size: int, arcs: Iterable[tuple[_Vertex, _Vertex]]
-) -> dict[_Vertex, int]:
-    """Union-find over all 2*size vertices; returns vertex -> component id."""
-    verts = [(l, p) for l in (0, 1) for p in range(size)]
-    parent = {v: v for v in verts}
-
-    def find(x: _Vertex) -> _Vertex:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in arcs:
-        parent[find(a)] = find(b)
-    roots: dict[_Vertex, int] = {}
-    out = {}
-    for v in verts:
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        out[v] = roots[r]
-    return out
+def _partners(cups: Iterable[tuple[int, int]]) -> dict[int, int]:
+    return {p: q for i, j in cups for p, q in ((i, j), (j, i))}
 
 
-def _consistent_labelings(
-    vertices: list[_Vertex],
-    flip_arcs: list[tuple[_Vertex, _Vertex]],
-    equal_arcs: list[tuple[_Vertex, _Vertex]],
-) -> list[dict[_Vertex, str]]:
-    """The two labelings of a connected component consistent with its arcs."""
-    base = min(vertices)
-    out = []
-    adjacency: dict[_Vertex, list[tuple[_Vertex, bool]]] = {v: [] for v in vertices}
-    for a, b in flip_arcs:
-        adjacency[a].append((b, True))
-        adjacency[b].append((a, True))
-    for a, b in equal_arcs:
-        adjacency[a].append((b, False))
-        adjacency[b].append((a, False))
-    for start in (UP, DOWN):
-        labels = {base: start}
-        stack = [base]
-        ok = True
-        while stack:
-            v = stack.pop()
-            for w, flips in adjacency[v]:
-                want = (DOWN if labels[v] == UP else UP) if flips else labels[v]
-                if w in labels:
-                    if labels[w] != want:
-                        ok = False
-                        break
-                else:
-                    labels[w] = want
-                    stack.append(w)
-            if not ok:
-                break
-        if ok and len(labels) == len(vertices):
-            out.append(labels)
-    return out
+def _leftmost(vertices: list[_Vertex]) -> _Vertex:
+    return min(vertices, key=lambda v: (v[1], v[0]))
 
 
 class _SurgeryGeometry:
-    """The arc bookkeeping for one basis-pair product."""
+    """The arcs of one stacked basis pair, cut open one middle pair at a
+    time by ``steps``."""
 
     def __init__(self, a: CupDiagram, b: CapDiagram, d: CapDiagram):
         self.size = a.size
-        self.a = a
-        self.d = d
+        self.vertices = [(l, p) for l in (0, 1) for p in range(self.size)]
         # infinite ends: line-0 rays of a (down), line-1 rays of d (up)
         self.infinite_ends = {(0, p) for p in a.rays} | {(1, p) for p in d.rays}
-        self.remaining: set[tuple[int, int]] = set(b.cups)
-        # vertical "equal" arcs: stitched rays, later also surgered columns
-        self.equal_arcs: list[tuple[_Vertex, _Vertex]] = [
-            ((0, p), (1, p)) for p in b.rays
-        ]
+        self.outer = (_partners(a.cups), _partners(d.cups))
+        self.middle = _partners(b.cups)
+        self.verticals = set(b.rays)
 
-    def flip_arcs(self) -> list[tuple[_Vertex, _Vertex]]:
-        arcs = [((0, i), (0, j)) for i, j in self.a.cups]
-        arcs += [((1, i), (1, j)) for i, j in self.d.cups]
-        for i, j in self.remaining:
-            arcs.append(((0, i), (0, j)))  # cap of the middle pair
-            arcs.append(((1, i), (1, j)))  # cup of the middle pair
-        return arcs
+    def middle_pairs(self) -> list[tuple[int, int]]:
+        return sorted((i, j) for i, j in self.middle.items() if i < j)
 
-    def all_arcs(self) -> list[tuple[_Vertex, _Vertex]]:
-        return self.flip_arcs() + self.equal_arcs
+    def _propagate(self, start: _Vertex, label: str) -> dict[_Vertex, str]:
+        """The labels of start's component when start carries ``label``."""
+        labels = {start: label}
+        stack = [start]
+        while stack:
+            line, p = v = stack.pop()
+            arcs = []
+            if p in self.outer[line]:
+                arcs.append(((line, self.outer[line][p]), _FLIP[labels[v]]))
+            if p in self.middle:
+                arcs.append(((line, self.middle[p]), _FLIP[labels[v]]))
+            elif p in self.verticals:
+                arcs.append(((1 - line, p), labels[v]))
+            for w, want in arcs:
+                if w not in labels:
+                    labels[w] = want
+                    stack.append(w)
+                elif labels[w] != want:
+                    raise AssertionError("a component has no consistent orientation")
+        return labels
 
-    def admissible_pairs(self) -> list[tuple[int, int]]:
-        """Pairs not strictly enclosed by another remaining pair."""
-        out = []
-        for i, j in self.remaining:
-            if not any(
-                k < i and j < l for k, l in self.remaining if (k, l) != (i, j)
-            ):
-                out.append((i, j))
-        return sorted(out)
+    def component(self, v: _Vertex) -> list[_Vertex]:
+        return sorted(self._propagate(v, UP))
 
-    def cut(self, pair: tuple[int, int]):
-        i, j = pair
-        self.remaining.remove(pair)
-        self.equal_arcs.append(((0, i), (1, i)))
-        self.equal_arcs.append(((0, j), (1, j)))
+    def components(self) -> list[list[_Vertex]]:
+        """All components, in order of their first vertex."""
+        out: list[list[_Vertex]] = []
+        seen: set[_Vertex] = set()
+        for v in self.vertices:
+            if v not in seen:
+                out.append(self.component(v))
+                seen.update(out[-1])
+        return out
 
+    def orient(
+        self, vertices: list[_Vertex], start: _Vertex, label: str
+    ) -> dict[_Vertex, str]:
+        """The one labeling of the component ``vertices`` that gives
+        ``start`` the label ``label``."""
+        labels = self._propagate(start, label)
+        if len(labels) != len(vertices):
+            raise AssertionError("orientation did not reach the whole component")
+        return labels
 
-def _component_data(
-    geometry: _SurgeryGeometry,
-) -> tuple[dict[_Vertex, int], dict[int, list[_Vertex]]]:
-    comp = _component_map(geometry.size, geometry.all_arcs())
-    groups: dict[int, list[_Vertex]] = {}
-    for v, c in comp.items():
-        groups.setdefault(c, []).append(v)
-    for verts in groups.values():
-        verts.sort()
-    return comp, groups
+    def kind(self, vertices: list[_Vertex], labels: Mapping[_Vertex, str]) -> str:
+        """'y' for a line, else '1' or 'x' by the leftmost vertex's label."""
+        if any(v in self.infinite_ends for v in vertices):
+            return "y"
+        return "1" if labels[_leftmost(vertices)] == DOWN else "x"
 
+    def circle(self, vertices: list[_Vertex], kind: str) -> dict[_Vertex, str]:
+        """Labeling of a circle: kind '1' = 'v' at the leftmost vertex, 'x' = '^'."""
+        label = DOWN if kind == "1" else UP
+        return self.orient(vertices, _leftmost(vertices), label)
 
-def _kind(
-    vertices: list[_Vertex],
-    labels: Mapping[_Vertex, str],
-    infinite_ends: set[_Vertex],
-) -> str:
-    ends = [v for v in vertices if v in infinite_ends]
-    if ends:
-        return "y"
-    leftmost = min(vertices, key=lambda v: (v[1], v[0]))
-    return "1" if labels[leftmost] == DOWN else "x"
-
-
-def _relabel_component(
-    vertices: list[_Vertex],
-    geometry: _SurgeryGeometry,
-    choice: Callable[[dict[_Vertex, str]], bool],
-) -> dict[_Vertex, str]:
-    vert_set = set(vertices)
-    flips = [a for a in geometry.flip_arcs() if a[0] in vert_set]
-    equals = [a for a in geometry.equal_arcs if a[0] in vert_set]
-    options = [
-        lab
-        for lab in _consistent_labelings(vertices, flips, equals)
-        if choice(lab)
-    ]
-    if len(options) != 1:
-        raise AssertionError(
-            f"expected exactly one consistent labeling, got {len(options)}"
-        )
-    return options[0]
-
-
-def _circle_labeling(
-    vertices: list[_Vertex], geometry: _SurgeryGeometry, kind: str
-) -> dict[_Vertex, str]:
-    """Labeling of a circle: kind '1' = 'v' at the leftmost vertex, 'x' = '^'."""
-    leftmost = min(vertices, key=lambda v: (v[1], v[0]))
-    want = DOWN if kind == "1" else UP
-    return _relabel_component(vertices, geometry, lambda lab: lab[leftmost] == want)
-
-
-def _line_labeling(
-    vertices: list[_Vertex],
-    geometry: _SurgeryGeometry,
-    old_labels: Mapping[_Vertex, str],
-) -> dict[_Vertex, str]:
-    """Labeling of a line preserving the labels at its infinite ends."""
-    ends = sorted(v for v in vertices if v in geometry.infinite_ends)
-    if not ends:
-        raise AssertionError("line component without infinite ends")
-    lab = _relabel_component(
-        vertices, geometry, lambda lab: lab[ends[0]] == old_labels[ends[0]]
-    )
-    for e in ends[1:]:
-        if lab[e] != old_labels[e]:
+    def line(
+        self, vertices: list[_Vertex], labels: Mapping[_Vertex, str]
+    ) -> dict[_Vertex, str]:
+        """Labeling of a line keeping the labels at its infinite ends."""
+        first, *others = [v for v in vertices if v in self.infinite_ends]
+        out = self.orient(vertices, first, labels[first])
+        if any(out[e] != labels[e] for e in others):
             raise AssertionError("surgery could not preserve a line's ends")
-    return lab
+        return out
+
+    def steps(self, pair_picker: _PairPicker | None = None) -> Iterator[_Step]:
+        """Cut the middle pairs open one at a time into vertical segments.
+
+        Each cut takes the leftmost admissible pair (one not enclosed by
+        another remaining pair), or the admissible pair ``pair_picker``
+        chooses.  It yields the pair, the components through its cap and
+        through its cup before the cut (the same list when they are one
+        component) and the components these form after the cut, in order
+        of their first vertex.
+        """
+        while self.middle:
+            pairs = self.middle_pairs()
+            admissible = [
+                (i, j) for i, j in pairs if not any(k < i and j < l for k, l in pairs)
+            ]
+            i, j = pair = pair_picker(admissible) if pair_picker else admissible[0]
+            cap = self.component((0, i))
+            cup = cap if (1, i) in cap else self.component((1, i))
+            del self.middle[i], self.middle[j]
+            self.verticals |= {i, j}
+            after = [self.component((0, i))]
+            if (0, j) not in after[0]:
+                after = sorted(after + [self.component((0, j))])
+            yield pair, cap, cup, after
+
+
+def _apply_rule(
+    geometry: _SurgeryGeometry,
+    labels: Mapping[_Vertex, str],
+    cap: list[_Vertex],
+    cup: list[_Vertex],
+    after: list[list[_Vertex]],
+) -> list[dict[_Vertex, str]]:
+    """The relabelings of the components ``after`` that one cut gives one
+    state, each with coefficient 1 (the rules of the module docstring)."""
+    if cap is cup:
+        kind = geometry.kind(cap, labels)
+        if kind == "y":  # y -> x⊗y
+            circle, line = sorted(
+                after, key=lambda g: geometry.kind(g, labels) == "y"
+            )
+            return [{**geometry.circle(circle, "x"), **geometry.line(line, labels)}]
+        first, second = after
+        kinds = (("1", "x"), ("x", "1")) if kind == "1" else (("x", "x"),)
+        return [
+            {**geometry.circle(first, k1), **geometry.circle(second, k2)}
+            for k1, k2 in kinds
+        ]
+    kinds = {geometry.kind(cap, labels), geometry.kind(cup, labels)}
+    if kinds == {"y"}:  # y⊗y -> y⊗y when the lines' ends are all '^' and all 'v'
+        ends = {
+            frozenset(labels[v] for v in g if v in geometry.infinite_ends)
+            for g in (cap, cup)
+        }
+        if ends != {frozenset({UP}), frozenset({DOWN})}:
+            return []
+        return [{v: s for g in after for v, s in geometry.line(g, labels).items()}]
+    if "x" in kinds and "1" not in kinds:  # x⊗x, x⊗y -> 0
+        return []
+    (merged,) = after
+    if "y" in kinds:  # 1⊗y -> y
+        return [geometry.line(merged, labels)]
+    return [geometry.circle(merged, "x" if "x" in kinds else "1")]
 
 
 def _surgery_product(
@@ -388,149 +370,28 @@ def _surgery_product(
     b: CapDiagram,
     mu: Weight,
     d: CapDiagram,
-    pair_picker: Callable[[list[tuple[int, int]]], tuple[int, int]] | None = None,
+    pair_picker: _PairPicker | None = None,
 ) -> AlgebraElement:
+    """Carry every orientation state through the cuts of ``steps``; a
+    state is the tuple of labels in ``geometry.vertices`` order."""
     geometry = _SurgeryGeometry(a, b, d)
-    size = geometry.size
-    initial = {(0, p): lam[p] for p in range(size)}
-    initial.update({(1, p): mu[p] for p in range(size)})
-    states: dict[tuple[str, ...], Fraction] = {
-        tuple(initial[v] for v in _vertex_order(size)): Fraction(1)
-    }
-
-    while geometry.remaining:
-        admissible = geometry.admissible_pairs()
-        pair = pair_picker(admissible) if pair_picker else admissible[0]
-        if pair not in geometry.remaining:
-            raise ValueError(f"pair {pair} is not a remaining middle pair")
-        comp_before, groups_before = _component_data(geometry)
-        cap_comp = comp_before[(0, pair[0])]
-        cup_comp = comp_before[(1, pair[0])]
-
-        geometry.cut(pair)
-        comp_after, groups_after = _component_data(geometry)
-        affected_after = {
-            comp_after[v]
-            for c in {cap_comp, cup_comp}
-            for v in groups_before[c]
-        }
-
-        new_states: dict[tuple[str, ...], Fraction] = {}
+    states = {lam.labels + mu.labels: 1}
+    for _, cap, cup, after in geometry.steps(pair_picker):
+        new_states: dict[tuple[str, ...], int] = {}
         for state, coeff in states.items():
-            labels = _state_to_labels(state, size)
-            outcomes = _apply_rule(
-                geometry,
-                labels,
-                groups_before[cap_comp],
-                groups_before[cup_comp],
-                cap_comp == cup_comp,
-                [groups_after[c] for c in sorted(affected_after)],
-            )
-            for new_labels, factor in outcomes:
-                merged = dict(labels)
-                merged.update(new_labels)
-                key = tuple(merged[v] for v in _vertex_order(size))
-                new_states[key] = new_states.get(key, Fraction(0)) + coeff * factor
-        states = {k: v for k, v in new_states.items() if v}
-        if not states:
+            labels = dict(zip(geometry.vertices, state))
+            for relabel in _apply_rule(geometry, labels, cap, cup, after):
+                key = tuple({**labels, **relabel}.values())
+                new_states[key] = new_states.get(key, 0) + coeff
+        if not new_states:
             return AlgebraElement.zero()
-
-    out: dict[OrientedCircleDiagram, Fraction] = {}
-    for state, coeff in states.items():
-        labels = _state_to_labels(state, size)
-        bottom = tuple(labels[(0, p)] for p in range(size))
-        top = tuple(labels[(1, p)] for p in range(size))
-        if bottom != top:
-            raise AssertionError("number lines disagree after surgery")
-        diagram = OrientedCircleDiagram(a, Weight(bottom), d)
-        out[diagram] = out.get(diagram, Fraction(0)) + coeff
-    return AlgebraElement(out)
-
-
-def _vertex_order(size: int) -> list[_Vertex]:
-    return [(l, p) for l in (0, 1) for p in range(size)]
-
-
-def _state_to_labels(state: tuple[str, ...], size: int) -> dict[_Vertex, str]:
-    order = _vertex_order(size)
-    return {v: state[k] for k, v in enumerate(order)}
-
-
-def _apply_rule(
-    geometry: _SurgeryGeometry,
-    labels: Mapping[_Vertex, str],
-    cap_vertices: list[_Vertex],
-    cup_vertices: list[_Vertex],
-    same_component: bool,
-    new_groups: list[list[_Vertex]],
-) -> list[tuple[dict[_Vertex, str], Fraction]]:
-    """Re-orientation outcomes for one surgery step on one state."""
-    ends = geometry.infinite_ends
-    if same_component:
-        kind = _kind(cap_vertices, labels, ends)
-        if len(new_groups) != 2:
-            raise AssertionError("split surgery did not produce two components")
-        circles = [g for g in new_groups if not any(v in ends for v in g)]
-        lines = [g for g in new_groups if any(v in ends for v in g)]
-        if kind == "1":
-            # 1 -> 1⊗x + x⊗1
-            if len(circles) != 2:
-                raise AssertionError("splitting a circle must give two circles")
-            out = []
-            for kinds in (("1", "x"), ("x", "1")):
-                lab = {}
-                for g, k in zip(circles, kinds):
-                    lab.update(_circle_labeling(g, geometry, k))
-                out.append((lab, Fraction(1)))
-            return out
-        if kind == "x":
-            if len(circles) != 2:
-                raise AssertionError("splitting a circle must give two circles")
-            lab = {}
-            for g in circles:
-                lab.update(_circle_labeling(g, geometry, "x"))
-            return [(lab, Fraction(1))]
-        # kind == 'y': line -> clockwise circle ⊗ line
-        if len(circles) != 1 or len(lines) != 1:
-            raise AssertionError("splitting a line must give a circle and a line")
-        lab = _circle_labeling(circles[0], geometry, "x")
-        lab.update(_line_labeling(lines[0], geometry, labels))
-        return [(lab, Fraction(1))]
-
-    kind1 = _kind(cap_vertices, labels, ends)
-    kind2 = _kind(cup_vertices, labels, ends)
-    kinds = {kind1, kind2}
-    if kinds == {"1"}:
-        merged = _single(new_groups)
-        return [(_circle_labeling(merged, geometry, "1"), Fraction(1))]
-    if kinds == {"1", "x"}:
-        merged = _single(new_groups)
-        return [(_circle_labeling(merged, geometry, "x"), Fraction(1))]
-    if kinds == {"x"}:
-        return []
-    if kinds == {"1", "y"}:
-        merged = _single(new_groups)
-        return [(_line_labeling(merged, geometry, labels), Fraction(1))]
-    if kinds == {"x", "y"}:
-        return []
-    # y ⊗ y
-    end_labels = []
-    for g in (cap_vertices, cup_vertices):
-        end_labels.append({labels[v] for v in g if v in ends})
-    if not ({UP} in end_labels and {DOWN} in end_labels):
-        return []
-    if len(new_groups) != 2:
-        raise AssertionError("line-line surgery must give two lines")
-    lab = {}
-    for g in new_groups:
-        lab.update(_line_labeling(g, geometry, labels))
-    return [(lab, Fraction(1))]
-
-
-def _single(groups: list[list[_Vertex]]) -> list[_Vertex]:
-    if len(groups) != 1:
-        raise AssertionError("merge surgery must give a single component")
-    return groups[0]
+        states = new_states
+    size = geometry.size
+    if any(state[:size] != state[size:] for state in states):
+        raise AssertionError("number lines disagree after surgery")
+    return AlgebraElement(
+        {OrientedCircleDiagram(a, Weight(s[:size]), d): c for s, c in states.items()}
+    )
 
 
 def _stackable(d1: OrientedCircleDiagram, d2: OrientedCircleDiagram) -> bool:
@@ -557,28 +418,12 @@ def basis_product(
     return _basis_product(d1, d2) if _stackable(d1, d2) else AlgebraElement()
 
 
-def multiply(
-    x: AlgebraElement,
-    y: AlgebraElement,
-    pair_picker: Callable[[list[tuple[int, int]]], tuple[int, int]] | None = None,
-) -> AlgebraElement:
-    """The product in K_m^n, extended bilinearly from ``basis_product``.
-
-    ``pair_picker`` overrides the canonical leftmost-admissible surgery
-    order and runs the surgery directly, so tests can assert that the
-    product does not depend on the order.
-    """
+def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """The product in K_m^n, extended bilinearly from ``basis_product``."""
     total = AlgebraElement.zero()
     for d1, c1 in x:
         for d2, c2 in y:
-            if pair_picker is None:
-                part = basis_product(d1, d2)
-            elif _stackable(d1, d2):
-                part = _surgery_product(
-                    d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, pair_picker
-                )
-            else:
-                continue
+            part = basis_product(d1, d2)
             if part:
                 total = total + (c1 * c2) * part
     return total
@@ -617,98 +462,46 @@ def surgery_trace(
     """
     if not _stackable(x, y):
         raise ValueError("middle diagrams do not match; the product is zero")
-    a, lam, b, mu, d = x.cup, x.weight, x.cap, y.weight, y.cap
-    geometry = _SurgeryGeometry(a, b, d)
+    geometry = _SurgeryGeometry(x.cup, x.cap, y.cap)
     size = geometry.size
-    labels: dict[_Vertex, str] = {(0, p): lam[p] for p in range(size)}
-    labels.update({(1, p): mu[p] for p in range(size)})
+    labels = dict(zip(geometry.vertices, x.weight.labels + y.weight.labels))
 
     def snapshot(annotation: str) -> SurgeryPanel:
-        comp, groups = _component_data(geometry)
-        types = tuple(
-            _kind(groups[c], labels, geometry.infinite_ends)
-            for c in sorted(groups, key=lambda c: min(groups[c]))
-        )
         return SurgeryPanel(
             bottom_labels=tuple(labels[(0, p)] for p in range(size)),
             top_labels=tuple(labels[(1, p)] for p in range(size)),
-            cup_arcs=tuple(sorted(a.cups)),
-            cup_rays=tuple(sorted(a.rays)),
-            cap_arcs=tuple(sorted(d.cups)),
-            cap_rays=tuple(sorted(d.rays)),
-            middle_arcs=tuple(sorted(geometry.remaining)),
-            verticals=tuple(
-                sorted({v[0][1] for v in geometry.equal_arcs})
+            cup_arcs=tuple(sorted(x.cup.cups)),
+            cup_rays=tuple(sorted(x.cup.rays)),
+            cap_arcs=tuple(sorted(y.cap.cups)),
+            cap_rays=tuple(sorted(y.cap.rays)),
+            middle_arcs=tuple(geometry.middle_pairs()),
+            verticals=tuple(sorted(geometry.verticals)),
+            component_types=tuple(
+                geometry.kind(g, labels) for g in geometry.components()
             ),
-            component_types=types,
             annotation=annotation,
         )
 
     panels = [snapshot("")]
-    while geometry.remaining:
-        pair = geometry.admissible_pairs()[0]
-        comp_before, groups_before = _component_data(geometry)
-        cap_comp = comp_before[(0, pair[0])]
-        cup_comp = comp_before[(1, pair[0])]
-        same = cap_comp == cup_comp
-        before_types = sorted(
-            _kind(groups_before[c], labels, geometry.infinite_ends)
-            for c in {cap_comp, cup_comp}
-        )
-        geometry.cut(pair)
-        comp_after, groups_after = _component_data(geometry)
-        affected = sorted(
-            {
-                comp_after[v]
-                for c in {cap_comp, cup_comp}
-                for v in groups_before[c]
-            }
-        )
-        outcomes = _apply_rule(
-            geometry,
-            labels,
-            groups_before[cap_comp],
-            groups_before[cup_comp],
-            same,
-            [groups_after[c] for c in affected],
-        )
+    for pair, cap, cup, after in geometry.steps():
+        outcomes = _apply_rule(geometry, labels, cap, cup, after)
         if not outcomes:
             raise ValueError(
                 f"surgery at pair {pair} kills every orientation branch"
             )
-        new_labels = min(
-            outcomes,
-            key=lambda o: tuple(sorted(o[0].items())),
-        )[0]
-        labels = dict(labels)
-        labels.update(new_labels)
-        after_types = sorted(
-            _kind(groups_after[c], labels, geometry.infinite_ends)
-            for c in affected
+        before = sorted(
+            geometry.kind(g, labels) for g in ([cap] if cap is cup else [cap, cup])
         )
-        rule = "{} -> {}".format("*".join(before_types), "*".join(after_types))
-        panels.append(snapshot(rule))
+        labels.update(min(outcomes, key=lambda o: sorted(o.items())))
+        formed = sorted(geometry.kind(g, labels) for g in after)
+        panels.append(
+            snapshot("{} -> {}".format("*".join(before), "*".join(formed)))
+        )
     # the collapsed result diagram: both lines now agree
-    bottom = tuple(labels[(0, p)] for p in range(size))
-    top = tuple(labels[(1, p)] for p in range(size))
-    if bottom != top:
-        raise AssertionError("number lines disagree after surgery")
     last = panels[-1]
-    panels.append(
-        SurgeryPanel(
-            bottom_labels=bottom,
-            top_labels=top,
-            cup_arcs=last.cup_arcs,
-            cup_rays=last.cup_rays,
-            cap_arcs=last.cap_arcs,
-            cap_rays=last.cap_rays,
-            middle_arcs=(),
-            verticals=(),
-            component_types=last.component_types,
-            annotation="result",
-            collapsed=True,
-        )
-    )
+    if last.bottom_labels != last.top_labels:
+        raise AssertionError("number lines disagree after surgery")
+    panels.append(replace(last, verticals=(), annotation="result", collapsed=True))
     return panels
 
 

@@ -330,7 +330,7 @@ def _n2_in_range(label: str, src: tuple[int, int], tgt: tuple[int, int]) -> bool
 
 
 def _doc_multtable(args) -> dict:
-    from .extalg import construct_element, compose, decompose
+    from .extalg import construct_element, compose, decompose, ext_basis
 
     m, n = args.m, args.n
     if n != 2:
@@ -341,6 +341,7 @@ def _doc_multtable(args) -> dict:
         for x in _N2_LABELS
         for y in _N2_LABELS
     }
+    bases = {}  # (λ, μ) -> ext_basis(λ, μ), built and verified once
     for lam in ws:
         for mid in ws:
             if mid == lam:
@@ -364,7 +365,9 @@ def _doc_multtable(args) -> dict:
                         cell = families[(xl, yl)]
                         cell["products"] += 1
                         product = compose(x, y)
-                        coeffs, _ = decompose(product)
+                        if (lam, mu) not in bases:
+                            bases[(lam, mu)] = ext_basis(lam, mu)
+                        coeffs, _ = decompose(product, bases[(lam, mu)])
                         nonzero = {lab for (lab, _, _), c in coeffs.items() if c}
                         if nonzero:
                             cell["nonzero"] += 1

@@ -653,10 +653,12 @@ def construct_element(label: str, lam: Weight, mu: Weight) -> HomElement:
 
 
 def canonical_class(label: str, lam: Weight, mu: Weight) -> ExtClass:
-    element = construct_element(label, lam, mu)
-    if lam.n == 2:
-        _assert_window(element)
-    return ExtClass(label, lam, mu, element)
+    f = construct_element(label, lam, mu)
+    if lam.n == 2 and not f.is_zero() and not _in_window(_sigma(lam, mu), f.k, f.j):
+        raise AssertionError(
+            f"bigrade (k={f.k}, j={f.j}) falls outside the admissible window"
+        )
+    return ExtClass(label, lam, mu, f)
 
 
 def homotopy_element(label: str, lam: Weight, mu: Weight) -> HomElement:
@@ -673,31 +675,22 @@ def nullhomotopic_element(label: str, lam: Weight, mu: Weight) -> HomElement:
     return construct_element(label, lam, mu)
 
 
-def _assert_window(f: HomElement) -> None:
-    """Bigrade window for nonzero degree-0 chain maps between linear n=2
+def _in_window(sigma: int, k: int, j: int) -> bool:
+    """The admissible bigrades of degree-0 chain maps between linear n=2
     resolutions: k−j ∈ {0,…,4} with k ≥ σ − w(k−j), w = (2,3,4,3,2)."""
-    if f.is_zero():
-        return
-    sigma = _sigma(f.source, f.target)
-    gap = f.k - f.j
     widths = {0: 2, 1: 3, 2: 4, 3: 3, 4: 2}
-    if gap not in widths or f.k < sigma - widths[gap]:
-        raise AssertionError(
-            f"bigrade (k={f.k}, j={f.j}) falls outside the admissible window"
-        )
+    return k - j in widths and k >= sigma - widths[k - j]
 
 
 def hom_windows_ok(lam: Weight, mu: Weight) -> bool:
     """Every nonzero graded piece of hom(P_•(λ), P_•(μ)) sits in one of
     the five admissible (k, j) windows (n = 2)."""
     sigma = _sigma(lam, mu)
-    widths = {0: 2, 1: 3, 2: 4, 3: 3, 4: 2}
-    for k in _k_range(lam, mu):
-        for _, _, _, _, j in hom_space(lam, mu, k):
-            gap = k - j
-            if gap not in widths or k < sigma - widths[gap]:
-                return False
-    return True
+    return all(
+        _in_window(sigma, k, j)
+        for k in _k_range(lam, mu)
+        for _, _, _, _, j in hom_space(lam, mu, k)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from arckit import (
     weights_in_block,
 )
 from arckit.ainfty import composable_tuples
-from arckit.arcalg import basis, hom_basis
+from arckit.arcalg import _surgery_product, basis, basis_product, hom_basis
 from arckit.extalg import (
     compose,
     construct_element,
@@ -371,15 +371,19 @@ class TestCriterion11PropertySuites:
             assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
     def test_surgery_order_independence(self):
-        els = [AlgebraElement.from_diagram(d) for d in basis(2, 2)]
+        # every stacked pair of (2|3) with a choice of cut; test_arcalg
+        # covers (2|2) and (3|2)
         rng = random.Random(5)
-
-        def rightmost(pairs):
-            return pairs[-1]
-
-        for _ in range(100):
-            x, y = rng.choice(els), rng.choice(els)
-            assert multiply(x, y, pair_picker=rightmost) == multiply(x, y)
+        bs = basis(2, 3)
+        for d1, d2 in iproduct(bs, bs):
+            if d1.cap != d2.cup.mirror() or len(d1.cap.cups) < 2:
+                continue
+            reference = basis_product(d1, d2)
+            for picker in (lambda pairs: pairs[-1], rng.choice):
+                direct = _surgery_product(
+                    d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, picker
+                )
+                assert direct == reference
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
     def test_idempotent_completeness(self, m, n):

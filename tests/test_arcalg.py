@@ -1,5 +1,6 @@
 """The arc algebra: basis, surgery multiplication, traces, functors."""
 
+import hashlib
 import random
 from itertools import product as iproduct
 
@@ -21,8 +22,10 @@ from arckit.arcalg import (
     _basis_product,
     _surgery_product,
     algebra_dimension,
+    basis_product,
     hom_basis,
 )
+from arckit.cli import render_trace_svg
 from oracles import constructed_hom_basis
 
 
@@ -99,20 +102,15 @@ class TestMultiplication:
             assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
     def test_surgery_order_independence(self):
+        # every stacked pair with a choice of cut: 242 on (2|2), 925 on (3|2)
         rng = random.Random(5)
-        bs = [_elt(d) for d in basis(3, 2)]
-
-        def rightmost(pairs):
-            return pairs[-1]
-
-        def randomized(pairs):
-            return rng.choice(pairs)
-
-        for _ in range(200):
-            x, y = rng.choice(bs), rng.choice(bs)
-            reference = multiply(x, y)
-            assert multiply(x, y, pair_picker=rightmost) == reference
-            assert multiply(x, y, pair_picker=randomized) == reference
+        for m, n in ((2, 2), (3, 2)):
+            for d1, d2 in _composable_pairs(m, n):
+                if len(d1.cap.cups) < 2:
+                    continue
+                reference = basis_product(d1, d2)
+                for picker in (lambda pairs: pairs[-1], rng.choice):
+                    assert _direct(d1, d2, picker) == reference
 
     def test_worked_product(self):
         x = OrientedCircleDiagram.parse(
@@ -132,8 +130,10 @@ class TestMultiplication:
         assert multiply(_elt(x), _elt(y)).is_zero()
 
 
-def _direct(d1, d2):
-    return _surgery_product(d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
+def _direct(d1, d2, pair_picker=None):
+    return _surgery_product(
+        d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, pair_picker
+    )
 
 
 def _composable_pairs(m, n):
@@ -173,6 +173,9 @@ class TestProductMemo:
         assert product == expected
 
 
+WALK_DIGEST = "598126a347899b4940d8ca82cf0678a717d601bbd8097f5a944daaf141cd8a6b"
+
+
 class TestSurgeryTrace:
     def test_worked_trace(self):
         x = OrientedCircleDiagram.parse(
@@ -194,6 +197,34 @@ class TestSurgeryTrace:
         y = OrientedCircleDiagram.parse("cups=(1,2) rays=0 | vv^ | cups=(1,2) rays=0")
         with pytest.raises(ValueError):
             surgery_trace(x, y)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
+    def test_trace_dies_exactly_when_the_product_is_zero(self, m, n):
+        for d1, d2 in _composable_pairs(m, n):
+            product = basis_product(d1, d2)
+            if product.is_zero():
+                with pytest.raises(ValueError):
+                    surgery_trace(d1, d2)
+            else:
+                last = surgery_trace(d1, d2)[-1]
+                assert Weight(last.bottom_labels) in {d.weight for d, _ in product}
+
+    def test_products_and_traces_match_the_pinned_digest(self):
+        # every product's terms in order with their coefficients, and every
+        # trace's SVG, over the stacked pairs of (2|2), (3|2) and (2|3);
+        # recorded from the surgery code before traces and products shared
+        # one step loop
+        digest = hashlib.sha256()
+        for m, n in ((2, 2), (3, 2), (2, 3)):
+            for d1, d2 in _composable_pairs(m, n):
+                terms = [(str(d), str(c)) for d, c in basis_product(d1, d2)]
+                digest.update(repr(terms).encode())
+                try:
+                    svg = render_trace_svg(surgery_trace(d1, d2))
+                except ValueError:
+                    svg = "zero"
+                digest.update(svg.encode())
+        assert digest.hexdigest() == WALK_DIGEST
 
 
 class TestFunctor:
