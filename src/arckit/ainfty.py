@@ -24,10 +24,9 @@ given by the closed homotopy table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import Echelon, SparseMatrix, inverse, rank
+from .exact import Echelon, Scalar, SparseMatrix, inverse, rank
 from .extalg import (
     ExtClass,
     HomElement,
@@ -70,7 +69,7 @@ class _SpaceSplit:
     space: tuple
     b_count: int
     h_classes: list[ExtClass]
-    l_prev: list[list[Fraction]]  # L-basis of hom^{k-1}, preimages under d
+    l_prev: list[list[Scalar]]  # L-basis of hom^{k-1}, preimages under d
     inverse: SparseMatrix  # of the matrix with columns [B | H | L]
 
 
@@ -147,7 +146,7 @@ class Splitting:
             ext_basis(lam, mu) if canonical else ext_basis(lam, mu, method="generic")
         )
         out: dict[int, _SpaceSplit] = {}
-        l_prev: list[list[Fraction]] = []
+        l_prev: list[list[Scalar]] = []
         for k in _k_range(lam, mu):
             space = hom_space(lam, mu, k)
             dim = len(space)
@@ -172,7 +171,7 @@ class Splitting:
             # L: complement of the cocycles, seeded with the explicit
             # homotopies in canonical mode so that Q(products) matches
             # the closed homotopy table
-            l_cols: list[list[Fraction]] = []
+            l_cols: list[list[Scalar]] = []
             if canonical:
                 for element in _homotopy_candidates(lam, mu, k):
                     vec = vectorize(element)
@@ -184,8 +183,8 @@ class Splitting:
             for i in range(dim):
                 if len(span) == dim:
                     break
-                vec = [Fraction(0)] * dim
-                vec[i] = Fraction(1)
+                vec = [0] * dim
+                vec[i] = 1
                 if span.add(vec):
                     l_cols.append(vec)
             if len(span) != dim:
@@ -202,7 +201,7 @@ class Splitting:
 
     # -- the three maps -----------------------------------------------------
 
-    def _coordinates(self, f: HomElement) -> tuple[_SpaceSplit, list[Fraction]]:
+    def _coordinates(self, f: HomElement) -> tuple[_SpaceSplit, list[Scalar]]:
         data = self._pair(f.source, f.target).get(f.k)
         if data is None or not data.space:
             raise ValueError("element lies outside the hom complex")
@@ -225,7 +224,7 @@ class Splitting:
         return self._h_coordinates(*self._coordinates(f))
 
     @staticmethod
-    def _h_coordinates(data: _SpaceSplit, coords: list[Fraction]) -> dict:
+    def _h_coordinates(data: _SpaceSplit, coords: list[Scalar]) -> dict:
         return {
             (c.label, c.k, c.j, i): coords[data.b_count + i]
             for i, c in enumerate(data.h_classes)
@@ -239,8 +238,8 @@ class Splitting:
         return self._q(f, *self._coordinates(f))
 
     @staticmethod
-    def _q(f: HomElement, data: _SpaceSplit, coords: list[Fraction]) -> HomElement:
-        out: dict[int, Fraction] = {}
+    def _q(f: HomElement, data: _SpaceSplit, coords: list[Scalar]) -> HomElement:
+        out: dict[int, Scalar] = {}
         for coeff, preimage in zip(coords[: data.b_count], data.l_prev):
             if coeff:
                 for row, value in enumerate(preimage):
@@ -321,7 +320,8 @@ class Splitting:
             k_len, l_len = cut, len(key) - cut
             left_degrees, right_degrees = sum(degree[:cut]), sum(degree[cut:])
             exponent = k_len + (l_len - 1) * left_degrees + (k_len - 1) * right_degrees
-            total = total + Fraction(-((-1) ** exponent)) * compose(left, right)
+            sign = 1 if exponent % 2 else -1  # −(−1)^exponent
+            total = total + sign * compose(left, right)
         return total
 
     def m_coefficients(self, chain) -> dict:
@@ -443,7 +443,7 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
 
     per_arity: dict[int, dict] = {}
     for width in range(2, arity + 1):
-        max_abs = Fraction(0)
+        max_abs = 0
         nonzero = []
         for chain in composable_tuples(classes, width):
             coeffs = split.m_coefficients(chain)

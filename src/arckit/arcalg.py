@@ -29,7 +29,6 @@ surgery; circles are re-oriented through the leftmost-vertex rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -44,6 +43,7 @@ from .diagrams import (
     associated_cup_diagram,
     weights_in_block,
 )
+from .exact import Scalar, rational
 
 __all__ = [
     "AlgebraElement",
@@ -61,22 +61,16 @@ __all__ = [
 
 
 class AlgebraElement:
-    """A finite Q-linear combination of oriented circle diagrams."""
+    """A finite Q-linear combination of oriented circle diagrams.
+
+    Each coefficient is a nonzero exact scalar: an int, or a Fraction when
+    it is not integral (normalised by ``exact.rational``).
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self, terms: Mapping[OrientedCircleDiagram, Fraction] | None = None
-    ):
-        clean: dict[OrientedCircleDiagram, Fraction] = {}
-        if terms:
-            for d, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[d] = clean.get(d, Fraction(0)) + c
-                    if not clean[d]:
-                        del clean[d]
-        self._terms = clean
+    def __init__(self, terms: Mapping[OrientedCircleDiagram, Scalar] | None = None):
+        self._terms = {d: rational(c) for d, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -85,17 +79,17 @@ class AlgebraElement:
 
     @staticmethod
     def from_diagram(
-        diagram: OrientedCircleDiagram, coeff: Fraction | int = 1
+        diagram: OrientedCircleDiagram, coeff: Scalar = 1
     ) -> "AlgebraElement":
-        return AlgebraElement({diagram: Fraction(coeff)})
+        return AlgebraElement({diagram: coeff})
 
     # -- inspection ----------------------------------------------------
     @property
-    def terms(self) -> dict[OrientedCircleDiagram, Fraction]:
+    def terms(self) -> dict[OrientedCircleDiagram, Scalar]:
         return dict(self._terms)
 
-    def coeff(self, diagram: OrientedCircleDiagram) -> Fraction:
-        return self._terms.get(diagram, Fraction(0))
+    def coeff(self, diagram: OrientedCircleDiagram) -> Scalar:
+        return self._terms.get(diagram, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -103,7 +97,7 @@ class AlgebraElement:
     def degrees(self) -> set[int]:
         return {d.degree for d in self._terms}
 
-    def __iter__(self) -> Iterator[tuple[OrientedCircleDiagram, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[OrientedCircleDiagram, Scalar]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -113,18 +107,18 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self._terms)
         for d, c in other._terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
+            out[d] = out.get(d, 0) + c
         return AlgebraElement(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (other * -1)
 
-    def __mul__(self, other: "AlgebraElement | Fraction | int") -> "AlgebraElement":
+    def __mul__(self, other: "AlgebraElement | Scalar") -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
         return AlgebraElement({d: c * other for d, c in self._terms.items()})
 
-    def __rmul__(self, scalar: Fraction | int) -> "AlgebraElement":
+    def __rmul__(self, scalar: Scalar) -> "AlgebraElement":
         return AlgebraElement({d: c * scalar for d, c in self._terms.items()})
 
     def __neg__(self) -> "AlgebraElement":
@@ -146,11 +140,10 @@ class AlgebraElement:
 
 
 def idempotent(weight: Weight) -> AlgebraElement:
-    """e_λ, the degree-0 diagram formed by the associated cup/cap diagrams."""
-    diagram = OrientedCircleDiagram(
-        associated_cup_diagram(weight), weight, associated_cap_diagram(weight)
-    )
-    return AlgebraElement.from_diagram(diagram)
+    """e_λ, the degree-0 diagram formed by the associated cup/cap diagrams
+    (the object of ``basis``)."""
+    key = (associated_cup_diagram(weight), weight.labels, associated_cap_diagram(weight))
+    return AlgebraElement.from_diagram(_basis_by_labels(*weight.block)[key])
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +171,14 @@ def _basis_by_ends(
 def basis(m: int, n: int) -> tuple[OrientedCircleDiagram, ...]:
     """All basis diagrams of K_m^n in deterministic (α, β, ν) order."""
     return tuple(d for found in _basis_by_ends(m, n).values() for d in found)
+
+
+@lru_cache(maxsize=None)
+def _basis_by_labels(
+    m: int, n: int
+) -> dict[tuple[CupDiagram, tuple[str, ...], CapDiagram], OrientedCircleDiagram]:
+    """The diagrams of ``basis`` keyed by (cup, weight labels, cap)."""
+    return {(d.cup, d.weight.labels, d.cap): d for d in basis(m, n)}
 
 
 def hom_basis(
@@ -373,7 +374,8 @@ def _surgery_product(
     pair_picker: _PairPicker | None = None,
 ) -> AlgebraElement:
     """Carry every orientation state through the cuts of ``steps``; a
-    state is the tuple of labels in ``geometry.vertices`` order."""
+    state is the tuple of labels in ``geometry.vertices`` order.  The
+    result diagrams are the objects of ``basis``."""
     geometry = _SurgeryGeometry(a, b, d)
     states = {lam.labels + mu.labels: 1}
     for _, cap, cup, after in geometry.steps(pair_picker):
@@ -389,9 +391,8 @@ def _surgery_product(
     size = geometry.size
     if any(state[:size] != state[size:] for state in states):
         raise AssertionError("number lines disagree after surgery")
-    return AlgebraElement(
-        {OrientedCircleDiagram(a, Weight(s[:size]), d): c for s, c in states.items()}
-    )
+    by_labels = _basis_by_labels(*lam.block)
+    return AlgebraElement({by_labels[a, s[:size], d]: c for s, c in states.items()})
 
 
 def _stackable(d1: OrientedCircleDiagram, d2: OrientedCircleDiagram) -> bool:
@@ -543,9 +544,11 @@ def _shift_arcs(
 def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
     """The geometric-bimodule functor for t_i on morphisms between
     projectives: insert a 'v^' pair at (i, i+1) into the middle weight and
-    a matching cup/cap pair into both halves of every basis diagram."""
+    a matching cup/cap pair into both halves of every basis diagram (the
+    image diagrams are the objects of ``basis``)."""
     i = t.i
-    out: dict[OrientedCircleDiagram, Fraction] = {}
+    by_labels = _basis_by_labels(*t.source_block)
+    out: dict[OrientedCircleDiagram, Scalar] = {}
     for diagram, coeff in element:
         if diagram.weight.block != t.target_block:
             raise ValueError(
@@ -556,10 +559,10 @@ def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
         cup_cups.add((i, i + 1))
         cap_cups.add((i, i + 1))
         size = diagram.weight.size + 2
-        new = OrientedCircleDiagram(
+        new = by_labels[
             CupDiagram(size, frozenset(cup_cups), frozenset(cup_rays)),
-            diagram.weight.insert_down_up(i),
+            diagram.weight.insert_down_up(i).labels,
             CapDiagram(size, frozenset(cap_cups), frozenset(cap_rays)),
-        )
-        out[new] = out.get(new, Fraction(0)) + coeff
+        ]
+        out[new] = out.get(new, 0) + coeff
     return AlgebraElement(out)

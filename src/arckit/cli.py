@@ -342,6 +342,14 @@ def _doc_multtable(args) -> dict:
         for y in _N2_LABELS
     }
     bases = {}  # (λ, μ) -> ext_basis(λ, μ), built and verified once
+    elements = {}  # (label, λ, μ) -> construct_element(label, λ, μ), built once
+
+    def element(label, source, target):
+        key = (label, source, target)
+        if key not in elements:
+            elements[key] = construct_element(label, source, target)
+        return elements[key]
+
     for lam in ws:
         for mid in ws:
             if mid == lam:
@@ -353,13 +361,13 @@ def _doc_multtable(args) -> dict:
                 for xl in _N2_LABELS:
                     if not _n2_in_range(xl, src, via):
                         continue
-                    x = construct_element(xl, lam, mid)
+                    x = element(xl, lam, mid)
                     if x.is_zero():
                         continue
                     for yl in _N2_LABELS:
                         if not _n2_in_range(yl, via, tgt):
                             continue
-                        y = construct_element(yl, mid, mu)
+                        y = element(yl, mid, mu)
                         if y.is_zero():
                             continue
                         cell = families[(xl, yl)]

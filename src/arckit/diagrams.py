@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -406,7 +406,7 @@ class OrientedCircleDiagram:
         cap = CapDiagram.parse(parts[2], size=weight.size)
         return OrientedCircleDiagram(cup, weight, cap)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return half_degree(self.cup, self.weight) + half_degree(self.cap, self.weight)
 

@@ -4,13 +4,19 @@ Everything downstream (surgery products, resolutions, Ext computations)
 reduces to exact rational linear algebra, so this module fixes once and for
 all the deterministic conventions used everywhere:
 
-* coefficients are ``fractions.Fraction`` (arbitrary precision, always
-  reduced, positive denominator);
+* an exact scalar is a Python ``int`` when it is integral and a
+  ``fractions.Fraction`` (reduced, positive denominator > 1) only
+  otherwise; ``rational`` is the one normalisation, and every stored
+  coefficient (``SparseMatrix`` entries, ``Echelon`` rows, algebra and hom
+  elements) goes through it.  The structure constants are integers, so
+  almost all arithmetic stays on ints; a float is never a scalar, and
+  ``/`` is never applied to two ints (``quotient`` divides exactly);
 * the one elimination is ``Echelon``: the reduced row echelon form (RREF)
-  of a span, stored as sparse ``{col: Fraction}`` rows keyed by pivot
+  of a span, stored as sparse ``{col: scalar}`` rows keyed by pivot
   column and grown one vector at a time.  ``add`` reduces the new vector
   against the rows, and if a remainder is left it is scaled to 1 at its
-  leftmost column and cleared from every other row;
+  leftmost column (the only division, and only when that entry is not
+  ±1) and cleared from every other row;
 * ``rank``, ``kernel_basis`` and ``solve`` feed the matrix rows into an
   ``Echelon``.  When a solve has free variables they are set to 0, and
   kernel bases are the standard "one free variable = 1" vectors of the
@@ -20,7 +26,7 @@ all the deterministic conventions used everywhere:
 * a square system that is solved for many right-hand sides is factored
   once: ``inverse`` runs one ``Echelon`` over the rows of ``[M | I]`` and
   ``inverse(M).apply(b)`` replaces ``solve(M, b)``.  An invertible system
-  has exactly one solution, so every coordinate is the same ``Fraction``
+  has exactly one solution, so every coordinate is the same scalar
   ``solve`` would give.
 
 The RREF of a row space is unique, so these answers do not depend on the
@@ -39,13 +45,34 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
-    "Rational", "QPoly", "SparseMatrix", "Echelon", "rank", "kernel_basis", "solve",
-    "inverse",
+    "Rational", "Scalar", "rational", "quotient", "QPoly", "SparseMatrix", "Echelon",
+    "rank", "kernel_basis", "solve", "inverse",
 ]
 
 #: The coefficient field.  All structure constants in scope are integers, so
 #: Q gives the same dimensions as C while staying exact.
 Rational = Fraction
+
+#: An exact scalar: an int when integral, else a Fraction (see ``rational``).
+Scalar = int | Fraction
+
+
+def rational(v: Scalar) -> Scalar:
+    """The exact scalar equal to ``v``: an int stays as it is, a Fraction
+    with denominator 1 becomes its numerator, any other Fraction stays.
+    Anything else, a float above all, raises TypeError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):  # bool and other int subclasses
+        return int(v)
+    raise TypeError(f"{v!r} is not an exact scalar (int or Fraction)")
+
+
+def quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, never a float."""
+    return rational(Fraction(a, b))
 
 
 class QPoly:
@@ -167,31 +194,31 @@ class QPoly:
 class SparseMatrix:
     """An immutable sparse matrix over Q.
 
-    ``entries`` maps ``(row, col)`` to a nonzero Fraction.  Rows and
+    ``entries`` maps ``(row, col)`` to a nonzero exact scalar: an int, or
+    a Fraction when it is not integral (see ``rational``).  Rows and
     columns are 0-indexed.
     """
 
     rows: int
     cols: int
-    entries: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], Scalar] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
         for (r, c), v in self.entries.items():
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"entry ({r},{c}) out of range")
-            v = Fraction(v)
-            if v != 0:
-                clean[(r, c)] = v
+            if v:
+                clean[(r, c)] = rational(v)
         object.__setattr__(self, "entries", clean)
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> "SparseMatrix":
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "SparseMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         entries = {
-            (i, j): Fraction(v)
+            (i, j): v
             for i, row in enumerate(rows)
             for j, v in enumerate(row)
             if v != 0
@@ -200,10 +227,10 @@ class SparseMatrix:
 
     @staticmethod
     def from_columns(
-        columns: Sequence[Sequence[Fraction | int]], rows: int
+        columns: Sequence[Sequence[Scalar]], rows: int
     ) -> "SparseMatrix":
         entries = {
-            (i, j): Fraction(v)
+            (i, j): v
             for j, column in enumerate(columns)
             for i, v in enumerate(column)
             if v != 0
@@ -212,18 +239,18 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "SparseMatrix":
         return SparseMatrix(rows, cols, {})
 
     # -- access --------------------------------------------------------
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.entries.get(key, Fraction(0))
+    def __getitem__(self, key: tuple[int, int]) -> Scalar:
+        return self.entries.get(key, 0)
 
-    def dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+    def dense(self) -> list[list[Scalar]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
@@ -256,13 +283,13 @@ class SparseMatrix:
             raise ValueError("shape mismatch")
         out = dict(self.entries)
         for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return SparseMatrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (other * -1)
 
-    def __mul__(self, scalar: Fraction | int) -> "SparseMatrix":
+    def __mul__(self, scalar: Scalar) -> "SparseMatrix":
         return SparseMatrix(
             self.rows, self.cols, {k: v * scalar for k, v in self.entries.items()}
         )
@@ -272,41 +299,37 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, Scalar]]] = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Scalar] = {}
         for (r, k), v in self.entries.items():
             for c, w in by_row.get(k, ()):
-                out[(r, c)] = out.get((r, c), Fraction(0)) + v * w
+                out[(r, c)] = out.get((r, c), 0) + v * w
         return SparseMatrix(self.rows, other.cols, out)
 
-    def apply(
-        self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]
-    ) -> list[Fraction]:
+    def apply(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> list[Scalar]:
         """The product with a dense vector or a sparse ``{col: value}`` one."""
         if not isinstance(vec, Mapping):
             if len(vec) != self.cols:
                 raise ValueError("vector length mismatch")
             vec = dict(enumerate(vec))
-        x = {c: Fraction(v) for c, v in vec.items() if v}
+        x = {c: v for c, v in vec.items() if v}
         if not all(0 <= c < self.cols for c in x):
             raise ValueError("vector index out of range")
-        out = [Fraction(0)] * self.rows
+        out = [0] * self.rows
         for (r, c), v in self.entries.items():
             if c in x:
                 out[r] += v * x[c]
-        return out
+        return [rational(v) for v in out]
 
 
-
-
-def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+def _subtract(target: dict[int, Scalar], f: Scalar, row: dict[int, Scalar]) -> None:
     """``target -= f * row`` in place, dropping the entries that become 0."""
     for c, v in row.items():
         x = target.get(c, 0) - f * v
         if x:
-            target[c] = x
+            target[c] = rational(x)
         else:
             del target[c]
 
@@ -314,7 +337,7 @@ def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]
 class Echelon:
     """The RREF of a growing span inside Q^width.
 
-    ``rows`` maps each pivot column to its row, a sparse ``{col: Fraction}``
+    ``rows`` maps each pivot column to its row, a sparse ``{col: scalar}``
     that is 1 at its pivot and 0 at every other pivot column.
     """
 
@@ -322,14 +345,14 @@ class Echelon:
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, Scalar]] = {}
 
     @staticmethod
     def of_rows(
-        matrix: SparseMatrix, rhs: Sequence[Fraction | int] | None = None
+        matrix: SparseMatrix, rhs: Sequence[Scalar] | None = None
     ) -> "Echelon":
         """The RREF of the matrix rows, with ``rhs`` as an extra last column."""
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, Scalar]] = {}
         for (r, c), v in matrix.entries.items():
             rows.setdefault(r, {})[c] = v
         width = matrix.cols
@@ -346,32 +369,30 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(
-        self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]
-    ) -> dict[int, Fraction]:
+    def reduce(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Scalar]:
         """The remainder of ``vec`` modulo the span, 0 at every pivot column."""
         if not isinstance(vec, Mapping):
             if len(vec) != self.width:
                 raise ValueError("vector length does not match the span width")
             vec = dict(enumerate(vec))
-        out = {c: Fraction(v) for c, v in vec.items() if v}
+        out = {c: rational(v) for c, v in vec.items() if v}
         rows = self.rows
         # each row is 0 at the other pivots, so one pass clears them all
         for p in [c for c in out if c in rows]:
             _subtract(out, out[p], rows[p])
         return out
 
-    def add(
-        self, vec: Sequence[Fraction | int] | Mapping[int, Fraction | int]
-    ) -> bool:
+    def add(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         """Extend the span by ``vec``; False, with no change, if it lies in it."""
         row = self.reduce(vec)
         if not row:
             return False
         pivot = min(row)
         scale = row[pivot]
-        if scale != 1:
-            row = {c: v / scale for c, v in row.items()}
+        if scale == -1:
+            row = {c: -v for c, v in row.items()}
+        elif scale != 1:
+            row = {c: quotient(v, scale) for c, v in row.items()}
         for other in self.rows.values():
             if pivot in other:
                 _subtract(other, other[pivot], row)
@@ -384,7 +405,7 @@ def rank(matrix: SparseMatrix) -> int:
     return len(Echelon.of_rows(matrix))
 
 
-def kernel_basis(matrix: SparseMatrix) -> list[list[Fraction]]:
+def kernel_basis(matrix: SparseMatrix) -> list[list[Scalar]]:
     """Deterministic basis of the null space.
 
     One vector per free column, in increasing column order: the free
@@ -396,8 +417,8 @@ def kernel_basis(matrix: SparseMatrix) -> list[list[Fraction]]:
     for fc in range(matrix.cols):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * matrix.cols
-        vec[fc] = Fraction(1)
+        vec = [0] * matrix.cols
+        vec[fc] = 1
         for pc, row in pivots.items():
             if fc in row:
                 vec[pc] = -row[fc]
@@ -416,7 +437,7 @@ def inverse(matrix: SparseMatrix) -> SparseMatrix:
     if matrix.cols != n:
         raise ValueError("only a square matrix has an inverse")
     augmented = dict(matrix.entries)
-    augmented.update({(r, n + r): Fraction(1) for r in range(n)})
+    augmented.update({(r, n + r): 1 for r in range(n)})
     span = Echelon.of_rows(SparseMatrix(n, 2 * n, augmented))
     if any(p >= n for p in span.rows):
         raise ArithmeticError("singular matrix has no inverse")
@@ -427,9 +448,7 @@ def inverse(matrix: SparseMatrix) -> SparseMatrix:
     )
 
 
-def solve(
-    matrix: SparseMatrix, rhs: Sequence[Fraction | int]
-) -> list[Fraction] | None:
+def solve(matrix: SparseMatrix, rhs: Sequence[Scalar]) -> list[Scalar] | None:
     """One solution of ``matrix @ x = rhs`` or None if inconsistent.
 
     Deterministic: free variables are set to 0, so the answer is the
@@ -440,7 +459,7 @@ def solve(
     pivots = Echelon.of_rows(matrix, rhs).rows
     if matrix.cols in pivots:
         return None  # a pivot in the rhs column means 0 = 1 somewhere
-    x = [Fraction(0)] * matrix.cols
+    x = [0] * matrix.cols
     for pc, row in pivots.items():
-        x[pc] = row.get(matrix.cols, Fraction(0))
+        x[pc] = row.get(matrix.cols, 0)
     return x

@@ -26,12 +26,11 @@ formulas are hard-coded for n ≤ 2.  The independent dimension oracle
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 
 from .arcalg import AlgebraElement, basis_product, hom_basis, idempotent, multiply
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import Echelon, SparseMatrix, kernel_basis, rank, solve
+from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
 from .resolve import ProjectiveComplex, _ab_type, resolve_cone
 
 __all__ = [
@@ -72,15 +71,17 @@ class HomElement:
     """A homogeneous element of hom^k(P_•(source), P_•(target)⟨j⟩).
 
     ``coords`` maps positions in ``hom_space(source, target, k)`` to the
-    nonzero coordinates of the element; every basis vector it names has
-    shift j.
+    nonzero coordinates of the element, exact scalars normalised by
+    ``exact.rational`` (an int, or a Fraction when not integral; the
+    functions that build elements pass them through ``_nonzero``); every
+    basis vector it names has shift j.
     """
 
     source: Weight
     target: Weight
     k: int
     j: int
-    coords: dict[int, Fraction] = field(default_factory=dict)
+    coords: dict[int, Scalar] = field(default_factory=dict)
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -98,8 +99,7 @@ class HomElement:
             coords[i] = coords.get(i, 0) + c
         return replace(self, coords=_nonzero(coords))
 
-    def __rmul__(self, scalar) -> "HomElement":
-        scalar = Fraction(scalar)
+    def __rmul__(self, scalar: Scalar) -> "HomElement":
         coords = {i: scalar * c for i, c in self.coords.items()}
         return replace(self, coords=_nonzero(coords))
 
@@ -107,8 +107,9 @@ class HomElement:
         return self + (-1) * other
 
 
-def _nonzero(coords: dict[int, Fraction]) -> dict[int, Fraction]:
-    return {i: c for i, c in coords.items() if c}
+def _nonzero(coords: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The nonzero coordinates, normalised by ``exact.rational``."""
+    return {i: rational(c) for i, c in coords.items() if c}
 
 
 def zero_hom(lam: Weight, mu: Weight, k: int, j: int) -> HomElement:
@@ -120,7 +121,7 @@ def _from_blocks(lam: Weight, mu: Weight, k: int, j: int, blocks) -> HomElement:
     of component p−k is the sum of the algebra elements given for it in
     ``blocks``, an iterable of ((p, s, t), element)."""
     index = _hom_index(lam, mu, k)
-    coords: dict[int, Fraction] = {}
+    coords: dict[int, Scalar] = {}
     for (p, s, t), u in blocks:
         for diagram, c in u:
             where = index[(p, s, t, diagram, j)]
@@ -159,7 +160,7 @@ def compose(f, g) -> HomElement:
         q, t, v, diagram, _ = right[i]
         starting.setdefault((q, t), []).append((v, diagram, c))
     index = _hom_index(f.source, g.target, k)
-    coords: dict[int, Fraction] = {}
+    coords: dict[int, Scalar] = {}
     for i, c in f.coords.items():
         p, s, t, d1, _ = left[i]
         for v, d2, c2 in starting.get((p - f.k, t), ()):
@@ -200,7 +201,7 @@ def _hom_index(lam: Weight, mu: Weight, k: int) -> dict[tuple, int]:
 
 def basis_hom_element(lam: Weight, mu: Weight, k: int, vector) -> HomElement:
     where = _hom_index(lam, mu, k)[vector]
-    return HomElement(lam, mu, k, vector[4], {where: Fraction(1)})
+    return HomElement(lam, mu, k, vector[4], {where: 1})
 
 
 def hom_element(
@@ -216,7 +217,7 @@ def hom_element(
     space = hom_space(lam, mu, k)
     if len(coords) != len(space):
         raise ValueError("coordinate list does not match the hom space")
-    out = {i: Fraction(c) for i, c in enumerate(coords) if c}
+    out = _nonzero(dict(enumerate(coords)))
     if j is None:
         if not out:
             raise ValueError("the zero vector needs an explicit shift j")
@@ -226,9 +227,9 @@ def hom_element(
     return HomElement(lam, mu, k, j, out)
 
 
-def vectorize(f: HomElement) -> list[Fraction]:
+def vectorize(f: HomElement) -> list[Scalar]:
     """The dense coordinate list of f over its own hom space."""
-    out = [Fraction(0)] * len(hom_space(f.source, f.target, f.k))
+    out = [0] * len(hom_space(f.source, f.target, f.k))
     for i, c in f.coords.items():
         out[i] = c
     return out
@@ -248,8 +249,8 @@ def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
     # built here, not through the cached _hom_index: the matrix is cached,
     # so each index is read once and keeping it would only hold memory
     index = {vector: i for i, vector in enumerate(hom_space(lam, mu, k + 1))}
-    sign = Fraction(-((-1) ** k))
-    entries: dict[tuple[int, int], Fraction] = {}
+    sign = 1 if k % 2 else -1  # −(−1)^k
+    entries: dict[tuple[int, int], Scalar] = {}
     for col, (p, s, t, diagram, j) in enumerate(dom):
         terms = []  # (block of the image, product, scale)
         q = p - k
@@ -432,7 +433,7 @@ def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElemen
                 if t is None:
                     continue
                 nu2 = tgt.components[q][t][0]
-                value = Fraction((-1) ** exponent) * _canonical_entry(nu, nu2, degree)
+                value = (-1) ** exponent * _canonical_entry(nu, nu2, degree)
                 blocks.append(((p, s, t), value))
     return _from_blocks(lam, mu, k, j, blocks)
 
@@ -885,7 +886,7 @@ def end_quiver(m: int, n: int) -> dict:
                 (d for d in hom_basis(lam, mu) if d.degree == 2), key=str
             )
             index = {d: i for i, d in enumerate(degree_two)}
-            entries: dict[tuple[int, int], Fraction] = {}
+            entries: dict[tuple[int, int], Scalar] = {}
             for col, (_, nu, _) in enumerate(paths):
                 product = multiply(
                     _canonical_entry(lam, nu, 1), _canonical_entry(nu, mu, 1)
@@ -893,7 +894,7 @@ def end_quiver(m: int, n: int) -> dict:
                 for diagram, coeff in product:
                     if diagram.degree == 2:
                         entries[(index[diagram], col)] = (
-                            entries.get((index[diagram], col), Fraction(0)) + coeff
+                            entries.get((index[diagram], col), 0) + coeff
                         )
             matrix = SparseMatrix(len(degree_two), len(paths), entries)
             for vec in kernel_basis(matrix):

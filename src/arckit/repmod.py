@@ -12,7 +12,6 @@ strictly larger than μ; its basis is indexed by the oriented cup diagrams
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .arcalg import AlgebraElement, basis, basis_product, hom_basis
@@ -31,7 +30,7 @@ from .diagrams import (
     weights_by_cup,
     weights_in_block,
 )
-from .exact import QPoly, SparseMatrix
+from .exact import QPoly, Scalar, SparseMatrix
 
 __all__ = [
     "GradedModule",
@@ -234,12 +233,12 @@ def _action_matrices(
     Only the z stacking on each diagram are multiplied."""
     dim = len(diagrams)
     stacking = _stacking_on(m, n)
-    entries: dict[OrientedCircleDiagram, dict[tuple[int, int], Fraction]] = {}
+    entries: dict[OrientedCircleDiagram, dict[tuple[int, int], Scalar]] = {}
     for col, v in enumerate(diagrams):
         for z in stacking.get(v.cup, ()):
             for row, coeff in rows_of(basis_product(z, v)).items():
                 block = entries.setdefault(z, {})
-                block[(row, col)] = block.get((row, col), Fraction(0)) + coeff
+                block[(row, col)] = block.get((row, col), 0) + coeff
     out = {}
     for z in basis(m, n):
         mat = SparseMatrix(dim, dim, entries.get(z, {}))
@@ -287,13 +286,13 @@ def cell_module(mu: Weight) -> GradedModule:
         for alpha in module_basis
     ]
 
-    def rows_of(product: AlgebraElement) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def rows_of(product: AlgebraElement) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for diagram, coeff in product:
             if diagram.weight != mu:
                 continue  # killed in the cellular quotient
             row = index[weights_by_cup(m, n)[diagram.cup]]
-            out[row] = out.get(row, Fraction(0)) + coeff
+            out[row] = out.get(row, 0) + coeff
         return out
 
     degrees = tuple(

@@ -43,7 +43,16 @@ from .diagrams import (
     total_nesting,
     weights_by_cup,
 )
-from .exact import Echelon, QPoly, SparseMatrix, kernel_basis, rank, solve
+from .exact import (
+    Echelon,
+    QPoly,
+    Scalar,
+    SparseMatrix,
+    kernel_basis,
+    quotient,
+    rank,
+    solve,
+)
 from .repmod import cell_module, kl_poly_closed, projective_module, weights_in_block
 
 __all__ = [
@@ -96,7 +105,7 @@ class ProjectiveComplex:
     def terms(self) -> list[list[Weight]]:
         return [sorted((w for w, _ in comp), key=lambda w: str(w)) for comp in self.components]
 
-    def rescale_summands(self, units: list[list[Fraction]]) -> "ProjectiveComplex":
+    def rescale_summands(self, units: list[list[Scalar]]) -> "ProjectiveComplex":
         """Change basis by a unit on each summand (an isomorphism).
 
         An entry from summand s of C_i to summand t of C_{i-1} picks up the
@@ -106,7 +115,7 @@ class ProjectiveComplex:
         for i, diff in enumerate(self.differentials, start=1):
             new_diffs.append(
                 {
-                    (s, t): (units[i][s] / units[i - 1][t]) * u
+                    (s, t): quotient(units[i][s], units[i - 1][t]) * u
                     for (s, t), u in diff.items()
                 }
             )
@@ -190,8 +199,8 @@ def _lift_chain_map(
                 eq_index[key] = len(eq_index)
             return eq_index[key]
 
-        coeffs: dict[tuple[int, int], Fraction] = {}  # (row, col) -> value
-        rhs_vec: dict[int, Fraction] = {}
+        coeffs: dict[tuple[int, int], Scalar] = {}  # (row, col) -> value
+        rhs_vec: dict[int, Scalar] = {}
         for col, (s, t, diag) in enumerate(unknowns):
             for u in range(dst_prev):
                 du = upper.entry(k, t, u)
@@ -200,7 +209,7 @@ def _lift_chain_map(
                 prod = multiply(AlgebraElement.from_diagram(diag), du)
                 for d, c in prod:
                     r = eq_row((s, u, d))
-                    coeffs[(r, col)] = coeffs.get((r, col), Fraction(0)) + c
+                    coeffs[(r, col)] = coeffs.get((r, col), 0) + c
         for s in range(len(src)):
             for t in range(len(lower.components[k - 1])):
                 dl = lower.entry(k, s, t)
@@ -213,10 +222,10 @@ def _lift_chain_map(
                     prod = multiply(dl, fprev)
                     for d, c in prod:
                         r = eq_row((s, u, d))
-                        rhs_vec[r] = rhs_vec.get(r, Fraction(0)) + c
+                        rhs_vec[r] = rhs_vec.get(r, 0) + c
         nrows = len(eq_index)
         matrix = SparseMatrix(nrows, len(unknowns), coeffs)
-        solution = solve(matrix, [rhs_vec.get(r, Fraction(0)) for r in range(nrows)])
+        solution = solve(matrix, [rhs_vec.get(r, 0) for r in range(nrows)])
         if solution is None:
             raise AssertionError("chain-map lift has no solution")
         fk: dict[tuple[int, int], AlgebraElement] = {}
@@ -297,7 +306,7 @@ def _resolve_cone_raw(lam: Weight) -> ProjectiveComplex:
                 diff[(nu_u + s, tgt)] = u
             if k >= 2:
                 for (s, tgt), u in lower.differentials[k - 2].items():
-                    diff[(nu_u + s, nu_prev + tgt)] = Fraction(-1) * u
+                    diff[(nu_u + s, nu_prev + tgt)] = -u
         diffs.append(diff)
     return ProjectiveComplex(lam, tuple(comps), tuple(diffs))
 
@@ -377,10 +386,10 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
     """Rescale summands by units so every differential block equals the
     sign table times the canonical degree-one diagram (n ≤ 2 only)."""
     # current scalar of each nonzero block (blocks live in 1-dim spaces)
-    units: list[list[Fraction | None]] = [
+    units: list[list[Scalar | None]] = [
         [None] * len(comp) for comp in c.components
     ]
-    units[0][0] = Fraction(1)
+    units[0][0] = 1
     while True:
         changed = False
         for i in range(1, len(c)):
@@ -389,16 +398,16 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
                 if len(terms) != 1:
                     raise AssertionError("differential block not a single diagram")
                 _, coeff = terms[0]
-                want = Fraction(_target_sign(c, i, s, t))
+                want = _target_sign(c, i, s, t)
                 # entry transforms by units[i][s] / units[i-1][t]
                 if units[i][s] is None and units[i - 1][t] is not None:
-                    units[i][s] = want * units[i - 1][t] / coeff
+                    units[i][s] = quotient(want * units[i - 1][t], coeff)
                     changed = True
                 elif units[i][s] is not None and units[i - 1][t] is None:
-                    units[i - 1][t] = coeff * units[i][s] / want
+                    units[i - 1][t] = quotient(coeff * units[i][s], want)
                     changed = True
                 elif units[i][s] is not None and units[i - 1][t] is not None:
-                    if units[i][s] / units[i - 1][t] * coeff != want:
+                    if units[i][s] * coeff != want * units[i - 1][t]:
                         raise AssertionError(
                             "sign table is not reachable by rescaling summands"
                         )
@@ -410,14 +419,14 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
         for i in range(1, len(c)):
             for (s, t) in c.differentials[i - 1]:
                 if units[i][s] is None and units[i - 1][t] is None:
-                    units[i][s] = Fraction(1)
+                    units[i][s] = 1
                     seeded = True
                     break
             if seeded:
                 break
         if not seeded:
             break
-    filled = [[x if x is not None else Fraction(1) for x in row] for row in units]
+    filled = [[x if x is not None else 1 for x in row] for row in units]
     return c.rescale_summands(filled)
 
 
@@ -448,7 +457,7 @@ def _flat_differential(
     by_source: dict[int, list[tuple[int, AlgebraElement]]] = {}
     for (s, t), u in diff.items():
         by_source.setdefault(s, []).append((t, u))
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Scalar] = {}
     for col, (s, diag, _, _) in enumerate(source_flat):
         x = AlgebraElement.from_diagram(diag)
         for t, u in by_source.get(s, ()):
@@ -456,7 +465,7 @@ def _flat_differential(
                 r = index.get((t, d))
                 if r is None:
                     raise AssertionError("image left the projective summand")
-                entries[(r, col)] = entries.get((r, col), Fraction(0)) + c
+                entries[(r, col)] = entries.get((r, col), 0) + c
     return SparseMatrix(len(target_flat), len(source_flat), entries)
 
 
@@ -481,7 +490,7 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
         M.dim,
         len(flat),
         {
-            (mindex[alpha], col): Fraction(1)
+            (mindex[alpha], col): 1
             for col, (_, diag, alpha, _) in enumerate(flat)
             if diag.weight == lam
         },
@@ -508,7 +517,7 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     )
 
 
-def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, list[Fraction]]]:
+def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, list[Scalar]]]:
     """Kernel of the matrix split into (cup-weight, absolute degree) blocks,
     returned as homogeneous vectors in the flat cover coordinates."""
     blocks: dict[tuple[Weight, int], list[int]] = {}
@@ -518,7 +527,7 @@ def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, l
     for (alpha, deg) in sorted(blocks, key=lambda ad: (ad[1], str(ad[0]))):
         cols = blocks[(alpha, deg)]
         for vec in kernel_basis(matrix.restrict(range(matrix.rows), cols)):
-            full = [Fraction(0)] * len(flat)
+            full = [0] * len(flat)
             for local, c in enumerate(cols):
                 full[c] = vec[local]
             out.append((alpha, deg, full))
@@ -526,9 +535,9 @@ def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, l
 
 
 def _head_generators(
-    syzygy: list[tuple[Weight, int, list[Fraction]]],
+    syzygy: list[tuple[Weight, int, list[Scalar]]],
     summands: list[tuple[Weight, int]],
-) -> list[tuple[Weight, int, list[Fraction]]]:
+) -> list[tuple[Weight, int, list[Scalar]]]:
     """Minimal homogeneous generators of the syzygy module.
 
     The radical of the span W is Σ_{deg z > 0} z·W, where z acts on each
@@ -551,7 +560,7 @@ def _head_generators(
     positive = [z for z in algebra_basis(*summands[0][0].block) if z.degree > 0]
     for _, _, vec in syzygy:
         for z in positive:
-            image: dict[int, Fraction] = {}
+            image: dict[int, Scalar] = {}
             for module, start in zip(modules, starts):
                 matrix = module.action.get(z)
                 if matrix is None:

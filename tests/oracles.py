@@ -5,6 +5,9 @@ dense Gauss-Jordan elimination on ``Fraction``s that scans columns left to
 right, kept here so that the sparse incremental ``arckit.exact.Echelon``
 can be checked against it for exact equality.
 
+``not_exact`` is the reference scalar convention: it lists the values
+that are neither an ``int`` nor a ``Fraction`` with denominator > 1.
+
 ``restrict`` is the reference graded submatrix: dense row and column
 slicing, to check ``SparseMatrix.restrict`` against.
 
@@ -56,9 +59,10 @@ def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Dense RREF and its pivot columns, in order.
 
     Columns are scanned left to right; within a column the first row (top
-    to bottom) with a nonzero entry is the pivot row.
+    to bottom) with a nonzero entry is the pivot row.  Every entry is read
+    in as a ``Fraction``, so no step divides two ints.
     """
-    m = matrix.dense()
+    m = [[Fraction(v) for v in row] for row in matrix.dense()]
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[int] = []
     row = 0
@@ -108,6 +112,15 @@ def solve(matrix: SparseMatrix, rhs) -> list[Fraction] | None:
     for i, pc in enumerate(pivots):
         x[pc] = m[i][matrix.cols]
     return x
+
+
+def not_exact(values) -> list:
+    """The values that break the scalar convention."""
+    return [
+        v
+        for v in values
+        if not (type(v) is int or (type(v) is Fraction and v.denominator > 1))
+    ]
 
 
 def restrict(matrix: SparseMatrix, rows, cols) -> list[list[Fraction]]:

@@ -55,6 +55,17 @@ class TestBasis:
                 found = hom_basis(a, b)
                 assert list(found) == constructed_hom_basis(a, b)
                 assert all(id(d) in ids for d in found)
+        # so are the diagrams of products, idempotents and functor images
+        for a, b, c in iproduct(ws, repeat=3):
+            for x in hom_basis(a, b):
+                for y in hom_basis(b, c):
+                    assert all(id(d) in ids for d, _ in basis_product(x, y))
+        for a in ws:
+            assert all(id(d) in ids for d, _ in idempotent(a))
+        for i in range(m + n - 1):
+            t = Matching(i, (m, n))
+            for d in basis(m - 1, n - 1):
+                assert all(id(e) in ids for e, _ in functor_image(t, _elt(d)))
 
 
 class TestIdempotents:

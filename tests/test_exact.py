@@ -97,15 +97,19 @@ class TestSparseMatrix:
         assert solve(a, [1, 2]) is None
 
 
+#: Nonzero entries that are not ±1, so that the elimination has to divide.
+_NON_UNIT = st.sampled_from([-3, -2, 0, 2, 3])
+
+
 @st.composite
-def sparse_matrices(draw, max_dim=5, square=False):
+def sparse_matrices(draw, max_dim=5, square=False, entry=st.integers(-3, 3)):
     """Small integer matrices, some rows and columns forced to zero."""
     nrows = draw(st.integers(0, max_dim))
     ncols = nrows if square else draw(st.integers(0, max_dim))
     zero_rows = draw(st.sets(st.integers(0, max_dim)))
     zero_cols = draw(st.sets(st.integers(0, max_dim)))
     entries = {
-        (r, c): draw(st.integers(-3, 3))
+        (r, c): draw(entry)
         for r in range(nrows)
         for c in range(ncols)
         if r not in zero_rows and c not in zero_cols
@@ -114,7 +118,7 @@ def sparse_matrices(draw, max_dim=5, square=False):
 
 
 @st.composite
-def invertible_matrices(draw, max_dim=5):
+def invertible_matrices(draw, max_dim=5, diagonal=st.sampled_from([-2, -1, 1, 3])):
     """L·U with rows permuted: L unit lower and U upper triangular with a
     nonzero diagonal, small integer entries."""
     n = draw(st.integers(0, max_dim))
@@ -123,7 +127,7 @@ def invertible_matrices(draw, max_dim=5):
         (r, c): 1 if r == c else draw(entry) for r in range(n) for c in range(r + 1)
     })
     upper = SparseMatrix(n, n, {
-        (r, c): draw(st.sampled_from([-2, -1, 1, 3])) if r == c else draw(entry)
+        (r, c): draw(diagonal) if r == c else draw(entry)
         for r in range(n)
         for c in range(r, n)
     })
@@ -227,6 +231,35 @@ class TestAgainstReference:
         for i in range(n):
             unit = [int(r == i) for r in range(n)]
             assert inv.apply(unit) == oracles.solve(a, unit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            sparse_matrices(entry=_NON_UNIT),
+            invertible_matrices(diagonal=_NON_UNIT.filter(bool)),
+        ),
+        st.data(),
+    )
+    def test_int_input_with_non_unit_pivots_stays_exact(self, a, data):
+        rows = Echelon.of_rows(a).rows
+        rref, pivots = oracles._rref(a)
+        assert sorted(rows) == pivots
+        for i, pc in enumerate(pivots):
+            assert [rows[pc].get(j, 0) for j in range(a.cols)] == rref[i]
+            assert oracles.not_exact(rows[pc].values()) == []
+        assert all(oracles.not_exact(vec) == [] for vec in kernel_basis(a))
+        b = data.draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
+        x = solve(a, b)
+        assert x == oracles.solve(a, b)
+        assert x is None or oracles.not_exact(x) == []
+        if a.rows == a.cols and oracles.rank(a) == a.rows:
+            inv = inverse(a)
+            assert oracles.not_exact(inv.entries.values()) == []
+            assert inv.apply(b) == x and oracles.not_exact(inv.apply(b)) == []
+            for i in range(a.rows):
+                unit = [int(r == i) for r in range(a.rows)]
+                column = inv.apply(unit)
+                assert column == oracles.solve(a, unit) and oracles.not_exact(column) == []
 
     def test_inverse_of_a_singular_or_non_square_matrix(self):
         with pytest.raises(ArithmeticError):
