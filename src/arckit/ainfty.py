@@ -26,18 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import Echelon, Scalar, SparseMatrix, inverse, rank
+from .exact import Echelon, Scalar, SparseMatrix
 from .extalg import (
     ExtClass,
     HomElement,
+    _check_counts,
     _differential_matrix,
+    _generic_classes,
     _k_range,
+    _labelled_basis,
     _N2_BIGRADE,
     _nonzero,
     _sigma,
     basis_hom_element,
     compose,
-    ext_basis,
     hom_differential,
     hom_space,
     homotopy_element,
@@ -64,7 +66,15 @@ __all__ = [
 
 @dataclass
 class _SpaceSplit:
-    """The decomposition of one hom^k(P_•(λ), P_•(μ))."""
+    """The decomposition of one hom^k(P_•(λ), P_•(μ)).
+
+    B is d of ``l_prev`` (``b_count`` columns), H the representatives of
+    ``h_classes`` and L the next degree's ``l_prev``.  ``inverse`` is the
+    inverse of the matrix with columns [B | H | L]; it comes out of the
+    ``Echelon`` pass that chose H and L: the columns enter through
+    ``add_tagged``, and the tag half of the row with pivot p is column p
+    of the inverse.
+    """
 
     space: tuple
     b_count: int
@@ -73,10 +83,11 @@ class _SpaceSplit:
     inverse: SparseMatrix  # of the matrix with columns [B | H | L]
 
 
-def _homotopy_candidates(lam: Weight, mu: Weight, k: int) -> list[HomElement]:
-    """The explicit homotopy elements landing in hom^k(λ, μ) (n = 2)."""
+def _homotopy_candidates(lam: Weight, mu: Weight) -> dict[int, list[HomElement]]:
+    """The nonzero explicit homotopy elements of hom(λ, μ) (n = 2), by
+    the degree k they land in."""
     if lam.n != 2 or lam == mu or not bruhat_leq(lam, mu):
-        return []
+        return {}
     N, M = lam.to_kl()
     K, L = mu.to_kl()
     sigma = _sigma(lam, mu)
@@ -86,16 +97,13 @@ def _homotopy_candidates(lam: Weight, mu: Weight, k: int) -> list[HomElement]:
         "H(A)": L < M - 1 and L + 2 < K,
         "H(B)": L < M - 1 and L + 1 < K and K < N,
     }
-    out = []
+    out: dict[int, list[HomElement]] = {}
     for label, in_range in ranges.items():
         if not in_range:
             continue
-        dk, _ = _N2_BIGRADE[label]
-        if sigma + dk != k:
-            continue
         element = homotopy_element(label, lam, mu)
         if not element.is_zero():
-            out.append(element)
+            out.setdefault(sigma + _N2_BIGRADE[label][0], []).append(element)
     return out
 
 
@@ -106,6 +114,17 @@ class Splitting:
     the split stores the inverse of its invertible [B | H | L] column
     matrix, so the coordinates that Π and Q read are one matrix-vector
     product, the unique solution a fresh ``solve`` would return.
+
+    Each hom^k is eliminated in one pass (``_build_pair``): B = d(L_{k-1})
+    enters first, then H, then L (the explicit homotopies in canonical
+    mode, then unit vectors until the span is full), each column through
+    ``Echelon.add_tagged``, whose tags make the inverse.  No rank of d_k
+    is needed to see that B ⊕ H is all of the cocycles Z: H are cocycles
+    and B ⊆ Z, so |B| + |H| ≤ dim Z; the next degree adds d(L) to its
+    span, which checks that d is injective on L, so |L| ≤ dim − dim Z;
+    and the three sizes add up to dim.  Where no next degree sees L (the
+    last degree, or below an empty hom^{k+1}), d vanishes and L must be
+    empty.
 
     Every H-class gets an index when its pair is split, and one memo keyed
     by tuples of those indices holds, for each chain of classes evaluated,
@@ -123,6 +142,12 @@ class Splitting:
         self._pairs: dict[tuple[Weight, Weight], dict[int, _SpaceSplit]] = {}
         self._classes: list[ExtClass] = []
         self._index: dict[int, int] = {}  # id(class) -> position in _classes
+        # per class index: source and target as positions in the block, k, j
+        self._weight_id = {w: i for i, w in enumerate(weights_in_block(m, n))}
+        self._source: list[int] = []
+        self._target: list[int] = []
+        self._k: list[int] = []
+        self._j: list[int] = []
         self._chains: dict[tuple[int, ...], tuple[HomElement | None, dict]] = {}
 
     # -- construction -------------------------------------------------------
@@ -135,6 +160,10 @@ class Splitting:
                 for c in space.h_classes:
                     i = self._index[id(c)] = len(self._classes)
                     self._classes.append(c)
+                    self._source.append(self._weight_id[c.source])
+                    self._target.append(self._weight_id[c.target])
+                    self._k.append(c.k)
+                    self._j.append(c.j)
                     self._chains[(i,)] = (-1 * c.element, {})  # Qλ_1 = −Id, m_1 = 0
         return data
 
@@ -142,40 +171,48 @@ class Splitting:
         if lam.block != self.block or mu.block != self.block:
             raise ValueError("weights outside the block of this splitting")
         canonical = self.mode == "canonical-n2"
-        labelled = (
-            ext_basis(lam, mu) if canonical else ext_basis(lam, mu, method="generic")
-        )
+        if canonical:
+            labelled = _labelled_basis(lam, mu)
+            homotopies = _homotopy_candidates(lam, mu)
         out: dict[int, _SpaceSplit] = {}
         l_prev: list[list[Scalar]] = []
         for k in _k_range(lam, mu):
             space = hom_space(lam, mu, k)
             dim = len(space)
             if dim == 0:
+                if l_prev:  # d vanishes on hom^{k-1}, so L there must be empty
+                    raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
                 out[k] = _SpaceSplit(space, 0, [], l_prev, SparseMatrix.zeros(0, 0))
-                l_prev = []
                 continue
+            # one tagged pass adds B = d(L_prev), then H, then L; its tag
+            # half ends up as the inverse of [B | H | L]
             span = Echelon(dim)
-            d_prev = _differential_matrix(lam, mu, k - 1)
-            b_cols = [d_prev.apply(vec) for vec in l_prev]
-            if not all(span.add(vec) for vec in b_cols):
-                raise ArithmeticError("d is not injective on the chosen L")
-            # H: complement of B inside the cocycles
-            classes = [c for c in labelled if c.k == k]
-            h_cols = [vectorize(c.element) for c in classes]
-            if not all(span.add(vec) for vec in h_cols):
-                raise ArithmeticError(
-                    "chosen H representatives meet the coboundaries"
+            if l_prev:
+                image = _differential_matrix(lam, mu, k - 1) @ SparseMatrix.from_columns(
+                    l_prev, len(l_prev[0])
                 )
-            if len(span) != dim - rank(_differential_matrix(lam, mu, k)):
-                raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
+                b_cols: list[dict[int, Scalar]] = [{} for _ in l_prev]
+                for (r, c), v in image.entries.items():
+                    b_cols[c][r] = v
+                if not all(span.add_tagged(vec) for vec in b_cols):
+                    raise ArithmeticError("d is not injective on the chosen L")
+            # H: a complement of B = d(hom^{k-1}) inside the cocycles
+            if canonical:
+                classes = [c for c in labelled if c.k == k]
+                if not all(span.add_tagged(vectorize(c.element)) for c in classes):
+                    raise ArithmeticError(
+                        "chosen H representatives meet the coboundaries"
+                    )
+            else:
+                classes = _generic_classes(lam, mu, k, span.add_tagged)
             # L: complement of the cocycles, seeded with the explicit
             # homotopies in canonical mode so that Q(products) matches
             # the closed homotopy table
             l_cols: list[list[Scalar]] = []
             if canonical:
-                for element in _homotopy_candidates(lam, mu, k):
+                for element in homotopies.get(k, []):
                     vec = vectorize(element)
-                    if not span.add(vec):
+                    if not span.add_tagged(vec):
                         raise ArithmeticError(
                             "homotopy element lies in the cocycles"
                         )
@@ -185,18 +222,22 @@ class Splitting:
                     break
                 vec = [0] * dim
                 vec[i] = 1
-                if span.add(vec):
+                if span.add_tagged(vec):
                     l_cols.append(vec)
-            if len(span) != dim:
-                raise ArithmeticError("failed to complete L to a complement")
+            # the tag half of the row with pivot p is column p of the inverse
+            inverse = {
+                (c - dim, p): v
+                for p, row in span.rows.items()
+                for c, v in row.items()
+                if c >= dim
+            }
             out[k] = _SpaceSplit(
-                space,
-                len(b_cols),
-                classes,
-                l_prev,
-                inverse(SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim)),
+                space, len(l_prev), classes, l_prev, SparseMatrix(dim, dim, inverse)
             )
             l_prev = l_cols
+        if l_prev:  # the last degree: d vanishes, so L must be empty
+            raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
+        _check_counts(lam, mu, [c for data in out.values() for c in data.h_classes])
         return out
 
     # -- the three maps -----------------------------------------------------
@@ -299,16 +340,15 @@ class Splitting:
     def _lambda(self, key: tuple[int, ...]) -> HomElement:
         """λ_n of a chain, from the memoized Qλ of its cuts (zero unless
         the chain is composable)."""
-        classes = [self._classes[i] for i in key]
-        degree = [c.k for c in classes]
-        total = zero_hom(
-            classes[0].source, classes[-1].target, sum(degree) + 2 - len(key),
-            sum(c.j for c in classes),
-        )
-        if any(a.target != b.source for a, b in zip(classes, classes[1:])):
-            return total
+        source, target, degree = self._source, self._target, self._k
+        first, last = self._classes[key[0]], self._classes[key[-1]]
+        k = sum(degree[i] for i in key) + 2 - len(key)
+        j = sum(self._j[i] for i in key)
+        if any(target[a] != source[b] for a, b in zip(key, key[1:])):
+            return zero_hom(first.source, last.target, k, j)
         if len(key) == 2:
-            return compose(*classes)
+            return compose(first, last)
+        coords: dict[int, Scalar] = {}
         for cut in range(1, len(key)):
             left = self._entry(key[:cut])[0]
             right = None if left is None else self._entry(key[cut:])[0]
@@ -318,11 +358,13 @@ class Splitting:
             # sign on the right factor, so the Koszul weight carries the
             # left degrees against l − 1 and the right ones against k − 1
             k_len, l_len = cut, len(key) - cut
-            left_degrees, right_degrees = sum(degree[:cut]), sum(degree[cut:])
+            left_degrees = sum(degree[i] for i in key[:cut])
+            right_degrees = sum(degree[i] for i in key[cut:])
             exponent = k_len + (l_len - 1) * left_degrees + (k_len - 1) * right_degrees
             sign = 1 if exponent % 2 else -1  # −(−1)^exponent
-            total = total + sign * compose(left, right)
-        return total
+            for i, c in compose(left, right).coords.items():
+                coords[i] = coords.get(i, 0) + sign * c
+        return HomElement(first.source, last.target, k, j, _nonzero(coords))
 
     def m_coefficients(self, chain) -> dict:
         """``pi_coefficients(lambda_n(chain))`` of a composable chain of this

@@ -24,10 +24,12 @@ all the deterministic conventions used everywhere:
 * greedy choices ("keep the vector if it is new") are ``Echelon.add``
   calls in the caller's order;
 * a square system that is solved for many right-hand sides is factored
-  once: ``inverse`` runs one ``Echelon`` over the rows of ``[M | I]`` and
+  once: ``inverse`` adds the rows of M to an ``Echelon`` with
+  ``add_tagged``, which carries the identity along as ``[M | I]``, and
   ``inverse(M).apply(b)`` replaces ``solve(M, b)``.  An invertible system
   has exactly one solution, so every coordinate is the same scalar
-  ``solve`` would give.
+  ``solve`` would give.  A caller that picks the vectors of a basis
+  greedily gets the inverse of that basis from the same pass.
 
 The RREF of a row space is unique, so these answers do not depend on the
 order in which rows are added and are the same vectors a dense left to
@@ -40,9 +42,9 @@ byte for byte.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Rational", "Scalar", "rational", "quotient", "QPoly", "SparseMatrix", "Echelon",
@@ -387,6 +389,32 @@ class Echelon:
         row = self.reduce(vec)
         if not row:
             return False
+        self._insert(row)
+        return True
+
+    def add_tagged(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
+        """``add`` that records where each row comes from: ``vec`` enters as
+        ``vec ⊕ e_i`` in Q^width ⊕ Q^width, with i = ``len(self)`` the
+        number of vectors accepted before it.  False, with no change, if
+        ``vec`` lies in the span.  Use it on a span built by ``add_tagged``
+        alone.
+
+        The tag half (columns ``width`` and up) of each row is the
+        combination of the accepted vectors that gives the row.  Once
+        ``width`` vectors are in, the value halves are the identity, so the
+        tag half of the row with pivot p is row p of the inverse of the
+        matrix whose rows are the accepted vectors, in order.
+        """
+        row = self.reduce(vec)
+        if not row or min(row) >= self.width:
+            return False
+        row[self.width + len(self.rows)] = 1
+        self._insert(row)
+        return True
+
+    def _insert(self, row: dict[int, Scalar]) -> None:
+        """Scale a reduced, nonzero ``row`` to 1 at its leftmost column and
+        clear that column from every other row."""
         pivot = min(row)
         scale = row[pivot]
         if scale == -1:
@@ -397,7 +425,6 @@ class Echelon:
             if pivot in other:
                 _subtract(other, other[pivot], row)
         self.rows[pivot] = row
-        return True
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -429,17 +456,18 @@ def kernel_basis(matrix: SparseMatrix) -> list[list[Scalar]]:
 def inverse(matrix: SparseMatrix) -> SparseMatrix:
     """The inverse of a square matrix; ArithmeticError if it is singular.
 
-    One ``Echelon`` pass over the rows of ``[M | I]``: the span always has
-    full rank, and its RREF is ``[I | M^-1]`` exactly when every pivot lies
-    in the M half.
+    One ``Echelon`` pass over the rows of M, tagged by ``add_tagged``: the
+    span is the row space of ``[M | I]``, and its RREF is ``[I | M^-1]``
+    exactly when every row of M is accepted.
     """
     n = matrix.rows
     if matrix.cols != n:
         raise ValueError("only a square matrix has an inverse")
-    augmented = dict(matrix.entries)
-    augmented.update({(r, n + r): 1 for r in range(n)})
-    span = Echelon.of_rows(SparseMatrix(n, 2 * n, augmented))
-    if any(p >= n for p in span.rows):
+    rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    span = Echelon(n)
+    if not all(span.add_tagged(row) for row in rows):
         raise ArithmeticError("singular matrix has no inverse")
     return SparseMatrix(
         n,

@@ -729,12 +729,18 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     """
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    n = lam.n
-    expected = shelton_dims(lam, mu)
-    if method == "generic" or (method == "auto" and n > 2):
+    if method == "generic" or (method == "auto" and lam.n > 2):
         classes = _generic_basis(lam, mu)
     else:
         classes = _labelled_basis(lam, mu)
+        _assert_independent(lam, mu, classes)
+    _check_counts(lam, mu, classes)
+    return classes
+
+
+def _check_counts(lam: Weight, mu: Weight, classes: list[ExtClass]) -> None:
+    """The number of classes per degree must be the closed recursion's."""
+    expected = shelton_dims(lam, mu)
     got: dict[int, int] = {}
     for c in classes:
         got[c.k] = got.get(c.k, 0) + 1
@@ -743,10 +749,12 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
             f"basis dimensions {got} disagree with the recursion {expected} "
             f"for ({lam}, {mu})"
         )
-    return classes
 
 
 def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
+    """The nonzero labelled classes, each checked to be a cocycle, in
+    (k, label) order; their independence modulo the coboundaries is left
+    to the caller (``_assert_independent``)."""
     if not bruhat_leq(lam, mu):
         return []
     if lam == mu:
@@ -764,7 +772,6 @@ def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
     for c in classes:
         if not hom_differential(c.element).is_zero():
             raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
-    _assert_independent(lam, mu, classes)
     return sorted(classes, key=lambda c: (c.k, c.label))
 
 
@@ -789,16 +796,24 @@ def _coboundaries(lam: Weight, mu: Weight, k: int) -> Echelon:
 def _generic_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
     """Echelon-canonical cocycle representatives, deterministic in the
     fixed hom-space basis order."""
-    out = []
-    for k in _k_range(lam, mu):
-        space = hom_space(lam, mu, k)
-        if not space:
-            continue
-        span = _coboundaries(lam, mu, k)
-        for vec in kernel_basis(_differential_matrix(lam, mu, k)):
-            if span.add(vec):
-                out.append(ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec)))
-    return out
+    return [
+        c
+        for k in _k_range(lam, mu)
+        if hom_space(lam, mu, k)
+        for c in _generic_classes(lam, mu, k, _coboundaries(lam, mu, k).add)
+    ]
+
+
+def _generic_classes(lam: Weight, mu: Weight, k: int, keep) -> list[ExtClass]:
+    """The degree-k generic classes: the kernel basis vectors of d_k, in
+    order, that ``keep`` adds to a span of the coboundaries and the
+    classes kept so far.  Whether a vector is kept depends only on that
+    span, so every span of d(hom^{k-1}) picks the same vectors."""
+    return [
+        ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
+        for vec in kernel_basis(_differential_matrix(lam, mu, k))
+        if keep(vec)
+    ]
 
 
 # ---------------------------------------------------------------------------

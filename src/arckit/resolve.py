@@ -545,6 +545,8 @@ def _head_generators(
     ``projective_module(μ)`` (a z missing from them acts as zero); a
     deterministic greedy pass picks syzygy basis vectors completing the
     radical to W, block by (weight, degree) block in increasing degree.
+    Each z's action on the whole cover is indexed by column once, so a
+    syzygy vector costs only the columns at its nonzero coordinates.
     """
     if not syzygy:
         return []
@@ -555,20 +557,28 @@ def _head_generators(
         modules.append(projective_module(mu))
         starts.append(dim)
         dim += modules[-1].dim
+    # per positive-degree z: {cover column: [(cover row, value)]}
+    actions = []
+    for z in algebra_basis(*summands[0][0].block):
+        if z.degree <= 0:
+            continue
+        columns: dict[int, list[tuple[int, Scalar]]] = {}
+        for module, start in zip(modules, starts):
+            matrix = module.action.get(z)
+            if matrix is not None:
+                for (r, c), v in matrix.entries.items():
+                    columns.setdefault(start + c, []).append((start + r, v))
+        if columns:
+            actions.append(columns)
     # greedy: keep a growing echelon of radical + chosen generators
     span = Echelon(dim)
-    positive = [z for z in algebra_basis(*summands[0][0].block) if z.degree > 0]
     for _, _, vec in syzygy:
-        for z in positive:
+        nonzero = [(c, coord) for c, coord in enumerate(vec) if coord]
+        for columns in actions:
             image: dict[int, Scalar] = {}
-            for module, start in zip(modules, starts):
-                matrix = module.action.get(z)
-                if matrix is None:
-                    continue
-                for (r, c), v in matrix.entries.items():
-                    coord = vec[start + c]
-                    if coord:
-                        image[start + r] = image.get(start + r, 0) + v * coord
+            for c, coord in nonzero:
+                for r, v in columns.get(c, ()):
+                    image[r] = image.get(r, 0) + v * coord
             if image:
                 span.add(image)
     return [

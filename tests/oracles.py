@@ -37,12 +37,20 @@ reference A-infinity operations: every λ_n by the recursion from scratch,
 every Stasheff term through fresh inner and outer m_n, and each vanishing
 flag by applying Q again.  ``arckit.ainfty`` reads the same quantities off
 one memo per splitting and is checked against these.
+
+``build_pair`` is the reference splitting of one (λ, μ) pair: five
+eliminations of each hom^k, namely the basis from ``ext_basis`` (with
+every check, and the coboundaries eliminated on their own), B and H added
+to a fresh ``Echelon``, the rank of d_k to check that B ⊕ H exhausts the
+cocycles, L completed in the same span, and ``inverse`` of [B | H | L].
+``Splitting._build_pair`` builds each hom^k in one tagged pass and is
+checked against it pair by pair.
 """
 
 from fractions import Fraction
 
 from arckit import SparseMatrix
-from arckit.ainfty import _class_key, composable_tuples
+from arckit.ainfty import _class_key, _homotopy_candidates, _SpaceSplit, composable_tuples
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
     OrientedCircleDiagram,
@@ -52,7 +60,20 @@ from arckit.diagrams import (
     weights_by_cup,
     weights_in_block,
 )
-from arckit.extalg import ExtClass, HomElement, compose, hom_space, resolution, zero_hom
+from arckit.exact import Echelon, inverse
+from arckit.exact import rank as echelon_rank
+from arckit.extalg import (
+    ExtClass,
+    HomElement,
+    _differential_matrix,
+    _k_range,
+    compose,
+    ext_basis,
+    hom_space,
+    resolution,
+    vectorize,
+    zero_hom,
+)
 
 
 def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -475,3 +496,54 @@ def vanishing_report(split, arity: int) -> dict:
         "q_lambda3_zero": q3_zero,
         "per_arity": per_arity,
     }
+
+
+def build_pair(split, lam, mu) -> dict:
+    """The splitting of every hom^k(λ, μ), built the slow way."""
+    canonical = split.mode == "canonical-n2"
+    labelled = ext_basis(lam, mu) if canonical else ext_basis(lam, mu, method="generic")
+    out = {}
+    l_prev = []
+    for k in _k_range(lam, mu):
+        space = hom_space(lam, mu, k)
+        dim = len(space)
+        if dim == 0:
+            out[k] = _SpaceSplit(space, 0, [], l_prev, SparseMatrix.zeros(0, 0))
+            l_prev = []
+            continue
+        span = Echelon(dim)
+        d_prev = _differential_matrix(lam, mu, k - 1)
+        b_cols = [d_prev.apply(vec) for vec in l_prev]
+        if not all(span.add(vec) for vec in b_cols):
+            raise ArithmeticError("d is not injective on the chosen L")
+        classes = [c for c in labelled if c.k == k]
+        h_cols = [vectorize(c.element) for c in classes]
+        if not all(span.add(vec) for vec in h_cols):
+            raise ArithmeticError("chosen H representatives meet the coboundaries")
+        if len(span) != dim - echelon_rank(_differential_matrix(lam, mu, k)):
+            raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
+        l_cols = []
+        if canonical:
+            for element in _homotopy_candidates(lam, mu).get(k, []):
+                vec = vectorize(element)
+                if not span.add(vec):
+                    raise ArithmeticError("homotopy element lies in the cocycles")
+                l_cols.append(vec)
+        for i in range(dim):
+            if len(span) == dim:
+                break
+            vec = [0] * dim
+            vec[i] = 1
+            if span.add(vec):
+                l_cols.append(vec)
+        if len(span) != dim:
+            raise ArithmeticError("failed to complete L to a complement")
+        out[k] = _SpaceSplit(
+            space,
+            len(b_cols),
+            classes,
+            l_prev,
+            inverse(SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim)),
+        )
+        l_prev = l_cols
+    return out

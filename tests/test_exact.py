@@ -201,6 +201,29 @@ class TestAgainstReference:
                 dense = [form.rows[pc].get(j, Fraction(0)) for j in range(width)]
                 assert dense == rref[i]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(_vectors))
+    def test_tagged_pass_picks_like_add_and_tags_the_inverse(self, vectors):
+        width = len(vectors[0]) if vectors else 3
+        plain, tagged = Echelon(width), Echelon(width)
+        picked = [v for v in vectors if plain.add(v)]
+        assert [v for v in vectors if tagged.add_tagged(v)] == picked
+        for pivot, row in tagged.rows.items():
+            assert {c: v for c, v in row.items() if c < width} == plain.rows[pivot]
+        # complete to a basis with unit vectors, as the splitting completes L
+        units = [[int(r == i) for r in range(width)] for i in range(width)]
+        picked += [u for u in units if tagged.add_tagged(u)]
+        assert len(tagged) == width
+        tags = SparseMatrix(width, width, {
+            (p, c - width): v for p, row in tagged.rows.items() for c, v in row.items()
+            if c >= width
+        })
+        a = SparseMatrix.from_rows(picked)
+        assert tags @ a == SparseMatrix.identity(width)
+        for i in range(width):
+            unit = [int(r == i) for r in range(width)]
+            assert tags.transpose().apply(unit) == oracles.solve(a.transpose(), unit)
+
     def test_reduce_leaves_nothing_of_the_span(self):
         span = Echelon(3)
         assert span.add([0, 2, 4]) and span.add([1, 1, 0])

@@ -1,0 +1,245 @@
+"""The splitting hom^k = B ⊕ H ⊕ L of every pair: pinned answers, the
+slow reference build, and the checks that guard a wrong splitting."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+import oracles
+from arckit import ainfty, build_splitting, extalg, weights_in_block
+from arckit.ainfty import Splitting
+from arckit.cli import main
+from arckit.exact import Echelon
+from arckit.extalg import (
+    ExtClass,
+    _differential_matrix,
+    _k_range,
+    basis_hom_element,
+    ext_basis,
+    hom_differential,
+    hom_space,
+    resolution,
+    shelton_dims,
+)
+
+
+def _pairs(m, n):
+    weights = weights_in_block(m, n)
+    return [(lam, mu) for lam in weights for mu in weights]
+
+
+def _pair_record(lam, mu, pair) -> list:
+    """Every k of one pair: b_count, the H coordinates and shifts, the
+    L-preimages of the previous degree and the inverse entries."""
+    return [
+        (
+            str(lam),
+            str(mu),
+            k,
+            data.b_count,
+            [(c.label, c.element.j, sorted(c.element.coords.items())) for c in data.h_classes],
+            data.l_prev,
+            sorted(data.inverse.entries.items()),
+        )
+        for k, data in sorted(pair.items())
+    ]
+
+
+def split_digest(split) -> str:
+    digest = hashlib.sha256()
+    for lam, mu in _pairs(*split.block):
+        digest.update(repr(_pair_record(lam, mu, split._pair(lam, mu))).encode())
+    return digest.hexdigest()
+
+
+# sha256 of split_digest, recorded from the build that eliminated each
+# hom^k five times (now oracles.build_pair)
+SPLIT_DIGESTS = {
+    (3, 2, "canonical-n2"): "fc71ddcd6fa315118b87531e3045cb62186ceeb6c24b052f1e6dd21c33e6af8e",
+    (3, 2, "generic"): "4b35deb2ba783b4723558ad11b4778c860ccfc180c59013ea3cd5aa7d3924751",
+    (2, 3, "generic"): "fd16dd9116b702a5d9e1347bc5b1c3d6cab3825b2912c8cd9192186d7fd8195f",
+    (4, 2, "canonical-n2"): "ca17287be6ee5a03e912c199ec306c98d24aeb28d3ff4e614ff40ce42b339aa3",
+}
+
+# sha256 of the stdout of `arckit ainfty ... --format json`
+CLI_DIGESTS = {
+    ("-m", "3", "-n", "2", "--mode", "canonical", "--max-arity", "5"): (
+        "ccee5990ce24512695cb0667f79a85547d05492307a97baa7d1e568fbdaf277b"
+    ),
+    ("-m", "2", "-n", "2", "--mode", "canonical", "--max-arity", "5"): (
+        "e025c2ceeafae4dabcb2b5ee0f6744b4175c5b5f0020ae5e8ef6a07a773379f0"
+    ),
+    ("-m", "3", "-n", "2", "--mode", "generic", "--max-arity", "4"): (
+        "de7eb20afa929d05f6db78810bdb1b05985c5099d2ecf27fe19db9e0b6234198"
+    ),
+}
+
+
+class TestPinned:
+    @pytest.mark.parametrize("m,n,mode", sorted(SPLIT_DIGESTS))
+    def test_splitting_is_unchanged(self, m, n, mode, request):
+        fixture = {"canonical-n2": "split_32_canonical", "generic": "split_32_generic"}
+        if (m, n) == (3, 2):
+            split = request.getfixturevalue(fixture[mode])
+        else:
+            split = build_splitting(m, n, mode)
+        assert split_digest(split) == SPLIT_DIGESTS[(m, n, mode)]
+
+    @pytest.mark.parametrize("args", sorted(CLI_DIGESTS))
+    def test_ainfty_json_is_unchanged(self, args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["ainfty", *args, "--format", "json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLI_DIGESTS[args]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "m,n,mode",
+        [
+            (2, 2, "canonical-n2"),
+            (2, 2, "generic"),
+            (3, 1, "generic"),
+            (3, 2, "canonical-n2"),
+            (3, 2, "generic"),
+            (2, 3, "generic"),
+        ],
+    )
+    def test_every_pair_equals_the_reference_build(self, m, n, mode):
+        split = build_splitting(m, n, mode)
+        for lam, mu in _pairs(m, n):
+            got = split._build_pair(lam, mu)
+            want = oracles.build_pair(split, lam, mu)
+            assert [data.space for data in got.values()] == [
+                data.space for data in want.values()
+            ]
+            assert _pair_record(lam, mu, got) == _pair_record(lam, mu, want)
+
+
+def _coboundary_for_a_class(m, n):
+    """A class (label, λ, μ) made by ``canonical_class`` (λ ≠ μ) and a
+    nonzero coboundary of its degree."""
+    for lam, mu in _pairs(m, n):
+        for c in ext_basis(lam, mu) if lam != mu else []:
+            for vector in hom_space(lam, mu, c.k - 1):
+                image = hom_differential(basis_hom_element(lam, mu, c.k - 1, vector))
+                if not image.is_zero():
+                    return (c.label, lam, mu), image
+    raise AssertionError("no class has a coboundary in its degree")
+
+
+def _ext_degree(m, n, top: bool):
+    """(λ, μ, k) with Ext^k ≠ 0 whose hom^{k+1} is empty (top) or not."""
+    for lam, mu in _pairs(m, n):
+        for k in shelton_dims(lam, mu):
+            if top == (k + 1 not in _k_range(lam, mu) or not hom_space(lam, mu, k + 1)):
+                return lam, mu, k
+    raise AssertionError("no such degree")
+
+
+def _without_cocycles(monkeypatch, lam, mu, k):
+    """Make the generic choice of H see no cocycles in hom^k(λ, μ)."""
+    matrix = _differential_matrix(lam, mu, k)
+    original = extalg.kernel_basis
+    monkeypatch.setattr(
+        extalg, "kernel_basis", lambda d: [] if d is matrix else original(d)
+    )
+
+
+class TestChecksFire:
+    """Each check of the build rejects a splitting broken on purpose."""
+
+    def test_h_representative_that_is_a_coboundary(self, monkeypatch):
+        (label, lam, mu), coboundary = _coboundary_for_a_class(2, 2)
+        original = extalg.canonical_class
+
+        def patched(which, source, target):
+            if (which, source, target) == (label, lam, mu):
+                return ExtClass(label, lam, mu, coboundary)
+            return original(which, source, target)
+
+        monkeypatch.setattr(extalg, "canonical_class", patched)
+        with pytest.raises(ArithmeticError, match="meet the coboundaries"):
+            Splitting(2, 2, "canonical-n2")._pair(lam, mu)
+        # the public basis keeps its own check
+        with pytest.raises(ArithmeticError, match="dependent modulo coboundaries"):
+            ext_basis(lam, mu)
+
+    def test_d_not_injective_on_l(self, monkeypatch):
+        lam, mu, k = _ext_degree(2, 2, top=False)
+        _without_cocycles(monkeypatch, lam, mu, k)
+        with pytest.raises(ArithmeticError, match="not injective"):
+            Splitting(2, 2, "generic")._pair(lam, mu)
+
+    def test_l_left_over_below_an_empty_degree(self, monkeypatch):
+        # d vanishes on the top degree, so no later degree sees this L
+        lam, mu, k = _ext_degree(2, 2, top=True)
+        _without_cocycles(monkeypatch, lam, mu, k)
+        with pytest.raises(ArithmeticError, match="does not exhaust the cocycles"):
+            Splitting(2, 2, "generic")._pair(lam, mu)
+
+    @pytest.mark.parametrize("mode", ["generic", "canonical-n2"])
+    def test_count_differs_from_the_recursion(self, monkeypatch, mode):
+        lam, mu, k = _ext_degree(2, 2, top=False)
+        original = extalg.shelton_dims
+
+        def patched(source, target, index=None):
+            dims = original(source, target, index)
+            if (source, target) == (lam, mu):
+                dims = {**dims, k: dims[k] + 1}
+            return dims
+
+        monkeypatch.setattr(extalg, "shelton_dims", patched)
+        with pytest.raises(ArithmeticError, match="disagree with the recursion"):
+            Splitting(2, 2, mode)._pair(lam, mu)
+
+    def test_homotopy_seed_inside_the_cocycles(self, monkeypatch):
+        lam, mu = next(
+            (lam, mu)
+            for lam, mu in _pairs(2, 2)
+            if lam != mu and ainfty._homotopy_candidates(lam, mu)
+        )
+        c = ext_basis(lam, mu)[0]
+        monkeypatch.setattr(
+            ainfty, "_homotopy_candidates", lambda source, target: {c.k: [c.element]}
+        )
+        with pytest.raises(ArithmeticError, match="lies in the cocycles"):
+            Splitting(2, 2, "canonical-n2")._pair(lam, mu)
+
+
+class TestOnePass:
+    """The build eliminates each hom^k once: the tagged pass, plus the
+    kernel of d_k in generic mode."""
+
+    def _eliminations(self, monkeypatch, m, n, mode) -> int:
+        for lam in weights_in_block(m, n):
+            resolution(lam)  # resolutions eliminate too; build them first
+        original = Echelon.of_rows
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(Echelon, "of_rows", staticmethod(counted))
+        split = Splitting(m, n, mode)
+        for lam, mu in _pairs(m, n):
+            split._pair(lam, mu)
+        return len(calls)
+
+    def test_canonical_build(self, monkeypatch):
+        _differential_matrix.cache_clear()
+        assert self._eliminations(monkeypatch, 3, 2, "canonical-n2") == 0
+        # d_{k-1} is built only for a nonempty L-basis of hom^{k-1}
+        assert _differential_matrix.cache_info().misses <= 400
+
+    def test_generic_build(self, monkeypatch):
+        nonempty = sum(
+            1
+            for lam, mu in _pairs(2, 2)
+            for k in _k_range(lam, mu)
+            if hom_space(lam, mu, k)
+        )
+        assert self._eliminations(monkeypatch, 2, 2, "generic") == nonempty
