@@ -142,12 +142,14 @@ class Splitting:
         self._pairs: dict[tuple[Weight, Weight], dict[int, _SpaceSplit]] = {}
         self._classes: list[ExtClass] = []
         self._index: dict[int, int] = {}  # id(class) -> position in _classes
-        # per class index: source and target as positions in the block, k, j
+        # per class index: source and target as positions in the block, k, j,
+        # and the position among the H-classes of its hom^k
         self._weight_id = {w: i for i, w in enumerate(weights_in_block(m, n))}
         self._source: list[int] = []
         self._target: list[int] = []
         self._k: list[int] = []
         self._j: list[int] = []
+        self._position: list[int] = []
         self._chains: dict[tuple[int, ...], tuple[HomElement | None, dict]] = {}
 
     # -- construction -------------------------------------------------------
@@ -157,13 +159,14 @@ class Splitting:
         if data is None:
             data = self._pairs[(lam, mu)] = self._build_pair(lam, mu)
             for space in data.values():
-                for c in space.h_classes:
+                for position, c in enumerate(space.h_classes):
                     i = self._index[id(c)] = len(self._classes)
                     self._classes.append(c)
                     self._source.append(self._weight_id[c.source])
                     self._target.append(self._weight_id[c.target])
                     self._k.append(c.k)
                     self._j.append(c.j)
+                    self._position.append(position)
                     self._chains[(i,)] = (-1 * c.element, {})  # Qλ_1 = −Id, m_1 = 0
         return data
 
@@ -409,8 +412,12 @@ def lambda_degree_bound_holds(elements) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _class_key(c: ExtClass) -> tuple:
-    return (str(c.source), str(c.target), c.label, c.k, c.j)
+def _class_key(split: Splitting, c: ExtClass) -> tuple:
+    """(source, target, label, k, j, position) of one of the splitting's
+    H-classes; the position (that of ``pi_coefficients`` keys) tells apart
+    the generic classes, which all carry the label "generic"."""
+    (i,) = split._key([c])
+    return (str(c.source), str(c.target), c.label, c.k, c.j, split._position[i])
 
 
 def composable_tuples(
@@ -465,7 +472,7 @@ def stasheff_check(split: Splitting, arity: int) -> dict:
                             total[where] = total.get(where, 0) + sign * coeff * value
             checked += 1
             if any(total.values()):
-                violations.append(tuple(_class_key(c) for c in chain))
+                violations.append(tuple(_class_key(split, c) for c in chain))
     return {"arity": arity, "checked": checked, "violations": violations}
 
 
@@ -490,7 +497,7 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
         for chain in composable_tuples(classes, width):
             coeffs = split.m_coefficients(chain)
             if coeffs:
-                nonzero.append(tuple(_class_key(c) for c in chain))
+                nonzero.append(tuple(_class_key(split, c) for c in chain))
                 max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))
         per_arity[width] = {"max_abs_coefficient": max_abs, "nonzero_tuples": nonzero}
 

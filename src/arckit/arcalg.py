@@ -41,6 +41,8 @@ from .diagrams import (
     Weight,
     associated_cap_diagram,
     associated_cup_diagram,
+    cap_oriented,
+    cup_oriented,
     weights_in_block,
 )
 from .exact import Scalar, rational
@@ -150,21 +152,23 @@ def idempotent(weight: Weight) -> AlgebraElement:
 def _basis_by_ends(
     m: int, n: int
 ) -> dict[tuple[Weight, Weight], tuple[OrientedCircleDiagram, ...]]:
-    """The oriented diagrams (α̲, ν, β̄) keyed by (α, β), in (α, β, ν) order."""
+    """The oriented diagrams (α̲, ν, β̄) keyed by (α, β), in (α, β, ν) order.
+
+    The ν that orient each α̲ and each β̄ are found once, so only the
+    diagrams of the basis are constructed.
+    """
     weights = weights_in_block(m, n)
-    out = {}
-    for alpha in weights:
-        cup = associated_cup_diagram(alpha)
-        for beta in weights:
-            cap = associated_cap_diagram(beta)
-            found = []
-            for nu in weights:
-                try:
-                    found.append(OrientedCircleDiagram(cup, nu, cap))
-                except ValueError:
-                    continue
-            out[(alpha, beta)] = tuple(found)
-    return out
+    cups = [associated_cup_diagram(w) for w in weights]
+    caps = [associated_cap_diagram(w) for w in weights]
+    under = [[nu for nu in weights if cup_oriented(cup, nu)] for cup in cups]
+    over = [{nu for nu in weights if cap_oriented(cap, nu)} for cap in caps]
+    return {
+        (alpha, beta): tuple(
+            OrientedCircleDiagram(cup, nu, cap) for nu in nus if nu in fits
+        )
+        for alpha, cup, nus in zip(weights, cups, under)
+        for beta, cap, fits in zip(weights, caps, over)
+    }
 
 
 @lru_cache(maxsize=None)

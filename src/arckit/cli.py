@@ -18,18 +18,9 @@ import json
 import os
 import sys
 
+# the algebra modules are imported by the functions that use them, so a
+# cache hit or a usage error is answered before any of them loads
 from . import cache
-from .arcalg import AlgebraElement, basis, hom_basis, multiply, surgery_trace
-from .diagrams import OrientedCircleDiagram, Weight, weights_in_block
-from .extalg import (
-    end_quiver,
-    ext_basis,
-    ext_dims,
-    ext_quiver,
-    shelton_dims,
-)
-from .repmod import cartan_matrix, decomposition_matrix, kl_poly_closed, kl_poly_recursive
-from .resolve import ResolutionCache, resolve_cone, resolve_generic, verify_resolution
 
 __all__ = ["main"]
 
@@ -88,6 +79,8 @@ def _add_weight(p: argparse.ArgumentParser, name: str):
 
 
 def _parse_weight(args, name: str, m: int, n: int) -> Weight:
+    from .diagrams import Weight
+
     flag = "lambda" if name == "lam" else name
     text = getattr(args, name)
     j = getattr(args, f"{name}_j")
@@ -126,6 +119,8 @@ def _parse_weight(args, name: str, m: int, n: int) -> Weight:
 
 
 def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
+    from .diagrams import OrientedCircleDiagram
+
     try:
         d = OrientedCircleDiagram.parse(text)
     except ValueError as e:
@@ -138,6 +133,8 @@ def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
 
 
 def _block_weights(m: int, n: int):
+    from .diagrams import weights_in_block
+
     if m < 0 or n < 0:
         raise DomainError("block sizes must be >= 0")
     return weights_in_block(m, n)
@@ -149,6 +146,8 @@ def _block_weights(m: int, n: int):
 
 
 def _doc_basis(args) -> dict:
+    from .arcalg import basis, hom_basis
+
     m, n = args.m, args.n
     _block_weights(m, n)
     if args.lam is not None or args.lam_j is not None or args.lam_kl is not None:
@@ -170,6 +169,8 @@ def _doc_basis(args) -> dict:
 
 
 def _doc_multiply(args) -> dict:
+    from .arcalg import AlgebraElement, multiply
+
     m, n = args.m, args.n
     _block_weights(m, n)
     x = _parse_diagram(args.x, m, n)
@@ -190,6 +191,8 @@ def _doc_multiply(args) -> dict:
 
 
 def _doc_klpoly(args) -> dict:
+    from .repmod import kl_poly_closed, kl_poly_recursive
+
     m, n = args.m, args.n
     _block_weights(m, n)
     lam = _parse_weight(args, "lam", m, n)
@@ -221,14 +224,20 @@ def _matrix_doc(m: int, n: int, table) -> dict:
 
 
 def _doc_decomp(args) -> dict:
+    from .repmod import decomposition_matrix
+
     return _matrix_doc(args.m, args.n, decomposition_matrix(args.m, args.n))
 
 
 def _doc_cartan(args) -> dict:
+    from .repmod import cartan_matrix
+
     return _matrix_doc(args.m, args.n, cartan_matrix(args.m, args.n))
 
 
 def _doc_resolve(args) -> dict:
+    from .resolve import ResolutionCache, resolve_cone, resolve_generic, verify_resolution
+
     m, n = args.m, args.n
     _block_weights(m, n)
     lam = _parse_weight(args, "lam", m, n)
@@ -257,6 +266,8 @@ def _doc_resolve(args) -> dict:
 
 
 def _doc_extdim(args) -> dict:
+    from .extalg import ext_dims, shelton_dims
+
     m, n = args.m, args.n
     ws = _block_weights(m, n)
     if args.all:
@@ -293,6 +304,8 @@ def _doc_extdim(args) -> dict:
 
 
 def _doc_extbasis(args) -> dict:
+    from .extalg import ext_basis
+
     m, n = args.m, args.n
     _block_weights(m, n)
     lam = _parse_weight(args, "lam", m, n)
@@ -395,11 +408,11 @@ def _doc_multtable(args) -> dict:
 
 
 def _doc_ainfty(args) -> dict:
-    from .ainfty import build_splitting, stasheff_check, vanishing_report
-
     m, n = args.m, args.n
     if args.max_arity < 2:
         raise UsageError(f"--max-arity must be at least 2, got {args.max_arity}")
+    from .ainfty import build_splitting, stasheff_check, vanishing_report
+
     _block_weights(m, n)
     mode = "canonical-n2" if args.mode == "canonical" else "generic"
     if mode == "canonical-n2" and n != 2:
@@ -430,6 +443,8 @@ def _doc_ainfty(args) -> dict:
 
 
 def _doc_quiver(args) -> dict:
+    from .extalg import end_quiver, ext_quiver
+
     m, n = args.m, args.n
     _block_weights(m, n)
     if args.algebra == "end":
@@ -806,6 +821,9 @@ def render_trace_svg(panels) -> str:
 
 
 def _run_render(args) -> str:
+    from .arcalg import idempotent, surgery_trace
+    from .diagrams import Weight
+
     m, n = args.m, args.n
     _block_weights(m, n)
     chosen = [
@@ -826,8 +844,6 @@ def _run_render(args) -> str:
             raise UsageError(f"malformed weight {args.weight!r}: {e}") from None
         if w.block != (m, n):
             raise DomainError(f"weight {w} not in block ({m}|{n})")
-        from .arcalg import idempotent
-
         (diagram, _), = list(idempotent(w))
         return render_diagram_svg(diagram)
     if args.diagram:

@@ -54,8 +54,16 @@ class Weight:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if any(c not in (UP, DOWN) for c in self.labels):
+        n = self.labels.count(UP)
+        m = self.labels.count(DOWN)
+        if m + n != len(self.labels):
             raise ValueError(f"bad labels {self.labels!r}")
+        # counted once: block checks run in every Bruhat comparison; not a
+        # field, so equality, order, repr and pickling see only the labels
+        object.__setattr__(self, "_block", (m, n))
+
+    def __reduce__(self):
+        return (Weight, (self.labels,))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -89,11 +97,11 @@ class Weight:
     # -- inspection ----------------------------------------------------
     @property
     def n(self) -> int:
-        return sum(1 for c in self.labels if c == UP)
+        return self._block[1]
 
     @property
     def m(self) -> int:
-        return sum(1 for c in self.labels if c == DOWN)
+        return self._block[0]
 
     @property
     def size(self) -> int:
@@ -101,7 +109,7 @@ class Weight:
 
     @property
     def block(self) -> tuple[int, int]:
-        return (self.m, self.n)
+        return self._block
 
     def up_positions(self) -> list[int]:
         return [i for i, c in enumerate(self.labels) if c == UP]
@@ -185,10 +193,16 @@ def relative_length(i: int, lam: Weight, mu: Weight) -> int:
 
 
 def bruhat_leq(lam: Weight, mu: Weight) -> bool:
-    """λ <= μ in the Bruhat order (moving a 'v' to the right goes up)."""
+    """λ <= μ in the Bruhat order (moving a 'v' to the right goes up):
+    every prefix relative length l_i(λ, μ) is >= 0."""
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    return all(relative_length(i, lam, mu) >= 0 for i in range(lam.size))
+    count = 0
+    for a, b in zip(lam.labels, mu.labels):
+        count += (a == DOWN) - (b == DOWN)
+        if count < 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Independent oracles used by the tests.
 
+``relative_length`` and ``bruhat_leq`` are the reference Bruhat order:
+every prefix count recomputed from the labels, with the blocks recounted
+on each call.  ``arckit.diagrams`` compares in one pass with a running
+count and is checked against these.
+
 ``rank``, ``kernel_basis`` and ``solve`` are the reference exact kernel: a
 dense Gauss-Jordan elimination on ``Fraction``s that scans columns left to
 right, kept here so that the sparse incremental ``arckit.exact.Echelon``
@@ -74,6 +79,31 @@ from arckit.extalg import (
     vectorize,
     zero_hom,
 )
+
+
+def _block(weight) -> tuple[int, int]:
+    labels = weight.labels
+    return (sum(1 for c in labels if c == "v"), sum(1 for c in labels if c == "^"))
+
+
+def relative_length(i: int, lam, mu) -> int:
+    """l_i(λ,μ): (# of 'v' in λ at positions <= i) - (same count for μ)."""
+    if _block(lam) != _block(mu):
+        raise ValueError("weights from different blocks")
+    count = 0
+    for j in range(i + 1):
+        if lam.labels[j] == "v":
+            count += 1
+        if mu.labels[j] == "v":
+            count -= 1
+    return count
+
+
+def bruhat_leq(lam, mu) -> bool:
+    """λ <= μ iff every prefix relative length is >= 0."""
+    if _block(lam) != _block(mu):
+        raise ValueError("weights from different blocks")
+    return all(relative_length(i, lam, mu) >= 0 for i in range(len(lam.labels)))
 
 
 def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -443,7 +473,7 @@ def stasheff_check(split, arity: int) -> dict:
             total = stasheff_total(split, chain)
             checked += 1
             if total is not None and not total.is_zero():
-                violations.append(tuple(_class_key(c) for c in chain))
+                violations.append(tuple(_class_key(split, c) for c in chain))
     return {"arity": arity, "checked": checked, "violations": violations}
 
 
@@ -480,7 +510,7 @@ def vanishing_report(split, arity: int) -> dict:
         for chain in composable_tuples(classes, width):
             coeffs = split.pi_coefficients(lambda_n(split, chain))
             if coeffs:
-                nonzero.append(tuple(_class_key(c) for c in chain))
+                nonzero.append(tuple(_class_key(split, c) for c in chain))
                 max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))
         per_arity[width] = {
             "max_abs_coefficient": max_abs,

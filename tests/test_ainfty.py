@@ -247,6 +247,28 @@ class TestStasheff:
         assert stasheff_check(split, 5)["violations"] == []
 
 
+class TestClassKeys:
+    """Every generic class carries the label "generic", so a report key
+    tells the classes of one hom^k apart by their H position."""
+
+    @pytest.fixture(scope="class")
+    def split_23_generic(self):
+        return build_splitting(2, 3, "generic")
+
+    @pytest.mark.parametrize("fixture", ["split_32_generic", "split_23_generic"])
+    def test_every_class_has_its_own_key(self, fixture, request):
+        split = request.getfixturevalue(fixture)
+        classes = split.all_h_classes()
+        assert len(classes) == 110
+        assert len({_class_key(split, c) for c in classes}) == 110
+
+    def test_violations_are_distinct(self, split_32_generic, split_23_generic):
+        violations = stasheff_check(split_32_generic, 4)["violations"]
+        assert len(violations) == len(set(violations)) == 169
+        violations = stasheff_check(split_23_generic, 4)["violations"]
+        assert len(violations) == len(set(violations))
+
+
 def _chains(split, arities):
     classes = split.all_h_classes(include_idempotents=False)
     return [c for arity in arities for c in composable_tuples(classes, arity)]
@@ -272,7 +294,7 @@ class TestMemoAgainstReference:
         flagged = set(stasheff_check(split, 4)["violations"])
         assert flagged
         chains = _chains(split, range(2, 5))
-        keys = [tuple(_class_key(c) for c in chain) for chain in chains]
+        keys = [tuple(_class_key(split, c) for c in chain) for chain in chains]
         assert len(set(keys)) == len(keys)
         hits = [c for c, key in zip(chains, keys) if key in flagged]
         misses = [c for c, key in zip(chains, keys) if key not in flagged]

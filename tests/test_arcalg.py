@@ -1,8 +1,12 @@
 """The arc algebra: basis, surgery multiplication, traces, functors."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -41,12 +45,37 @@ class TestBasis:
     def test_basis_degrees_nonnegative(self):
         assert all(d.degree >= 0 for d in basis(2, 2))
 
+    def test_basis_constructs_only_its_own_diagrams(self):
+        # a fresh interpreter: the lru caches are empty, and clearing them
+        # here would part the basis objects from the products cached on them
+        script = (
+            "from arckit.diagrams import OrientedCircleDiagram as D\n"
+            "made, raised = [0], [0]\n"
+            "post_init = D.__post_init__\n"
+            "def counted(self):\n"
+            "    made[0] += 1\n"
+            "    try:\n"
+            "        post_init(self)\n"
+            "    except ValueError:\n"
+            "        raised[0] += 1\n"
+            "        raise\n"
+            "D.__post_init__ = counted\n"
+            "from arckit.arcalg import basis\n"
+            "size = len(basis(4, 2))\n"
+            "print(made[0], raised[0], size)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["171", "0", "171"]
+
     def test_hom_basis_partitions_basis(self):
         ws = weights_in_block(2, 2)
         total = sum(len(hom_basis(a, b)) for a in ws for b in ws)
         assert total == len(basis(2, 2))
 
-    @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
     def test_hom_basis_hands_out_the_basis_objects(self, m, n):
         ids = {id(d) for d in basis(m, n)}
         ws = weights_in_block(m, n)

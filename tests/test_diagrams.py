@@ -20,14 +20,25 @@ from arckit import (
     associated_cup_diagram,
     bruhat_leq,
     length,
+    relative_length,
     weights_in_block,
 )
 from arckit.arcalg import basis
 from arckit.diagrams import cap_oriented, cup_oriented, weights_by_cup
 
+import oracles
+
 
 def weight_strategy(m, n):
     return st.permutations("^" * n + "v" * m).map(lambda s: Weight.parse("".join(s)))
+
+
+@st.composite
+def weight_pairs(draw, max_size=8):
+    """Two weights of one block with at most ``max_size`` vertices."""
+    size = draw(st.integers(0, max_size))
+    n = draw(st.integers(0, size))
+    return draw(weight_strategy(size - n, n)), draw(weight_strategy(size - n, n))
 
 
 class TestWeight:
@@ -62,6 +73,18 @@ class TestWeight:
         with pytest.raises(ValueError):
             Weight.from_kl(2, 4, 1)
 
+    def test_block_is_counted_once_and_stays_out_of_the_fields(self):
+        w = Weight.parse("v^vv^")
+        assert (w.m, w.n, w.block) == (3, 2, (3, 2))
+        assert [f.name for f in dataclasses.fields(Weight)] == ["labels"]
+        assert repr(w) == "Weight('v^vv^')"
+        assert w == Weight(("v", "^", "v", "v", "^")) and w < Weight.parse("vv^^v")
+        assert w.__reduce__() == (Weight, (w.labels,))
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert twin == w and hash(twin) == hash(w) and twin.block == (3, 2)
+        with pytest.raises(ValueError):
+            Weight(("v", "x"))
+
     @settings(max_examples=30, deadline=None)
     @given(weight_strategy(3, 2))
     def test_swap_is_involutive_on_down_up(self, w):
@@ -86,6 +109,24 @@ class TestBruhat:
                 for c in ws:
                     if bruhat_leq(a, b) and bruhat_leq(b, c):
                         assert bruhat_leq(a, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_pairs())
+    def test_one_pass_equals_the_reference(self, pair):
+        lam, mu = pair
+        assert bruhat_leq(lam, mu) == oracles.bruhat_leq(lam, mu)
+        assert bruhat_leq(mu, lam) == oracles.bruhat_leq(mu, lam)
+        for i in range(lam.size):
+            assert relative_length(i, lam, mu) == oracles.relative_length(i, lam, mu)
+
+    def test_different_blocks_are_rejected(self):
+        lam, mu = Weight.parse("v^v"), Weight.parse("^^v")
+        for fn in (bruhat_leq, oracles.bruhat_leq):
+            with pytest.raises(ValueError):
+                fn(lam, mu)
+        for fn in (relative_length, oracles.relative_length):
+            with pytest.raises(ValueError):
+                fn(0, lam, mu)
 
     def test_strictly_compatible_with_length(self):
         ws = weights_in_block(3, 2)
