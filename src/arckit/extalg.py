@@ -1,6 +1,12 @@
 """The dg algebra hom(P_•, P_•), its cohomology Ext(⊕M(λ), ⊕M(λ)), and
 the closed dimension recursion.
 
+Two complexes compute Ext.  The full hom complex hom(P_•(λ), P_•(μ))
+carries products, homotopies and the A-infinity model; its basis, d and
+composition are below.  Ext dimensions alone come from the much smaller
+complex Hom(P_•(λ), M(μ)), which has at most one coordinate per summand
+of P_•(λ) (see ``ext_dims``).
+
 Conventions
 -----------
 hom^k(P_•(λ), P_•(μ)) has the ordered basis ``hom_space(λ, μ, k)``: one
@@ -31,6 +37,7 @@ from functools import lru_cache
 from .arcalg import AlgebraElement, basis_product, hom_basis, idempotent, multiply
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
+from .repmod import GradedModule, cell_module
 from .resolve import ProjectiveComplex, _ab_type, resolve_cone
 
 __all__ = [
@@ -279,20 +286,57 @@ def _k_range(lam: Weight, mu: Weight) -> range:
 
 
 def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
-    """Exact cohomology dimensions {k: dim} of hom(P_•(λ), P_•(μ)) by rank
-    counts, zeros omitted."""
+    """dim Ext^k(M(λ), M(μ)) for all k, by rank counts, zeros omitted.
+
+    By definition Ext^k(M(λ), M(μ)) = H^k Hom(P_•(λ), M(μ)) for the
+    projective resolution P_• = ``resolution(λ)``, so the dimensions need
+    neither a resolution of M(μ) nor the hom complex of the two.  A map
+    P(ν)⟨a⟩ → M(μ) is fixed by the image of e_ν, an element of e_ν M(μ);
+    the basis vector α of M(μ) (``cell_module(μ).labels``) lies in e_α M(μ),
+    so e_ν M(μ) is spanned by vector ν when ν is a label and is zero
+    otherwise.  Degree k of the complex thus has one coordinate per summand
+    of P_k whose weight labels M(μ), and only ranks are needed: a sign on
+    a differential changes no rank, so none is tracked.
+    """
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    out: dict[int, int] = {}
-    ranks: dict[int, int] = {}  # d_k is both this k's r_k and the next r_prev
-    for k in _k_range(lam, mu):
-        space = hom_space(lam, mu, k)
-        if not space:
+    return _hom_into_module_dims(resolution(lam), cell_module(mu))
+
+
+def _hom_into_module_dims(P: ProjectiveComplex, M: GradedModule) -> dict[int, int]:
+    """Cohomology dimensions {k: dim} of Hom(P, M), zeros omitted.
+
+    Coordinate s of degree k is the map sending the generator of summand s
+    of P_k to the basis vector of M named by its weight.  The entry u of
+    d_{k+1} from summand s to summand t acts by right multiplication, so
+    the pulled-back differential sends coordinate t to u·(vector of t):
+    its entry at (s, t) is the (label of s, label of t) entry of the action
+    of u on M.  dim H^k = |degree k| − rank d^k − rank d^{k−1}.
+    """
+    where = {label: i for i, label in enumerate(M.labels)}
+    # per degree: summand -> (its position in the degree, its vector of M)
+    coords = []
+    for comp in P.components:
+        kept = [(s, where[nu]) for s, (nu, _) in enumerate(comp) if nu in where]
+        coords.append({s: (i, v) for i, (s, v) in enumerate(kept)})
+    ranks = [0] * len(P.components)  # ranks[k]: d^k, Hom(P_k, M) → Hom(P_{k+1}, M)
+    for k, diff in enumerate(P.differentials):  # diff is d_{k+1}: P_{k+1} → P_k
+        cols, rows = coords[k], coords[k + 1]
+        if not cols or not rows:
             continue
-        for i in (k - 1, k):
-            if i not in ranks:
-                ranks[i] = rank(_differential_matrix(lam, mu, i))
-        total = len(space) - ranks[k] - ranks[k - 1]
+        entries: dict[tuple[int, int], Scalar] = {}
+        for (s, t), u in diff.items():
+            if s in rows and t in cols:
+                (row, v_s), (col, v_t) = rows[s], cols[t]
+                for z, c in u:
+                    action = M.action.get(z)
+                    a = action.entries.get((v_s, v_t)) if action is not None else None
+                    if a:
+                        entries[row, col] = entries.get((row, col), 0) + c * a
+        ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))
+    out = {}
+    for k, degree in enumerate(coords):
+        total = len(degree) - ranks[k] - (ranks[k - 1] if k else 0)
         if total:
             out[k] = total
     return out

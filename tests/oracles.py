@@ -23,6 +23,11 @@ as a cross-check for resolutions produced by either construction.  Its
 ranks come from the reference kernel, so it does not share code with the
 kernel under test.
 
+``ext_dims_hom_complex`` is the reference Ext dimension count: the rank of
+every d_k of the full hom complex hom(P_•(λ), P_•(μ)) over ``hom_space``,
+each d ranked once.  ``arckit.extalg.ext_dims`` ranks the much smaller
+complex Hom(P_•(λ), M(μ)) and is checked against it.
+
 ``blocks``, ``block_compose`` and ``block_differential`` are the reference
 hom complex: an element as nested blocks ``{p: {(s, t): AlgebraElement}}``
 read off ``hom_space``, composed and differentiated block by block with
@@ -231,6 +236,26 @@ def hom_cohomology(C, D) -> dict[int, int]:
         if h:
             dims[k] = h
     return dims
+
+
+def ext_dims_hom_complex(lam, mu) -> dict[int, int]:
+    """Cohomology dimensions {k: dim} of hom(P_•(λ), P_•(μ)) by rank
+    counts, zeros omitted."""
+    if lam.block != mu.block:
+        raise ValueError("weights from different blocks")
+    out: dict[int, int] = {}
+    ranks: dict[int, int] = {}  # d_k is both this k's r_k and the next r_prev
+    for k in _k_range(lam, mu):
+        space = hom_space(lam, mu, k)
+        if not space:
+            continue
+        for i in (k - 1, k):
+            if i not in ranks:
+                ranks[i] = echelon_rank(_differential_matrix(lam, mu, i))
+        total = len(space) - ranks[k] - ranks[k - 1]
+        if total:
+            out[k] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ import oracles
 from arckit import extalg
 from arckit import (
     Weight,
+    cell_module,
     ext_basis,
     ext_dims,
+    resolve_generic,
     shelton_dims,
     weights_in_block,
 )
@@ -57,7 +59,7 @@ class TestN1Dimensions:
         )
         assert total == (N + 1) ** 2
 
-    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("N", [3, 4, 5])
     def test_closed_formula_and_recursion_agree(self, N):
         ws = weights_in_block(N, 1)
         for lam in ws:
@@ -265,26 +267,58 @@ class TestBlock42:
             assert ext_dims(lam, mu) == _nonzero(shelton_dims(lam, mu))
 
     def test_each_differential_is_ranked_once(self, monkeypatch):
-        made, ranked = {}, []
-        build, real_rank = extalg._differential_matrix, extalg.rank
+        """ext_dims ranks Hom(P_•(λ), M(μ)): it builds no hom-complex
+        matrix and no hom space, and ranks each d of the resolution at
+        most once."""
+        ranked = []
+        real_rank = extalg.rank
 
-        def tagged(lam, mu, k):
-            matrix = build(lam, mu, k)
-            made[id(matrix)] = (lam, mu, k)
-            return matrix
+        def forbidden(*args):
+            raise AssertionError("ext_dims went through the hom complex")
 
         def counting(matrix):
-            ranked.append(made[id(matrix)])
+            ranked.append(matrix)
             return real_rank(matrix)
 
-        monkeypatch.setattr(extalg, "_differential_matrix", tagged)
+        monkeypatch.setattr(extalg, "_differential_matrix", forbidden)
+        monkeypatch.setattr(extalg, "hom_space", forbidden)
         monkeypatch.setattr(extalg, "rank", counting)
         ws = weights_in_block(4, 2)
         for lam, mu in iproduct(ws, repeat=2):
             ranked.clear()
             ext_dims(lam, mu)
-            assert ranked
-            assert len(ranked) == len(set(ranked))
+            assert len(ranked) <= len(resolution(lam).components) - 1
+
+
+class TestSmallComplex:
+    """ext_dims ranks Hom(P_•(λ), M(μ)), one coordinate per summand; the
+    references rank the whole hom complex, take another resolution of
+    M(λ), or recurse on weights alone."""
+
+    @pytest.mark.parametrize("block", [(2, 2), (3, 1), (3, 2), (2, 3), (4, 2)])
+    def test_equals_the_hom_complex_count(self, block):
+        ws = weights_in_block(*block)
+        for lam, mu in iproduct(ws, repeat=2):
+            assert ext_dims(lam, mu) == oracles.ext_dims_hom_complex(lam, mu)
+
+    @pytest.mark.parametrize("block", [(3, 2), (2, 3)])
+    def test_the_generic_resolution_gives_the_same_dims(self, block):
+        ws = weights_in_block(*block)
+        for lam in ws:
+            generic = resolve_generic(lam)
+            for mu in ws:
+                dims = extalg._hom_into_module_dims(generic, cell_module(mu))
+                assert dims == ext_dims(lam, mu)
+
+    @pytest.mark.parametrize("block", [(3, 3), (4, 3)])
+    def test_matches_the_recursion_on_larger_blocks(self, block):
+        ws = weights_in_block(*block)
+        for lam, mu in iproduct(ws, repeat=2):
+            assert ext_dims(lam, mu) == _nonzero(shelton_dims(lam, mu))
+
+    def test_different_blocks_are_rejected(self):
+        with pytest.raises(ValueError):
+            ext_dims(weights_in_block(2, 1)[0], weights_in_block(1, 2)[0])
 
 
 class TestQuivers:
