@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Weight, bruhat_leq, length, weights_in_block
+from .diagrams import Weight, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix
 from .extalg import (
     ExtClass,
@@ -35,14 +35,12 @@ from .extalg import (
     _generic_classes,
     _k_range,
     _labelled_basis,
-    _N2_BIGRADE,
     _nonzero,
-    _sigma,
     basis_hom_element,
     compose,
     hom_differential,
     hom_space,
-    homotopy_element,
+    homotopy_seeds,
     vectorize,
     zero_hom,
 )
@@ -81,30 +79,6 @@ class _SpaceSplit:
     h_classes: list[ExtClass]
     l_prev: list[list[Scalar]]  # L-basis of hom^{k-1}, preimages under d
     inverse: SparseMatrix  # of the matrix with columns [B | H | L]
-
-
-def _homotopy_candidates(lam: Weight, mu: Weight) -> dict[int, list[HomElement]]:
-    """The nonzero explicit homotopy elements of hom(λ, μ) (n = 2), by
-    the degree k they land in."""
-    if lam.n != 2 or lam == mu or not bruhat_leq(lam, mu):
-        return {}
-    N, M = lam.to_kl()
-    K, L = mu.to_kl()
-    sigma = _sigma(lam, mu)
-    ranges = {
-        "H(F-Ftilde)": L + 1 < K and L < M and K < N and K <= M,
-        "H(J)": K < N and L < M and K <= M,
-        "H(A)": L < M - 1 and L + 2 < K,
-        "H(B)": L < M - 1 and L + 1 < K and K < N,
-    }
-    out: dict[int, list[HomElement]] = {}
-    for label, in_range in ranges.items():
-        if not in_range:
-            continue
-        element = homotopy_element(label, lam, mu)
-        if not element.is_zero():
-            out.setdefault(sigma + _N2_BIGRADE[label][0], []).append(element)
-    return out
 
 
 class Splitting:
@@ -176,7 +150,7 @@ class Splitting:
         canonical = self.mode == "canonical-n2"
         if canonical:
             labelled = _labelled_basis(lam, mu)
-            homotopies = _homotopy_candidates(lam, mu)
+            homotopies = homotopy_seeds(lam, mu)
         out: dict[int, _SpaceSplit] = {}
         l_prev: list[list[Scalar]] = []
         for k in _k_range(lam, mu):

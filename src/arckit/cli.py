@@ -31,10 +31,6 @@ class UsageError(Exception):
     pass
 
 
-class DomainError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -96,10 +92,7 @@ def _parse_weight(args, name: str, m: int, n: int) -> Weight:
     elif j is not None:
         if n != 1:
             raise UsageError("the j shorthand only applies to n=1 blocks")
-        try:
-            w = Weight.from_j(m, j)
-        except ValueError as e:
-            raise DomainError(str(e)) from None
+        w = Weight.from_j(m, j)
     else:
         if n != 2:
             raise UsageError("the k,l shorthand only applies to n=2 blocks")
@@ -107,14 +100,9 @@ def _parse_weight(args, name: str, m: int, n: int) -> Weight:
             k, l = (int(x) for x in kl.split(","))
         except ValueError:
             raise UsageError(f"bad index pair {kl!r}, expected K,L") from None
-        try:
-            w = Weight.from_kl(m, k, l)
-        except ValueError as e:
-            raise DomainError(str(e)) from None
+        w = Weight.from_kl(m, k, l)
     if w.block != (m, n):
-        raise DomainError(
-            f"weight {w} lies in block ({w.m}|{w.n}), not ({m}|{n})"
-        )
+        raise ValueError(f"weight {w} lies in block ({w.m}|{w.n}), not ({m}|{n})")
     return w
 
 
@@ -126,9 +114,7 @@ def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
     except ValueError as e:
         raise UsageError(f"malformed diagram {text!r}: {e}") from None
     if d.weight.block != (m, n):
-        raise DomainError(
-            f"diagram weight {d.weight} not in block ({m}|{n})"
-        )
+        raise ValueError(f"diagram weight {d.weight} not in block ({m}|{n})")
     return d
 
 
@@ -136,7 +122,7 @@ def _block_weights(m: int, n: int):
     from .diagrams import weights_in_block
 
     if m < 0 or n < 0:
-        raise DomainError("block sizes must be >= 0")
+        raise ValueError("block sizes must be >= 0")
     return weights_in_block(m, n)
 
 
@@ -203,7 +189,7 @@ def _doc_klpoly(args) -> dict:
     if args.method in ("recursive", "both"):
         out["recursive"] = str(kl_poly_recursive(lam, mu))
     if args.method == "both" and out["closed"] != out["recursive"]:
-        raise DomainError("closed and recursive KL polynomials disagree")
+        raise ArithmeticError("closed and recursive KL polynomials disagree")
     out["polynomial"] = out.get("closed", out.get("recursive"))
     return out
 
@@ -323,46 +309,22 @@ def _doc_extbasis(args) -> dict:
     }
 
 
-_N2_LABELS = ("Id", "F", "Ftilde", "G", "K", "J")
-
-
-def _n2_in_range(label: str, src: tuple[int, int], tgt: tuple[int, int]) -> bool:
-    big_n, big_m = src
-    k, l = tgt
-    if label == "Id":
-        return l < k and l <= big_m and k <= big_n
-    if label == "F":
-        return l + 1 < k and l < big_m and k <= big_n
-    if label == "Ftilde":
-        return l < k and l <= big_m and k < big_n
-    if label in ("G", "K"):
-        return l < k and k < big_m
-    if label == "J":
-        return l < k and k < big_n and l < big_m
-    raise ValueError(label)
-
-
 def _doc_multtable(args) -> dict:
-    from .extalg import construct_element, compose, decompose, ext_basis
+    from functools import cache
+
+    from .extalg import BASIS_LABELS, compose, construct_element, decompose, ext_basis, in_range
 
     m, n = args.m, args.n
     if n != 2:
-        raise DomainError("multtable requires an n=2 block")
+        raise ValueError("multtable requires an n=2 block")
     ws = _block_weights(m, n)
     families: dict[tuple[str, str], dict] = {
         (x, y): {"products": 0, "nonzero": 0, "results": set()}
-        for x in _N2_LABELS
-        for y in _N2_LABELS
+        for x in BASIS_LABELS
+        for y in BASIS_LABELS
     }
-    bases = {}  # (λ, μ) -> ext_basis(λ, μ), built and verified once
-    elements = {}  # (label, λ, μ) -> construct_element(label, λ, μ), built once
-
-    def element(label, source, target):
-        key = (label, source, target)
-        if key not in elements:
-            elements[key] = construct_element(label, source, target)
-        return elements[key]
-
+    # each labelled element, and each Ext basis (verified), is built once
+    element, basis_of = cache(construct_element), cache(ext_basis)
     for lam in ws:
         for mid in ws:
             if mid == lam:
@@ -370,32 +332,28 @@ def _doc_multtable(args) -> dict:
             for mu in ws:
                 if mu == mid:
                     continue
-                src, via, tgt = lam.to_kl(), mid.to_kl(), mu.to_kl()
-                for xl in _N2_LABELS:
-                    if not _n2_in_range(xl, src, via):
+                for xl in BASIS_LABELS:
+                    if not in_range(xl, lam, mid):
                         continue
                     x = element(xl, lam, mid)
                     if x.is_zero():
                         continue
-                    for yl in _N2_LABELS:
-                        if not _n2_in_range(yl, via, tgt):
+                    for yl in BASIS_LABELS:
+                        if not in_range(yl, mid, mu):
                             continue
                         y = element(yl, mid, mu)
                         if y.is_zero():
                             continue
                         cell = families[(xl, yl)]
                         cell["products"] += 1
-                        product = compose(x, y)
-                        if (lam, mu) not in bases:
-                            bases[(lam, mu)] = ext_basis(lam, mu)
-                        coeffs, _ = decompose(product, bases[(lam, mu)])
+                        coeffs, _ = decompose(compose(x, y), basis_of(lam, mu))
                         nonzero = {lab for (lab, _, _), c in coeffs.items() if c}
                         if nonzero:
                             cell["nonzero"] += 1
                             cell["results"] |= nonzero
     return {
         "block": [m, n],
-        "labels": list(_N2_LABELS),
+        "labels": list(BASIS_LABELS),
         "families": {
             f"{x}*{y}": {
                 "products": cell["products"],
@@ -416,7 +374,7 @@ def _doc_ainfty(args) -> dict:
     _block_weights(m, n)
     mode = "canonical-n2" if args.mode == "canonical" else "generic"
     if mode == "canonical-n2" and n != 2:
-        raise DomainError("canonical mode requires an n=2 block")
+        raise ValueError("canonical mode requires an n=2 block")
     split = build_splitting(m, n, mode)
     report = vanishing_report(split, args.max_arity)
     stasheff = stasheff_check(split, args.max_arity)
@@ -843,18 +801,14 @@ def _run_render(args) -> str:
         except ValueError as e:
             raise UsageError(f"malformed weight {args.weight!r}: {e}") from None
         if w.block != (m, n):
-            raise DomainError(f"weight {w} not in block ({m}|{n})")
+            raise ValueError(f"weight {w} not in block ({m}|{n})")
         (diagram, _), = list(idempotent(w))
         return render_diagram_svg(diagram)
     if args.diagram:
         return render_diagram_svg(_parse_diagram(args.diagram, m, n))
     x = _parse_diagram(args.product[0], m, n)
     y = _parse_diagram(args.product[1], m, n)
-    try:
-        panels = surgery_trace(x, y)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
-    return render_trace_svg(panels)
+    return render_trace_svg(surgery_trace(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -965,9 +919,6 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -25,8 +25,10 @@ basis vectors is the surgery product of their diagrams.
 
 Canonical representatives carry the labels Id, F, Ftilde, G, K, J (and
 the nullhomotopic products A, B with their homotopies); their component
-formulas are hard-coded for n ≤ 2.  The independent dimension oracle
-``shelton_dims`` recurses on weights alone and never touches resolutions.
+formulas are hard-coded for n ≤ 2.  For n = 2 the table ``_N2_CLASSES``
+is where each labelled class's bigrade and defining range live.  The
+independent dimension oracle ``shelton_dims`` recurses on weights alone
+and never touches resolutions.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ __all__ = [
     "shelton_dims",
     "ext_basis",
     "canonical_class",
+    "in_range",
     "homotopy_element",
+    "homotopy_seeds",
     "nullhomotopic_element",
     "compose",
     "decompose",
@@ -534,14 +538,6 @@ def _n2_rules(label: str, lam: Weight, mu: Weight):
                 yield S - 1, S - 3, "B", (N + K) * (L + S) + K + S + 1
                 yield S, S - 2, "A", (N + K) * (L + S)
 
-    def rules_b(S, T, typ):
-        if typ == "A":
-            if S == T + 1:
-                yield S - 1, T - 2, "A", (N + K + 1) * (L + T)
-        else:
-            if S == T + 2:
-                yield S - 1, S - 2, "A", (N + K + 1) * (L + S)
-
     def rules_hf(S, T, typ):
         if typ == "B":
             yield S, T, "A", (S + T) * (K + S) + (N + K + 1) * (L + S + 1) + N + M + 1
@@ -569,7 +565,6 @@ def _n2_rules(label: str, lam: Weight, mu: Weight):
     table = {
         "Id": rules_id,
         "A": rules_a,
-        "B": rules_b,
         "H(F-Ftilde)": rules_hf,
         "H(J)": rules_hj,
         "H(A)": rules_ha,
@@ -625,26 +620,42 @@ def _special_rules(label: str, lam: Weight):
 
 
 def _special(label: str, lam: Weight, mu: Weight) -> HomElement:
-    dk, dj = _N2_BIGRADE[label]
-    sigma = _sigma(lam, mu)
-    return _build_by_rules(lam, mu, sigma + dk, sigma + dj, _special_rules(label, lam))
+    return _build_by_rules(lam, mu, *_bigrade(label, lam, mu), _special_rules(label, lam))
 
 
-_N2_BIGRADE = {
-    # label -> (k − Σ, j − Σ)
-    "Id": (0, 0),
-    "F": (-1, -2),
-    "Ftilde": (-1, -2),
-    "G": (-3, -4),
-    "K": (-4, -6),
-    "J": (-2, -4),
-    "A": (-2, -4),
-    "B": (-3, -6),
-    "H(F-Ftilde)": (-2, -2),
-    "H(J)": (-3, -4),
-    "H(A)": (-3, -4),
-    "H(B)": (-4, -6),
+# The labelled classes of an n = 2 block from λ = (N|M) to μ = (K|L), each
+# with its bigrade (k − Σ, j − Σ) and its defining range (L < K holds for
+# every weight, so no range repeats it).
+_N2_CLASSES = {
+    "Id": ((0, 0), lambda N, M, K, L: L <= M and K <= N),
+    "F": ((-1, -2), lambda N, M, K, L: L + 1 < K and L < M and K <= N),
+    "Ftilde": ((-1, -2), lambda N, M, K, L: L <= M and K < N),
+    "G": ((-3, -4), lambda N, M, K, L: K < M),
+    "K": ((-4, -6), lambda N, M, K, L: K < M),
+    "J": ((-2, -4), lambda N, M, K, L: K < N and L < M),
+    "A": ((-2, -4), lambda N, M, K, L: L < M - 1 and L + 2 < K),
+    "B": ((-3, -6), lambda N, M, K, L: L < M - 1 and L + 1 < K and K < N),
+    "H(F-Ftilde)": ((-2, -2), lambda N, M, K, L: L + 1 < K and L < M and K < N and K <= M),
+    "H(J)": ((-3, -4), lambda N, M, K, L: K < N and L < M and K <= M),
+    "H(A)": ((-3, -4), lambda N, M, K, L: L < M - 1 and L + 2 < K),
+    "H(B)": ((-4, -6), lambda N, M, K, L: L < M - 1 and L + 1 < K and K < N),
 }
+
+# the basis classes, in the order ``arckit multtable`` prints them
+BASIS_LABELS = ("Id", "F", "Ftilde", "G", "K", "J")
+_HOMOTOPY_LABELS = ("H(F-Ftilde)", "H(J)", "H(A)", "H(B)")
+
+
+@lru_cache(maxsize=None)
+def in_range(label: str, lam: Weight, mu: Weight) -> bool:
+    """Whether λ → μ lies in the defining range of the labelled class (n = 2)."""
+    return _N2_CLASSES[label][1](*lam.to_kl(), *mu.to_kl())
+
+
+def _bigrade(label: str, lam: Weight, mu: Weight) -> tuple[int, int]:
+    """The bigrade (k, j) of the labelled class from λ to μ (n = 2)."""
+    sigma = _sigma(lam, mu)
+    return tuple(sigma + d for d in _N2_CLASSES[label][0])
 
 
 def construct_element(label: str, lam: Weight, mu: Weight) -> HomElement:
@@ -692,9 +703,7 @@ def construct_element(label: str, lam: Weight, mu: Weight) -> HomElement:
         return compose(
             construct_element("A", lam, mid), construct_element("Ftilde", mid, mu)
         )
-    dk, dj = _N2_BIGRADE[label]
-    sigma = _sigma(lam, mu)
-    return _build_by_rules(lam, mu, sigma + dk, sigma + dj, _n2_rules(label, lam, mu))
+    return _build_by_rules(lam, mu, *_bigrade(label, lam, mu), _n2_rules(label, lam, mu))
 
 
 def canonical_class(label: str, lam: Weight, mu: Weight) -> ExtClass:
@@ -708,9 +717,23 @@ def canonical_class(label: str, lam: Weight, mu: Weight) -> ExtClass:
 
 def homotopy_element(label: str, lam: Weight, mu: Weight) -> HomElement:
     """The explicit homotopies H(F−F̃), H(J), H(A), H(B) (n = 2)."""
-    if label not in {"H(F-Ftilde)", "H(J)", "H(A)", "H(B)"}:
+    if label not in _HOMOTOPY_LABELS:
         raise ValueError(f"unknown homotopy label {label!r}")
     return construct_element(label, lam, mu)
+
+
+def homotopy_seeds(lam: Weight, mu: Weight) -> dict[int, list[HomElement]]:
+    """The nonzero explicit homotopies of hom(λ, μ) inside their ranges,
+    filed by the degree k they lie in (n = 2)."""
+    if lam.n != 2 or lam == mu or not bruhat_leq(lam, mu):
+        return {}
+    out: dict[int, list[HomElement]] = {}
+    for label in _HOMOTOPY_LABELS:
+        if in_range(label, lam, mu):
+            element = homotopy_element(label, lam, mu)
+            if not element.is_zero():
+                out.setdefault(element.k, []).append(element)
+    return out
 
 
 def nullhomotopic_element(label: str, lam: Weight, mu: Weight) -> HomElement:
@@ -744,36 +767,28 @@ def hom_windows_ok(lam: Weight, mu: Weight) -> bool:
 
 
 def _n2_candidate_labels(lam: Weight, mu: Weight) -> list[str]:
-    N, M = lam.to_kl()
-    K, L = mu.to_kl()
-    out = []
-    if K <= N and L <= M:
-        out.append("Id")
-    f_ok = L < M and K <= N and L + 1 < K
-    ftilde_ok = L <= M and K < N
-    if f_ok:
-        out.append("F")
-    if ftilde_ok and (M < K or not f_ok):
-        out.append("Ftilde")
-    if M < K and K < N and L < M:
-        out.append("J")
-    if K < M:
-        out.append("G")
-        out.append("K")
+    """The basis labels in range; unless M < K, without J, and without F̃
+    when F is in range."""
+    out = [label for label in BASIS_LABELS if in_range(label, lam, mu)]
+    if lam.to_kl()[1] >= mu.to_kl()[0]:
+        out = [x for x in out if x != "J" and not (x == "Ftilde" and "F" in out)]
     return out
 
 
 def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     """A basis of Ext(M(λ), M(μ)) by cocycle representatives.
 
-    For n ≤ 2 (and method != "generic") the labelled canonical elements
-    are used and verified: each must be a cocycle, jointly independent
-    modulo coboundaries, and their count per degree must equal the closed
-    dimension recursion — any mismatch is a hard failure.
+    ``method`` is "auto" or "generic".  For n ≤ 2 and "auto" the labelled
+    canonical elements are used and verified: each must be a cocycle,
+    jointly independent modulo coboundaries, and their count per degree
+    must equal the closed dimension recursion — any mismatch is a hard
+    failure.
     """
+    if method not in ("auto", "generic"):
+        raise ValueError(f"unknown method {method!r}, expected 'auto' or 'generic'")
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    if method == "generic" or (method == "auto" and lam.n > 2):
+    if method == "generic" or lam.n > 2:
         classes = _generic_basis(lam, mu)
     else:
         classes = _labelled_basis(lam, mu)

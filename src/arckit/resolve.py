@@ -384,50 +384,31 @@ def _target_sign(c: ProjectiveComplex, i: int, s: int, t: int) -> int:
 
 def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
     """Rescale summands by units so every differential block equals the
-    sign table times the canonical degree-one diagram (n ≤ 2 only)."""
-    # current scalar of each nonzero block (blocks live in 1-dim spaces)
-    units: list[list[Scalar | None]] = [
-        [None] * len(comp) for comp in c.components
-    ]
-    units[0][0] = 1
-    while True:
-        changed = False
-        for i in range(1, len(c)):
-            for (s, t), u in c.differentials[i - 1].items():
-                terms = list(u)
-                if len(terms) != 1:
-                    raise AssertionError("differential block not a single diagram")
-                _, coeff = terms[0]
-                want = _target_sign(c, i, s, t)
-                # entry transforms by units[i][s] / units[i-1][t]
-                if units[i][s] is None and units[i - 1][t] is not None:
-                    units[i][s] = quotient(want * units[i - 1][t], coeff)
-                    changed = True
-                elif units[i][s] is not None and units[i - 1][t] is None:
-                    units[i - 1][t] = quotient(coeff * units[i][s], want)
-                    changed = True
-                elif units[i][s] is not None and units[i - 1][t] is not None:
-                    if units[i][s] * coeff != want * units[i - 1][t]:
-                        raise AssertionError(
-                            "sign table is not reachable by rescaling summands"
-                        )
-        if changed:
-            continue
-        # seed one summand in a connected component the propagation has
-        # not reached yet (possible if some expected entry is zero)
-        seeded = False
-        for i in range(1, len(c)):
-            for (s, t) in c.differentials[i - 1]:
-                if units[i][s] is None and units[i - 1][t] is None:
-                    units[i][s] = 1
-                    seeded = True
-                    break
-            if seeded:
-                break
-        if not seeded:
-            break
-    filled = [[x if x is not None else 1 for x in row] for row in units]
-    return c.rescale_summands(filled)
+    sign table times the canonical degree-one diagram (n ≤ 2 only).
+
+    One sweep in homological order fixes every unit: C_0 = P(λ) keeps
+    unit 1, and a linear resolution is minimal, so every summand of C_i
+    (i ≥ 1) has an entry into C_{i−1}, whose units are already fixed.
+    """
+    units: list[list[Scalar]] = [[1]]
+    for i in range(1, len(c)):
+        row: list[Scalar | None] = [None] * len(c.components[i])
+        for (s, t), u in c.differentials[i - 1].items():
+            terms = list(u)
+            if len(terms) != 1:
+                raise AssertionError("differential block not a single diagram")
+            _, coeff = terms[0]
+            # the entry picks up units[i][s] / units[i-1][t] (blocks live in
+            # 1-dim spaces, so the entry is coeff times the canonical diagram)
+            unit = quotient(_target_sign(c, i, s, t) * units[i - 1][t], coeff)
+            if row[s] is None:
+                row[s] = unit
+            elif row[s] != unit:
+                raise AssertionError("sign table is not reachable by rescaling summands")
+        if None in row:
+            raise AssertionError(f"a summand of C_{i} has no entry into C_{i - 1}")
+        units.append(row)
+    return c.rescale_summands(units)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ checked against it pair by pair.
 from fractions import Fraction
 
 from arckit import SparseMatrix
-from arckit.ainfty import _class_key, _homotopy_candidates, _SpaceSplit, composable_tuples
+from arckit.ainfty import _class_key, _SpaceSplit, composable_tuples
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
     OrientedCircleDiagram,
@@ -80,6 +80,7 @@ from arckit.extalg import (
     compose,
     ext_basis,
     hom_space,
+    homotopy_seeds,
     resolution,
     vectorize,
     zero_hom,
@@ -579,7 +580,7 @@ def build_pair(split, lam, mu) -> dict:
             raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
         l_cols = []
         if canonical:
-            for element in _homotopy_candidates(lam, mu).get(k, []):
+            for element in homotopy_seeds(lam, mu).get(k, []):
                 vec = vectorize(element)
                 if not span.add(vec):
                     raise ArithmeticError("homotopy element lies in the cocycles")

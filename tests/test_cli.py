@@ -1,6 +1,7 @@
 """The command-line interface: outputs, exit codes, caching, rendering."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -263,6 +264,59 @@ class TestDeterminismAndCache:
         )
         assert code == 0
         assert any(tmp_path.iterdir())
+
+
+# sha256 of stdout, or of the -o file for render, recorded while the n = 2
+# labelled ranges were still written out in cli.py and ainfty.py: every
+# README command as written (the text renderers), then the outputs that
+# read the labelled classes' table and the n = 1 labelled basis
+PINNED_DIGESTS = {
+    ("klpoly", "-m", "4", "-n", "2", "--lambda", "vvvv^^", "--mu", "v^vv^v",
+     "--method", "both"): "7a1de28601410892fd79fb9305fe7c6931c6f6f8bc32b70a3d698876d62b4e57",
+    ("basis", "-m", "2", "-n", "1"):
+        "c43d65b6616200fc932730f7420aac76c254480dc7cfa4c0faf2c1ac42b5e6e9",
+    ("multiply", "-m", "3", "-n", "2", TRACE_X, TRACE_Y):
+        "02e60fd5a7b14bdea93298da350437c160189539cc54a838926652460419243f",
+    ("decomp", "-m", "2", "-n", "1"):
+        "eb5404a01c0f54755680d367cac219a19540a6d668cada7bacb978fdeab2bcc6",
+    ("cartan", "-m", "2", "-n", "2", "--format", "json"):
+        "1adc3bdca9cdba21b25d6f2e55fc9e675f91b3574b7d021863fb9fa1c7eec08f",
+    ("resolve", "-m", "2", "-n", "2", "--lambda", "vv^^", "--verify"):
+        "a1c69913eef0803e40f665c98cadfb97468d6c36d671d015560a723db62514e5",
+    ("extdim", "-m", "3", "-n", "1", "--all", "--oracle", "shelton"):
+        "b0fcf5daf0fd4569f0957b1dd2093cd4bc1e51ecccdc4d52135587a1ad38edce",
+    ("multtable", "-m", "2", "-n", "2"):
+        "b43a3f581830418b5600b07814486daf7c0906e37ffe0fe766cc0b01f90be51a",
+    ("quiver", "-m", "2", "-n", "2", "--algebra", "ext", "--format", "json"):
+        "a1e6ea5303c25709837b3e1deaa68abbd19317de56f7f4ece7adb810881c7b37",
+    ("ainfty", "-m", "2", "-n", "2", "--mode", "canonical", "--max-arity", "5"):
+        "58c9905b725f5cea1a31c46f781b681e49bac76049c2fc2c100c40777acd2dc4",
+    ("render", "-m", "1", "-n", "1", "--weight", "v^", "-o", "idempotent.svg"):
+        "c43ba98a5938b5cb49f44a305607c7f576b9d95fcea5c8a42e568ed3a6b7f2b2",
+    ("render", "-m", "3", "-n", "2", "--product", TRACE_X, TRACE_Y, "-o", "trace.svg"):
+        "72ad6b9263307f96d93a0e6b6554108b59267ef74412b0e9ccd7855199af1a88",
+    ("multtable", "-m", "3", "-n", "2", "--format", "json"):
+        "5395808556fab75a7a6ad477068391edd0fb51a4a0757a02812c2b1fcb96a4e6",
+    ("multtable", "-m", "4", "-n", "2", "--format", "json"):
+        "92679df561d258ee247b3d0734cde1816ef4aae3467a4089b8f9ec20771e1df0",
+    ("quiver", "-m", "3", "-n", "2", "--algebra", "ext", "--format", "json"):
+        "16c5a9d38798791760687eddd336441a8eca62fca533d72742175421a4186e91",
+    ("extbasis", "-m", "4", "-n", "2", "--lambda", "vvvv^^", "--mu", "^^vvvv",
+     "--format", "json"): "16afd0b5405793d819b9f711ae020e8c9591e57b8003099243975a336e31db47",
+    ("extbasis", "-m", "3", "-n", "1", "--j", "3", "--mu-j", "0", "--format", "json"):
+        "e9fef1b1b0badc901a2eac6cf9a0e33d307fd8bbb82037e75661fc282863e855",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("args", list(PINNED_DIGESTS), ids=lambda a: " ".join(a[:5]))
+    def test_output_is_unchanged(self, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(list(args))
+        assert (code, err) == (0, "")
+        if "-o" in args:
+            out = (tmp_path / args[args.index("-o") + 1]).read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[args]
 
 
 class TestRender:

@@ -3,6 +3,7 @@ labelled basis classes, the multiplication table, explicit homotopies
 and quiver presentations."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -69,6 +70,31 @@ class TestN1Dimensions:
                 assert _nonzero(shelton_dims(lam, mu)) == closed
 
 
+class TestN1LabelledBasis:
+    """On an n = 1 block the labelled basis from λ to μ, d = j(λ) − j(μ),
+    is Id in bidegree (d, d), with F in (d − 1, d − 2) when d > 0."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_labels_bigrades_and_counts(self, m):
+        ws = weights_in_block(m, 1)
+        for lam, mu in iproduct(ws, repeat=2):
+            d = lam.to_j() - mu.to_j()
+            expected = [] if d < 0 else [("Id", d, d)]
+            if d > 0:
+                expected.append(("F", d - 1, d - 2))
+            classes = ext_basis(lam, mu)
+            assert sorted((c.label, c.k, c.j) for c in classes) == sorted(expected)
+            counts = dict(Counter(c.k for c in classes))
+            generic = dict(Counter(c.k for c in ext_basis(lam, mu, method="generic")))
+            assert counts == _nonzero(shelton_dims(lam, mu)) == generic
+
+    def test_unknown_method_is_rejected(self):
+        # any method but "generic" used to select the labelled basis
+        lam, mu = Weight.parse("vvv^"), Weight.parse("^vvv")
+        with pytest.raises(ValueError, match="'auto' or 'generic'"):
+            ext_basis(lam, mu, method="generci")
+
+
 class TestN2Dimensions:
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_recursion_and_is_at_most_two(self, m):
@@ -91,6 +117,40 @@ class TestN2Dimensions:
                 assert by_k == ext_dims(lam, mu)
                 generic = ext_basis(lam, mu, method="generic")
                 assert len(generic) == len(classes)
+
+
+class TestLabelTable:
+    """extalg's table of the n = 2 labelled classes against the defining
+    ranges written out independently in tests/tables.py."""
+
+    def test_labels(self):
+        assert extalg.BASIS_LABELS == tuple(PRODUCT_LABELS)
+        homotopies = ("H(F-Ftilde)", "H(J)", "H(A)", "H(B)")
+        assert set(extalg._N2_CLASSES) == {*PRODUCT_LABELS, "A", "B", *homotopies}
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_ranges_match_the_reference(self, m):
+        ws = weights_in_block(m, 2)
+        for label in extalg._N2_CLASSES:
+            reference = homotopy_in_range if label.startswith("H(") else in_range
+            for lam, mu in iproduct(ws, repeat=2):
+                got = extalg.in_range(label, lam, mu)
+                assert got == reference(label, lam, mu), (label, lam, mu)
+
+    def test_built_elements_have_the_table_bigrade(self):
+        """F, F̃, G, K, J, B and H(F−F̃) are built as composites, so their
+        bigrades come from the factors', not from the table."""
+        ws = weights_in_block(3, 2)
+        built = 0
+        for label in extalg._N2_CLASSES:
+            for lam, mu in iproduct(ws, repeat=2):
+                if lam == mu or not extalg.in_range(label, lam, mu):
+                    continue
+                f = construct_element(label, lam, mu)
+                if not f.is_zero():
+                    built += 1
+                    assert (f.k, f.j) == extalg._bigrade(label, lam, mu), (label, lam, mu)
+        assert built > 100
 
 
 class TestMultiplicationTable:

@@ -26,6 +26,8 @@ from arckit.resolve import (
     ProjectiveComplex,
     ResolutionCache,
     _ab_type,
+    _normalize_signs,
+    _resolve_cone_raw,
     _serialize,
     expected_terms,
     sign_target_n1,
@@ -220,6 +222,31 @@ class TestGenericPinned:
             for lam in weights_in_block(m, n)
         }
         assert got == GENERIC_DIGESTS[(m, n)]
+
+
+# sha256 of the concatenated _serialize(resolve_cone(λ)) over these blocks
+# in order, λ in weights_in_block order: the sign-normalised cone
+# resolutions of every n ≤ 2 block tier-1 reaches, recorded before the
+# sign normalisation became one sweep
+CONE_BLOCKS = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2),
+               (1, 2), (0, 2), (2, 0)]
+CONE_DIGEST = "49f3171568ae9f52cb1b0a22ed74dfa2cb1c872db97b62aefb85e0343bd031f4"
+
+
+class TestConePinned:
+    def test_serialization_is_unchanged(self):
+        digest = hashlib.sha256()
+        for block in CONE_BLOCKS:
+            for lam in weights_in_block(*block):
+                digest.update(_serialize(resolve_cone(lam)).encode())
+        assert digest.hexdigest() == CONE_DIGEST
+
+    def test_a_summand_without_an_entry_has_no_sign(self):
+        lam = Weight.parse("vv^")
+        c = _resolve_cone_raw(lam)
+        loose = c.components[:1] + (c.components[1] + ((lam, 1),),) + c.components[2:]
+        with pytest.raises(AssertionError, match="has no entry"):
+            _normalize_signs(ProjectiveComplex(lam, loose, c.differentials))
 
 
 # sha256 of the JSON list, over weights_in_block(4, 2), of the terms() of

@@ -199,11 +199,11 @@ class TestChecksFire:
         lam, mu = next(
             (lam, mu)
             for lam, mu in _pairs(2, 2)
-            if lam != mu and ainfty._homotopy_candidates(lam, mu)
+            if lam != mu and extalg.homotopy_seeds(lam, mu)
         )
         c = ext_basis(lam, mu)[0]
         monkeypatch.setattr(
-            ainfty, "_homotopy_candidates", lambda source, target: {c.k: [c.element]}
+            ainfty, "homotopy_seeds", lambda source, target: {c.k: [c.element]}
         )
         with pytest.raises(ArithmeticError, match="lies in the cocycles"):
             Splitting(2, 2, "canonical-n2")._pair(lam, mu)
