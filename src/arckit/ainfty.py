@@ -31,8 +31,8 @@ from .extalg import (
     ExtClass,
     HomElement,
     _check_counts,
+    _degree_classes,
     _differential_matrix,
-    _generic_classes,
     _k_range,
     _labelled_basis,
     _nonzero,
@@ -92,13 +92,14 @@ class Splitting:
     Each hom^k is eliminated in one pass (``_build_pair``): B = d(L_{k-1})
     enters first, then H, then L (the explicit homotopies in canonical
     mode, then unit vectors until the span is full), each column through
-    ``Echelon.add_tagged``, whose tags make the inverse.  No rank of d_k
-    is needed to see that B ⊕ H is all of the cocycles Z: H are cocycles
-    and B ⊆ Z, so |B| + |H| ≤ dim Z; the next degree adds d(L) to its
-    span, which checks that d is injective on L, so |L| ≤ dim − dim Z;
-    and the three sizes add up to dim.  Where no next degree sees L (the
-    last degree, or below an empty hom^{k+1}), d vanishes and L must be
-    empty.
+    ``Echelon.add_tagged``, whose tags make the inverse.  H comes from
+    ``extalg._degree_classes``, as in ``ext_basis``: B = d(L_{k-1}) spans
+    d(hom^{k-1}), so both pick the same classes.  No rank of d_k is needed
+    to see that B ⊕ H is all of the cocycles Z: H are cocycles and B ⊆ Z,
+    so |B| + |H| ≤ dim Z; the next degree adds d(L) to its span, which
+    checks that d is injective on L, so |L| ≤ dim − dim Z; and the three
+    sizes add up to dim.  Where no next degree sees L (the last degree, or
+    below an empty hom^{k+1}), d vanishes and L must be empty.
 
     Every H-class gets an index when its pair is split, and one memo keyed
     by tuples of those indices holds, for each chain of classes evaluated,
@@ -147,10 +148,9 @@ class Splitting:
     def _build_pair(self, lam: Weight, mu: Weight) -> dict[int, _SpaceSplit]:
         if lam.block != self.block or mu.block != self.block:
             raise ValueError("weights outside the block of this splitting")
-        canonical = self.mode == "canonical-n2"
-        if canonical:
-            labelled = _labelled_basis(lam, mu)
-            homotopies = homotopy_seeds(lam, mu)
+        labelled, seeds = None, {}
+        if self.mode == "canonical-n2":
+            labelled, seeds = _labelled_basis(lam, mu), homotopy_seeds(lam, mu)
         out: dict[int, _SpaceSplit] = {}
         l_prev: list[list[Scalar]] = []
         for k in _k_range(lam, mu):
@@ -174,26 +174,13 @@ class Splitting:
                 if not all(span.add_tagged(vec) for vec in b_cols):
                     raise ArithmeticError("d is not injective on the chosen L")
             # H: a complement of B = d(hom^{k-1}) inside the cocycles
-            if canonical:
-                classes = [c for c in labelled if c.k == k]
-                if not all(span.add_tagged(vectorize(c.element)) for c in classes):
-                    raise ArithmeticError(
-                        "chosen H representatives meet the coboundaries"
-                    )
-            else:
-                classes = _generic_classes(lam, mu, k, span.add_tagged)
+            classes = _degree_classes(lam, mu, k, span.add_tagged, labelled)
             # L: complement of the cocycles, seeded with the explicit
             # homotopies in canonical mode so that Q(products) matches
             # the closed homotopy table
-            l_cols: list[list[Scalar]] = []
-            if canonical:
-                for element in homotopies.get(k, []):
-                    vec = vectorize(element)
-                    if not span.add_tagged(vec):
-                        raise ArithmeticError(
-                            "homotopy element lies in the cocycles"
-                        )
-                    l_cols.append(vec)
+            l_cols = [vectorize(element) for element in seeds.get(k, [])]
+            if not all(span.add_tagged(vec) for vec in l_cols):
+                raise ArithmeticError("homotopy element lies in the cocycles")
             for i in range(dim):
                 if len(span) == dim:
                     break

@@ -236,8 +236,10 @@ def _validate_arcs(size: int, cups: frozenset[tuple[int, int]], rays: frozenset[
 
 
 @dataclass(frozen=True)
-class CupDiagram:
-    """Non-crossing cups below the number line plus downward rays."""
+class _ArcDiagram:
+    """Non-crossing arcs on 0..size-1 plus rays: the data shared by cup and
+    cap diagrams.  The subclasses inherit the generated methods; ``__eq__``
+    compares classes, so a cup diagram never equals a cap diagram."""
 
     size: int
     cups: frozenset[tuple[int, int]]
@@ -248,15 +250,12 @@ class CupDiagram:
         object.__setattr__(self, "rays", frozenset(self.rays))
         _validate_arcs(self.size, self.cups, self.rays)
 
-    @staticmethod
-    def parse(text: str, size: int | None = None) -> "CupDiagram":
+    @classmethod
+    def parse(cls, text: str, size: int | None = None):
         cups, rays = _parse_arcs(text)
         if size is None:
             size = 2 * len(cups) + len(rays)
-        return CupDiagram(size, frozenset(cups), frozenset(rays))
-
-    def mirror(self) -> "CapDiagram":
-        return CapDiagram(self.size, self.cups, self.rays)
+        return cls(size, frozenset(cups), frozenset(rays))
 
     def cups_sorted(self) -> list[tuple[int, int]]:
         """Cups numbered by their right endpoints, left to right."""
@@ -266,34 +265,18 @@ class CupDiagram:
         return _format_arcs(self.cups, self.rays)
 
 
-@dataclass(frozen=True)
-class CapDiagram:
+class CupDiagram(_ArcDiagram):
+    """Non-crossing cups below the number line plus downward rays."""
+
+    def mirror(self) -> "CapDiagram":
+        return CapDiagram(self.size, self.cups, self.rays)
+
+
+class CapDiagram(_ArcDiagram):
     """Mirror image of a cup diagram: caps above the line, rays upward."""
-
-    size: int
-    cups: frozenset[tuple[int, int]]
-    rays: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cups", frozenset(tuple(c) for c in self.cups))
-        object.__setattr__(self, "rays", frozenset(self.rays))
-        _validate_arcs(self.size, self.cups, self.rays)
-
-    @staticmethod
-    def parse(text: str, size: int | None = None) -> "CapDiagram":
-        cups, rays = _parse_arcs(text)
-        if size is None:
-            size = 2 * len(cups) + len(rays)
-        return CapDiagram(size, frozenset(cups), frozenset(rays))
 
     def mirror(self) -> CupDiagram:
         return CupDiagram(self.size, self.cups, self.rays)
-
-    def cups_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.cups, key=lambda c: c[1])
-
-    def __str__(self) -> str:
-        return _format_arcs(self.cups, self.rays)
 
 
 def _parse_arcs(text: str) -> tuple[list[tuple[int, int]], list[int]]:

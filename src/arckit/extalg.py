@@ -782,17 +782,24 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     canonical elements are used and verified: each must be a cocycle,
     jointly independent modulo coboundaries, and their count per degree
     must equal the closed dimension recursion — any mismatch is a hard
-    failure.
+    failure.  Otherwise the classes are the kernel basis vectors of each
+    d_k that are independent modulo coboundaries (``_degree_classes``).
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'generic'")
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     if method == "generic" or lam.n > 2:
-        classes = _generic_basis(lam, mu)
+        labelled = None
+        degrees = [k for k in _k_range(lam, mu) if hom_space(lam, mu, k)]
     else:
-        classes = _labelled_basis(lam, mu)
-        _assert_independent(lam, mu, classes)
+        labelled = _labelled_basis(lam, mu)
+        degrees = sorted({c.k for c in labelled})
+    classes = [
+        c
+        for k in degrees
+        for c in _degree_classes(lam, mu, k, _coboundaries(lam, mu, k).add, labelled)
+    ]
     _check_counts(lam, mu, classes)
     return classes
 
@@ -812,8 +819,8 @@ def _check_counts(lam: Weight, mu: Weight, classes: list[ExtClass]) -> None:
 
 def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
     """The nonzero labelled classes, each checked to be a cocycle, in
-    (k, label) order; their independence modulo the coboundaries is left
-    to the caller (``_assert_independent``)."""
+    (k, label) order; their independence modulo the coboundaries is
+    checked by ``_degree_classes``."""
     if not bruhat_leq(lam, mu):
         return []
     if lam == mu:
@@ -834,45 +841,31 @@ def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
     return sorted(classes, key=lambda c: (c.k, c.label))
 
 
-def _assert_independent(lam: Weight, mu: Weight, classes: list[ExtClass]) -> None:
-    by_k: dict[int, list[ExtClass]] = {}
-    for c in classes:
-        by_k.setdefault(c.k, []).append(c)
-    for k, group in by_k.items():
-        span = _coboundaries(lam, mu, k)
-        if not all(span.add(vectorize(c.element)) for c in group):
-            raise ArithmeticError(
-                f"canonical degree-{k} representatives are dependent modulo "
-                f"coboundaries for ({lam}, {mu})"
-            )
-
-
 def _coboundaries(lam: Weight, mu: Weight, k: int) -> Echelon:
     """The span of d(hom^{k-1}) inside hom^k(λ, μ)."""
     return Echelon.of_rows(_differential_matrix(lam, mu, k - 1).transpose())
 
 
-def _generic_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
-    """Echelon-canonical cocycle representatives, deterministic in the
-    fixed hom-space basis order."""
-    return [
-        c
-        for k in _k_range(lam, mu)
-        if hom_space(lam, mu, k)
-        for c in _generic_classes(lam, mu, k, _coboundaries(lam, mu, k).add)
-    ]
-
-
-def _generic_classes(lam: Weight, mu: Weight, k: int, keep) -> list[ExtClass]:
-    """The degree-k generic classes: the kernel basis vectors of d_k, in
-    order, that ``keep`` adds to a span of the coboundaries and the
-    classes kept so far.  Whether a vector is kept depends only on that
-    span, so every span of d(hom^{k-1}) picks the same vectors."""
-    return [
-        ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
-        for vec in kernel_basis(_differential_matrix(lam, mu, k))
-        if keep(vec)
-    ]
+def _degree_classes(
+    lam: Weight, mu: Weight, k: int, keep, labelled: list[ExtClass] | None = None
+) -> list[ExtClass]:
+    """The degree-k classes that ``keep`` adds to a span of d(hom^{k-1}) and
+    the classes kept so far, hence the same for every such span: the degree-k
+    ``labelled`` classes, each of which must be kept, or, when ``labelled``
+    is None, the kept kernel basis vectors of d_k, as "generic" classes."""
+    if labelled is None:
+        return [
+            ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
+            for vec in kernel_basis(_differential_matrix(lam, mu, k))
+            if keep(vec)
+        ]
+    classes = [c for c in labelled if c.k == k]
+    if not all(keep(c.element.coords) for c in classes):
+        raise ArithmeticError(
+            f"canonical degree-{k} representatives are dependent modulo "
+            f"coboundaries for ({lam}, {mu})"
+        )
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +890,15 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     """Write the cocycle f as Σ cᵢ·bᵢ + d(H) over the basis classes.
 
     Returns (coefficients keyed by class label with bigrade, H).  Raises
-    if f is not a cocycle in the span.
+    ValueError if a class is not one of hom(λ, μ) with (λ, μ) that of f,
+    and ArithmeticError if f is not a cocycle in the span.
     """
     lam, mu, k = f.source, f.target, f.k
     if classes is None:
-        classes = [c for c in ext_basis(lam, mu) if c.k == k]
-    else:
-        classes = [c for c in classes if c.k == k]
+        classes = ext_basis(lam, mu)
+    if any((c.source, c.target) != (lam, mu) for c in classes):
+        raise ValueError(f"a class lies outside hom({lam}, {mu})")
+    classes = [c for c in classes if c.k == k]
     boundary = _differential_matrix(lam, mu, k - 1)
     # columns [classes | d(hom^{k-1})]
     width = len(classes)
@@ -991,14 +986,16 @@ def ext_quiver(m: int, n: int) -> dict:
     for lam in vertices:
         for mu in vertices:
             bases[(lam, mu)] = [] if lam == mu else ext_basis(lam, mu)
+    products: dict[tuple[int, int], dict] = {}  # (id(f), id(g)) -> coefficients
     spanned: dict[tuple[Weight, Weight], set] = {}
     for (lam, nu), first in bases.items():
         for (nu2, mu), second in bases.items():
-            if nu2 != nu or not first or not second:
+            if nu2 != nu:
                 continue
             for f in first:
                 for g in second:
                     coeffs, _ = decompose(compose(f, g), bases[(lam, mu)])
+                    products[(id(f), id(g))] = coeffs
                     spanned.setdefault((lam, mu), set()).update(coeffs)
     generators = [
         c
@@ -1006,21 +1003,16 @@ def ext_quiver(m: int, n: int) -> dict:
         for c in classes
         if (c.label, c.k, c.j) not in spanned.get(pair, set())
     ]
-    relations = []
-    for f in generators:
-        for g in generators:
-            if f.target != g.source:
-                continue
-            coeffs, _ = decompose(
-                compose(f, g), bases[(f.source, g.target)]
-            )
-            relations.append(
-                (
-                    (f.label, f.source, f.target),
-                    (g.label, g.source, g.target),
-                    coeffs,
-                )
-            )
+    relations = [
+        (
+            (f.label, f.source, f.target),
+            (g.label, g.source, g.target),
+            products[(id(f), id(g))],
+        )
+        for f in generators
+        for g in generators
+        if f.target == g.source
+    ]
     return {
         "vertices": vertices,
         "generators": [

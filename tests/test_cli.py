@@ -305,6 +305,19 @@ PINNED_DIGESTS = {
      "--format", "json"): "16afd0b5405793d819b9f711ae020e8c9591e57b8003099243975a336e31db47",
     ("extbasis", "-m", "3", "-n", "1", "--j", "3", "--mu-j", "0", "--format", "json"):
         "e9fef1b1b0badc901a2eac6cf9a0e33d307fd8bbb82037e75661fc282863e855",
+    # recorded while ext_basis and the splitting each picked their classes,
+    # and ext_quiver decomposed each generator product twice
+    ("extbasis", "-m", "3", "-n", "2", "--kl", "4,3", "--mu-kl", "1,0", "--format", "json"):
+        "e8e00a427501c3448a2f4cea689ea6c2c4bbf0f7814614f5b87c2afc356d3874",
+    ("extbasis", "-m", "3", "-n", "2", "--kl", "4,3", "--mu-kl", "1,0",
+     "--method", "generic", "--format", "json"):
+        "f05b339a4a5cdf9bbea5bfffae5d7d6d923493b73126565b315344cc8eead4d3",
+    ("extbasis", "-m", "2", "-n", "3", "--lambda", "vv^^^", "--mu", "^^^vv",
+     "--format", "json"): "eb65236bd03652fcaeab728f7bfe8d8ed75880ffa2c4661d61ace2904c5ab3fd",
+    ("quiver", "-m", "3", "-n", "1", "--algebra", "ext", "--format", "json"):
+        "b784d6f78768de9cdf3b1b091ded1df9255a2ea36ced3337d095c4ae7bc6ad6b",
+    ("quiver", "-m", "2", "-n", "3", "--algebra", "ext", "--format", "json"):
+        "ec94b680b5d198755a5b604bdd161d540cc81fa7a28265f00b90bd69f2b7967b",
 }
 
 

@@ -143,6 +143,15 @@ class TestDiagrams:
         assert str(cup) == text
         assert cup.mirror().mirror() == cup
 
+    def test_cup_and_cap_diagrams_share_data_not_equality(self):
+        text = "cups=(0,3);(1,2) rays=4"
+        cup, cap = CupDiagram.parse(text), CapDiagram.parse(text)
+        assert type(cap) is CapDiagram
+        assert cup.mirror() == cap and cap.mirror() == cup
+        assert cup != cap and hash(cup) == hash(cap)
+        assert repr(cap).startswith("CapDiagram(size=5, ")
+        assert str(cap) == str(cup) == text
+
     def test_oriented_diagram_roundtrip(self):
         text = "cups=(0,3);(1,2) rays=4 | vv^^v | cups=(1,2);(3,4) rays=0"
         d = OrientedCircleDiagram.parse(text)

@@ -2,6 +2,7 @@
 labelled basis classes, the multiplication table, explicit homotopies
 and quiver presentations."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import product as iproduct
@@ -379,6 +380,40 @@ class TestSmallComplex:
     def test_different_blocks_are_rejected(self):
         with pytest.raises(ValueError):
             ext_dims(weights_in_block(2, 1)[0], weights_in_block(1, 2)[0])
+
+
+# sha256 of every ext_basis class of these blocks, both methods, recorded
+# while the labelled and the generic choice were still two code paths
+EXT_BASIS_BLOCKS = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+EXT_BASIS_DIGEST = "db431b4517f82a7ef81a599ef979f411e45cc5ea54fc05cc99f17325e60530ec"
+
+
+class TestExtBasisPinned:
+    def test_every_class_is_unchanged(self):
+        digest = hashlib.sha256()
+        for m, n in EXT_BASIS_BLOCKS:
+            weights = weights_in_block(m, n)
+            for method in ("auto", "generic"):
+                for lam in weights:
+                    for mu in weights:
+                        for c in ext_basis(lam, mu, method):
+                            coords = sorted(c.element.coords.items())
+                            digest.update(
+                                f"{m}{n}{method}{lam}{mu}{c.label}{c.k}{c.j}{coords}\n".encode()
+                            )
+        assert digest.hexdigest() == EXT_BASIS_DIGEST
+
+
+class TestDecompose:
+    def test_classes_of_another_pair_are_refused(self):
+        # the Id class of (^v^vv, ^^vvv) has bigrade (1, 1), as does Ftilde
+        # of (^vv^v, ^^vvv): read as coordinates of the wrong hom space, the
+        # one would decompose as the other
+        source, other, target = (Weight.parse(w) for w in ("^v^vv", "^vv^v", "^^vvv"))
+        (f,) = [c.element for c in ext_basis(source, target) if c.label == "Id"]
+        with pytest.raises(ValueError, match="outside hom"):
+            decompose(f, ext_basis(other, target))
+        assert decompose(f, ext_basis(source, target))[0] == {("Id", 1, 1): 1}
 
 
 class TestQuivers:
