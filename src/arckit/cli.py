@@ -121,8 +121,6 @@ def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
 def _block_weights(m: int, n: int):
     from .diagrams import weights_in_block
 
-    if m < 0 or n < 0:
-        raise ValueError("block sizes must be >= 0")
     return weights_in_block(m, n)
 
 

@@ -23,13 +23,14 @@ all the deterministic conventions used everywhere:
   RREF, one per free column in increasing order;
 * greedy choices ("keep the vector if it is new") are ``Echelon.add``
   calls in the caller's order;
-* a square system that is solved for many right-hand sides is factored
-  once: ``inverse`` adds the rows of M to an ``Echelon`` with
-  ``add_tagged``, which carries the identity along as ``[M | I]``, and
-  ``inverse(M).apply(b)`` replaces ``solve(M, b)``.  An invertible system
-  has exactly one solution, so every coordinate is the same scalar
-  ``solve`` would give.  A caller that picks the vectors of a basis
-  greedily gets the inverse of that basis from the same pass.
+* a basis that is picked greedily and then inverted is picked and
+  inverted in one pass: each vector enters through ``Echelon.add_tagged``,
+  which carries the identity along as ``[M | I]``, M having the accepted
+  vectors as rows.  Once the span is full, the tag half of the row with
+  pivot p is row p of M^-1.  ``Splitting._build_pair`` picks the columns
+  of [B | H | L] this way and reads its inverse off the tags.  An
+  invertible system has exactly one solution, so every coordinate is the
+  scalar ``solve`` would give.
 
 The RREF of a row space is unique, so these answers do not depend on the
 order in which rows are added and are the same vectors a dense left to
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 __all__ = [
     "Rational", "Scalar", "rational", "quotient", "QPoly", "SparseMatrix", "Echelon",
-    "rank", "kernel_basis", "solve", "inverse",
+    "rank", "kernel_basis", "solve",
 ]
 
 #: The coefficient field.  All structure constants in scope are integers, so
@@ -451,29 +452,6 @@ def kernel_basis(matrix: SparseMatrix) -> list[list[Scalar]]:
                 vec[pc] = -row[fc]
         basis.append(vec)
     return basis
-
-
-def inverse(matrix: SparseMatrix) -> SparseMatrix:
-    """The inverse of a square matrix; ArithmeticError if it is singular.
-
-    One ``Echelon`` pass over the rows of M, tagged by ``add_tagged``: the
-    span is the row space of ``[M | I]``, and its RREF is ``[I | M^-1]``
-    exactly when every row of M is accepted.
-    """
-    n = matrix.rows
-    if matrix.cols != n:
-        raise ValueError("only a square matrix has an inverse")
-    rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
-    for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
-    span = Echelon(n)
-    if not all(span.add_tagged(row) for row in rows):
-        raise ArithmeticError("singular matrix has no inverse")
-    return SparseMatrix(
-        n,
-        n,
-        {(p, c - n): v for p, row in span.rows.items() for c, v in row.items() if c >= n},
-    )
 
 
 def solve(matrix: SparseMatrix, rhs: Sequence[Scalar]) -> list[Scalar] | None:

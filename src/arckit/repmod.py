@@ -63,10 +63,10 @@ def decomposition_poly(lam: Weight, mu: Weight) -> QPoly:
 def decomposition_matrix(m: int, n: int) -> dict[tuple[Weight, Weight], QPoly]:
     ws = weights_in_block(m, n)
     return {
-        (lam, mu): decomposition_poly(lam, mu)
+        (lam, mu): poly
         for lam in ws
         for mu in ws
-        if not decomposition_poly(lam, mu).is_zero()
+        if not (poly := decomposition_poly(lam, mu)).is_zero()
     }
 
 

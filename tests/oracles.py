@@ -26,7 +26,8 @@ kernel under test.
 ``ext_dims_hom_complex`` is the reference Ext dimension count: the rank of
 every d_k of the full hom complex hom(P_•(λ), P_•(μ)) over ``hom_space``,
 each d ranked once.  ``arckit.extalg.ext_dims`` ranks the much smaller
-complex Hom(P_•(λ), M(μ)) and is checked against it.
+complex Hom(P_•(λ), M(μ)) with ``arckit.exact.rank`` and is checked
+against it; the reference ranks with the reference kernel.
 
 ``blocks``, ``block_compose`` and ``block_differential`` are the reference
 hom complex: an element as nested blocks ``{p: {(s, t): AlgebraElement}}``
@@ -48,13 +49,18 @@ every Stasheff term through fresh inner and outer m_n, and each vanishing
 flag by applying Q again.  ``arckit.ainfty`` reads the same quantities off
 one memo per splitting and is checked against these.
 
-``build_pair`` is the reference splitting of one (λ, μ) pair: five
-eliminations of each hom^k, namely the basis from ``ext_basis`` (with
-every check, and the coboundaries eliminated on their own), B and H added
-to a fresh ``Echelon``, the rank of d_k to check that B ⊕ H exhausts the
-cocycles, L completed in the same span, and ``inverse`` of [B | H | L].
-``Splitting._build_pair`` builds each hom^k in one tagged pass and is
-checked against it pair by pair.
+``build_pair`` is the reference splitting of one (λ, μ) pair, with no code
+from ``arckit.exact``.  Each hom^k is split by its own dense elimination:
+B = d(L_{k-1}), then H, each vector of which must raise the dense rank of
+the vectors kept so far, then L, the explicit homotopies in canonical mode
+and then unit vectors.  Generic H is the first vectors of the reference
+``kernel_basis`` of d_k that raise that rank; canonical H is the labelled
+classes built from their closed formulas and the ranges in
+``tests/tables.py``.  The count of that kernel basis checks that B ⊕ H
+exhausts the cocycles, and [B | H | L] is inverted by dense Gauss-Jordan
+on [M | I].  ``Splitting._build_pair`` builds each hom^k in one tagged
+``Echelon`` pass, with H from ``extalg._degree_classes``, and is checked
+against it pair by pair.
 """
 
 from fractions import Fraction
@@ -70,21 +76,22 @@ from arckit.diagrams import (
     weights_by_cup,
     weights_in_block,
 )
-from arckit.exact import Echelon, inverse
-from arckit.exact import rank as echelon_rank
 from arckit.extalg import (
     ExtClass,
     HomElement,
     _differential_matrix,
     _k_range,
     compose,
-    ext_basis,
+    construct_element,
+    hom_element,
     hom_space,
     homotopy_seeds,
     resolution,
     vectorize,
     zero_hom,
 )
+from tables import PRODUCT_LABELS, homotopy_in_range
+from tables import in_range as label_in_range
 
 
 def _block(weight) -> tuple[int, int]:
@@ -131,11 +138,11 @@ def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
             continue
         m[row], m[sel] = m[sel], m[row]
         inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        m[row] = [x * inv if x else x for x in m[row]]
         for r in range(nrows):
             if r != row and m[r][col] != 0:
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
     return m, pivots
@@ -252,7 +259,7 @@ def ext_dims_hom_complex(lam, mu) -> dict[int, int]:
             continue
         for i in (k - 1, k):
             if i not in ranks:
-                ranks[i] = echelon_rank(_differential_matrix(lam, mu, i))
+                ranks[i] = rank(_differential_matrix(lam, mu, i))
         total = len(space) - ranks[k] - ranks[k - 1]
         if total:
             out[k] = total
@@ -554,10 +561,73 @@ def vanishing_report(split, arity: int) -> dict:
     }
 
 
+def _times(matrix: list[list], vec) -> list[Fraction]:
+    """The dense product of a dense matrix (a list of rows) with a vector."""
+    return [sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0)) for row in matrix]
+
+
+class _DenseSpan:
+    """Dense ``Fraction`` rows, each 1 at its pivot (its first nonzero
+    entry) and 0 at the pivots of the rows before it, so one pass in
+    insertion order reduces a vector.  ``add`` keeps a vector iff it
+    raises the rank of the vectors kept so far."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[Fraction]]] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        v = [Fraction(x) for x in vec]
+        for pivot, row in self.rows:
+            if v[pivot]:
+                f = v[pivot]
+                v = [a - f * b if b else a for a, b in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, [x / v[pivot] if x else x for x in v]))
+        return True
+
+
+def _inverse(columns: list, dim: int) -> SparseMatrix:
+    """The inverse of the square matrix with these columns, by dense
+    Gauss-Jordan on [M | I]: its RREF is [I | M^-1]."""
+    entries = {(r, c): v for c, col in enumerate(columns) for r, v in enumerate(col) if v}
+    entries.update({(i, dim + i): 1 for i in range(dim)})
+    m, pivots = _rref(SparseMatrix(dim, 2 * dim, entries))
+    if pivots[:dim] != list(range(dim)):
+        raise ArithmeticError("[B | H | L] is singular")
+    return SparseMatrix(dim, dim, {
+        (r, c): m[r][dim + c] for r in range(dim) for c in range(dim) if m[r][dim + c]
+    })
+
+
+def _labelled_classes(lam, mu) -> list[ExtClass]:
+    """The n = 2 labelled classes from λ to μ, in (k, label) order, built
+    from their closed formulas: each basis label in its defining range,
+    except J and F̃ where H(J) and H(F−F̃) are in range (there d H(J) = J
+    and d H(F−F̃) = F ± F̃); none unless λ ≤ μ."""
+    if not bruhat_leq(lam, mu):
+        return []
+    dropped = {"J": "H(J)", "Ftilde": "H(F-Ftilde)"}
+    classes = [
+        ExtClass(label, lam, mu, construct_element(label, lam, mu))
+        for label in PRODUCT_LABELS
+        if label_in_range(label, lam, mu)
+        and not (label in dropped and homotopy_in_range(dropped[label], lam, mu))
+    ]
+    return sorted(
+        (c for c in classes if not c.element.is_zero()), key=lambda c: (c.k, c.label)
+    )
+
+
 def build_pair(split, lam, mu) -> dict:
     """The splitting of every hom^k(λ, μ), built the slow way."""
     canonical = split.mode == "canonical-n2"
-    labelled = ext_basis(lam, mu) if canonical else ext_basis(lam, mu, method="generic")
+    labelled = _labelled_classes(lam, mu) if canonical else None
+    seeds = homotopy_seeds(lam, mu) if canonical else {}
     out = {}
     l_prev = []
     for k in _k_range(lam, mu):
@@ -567,24 +637,34 @@ def build_pair(split, lam, mu) -> dict:
             out[k] = _SpaceSplit(space, 0, [], l_prev, SparseMatrix.zeros(0, 0))
             l_prev = []
             continue
-        span = Echelon(dim)
-        d_prev = _differential_matrix(lam, mu, k - 1)
-        b_cols = [d_prev.apply(vec) for vec in l_prev]
+        d_k = _differential_matrix(lam, mu, k)
+        cocycles = kernel_basis(d_k)
+        d_prev = _differential_matrix(lam, mu, k - 1).dense()
+        span = _DenseSpan()
+        b_cols = [_times(d_prev, vec) for vec in l_prev]
         if not all(span.add(vec) for vec in b_cols):
             raise ArithmeticError("d is not injective on the chosen L")
-        classes = [c for c in labelled if c.k == k]
-        h_cols = [vectorize(c.element) for c in classes]
-        if not all(span.add(vec) for vec in h_cols):
-            raise ArithmeticError("chosen H representatives meet the coboundaries")
-        if len(span) != dim - echelon_rank(_differential_matrix(lam, mu, k)):
+        if labelled is None:
+            h_cols = [vec for vec in cocycles if span.add(vec)]
+            classes = [
+                ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec)) for vec in h_cols
+            ]
+        else:
+            classes = [c for c in labelled if c.k == k]
+            h_cols = [vectorize(c.element) for c in classes]
+            dense = d_k.dense()
+            if any(any(_times(dense, vec)) for vec in h_cols):
+                raise ArithmeticError("a labelled class is not a cocycle")
+            if not all(span.add(vec) for vec in h_cols):
+                raise ArithmeticError("chosen H representatives meet the coboundaries")
+        if len(span) != len(cocycles):
             raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
         l_cols = []
-        if canonical:
-            for element in homotopy_seeds(lam, mu).get(k, []):
-                vec = vectorize(element)
-                if not span.add(vec):
-                    raise ArithmeticError("homotopy element lies in the cocycles")
-                l_cols.append(vec)
+        for element in seeds.get(k, []):
+            vec = vectorize(element)
+            if not span.add(vec):
+                raise ArithmeticError("homotopy element lies in the cocycles")
+            l_cols.append(vec)
         for i in range(dim):
             if len(span) == dim:
                 break
@@ -595,11 +675,7 @@ def build_pair(split, lam, mu) -> dict:
         if len(span) != dim:
             raise ArithmeticError("failed to complete L to a complement")
         out[k] = _SpaceSplit(
-            space,
-            len(b_cols),
-            classes,
-            l_prev,
-            inverse(SparseMatrix.from_columns(b_cols + h_cols + l_cols, dim)),
+            space, len(b_cols), classes, l_prev, _inverse(b_cols + h_cols + l_cols, dim)
         )
         l_prev = l_cols
     return out

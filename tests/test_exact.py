@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from arckit import QPoly, SparseMatrix, kernel_basis, rank, solve
-from arckit.exact import Echelon, inverse
+from arckit.exact import Echelon
 
 
 class TestQPoly:
@@ -102,10 +102,10 @@ _NON_UNIT = st.sampled_from([-3, -2, 0, 2, 3])
 
 
 @st.composite
-def sparse_matrices(draw, max_dim=5, square=False, entry=st.integers(-3, 3)):
+def sparse_matrices(draw, max_dim=5, entry=st.integers(-3, 3)):
     """Small integer matrices, some rows and columns forced to zero."""
     nrows = draw(st.integers(0, max_dim))
-    ncols = nrows if square else draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
     zero_rows = draw(st.sets(st.integers(0, max_dim)))
     zero_cols = draw(st.sets(st.integers(0, max_dim)))
     entries = {
@@ -118,7 +118,7 @@ def sparse_matrices(draw, max_dim=5, square=False, entry=st.integers(-3, 3)):
 
 
 @st.composite
-def invertible_matrices(draw, max_dim=5, diagonal=st.sampled_from([-2, -1, 1, 3])):
+def invertible_matrices(draw, diagonal, max_dim=5):
     """L·U with rows permuted: L unit lower and U upper triangular with a
     nonzero diagonal, small integer entries."""
     n = draw(st.integers(0, max_dim))
@@ -242,20 +242,6 @@ class TestAgainstReference:
         assert sub.dense() == oracles.restrict(a, rows, cols)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(invertible_matrices(), sparse_matrices(square=True)))
-    def test_inverse(self, a):
-        n = a.rows
-        if oracles.rank(a) < n:
-            with pytest.raises(ArithmeticError):
-                inverse(a)
-            return
-        inv = inverse(a)
-        assert inv @ a == SparseMatrix.identity(n) == a @ inv
-        for i in range(n):
-            unit = [int(r == i) for r in range(n)]
-            assert inv.apply(unit) == oracles.solve(a, unit)
-
-    @settings(max_examples=150, deadline=None)
     @given(
         st.one_of(
             sparse_matrices(entry=_NON_UNIT),
@@ -275,20 +261,6 @@ class TestAgainstReference:
         x = solve(a, b)
         assert x == oracles.solve(a, b)
         assert x is None or oracles.not_exact(x) == []
-        if a.rows == a.cols and oracles.rank(a) == a.rows:
-            inv = inverse(a)
-            assert oracles.not_exact(inv.entries.values()) == []
-            assert inv.apply(b) == x and oracles.not_exact(inv.apply(b)) == []
-            for i in range(a.rows):
-                unit = [int(r == i) for r in range(a.rows)]
-                column = inv.apply(unit)
-                assert column == oracles.solve(a, unit) and oracles.not_exact(column) == []
-
-    def test_inverse_of_a_singular_or_non_square_matrix(self):
-        with pytest.raises(ArithmeticError):
-            inverse(SparseMatrix.from_rows([[1, 2], [2, 4]]))
-        with pytest.raises(ValueError):
-            inverse(SparseMatrix.zeros(2, 3))
 
     def test_from_columns(self):
         columns = [[1, 0, 2], [0, 0, 0], [3, -1, 0]]

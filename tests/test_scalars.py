@@ -16,8 +16,8 @@ from arckit import (
     weights_in_block,
 )
 from arckit.ainfty import composable_tuples
-from arckit.exact import inverse, kernel_basis, rational
-from arckit.extalg import _differential_matrix, _k_range, compose, identity_element
+from arckit.exact import kernel_basis, rational
+from arckit.extalg import _differential_matrix, _k_range, compose, identity_element, vectorize
 from oracles import not_exact
 
 
@@ -84,12 +84,21 @@ class TestHotLayers:
         classes = split.all_h_classes()
         for lam in weights_in_block(*split.block):
             for mu in weights_in_block(*split.block):
-                for data in split._pair(lam, mu).values():
+                pair = split._pair(lam, mu)
+                for k, data in pair.items():
                     assert not_exact(data.inverse.entries.values()) == []
                     assert not_exact(v for vec in data.l_prev for v in vec) == []
                     if data.space:
-                        # the inverse of the inverse is the [B | H | L] matrix
-                        assert not_exact(inverse(data.inverse).entries.values()) == []
+                        # the [B | H | L] matrix: B = d(L_{k-1}), H, and the
+                        # L that the next degree keeps as its preimages
+                        d_prev = _differential_matrix(lam, mu, k - 1)
+                        columns = [d_prev.apply(vec) for vec in data.l_prev]
+                        columns += [vectorize(c.element) for c in data.h_classes]
+                        columns += pair[k + 1].l_prev if k + 1 in pair else []
+                        assert not_exact(v for col in columns for v in col) == []
+                        dim = len(data.space)
+                        matrix = SparseMatrix.from_columns(columns, dim)
+                        assert data.inverse @ matrix == SparseMatrix.identity(dim)
         for chain in composable_tuples(classes, 2):
             product = compose(*chain)
             if product.is_zero():

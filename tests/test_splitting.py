@@ -55,7 +55,7 @@ def split_digest(split) -> str:
 
 
 # sha256 of split_digest, recorded from the build that eliminated each
-# hom^k five times (now oracles.build_pair)
+# hom^k five times
 SPLIT_DIGESTS = {
     (3, 2, "canonical-n2"): "fc71ddcd6fa315118b87531e3045cb62186ceeb6c24b052f1e6dd21c33e6af8e",
     (3, 2, "generic"): "4b35deb2ba783b4723558ad11b4778c860ccfc180c59013ea3cd5aa7d3924751",
@@ -116,6 +116,18 @@ class TestAgainstReference:
                 data.space for data in want.values()
             ]
             assert _pair_record(lam, mu, got) == _pair_record(lam, mu, want)
+
+    def test_a_wrong_choice_of_h_differs_from_the_reference(self, monkeypatch):
+        # the reference picks generic H from its own dense kernel basis, so
+        # a build that walks the kernel basis backwards no longer matches it
+        original = extalg.kernel_basis
+        monkeypatch.setattr(extalg, "kernel_basis", lambda d: original(d)[::-1])
+        split = Splitting(3, 2, "generic")
+        assert any(
+            _pair_record(lam, mu, split._pair(lam, mu))
+            != _pair_record(lam, mu, oracles.build_pair(split, lam, mu))
+            for lam, mu in _pairs(3, 2)
+        )
 
 
 def _coboundary_for_a_class(m, n):
