@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import Weight, length, weights_in_block
-from .exact import Echelon, Scalar, SparseMatrix
+from .exact import Echelon, Scalar
 from .extalg import (
     ExtClass,
     HomElement,
@@ -41,7 +41,6 @@ from .extalg import (
     hom_differential,
     hom_space,
     homotopy_seeds,
-    vectorize,
     zero_hom,
 )
 
@@ -67,8 +66,10 @@ class _SpaceSplit:
     """The decomposition of one hom^k(P_•(λ), P_•(μ)).
 
     B is d of ``l_prev`` (``b_count`` columns), H the representatives of
-    ``h_classes`` and L the next degree's ``l_prev``.  ``inverse`` is the
-    inverse of the matrix with columns [B | H | L]; it comes out of the
+    ``h_classes`` and L the next degree's ``l_prev``, each L vector a
+    sparse ``{index: value}`` dict.  ``inverse[p]`` is column p of the
+    inverse of the matrix with columns [B | H | L], restricted to its B and
+    H rows, the only coordinates Π and Q read; it comes out of the
     ``Echelon`` pass that chose H and L: the columns enter through
     ``add_tagged``, and the tag half of the row with pivot p is column p
     of the inverse.
@@ -77,17 +78,18 @@ class _SpaceSplit:
     space: tuple
     b_count: int
     h_classes: list[ExtClass]
-    l_prev: list[list[Scalar]]  # L-basis of hom^{k-1}, preimages under d
-    inverse: SparseMatrix  # of the matrix with columns [B | H | L]
+    l_prev: list[dict[int, Scalar]]  # L-basis of hom^{k-1}, preimages under d
+    inverse: list[dict[int, Scalar]]  # its B and H rows, column by column
 
 
 class Splitting:
     """The block-wide splitting with projection Π and homotopy Q.
 
     Each (λ, μ) pair is split lazily, once, and cached.  For every hom^k
-    the split stores the inverse of its invertible [B | H | L] column
-    matrix, so the coordinates that Π and Q read are one matrix-vector
-    product, the unique solution a fresh ``solve`` would return.
+    the split stores the B and H rows of the inverse of its invertible
+    [B | H | L] column matrix, so the coordinates that Π and Q read are a
+    sum over the columns at f's support, the unique solution a fresh
+    ``solve`` would return.
 
     Each hom^k is eliminated in one pass (``_build_pair``): B = d(L_{k-1})
     enters first, then H, then L (the explicit homotopies in canonical
@@ -152,52 +154,46 @@ class Splitting:
         if self.mode == "canonical-n2":
             labelled, seeds = _labelled_basis(lam, mu), homotopy_seeds(lam, mu)
         out: dict[int, _SpaceSplit] = {}
-        l_prev: list[list[Scalar]] = []
+        l_prev: list[dict[int, Scalar]] = []
         for k in _k_range(lam, mu):
             space = hom_space(lam, mu, k)
             dim = len(space)
             if dim == 0:
                 if l_prev:  # d vanishes on hom^{k-1}, so L there must be empty
                     raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
-                out[k] = _SpaceSplit(space, 0, [], l_prev, SparseMatrix.zeros(0, 0))
+                out[k] = _SpaceSplit(space, 0, [], l_prev, [])
                 continue
             # one tagged pass adds B = d(L_prev), then H, then L; its tag
             # half ends up as the inverse of [B | H | L]
             span = Echelon(dim)
             if l_prev:
-                image = _differential_matrix(lam, mu, k - 1) @ SparseMatrix.from_columns(
-                    l_prev, len(l_prev[0])
-                )
-                b_cols: list[dict[int, Scalar]] = [{} for _ in l_prev]
-                for (r, c), v in image.entries.items():
-                    b_cols[c][r] = v
-                if not all(span.add_tagged(vec) for vec in b_cols):
+                d_prev = _differential_matrix(lam, mu, k - 1)
+                d_cols: list[dict[int, Scalar]] = [{} for _ in range(d_prev.cols)]
+                for (r, c), v in d_prev.entries.items():
+                    d_cols[c][r] = v
+                if not all(span.add_tagged(_combine(vec, d_cols)) for vec in l_prev):
                     raise ArithmeticError("d is not injective on the chosen L")
             # H: a complement of B = d(hom^{k-1}) inside the cocycles
             classes = _degree_classes(lam, mu, k, span.add_tagged, labelled)
             # L: complement of the cocycles, seeded with the explicit
             # homotopies in canonical mode so that Q(products) matches
             # the closed homotopy table
-            l_cols = [vectorize(element) for element in seeds.get(k, [])]
+            l_cols = [element.coords for element in seeds.get(k, [])]
             if not all(span.add_tagged(vec) for vec in l_cols):
                 raise ArithmeticError("homotopy element lies in the cocycles")
             for i in range(dim):
                 if len(span) == dim:
                     break
-                vec = [0] * dim
-                vec[i] = 1
-                if span.add_tagged(vec):
-                    l_cols.append(vec)
-            # the tag half of the row with pivot p is column p of the inverse
-            inverse = {
-                (c - dim, p): v
-                for p, row in span.rows.items()
-                for c, v in row.items()
-                if c >= dim
-            }
-            out[k] = _SpaceSplit(
-                space, len(l_prev), classes, l_prev, SparseMatrix(dim, dim, inverse)
-            )
+                if span.add_tagged({i: 1}):
+                    l_cols.append({i: 1})
+            # the tag half of the row with pivot p is column p of the
+            # inverse; its tags below ``kept`` are the B and H rows
+            kept = dim + len(l_prev) + len(classes)
+            inverse = [
+                {c - dim: v for c, v in span.rows[p].items() if dim <= c < kept}
+                for p in range(dim)
+            ]
+            out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)
             l_prev = l_cols
         if l_prev:  # the last degree: d vanishes, so L must be empty
             raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
@@ -206,11 +202,13 @@ class Splitting:
 
     # -- the three maps -----------------------------------------------------
 
-    def _coordinates(self, f: HomElement) -> tuple[_SpaceSplit, list[Scalar]]:
+    def _coordinates(self, f: HomElement) -> tuple[_SpaceSplit, dict[int, Scalar]]:
+        """The nonzero B and H coordinates of f, from the inverse columns
+        at f's support."""
         data = self._pair(f.source, f.target).get(f.k)
         if data is None or not data.space:
             raise ValueError("element lies outside the hom complex")
-        return data, data.inverse.apply(f.coords)
+        return data, _combine(f.coords, data.inverse)
 
     def pi(self, f: HomElement) -> HomElement:
         """Projection onto H along B ⊕ L."""
@@ -229,11 +227,11 @@ class Splitting:
         return self._h_coordinates(*self._coordinates(f))
 
     @staticmethod
-    def _h_coordinates(data: _SpaceSplit, coords: list[Scalar]) -> dict:
+    def _h_coordinates(data: _SpaceSplit, coords: dict[int, Scalar]) -> dict:
         return {
             (c.label, c.k, c.j, i): coords[data.b_count + i]
             for i, c in enumerate(data.h_classes)
-            if coords[data.b_count + i]
+            if data.b_count + i in coords
         }
 
     def q(self, f: HomElement) -> HomElement:
@@ -243,14 +241,9 @@ class Splitting:
         return self._q(f, *self._coordinates(f))
 
     @staticmethod
-    def _q(f: HomElement, data: _SpaceSplit, coords: list[Scalar]) -> HomElement:
-        out: dict[int, Scalar] = {}
-        for coeff, preimage in zip(coords[: data.b_count], data.l_prev):
-            if coeff:
-                for row, value in enumerate(preimage):
-                    if value:
-                        out[row] = out.get(row, 0) + coeff * value
-        return HomElement(f.source, f.target, f.k - 1, f.j, _nonzero(out))
+    def _q(f: HomElement, data: _SpaceSplit, coords: dict[int, Scalar]) -> HomElement:
+        b_coords = {i: c for i, c in coords.items() if i < data.b_count}
+        return HomElement(f.source, f.target, f.k - 1, f.j, _combine(b_coords, data.l_prev))
 
     # -- derived data -------------------------------------------------------
 
@@ -334,6 +327,15 @@ class Splitting:
         """``pi_coefficients(lambda_n(chain))`` of a composable chain of this
         splitting's H-classes, read from the memo."""
         return self._entry(self._key(chain))[1]
+
+
+def _combine(coeffs: dict[int, Scalar], vectors) -> dict[int, Scalar]:
+    """Σ coeffs[i]·vectors[i] of sparse ``{index: value}`` vectors."""
+    out: dict[int, Scalar] = {}
+    for i, coeff in coeffs.items():
+        for where, value in vectors[i].items():
+            out[where] = out.get(where, 0) + coeff * value
+    return _nonzero(out)
 
 
 def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:

@@ -28,9 +28,10 @@ all the deterministic conventions used everywhere:
   which carries the identity along as ``[M | I]``, M having the accepted
   vectors as rows.  Once the span is full, the tag half of the row with
   pivot p is row p of M^-1.  ``Splitting._build_pair`` picks the columns
-  of [B | H | L] this way and reads its inverse off the tags.  An
-  invertible system has exactly one solution, so every coordinate is the
-  scalar ``solve`` would give.
+  of [B | H | L] this way and keeps, of each inverse column, only the B
+  and H tags, the coordinates its Π and Q read.  An invertible system has
+  exactly one solution, so every coordinate is the scalar ``solve`` would
+  give.
 
 The RREF of a row space is unique, so these answers do not depend on the
 order in which rows are added and are the same vectors a dense left to
@@ -227,18 +228,6 @@ class SparseMatrix:
             if v != 0
         }
         return SparseMatrix(nrows, ncols, entries)
-
-    @staticmethod
-    def from_columns(
-        columns: Sequence[Sequence[Scalar]], rows: int
-    ) -> "SparseMatrix":
-        entries = {
-            (i, j): v
-            for j, column in enumerate(columns)
-            for i, v in enumerate(column)
-            if v != 0
-        }
-        return SparseMatrix(rows, len(columns), entries)
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":

@@ -58,9 +58,10 @@ and then unit vectors.  Generic H is the first vectors of the reference
 classes built from their closed formulas and the ranges in
 ``tests/tables.py``.  The count of that kernel basis checks that B ⊕ H
 exhausts the cocycles, and [B | H | L] is inverted by dense Gauss-Jordan
-on [M | I].  ``Splitting._build_pair`` builds each hom^k in one tagged
-``Echelon`` pass, with H from ``extalg._degree_classes``, and is checked
-against it pair by pair.
+on [M | I]; like the splitting, it keeps the L vectors sparse and, of each
+inverse column, the B and H rows.  ``Splitting._build_pair`` builds each
+hom^k in one tagged ``Echelon`` pass, with H from
+``extalg._degree_classes``, and is checked against it pair by pair.
 """
 
 from fractions import Fraction
@@ -591,17 +592,20 @@ class _DenseSpan:
         return True
 
 
-def _inverse(columns: list, dim: int) -> SparseMatrix:
-    """The inverse of the square matrix with these columns, by dense
-    Gauss-Jordan on [M | I]: its RREF is [I | M^-1]."""
+def _inverse(columns: list, dim: int, kept: int) -> list[dict]:
+    """The first ``kept`` rows of the inverse of the square matrix with
+    these columns, as one sparse dict per column, by dense Gauss-Jordan on
+    [M | I]: its RREF is [I | M^-1]."""
     entries = {(r, c): v for c, col in enumerate(columns) for r, v in enumerate(col) if v}
     entries.update({(i, dim + i): 1 for i in range(dim)})
     m, pivots = _rref(SparseMatrix(dim, 2 * dim, entries))
     if pivots[:dim] != list(range(dim)):
         raise ArithmeticError("[B | H | L] is singular")
-    return SparseMatrix(dim, dim, {
-        (r, c): m[r][dim + c] for r in range(dim) for c in range(dim) if m[r][dim + c]
-    })
+    return [{r: m[r][dim + c] for r in range(kept) if m[r][dim + c]} for c in range(dim)]
+
+
+def _sparse(vectors: list) -> list[dict]:
+    return [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
 
 
 def _labelled_classes(lam, mu) -> list[ExtClass]:
@@ -634,7 +638,7 @@ def build_pair(split, lam, mu) -> dict:
         space = hom_space(lam, mu, k)
         dim = len(space)
         if dim == 0:
-            out[k] = _SpaceSplit(space, 0, [], l_prev, SparseMatrix.zeros(0, 0))
+            out[k] = _SpaceSplit(space, 0, [], _sparse(l_prev), [])
             l_prev = []
             continue
         d_k = _differential_matrix(lam, mu, k)
@@ -674,8 +678,7 @@ def build_pair(split, lam, mu) -> dict:
                 l_cols.append(vec)
         if len(span) != dim:
             raise ArithmeticError("failed to complete L to a complement")
-        out[k] = _SpaceSplit(
-            space, len(b_cols), classes, l_prev, _inverse(b_cols + h_cols + l_cols, dim)
-        )
+        inverse = _inverse(b_cols + h_cols + l_cols, dim, len(b_cols) + len(h_cols))
+        out[k] = _SpaceSplit(space, len(b_cols), classes, _sparse(l_prev), inverse)
         l_prev = l_cols
     return out

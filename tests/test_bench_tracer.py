@@ -1,4 +1,5 @@
-"""The benchmark's span tracer still finds every name it wraps.
+"""The benchmark's span tracer still finds every name it wraps, and the
+splitting still holds the data the benchmark worker reads.
 
 ``benchmarks/tracer.py`` rebinds ``arckit`` functions and methods by name
 for traced benchmark runs, so a rename in ``src/`` would only show up when
@@ -11,6 +12,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from arckit import build_splitting
+from arckit.extalg import hom_space
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +52,16 @@ def test_tracer_installs_on_every_module():
     spans = result["spans"]
     assert spans["resolve.cache.load"]["calls"] == 1
     assert spans["resolve.cache.store"]["calls"] == 1
+
+
+def test_the_splitting_keeps_what_the_worker_reads():
+    # under --trace 1, benchmarks/worker.py counts ainfty.h_dim and
+    # ainfty.hom_dim off split._pairs and each _SpaceSplit's h_classes and space
+    split = build_splitting(2, 2, "canonical-n2")
+    classes = split.all_h_classes()
+    assert sum(len(s.h_classes) for pair in split._pairs.values() for s in pair.values()) == (
+        len(classes)
+    )
+    for (lam, mu), pair in split._pairs.items():
+        for k, s in pair.items():
+            assert len(s.space) == len(hom_space(lam, mu, k))

@@ -261,9 +261,3 @@ class TestAgainstReference:
         x = solve(a, b)
         assert x == oracles.solve(a, b)
         assert x is None or oracles.not_exact(x) == []
-
-    def test_from_columns(self):
-        columns = [[1, 0, 2], [0, 0, 0], [3, -1, 0]]
-        assert SparseMatrix.from_columns(columns, 3) == (
-            SparseMatrix.from_rows(columns).transpose()
-        )

@@ -86,25 +86,36 @@ class TestHotLayers:
             for mu in weights_in_block(*split.block):
                 pair = split._pair(lam, mu)
                 for k, data in pair.items():
-                    assert not_exact(data.inverse.entries.values()) == []
-                    assert not_exact(v for vec in data.l_prev for v in vec) == []
+                    assert not_exact(v for col in data.inverse for v in col.values()) == []
+                    assert not_exact(v for vec in data.l_prev for v in vec.values()) == []
                     if data.space:
                         # the [B | H | L] matrix: B = d(L_{k-1}), H, and the
                         # L that the next degree keeps as its preimages
+                        dim = len(data.space)
                         d_prev = _differential_matrix(lam, mu, k - 1)
                         columns = [d_prev.apply(vec) for vec in data.l_prev]
                         columns += [vectorize(c.element) for c in data.h_classes]
-                        columns += pair[k + 1].l_prev if k + 1 in pair else []
+                        l_next = pair[k + 1].l_prev if k + 1 in pair else []
+                        columns += [[vec.get(i, 0) for i in range(dim)] for vec in l_next]
                         assert not_exact(v for col in columns for v in col) == []
-                        dim = len(data.space)
-                        matrix = SparseMatrix.from_columns(columns, dim)
-                        assert data.inverse @ matrix == SparseMatrix.identity(dim)
+                        matrix = SparseMatrix.from_rows(columns).transpose()
+                        # the stored B and H rows of the inverse, times the
+                        # matrix, are the B and H rows of the identity
+                        kept = data.b_count + len(data.h_classes)
+                        stored = SparseMatrix(kept, dim, {
+                            (r, p): v
+                            for p, col in enumerate(data.inverse)
+                            for r, v in col.items()
+                        })
+                        assert stored @ matrix == SparseMatrix(
+                            kept, dim, {(i, i): 1 for i in range(kept)}
+                        )
         for chain in composable_tuples(classes, 2):
             product = compose(*chain)
             if product.is_zero():
                 continue
             _, coords = split._coordinates(product)
-            assert not_exact(coords) == []
+            assert not_exact(coords.values()) == []
             assert not_exact(split.pi_coefficients(product).values()) == []
             assert not_exact(split.pi(product).coords.values()) == []
             assert not_exact(split.q(product).coords.values()) == []

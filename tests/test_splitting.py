@@ -32,7 +32,8 @@ def _pairs(m, n):
 
 def _pair_record(lam, mu, pair) -> list:
     """Every k of one pair: b_count, the H coordinates and shifts, the
-    L-preimages of the previous degree and the inverse entries."""
+    L-preimages of the previous degree and the stored B and H rows of each
+    inverse column."""
     return [
         (
             str(lam),
@@ -40,8 +41,8 @@ def _pair_record(lam, mu, pair) -> list:
             k,
             data.b_count,
             [(c.label, c.element.j, sorted(c.element.coords.items())) for c in data.h_classes],
-            data.l_prev,
-            sorted(data.inverse.entries.items()),
+            [sorted(vec.items()) for vec in data.l_prev],
+            [sorted(column.items()) for column in data.inverse],
         )
         for k, data in sorted(pair.items())
     ]
@@ -54,13 +55,14 @@ def split_digest(split) -> str:
     return digest.hexdigest()
 
 
-# sha256 of split_digest, recorded from the build that eliminated each
-# hom^k five times
+# sha256 of split_digest, recorded from the build that kept dense L vectors
+# and the whole inverse: its L written sparsely and its inverse restricted
+# to the B and H rows give these same digests
 SPLIT_DIGESTS = {
-    (3, 2, "canonical-n2"): "fc71ddcd6fa315118b87531e3045cb62186ceeb6c24b052f1e6dd21c33e6af8e",
-    (3, 2, "generic"): "4b35deb2ba783b4723558ad11b4778c860ccfc180c59013ea3cd5aa7d3924751",
-    (2, 3, "generic"): "fd16dd9116b702a5d9e1347bc5b1c3d6cab3825b2912c8cd9192186d7fd8195f",
-    (4, 2, "canonical-n2"): "ca17287be6ee5a03e912c199ec306c98d24aeb28d3ff4e614ff40ce42b339aa3",
+    (3, 2, "canonical-n2"): "4ba7da3107a43a42547aa5a7f19905abb08f0efd348f9478d9d9c37e25f7c6d9",
+    (3, 2, "generic"): "dd30bef689f775ac9a7e89cd4b1bf7dcc0ee4379d7c9c2b3703089141b7c01d3",
+    (2, 3, "generic"): "8ffa928aeaa95f7f0fb346d06fce6a5e993cecda477a68f10ff98dc3d956ad72",
+    (4, 2, "canonical-n2"): "f34a6bee1571194460264ab0273d01f9737d98f4646c82a3f1635a914cf82804",
 }
 
 # sha256 of the stdout of `arckit ainfty ... --format json`
@@ -73,6 +75,12 @@ CLI_DIGESTS = {
     ),
     ("-m", "3", "-n", "2", "--mode", "generic", "--max-arity", "4"): (
         "de7eb20afa929d05f6db78810bdb1b05985c5099d2ecf27fe19db9e0b6234198"
+    ),
+    ("-m", "4", "-n", "2", "--mode", "canonical", "--max-arity", "5"): (
+        "a9e502afdfc54674fd91de1b8a772abb03ce63dd82aca3e0fac2337987620b86"
+    ),
+    ("-m", "2", "-n", "3", "--max-arity", "5"): (
+        "9f7c2b333b26a634150c5cfaf223a3c1e22bc172c0452b47d3edd44819fc4913"
     ),
 }
 
