@@ -218,18 +218,6 @@ class SparseMatrix:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {
-            (i, j): v
-            for i, row in enumerate(rows)
-            for j, v in enumerate(row)
-            if v != 0
-        }
-        return SparseMatrix(nrows, ncols, entries)
-
-    @staticmethod
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
 

@@ -454,6 +454,17 @@ def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> AlgebraElement:
     return AlgebraElement.from_diagram(found[0])
 
 
+@lru_cache(maxsize=None)
+def _summand_index(lam: Weight, p: int) -> dict[tuple[tuple[int, int], str], int]:
+    """The index of each summand of component p of the resolution of M(λ),
+    keyed by the summand's (s|t) and A/B type, in summand order."""
+    component = resolution(lam).components[p]
+    index = {(nu.to_kl(), _ab_type(lam, nu, p)): s for s, (nu, _) in enumerate(component)}
+    if len(index) != len(component):
+        raise AssertionError(f"two summands of component {p} share (s|t) and type")
+    return index
+
+
 def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElement:
     """Assemble a hom element from per-summand component rules.
 
@@ -468,12 +479,9 @@ def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElemen
         q = p - k
         if not 0 <= q < len(tgt):
             continue
-        index = {}
-        for t, (nu2, _) in enumerate(tgt.components[q]):
-            index[(nu2.to_kl(), _ab_type(mu, nu2, q))] = t
-        for s, (nu, _) in enumerate(comp):
-            S, T = nu.to_kl()
-            typ = _ab_type(lam, nu, p)
+        index = _summand_index(mu, q)
+        for ((S, T), typ), s in _summand_index(lam, p).items():
+            nu = comp[s][0]
             for S2, T2, typ2, exponent in rules(S, T, typ):
                 if not 0 <= T2 < S2:
                     continue

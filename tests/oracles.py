@@ -13,6 +13,8 @@ can be checked against it for exact equality.
 ``not_exact`` is the reference scalar convention: it lists the values
 that are neither an ``int`` nor a ``Fraction`` with denominator > 1.
 
+``from_rows`` builds a sparse matrix from dense rows for the tests.
+
 ``restrict`` is the reference graded submatrix: dense row and column
 slicing, to check ``SparseMatrix.restrict`` against.
 
@@ -28,6 +30,12 @@ every d_k of the full hom complex hom(P_•(λ), P_•(μ)) over ``hom_space``,
 each d ranked once.  ``arckit.extalg.ext_dims`` ranks the much smaller
 complex Hom(P_•(λ), M(μ)) with ``arckit.exact.rank`` and is checked
 against it; the reference ranks with the reference kernel.
+
+``surgery_product_reference`` is the reference surgery product: vertices
+are (line, position) pairs, a state is a tuple of labels, and every cut
+finds the components it reads again by a depth-first walk for every state.
+``arckit.arcalg`` compiles the cuts of each cup/cap triple once into
+bitmask steps and is checked against it, term order included.
 
 ``blocks``, ``block_compose`` and ``block_differential`` are the reference
 hom complex: an element as nested blocks ``{p: {(s, t): AlgebraElement}}``
@@ -71,6 +79,7 @@ from arckit.ainfty import _class_key, _SpaceSplit, composable_tuples
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
     OrientedCircleDiagram,
+    Weight,
     associated_cap_diagram,
     associated_cup_diagram,
     cup_oriented,
@@ -186,6 +195,12 @@ def not_exact(values) -> list:
         for v in values
         if not (type(v) is int or (type(v) is Fraction and v.denominator > 1))
     ]
+
+
+def from_rows(rows) -> SparseMatrix:
+    """The sparse matrix with these dense rows."""
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
 
 
 def restrict(matrix: SparseMatrix, rows, cols) -> list[list[Fraction]]:
@@ -339,6 +354,157 @@ def constructed_hom_basis(alpha, beta) -> list:
         except ValueError:
             continue
     return out
+
+
+# ---------------------------------------------------------------------------
+# the surgery product by a depth-first walk per state
+# ---------------------------------------------------------------------------
+#
+# Vertices are (line, position) pairs and a state is a dict of labels; every
+# component is found again, by a depth-first walk, for every state it is
+# needed for.
+
+
+_FLIP = {"^": "v", "v": "^"}
+
+
+def _partners(cups) -> dict[int, int]:
+    return {p: q for i, j in cups for p, q in ((i, j), (j, i))}
+
+
+def _leftmost(vertices):
+    return min(vertices, key=lambda v: (v[1], v[0]))
+
+
+class _Geometry:
+    """The arcs of one stacked basis pair, cut open one middle pair at a
+    time by ``steps``."""
+
+    def __init__(self, a, b, d):
+        self.size = a.size
+        self.vertices = [(l, p) for l in (0, 1) for p in range(self.size)]
+        # infinite ends: line-0 rays of a (down), line-1 rays of d (up)
+        self.infinite_ends = {(0, p) for p in a.rays} | {(1, p) for p in d.rays}
+        self.outer = (_partners(a.cups), _partners(d.cups))
+        self.middle = _partners(b.cups)
+        self.verticals = set(b.rays)
+
+    def middle_pairs(self):
+        return sorted((i, j) for i, j in self.middle.items() if i < j)
+
+    def propagate(self, start, label) -> dict:
+        """The labels of start's component when start carries ``label``."""
+        labels = {start: label}
+        stack = [start]
+        while stack:
+            line, p = v = stack.pop()
+            arcs = []
+            if p in self.outer[line]:
+                arcs.append(((line, self.outer[line][p]), _FLIP[labels[v]]))
+            if p in self.middle:
+                arcs.append(((line, self.middle[p]), _FLIP[labels[v]]))
+            elif p in self.verticals:
+                arcs.append(((1 - line, p), labels[v]))
+            for w, want in arcs:
+                if w not in labels:
+                    labels[w] = want
+                    stack.append(w)
+                elif labels[w] != want:
+                    raise AssertionError("a component has no consistent orientation")
+        return labels
+
+    def component(self, v) -> list:
+        return sorted(self.propagate(v, "^"))
+
+    def kind(self, vertices, labels) -> str:
+        """'y' for a line, else '1' or 'x' by the leftmost vertex's label."""
+        if any(v in self.infinite_ends for v in vertices):
+            return "y"
+        return "1" if labels[_leftmost(vertices)] == "v" else "x"
+
+    def circle(self, vertices, kind) -> dict:
+        """Labeling of a circle: kind '1' = 'v' at the leftmost vertex, 'x' = '^'."""
+        return self.propagate(_leftmost(vertices), "v" if kind == "1" else "^")
+
+    def line(self, vertices, labels) -> dict:
+        """Labeling of a line keeping the labels at its infinite ends."""
+        first, *others = [v for v in vertices if v in self.infinite_ends]
+        out = self.propagate(first, labels[first])
+        if any(out[e] != labels[e] for e in others):
+            raise AssertionError("surgery could not preserve a line's ends")
+        return out
+
+    def steps(self, pair_picker=None):
+        """Cut the middle pairs open one at a time, yielding the components
+        through the cap and the cup before the cut (the same list when they
+        are one component) and the components formed after it."""
+        while self.middle:
+            pairs = self.middle_pairs()
+            admissible = [
+                (i, j) for i, j in pairs if not any(k < i and j < l for k, l in pairs)
+            ]
+            i, j = pair_picker(admissible) if pair_picker else admissible[0]
+            cap = self.component((0, i))
+            cup = cap if (1, i) in cap else self.component((1, i))
+            del self.middle[i], self.middle[j]
+            self.verticals |= {i, j}
+            after = [self.component((0, i))]
+            if (0, j) not in after[0]:
+                after = sorted(after + [self.component((0, j))])
+            yield cap, cup, after
+
+
+def _apply_rule(geometry, labels, cap, cup, after) -> list[dict]:
+    """The relabelings of the components ``after`` that one cut gives one
+    state, each with coefficient 1."""
+    if cap is cup:
+        kind = geometry.kind(cap, labels)
+        if kind == "y":  # y -> x⊗y
+            circle, line = sorted(after, key=lambda g: geometry.kind(g, labels) == "y")
+            return [{**geometry.circle(circle, "x"), **geometry.line(line, labels)}]
+        first, second = after
+        kinds = (("1", "x"), ("x", "1")) if kind == "1" else (("x", "x"),)
+        return [
+            {**geometry.circle(first, k1), **geometry.circle(second, k2)}
+            for k1, k2 in kinds
+        ]
+    kinds = {geometry.kind(cap, labels), geometry.kind(cup, labels)}
+    if kinds == {"y"}:  # y⊗y -> y⊗y when the lines' ends are all '^' and all 'v'
+        ends = {
+            frozenset(labels[v] for v in g if v in geometry.infinite_ends)
+            for g in (cap, cup)
+        }
+        if ends != {frozenset("^"), frozenset("v")}:
+            return []
+        return [{v: s for g in after for v, s in geometry.line(g, labels).items()}]
+    if "x" in kinds and "1" not in kinds:  # x⊗x, x⊗y -> 0
+        return []
+    (merged,) = after
+    if "y" in kinds:  # 1⊗y -> y
+        return [geometry.line(merged, labels)]
+    return [geometry.circle(merged, "x" if "x" in kinds else "1")]
+
+
+def surgery_product_reference(a, lam, b, mu, d, pair_picker=None) -> list:
+    """The product of (a, λ, b) and (b*, μ, d) as a list of (diagram,
+    coefficient) terms, in the order the states arise: every state is a
+    dict of labels, carried through the cuts of ``_Geometry.steps``."""
+    geometry = _Geometry(a, b, d)
+    states = {lam.labels + mu.labels: 1}
+    for cap, cup, after in geometry.steps(pair_picker):
+        new_states = {}
+        for state, coeff in states.items():
+            labels = dict(zip(geometry.vertices, state))
+            for relabel in _apply_rule(geometry, labels, cap, cup, after):
+                key = tuple({**labels, **relabel}.values())
+                new_states[key] = new_states.get(key, 0) + coeff
+        if not new_states:
+            return []
+        states = new_states
+    size = geometry.size
+    if any(state[:size] != state[size:] for state in states):
+        raise AssertionError("number lines disagree after surgery")
+    return [(OrientedCircleDiagram(a, Weight(s[:size]), d), c) for s, c in states.items()]
 
 
 # ---------------------------------------------------------------------------

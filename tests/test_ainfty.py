@@ -19,7 +19,7 @@ from arckit.ainfty import (
     composable_tuples,
     lambda_degree_bound_holds,
 )
-from arckit.exact import SparseMatrix, solve
+from arckit.exact import solve
 from arckit.extalg import (
     _differential_matrix,
     basis_hom_element,
@@ -70,7 +70,7 @@ def _splitting_matrix(split, lam, mu, k):
     l_cols = [[v.get(i, 0) for i in range(dim)] for v in l_next]
     columns = b_cols + h_cols + l_cols
     assert len(columns) == dim
-    return SparseMatrix.from_rows(columns).transpose()
+    return oracles.from_rows(columns).transpose()
 
 
 class TestCoordinates:

@@ -24,13 +24,14 @@ from arckit import (
 )
 from arckit.arcalg import (
     _basis_product,
+    _plan,
     _surgery_product,
     algebra_dimension,
     basis_product,
     hom_basis,
 )
 from arckit.cli import render_trace_svg
-from oracles import constructed_hom_basis
+from oracles import constructed_hom_basis, surgery_product_reference
 
 
 def _elt(d):
@@ -185,6 +186,34 @@ def _composable_pairs(m, n):
     ]
 
 
+class TestAgainstReference:
+    """The compiled surgery against the depth-first reference of
+    ``tests/oracles.py``: the same terms, coefficients and term order."""
+
+    def test_every_stacked_pair_in_every_cut_order(self):
+        # (3|2) and (2|3) share cup/cap triples, so (2|3) also runs on plans
+        # that (3|2) compiled
+        _plan.cache_clear()
+        for m, n in ((2, 2), (3, 2), (2, 3), (4, 2)):
+            pairs = _composable_pairs(m, n)
+            made = _plan.cache_info().currsize
+            for seed, (d1, d2) in enumerate(pairs):
+                args = (d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
+                # each side gets its own picker: a seeded rng draws the same cuts
+                for picker in (
+                    lambda: None,
+                    lambda: lambda admissible: admissible[-1],
+                    lambda: random.Random(seed).choice,
+                ):
+                    expected = surgery_product_reference(*args, picker())
+                    assert list(_surgery_product(*args, picker())) == expected
+            triples = {(d1.cup, d1.cap, d2.cap) for d1, d2 in pairs}
+            if (m, n) == (2, 3):
+                assert _plan.cache_info().currsize - made < len(triples)
+            else:
+                assert _plan.cache_info().currsize - made == len(triples)
+
+
 class TestProductMemo:
     """``multiply`` reads basis products from a memo; it must agree with a
     fresh surgery on every composable pair, cold and warm."""
@@ -214,6 +243,9 @@ class TestProductMemo:
 
 
 WALK_DIGEST = "598126a347899b4940d8ca82cf0678a717d601bbd8097f5a944daaf141cd8a6b"
+# every product of the 2,221 stacked pairs of basis(4, 2), in basis order;
+# recorded from the depth-first surgery before cuts were compiled
+TABLE_42_DIGEST = "61fed2b00fb7907e26dc8edaceee6ad2d10cd1516f23018d54d2f1bf3cb348fd"
 
 
 class TestSurgeryTrace:
@@ -265,6 +297,14 @@ class TestSurgeryTrace:
                     svg = "zero"
                 digest.update(svg.encode())
         assert digest.hexdigest() == WALK_DIGEST
+
+    def test_the_42_product_table_matches_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        pairs = _composable_pairs(4, 2)
+        for d1, d2 in pairs:
+            digest.update(repr([(str(d), str(c)) for d, c in basis_product(d1, d2)]).encode())
+        assert len(pairs) == 2221
+        assert digest.hexdigest() == TABLE_42_DIGEST
 
 
 class TestFunctor:

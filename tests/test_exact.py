@@ -43,10 +43,6 @@ class TestQPoly:
         assert (p + q)(3) == p(3) + q(3)
 
 
-def _random_matrix(draw_rows):
-    return SparseMatrix.from_rows(draw_rows)
-
-
 matrix_strategy = st.integers(1, 5).flatmap(
     lambda cols: st.lists(
         st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
@@ -58,14 +54,14 @@ matrix_strategy = st.integers(1, 5).flatmap(
 
 class TestSparseMatrix:
     def test_rank_known(self):
-        a = SparseMatrix.from_rows([[1, 2], [2, 4], [0, 1]])
+        a = oracles.from_rows([[1, 2], [2, 4], [0, 1]])
         assert rank(a) == 2
         assert rank(SparseMatrix.zeros(3, 4)) == 0
         assert rank(SparseMatrix.identity(5)) == 5
 
     def test_matmul_and_apply(self):
-        a = SparseMatrix.from_rows([[1, 2], [3, 4]])
-        b = SparseMatrix.from_rows([[0, 1], [1, 0]])
+        a = oracles.from_rows([[1, 2], [3, 4]])
+        b = oracles.from_rows([[0, 1], [1, 0]])
         assert (a @ b).dense() == [[2, 1], [4, 3]]
         assert a.apply([1, 1]) == [3, 7]
         assert a.apply({1: 1}) == a.apply([0, 1]) == [2, 4]
@@ -76,7 +72,7 @@ class TestSparseMatrix:
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy)
     def test_rank_nullity(self, rows):
-        a = _random_matrix(rows)
+        a = oracles.from_rows(rows)
         kernel = kernel_basis(a)
         assert rank(a) + len(kernel) == a.cols
         for vec in kernel:
@@ -85,7 +81,7 @@ class TestSparseMatrix:
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
     def test_solve_consistent_system(self, rows, x0):
-        a = _random_matrix(rows)
+        a = oracles.from_rows(rows)
         x0 = (x0 * a.cols)[: a.cols]
         b = a.apply(x0)
         x = solve(a, b)
@@ -93,7 +89,7 @@ class TestSparseMatrix:
         assert a.apply(x) == [Fraction(v) for v in b]
 
     def test_solve_inconsistent(self):
-        a = SparseMatrix.from_rows([[1, 0], [1, 0]])
+        a = oracles.from_rows([[1, 0], [1, 0]])
         assert solve(a, [1, 2]) is None
 
 
@@ -183,7 +179,7 @@ class TestAgainstReference:
         picked = [v for v in vectors if span.add(v)]
         expected = []
         for v in vectors:
-            trial = SparseMatrix.from_rows(expected + [v])
+            trial = oracles.from_rows(expected + [v])
             if oracles.rank(trial) > len(expected):
                 expected.append(v)
         assert picked == expected
@@ -218,7 +214,7 @@ class TestAgainstReference:
             (p, c - width): v for p, row in tagged.rows.items() for c, v in row.items()
             if c >= width
         })
-        a = SparseMatrix.from_rows(picked)
+        a = oracles.from_rows(picked)
         assert tags @ a == SparseMatrix.identity(width)
         for i in range(width):
             unit = [int(r == i) for r in range(width)]

@@ -18,7 +18,7 @@ from arckit import (
 from arckit.ainfty import composable_tuples
 from arckit.exact import kernel_basis, rational
 from arckit.extalg import _differential_matrix, _k_range, compose, identity_element, vectorize
-from oracles import not_exact
+from oracles import from_rows, not_exact
 
 
 def _differential_coefficients(complex_):
@@ -98,7 +98,7 @@ class TestHotLayers:
                         l_next = pair[k + 1].l_prev if k + 1 in pair else []
                         columns += [[vec.get(i, 0) for i in range(dim)] for vec in l_next]
                         assert not_exact(v for col in columns for v in col) == []
-                        matrix = SparseMatrix.from_rows(columns).transpose()
+                        matrix = from_rows(columns).transpose()
                         # the stored B and H rows of the inverse, times the
                         # matrix, are the B and H rows of the identity
                         kept = data.b_count + len(data.h_classes)
