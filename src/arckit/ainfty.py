@@ -70,9 +70,10 @@ class _SpaceSplit:
     sparse ``{index: value}`` dict.  ``inverse[p]`` is column p of the
     inverse of the matrix with columns [B | H | L], restricted to its B and
     H rows, the only coordinates Π and Q read; it comes out of the
-    ``Echelon`` pass that chose H and L: the columns enter through
-    ``add_tagged``, and the tag half of the row with pivot p is column p
-    of the inverse.
+    ``Echelon`` pass that chose H and L: the B and H columns enter through
+    ``add_tagged`` and the L columns through ``add``, and the tag half of
+    the row with pivot p is column p of the inverse, restricted to the B
+    and H rows.
     """
 
     space: tuple
@@ -93,8 +94,9 @@ class Splitting:
 
     Each hom^k is eliminated in one pass (``_build_pair``): B = d(L_{k-1})
     enters first, then H, then L (the explicit homotopies in canonical
-    mode, then unit vectors until the span is full), each column through
-    ``Echelon.add_tagged``, whose tags make the inverse.  H comes from
+    mode, then unit vectors until the span is full).  B and H enter
+    through ``Echelon.add_tagged``, whose tags make the B and H rows of the
+    inverse, and L through ``Echelon.add``.  H comes from
     ``extalg._degree_classes``, as in ``ext_basis``: B = d(L_{k-1}) spans
     d(hom^{k-1}), so both pick the same classes.  No rank of d_k is needed
     to see that B ⊕ H is all of the cocycles Z: H are cocycles and B ⊆ Z,
@@ -163,8 +165,8 @@ class Splitting:
                     raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
                 out[k] = _SpaceSplit(space, 0, [], l_prev, [])
                 continue
-            # one tagged pass adds B = d(L_prev), then H, then L; its tag
-            # half ends up as the inverse of [B | H | L]
+            # one pass adds B = d(L_prev) and H tagged, then L untagged; its
+            # tag half ends up as the B and H rows of the inverse of [B | H | L]
             span = Echelon(dim)
             if l_prev:
                 d_prev = _differential_matrix(lam, mu, k - 1)
@@ -179,18 +181,17 @@ class Splitting:
             # homotopies in canonical mode so that Q(products) matches
             # the closed homotopy table
             l_cols = [element.coords for element in seeds.get(k, [])]
-            if not all(span.add_tagged(vec) for vec in l_cols):
+            if not all(span.add(vec) for vec in l_cols):
                 raise ArithmeticError("homotopy element lies in the cocycles")
             for i in range(dim):
                 if len(span) == dim:
                     break
-                if span.add_tagged({i: 1}):
+                if span.add({i: 1}):
                     l_cols.append({i: 1})
             # the tag half of the row with pivot p is column p of the
-            # inverse; its tags below ``kept`` are the B and H rows
-            kept = dim + len(l_prev) + len(classes)
+            # inverse, restricted to its B and H rows
             inverse = [
-                {c - dim: v for c, v in span.rows[p].items() if dim <= c < kept}
+                {c - dim: v for c, v in span.rows[p].items() if c >= dim}
                 for p in range(dim)
             ]
             out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)

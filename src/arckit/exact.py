@@ -11,6 +11,11 @@ all the deterministic conventions used everywhere:
   elements) goes through it.  The structure constants are integers, so
   almost all arithmetic stays on ints; a float is never a scalar, and
   ``/`` is never applied to two ints (``quotient`` divides exactly);
+* a vector is a sparse ``{index: scalar}`` dict, the one format in and
+  out of this module: ``Echelon`` takes such dicts, and ``kernel_basis``,
+  ``solve`` and ``SparseMatrix.apply`` return them, holding only the
+  nonzero entries in increasing index order.  An index outside the
+  vector's length raises ValueError;
 * the one elimination is ``Echelon``: the reduced row echelon form (RREF)
   of a span, stored as sparse ``{col: scalar}`` rows keyed by pivot
   column and grown one vector at a time.  ``add`` reduces the new vector
@@ -27,9 +32,11 @@ all the deterministic conventions used everywhere:
   inverted in one pass: each vector enters through ``Echelon.add_tagged``,
   which carries the identity along as ``[M | I]``, M having the accepted
   vectors as rows.  Once the span is full, the tag half of the row with
-  pivot p is row p of M^-1.  ``Splitting._build_pair`` picks the columns
-  of [B | H | L] this way and keeps, of each inverse column, only the B
-  and H tags, the coordinates its Π and Q read.  An invertible system has
+  pivot p is row p of M^-1, restricted to the columns of the tagged
+  vectors.  ``Splitting._build_pair`` picks the columns of [B | H | L]
+  this way: B and H enter tagged and L through ``add``, since Π and Q read
+  only the B and H coordinates.  Both accept a vector only when its
+  remainder has a column below the width.  An invertible system has
   exactly one solution, so every coordinate is the scalar ``solve`` would
   give.
 
@@ -288,20 +295,17 @@ class SparseMatrix:
                 out[(r, c)] = out.get((r, c), 0) + v * w
         return SparseMatrix(self.rows, other.cols, out)
 
-    def apply(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> list[Scalar]:
-        """The product with a dense vector or a sparse ``{col: value}`` one."""
-        if not isinstance(vec, Mapping):
-            if len(vec) != self.cols:
-                raise ValueError("vector length mismatch")
-            vec = dict(enumerate(vec))
-        x = {c: v for c, v in vec.items() if v}
-        if not all(0 <= c < self.cols for c in x):
+    def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
+        """The product with a sparse ``{col: value}`` vector, as a sparse
+        ``{row: value}`` one."""
+        if vec and (min(vec) < 0 or max(vec) >= self.cols):
             raise ValueError("vector index out of range")
-        out = [0] * self.rows
+        out: dict[int, Scalar] = {}
         for (r, c), v in self.entries.items():
-            if c in x:
-                out[r] += v * x[c]
-        return [rational(v) for v in out]
+            x = vec.get(c)
+            if x:
+                out[r] = out.get(r, 0) + v * x
+        return {r: rational(v) for r, v in sorted(out.items()) if v}
 
 
 def _subtract(target: dict[int, Scalar], f: Scalar, row: dict[int, Scalar]) -> None:
@@ -328,16 +332,16 @@ class Echelon:
         self.rows: dict[int, dict[int, Scalar]] = {}
 
     @staticmethod
-    def of_rows(
-        matrix: SparseMatrix, rhs: Sequence[Scalar] | None = None
-    ) -> "Echelon":
+    def of_rows(matrix: SparseMatrix, rhs: Mapping[int, Scalar] | None = None) -> "Echelon":
         """The RREF of the matrix rows, with ``rhs`` as an extra last column."""
         rows: dict[int, dict[int, Scalar]] = {}
         for (r, c), v in matrix.entries.items():
             rows.setdefault(r, {})[c] = v
         width = matrix.cols
         if rhs is not None:
-            for r, v in enumerate(rhs):
+            if rhs and (min(rhs) < 0 or max(rhs) >= matrix.rows):
+                raise ValueError("rhs index out of range")
+            for r, v in rhs.items():
                 if v:
                     rows.setdefault(r, {})[width] = v
             width += 1
@@ -349,12 +353,10 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> dict[int, Scalar]:
+    def reduce(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """The remainder of ``vec`` modulo the span, 0 at every pivot column."""
-        if not isinstance(vec, Mapping):
-            if len(vec) != self.width:
-                raise ValueError("vector length does not match the span width")
-            vec = dict(enumerate(vec))
+        if vec and (min(vec) < 0 or max(vec) >= self.width):
+            raise ValueError("vector index outside the span width")
         out = {c: rational(v) for c, v in vec.items() if v}
         rows = self.rows
         # each row is 0 at the other pivots, so one pass clears them all
@@ -362,38 +364,35 @@ class Echelon:
             _subtract(out, out[p], rows[p])
         return out
 
-    def add(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
-        """Extend the span by ``vec``; False, with no change, if it lies in it."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        self._insert(row)
-        return True
+    def add(self, vec: Mapping[int, Scalar]) -> bool:
+        """Extend the span by ``vec``; False, with no change, if it lies in
+        it, that is if its remainder has no column below ``width``."""
+        return self._extend(vec, None)
 
-    def add_tagged(self, vec: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
+    def add_tagged(self, vec: Mapping[int, Scalar]) -> bool:
         """``add`` that records where each row comes from: ``vec`` enters as
         ``vec ⊕ e_i`` in Q^width ⊕ Q^width, with i = ``len(self)`` the
-        number of vectors accepted before it.  False, with no change, if
-        ``vec`` lies in the span.  Use it on a span built by ``add_tagged``
-        alone.
+        number of vectors accepted before it.  Untagged vectors may follow
+        through ``add``, but no tagged one after them.
 
         The tag half (columns ``width`` and up) of each row is the
-        combination of the accepted vectors that gives the row.  Once
+        combination of the tagged vectors that gives the row.  Once
         ``width`` vectors are in, the value halves are the identity, so the
         tag half of the row with pivot p is row p of the inverse of the
-        matrix whose rows are the accepted vectors, in order.
+        matrix whose rows are the accepted vectors, in order, restricted to
+        the columns of the tagged ones.
         """
-        row = self.reduce(vec)
-        if not row or min(row) >= self.width:
-            return False
-        row[self.width + len(self.rows)] = 1
-        self._insert(row)
-        return True
+        return self._extend(vec, self.width + len(self.rows))
 
-    def _insert(self, row: dict[int, Scalar]) -> None:
-        """Scale a reduced, nonzero ``row`` to 1 at its leftmost column and
-        clear that column from every other row."""
-        pivot = min(row)
+    def _extend(self, vec: Mapping[int, Scalar], tag: int | None) -> bool:
+        """Reduce ``vec``, then scale the remainder, with 1 at ``tag``, to 1
+        at its leftmost column and clear that column from every other row."""
+        row = self.reduce(vec)
+        pivot = min(row, default=self.width)
+        if pivot >= self.width:
+            return False
+        if tag is not None:
+            row[tag] = 1
         scale = row[pivot]
         if scale == -1:
             row = {c: -v for c, v in row.items()}
@@ -403,6 +402,7 @@ class Echelon:
             if pivot in other:
                 _subtract(other, other[pivot], row)
         self.rows[pivot] = row
+        return True
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -410,8 +410,9 @@ def rank(matrix: SparseMatrix) -> int:
     return len(Echelon.of_rows(matrix))
 
 
-def kernel_basis(matrix: SparseMatrix) -> list[list[Scalar]]:
-    """Deterministic basis of the null space.
+def kernel_basis(matrix: SparseMatrix) -> list[dict[int, Scalar]]:
+    """Deterministic basis of the null space, each vector a sparse
+    ``{col: value}`` dict with increasing keys.
 
     One vector per free column, in increasing column order: the free
     variable is set to 1, other free variables to 0, pivot variables
@@ -422,27 +423,23 @@ def kernel_basis(matrix: SparseMatrix) -> list[list[Scalar]]:
     for fc in range(matrix.cols):
         if fc in pivots:
             continue
-        vec = [0] * matrix.cols
+        vec = {pc: -row[fc] for pc, row in pivots.items() if fc in row}
         vec[fc] = 1
-        for pc, row in pivots.items():
-            if fc in row:
-                vec[pc] = -row[fc]
-        basis.append(vec)
+        basis.append(dict(sorted(vec.items())))
     return basis
 
 
-def solve(matrix: SparseMatrix, rhs: Sequence[Scalar]) -> list[Scalar] | None:
-    """One solution of ``matrix @ x = rhs`` or None if inconsistent.
+def solve(matrix: SparseMatrix, rhs: Mapping[int, Scalar]) -> dict[int, Scalar] | None:
+    """One solution of ``matrix @ x = rhs``, a sparse ``{col: value}`` dict
+    with increasing keys, or None if inconsistent; ``rhs`` is a sparse
+    ``{row: value}`` dict.
 
     Deterministic: free variables are set to 0, so the answer is the
     echelon-canonical solution.
     """
-    if len(rhs) != matrix.rows:
-        raise ValueError("rhs length does not match row count")
     pivots = Echelon.of_rows(matrix, rhs).rows
     if matrix.cols in pivots:
         return None  # a pivot in the rhs column means 0 = 1 somewhere
-    x = [0] * matrix.cols
-    for pc, row in pivots.items():
-        x[pc] = row.get(matrix.cols, 0)
-    return x
+    return {
+        pc: row[matrix.cols] for pc, row in sorted(pivots.items()) if matrix.cols in row
+    }

@@ -152,8 +152,7 @@ def identity_element(lam: Weight) -> HomElement:
 
 def hom_differential(f: HomElement) -> HomElement:
     """d(f) = f∘d_target − (−1)^k d_source∘f, of bidegree (k+1, j)."""
-    image = _differential_matrix(f.source, f.target, f.k).apply(f.coords)
-    coords = {i: c for i, c in enumerate(image) if c}
+    coords = _differential_matrix(f.source, f.target, f.k).apply(f.coords)
     return HomElement(f.source, f.target, f.k + 1, f.j, coords)
 
 
@@ -218,17 +217,17 @@ def basis_hom_element(lam: Weight, mu: Weight, k: int, vector) -> HomElement:
 def hom_element(
     lam: Weight, mu: Weight, k: int, coords, j: int | None = None
 ) -> HomElement:
-    """The element of hom^k(P_•(λ), P_•(μ)) with the dense coordinate list
-    ``coords`` over ``hom_space(λ, μ, k)``.
+    """The element of hom^k(P_•(λ), P_•(μ)) with the sparse coordinates
+    ``coords``, ``{index: scalar}`` over ``hom_space(λ, μ, k)``.
 
     Its shift is ``j``, or that of the first nonzero coordinate when None;
-    a nonzero coordinate of another shift, or a list of the wrong length,
+    a nonzero coordinate of another shift, or an index outside the space,
     raises ValueError.
     """
     space = hom_space(lam, mu, k)
-    if len(coords) != len(space):
-        raise ValueError("coordinate list does not match the hom space")
-    out = _nonzero(dict(enumerate(coords)))
+    if coords and (min(coords) < 0 or max(coords) >= len(space)):
+        raise ValueError("coordinate index outside the hom space")
+    out = _nonzero(coords)
     if j is None:
         if not out:
             raise ValueError("the zero vector needs an explicit shift j")
@@ -236,14 +235,6 @@ def hom_element(
     if any(space[i][4] != j for i in out):
         raise ValueError("hom elements from different bigraded pieces")
     return HomElement(lam, mu, k, j, out)
-
-
-def vectorize(f: HomElement) -> list[Scalar]:
-    """The dense coordinate list of f over its own hom space."""
-    out = [0] * len(hom_space(f.source, f.target, f.k))
-    for i, c in f.coords.items():
-        out[i] = c
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -888,7 +879,7 @@ def find_homotopy(f: HomElement) -> HomElement | None:
         return zero_hom(f.source, f.target, f.k - 1, f.j)
     lam, mu, k = f.source, f.target, f.k
     matrix = _differential_matrix(lam, mu, k - 1)
-    solution = solve(matrix, vectorize(f))
+    solution = solve(matrix, f.coords)
     if solution is None:
         return None
     return hom_element(lam, mu, k - 1, solution, f.j)
@@ -914,15 +905,16 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     for i, c in enumerate(classes):
         entries.update(((r, i), v) for r, v in c.element.coords.items())
     matrix = SparseMatrix(boundary.rows, width + boundary.cols, entries)
-    solution = solve(matrix, vectorize(f))
+    solution = solve(matrix, f.coords)
     if solution is None:
         raise ArithmeticError("element does not decompose over the basis")
     coeffs = {
         (c.label, c.k, c.j): solution[i]
         for i, c in enumerate(classes)
-        if solution[i]
+        if i in solution
     }
-    return coeffs, hom_element(lam, mu, k - 1, solution[len(classes):], f.j)
+    homotopy = {i - width: v for i, v in solution.items() if i >= width}
+    return coeffs, hom_element(lam, mu, k - 1, homotopy, f.j)
 
 
 # ---------------------------------------------------------------------------
@@ -975,9 +967,7 @@ def end_quiver(m: int, n: int) -> dict:
                         )
             matrix = SparseMatrix(len(degree_two), len(paths), entries)
             for vec in kernel_basis(matrix):
-                relations.append(
-                    [(coeff, paths[i]) for i, coeff in enumerate(vec) if coeff]
-                )
+                relations.append([(coeff, paths[i]) for i, coeff in vec.items()])
     return {"vertices": vertices, "arrows": arrows, "relations": relations}
 
 

@@ -9,8 +9,10 @@ Two independent constructions are provided:
 * :func:`resolve_generic` — iterated minimal projective covers computed by
   exact kernel linear algebra; used as an oracle for the first.  A cover
   ⊕P(μ)⟨j⟩ is realized in flat coordinates, each summand a block in the
-  basis order of ``projective_module(μ)``; the radical of a syzygy is read
-  off that module's cached action matrices, and the next differential's
+  basis order of ``projective_module(μ)``, and a syzygy vector is a sparse
+  ``{coordinate: scalar}`` dict.  The radical of a syzygy comes from left
+  multiplication by the positive-degree basis diagrams, read from the
+  product memo at its nonzero coordinates, and the next differential's
   matrix (shared with the exactness check of :func:`verify_resolution`)
   comes from right multiplication by its entries.
 
@@ -30,6 +32,7 @@ from . import cache
 from .arcalg import (
     AlgebraElement,
     Matching,
+    basis_product,
     functor_image,
     hom_basis,
     multiply,
@@ -53,7 +56,7 @@ from .exact import (
     rank,
     solve,
 )
-from .repmod import cell_module, kl_poly_closed, projective_module, weights_in_block
+from .repmod import _stacking_on, cell_module, kl_poly_closed, weights_in_block
 
 __all__ = [
     "ProjectiveComplex",
@@ -223,16 +226,14 @@ def _lift_chain_map(
                     for d, c in prod:
                         r = eq_row((s, u, d))
                         rhs_vec[r] = rhs_vec.get(r, 0) + c
-        nrows = len(eq_index)
-        matrix = SparseMatrix(nrows, len(unknowns), coeffs)
-        solution = solve(matrix, [rhs_vec.get(r, 0) for r in range(nrows)])
+        matrix = SparseMatrix(len(eq_index), len(unknowns), coeffs)
+        solution = solve(matrix, rhs_vec)
         if solution is None:
             raise AssertionError("chain-map lift has no solution")
         fk: dict[tuple[int, int], AlgebraElement] = {}
-        for col, (s, t, diag) in enumerate(unknowns):
-            if solution[col]:
-                fk.setdefault((s, t), AlgebraElement())
-                fk[(s, t)] = fk[(s, t)] + solution[col] * AlgebraElement.from_diagram(diag)
+        for col, x in solution.items():
+            s, t, diag = unknowns[col]
+            fk[(s, t)] = fk.get((s, t), AlgebraElement()) + x * AlgebraElement.from_diagram(diag)
         fs.append({k_: v for k_, v in fk.items() if not v.is_zero()})
     return fs
 
@@ -419,12 +420,14 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
 def _cover_data(summands: list[tuple[Weight, int]]):
     """Flattened basis of ⊕ P(μ)⟨j⟩: list of (summand index, diagram,
     cup-weight, absolute degree).  Each summand is a contiguous block of
-    coordinates in ``projective_module(μ).labels`` order."""
+    coordinates, the diagrams of ``hom_basis(α, μ)`` over the weights α of
+    the block in order, the order of ``projective_module(μ).labels``."""
     flat = []
     for idx, (mu, j) in enumerate(summands):
         by_cup = weights_by_cup(*mu.block)
-        for diag in projective_module(mu).labels:
-            flat.append((idx, diag, by_cup[diag.cup], diag.degree + j))
+        for alpha in weights_in_block(*mu.block):
+            for diag in hom_basis(alpha, mu):
+                flat.append((idx, diag, by_cup[diag.cup], diag.degree + j))
     return flat
 
 
@@ -479,13 +482,13 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     syzygy = _homogeneous_kernel(aug, flat)
 
     while syzygy:
-        generators = _head_generators(syzygy, components[-1])
+        generators = _head_generators(syzygy, flat)
         diff: dict[tuple[int, int], AlgebraElement] = {}
         for s, (_, _, vec) in enumerate(generators):
-            for coord, (t, diag, _, _) in zip(vec, flat):
-                if coord:
-                    u = diff.get((s, t), AlgebraElement())
-                    diff[(s, t)] = u + coord * AlgebraElement.from_diagram(diag)
+            for c, coord in vec.items():
+                t, diag, _, _ = flat[c]
+                u = diff.get((s, t), AlgebraElement())
+                diff[(s, t)] = u + coord * AlgebraElement.from_diagram(diag)
         components.append([(alpha, deg) for (alpha, deg, _) in generators])
         diffs.append(diff)
         # next syzygy: kernel of ⊕P(α_g)⟨deg_g⟩ → previous cover
@@ -498,7 +501,7 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     )
 
 
-def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, list[Scalar]]]:
+def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, dict[int, Scalar]]]:
     """Kernel of the matrix split into (cup-weight, absolute degree) blocks,
     returned as homogeneous vectors in the flat cover coordinates."""
     blocks: dict[tuple[Weight, int], list[int]] = {}
@@ -508,60 +511,39 @@ def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, l
     for (alpha, deg) in sorted(blocks, key=lambda ad: (ad[1], str(ad[0]))):
         cols = blocks[(alpha, deg)]
         for vec in kernel_basis(matrix.restrict(range(matrix.rows), cols)):
-            full = [0] * len(flat)
-            for local, c in enumerate(cols):
-                full[c] = vec[local]
-            out.append((alpha, deg, full))
+            out.append((alpha, deg, {cols[local]: v for local, v in vec.items()}))
     return out
 
 
 def _head_generators(
-    syzygy: list[tuple[Weight, int, list[Scalar]]],
-    summands: list[tuple[Weight, int]],
-) -> list[tuple[Weight, int, list[Scalar]]]:
-    """Minimal homogeneous generators of the syzygy module.
+    syzygy: list[tuple[Weight, int, dict[int, Scalar]]], flat
+) -> list[tuple[Weight, int, dict[int, Scalar]]]:
+    """Minimal homogeneous generators of the syzygy module, whose vectors
+    are sparse over the flat cover coordinates ``flat``.
 
     The radical of the span W is Σ_{deg z > 0} z·W, where z acts on each
-    cover summand P(μ) through the cached action matrices of
-    ``projective_module(μ)`` (a z missing from them acts as zero); a
-    deterministic greedy pass picks syzygy basis vectors completing the
-    radical to W, block by (weight, degree) block in increasing degree.
-    Each z's action on the whole cover is indexed by column once, so a
-    syzygy vector costs only the columns at its nonzero coordinates.
+    cover summand P(μ) by left multiplication, read from the product memo:
+    z·x is zero unless z stacks on x.  A deterministic greedy pass picks
+    syzygy basis vectors completing the radical to W, block by (weight,
+    degree) block in increasing degree.  A syzygy vector costs only the
+    diagrams at its nonzero coordinates.
     """
-    if not syzygy:
-        return []
-    from .arcalg import basis as algebra_basis
-
-    modules, starts, dim = [], [], 0
-    for mu, _ in summands:
-        modules.append(projective_module(mu))
-        starts.append(dim)
-        dim += modules[-1].dim
-    # per positive-degree z: {cover column: [(cover row, value)]}
-    actions = []
-    for z in algebra_basis(*summands[0][0].block):
-        if z.degree <= 0:
-            continue
-        columns: dict[int, list[tuple[int, Scalar]]] = {}
-        for module, start in zip(modules, starts):
-            matrix = module.action.get(z)
-            if matrix is not None:
-                for (r, c), v in matrix.entries.items():
-                    columns.setdefault(start + c, []).append((start + r, v))
-        if columns:
-            actions.append(columns)
+    stacking = _stacking_on(*flat[0][1].weight.block)
+    index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(flat)}
     # greedy: keep a growing echelon of radical + chosen generators
-    span = Echelon(dim)
+    span = Echelon(len(flat))
     for _, _, vec in syzygy:
-        nonzero = [(c, coord) for c, coord in enumerate(vec) if coord]
-        for columns in actions:
-            image: dict[int, Scalar] = {}
-            for c, coord in nonzero:
-                for r, v in columns.get(c, ()):
-                    image[r] = image.get(r, 0) + v * coord
-            if image:
-                span.add(image)
+        images: dict[OrientedCircleDiagram, dict[int, Scalar]] = {}
+        for c, coord in vec.items():
+            idx, x, _, _ = flat[c]
+            for z in stacking.get(x.cup, ()):
+                if z.degree > 0:
+                    for d, v in basis_product(z, x):
+                        r = index[(idx, d)]
+                        image = images.setdefault(z, {})
+                        image[r] = image.get(r, 0) + v * coord
+        for image in images.values():
+            span.add(image)
     return [
         (alpha, deg, vec)
         for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))

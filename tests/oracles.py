@@ -14,6 +14,10 @@ can be checked against it for exact equality.
 that are neither an ``int`` nor a ``Fraction`` with denominator > 1.
 
 ``from_rows`` builds a sparse matrix from dense rows for the tests.
+``sparse`` and ``dense`` convert a vector between the dense list the
+reference kernel uses and the sparse ``{index: scalar}`` dict that
+``arckit`` uses everywhere, and ``vectorize`` is the dense coordinate list
+of a hom element.
 
 ``restrict`` is the reference graded submatrix: dense row and column
 slicing, to check ``SparseMatrix.restrict`` against.
@@ -97,7 +101,6 @@ from arckit.extalg import (
     hom_space,
     homotopy_seeds,
     resolution,
-    vectorize,
     zero_hom,
 )
 from tables import PRODUCT_LABELS, homotopy_in_range
@@ -201,6 +204,24 @@ def from_rows(rows) -> SparseMatrix:
     """The sparse matrix with these dense rows."""
     entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
     return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
+
+
+def sparse(vec) -> dict:
+    """The nonzero entries of a dense vector, keyed by index."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def dense(vec, length: int) -> list:
+    """The dense list of the given length with the entries of a sparse vector."""
+    out = [0] * length
+    for i, v in vec.items():
+        out[i] = v
+    return out
+
+
+def vectorize(f: HomElement) -> list:
+    """The dense coordinate list of f over its own hom space."""
+    return dense(f.coords, len(hom_space(f.source, f.target, f.k)))
 
 
 def restrict(matrix: SparseMatrix, rows, cols) -> list[list[Fraction]]:
@@ -770,10 +791,6 @@ def _inverse(columns: list, dim: int, kept: int) -> list[dict]:
     return [{r: m[r][dim + c] for r in range(kept) if m[r][dim + c]} for c in range(dim)]
 
 
-def _sparse(vectors: list) -> list[dict]:
-    return [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
-
-
 def _labelled_classes(lam, mu) -> list[ExtClass]:
     """The n = 2 labelled classes from λ to μ, in (k, label) order, built
     from their closed formulas: each basis label in its defining range,
@@ -804,7 +821,7 @@ def build_pair(split, lam, mu) -> dict:
         space = hom_space(lam, mu, k)
         dim = len(space)
         if dim == 0:
-            out[k] = _SpaceSplit(space, 0, [], _sparse(l_prev), [])
+            out[k] = _SpaceSplit(space, 0, [], [sparse(v) for v in l_prev], [])
             l_prev = []
             continue
         d_k = _differential_matrix(lam, mu, k)
@@ -817,7 +834,8 @@ def build_pair(split, lam, mu) -> dict:
         if labelled is None:
             h_cols = [vec for vec in cocycles if span.add(vec)]
             classes = [
-                ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec)) for vec in h_cols
+                ExtClass("generic", lam, mu, hom_element(lam, mu, k, sparse(vec)))
+                for vec in h_cols
             ]
         else:
             classes = [c for c in labelled if c.k == k]
@@ -845,6 +863,8 @@ def build_pair(split, lam, mu) -> dict:
         if len(span) != dim:
             raise ArithmeticError("failed to complete L to a complement")
         inverse = _inverse(b_cols + h_cols + l_cols, dim, len(b_cols) + len(h_cols))
-        out[k] = _SpaceSplit(space, len(b_cols), classes, _sparse(l_prev), inverse)
+        out[k] = _SpaceSplit(
+            space, len(b_cols), classes, [sparse(v) for v in l_prev], inverse
+        )
         l_prev = l_cols
     return out

@@ -24,7 +24,6 @@ from arckit.extalg import (
     _differential_matrix,
     basis_hom_element,
     compose,
-    vectorize,
 )
 from tables import (
     FLAVOUR_TWINS,
@@ -64,10 +63,11 @@ def _splitting_matrix(split, lam, mu, k):
     pair = split._pair(lam, mu)
     data = pair[k]
     dim = len(data.space)
-    b_cols = [_differential_matrix(lam, mu, k - 1).apply(v) for v in data.l_prev]
-    h_cols = [vectorize(c.element) for c in data.h_classes]
+    d_prev = _differential_matrix(lam, mu, k - 1)
+    b_cols = [oracles.dense(d_prev.apply(v), dim) for v in data.l_prev]
+    h_cols = [oracles.vectorize(c.element) for c in data.h_classes]
     l_next = pair[k + 1].l_prev if k + 1 in pair else []
-    l_cols = [[v.get(i, 0) for i in range(dim)] for v in l_next]
+    l_cols = [oracles.dense(v, dim) for v in l_next]
     columns = b_cols + h_cols + l_cols
     assert len(columns) == dim
     return oracles.from_rows(columns).transpose()
@@ -92,8 +92,8 @@ class TestCoordinates:
                     for vector in data.space:
                         f = basis_hom_element(lam, mu, k, vector)
                         _, coords = split._coordinates(f)
-                        want = solve(matrix, vectorize(f))[:kept]
-                        assert coords == {i: x for i, x in enumerate(want) if x}
+                        want = solve(matrix, f.coords)
+                        assert coords == {i: x for i, x in want.items() if i < kept}
                         checked += 1
         assert checked > 0
 

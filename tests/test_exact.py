@@ -63,9 +63,9 @@ class TestSparseMatrix:
         a = oracles.from_rows([[1, 2], [3, 4]])
         b = oracles.from_rows([[0, 1], [1, 0]])
         assert (a @ b).dense() == [[2, 1], [4, 3]]
-        assert a.apply([1, 1]) == [3, 7]
-        assert a.apply({1: 1}) == a.apply([0, 1]) == [2, 4]
-        for bad in ([1], [1, 1, 1], {2: 1}, {-1: 1}):
+        assert a.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
+        assert a.apply({1: 1}) == a.apply({0: 0, 1: 1}) == {0: 2, 1: 4}
+        for bad in ({2: 0}, {0: 1, 1: 1, 2: 1}, {2: 1}, {-1: 1}):
             with pytest.raises(ValueError):
                 a.apply(bad)
 
@@ -76,21 +76,24 @@ class TestSparseMatrix:
         kernel = kernel_basis(a)
         assert rank(a) + len(kernel) == a.cols
         for vec in kernel:
-            assert all(x == 0 for x in a.apply(vec))
+            assert a.apply(vec) == {}
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
     def test_solve_consistent_system(self, rows, x0):
         a = oracles.from_rows(rows)
-        x0 = (x0 * a.cols)[: a.cols]
+        x0 = oracles.sparse((x0 * a.cols)[: a.cols])
         b = a.apply(x0)
         x = solve(a, b)
         assert x is not None
-        assert a.apply(x) == [Fraction(v) for v in b]
+        assert a.apply(x) == b
 
     def test_solve_inconsistent(self):
         a = oracles.from_rows([[1, 0], [1, 0]])
-        assert solve(a, [1, 2]) is None
+        assert solve(a, {0: 1, 1: 2}) is None
+        for bad in ({2: 1}, {-1: 1}):
+            with pytest.raises(ValueError):
+                solve(a, bad)
 
 
 #: Nonzero entries that are not ±1, so that the elimination has to divide.
@@ -139,8 +142,14 @@ def systems(draw):
     a = draw(sparse_matrices())
     if draw(st.booleans()):
         x0 = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
-        return a, a.apply(x0)
+        return a, oracles.dense(a.apply(oracles.sparse(x0)), a.rows)
     return a, draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
+
+
+def _dense_solution(a, b):
+    """``solve`` on a dense rhs, its answer written densely."""
+    x = solve(a, oracles.sparse(b))
+    return None if x is None else oracles.dense(x, a.cols)
 
 
 def _vectors(width):
@@ -163,20 +172,21 @@ class TestAgainstReference:
     @given(sparse_matrices())
     def test_rank_and_kernel(self, a):
         assert rank(a) == oracles.rank(a)
-        assert kernel_basis(a) == oracles.kernel_basis(a)
+        kernel = [oracles.dense(vec, a.cols) for vec in kernel_basis(a)]
+        assert kernel == oracles.kernel_basis(a)
 
     @settings(max_examples=150, deadline=None)
     @given(systems())
     def test_solve(self, system):
         a, b = system
-        assert solve(a, b) == oracles.solve(a, b)
+        assert _dense_solution(a, b) == oracles.solve(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5).flatmap(_vectors), st.randoms(use_true_random=False))
     def test_greedy_add_selects_reference_vectors(self, vectors, rng):
         width = len(vectors[0]) if vectors else 1
         span = Echelon(width)
-        picked = [v for v in vectors if span.add(v)]
+        picked = [v for v in vectors if span.add(oracles.sparse(v))]
         expected = []
         for v in vectors:
             trial = oracles.from_rows(expected + [v])
@@ -190,7 +200,7 @@ class TestAgainstReference:
         }))
         reordered = Echelon(width)
         for v in rng.sample(vectors, len(vectors)):
-            reordered.add(v)
+            reordered.add(oracles.sparse(v))
         for form in (span, reordered):
             assert sorted(form.rows) == pivots
             for i, pc in enumerate(pivots):
@@ -202,13 +212,13 @@ class TestAgainstReference:
     def test_tagged_pass_picks_like_add_and_tags_the_inverse(self, vectors):
         width = len(vectors[0]) if vectors else 3
         plain, tagged = Echelon(width), Echelon(width)
-        picked = [v for v in vectors if plain.add(v)]
-        assert [v for v in vectors if tagged.add_tagged(v)] == picked
+        picked = [v for v in vectors if plain.add(oracles.sparse(v))]
+        assert [v for v in vectors if tagged.add_tagged(oracles.sparse(v))] == picked
         for pivot, row in tagged.rows.items():
             assert {c: v for c, v in row.items() if c < width} == plain.rows[pivot]
         # complete to a basis with unit vectors, as the splitting completes L
         units = [[int(r == i) for r in range(width)] for i in range(width)]
-        picked += [u for u in units if tagged.add_tagged(u)]
+        picked += [u for u in units if tagged.add_tagged(oracles.sparse(u))]
         assert len(tagged) == width
         tags = SparseMatrix(width, width, {
             (p, c - width): v for p, row in tagged.rows.items() for c, v in row.items()
@@ -218,15 +228,17 @@ class TestAgainstReference:
         assert tags @ a == SparseMatrix.identity(width)
         for i in range(width):
             unit = [int(r == i) for r in range(width)]
-            assert tags.transpose().apply(unit) == oracles.solve(a.transpose(), unit)
+            column = oracles.dense(tags.transpose().apply({i: 1}), width)
+            assert column == oracles.solve(a.transpose(), unit)
 
     def test_reduce_leaves_nothing_of_the_span(self):
         span = Echelon(3)
-        assert span.add([0, 2, 4]) and span.add([1, 1, 0])
-        assert not span.add([2, 4, 4])
-        assert span.reduce([1, 0, 0]) == {2: Fraction(2)}
-        with pytest.raises(ValueError):
-            span.add([1, 0])
+        assert span.add({1: 2, 2: 4}) and span.add({0: 1, 1: 1})
+        assert not span.add({0: 2, 1: 4, 2: 4})
+        assert span.reduce({0: 1}) == {2: Fraction(2)}
+        for bad in ({3: 1}, {-1: 1}):
+            with pytest.raises(ValueError):
+                span.add(bad)
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_matrices(), st.data())
@@ -252,8 +264,58 @@ class TestAgainstReference:
         for i, pc in enumerate(pivots):
             assert [rows[pc].get(j, 0) for j in range(a.cols)] == rref[i]
             assert oracles.not_exact(rows[pc].values()) == []
-        assert all(oracles.not_exact(vec) == [] for vec in kernel_basis(a))
+        assert all(oracles.not_exact(vec.values()) == [] for vec in kernel_basis(a))
         b = data.draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
-        x = solve(a, b)
-        assert x == oracles.solve(a, b)
-        assert x is None or oracles.not_exact(x) == []
+        x = solve(a, oracles.sparse(b))
+        assert _dense_solution(a, b) == oracles.solve(a, b)
+        assert x is None or oracles.not_exact(x.values()) == []
+
+
+def _well_formed(vec, length: int) -> list:
+    """Check that ``vec`` is a sparse vector of the one format: a dict of
+    nonzero values with increasing keys below ``length``; return it dense."""
+    assert type(vec) is dict
+    assert list(vec) == sorted(vec) and all(0 <= i < length for i in vec)
+    assert all(v != 0 for v in vec.values())
+    return oracles.dense(vec, length)
+
+
+class TestVectorFormat:
+    """Vectors leave the kernel as sparse dicts that equal the dense oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_results_are_sorted_nonzero_dicts(self, a, data):
+        kernel, want = kernel_basis(a), oracles.kernel_basis(a)
+        assert len(kernel) == len(want)
+        for vec, dense in zip(kernel, want):
+            assert _well_formed(vec, a.cols) == dense
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+        image = a.apply(oracles.sparse(x))
+        assert _well_formed(image, a.rows) == [
+            sum(v * y for v, y in zip(row, x)) for row in a.dense()
+        ]
+        b = data.draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
+        got, want = solve(a, oracles.sparse(b)), oracles.solve(a, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _well_formed(got, a.cols) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(_vectors))
+    def test_untagged_vectors_complete_a_tagged_span(self, vectors):
+        # the splitting adds L untagged after B and H: the tags then hold
+        # the inverse's columns of the tagged vectors alone
+        width = len(vectors[0]) if vectors else 3
+        tagged, mixed = Echelon(width), Echelon(width)
+        picked = [v for v in vectors if tagged.add_tagged(oracles.sparse(v))]
+        assert [v for v in vectors if mixed.add_tagged(oracles.sparse(v))] == picked
+        units = [{i: 1} for i in range(width)]
+        completed = [u for u in units if tagged.add_tagged(u)]
+        assert [u for u in units if mixed.add(u)] == completed
+        assert len(mixed) == width
+        kept = width + len(picked)
+        for pivot, row in mixed.rows.items():
+            assert row == {c: v for c, v in tagged.rows[pivot].items() if c < kept}
+        # a vector of the span is refused, though its remainder has tags
+        assert not any(mixed.add(oracles.sparse(v)) for v in vectors)

@@ -37,7 +37,6 @@ from arckit.extalg import (
     homotopy_element,
     nullhomotopic_element,
     resolution,
-    vectorize,
 )
 from tables import (
     MULT_TABLE,
@@ -258,15 +257,15 @@ class TestCoordinates:
                 shifts = sorted({v[4] for v in space})
                 for j in shifts:
                     vec = [i + 1 if v[4] == j else 0 for i, v in enumerate(space)]
-                    f = hom_element(lam, mu, k, vec)
-                    assert f.j == j and vectorize(f) == vec
+                    f = hom_element(lam, mu, k, oracles.sparse(vec))
+                    assert f.j == j and oracles.vectorize(f) == vec
                     with pytest.raises(ValueError):
-                        hom_element(lam, mu, k, vec + [1])
+                        hom_element(lam, mu, k, oracles.sparse(vec + [1]))
                 if len(shifts) > 1:
                     with pytest.raises(ValueError):
-                        hom_element(lam, mu, k, [1] * len(space))
+                        hom_element(lam, mu, k, oracles.sparse([1] * len(space)))
                     mixed += 1
-                zero = hom_element(lam, mu, k, [0] * len(space), j=3)
+                zero = hom_element(lam, mu, k, {}, j=3)
                 assert zero.is_zero() and zero.j == 3
         assert mixed > 0
 

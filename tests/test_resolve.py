@@ -211,6 +211,24 @@ GENERIC_DIGESTS = {
         "vv^v^": "9721d2be0bbdc56b1b5c93a144e01f0b446494d04a66b636766b8a53a00e5e37",
         "vvv^^": "46d2710c348ab256029ca04873340782cf0cfdc95aa3190e8aa9c170596856c7",
     },
+    # the 15 resolutions the homalg-42 benchmark workload runs
+    (4, 2): {
+        "^^vvvv": "785ccde4d58d4faf15f232256949255161a327571208c6d6a2a93524de019969",
+        "^v^vvv": "55a861e05d85e351c38681b0ebcccdfdbbbda662b292425c10390e2ce2402d19",
+        "^vv^vv": "4c018538311876228c64b65f319214cec1e97f5546b7ad9a7ea6e6a75086011b",
+        "v^^vvv": "b497ea273626eafd1c201831b8f8eba18ca8850a119a6a555c77cc88b0c2c885",
+        "^vvv^v": "1f711097a641c5701d55180d43c11639a71520c3c257919a00a8022d375c4767",
+        "v^v^vv": "5516a191d378025d8b0a5344bafdec1338647924a038cdbbb7f2f6461099a3a3",
+        "^vvvv^": "31e1c8eaa5c473532222e6f2b24d8d92824948dd2e10a7c961284b8b75686e3b",
+        "v^vv^v": "0c67a92bacc522ba0c84ecb9842de03e31fc6b06868216ee9790df101c0229f5",
+        "vv^^vv": "b85cbf3565c2d1f0b27c2c39ba9ad6342d0bd14b5fa7cbfcbc21c8ea4ea8e98b",
+        "v^vvv^": "25f0cea0fb4a2c5f959cec53437e24dec4ee7a686e63c160c91c2871e1aed5ba",
+        "vv^v^v": "d32fcf3cbe626d7265e79a6b3d16a45c68f14c615dfda3adf2fbc2f8958dbbc7",
+        "vv^vv^": "46de1e88c5f3618c0829e67e1d6f4c5294fbb1f2a24a582a6d4d1ad130c929ae",
+        "vvv^^v": "91700c451b4f7ef6f52969a0f1a394983112ded6c5872f0cea7266e4709d23fa",
+        "vvv^v^": "305cec529586832761ba74a0ccb4c42c446b6a88e180ebb38a6c9386ed0c4ebc",
+        "vvvv^^": "0b214c96021f83b4f00a32ebd942d81c8b46f59304efb168bfe0f418e9f1487b",
+    },
 }
 
 

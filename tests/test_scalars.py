@@ -17,8 +17,8 @@ from arckit import (
 )
 from arckit.ainfty import composable_tuples
 from arckit.exact import kernel_basis, rational
-from arckit.extalg import _differential_matrix, _k_range, compose, identity_element, vectorize
-from oracles import from_rows, not_exact
+from arckit.extalg import _differential_matrix, _k_range, compose, identity_element
+from oracles import dense, from_rows, not_exact, vectorize
 
 
 def _differential_coefficients(complex_):
@@ -64,7 +64,7 @@ class TestHotLayers:
                     d = _differential_matrix(lam, mu, k)
                     assert not_exact(d.entries.values()) == [], (lam, mu, k)
                     for vec in kernel_basis(d):
-                        assert not_exact(vec) == [], (lam, mu, k)
+                        assert not_exact(vec.values()) == [], (lam, mu, k)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
     def test_resolutions(self, m, n):
@@ -93,10 +93,10 @@ class TestHotLayers:
                         # L that the next degree keeps as its preimages
                         dim = len(data.space)
                         d_prev = _differential_matrix(lam, mu, k - 1)
-                        columns = [d_prev.apply(vec) for vec in data.l_prev]
+                        columns = [dense(d_prev.apply(vec), dim) for vec in data.l_prev]
                         columns += [vectorize(c.element) for c in data.h_classes]
                         l_next = pair[k + 1].l_prev if k + 1 in pair else []
-                        columns += [[vec.get(i, 0) for i in range(dim)] for vec in l_next]
+                        columns += [dense(vec, dim) for vec in l_next]
                         assert not_exact(v for col in columns for v in col) == []
                         matrix = from_rows(columns).transpose()
                         # the stored B and H rows of the inverse, times the
