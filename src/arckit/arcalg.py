@@ -144,8 +144,14 @@ class AlgebraElement:
 def idempotent(weight: Weight) -> AlgebraElement:
     """e_λ, the degree-0 diagram formed by the associated cup/cap diagrams
     (the object of ``basis``)."""
+    return AlgebraElement.from_diagram(_idempotent_diagram(weight))
+
+
+@lru_cache(maxsize=None)
+def _idempotent_diagram(weight: Weight) -> OrientedCircleDiagram:
+    """The basis diagram of e_λ, built once per weight."""
     key = (associated_cup_diagram(weight), weight.labels, associated_cap_diagram(weight))
-    return AlgebraElement.from_diagram(_basis_by_labels(*weight.block)[key])
+    return _basis_by_labels(*weight.block)[key]
 
 
 @lru_cache(maxsize=None)

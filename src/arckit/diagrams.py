@@ -161,7 +161,13 @@ class Weight:
 
 
 def weights_in_block(m: int, n: int) -> list[Weight]:
-    """All C(m+n, n) weights, sorted by (length, lexicographic labels)."""
+    """All C(m+n, n) weights, sorted by (length, lexicographic labels); a
+    fresh list on every call."""
+    return list(_weights_in_block(m, n))
+
+
+@lru_cache(maxsize=None)
+def _weights_in_block(m: int, n: int) -> tuple[Weight, ...]:
     if m < 0 or n < 0:
         raise ValueError("block sizes must be >= 0")
     out = []
@@ -170,8 +176,7 @@ def weights_in_block(m: int, n: int) -> list[Weight]:
         for p in ups:
             labels[p] = UP
         out.append(Weight(tuple(labels)))
-    out.sort(key=lambda w: (length(w), w.labels))
-    return out
+    return tuple(sorted(out, key=lambda w: (length(w), w.labels)))
 
 
 def length(weight: Weight) -> int:

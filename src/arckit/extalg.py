@@ -39,7 +39,7 @@ from functools import lru_cache
 from .arcalg import AlgebraElement, basis_product, hom_basis, idempotent, multiply
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
-from .repmod import GradedModule, cell_module
+from .repmod import cell_basis
 from .resolve import ProjectiveComplex, _ab_type, resolve_cone
 
 __all__ = [
@@ -287,28 +287,33 @@ def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     projective resolution P_• = ``resolution(λ)``, so the dimensions need
     neither a resolution of M(μ) nor the hom complex of the two.  A map
     P(ν)⟨a⟩ → M(μ) is fixed by the image of e_ν, an element of e_ν M(μ);
-    the basis vector α of M(μ) (``cell_module(μ).labels``) lies in e_α M(μ),
-    so e_ν M(μ) is spanned by vector ν when ν is a label and is zero
-    otherwise.  Degree k of the complex thus has one coordinate per summand
-    of P_k whose weight labels M(μ), and only ranks are needed: a sign on
-    a differential changes no rank, so none is tracked.
+    the basis vector α of M(μ) (the labels of ``cell_basis(μ)``) lies in
+    e_α M(μ), so e_ν M(μ) is spanned by vector ν when ν is a label and is
+    zero otherwise.  Degree k of the complex thus has one coordinate per
+    summand of P_k whose weight labels M(μ), and only ranks are needed: a
+    sign on a differential changes no rank, so none is tracked.  Each
+    matrix entry is one coefficient of one surgery product, so no action
+    matrix of M(μ) is built.
     """
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    return _hom_into_module_dims(resolution(lam), cell_module(mu))
+    return _hom_into_module_dims(resolution(lam), mu)
 
 
-def _hom_into_module_dims(P: ProjectiveComplex, M: GradedModule) -> dict[int, int]:
-    """Cohomology dimensions {k: dim} of Hom(P, M), zeros omitted.
+def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
+    """Cohomology dimensions {k: dim} of Hom(P, M(μ)), zeros omitted.
 
     Coordinate s of degree k is the map sending the generator of summand s
-    of P_k to the basis vector of M named by its weight.  The entry u of
+    of P_k to the basis vector of M(μ) named by its weight.  The entry u of
     d_{k+1} from summand s to summand t acts by right multiplication, so
     the pulled-back differential sends coordinate t to u·(vector of t):
-    its entry at (s, t) is the (label of s, label of t) entry of the action
-    of u on M.  dim H^k = |degree k| − rank d^k − rank d^{k−1}.
+    its entry at (s, t) is the coefficient of the representative of
+    vector s in u·(representative of vector t), terms of other middle
+    weights being zero in M(μ).  dim H^k = |degree k| − rank d^k − rank
+    d^{k−1}.
     """
-    where = {label: i for i, label in enumerate(M.labels)}
+    labels, _, reps = cell_basis(mu)
+    where = {label: i for i, label in enumerate(labels)}
     # per degree: summand -> (its position in the degree, its vector of M)
     coords = []
     for comp in P.components:
@@ -324,8 +329,7 @@ def _hom_into_module_dims(P: ProjectiveComplex, M: GradedModule) -> dict[int, in
             if s in rows and t in cols:
                 (row, v_s), (col, v_t) = rows[s], cols[t]
                 for z, c in u:
-                    action = M.action.get(z)
-                    a = action.entries.get((v_s, v_t)) if action is not None else None
+                    a = basis_product(z, reps[v_t]).coeff(reps[v_s])
                     if a:
                         entries[row, col] = entries.get((row, col), 0) + c * a
         ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))

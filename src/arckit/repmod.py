@@ -27,7 +27,6 @@ from .diagrams import (
     half_degree,
     length,
     relative_length,
-    weights_by_cup,
     weights_in_block,
 )
 from .exact import QPoly, Scalar, SparseMatrix
@@ -40,6 +39,7 @@ __all__ = [
     "cartan_matrix",
     "kl_poly_recursive",
     "kl_poly_closed",
+    "cell_basis",
     "cell_module",
     "projective_module",
 ]
@@ -267,6 +267,22 @@ def projective_module(lam: Weight) -> GradedModule:
 
 
 @lru_cache(maxsize=None)
+def cell_basis(
+    mu: Weight,
+) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[OrientedCircleDiagram, ...]]:
+    """The basis of M(μ): the weights α with α̲ μ oriented, in
+    ``weights_in_block`` order, their degrees, and the basis diagram
+    (α̲ μ μ̄) whose class in P(μ) is the vector α."""
+    labels = tuple(
+        alpha
+        for alpha in weights_in_block(*mu.block)
+        if cup_oriented(associated_cup_diagram(alpha), mu)
+    )
+    reps = tuple(next(d for d in hom_basis(alpha, mu) if d.weight == mu) for alpha in labels)
+    return labels, tuple(d.degree for d in reps), reps
+
+
+@lru_cache(maxsize=None)
 def cell_module(mu: Weight) -> GradedModule:
     """M(μ) with basis (c μ| indexed by the weights α with α̲ μ oriented.
 
@@ -274,33 +290,17 @@ def cell_module(mu: Weight) -> GradedModule:
     the class of (α̲ μ μ̄) corresponds to the oriented cup diagram (α̲ μ|.
     """
     m, n = mu.block
-    module_basis = [
-        alpha
-        for alpha in weights_in_block(m, n)
-        if cup_oriented(associated_cup_diagram(alpha), mu)
-    ]
-    index = {alpha: k for k, alpha in enumerate(module_basis)}
-    # the basis diagram (α̲ μ μ̄) standing for each module vector α
-    reps = [
-        next(d for d in hom_basis(alpha, mu) if d.weight == mu)
-        for alpha in module_basis
-    ]
+    labels, degrees, reps = cell_basis(mu)
+    index = {d: k for k, d in enumerate(reps)}
 
     def rows_of(product: AlgebraElement) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for diagram, coeff in product:
-            if diagram.weight != mu:
-                continue  # killed in the cellular quotient
-            row = index[weights_by_cup(m, n)[diagram.cup]]
-            out[row] = out.get(row, 0) + coeff
-        return out
+        # a term of middle weight μ is a representative; the others are
+        # killed in the cellular quotient
+        return {index[d]: c for d, c in product if d.weight == mu}
 
-    degrees = tuple(
-        half_degree(associated_cup_diagram(alpha), mu) for alpha in module_basis
-    )
     return GradedModule(
         block=(m, n),
-        labels=tuple(module_basis),
+        labels=labels,
         degrees=degrees,
         action=_action_matrices(m, n, reps, rows_of),
     )

@@ -9,12 +9,14 @@ Two independent constructions are provided:
 * :func:`resolve_generic` — iterated minimal projective covers computed by
   exact kernel linear algebra; used as an oracle for the first.  A cover
   ⊕P(μ)⟨j⟩ is realized in flat coordinates, each summand a block in the
-  basis order of ``projective_module(μ)``, and a syzygy vector is a sparse
-  ``{coordinate: scalar}`` dict.  The radical of a syzygy comes from left
-  multiplication by the positive-degree basis diagrams, read from the
-  product memo at its nonzero coordinates, and the next differential's
-  matrix (shared with the exactness check of :func:`verify_resolution`)
-  comes from right multiplication by its entries.
+  basis order of ``projective_module(μ)`` (cached per weight), and a
+  syzygy vector is a sparse ``{coordinate: scalar}`` dict.  K_m^n is
+  Koszul, hence generated in degrees 0 and 1, so the radical of a syzygy
+  comes from left multiplication by the degree-one basis diagrams alone,
+  read from the product memo at its nonzero coordinates.  The matrix of a
+  differential (also used by :func:`verify_resolution` for d² = 0 and
+  exactness) is assembled from one right-action table per basis diagram,
+  x ↦ x·d from P(α)'s basis to P(β)'s, cached per diagram.
 
 Both return :class:`ProjectiveComplex`.  Differentials point from
 component i to component i-1, each entry being a degree-one element of
@@ -25,13 +27,17 @@ sign tables; see :func:`sign_target_n1` / :func:`sign_target_n2`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 from . import cache
 from .arcalg import (
     AlgebraElement,
     Matching,
+    _idempotent_diagram,
     basis_product,
     functor_image,
     hom_basis,
@@ -40,7 +46,6 @@ from .arcalg import (
 from .diagrams import (
     OrientedCircleDiagram,
     Weight,
-    associated_cap_diagram,
     associated_cup_diagram,
     length,
     total_nesting,
@@ -48,7 +53,6 @@ from .diagrams import (
 )
 from .exact import (
     Echelon,
-    QPoly,
     Scalar,
     SparseMatrix,
     kernel_basis,
@@ -56,7 +60,7 @@ from .exact import (
     rank,
     solve,
 )
-from .repmod import _stacking_on, cell_module, kl_poly_closed, weights_in_block
+from .repmod import _stacking_on, cell_basis, kl_poly_closed, weights_in_block
 
 __all__ = [
     "ProjectiveComplex",
@@ -417,40 +421,68 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _projective_basis(mu: Weight) -> tuple[tuple[OrientedCircleDiagram, Weight, int], ...]:
+    """P(μ)'s basis as (diagram, cup-weight, degree): the diagrams of
+    ``hom_basis(α, μ)`` over the weights α of the block in order, the order
+    of ``projective_module(μ).labels``."""
+    by_cup = weights_by_cup(*mu.block)
+    return tuple(
+        (d, by_cup[d.cup], d.degree)
+        for alpha in weights_in_block(*mu.block)
+        for d in hom_basis(alpha, mu)
+    )
+
+
+@lru_cache(maxsize=None)
+def _right_action(d: OrientedCircleDiagram) -> tuple[tuple[int, int, Scalar], ...]:
+    """x ↦ x·d for a basis diagram d of e_α K e_β, as (column, row, value)
+    triples from the basis of P(α) to the basis of P(β)."""
+    by_cup = weights_by_cup(*d.weight.block)
+    alpha, beta = by_cup[d.cup], by_cup[d.cap.mirror()]
+    index = {y: k for k, (y, _, _) in enumerate(_projective_basis(beta))}
+    return tuple(
+        (col, index[y], v)
+        for col, (x, _, _) in enumerate(_projective_basis(alpha))
+        for y, v in basis_product(x, d)
+    )
+
+
 def _cover_data(summands: list[tuple[Weight, int]]):
     """Flattened basis of ⊕ P(μ)⟨j⟩: list of (summand index, diagram,
     cup-weight, absolute degree).  Each summand is a contiguous block of
-    coordinates, the diagrams of ``hom_basis(α, μ)`` over the weights α of
-    the block in order, the order of ``projective_module(μ).labels``."""
-    flat = []
-    for idx, (mu, j) in enumerate(summands):
-        by_cup = weights_by_cup(*mu.block)
-        for alpha in weights_in_block(*mu.block):
-            for diag in hom_basis(alpha, mu):
-                flat.append((idx, diag, by_cup[diag.cup], diag.degree + j))
-    return flat
+    coordinates in the order of ``_projective_basis(μ)``."""
+    return [
+        (idx, diag, alpha, deg + j)
+        for idx, (mu, j) in enumerate(summands)
+        for diag, alpha, deg in _projective_basis(mu)
+    ]
+
+
+def _offsets(summands: list[tuple[Weight, int]]) -> list[int]:
+    """Where each summand's block of ``_cover_data`` starts, then the total length."""
+    return list(accumulate((len(_projective_basis(mu)) for mu, _ in summands), initial=0))
 
 
 def _flat_differential(
-    diff: dict[tuple[int, int], AlgebraElement], source_flat, target_flat
+    diff: dict[tuple[int, int], AlgebraElement], source, target
 ) -> SparseMatrix:
-    """The matrix of a differential in flat cover coordinates (columns are
-    the source basis): entry (s, t) sends each basis diagram x of summand s
-    to x·d[s,t] in summand t."""
-    index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(target_flat)}
-    by_source: dict[int, list[tuple[int, AlgebraElement]]] = {}
-    for (s, t), u in diff.items():
-        by_source.setdefault(s, []).append((t, u))
+    """The matrix of a differential between the covers of the summand lists
+    ``source`` and ``target`` in flat coordinates (columns are the source
+    basis): entry (s, t) sends each basis diagram x of summand s to x·d[s,t]
+    in summand t, each diagram's right-action table placed at the offsets
+    of the two summands."""
+    src_at, tgt_at = _offsets(source), _offsets(target)
     entries: dict[tuple[int, int], Scalar] = {}
-    for col, (s, diag, _, _) in enumerate(source_flat):
-        x = AlgebraElement.from_diagram(diag)
-        for t, u in by_source.get(s, ()):
-            for d, c in multiply(x, u):
-                r = index.get((t, d))
-                if r is None:
-                    raise AssertionError("image left the projective summand")
-                entries[(r, col)] = entries.get((r, col), 0) + c
-    return SparseMatrix(len(target_flat), len(source_flat), entries)
+    for (s, t), u in diff.items():
+        e_s, e_t = _idempotent_diagram(source[s][0]), _idempotent_diagram(target[t][0])
+        for d, c in u:
+            if d.cup != e_s.cup or d.cap != e_t.cap:
+                raise AssertionError("image left the projective summand")
+            for col, row, v in _right_action(d):
+                key = (tgt_at[t] + row, src_at[s] + col)
+                entries[key] = entries.get(key, 0) + c * v
+    return SparseMatrix(tgt_at[-1], src_at[-1], entries)
 
 
 def resolve_generic(lam: Weight) -> ProjectiveComplex:
@@ -461,7 +493,7 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     head is read off by exact rank computations, and the next differential
     comes straight from the chosen generators.
     """
-    M = cell_module(lam)
+    labels, _, _ = cell_basis(lam)
     # head of M(λ): L(λ) in degree 0, so the zeroth cover is P(λ)
     components: list[list[tuple[Weight, int]]] = [[(lam, 0)]]
     diffs: list[dict[tuple[int, int], AlgebraElement]] = []
@@ -469,9 +501,9 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     # kernel of P(λ) → M(λ): a diagram of middle weight λ maps to the basis
     # vector of its cup-weight, every other diagram to 0
     flat = _cover_data(components[0])
-    mindex = {w: k for k, w in enumerate(M.labels)}
+    mindex = {w: k for k, w in enumerate(labels)}
     aug = SparseMatrix(
-        M.dim,
+        len(labels),
         len(flat),
         {
             (mindex[alpha], col): 1
@@ -492,9 +524,10 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
         components.append([(alpha, deg) for (alpha, deg, _) in generators])
         diffs.append(diff)
         # next syzygy: kernel of ⊕P(α_g)⟨deg_g⟩ → previous cover
-        new_flat = _cover_data(components[-1])
-        syzygy = _homogeneous_kernel(_flat_differential(diff, new_flat, flat), new_flat)
-        flat = new_flat
+        flat = _cover_data(components[-1])
+        syzygy = _homogeneous_kernel(
+            _flat_differential(diff, components[-1], components[-2]), flat
+        )
 
     return ProjectiveComplex(
         lam, tuple(tuple(comp) for comp in components), tuple(diffs)
@@ -521,12 +554,18 @@ def _head_generators(
     """Minimal homogeneous generators of the syzygy module, whose vectors
     are sparse over the flat cover coordinates ``flat``.
 
-    The radical of the span W is Σ_{deg z > 0} z·W, where z acts on each
-    cover summand P(μ) by left multiplication, read from the product memo:
-    z·x is zero unless z stacks on x.  A deterministic greedy pass picks
-    syzygy basis vectors completing the radical to W, block by (weight,
-    degree) block in increasing degree.  A syzygy vector costs only the
-    diagrams at its nonzero coordinates.
+    The radical of the span W is K_{>0}·W, where z acts on each cover
+    summand P(μ) by left multiplication, read from the product memo: z·x
+    is zero unless z stacks on x.  K_m^n is Koszul, so it is generated in
+    degrees 0 and 1 (Brundan–Stroppel, Khovanov's diagram algebra II) and
+    K_{>0} = K_1·K; W, the whole kernel of the previous differential, is a
+    submodule, so K·W = W and K_{>0}·W = K_1·W.  Only the degree-one
+    diagrams z are multiplied, and the span, hence the choice below, is
+    exact.  (A radical too small would only add generators, which the
+    Kazhdan-Lusztig term check of ``verify_resolution`` reports.)  A
+    deterministic greedy pass picks syzygy basis vectors completing the
+    radical to W, block by (weight, degree) block in increasing degree.  A
+    syzygy vector costs only the diagrams at its nonzero coordinates.
     """
     stacking = _stacking_on(*flat[0][1].weight.block)
     index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(flat)}
@@ -537,7 +576,7 @@ def _head_generators(
         for c, coord in vec.items():
             idx, x, _, _ = flat[c]
             for z in stacking.get(x.cup, ()):
-                if z.degree > 0:
+                if z.degree == 1:
                     for d, v in basis_product(z, x):
                         r = index[(idx, d)]
                         image = images.setdefault(z, {})
@@ -578,24 +617,27 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
     # entries: correct hom space, degree one
     for i in range(1, len(c)):
         for (s, t), u in c.differentials[i - 1].items():
-            src, tgt = c.components[i][s][0], c.components[i - 1][t][0]
+            src = _idempotent_diagram(c.components[i][s][0])
+            tgt = _idempotent_diagram(c.components[i - 1][t][0])
             for diag, _ in u:
-                if diag.cup != associated_cup_diagram(src) or diag.cap != associated_cap_diagram(tgt):
+                if diag.cup != src.cup or diag.cap != tgt.cap:
                     failures.append(f"d_{i}[{s},{t}] entry outside e_src K e_tgt")
                 if diag.degree != 1:
                     failures.append(f"d_{i}[{s},{t}] entry of degree {diag.degree} != 1")
 
-    # d² = 0
+    # d² = 0, on the action-realized complex: d_{i-1}·d_i kills every
+    # basis vector of summand s of C_i exactly when it kills its generator,
+    # which it sends to Σ_t d_i[s,t]·d_{i-1}[t,u] in summand u of C_{i-2}
+    flats = [_cover_data(comp) for comp in c.components]
+    matrices = [
+        _flat_differential(diff, c.components[i], c.components[i - 1])
+        for i, diff in enumerate(c.differentials, start=1)
+    ]
     for i in range(2, len(c)):
-        for s in range(len(c.components[i])):
-            for u_ in range(len(c.components[i - 2])):
-                total = AlgebraElement()
-                for t in range(len(c.components[i - 1])):
-                    a, b = c.entry(i, s, t), c.entry(i - 1, t, u_)
-                    if not a.is_zero() and not b.is_zero():
-                        total = total + multiply(a, b)
-                if not total.is_zero():
-                    failures.append(f"d²≠0 at component {i}, blocks ({s},{u_})")
+        square = matrices[i - 2] @ matrices[i - 1]
+        blocks = {(flats[i][col][0], flats[i - 2][row][0]) for row, col in square.entries}
+        for s, u_ in sorted(blocks):
+            failures.append(f"d²≠0 at component {i}, blocks ({s},{u_})")
 
     # terms match the Kazhdan-Lusztig prediction
     expected = expected_terms(lam)
@@ -612,28 +654,23 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
             if not (lo <= length(nu) <= length(lam) - i):
                 failures.append(f"term bound violated by P({nu}) in component {i}")
 
-    failures.extend(_check_exactness(c, lam))
+    failures.extend(_check_exactness(flats, matrices, lam))
     return failures
 
 
-def _check_exactness(c: ProjectiveComplex, lam: Weight) -> list[str]:
+def _check_exactness(flats, matrices: list[SparseMatrix], lam: Weight) -> list[str]:
     """Homology of the action-realized complex, degree by degree."""
     failures: list[str] = []
-    flats = [_cover_data(list(comp)) for comp in c.components]
-    matrices = [
-        _flat_differential(diff, flats[i], flats[i - 1])
-        for i, diff in enumerate(c.differentials, start=1)
-    ]
     degrees = sorted({deg for flat in flats for (_, _, _, deg) in flat})
-    gdim_M = cell_module(lam).graded_dimension()
+    gdim_M = Counter(cell_basis(lam)[1])
     for deg in degrees:
         at = [[k for k, (_, _, _, d) in enumerate(flat) if d == deg] for flat in flats]
         dims = [len(coords) for coords in at]
         ranks = [rank(mat.restrict(at[i], at[i + 1])) for i, mat in enumerate(matrices)]
         # H_0 in this degree
         h0 = dims[0] - (ranks[0] if ranks else 0)
-        if h0 != gdim_M.coeff(deg):
-            failures.append(f"H₀ wrong in degree {deg}: {h0} vs {gdim_M.coeff(deg)}")
+        if h0 != gdim_M[deg]:
+            failures.append(f"H₀ wrong in degree {deg}: {h0} vs {gdim_M[deg]}")
         for i in range(1, len(flats)):
             rank_in = ranks[i] if i < len(ranks) else 0
             kernel = dims[i] - (ranks[i - 1] if i - 1 < len(ranks) else 0)

@@ -35,6 +35,20 @@ each d ranked once.  ``arckit.extalg.ext_dims`` ranks the much smaller
 complex Hom(P_•(λ), M(μ)) with ``arckit.exact.rank`` and is checked
 against it; the reference ranks with the reference kernel.
 
+``hom_into_module_dims_reference`` counts the same small complex over the
+action matrices of an explicit module, ``cell_module(μ)``, and ranks with
+the reference kernel; ``arckit.extalg.ext_dims`` reads each entry as one
+coefficient of one surgery product and is checked against it.
+
+``cover_reference``, ``flat_differential_reference`` and
+``head_generators_reference`` are the reference generic resolution steps:
+each cover summand's basis filtered from ``basis``, a differential's
+matrix by ``multiply`` on every basis column, and the head of a syzygy
+span with the radical from every positive-degree diagram, kept per
+(cup-weight, degree) block in a dense span.  ``arckit.resolve`` caches
+each summand's basis and each diagram's right action, and multiplies
+only by degree-one diagrams, and is checked against these.
+
 ``surgery_product_reference`` is the reference surgery product: vertices
 are (line, position) pairs, a state is a tuple of labels, and every cut
 finds the components it reads again by a depth-first walk for every state.
@@ -303,6 +317,123 @@ def ext_dims_hom_complex(lam, mu) -> dict[int, int]:
     return out
 
 
+def hom_into_module_dims_reference(P, M) -> dict[int, int]:
+    """Cohomology dimensions {k: dim} of Hom(P, M), zeros omitted, with M
+    an explicit module: the entry at (s, t) of each pulled-back
+    differential is read off the action matrices of ``M``, and the ranks
+    come from the reference kernel."""
+    where = {label: i for i, label in enumerate(M.labels)}
+    coords = []
+    for comp in P.components:
+        kept = [(s, where[nu]) for s, (nu, _) in enumerate(comp) if nu in where]
+        coords.append({s: (i, v) for i, (s, v) in enumerate(kept)})
+    ranks = [0] * len(P.components)
+    for k, diff in enumerate(P.differentials):
+        cols, rows = coords[k], coords[k + 1]
+        if not cols or not rows:
+            continue
+        entries: dict[tuple[int, int], Fraction] = {}
+        for (s, t), u in diff.items():
+            if s in rows and t in cols:
+                (row, v_s), (col, v_t) = rows[s], cols[t]
+                for z, c in u:
+                    action = M.action.get(z)
+                    a = action.entries.get((v_s, v_t)) if action is not None else None
+                    if a:
+                        entries[row, col] = entries.get((row, col), 0) + c * a
+        ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))
+    out = {}
+    for k, degree in enumerate(coords):
+        total = len(degree) - ranks[k] - (ranks[k - 1] if k else 0)
+        if total:
+            out[k] = total
+    return out
+
+
+# ---------------------------------------------------------------------------
+# generic resolutions
+# ---------------------------------------------------------------------------
+
+
+def projective_labels(lam) -> list:
+    """The basis of P(λ) = K e_λ: the diagrams of ``basis`` with cap λ̄."""
+    cap = associated_cap_diagram(lam)
+    return [d for d in basis(*lam.block) if d.cap == cap]
+
+
+def cover_reference(summands) -> list:
+    """The flat basis of ⊕ P(μ)⟨j⟩: (summand index, diagram, cup-weight,
+    absolute degree), each summand's block in ``projective_labels`` order."""
+    return [
+        (idx, d, weights_by_cup(*mu.block)[d.cup], d.degree + j)
+        for idx, (mu, j) in enumerate(summands)
+        for d in projective_labels(mu)
+    ]
+
+
+def flat_differential_reference(diff, source, target) -> SparseMatrix:
+    """The matrix of a differential between the covers of two summand
+    lists: ``multiply`` on every basis diagram x of summand s by every
+    entry d[s, t], the image read off in summand t."""
+    source_flat, target_flat = cover_reference(source), cover_reference(target)
+    index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(target_flat)}
+    entries: dict[tuple[int, int], Fraction] = {}
+    for col, (s, diag, _, _) in enumerate(source_flat):
+        x = AlgebraElement.from_diagram(diag)
+        for (s2, t), u in diff.items():
+            if s2 != s:
+                continue
+            for d, c in multiply(x, u):
+                r = index.get((t, d))
+                if r is None:
+                    raise AssertionError("image left the projective summand")
+                entries[(r, col)] = entries.get((r, col), 0) + c
+    return SparseMatrix(len(target_flat), len(source_flat), entries)
+
+
+def head_generators_reference(syzygy, flat) -> list:
+    """The greedy head of a syzygy span W over the flat cover ``flat``,
+    with the radical K_{>0}·W spanned by z·w for every basis diagram z of
+    positive degree and every syzygy vector w, each product by
+    ``multiply`` (z·x is zero unless z's cap has x's cup arcs, so only
+    those z are tried).  Every such z·w lies in one (cup-weight, degree)
+    block of coordinates, so the span is kept as one dense ``_DenseSpan``
+    per block."""
+    index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(flat)}
+    block_of = [(alpha, deg) for _, _, alpha, deg in flat]
+    blocks: dict[tuple, list[int]] = {}
+    for k, key in enumerate(block_of):
+        blocks.setdefault(key, []).append(k)
+    spans = {key: _DenseSpan() for key in blocks}
+
+    def add(vec: dict) -> bool:
+        (key,) = {block_of[k] for k in vec}  # a ValueError if not homogeneous
+        return spans[key].add([vec.get(k, 0) for k in blocks[key]])
+
+    positive: dict[tuple, list] = {}
+    for z in basis(*flat[0][1].weight.block):
+        if z.degree > 0:
+            positive.setdefault((z.cap.cups, z.cap.rays), []).append(z)
+    for _, _, vec in syzygy:
+        images: dict = {}
+        for c, coord in vec.items():
+            idx, x, _, _ = flat[c]
+            for z in positive.get((x.cup.cups, x.cup.rays), ()):
+                product = multiply(AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(x))
+                image = images.setdefault(z, {})
+                for d, v in product:
+                    r = index[(idx, d)]
+                    image[r] = image.get(r, 0) + v * coord
+        for image in images.values():
+            if any(image.values()):
+                add({r: v for r, v in image.items() if v})
+    return [
+        (alpha, deg, vec)
+        for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))
+        if add(vec)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # module actions and hom bases
 # ---------------------------------------------------------------------------
@@ -329,7 +460,7 @@ def module_action(m, n, module_basis, act_on_basis) -> dict:
 def projective_action(lam) -> tuple[list, dict]:
     """The labels and action matrices of P(λ) = K e_λ."""
     m, n = lam.block
-    labels = [d for d in basis(m, n) if d.cap == associated_cap_diagram(lam)]
+    labels = projective_labels(lam)
 
     def act(z, v):
         product = multiply(AlgebraElement.from_diagram(z), AlgebraElement.from_diagram(v))

@@ -322,6 +322,14 @@ PINNED_DIGESTS = {
     ("resolve", "-m", "4", "-n", "2", "--lambda", "vvvv^^", "--method", "generic",
      "--verify", "--format", "json"):
         "f538385b397ecf71071d9918ee71eb8d5ca6f7f1d4d2b7f56dfbab1b19ec5296",
+    # every Ext dimension of (4|3), each matrix entry one coefficient of one
+    # surgery product, and a generic resolution of (3|3) with its
+    # degree-one radicals and right-action tables; recorded before either
+    ("extdim", "-m", "4", "-n", "3", "--all", "--oracle", "shelton", "--format", "json"):
+        "26ba356a52d9b3e1ffeaad0ab6f66fbb7472d08625f92e6e486462891d01b98c",
+    ("resolve", "-m", "3", "-n", "3", "--lambda", "vv^v^^", "--method", "generic",
+     "--verify", "--format", "json"):
+        "a677478321037b5e96b9164e8155c82d475d84f00793fe52f0765e0a247b264c",
 }
 
 

@@ -53,6 +53,13 @@ class TestWeight:
             assert len(set(map(str, ws))) == len(ws)
             assert all(w.block == (m, n) for w in ws)
 
+    def test_each_call_hands_out_a_fresh_list(self):
+        ws = weights_in_block(3, 2)
+        first = list(ws)
+        ws.reverse()
+        ws.append(Weight.parse("v^"))
+        assert weights_in_block(3, 2) == first
+
     def test_j_index_roundtrip(self):
         for m in (2, 3, 4):
             for j in range(m + 1):

@@ -367,8 +367,16 @@ class TestSmallComplex:
         for lam in ws:
             generic = resolve_generic(lam)
             for mu in ws:
-                dims = extalg._hom_into_module_dims(generic, cell_module(mu))
+                dims = extalg._hom_into_module_dims(generic, mu)
                 assert dims == ext_dims(lam, mu)
+
+    @pytest.mark.parametrize("block", [(2, 2), (3, 2), (2, 3), (4, 2)])
+    def test_equals_the_count_over_the_action_matrices(self, block):
+        ws = weights_in_block(*block)
+        for lam, mu in iproduct(ws, repeat=2):
+            assert ext_dims(lam, mu) == oracles.hom_into_module_dims_reference(
+                extalg.resolution(lam), cell_module(mu)
+            )
 
     @pytest.mark.parametrize("block", [(3, 3), (4, 3)])
     def test_matches_the_recursion_on_larger_blocks(self, block):

@@ -20,12 +20,15 @@ from arckit import (
     verify_resolution,
     weights_in_block,
 )
+from arckit import resolve
 from arckit.arcalg import hom_basis
-from arckit.extalg import ext_dims, hom_windows_ok
+from arckit.extalg import ext_dims, hom_windows_ok, resolution
 from arckit.resolve import (
     ProjectiveComplex,
     ResolutionCache,
     _ab_type,
+    _cover_data,
+    _flat_differential,
     _normalize_signs,
     _resolve_cone_raw,
     _serialize,
@@ -33,7 +36,12 @@ from arckit.resolve import (
     sign_target_n1,
     sign_target_n2,
 )
-from oracles import hom_cohomology
+from oracles import (
+    cover_reference,
+    flat_differential_reference,
+    head_generators_reference,
+    hom_cohomology,
+)
 
 
 def _unique_degree_one(src: Weight, tgt: Weight):
@@ -240,6 +248,67 @@ class TestGenericPinned:
             for lam in weights_in_block(m, n)
         }
         assert got == GENERIC_DIGESTS[(m, n)]
+
+
+# sha256 of the concatenated _serialize(resolve_generic(λ)) over these
+# blocks in order, λ in weights_in_block order, recorded while the radical
+# of each syzygy still came from every positive-degree diagram and each
+# differential matrix from one multiply per column
+LARGE_GENERIC_BLOCKS = [(2, 3), (2, 4), (3, 3), (4, 3)]
+LARGE_GENERIC_DIGEST = "14d97ef667c2db3cc8fe4e86db8dddcda5e99c8b8ed94530a9becb03dc01099b"
+
+
+class TestLargeGenericPinned:
+    def test_serialization_is_unchanged(self):
+        digest = hashlib.sha256()
+        for block in LARGE_GENERIC_BLOCKS:
+            for lam in weights_in_block(*block):
+                digest.update(_serialize(resolve_generic(lam)).encode())
+        assert digest.hexdigest() == LARGE_GENERIC_DIGEST
+
+
+# blocks on which the generic resolution's fast paths are compared with
+# the references that multiply every pair
+REFERENCE_BLOCKS = [(2, 2), (3, 2), (2, 3), (4, 2)]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("block", REFERENCE_BLOCKS)
+    def test_flat_differentials(self, block):
+        for lam in weights_in_block(*block):
+            for c in (resolution(lam), resolve_generic(lam)):
+                for comp in c.components:
+                    assert _cover_data(comp) == cover_reference(comp)
+                for i, diff in enumerate(c.differentials, start=1):
+                    source, target = c.components[i], c.components[i - 1]
+                    assert _flat_differential(diff, source, target) == (
+                        flat_differential_reference(diff, source, target)
+                    )
+
+    @pytest.mark.parametrize("block", REFERENCE_BLOCKS + [(3, 3)])
+    def test_head_generators(self, block, monkeypatch):
+        fast = resolve._head_generators
+        calls = []
+
+        def both(syzygy, flat):
+            got = fast(syzygy, flat)
+            assert got == head_generators_reference(syzygy, flat)
+            calls.append(len(got))
+            return got
+
+        monkeypatch.setattr(resolve, "_head_generators", both)
+        for lam in weights_in_block(*block):
+            resolve_generic(lam)
+        assert sum(calls) > 0
+
+    def test_an_entry_outside_its_summands_is_refused(self):
+        x, y, z = (Weight.parse(w) for w in ("v^v^", "v^^v", "vv^^"))
+        (d,) = [d for d in hom_basis(x, y) if d.degree == 1]
+        entry = {(0, 0): AlgebraElement.from_diagram(d)}
+        _flat_differential(entry, [(x, 1)], [(y, 0)])
+        for source, target in ((z, y), (x, z)):
+            with pytest.raises(AssertionError, match="left the projective summand"):
+                _flat_differential(entry, [(source, 1)], [(target, 0)])
 
 
 # sha256 of the concatenated _serialize(resolve_cone(λ)) over these blocks
