@@ -11,21 +11,33 @@ into place with ``os.replace``, so a reader sees either no entry or a
 whole one, also while another process writes the same key.  A missing,
 unreadable or damaged entry reads as a miss; the caller recomputes the
 result and the next store overwrites the entry.
+
+The hash is the interpreter's built-in sha256, whose hex digests equal
+``hashlib``'s, so a warm ``arckit`` hit (one subparser, then this module)
+loads neither an algebra module nor OpenSSL.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from functools import lru_cache
 
 __all__ = ["entry_path", "load", "store", "source_digest"]
 
 
-def _sha256(data: bytes) -> str:
-    # hashlib loads OpenSSL (about 3 MB resident); only runs with a cache pay it
-    import hashlib
+@lru_cache(maxsize=None)
+def _sha256_type():
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # an interpreter built without it; hashlib loads OpenSSL
+        import hashlib
 
-    return hashlib.sha256(data).hexdigest()
+        return hashlib.sha256
+
+
+def _sha256(data: bytes) -> str:
+    return _sha256_type()(data).hexdigest()
 
 
 @lru_cache(maxsize=None)

@@ -586,35 +586,6 @@ def _text_quiver(doc: dict) -> str:
     return "\n".join(lines)
 
 
-_TEXT = {
-    "basis": _text_basis,
-    "multiply": _text_multiply,
-    "klpoly": _text_klpoly,
-    "decomp": _text_matrix,
-    "cartan": _text_matrix,
-    "resolve": _text_resolve,
-    "extdim": _text_extdim,
-    "extbasis": _text_extbasis,
-    "multtable": _text_multtable,
-    "ainfty": _text_ainfty,
-    "quiver": _text_quiver,
-}
-
-_DOC = {
-    "basis": _doc_basis,
-    "multiply": _doc_multiply,
-    "klpoly": _doc_klpoly,
-    "decomp": _doc_decomp,
-    "cartan": _doc_cartan,
-    "resolve": _doc_resolve,
-    "extdim": _doc_extdim,
-    "extbasis": _doc_extbasis,
-    "multtable": _doc_multtable,
-    "ainfty": _doc_ainfty,
-    "quiver": _doc_quiver,
-}
-
-
 # ---------------------------------------------------------------------------
 # SVG rendering
 # ---------------------------------------------------------------------------
@@ -814,55 +785,68 @@ def _run_render(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the one list of subcommands: name -> (help, weight flags, document,
+# text renderer, further arguments as {flag: add_argument keywords});
+# render writes SVG and has neither a document nor a text renderer
+_COMMANDS = {
+    "basis": ("list algebra basis diagrams", ("lam", "mu"), _doc_basis, _text_basis, {}),
+    "multiply": ("product of two basis diagrams", (), _doc_multiply, _text_multiply, {
+        "x": dict(help="first diagram 'cups=... rays=... | weight | ...'"),
+        "y": dict(help="second diagram"),
+    }),
+    "klpoly": ("combinatorial KL polynomial", ("lam", "mu"), _doc_klpoly, _text_klpoly, {
+        "--method": dict(choices=("both", "closed", "recursive"), default="both"),
+    }),
+    "decomp": ("q-decomposition matrix", (), _doc_decomp, _text_matrix, {}),
+    "cartan": ("graded Cartan matrix", (), _doc_cartan, _text_matrix, {}),
+    "resolve": ("linear projective resolution", ("lam",), _doc_resolve, _text_resolve, {
+        "--method": dict(choices=("cone", "generic"), default="cone"),
+        "--verify": dict(action="store_true"),
+    }),
+    "extdim": ("Ext dimensions between cell modules", ("lam", "mu"), _doc_extdim, _text_extdim, {
+        "--all": dict(action="store_true", help="all ordered pairs"),
+        "--oracle": dict(choices=("shelton",), help="oracle column"),
+    }),
+    "extbasis": ("canonical Ext basis classes", ("lam", "mu"), _doc_extbasis, _text_extbasis, {
+        "--method": dict(choices=("auto", "generic"), default="auto"),
+    }),
+    "multtable": ("Ext multiplication pattern table (n=2)", (), _doc_multtable, _text_multtable, {}),
+    "ainfty": ("A-infinity minimal model report", (), _doc_ainfty, _text_ainfty, {
+        "--mode": dict(choices=("generic", "canonical"), default="generic"),
+        "--max-arity": dict(type=int, default=5),
+    }),
+    "quiver": ("quiver with relations", (), _doc_quiver, _text_quiver, {
+        "--algebra": dict(choices=("end", "ext"), default="end"),
+    }),
+    "render": ("deterministic SVG rendering", (), None, None, {
+        "--weight": dict(metavar="WEIGHT", help="render e_lambda"),
+        "--diagram": dict(metavar="DIAGRAM", help="render one basis diagram"),
+        "--product": dict(nargs=2, metavar=("X", "Y"), help="render the surgery trace of X*Y"),
+    }),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand ``only`` alone;
+    ``main`` passes ``argv[0]``, so a run builds the subparser it uses.
+    With one subparser, usage and error lines still name every subcommand."""
     parser = argparse.ArgumentParser(
         prog="arckit",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def cmd(name: str, help_: str, weights=(), **extra):
+    names = [only] if only in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_, weights, _, _, further = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         _add_block(p)
         _add_common(p)
         for w in weights:
             _add_weight(p, w)
-        return p
-
-    cmd("basis", "list algebra basis diagrams", weights=("lam", "mu"))
-    p = cmd("multiply", "product of two basis diagrams")
-    p.add_argument("x", help="first diagram 'cups=... rays=... | weight | ...'")
-    p.add_argument("y", help="second diagram")
-    p = cmd("klpoly", "combinatorial KL polynomial", weights=("lam", "mu"))
-    p.add_argument(
-        "--method", choices=("both", "closed", "recursive"), default="both"
-    )
-    cmd("decomp", "q-decomposition matrix")
-    cmd("cartan", "graded Cartan matrix")
-    p = cmd("resolve", "linear projective resolution", weights=("lam",))
-    p.add_argument("--method", choices=("cone", "generic"), default="cone")
-    p.add_argument("--verify", action="store_true")
-    p = cmd("extdim", "Ext dimensions between cell modules", weights=("lam", "mu"))
-    p.add_argument("--all", action="store_true", help="all ordered pairs")
-    p.add_argument("--oracle", choices=("shelton",), help="oracle column")
-    p = cmd("extbasis", "canonical Ext basis classes", weights=("lam", "mu"))
-    p.add_argument("--method", choices=("auto", "generic"), default="auto")
-    cmd("multtable", "Ext multiplication pattern table (n=2)")
-    p = cmd("ainfty", "A-infinity minimal model report")
-    p.add_argument("--mode", choices=("generic", "canonical"), default="generic")
-    p.add_argument("--max-arity", type=int, default=5)
-    p = cmd("quiver", "quiver with relations")
-    p.add_argument("--algebra", choices=("end", "ext"), default="end")
-    p = cmd("render", "deterministic SVG rendering")
-    p.add_argument("--weight", metavar="WEIGHT", help="render e_lambda")
-    p.add_argument("--diagram", metavar="DIAGRAM", help="render one basis diagram")
-    p.add_argument(
-        "--product",
-        nargs=2,
-        metavar=("X", "Y"),
-        help="render the surgery trace of X*Y",
-    )
+        for flag, keywords in further.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -894,11 +878,13 @@ def _emit(args, text: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    _, _, make_document, render_text, _ = _COMMANDS[args.subcommand]
     try:
         if args.subcommand == "render":
             _emit(args, _run_render(args))
@@ -906,13 +892,13 @@ def main(argv=None) -> int:
         cache_file = _cache_path(args.cache, args) if args.cache else None
         document = _load_document(cache_file) if cache_file else None
         if document is None:
-            document = _DOC[args.subcommand](args)
+            document = make_document(args)
             if cache_file:
                 cache.store(cache_file, json.dumps(document, indent=2, sort_keys=True))
         if args.format == "json":
             _emit(args, json.dumps(document, indent=2, sort_keys=True))
         else:
-            _emit(args, _TEXT[args.subcommand](document))
+            _emit(args, render_text(document))
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

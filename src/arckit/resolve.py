@@ -478,7 +478,7 @@ def _flat_differential(
         e_s, e_t = _idempotent_diagram(source[s][0]), _idempotent_diagram(target[t][0])
         for d, c in u:
             if d.cup != e_s.cup or d.cap != e_t.cap:
-                raise AssertionError("image left the projective summand")
+                raise ValueError("image left the projective summand")
             for col, row, v in _right_action(d):
                 key = (tgt_at[t] + row, src_at[s] + col)
                 entries[key] = entries.get(key, 0) + c * v
@@ -535,15 +535,22 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
 
 
 def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, dict[int, Scalar]]]:
-    """Kernel of the matrix split into (cup-weight, absolute degree) blocks,
-    returned as homogeneous vectors in the flat cover coordinates."""
-    blocks: dict[tuple[Weight, int], list[int]] = {}
+    """Kernel of the matrix split into (cup-weight, absolute degree) column
+    blocks, each filled in one pass over the entries, returned as
+    homogeneous vectors in the flat cover coordinates."""
+    blocks: dict[tuple[Weight, int], tuple[list[int], dict[tuple[int, int], Scalar]]] = {}
+    place = []  # column -> (its index in its block, the block's entries)
     for k, (_, _, alpha, deg) in enumerate(flat):
-        blocks.setdefault((alpha, deg), []).append(k)
+        cols, entries = blocks.setdefault((alpha, deg), ([], {}))
+        place.append((len(cols), entries))
+        cols.append(k)
+    for (r, c), v in matrix.entries.items():
+        local, entries = place[c]
+        entries[(r, local)] = v
     out = []
     for (alpha, deg) in sorted(blocks, key=lambda ad: (ad[1], str(ad[0]))):
-        cols = blocks[(alpha, deg)]
-        for vec in kernel_basis(matrix.restrict(range(matrix.rows), cols)):
+        cols, entries = blocks[(alpha, deg)]
+        for vec in kernel_basis(SparseMatrix(matrix.rows, len(cols), entries)):
             out.append((alpha, deg, {cols[local]: v for local, v in vec.items()}))
     return out
 
@@ -595,13 +602,33 @@ def _head_generators(
 # ---------------------------------------------------------------------------
 
 
+def _stray_entries(c: ProjectiveComplex) -> list[str]:
+    """The entries of d_i[s,t] outside e_s K e_t, or naming a summand that
+    C_i or C_{i-1} lacks; ``_flat_differential`` cannot place them."""
+    failures = []
+    for i, diff in enumerate(c.differentials, start=1):
+        for (s, t), u in diff.items():
+            if not (0 <= s < len(c.components[i]) and 0 <= t < len(c.components[i - 1])):
+                failures.append(f"d_{i}[{s},{t}] names a missing summand")
+                continue
+            src = _idempotent_diagram(c.components[i][s][0])
+            tgt = _idempotent_diagram(c.components[i - 1][t][0])
+            failures += [
+                f"d_{i}[{s},{t}] entry outside e_src K e_tgt"
+                for diag, _ in u
+                if diag.cup != src.cup or diag.cap != tgt.cap
+            ]
+    return failures
+
+
 def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[str]:
     """Check the complex is a linear projective resolution of M(λ).
 
     Returns a list of human-readable failures (empty when everything
     passes): linearity, entry degrees and hom spaces, d² = 0, term match
     with the Kazhdan-Lusztig prediction, and exactness by exact ranks on
-    the action-realized complex.
+    the action-realized complex.  An entry outside its summands is
+    reported, and d² and exactness, which need that complex, are skipped.
     """
     lam = lam if lam is not None else c.weight
     failures: list[str] = []
@@ -615,29 +642,28 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
         failures.append("component 0 is not P(λ)<0>")
 
     # entries: correct hom space, degree one
-    for i in range(1, len(c)):
-        for (s, t), u in c.differentials[i - 1].items():
-            src = _idempotent_diagram(c.components[i][s][0])
-            tgt = _idempotent_diagram(c.components[i - 1][t][0])
-            for diag, _ in u:
-                if diag.cup != src.cup or diag.cap != tgt.cap:
-                    failures.append(f"d_{i}[{s},{t}] entry outside e_src K e_tgt")
-                if diag.degree != 1:
-                    failures.append(f"d_{i}[{s},{t}] entry of degree {diag.degree} != 1")
+    stray = _stray_entries(c)
+    failures += stray
+    for i, diff in enumerate(c.differentials, start=1):
+        for (s, t), u in diff.items():
+            failures += [
+                f"d_{i}[{s},{t}] entry of degree {d.degree} != 1" for d, _ in u if d.degree != 1
+            ]
 
     # d² = 0, on the action-realized complex: d_{i-1}·d_i kills every
     # basis vector of summand s of C_i exactly when it kills its generator,
     # which it sends to Σ_t d_i[s,t]·d_{i-1}[t,u] in summand u of C_{i-2}
-    flats = [_cover_data(comp) for comp in c.components]
-    matrices = [
-        _flat_differential(diff, c.components[i], c.components[i - 1])
-        for i, diff in enumerate(c.differentials, start=1)
-    ]
-    for i in range(2, len(c)):
-        square = matrices[i - 2] @ matrices[i - 1]
-        blocks = {(flats[i][col][0], flats[i - 2][row][0]) for row, col in square.entries}
-        for s, u_ in sorted(blocks):
-            failures.append(f"d²≠0 at component {i}, blocks ({s},{u_})")
+    if not stray:
+        flats = [_cover_data(comp) for comp in c.components]
+        matrices = [
+            _flat_differential(diff, c.components[i], c.components[i - 1])
+            for i, diff in enumerate(c.differentials, start=1)
+        ]
+        for i in range(2, len(c)):
+            square = matrices[i - 2] @ matrices[i - 1]
+            blocks = {(flats[i][col][0], flats[i - 2][row][0]) for row, col in square.entries}
+            for s, u_ in sorted(blocks):
+                failures.append(f"d²≠0 at component {i}, blocks ({s},{u_})")
 
     # terms match the Kazhdan-Lusztig prediction
     expected = expected_terms(lam)
@@ -654,19 +680,38 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
             if not (lo <= length(nu) <= length(lam) - i):
                 failures.append(f"term bound violated by P({nu}) in component {i}")
 
-    failures.extend(_check_exactness(flats, matrices, lam))
+    if not stray:
+        failures.extend(_check_exactness(flats, matrices, lam))
     return failures
 
 
 def _check_exactness(flats, matrices: list[SparseMatrix], lam: Weight) -> list[str]:
-    """Homology of the action-realized complex, degree by degree."""
+    """Homology of the action-realized complex, degree by degree.  One pass
+    over each matrix's entries buckets them by degree, keeping an entry only
+    when its row and column degrees agree (the entry check reports others)."""
     failures: list[str] = []
-    degrees = sorted({deg for flat in flats for (_, _, _, deg) in flat})
+    counts: list[Counter] = []  # per component: degree -> number of coordinates
+    local: list[list[int]] = []  # per component: coordinate -> index in its degree
+    for flat in flats:
+        counts.append(Counter())
+        local.append([])
+        for _, _, _, deg in flat:
+            local[-1].append(counts[-1][deg])
+            counts[-1][deg] += 1
+    parts: list[dict[int, dict[tuple[int, int], Scalar]]] = [{} for _ in matrices]
+    for i, mat in enumerate(matrices):
+        for (r, c), v in mat.entries.items():
+            deg = flats[i][r][3]
+            if flats[i + 1][c][3] == deg:
+                parts[i].setdefault(deg, {})[(local[i][r], local[i + 1][c])] = v
+    degrees = sorted({deg for count in counts for deg in count})
     gdim_M = Counter(cell_basis(lam)[1])
     for deg in degrees:
-        at = [[k for k, (_, _, _, d) in enumerate(flat) if d == deg] for flat in flats]
-        dims = [len(coords) for coords in at]
-        ranks = [rank(mat.restrict(at[i], at[i + 1])) for i, mat in enumerate(matrices)]
+        dims = [count[deg] for count in counts]
+        ranks = [
+            rank(SparseMatrix(dims[i], dims[i + 1], part.get(deg, {})))
+            for i, part in enumerate(parts)
+        ]
         # H_0 in this degree
         h0 = dims[0] - (ranks[0] if ranks else 0)
         if h0 != gdim_M[deg]:
@@ -725,7 +770,11 @@ def _deserialize(weight: Weight, body: str) -> ProjectiveComplex:
 
 class ResolutionCache:
     """Resolutions in the on-disk store under ``directory`` (see
-    :mod:`arckit.cache`), one entry per (m, n, weight, method) key."""
+    :mod:`arckit.cache`), one entry per (m, n, weight, method) key.
+
+    An entry that does not parse, or whose complex has a component 0 other
+    than P(λ)⟨0⟩ or an entry outside its summands, is damaged and loads as
+    a miss, so the caller recomputes and overwrites it."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -738,9 +787,12 @@ class ResolutionCache:
         if body is None:
             return None
         try:
-            return _deserialize(Weight.parse(key[2]), body)
+            c = _deserialize(Weight.parse(key[2]), body)
         except (ValueError, LookupError, ArithmeticError):  # does not parse: a miss
             return None
+        if c.components[0] != ((c.weight, 0),) or _stray_entries(c):
+            return None
+        return c
 
     def store(self, key: tuple[int, int, str, str], c: ProjectiveComplex) -> None:
         cache.store(self._path(key), _serialize(c))

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, exit codes, caching, rendering."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import arckit.cache
+from arckit import cli
 from arckit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -231,6 +233,21 @@ class TestDeterminismAndCache:
         # the --verify document is not cached, so the resolution entry is read
         assert run(args + cache + ["--verify"]) == reference
 
+    def test_resolution_entry_outside_its_summands_is_recomputed(self, tmp_path):
+        from arckit.diagrams import Weight
+        from arckit.resolve import ResolutionCache, _serialize, resolve_generic
+
+        args = ["resolve", "-m", "2", "-n", "2", "--lambda", "vv^^", "--method", "generic"]
+        args += ["--verify", "--cache", str(tmp_path)]
+        reference = run(args[:-2])
+        # a checksum-valid entry whose component 0 is P(v^v^): every d_1
+        # entry lies outside its summands
+        whole = _serialize(resolve_generic(Weight.parse("vv^^")))
+        path = ResolutionCache(str(tmp_path))._path((2, 2, "vv^^", "generic"))
+        arckit.cache.store(path, whole.replace("summand 0 vv^^ 0", "summand 0 v^v^ 0"))
+        assert run(args) == reference  # exit 0, the same bytes, nothing on stderr
+        assert arckit.cache.load(path) == whole  # overwritten by the recomputation
+
     def test_entry_under_other_source_is_not_served(self, tmp_path, monkeypatch):
         args = ["klpoly", "-m", "2", "-n", "2", "--lambda", "vv^^", "--mu", "^^vv"]
         cache = ["--cache", str(tmp_path)]
@@ -342,6 +359,67 @@ class TestPinnedOutputs:
         if "-o" in args:
             out = (tmp_path / args[args.index("-o") + 1]).read_text()
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[args]
+
+
+# each subcommand's first README command above; then, for every
+# subcommand, its help, an unknown flag, a missing -m and a bad --format;
+# then argv that name no subcommand
+PARSER_CASES = list({args[0]: list(args) for args in reversed(PINNED_DIGESTS)}.values())
+PARSER_CASES += [
+    argv
+    for name in cli._COMMANDS
+    for argv in (
+        [name, "--help"],
+        [name, "-m", "2", "-n", "2", "--bogus"],
+        [name, "-n", "2"],
+        [name, "-m", "2", "-n", "2", "--format", "xml"],
+    )
+]
+PARSER_CASES += [["--help"], ["nosuch", "-m", "2"], []]
+
+
+class TestOneSubparser:
+    def test_a_named_subcommand_builds_only_its_subparser(self):
+        def subcommands(parser):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return list(action.choices)
+
+        assert subcommands(cli._build_parser()) == list(cli._COMMANDS)
+        for name in cli._COMMANDS:
+            assert subcommands(cli._build_parser(name)) == [name]
+        assert subcommands(cli._build_parser("nosuch")) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a[:5]) or "empty")
+    def test_main_answers_as_with_the_full_parser(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where render's -o writes
+        full_parser = cli._build_parser
+
+        def outcome():
+            result = run(argv)
+            files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            for p in tmp_path.iterdir():
+                p.unlink()
+            return result, files
+
+        one = outcome()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", lambda only=None: full_parser())
+            assert outcome() == one
+        if one[0][0] == 0 and "--help" not in argv:
+            args_one = cli._build_parser(argv[0]).parse_args(argv)
+            args_full = cli._build_parser().parse_args(argv)
+            assert vars(args_one) == vars(args_full)
+            assert cli._cache_path("d", args_one) == cli._cache_path("d", args_full)
+
+
+class TestHash:
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"arckit resolve -m 2 -n 2", "λ ∧ ∨ μ".encode(), bytes(range(256)) * 4096],
+        ids=["empty", "ascii", "utf-8", "1MB"],
+    )
+    def test_the_builtin_sha256_is_hashlibs(self, data):
+        assert arckit.cache._sha256(data) == hashlib.sha256(data).hexdigest()
 
 
 class TestRender:

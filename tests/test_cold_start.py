@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: ``import arckit`` loads no submodule,
-``import arckit.cli`` loads no algebra module, and a ``--cache`` hit or a
-usage error is answered before any algebra module loads.
+``import arckit.cli`` loads no algebra module, a usage error is answered
+before any algebra module loads, and a ``--cache`` hit before any algebra
+module or hashlib (OpenSSL) does.
 
 Each check runs in a subprocess and reads ``sys.modules`` there, since
 this test process has long imported everything.
@@ -40,8 +41,8 @@ def fresh(script: str) -> dict:
 
 
 def run_cli(argv: list[str]) -> dict:
-    """``arckit.cli.main(argv)`` in a new interpreter: exit code, stdout
-    and the ``arckit`` modules loaded."""
+    """``arckit.cli.main(argv)`` in a new interpreter: exit code, stdout,
+    the ``arckit`` modules loaded and whether hashlib (OpenSSL) loaded."""
     return fresh(
         "import contextlib, io\n"
         "from arckit.cli import main\n"
@@ -49,6 +50,7 @@ def run_cli(argv: list[str]) -> dict:
         "with contextlib.redirect_stdout(buffer):\n"
         f"    out['code'] = main({argv!r})\n"
         "out['stdout'] = buffer.getvalue()\n"
+        "out['hashlib'] = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
     )
 
 
@@ -104,6 +106,7 @@ def test_warm_cache_hit_loads_no_algebra_module(argv, tmp_path):
     assert warm["code"] == 0
     assert warm["stdout"] == cold["stdout"]
     assert not ALGEBRA & set(warm["loaded"])
+    assert warm["hashlib"] == []  # the interpreter's built-in sha256
 
 
 @pytest.mark.parametrize(

@@ -307,8 +307,47 @@ class TestAgainstReference:
         entry = {(0, 0): AlgebraElement.from_diagram(d)}
         _flat_differential(entry, [(x, 1)], [(y, 0)])
         for source, target in ((z, y), (x, z)):
-            with pytest.raises(AssertionError, match="left the projective summand"):
+            with pytest.raises(ValueError, match="left the projective summand"):
                 _flat_differential(entry, [(source, 1)], [(target, 0)])
+
+
+def tampered(lam: Weight, old: str, new: str) -> str:
+    """``_serialize(resolve_generic(λ))`` with ``old`` replaced, as a damaged
+    cache entry whose checksum is valid holds it."""
+    body = _serialize(resolve_generic(lam))
+    assert old in body
+    return body.replace(old, new, 1)
+
+
+class TestEntriesOutsideTheirSummands:
+    LAM = Weight.parse("vv^^")
+    # component 0 relabelled, so that every d_1 entry leaves e_src K e_tgt;
+    # a d_1 entry moved to a summand C_1 lacks
+    CASES = [
+        ("summand 0 vv^^ 0", "summand 0 v^v^ 0", "entry outside e_src K e_tgt"),
+        ("entry 1 0 0 ", "entry 1 7 0 ", "d_1[7,0] names a missing summand"),
+    ]
+
+    @pytest.mark.parametrize("old,new,failure", CASES, ids=["component-0", "missing-summand"])
+    def test_verify_reports_them(self, old, new, failure):
+        c = resolve._deserialize(self.LAM, tampered(self.LAM, old, new))
+        assert any(failure in f for f in verify_resolution(c, self.LAM))
+
+    @pytest.mark.parametrize("old,new,failure", CASES, ids=["component-0", "missing-summand"])
+    def test_the_cache_loads_them_as_a_miss(self, old, new, failure, tmp_path):
+        stored = ResolutionCache(str(tmp_path))
+        key = (2, 2, str(self.LAM), "generic")
+        arckit.cache.store(stored._path(key), tampered(self.LAM, old, new))
+        assert arckit.cache.load(stored._path(key)) is not None  # the checksum holds
+        assert stored.load(key) is None
+
+    def test_a_wrong_component_zero_alone_is_a_miss(self, tmp_path):
+        # P(λ)⟨1⟩ in component 0: every entry still lies in its summands
+        stored = ResolutionCache(str(tmp_path))
+        key = (2, 2, str(self.LAM), "generic")
+        body = tampered(self.LAM, "summand 0 vv^^ 0", "summand 0 vv^^ 1")
+        arckit.cache.store(stored._path(key), body)
+        assert stored.load(key) is None
 
 
 # sha256 of the concatenated _serialize(resolve_cone(λ)) over these blocks
