@@ -24,20 +24,23 @@ given by the closed homotopy table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
+from .arcalg import _product_table
 from .diagrams import Weight, length, weights_in_block
 from .exact import Echelon, Scalar
 from .extalg import (
     ExtClass,
     HomElement,
     _check_counts,
+    _compose_coords,
     _degree_classes,
     _differential_matrix,
+    _hom_index,
     _k_range,
     _labelled_basis,
     _nonzero,
     basis_hom_element,
-    compose,
     hom_differential,
     hom_space,
     homotopy_seeds,
@@ -107,8 +110,9 @@ class Splitting:
 
     Every H-class gets an index when its pair is split, and one memo keyed
     by tuples of those indices holds, for each chain of classes evaluated,
-    Qλ (None when it vanishes) and the H-coordinates of m_n = Π(λ_n), both
-    read off one coordinate vector of λ_n.
+    the coordinates of Qλ (None when it vanishes) and the H-coordinates of
+    m_n = Π(λ_n) keyed by class index, both read off one coordinate vector
+    of λ_n.
     """
 
     def __init__(self, m: int, n: int, mode: str = "generic"):
@@ -123,13 +127,17 @@ class Splitting:
         self._index: dict[int, int] = {}  # id(class) -> position in _classes
         # per class index: source and target as positions in the block, k, j,
         # and the position among the H-classes of its hom^k
-        self._weight_id = {w: i for i, w in enumerate(weights_in_block(m, n))}
+        self._weights = weights_in_block(m, n)
+        self._weight_id = {w: i for i, w in enumerate(self._weights)}
         self._source: list[int] = []
         self._target: list[int] = []
         self._k: list[int] = []
         self._j: list[int] = []
         self._position: list[int] = []
-        self._chains: dict[tuple[int, ...], tuple[HomElement | None, dict]] = {}
+        self._table = _product_table(m, n)
+        # hom_space and _hom_index of hom^k, keyed by block positions and k
+        self._spaces: dict[tuple[int, int, int], tuple[tuple, dict]] = {}
+        self._chains: dict[tuple[int, ...], tuple[dict | None, dict[int, Scalar]]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -146,7 +154,8 @@ class Splitting:
                     self._k.append(c.k)
                     self._j.append(c.j)
                     self._position.append(position)
-                    self._chains[(i,)] = (-1 * c.element, {})  # Qλ_1 = −Id, m_1 = 0
+                    # Qλ_1 = −Id, m_1 = 0
+                    self._chains[(i,)] = ({x: -v for x, v in c.element.coords.items()}, {})
         return data
 
     def _build_pair(self, lam: Weight, mu: Weight) -> dict[int, _SpaceSplit]:
@@ -203,48 +212,46 @@ class Splitting:
 
     # -- the three maps -----------------------------------------------------
 
-    def _coordinates(self, f: HomElement) -> tuple[_SpaceSplit, dict[int, Scalar]]:
-        """The nonzero B and H coordinates of f, from the inverse columns
-        at f's support."""
-        data = self._pair(f.source, f.target).get(f.k)
+    def _coordinates(self, lam: Weight, mu: Weight, k: int, coords: dict) -> tuple:
+        """(split of hom^k(λ, μ), B and H coordinates, H coordinates by class
+        index) of the element with these coordinates, read from the inverse
+        columns at its support."""
+        data = self._pair(lam, mu).get(k)
         if data is None or not data.space:
             raise ValueError("element lies outside the hom complex")
-        return data, _combine(f.coords, data.inverse)
+        coords, b, index = _combine(coords, data.inverse), data.b_count, self._index
+        h = {index[id(c)]: coords[b + i] for i, c in enumerate(data.h_classes) if b + i in coords}
+        return data, coords, h
 
     def pi(self, f: HomElement) -> HomElement:
         """Projection onto H along B ⊕ L."""
         if f.is_zero():
             return f
-        data, coords = self._coordinates(f)
         out = zero_hom(f.source, f.target, f.k, f.j)
-        for (_, _, _, i), coeff in self._h_coordinates(data, coords).items():
-            out = out + coeff * data.h_classes[i].element
+        for i, coeff in self._coordinates(f.source, f.target, f.k, f.coords)[2].items():
+            out = out + coeff * self._classes[i].element
         return out
 
     def pi_coefficients(self, f: HomElement) -> dict:
         """H-basis coordinates of Π(f), keyed by (label, k, j, position)."""
         if f.is_zero():
             return {}
-        return self._h_coordinates(*self._coordinates(f))
+        return self._by_label(self._coordinates(f.source, f.target, f.k, f.coords)[2])
 
-    @staticmethod
-    def _h_coordinates(data: _SpaceSplit, coords: dict[int, Scalar]) -> dict:
+    def _by_label(self, coeffs: dict[int, Scalar]) -> dict:
+        """H coordinates by class index, keyed by (label, k, j, position)."""
+        classes, position = self._classes, self._position
         return {
-            (c.label, c.k, c.j, i): coords[data.b_count + i]
-            for i, c in enumerate(data.h_classes)
-            if data.b_count + i in coords
+            (classes[i].label, classes[i].k, classes[i].j, position[i]): v
+            for i, v in coeffs.items()
         }
 
     def q(self, f: HomElement) -> HomElement:
         """The homotopy: zero on H and L, (d|_L)^{-1} on the boundaries."""
         if f.is_zero():
             return zero_hom(f.source, f.target, f.k - 1, f.j)
-        return self._q(f, *self._coordinates(f))
-
-    @staticmethod
-    def _q(f: HomElement, data: _SpaceSplit, coords: dict[int, Scalar]) -> HomElement:
-        b_coords = {i: c for i, c in coords.items() if i < data.b_count}
-        return HomElement(f.source, f.target, f.k - 1, f.j, _combine(b_coords, data.l_prev))
+        data, coords, _ = self._coordinates(f.source, f.target, f.k, f.coords)
+        return HomElement(f.source, f.target, f.k - 1, f.j, _q(data, coords))
 
     # -- derived data -------------------------------------------------------
 
@@ -277,57 +284,88 @@ class Splitting:
 
     def _key(self, chain) -> tuple[int, ...]:
         try:
-            return tuple(self._index[id(c)] for c in chain)
+            return tuple([self._index[id(c)] for c in chain])
         except KeyError:
             raise ValueError("arguments must be H-classes of this splitting") from None
 
-    def _entry(self, key: tuple[int, ...]) -> tuple[HomElement | None, dict]:
-        """(Qλ or None, m-coefficients) of the chain of classes ``key``."""
+    def _entry(self, key: tuple[int, ...]) -> tuple[dict | None, dict[int, Scalar]]:
+        """(coordinates of Qλ or None, m-coefficients by class index) of the
+        chain of classes ``key``."""
         entry = self._chains.get(key)
         if entry is None:
-            lam = self._lambda(key)
-            if lam.is_zero():
-                entry = (None, {})
-            else:
-                data, coords = self._coordinates(lam)
-                q = self._q(lam, data, coords)
-                entry = (None if q.is_zero() else q, self._h_coordinates(data, coords))
-            self._chains[key] = entry
+            coords = self._lambda(key)
+            if coords:
+                lam, mu = self._classes[key[0]].source, self._classes[key[-1]].target
+                k = sum(self._k[i] for i in key) + 2 - len(key)
+                data, coords, h = self._coordinates(lam, mu, k, coords)
+                entry = (_q(data, coords) or None, h)
+            self._chains[key] = entry = entry or (None, {})
         return entry
 
-    def _lambda(self, key: tuple[int, ...]) -> HomElement:
-        """λ_n of a chain, from the memoized Qλ of its cuts (zero unless
-        the chain is composable)."""
+    def _lambda(self, key: tuple[int, ...]) -> dict[int, Scalar]:
+        """The coordinates of λ_n of a chain, from the memoized Qλ of its
+        cuts (empty unless the chain is composable)."""
         source, target, degree = self._source, self._target, self._k
-        first, last = self._classes[key[0]], self._classes[key[-1]]
-        k = sum(degree[i] for i in key) + 2 - len(key)
-        j = sum(self._j[i] for i in key)
-        if any(target[a] != source[b] for a, b in zip(key, key[1:])):
-            return zero_hom(first.source, last.target, k, j)
+        previous = key[0]
+        for i in key[1:]:
+            if target[previous] != source[i]:
+                return {}
+            previous = i
         if len(key) == 2:
-            return compose(first, last)
+            f, g = (self._classes[i].element.coords for i in key)
+            return self._product(key[:1], key[1:], degree[key[0]], degree[key[1]], f, g)
+        n = len(key)
+        prefix: list[int] = []  # prefix[i]: the degrees of the first i classes
         coords: dict[int, Scalar] = {}
-        for cut in range(1, len(key)):
+        for cut in range(1, n):
             left = self._entry(key[:cut])[0]
             right = None if left is None else self._entry(key[cut:])[0]
             if right is None:
                 continue
+            prefix = prefix or list(accumulate((degree[i] for i in key), initial=0))
             # with the left-to-right composition the Leibniz rule puts the
             # sign on the right factor, so the Koszul weight carries the
             # left degrees against l − 1 and the right ones against k − 1
-            k_len, l_len = cut, len(key) - cut
-            left_degrees = sum(degree[i] for i in key[:cut])
-            right_degrees = sum(degree[i] for i in key[cut:])
+            k_len, l_len = cut, n - cut
+            left_degrees, right_degrees = prefix[cut], prefix[n] - prefix[cut]
             exponent = k_len + (l_len - 1) * left_degrees + (k_len - 1) * right_degrees
             sign = 1 if exponent % 2 else -1  # −(−1)^exponent
-            for i, c in compose(left, right).coords.items():
+            # Qλ of a chain of c classes of total degree K lies in degree K + 1 − c
+            product = self._product(
+                key[:cut], key[cut:], left_degrees + 1 - k_len, right_degrees + 1 - l_len,
+                left, right,
+            )
+            for i, c in product.items():
                 coords[i] = coords.get(i, 0) + sign * c
-        return HomElement(first.source, last.target, k, j, _nonzero(coords))
+        return _nonzero(coords)
+
+    def _product(self, left: tuple, right: tuple, k: int, l: int, f: dict, g: dict) -> dict:
+        """The coordinates of f·g for f in hom^k from the source of the chain
+        ``left`` to the source of the chain ``right``, and g in hom^l from
+        there to the target of ``right``."""
+        spaces = self._spaces
+        s, t, u = self._source[left[0]], self._source[right[0]], self._target[right[-1]]
+        f_space = (spaces.get((s, t, k)) or self._space(s, t, k))[0]
+        g_space = (spaces.get((t, u, l)) or self._space(t, u, l))[0]
+        index = (spaces.get((s, u, k + l)) or self._space(s, u, k + l))[1]
+        return _compose_coords(self._table.product, f_space, g_space, index, k, f, g)
+
+    def _space(self, s: int, t: int, k: int) -> tuple[tuple, dict]:
+        """``hom_space`` and ``_hom_index`` of hom^k between the weights at
+        block positions s and t, kept in ``_spaces``."""
+        lam, mu = self._weights[s], self._weights[t]
+        self._spaces[s, t, k] = found = (hom_space(lam, mu, k), _hom_index(lam, mu, k))
+        return found
 
     def m_coefficients(self, chain) -> dict:
         """``pi_coefficients(lambda_n(chain))`` of a composable chain of this
         splitting's H-classes, read from the memo."""
-        return self._entry(self._key(chain))[1]
+        return self._by_label(self._entry(self._key(chain))[1])
+
+
+def _q(data: _SpaceSplit, coords: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The coordinates of Qf, from the B and H coordinates of f."""
+    return _combine({i: c for i, c in coords.items() if i < data.b_count}, data.l_prev)
 
 
 def _combine(coeffs: dict[int, Scalar], vectors) -> dict[int, Scalar]:
@@ -353,7 +391,12 @@ def lambda_n(split: Splitting, chain) -> HomElement:
     splitting's memo of Qλ on every proper sub-chain."""
     if len(chain) < 2:
         raise ValueError("λ_n needs at least two arguments")
-    return split._lambda(split._key(chain))
+    key = split._key(chain)
+    k, j = 2 - len(key), 0
+    for i in key:
+        k += split._k[i]
+        j += split._j[i]
+    return HomElement(chain[0].source, chain[-1].target, k, j, split._lambda(key))
 
 
 def m_n(split: Splitting, chain) -> HomElement:
@@ -387,7 +430,10 @@ def _class_key(split: Splitting, c: ExtClass) -> tuple:
 def composable_tuples(
     classes: list[ExtClass], arity: int
 ) -> list[tuple[ExtClass, ...]]:
-    """All composable tuples of the given length (target_i = source_{i+1})."""
+    """All composable tuples of the given length (target_i = source_{i+1});
+    ValueError for a length below one."""
+    if arity < 1:
+        raise ValueError("composable tuples need at least one class")
     by_source: dict[Weight, list[ExtClass]] = {}
     for c in classes:
         by_source.setdefault(c.source, []).append(c)
@@ -428,9 +474,7 @@ def stasheff_check(split: Splitting, arity: int) -> dict:
                     t = n - s - r
                     inner = split._entry(key[r : r + s])[1]
                     sign = (-1) ** (r + s * t + s * sum(a.k for a in chain[:r]))
-                    pair = split._pair(chain[r].source, chain[r + s - 1].target)
-                    for (_, k, _, position), coeff in inner.items():
-                        (h,) = split._key([pair[k].h_classes[position]])
+                    for h, coeff in inner.items():
                         outer = split._entry(key[:r] + (h,) + key[r + s :])[1]
                         for where, value in outer.items():
                             total[where] = total.get(where, 0) + sign * coeff * value
@@ -446,12 +490,18 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
     classes = split.all_h_classes(include_idempotents=False)
     m, n = split.block
 
-    def q_lambda(chain) -> HomElement | None:
+    def q_lambda(chain) -> dict | None:
         return split._entry(split._key(chain))[0]
 
+    def q2q2(a, b, c, d) -> dict:  # Qλ(a, b)·Qλ(c, d), Qλ_2 lying in degree k_a + k_b − 1
+        left, right = q_lambda((a, b)), q_lambda((c, d))
+        if left is None or right is None:
+            return {}
+        keys = split._key((a, b)), split._key((c, d))
+        return split._product(*keys, a.k + b.k - 1, c.k + d.k - 1, left, right)
+
     q2_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 2))
-    q2q2 = [(q_lambda(c[:2]), q_lambda(c[2:])) for c in composable_tuples(classes, 4)]
-    q2q2_zero = all(a is None or b is None or compose(a, b).is_zero() for a, b in q2q2)
+    q2q2_zero = not any(q2q2(*c) for c in composable_tuples(classes, 4))
     q3_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 3))
 
     per_arity: dict[int, dict] = {}
@@ -459,7 +509,7 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
         max_abs = 0
         nonzero = []
         for chain in composable_tuples(classes, width):
-            coeffs = split.m_coefficients(chain)
+            coeffs = split._entry(split._key(chain))[1]
             if coeffs:
                 nonzero.append(tuple(_class_key(split, c) for c in chain))
                 max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))

@@ -154,33 +154,10 @@ def _idempotent_diagram(weight: Weight) -> OrientedCircleDiagram:
     return _basis_by_labels(*weight.block)[key]
 
 
-@lru_cache(maxsize=None)
-def _basis_by_ends(
-    m: int, n: int
-) -> dict[tuple[Weight, Weight], tuple[OrientedCircleDiagram, ...]]:
-    """The oriented diagrams (α̲, ν, β̄) keyed by (α, β), in (α, β, ν) order.
-
-    The ν that orient each α̲ and each β̄ are found once, so only the
-    diagrams of the basis are constructed.
-    """
-    weights = weights_in_block(m, n)
-    cups = [associated_cup_diagram(w) for w in weights]
-    caps = [associated_cap_diagram(w) for w in weights]
-    under = [[nu for nu in weights if cup_oriented(cup, nu)] for cup in cups]
-    over = [{nu for nu in weights if cap_oriented(cap, nu)} for cap in caps]
-    return {
-        (alpha, beta): tuple(
-            OrientedCircleDiagram(cup, nu, cap) for nu in nus if nu in fits
-        )
-        for alpha, cup, nus in zip(weights, cups, under)
-        for beta, cap, fits in zip(weights, caps, over)
-    }
-
-
-@lru_cache(maxsize=None)
 def basis(m: int, n: int) -> tuple[OrientedCircleDiagram, ...]:
-    """All basis diagrams of K_m^n in deterministic (α, β, ν) order."""
-    return tuple(d for found in _basis_by_ends(m, n).values() for d in found)
+    """All basis diagrams of K_m^n in deterministic (α, β, ν) order, the
+    diagrams of the block's product table."""
+    return _product_table(m, n).diagrams
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +173,8 @@ def hom_basis(
 ) -> tuple[OrientedCircleDiagram, ...]:
     """Basis of e_α K e_β: the diagrams (α̲, ν, β̄) of ``basis``, the same
     objects, in ν order (empty for weights of different blocks)."""
-    return _basis_by_ends(*alpha.block).get((alpha, beta), ())
+    table = _product_table(*alpha.block)
+    return tuple(table.diagrams[x] for x in table.ends.get((alpha, beta), ()))
 
 
 def algebra_dimension(m: int, n: int) -> int:
@@ -416,6 +394,25 @@ def _plan(a: CupDiagram, b: CapDiagram, d: CapDiagram) -> tuple[_Step, ...]:
     return tuple(_STEPS.setdefault(step, step) for step in _compile(a, b, d))
 
 
+def _carry(plan: tuple[_Step, ...], size: int, state: int) -> dict[int, int]:
+    """The labels of the collapsed line, as a state of ``size`` positions,
+    that the cuts of ``plan`` make of ``state``, with their coefficients;
+    empty when the product dies."""
+    states = {state: 1}
+    for step in plan:
+        new_states: dict[int, int] = {}
+        for state, coeff in states.items():
+            for key in _cut(step, state):
+                new_states[key] = new_states.get(key, 0) + coeff
+        if not new_states:
+            return {}
+        states = new_states
+    low = (1 << size) - 1
+    if any(state & low != state >> size for state in states):
+        raise AssertionError("number lines disagree after surgery")
+    return {state & low: coeff for state, coeff in states.items()}
+
+
 def _surgery_product(
     a: CupDiagram,
     lam: Weight,
@@ -428,44 +425,78 @@ def _surgery_product(
     (a, b, d).  The result diagrams are the objects of ``basis``."""
     plan = _compile(a, b, d, pair_picker) if pair_picker else _plan(a, b, d)
     size = a.size
-    states = {_bits(lam.labels) | _bits(mu.labels) << size: 1}
-    for step in plan:
-        new_states: dict[int, int] = {}
-        for state, coeff in states.items():
-            for key in _cut(step, state):
-                new_states[key] = new_states.get(key, 0) + coeff
-        if not new_states:
-            return AlgebraElement.zero()
-        states = new_states
-    low = (1 << size) - 1
-    if any(state & low != state >> size for state in states):
-        raise AssertionError("number lines disagree after surgery")
+    states = _carry(plan, size, _bits(lam.labels) | _bits(mu.labels) << size)
     by_labels = _basis_by_labels(*lam.block)
-    return AlgebraElement({by_labels[a, _labels(s & low, size), d]: c for s, c in states.items()})
+    return AlgebraElement({by_labels[a, _labels(s, size), d]: c for s, c in states.items()})
 
 
-def _stackable(d1: OrientedCircleDiagram, d2: OrientedCircleDiagram) -> bool:
-    """Whether d1's cap diagram mirrors d2's cup diagram (else d1·d2 = 0)."""
-    return d1.cap.cups == d2.cup.cups and d1.cap.rays == d2.cup.rays
+class _ProductTable:
+    """The basis of one block, its diagrams numbered by their position (id),
+    and the products of those numbers.
+
+    The diagrams (α̲, ν, β̄) are built in (α, β, ν) order, the ν that orient
+    each α̲ and each β̄ found once, so only the diagrams of the basis are
+    constructed.  The diagram of id x has ``cup[x]`` and ``cap[x]`` the
+    positions of α and β in ``weights_in_block``; ``ends[α, β]`` is the
+    ids of e_α K e_β in order, ``stacking[β]`` the ids with cap position
+    β, and ``ids`` maps each diagram to its id.  ``product(a, b)`` is the
+    tuple of (id, coeff) of a·b in surgery order: empty when cap[a] !=
+    cup[b] (a's cap does not mirror b's cup), else surgered once and kept
+    in ``entries`` under a·len(basis) + b.
+    """
+
+    def __init__(self, m: int, n: int):
+        weights = weights_in_block(m, n)
+        cups = [associated_cup_diagram(w) for w in weights]
+        caps = [associated_cap_diagram(w) for w in weights]
+        under = [[nu for nu in weights if cup_oriented(cup, nu)] for cup in cups]
+        over = [{nu for nu in weights if cap_oriented(cap, nu)} for cap in caps]
+        diagrams, self.cup, self.cap, ends = [], [], [], {}
+        for a, (alpha, cup) in enumerate(zip(weights, cups)):
+            for b, (beta, cap) in enumerate(zip(weights, caps)):
+                found = [OrientedCircleDiagram(cup, nu, cap) for nu in under[a] if nu in over[b]]
+                ends[alpha, beta] = slice(len(diagrams), len(diagrams) + len(found))
+                diagrams += found
+                self.cup += [a] * len(found)
+                self.cap += [b] * len(found)
+        self.diagrams = tuple(diagrams)
+        numbers = tuple(range(len(diagrams)))  # one int object per id
+        self.ids = dict(zip(diagrams, numbers))
+        self.ends = {key: numbers[where] for key, where in ends.items()}
+        self.stacking = [[x for x in numbers if self.cap[x] == i] for i in range(len(weights))]
+        self.degree = [x.degree for x in self.diagrams]
+        self._middle = [_bits(x.weight.labels) for x in self.diagrams]
+        self._ids = {(self.cup[x], self._middle[x], self.cap[x]): x for x in numbers}
+        self.entries: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def product(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
+        if self.cap[a] != self.cup[b]:
+            return ()
+        key = a * len(self.degree) + b
+        entry = self.entries.get(key)
+        if entry is None:
+            x, y = self.diagrams[a], self.diagrams[b]
+            size = x.weight.size
+            start = self._middle[a] | self._middle[b] << size
+            states = _carry(_plan(x.cup, x.cap, y.cap), size, start)
+            entry = self.entries[key] = tuple(
+                (self._ids[self.cup[a], s, self.cap[b]], c) for s, c in states.items()
+            )
+        return entry
 
 
-@lru_cache(maxsize=None)
-def _basis_product(
-    d1: OrientedCircleDiagram, d2: OrientedCircleDiagram
-) -> AlgebraElement:
-    return _surgery_product(d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
+_product_table = lru_cache(maxsize=None)(_ProductTable)  # one table per block (m, n)
 
 
 def basis_product(
     d1: OrientedCircleDiagram, d2: OrientedCircleDiagram
 ) -> AlgebraElement:
-    """The product of two basis diagrams, zero unless they stack.
-
-    Stacked pairs come from a process-wide memo: the surgery is
-    deterministic and an ``AlgebraElement`` is never changed in place
-    (``terms`` hands out a copy), so sharing a stored product is safe.
-    """
-    return _basis_product(d1, d2) if _stackable(d1, d2) else AlgebraElement()
+    """The product of two basis diagrams, zero unless they stack (or lie
+    in different blocks), read from the product table of their block."""
+    table = _product_table(*d1.weight.block)
+    b = table.ids.get(d2)
+    terms = () if b is None else table.product(table.ids[d1], b)
+    return AlgebraElement({table.diagrams[c]: coeff for c, coeff in terms})
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -510,7 +541,7 @@ def surgery_trace(
     the final collapsed result diagram; raises ValueError on a middle
     mismatch and on products that die (all orientation branches zero).
     """
-    if not _stackable(x, y):
+    if x.cap.cups != y.cup.cups or x.cap.rays != y.cup.rays:
         raise ValueError("middle diagrams do not match; the product is zero")
     geometry = _SurgeryGeometry(x.cup, x.cap, y.cap)
     size = geometry.size

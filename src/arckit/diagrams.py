@@ -386,7 +386,7 @@ class OrientedCircleDiagram:
             raise ValueError(f"cup half of {self} is not oriented")
         if not cap_oriented(self.cap, self.weight):
             raise ValueError(f"cap half of {self} is not oriented")
-        # every product memo and action matrix is keyed by basis diagrams,
+        # the product table's ids and every action matrix are keyed by basis diagrams,
         # so the generated field hash is computed once, not per lookup
         object.__setattr__(self, "_hash", hash((self.cup, self.weight, self.cap)))
 

@@ -10,18 +10,20 @@ of P_•(λ) (see ``ext_dims``).
 Conventions
 -----------
 hom^k(P_•(λ), P_•(μ)) has the ordered basis ``hom_space(λ, μ, k)``: one
-vector (p, s, t, diagram, j) per basis diagram from summand s of component
+vector (p, s, t, basis id, j) per basis diagram from summand s of component
 p of the source resolution to summand t of component p−k of the target,
-of shift ⟨j⟩.  Resolutions are linear (component p sits in internal shift
-p), so each diagram has internal degree k−j.  A :class:`HomElement` of
-bidegree (k, j) is its sparse coordinates over that basis.
+of shift ⟨j⟩, the basis id being the diagram's position in ``basis(m, n)``.
+Resolutions are linear (component p sits in internal shift p), so each
+diagram has internal degree k−j.  A :class:`HomElement` of bidegree (k, j)
+is its sparse coordinates over that basis.
 
 The differential is d(f) = f∘d_target − (−1)^k d_source∘f, so degree-k
 cocycles are chain maps that commute (k even) or anticommute (k odd) with
 the differentials.  Composition is written left to right: (f·g)(x) =
 g(f(x)).  Both act on basis vectors: d is one sparse matrix per k, built
 from the differentials of the two resolutions, and a product of two
-basis vectors is the surgery product of their diagrams.
+basis vectors is the surgery product of their diagrams, read from the
+block's product table by basis id.
 
 Canonical representatives carry the labels Id, F, Ftilde, G, K, J (and
 the nullhomotopic products A, B with their homotopies); their component
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .arcalg import AlgebraElement, basis_product, hom_basis, idempotent, multiply
+from .arcalg import AlgebraElement, _product_table, hom_basis, idempotent, multiply
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
 from .repmod import cell_basis
@@ -131,13 +133,13 @@ def _from_blocks(lam: Weight, mu: Weight, k: int, j: int, blocks) -> HomElement:
     """The element whose block from summand s of component p to summand t
     of component p−k is the sum of the algebra elements given for it in
     ``blocks``, an iterable of ((p, s, t), element)."""
-    index = _hom_index(lam, mu, k)
+    ids, index = _product_table(*lam.block).ids, _hom_index(lam, mu, k)
     coords: dict[int, Scalar] = {}
     for (p, s, t), u in blocks:
         for diagram, c in u:
-            where = index[(p, s, t, diagram, j)]
+            where = index[p, s, t] + ids[diagram]
             coords[where] = coords.get(where, 0) + c
-    return HomElement(lam, mu, k, j, _nonzero(coords))
+    return hom_element(lam, mu, k, coords, j)
 
 
 def identity_element(lam: Weight) -> HomElement:
@@ -162,22 +164,32 @@ def compose(f, g) -> HomElement:
     g = g.element if isinstance(g, ExtClass) else g
     if f.target != g.source:
         raise ValueError("target of the first factor must be source of the second")
-    k, j = f.k + g.k, f.j + g.j
-    left = hom_space(f.source, f.target, f.k)
-    right = hom_space(g.source, g.target, g.k)
+    k = f.k + g.k
+    left, right = hom_space(f.source, f.target, f.k), hom_space(g.source, g.target, g.k)
+    index, table = _hom_index(f.source, g.target, k), _product_table(*f.source.block)
+    coords = _compose_coords(table.product, left, right, index, f.k, f.coords, g.coords)
+    return HomElement(f.source, g.target, k, f.j + g.j, coords)
+
+
+def _compose_coords(product, left, right, index, k: int, f: dict, g: dict) -> dict:
+    """The coordinates of f·g for f in hom^k(λ, ν) over ``left`` =
+    ``hom_space(λ, ν, k)`` and g over ``right`` = ``hom_space(ν, μ, l)``,
+    placed by ``index`` = ``_hom_index(λ, μ, k + l)``, with ``product`` the
+    block's product table."""
     starting: dict[tuple[int, int], list] = {}  # g's terms by (q, t)
-    for i, c in g.coords.items():
-        q, t, v, diagram, _ = right[i]
-        starting.setdefault((q, t), []).append((v, diagram, c))
-    index = _hom_index(f.source, g.target, k)
+    for i, c in g.items():
+        q, t, v, b, _ = right[i]
+        starting.setdefault((q, t), []).append((v, b, c))
     coords: dict[int, Scalar] = {}
-    for i, c in f.coords.items():
-        p, s, t, d1, _ = left[i]
-        for v, d2, c2 in starting.get((p - f.k, t), ()):
-            for diagram, c3 in basis_product(d1, d2):
-                where = index[(p, s, v, diagram, j)]
-                coords[where] = coords.get(where, 0) + c * c2 * c3
-    return HomElement(f.source, g.target, k, j, _nonzero(coords))
+    for i, c in f.items():
+        p, s, t, a, _ = left[i]
+        for v, b, c2 in starting.get((p - k, t), ()):
+            terms = product(a, b)
+            if terms:
+                base = index[p, s, v]
+                for x, c3 in terms:
+                    coords[base + x] = coords.get(base + x, 0) + c * c2 * c3
+    return _nonzero(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +199,9 @@ def compose(f, g) -> HomElement:
 
 @lru_cache(maxsize=None)
 def hom_space(lam: Weight, mu: Weight, k: int) -> tuple:
-    """Ordered basis of hom^k(P_•(λ), P_•(μ)): vectors (p, s, t, diagram, j)."""
+    """Ordered basis of hom^k(P_•(λ), P_•(μ)): vectors (p, s, t, basis id, j)."""
     src, tgt = resolution(lam), resolution(mu)
+    table = _product_table(*lam.block)
     out = []
     for p, comp in enumerate(src.components):
         q = p - k
@@ -196,22 +209,27 @@ def hom_space(lam: Weight, mu: Weight, k: int) -> tuple:
             continue
         for s, (nu, a) in enumerate(comp):
             for t, (nu2, b) in enumerate(tgt.components[q]):
-                for diagram in hom_basis(nu, nu2):
-                    j = a - b - diagram.degree
-                    out.append((p, s, t, diagram, j))
+                for x in table.ends.get((nu, nu2), ()):
+                    out.append((p, s, t, x, a - b - table.degree[x]))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _hom_index(lam: Weight, mu: Weight, k: int) -> dict[tuple, int]:
-    """The position of each ``hom_space(λ, μ, k)`` vector.  A term whose
-    shift differs from its basis vector's has no entry and raises KeyError."""
-    return {vector: i for i, vector in enumerate(hom_space(lam, mu, k))}
+def _hom_index(lam: Weight, mu: Weight, k: int) -> dict[tuple[int, int, int], int]:
+    """Per (p, s, t), the base that the basis id of a vector of
+    ``hom_space(λ, μ, k)`` adds to for its position: the vectors of one
+    (p, s, t) are consecutive, in id order."""
+    return {(p, s, t): i - x for i, (p, s, t, x, _) in enumerate(hom_space(lam, mu, k))}
 
 
 def basis_hom_element(lam: Weight, mu: Weight, k: int, vector) -> HomElement:
-    where = _hom_index(lam, mu, k)[vector]
-    return HomElement(lam, mu, k, vector[4], {where: 1})
+    """The basis vector ``vector`` of ``hom_space(λ, μ, k)``; KeyError for
+    anything else."""
+    space, (p, s, t, x, j) = hom_space(lam, mu, k), vector
+    where = _hom_index(lam, mu, k).get((p, s, t), len(space)) + x
+    if not 0 <= where < len(space) or space[where] != tuple(vector):
+        raise KeyError(vector)
+    return HomElement(lam, mu, k, j, {where: 1})
 
 
 def hom_element(
@@ -247,33 +265,49 @@ def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
     d_{p+1} of the source entering its summand times the diagram.
     """
     src, tgt = resolution(lam), resolution(mu)
-    dom = hom_space(lam, mu, k)
-    # built here, not through the cached _hom_index: the matrix is cached,
-    # so each index is read once and keeping it would only hold memory
-    index = {vector: i for i, vector in enumerate(hom_space(lam, mu, k + 1))}
+    leaving, entering = _by_summand(mu)[0], _by_summand(lam)[1]
+    dom, cod = hom_space(lam, mu, k), hom_space(lam, mu, k + 1)
+    # uncached: the matrix is cached, so this index is read once, and
+    # keeping it would only hold memory
+    index = _hom_index.__wrapped__(lam, mu, k + 1)
+    product = _product_table(*lam.block).product
     sign = 1 if k % 2 else -1  # −(−1)^k
     entries: dict[tuple[int, int], Scalar] = {}
-    for col, (p, s, t, diagram, j) in enumerate(dom):
-        terms = []  # (block of the image, product, scale)
+    for col, (p, s, t, a, _) in enumerate(dom):
         q = p - k
         if 1 <= q < len(tgt):
-            for (t0, u), d_entry in tgt.differentials[q - 1].items():
-                if t0 == t:
-                    terms += [
-                        ((p, s, u), basis_product(diagram, d), c) for d, c in d_entry
-                    ]
+            for u, terms in leaving[q - 1].get(t, ()):
+                base = index.get((p, s, u))  # None: every product below is 0
+                for b, c in terms:
+                    for x, v in product(a, b):
+                        key = (base + x, col)
+                        entries[key] = entries.get(key, 0) + c * v
         if p + 1 < len(src):
-            for (s2, s0), d_entry in src.differentials[p].items():
-                if s0 == s:
-                    terms += [
-                        ((p + 1, s2, t), basis_product(d, diagram), sign * c)
-                        for d, c in d_entry
-                    ]
-        for block, product, scale in terms:
-            for d, c in product:
-                row = index[block + (d, j)]
-                entries[row, col] = entries.get((row, col), 0) + scale * c
-    return SparseMatrix(len(index), len(dom), entries)
+            for s2, terms in entering[p].get(s, ()):
+                base = index.get((p + 1, s2, t))
+                for b, c in terms:
+                    scale = sign * c
+                    for x, v in product(b, a):
+                        key = (base + x, col)
+                        entries[key] = entries.get(key, 0) + scale * v
+    return SparseMatrix(len(cod), len(dom), entries)
+
+
+@lru_cache(maxsize=None)
+def _by_summand(lam: Weight) -> tuple[list[dict], list[dict]]:
+    """Per differential of ``resolution(λ)``, its entries as (basis id,
+    coeff) terms grouped, in entry order, by the summand they leave,
+    s -> [(t, terms), ...], and by the one they enter, t -> [(s, terms), ...]."""
+    ids, leaving, entering = _product_table(*lam.block).ids, [], []
+    for diff in resolution(lam).differentials:
+        out, into = {}, {}
+        for (s, t), u in diff.items():
+            terms = tuple((ids[d], c) for d, c in u)
+            out.setdefault(s, []).append((t, terms))
+            into.setdefault(t, []).append((s, terms))
+        leaving.append(out)
+        entering.append(into)
+    return leaving, entering
 
 
 def _k_range(lam: Weight, mu: Weight) -> range:
@@ -312,8 +346,9 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
     weights being zero in M(μ).  dim H^k = |degree k| − rank d^k − rank
     d^{k−1}.
     """
-    labels, _, reps = cell_basis(mu)
+    labels = cell_basis(mu)[0]
     where = {label: i for i, label in enumerate(labels)}
+    table, reps = _product_table(*mu.block), _cell_ids(mu)
     # per degree: summand -> (its position in the degree, its vector of M)
     coords = []
     for comp in P.components:
@@ -329,9 +364,9 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
             if s in rows and t in cols:
                 (row, v_s), (col, v_t) = rows[s], cols[t]
                 for z, c in u:
-                    a = basis_product(z, reps[v_t]).coeff(reps[v_s])
-                    if a:
-                        entries[row, col] = entries.get((row, col), 0) + c * a
+                    for x, a in table.product(table.ids[z], reps[v_t]):
+                        if x == reps[v_s]:
+                            entries[row, col] = entries.get((row, col), 0) + c * a
         ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))
     out = {}
     for k, degree in enumerate(coords):
@@ -339,6 +374,13 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
         if total:
             out[k] = total
     return out
+
+
+@lru_cache(maxsize=None)
+def _cell_ids(mu: Weight) -> tuple[int, ...]:
+    """The basis ids of the representatives of ``cell_basis(μ)``."""
+    ids = _product_table(*mu.block).ids
+    return tuple(ids[d] for d in cell_basis(mu)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arcalg import AlgebraElement, basis, basis_product, hom_basis
+from .arcalg import AlgebraElement, _product_table, hom_basis
 from .diagrams import (
     DOWN,
-    CupDiagram,
     OrientedCircleDiagram,
     Weight,
     associated_cap_diagram,
@@ -210,16 +209,6 @@ class GradedModule:
         return total
 
 
-@lru_cache(maxsize=None)
-def _stacking_on(m: int, n: int) -> dict[CupDiagram, list[OrientedCircleDiagram]]:
-    """The basis diagrams z of the block keyed by the cup diagram their cap
-    mirrors, in ``basis`` order: z·v is zero unless z is listed at v.cup."""
-    out: dict[CupDiagram, list[OrientedCircleDiagram]] = {}
-    for z in basis(m, n):
-        out.setdefault(z.cap.mirror(), []).append(z)
-    return out
-
-
 def _action_matrices(
     m: int,
     n: int,
@@ -229,21 +218,24 @@ def _action_matrices(
     """Action matrices for each algebra basis diagram, in ``basis`` order.
 
     Module basis vector k is the class of the basis diagram ``diagrams[k]``;
-    ``rows_of(product)`` reads z·diagrams[k] as a dict {row: coefficient}.
-    Only the z stacking on each diagram are multiplied."""
+    ``rows_of(product)`` reads z·diagrams[k], given as its (diagram, coeff)
+    terms, as a dict {row: coefficient}.  Only the z stacking on each
+    diagram are multiplied, read from the product table by basis id."""
     dim = len(diagrams)
-    stacking = _stacking_on(m, n)
-    entries: dict[OrientedCircleDiagram, dict[tuple[int, int], Scalar]] = {}
+    table = _product_table(m, n)
+    entries: dict[int, dict[tuple[int, int], Scalar]] = {}
     for col, v in enumerate(diagrams):
-        for z in stacking.get(v.cup, ()):
-            for row, coeff in rows_of(basis_product(z, v)).items():
+        x = table.ids[v]
+        for z in table.stacking[table.cup[x]]:
+            product = [(table.diagrams[y], c) for y, c in table.product(z, x)]
+            for row, coeff in rows_of(product).items():
                 block = entries.setdefault(z, {})
                 block[(row, col)] = block.get((row, col), 0) + coeff
     out = {}
-    for z in basis(m, n):
+    for z, diagram in enumerate(table.diagrams):
         mat = SparseMatrix(dim, dim, entries.get(z, {}))
         if not mat.is_zero():
-            out[z] = mat
+            out[diagram] = mat
     return out
 
 
@@ -293,7 +285,7 @@ def cell_module(mu: Weight) -> GradedModule:
     labels, degrees, reps = cell_basis(mu)
     index = {d: k for k, d in enumerate(reps)}
 
-    def rows_of(product: AlgebraElement) -> dict[int, Scalar]:
+    def rows_of(product) -> dict[int, Scalar]:
         # a term of middle weight μ is a representative; the others are
         # killed in the cellular quotient
         return {index[d]: c for d, c in product if d.weight == mu}

@@ -13,10 +13,10 @@ Two independent constructions are provided:
   syzygy vector is a sparse ``{coordinate: scalar}`` dict.  K_m^n is
   Koszul, hence generated in degrees 0 and 1, so the radical of a syzygy
   comes from left multiplication by the degree-one basis diagrams alone,
-  read from the product memo at its nonzero coordinates.  The matrix of a
-  differential (also used by :func:`verify_resolution` for d² = 0 and
-  exactness) is assembled from one right-action table per basis diagram,
-  x ↦ x·d from P(α)'s basis to P(β)'s, cached per diagram.
+  read from the block's product table at its nonzero coordinates.  The
+  matrix of a differential (also used by :func:`verify_resolution` for
+  d² = 0 and exactness) is assembled from one right-action table per
+  basis diagram, x ↦ x·d from P(α)'s basis to P(β)'s, cached per basis id.
 
 Both return :class:`ProjectiveComplex`.  Differentials point from
 component i to component i-1, each entry being a degree-one element of
@@ -38,7 +38,7 @@ from .arcalg import (
     AlgebraElement,
     Matching,
     _idempotent_diagram,
-    basis_product,
+    _product_table,
     functor_image,
     hom_basis,
     multiply,
@@ -60,7 +60,7 @@ from .exact import (
     rank,
     solve,
 )
-from .repmod import _stacking_on, cell_basis, kl_poly_closed, weights_in_block
+from .repmod import cell_basis, kl_poly_closed, weights_in_block
 
 __all__ = [
     "ProjectiveComplex",
@@ -435,16 +435,17 @@ def _projective_basis(mu: Weight) -> tuple[tuple[OrientedCircleDiagram, Weight, 
 
 
 @lru_cache(maxsize=None)
-def _right_action(d: OrientedCircleDiagram) -> tuple[tuple[int, int, Scalar], ...]:
-    """x ↦ x·d for a basis diagram d of e_α K e_β, as (column, row, value)
-    triples from the basis of P(α) to the basis of P(β)."""
-    by_cup = weights_by_cup(*d.weight.block)
-    alpha, beta = by_cup[d.cup], by_cup[d.cap.mirror()]
-    index = {y: k for k, (y, _, _) in enumerate(_projective_basis(beta))}
+def _right_action(m: int, n: int, d: int) -> tuple[tuple[int, int, Scalar], ...]:
+    """x ↦ x·d for the basis diagram of id d of K_m^n, in e_α K e_β, as
+    (column, row, value) triples from the basis of P(α) to that of P(β),
+    read from the product table."""
+    table, weights = _product_table(m, n), weights_in_block(m, n)
+    ids = table.ids
+    rows = {ids[y]: k for k, (y, _, _) in enumerate(_projective_basis(weights[table.cap[d]]))}
     return tuple(
-        (col, index[y], v)
-        for col, (x, _, _) in enumerate(_projective_basis(alpha))
-        for y, v in basis_product(x, d)
+        (col, rows[y], v)
+        for col, (x, _, _) in enumerate(_projective_basis(weights[table.cup[d]]))
+        for y, v in table.product(ids[x], d)
     )
 
 
@@ -476,10 +477,12 @@ def _flat_differential(
     entries: dict[tuple[int, int], Scalar] = {}
     for (s, t), u in diff.items():
         e_s, e_t = _idempotent_diagram(source[s][0]), _idempotent_diagram(target[t][0])
+        block = source[s][0].block
+        ids = _product_table(*block).ids
         for d, c in u:
             if d.cup != e_s.cup or d.cap != e_t.cap:
                 raise ValueError("image left the projective summand")
-            for col, row, v in _right_action(d):
+            for col, row, v in _right_action(*block, ids[d]):
                 key = (tgt_at[t] + row, src_at[s] + col)
                 entries[key] = entries.get(key, 0) + c * v
     return SparseMatrix(tgt_at[-1], src_at[-1], entries)
@@ -562,7 +565,7 @@ def _head_generators(
     are sparse over the flat cover coordinates ``flat``.
 
     The radical of the span W is K_{>0}·W, where z acts on each cover
-    summand P(μ) by left multiplication, read from the product memo: z·x
+    summand P(μ) by left multiplication, read from the product table: z·x
     is zero unless z stacks on x.  K_m^n is Koszul, so it is generated in
     degrees 0 and 1 (Brundan–Stroppel, Khovanov's diagram algebra II) and
     K_{>0} = K_1·K; W, the whole kernel of the previous differential, is a
@@ -574,18 +577,19 @@ def _head_generators(
     radical to W, block by (weight, degree) block in increasing degree.  A
     syzygy vector costs only the diagrams at its nonzero coordinates.
     """
-    stacking = _stacking_on(*flat[0][1].weight.block)
-    index = {(idx, diag): k for k, (idx, diag, _, _) in enumerate(flat)}
+    table = _product_table(*flat[0][1].weight.block)
+    located = [(idx, table.ids[diag]) for idx, diag, _, _ in flat]
+    index = {key: k for k, key in enumerate(located)}
     # greedy: keep a growing echelon of radical + chosen generators
     span = Echelon(len(flat))
     for _, _, vec in syzygy:
-        images: dict[OrientedCircleDiagram, dict[int, Scalar]] = {}
+        images: dict[int, dict[int, Scalar]] = {}
         for c, coord in vec.items():
-            idx, x, _, _ = flat[c]
-            for z in stacking.get(x.cup, ()):
-                if z.degree == 1:
-                    for d, v in basis_product(z, x):
-                        r = index[(idx, d)]
+            idx, x = located[c]
+            for z in table.stacking[table.cup[x]]:
+                if table.degree[z] == 1:
+                    for d, v in table.product(z, x):
+                        r = index[idx, d]
                         image = images.setdefault(z, {})
                         image[r] = image.get(r, 0) + v * coord
         for image in images.values():

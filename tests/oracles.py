@@ -57,10 +57,12 @@ bitmask steps and is checked against it, term order included.
 
 ``blocks``, ``block_compose`` and ``block_differential`` are the reference
 hom complex: an element as nested blocks ``{p: {(s, t): AlgebraElement}}``
-read off ``hom_space``, composed and differentiated block by block with
-``multiply``.  ``arckit.extalg`` works on coordinates over ``hom_space``
-with d as one matrix built from the resolutions, and is checked against
-these.
+read off ``hom_space``, each basis id mapped back to its diagram through
+``basis(m, n)``, composed and differentiated block by block with
+``multiply``; ``from_blocks`` reads blocks back into coordinates.
+``arckit.extalg`` works on coordinates over ``hom_space`` with d as one
+matrix built from the resolutions and composes on basis ids through the
+product table, and is checked against these.
 
 ``module_action``, ``projective_action`` and ``cell_action`` are the
 reference module actions: every algebra basis diagram acts on every module
@@ -72,8 +74,18 @@ objects of ``basis``; both are checked against these.
 ``lambda_n``, ``m_n``, ``stasheff_check`` and ``vanishing_report`` are the
 reference A-infinity operations: every λ_n by the recursion from scratch,
 every Stasheff term through fresh inner and outer m_n, and each vanishing
-flag by applying Q again.  ``arckit.ainfty`` reads the same quantities off
-one memo per splitting and is checked against these.
+flag by applying Q again; every product is ``block_compose`` read back by
+``from_blocks``, not ``arckit.extalg.compose``.  ``arckit.ainfty`` reads
+the same quantities off one memo per splitting and is checked against
+these.
+
+``reflect_weight`` and ``reflect_diagram`` are the reflection ρ of
+(m|n) onto (n|m): the labels read right to left with v and ^ swapped, and
+every arc (i, j) sent to (N−1−j, N−1−i) and every ray r to N−1−r.  They are
+built only through ``Weight.parse``, the arc-diagram constructors and
+``__str__``, with no other ``arckit`` logic, so ρ is a check that needs no
+reference implementation: the product and Ext dimensions commute with it,
+and any rule that treats left and right, or v and ^, unevenly breaks that.
 
 ``build_pair`` is the reference splitting of one (λ, μ) pair, with no code
 from ``arckit.exact``.  Each hom^k is split by its own dense elimination:
@@ -96,6 +108,8 @@ from arckit import SparseMatrix
 from arckit.ainfty import _class_key, _SpaceSplit, composable_tuples
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
+    CapDiagram,
+    CupDiagram,
     OrientedCircleDiagram,
     Weight,
     associated_cap_diagram,
@@ -109,7 +123,6 @@ from arckit.extalg import (
     HomElement,
     _differential_matrix,
     _k_range,
-    compose,
     construct_element,
     hom_element,
     hom_space,
@@ -509,6 +522,32 @@ def constructed_hom_basis(alpha, beta) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the reflection (m|n) -> (n|m)
+# ---------------------------------------------------------------------------
+
+
+def reflect_weight(weight) -> Weight:
+    """ρλ: the labels of λ from right to left, v and ^ swapped."""
+    return Weight.parse("".join(_FLIP[c] for c in reversed(str(weight))))
+
+
+def reflect_diagram(diagram) -> OrientedCircleDiagram:
+    """ρ(a, λ, b) = (ρa, ρλ, ρb): each arc (i, j) of the cup and the cap
+    diagram becomes (N−1−j, N−1−i) and each ray r becomes N−1−r."""
+    last = diagram.weight.size - 1
+
+    def mirrored(kind, arcs):
+        cups = frozenset((last - j, last - i) for i, j in arcs.cups)
+        return kind(arcs.size, cups, frozenset(last - r for r in arcs.rays))
+
+    return OrientedCircleDiagram(
+        mirrored(CupDiagram, diagram.cup),
+        reflect_weight(diagram.weight),
+        mirrored(CapDiagram, diagram.cap),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the surgery product by a depth-first walk per state
 # ---------------------------------------------------------------------------
 #
@@ -678,11 +717,12 @@ def blocks(f: HomElement) -> dict:
     of the source resolution to summand t of component p−k of the target."""
     entries: dict = {}
     space = hom_space(f.source, f.target, f.k)
+    diagrams = basis(*f.source.block)
     for i, c in f.coords.items():
-        p, s, t, diagram, j = space[i]
+        p, s, t, x, j = space[i]
         assert j == f.j, "coordinate outside the element's shift"
         block = entries.setdefault(p, {})
-        term = AlgebraElement.from_diagram(diagram, c)
+        term = AlgebraElement.from_diagram(diagrams[x], c)
         block[(s, t)] = block.get((s, t), AlgebraElement()) + term
     return _clean(entries)
 
@@ -710,6 +750,28 @@ def block_differential(f: HomElement) -> dict:
                     if t0 == s:
                         add(p + 1, s2, t, -sign * multiply(d_entry, u))
     return _clean(entries)
+
+
+def from_blocks(lam, mu, k: int, j: int, entries: dict) -> HomElement:
+    """The element of hom^k(λ, μ) of shift j with the blocks ``entries``,
+    each diagram found among the ``hom_space`` vectors of its block."""
+    diagrams = basis(*lam.block)
+    index = {
+        (p, s, t, diagrams[x]): i for i, (p, s, t, x, _) in enumerate(hom_space(lam, mu, k))
+    }
+    coords = {
+        index[p, s, t, d]: c
+        for p, block in entries.items()
+        for (s, t), u in block.items()
+        for d, c in u
+    }
+    return hom_element(lam, mu, k, coords, j)
+
+
+def _compose(f: HomElement, g: HomElement) -> HomElement:
+    """f·g by ``block_compose``, read back into coordinates."""
+    f, g = _as_elements([f, g])
+    return from_blocks(f.source, g.target, f.k + g.k, f.j + g.j, block_compose(f, g))
 
 
 def block_compose(f: HomElement, g: HomElement) -> dict:
@@ -761,7 +823,7 @@ def lambda_n(split, items) -> HomElement:
 
     def lam_interval(i: int, j: int) -> HomElement:
         if j - i == 2:
-            return compose(elements[i], elements[i + 1])
+            return _compose(elements[i], elements[i + 1])
         total = None
         for cut in range(i + 1, j):
             k_len, l_len = cut - i, j - cut
@@ -772,7 +834,7 @@ def lambda_n(split, items) -> HomElement:
             )
             term = (
                 Fraction(-((-1) ** exponent))
-                * compose(qlam[(i, cut)], qlam[(cut, j)])
+                * _compose(qlam[(i, cut)], qlam[(cut, j)])
             )
             total = term if total is None else total + term
         return total
@@ -835,15 +897,15 @@ def vanishing_report(split, arity: int) -> dict:
 
     q2_zero = True
     for a1, a2 in composable_tuples(classes, 2):
-        if not split.q(compose(a1, a2)).is_zero():
+        if not split.q(_compose(a1, a2)).is_zero():
             q2_zero = False
             break
 
     q2q2_zero = True
     for chain in composable_tuples(classes, 4):
         a1, a2, a3, a4 = _as_elements(chain)
-        product = compose(
-            split.q(compose(a1, a2)), split.q(compose(a3, a4))
+        product = _compose(
+            split.q(_compose(a1, a2)), split.q(_compose(a3, a4))
         )
         if not product.is_zero():
             q2q2_zero = False

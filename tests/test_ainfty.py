@@ -91,7 +91,7 @@ class TestCoordinates:
                     kept = data.b_count + len(data.h_classes)
                     for vector in data.space:
                         f = basis_hom_element(lam, mu, k, vector)
-                        _, coords = split._coordinates(f)
+                        _, coords, _ = split._coordinates(lam, mu, k, f.coords)
                         want = solve(matrix, f.coords)
                         assert coords == {i: x for i, x in want.items() if i < kept}
                         checked += 1
@@ -274,6 +274,18 @@ class TestClassKeys:
         assert len(violations) == len(set(violations))
 
 
+class TestComposableTuples:
+    @pytest.mark.parametrize("arity", [0, -1])
+    def test_an_arity_below_one_is_refused(self, split_21_generic, arity):
+        classes = split_21_generic.all_h_classes()
+        with pytest.raises(ValueError):
+            composable_tuples(classes, arity)
+
+    def test_arity_one_is_every_class(self, split_21_generic):
+        classes = split_21_generic.all_h_classes()
+        assert composable_tuples(classes, 1) == [(c,) for c in classes]
+
+
 def _chains(split, arities):
     classes = split.all_h_classes(include_idempotents=False)
     return [c for arity in arities for c in composable_tuples(classes, arity)]
@@ -316,7 +328,9 @@ class TestMemoAgainstReference:
         chains = _chains(split, range(2, 6))
         assert len(chains) == 4232
         for chain in random.Random(5).sample(chains, 500):
-            want = split.pi_coefficients(oracles.lambda_n(split, chain))
+            reference = oracles.lambda_n(split, chain)
+            assert lambda_n(split, chain) == reference
+            want = split.pi_coefficients(reference)
             assert split.pi_coefficients(lambda_n(split, chain)) == want
             assert split.m_coefficients(chain) == want
 

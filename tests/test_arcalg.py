@@ -23,8 +23,8 @@ from arckit import (
     weights_in_block,
 )
 from arckit.arcalg import (
-    _basis_product,
     _plan,
+    _product_table,
     _surgery_product,
     algebra_dimension,
     basis_product,
@@ -215,17 +215,35 @@ class TestAgainstReference:
 
 
 class TestProductMemo:
-    """``multiply`` reads basis products from a memo; it must agree with a
-    fresh surgery on every composable pair, cold and warm."""
+    """``multiply`` reads basis products from one table per block, on basis
+    ids; it must agree with a fresh surgery on every composable pair, cold
+    and warm, and a pair that does not stack has the empty entry."""
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 1)])
     def test_memo_equals_direct_surgery(self, m, n):
         pairs = _composable_pairs(m, n)
-        _basis_product.cache_clear()
-        for _ in ("empty memo", "warm memo"):
+        table = _product_table(m, n)
+        table.entries.clear()
+        for _ in ("empty table", "warm table"):
             for d1, d2 in pairs:
                 assert multiply(_elt(d1), _elt(d2)) == _direct(d1, d2)
-        assert _basis_product.cache_info().hits >= len(pairs)
+                entry = table.product(table.ids[d1], table.ids[d2])
+                assert [(table.diagrams[c], v) for c, v in entry] == list(_direct(d1, d2))
+            # one entry per stacked pair, filled cold and only read warm
+            assert len(table.entries) == len(pairs)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+    def test_a_pair_that_does_not_stack_has_the_empty_entry(self, m, n):
+        table = _product_table(m, n)
+        stacked = {(table.ids[d1], table.ids[d2]) for d1, d2 in _composable_pairs(m, n)}
+        filled = len(table.entries)
+        size = len(basis(m, n))
+        assert len(stacked) < size * size
+        for a, b in iproduct(range(size), repeat=2):
+            if (a, b) not in stacked:
+                assert table.product(a, b) == ()
+                assert basis_product(table.diagrams[a], table.diagrams[b]).is_zero()
+        assert len(table.entries) == filled
 
     def test_changing_a_product_leaves_the_memo_alone(self):
         d1, d2 = next(

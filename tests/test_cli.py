@@ -335,7 +335,7 @@ PINNED_DIGESTS = {
         "b784d6f78768de9cdf3b1b091ded1df9255a2ea36ced3337d095c4ae7bc6ad6b",
     ("quiver", "-m", "2", "-n", "3", "--algebra", "ext", "--format", "json"):
         "ec94b680b5d198755a5b604bdd161d540cc81fa7a28265f00b90bd69f2b7967b",
-    # a generic resolution of (4|2), whose radicals come from the product memo
+    # a generic resolution of (4|2), whose radicals come from the product table
     ("resolve", "-m", "4", "-n", "2", "--lambda", "vvvv^^", "--method", "generic",
      "--verify", "--format", "json"):
         "f538385b397ecf71071d9918ee71eb8d5ca6f7f1d4d2b7f56dfbab1b19ec5296",

@@ -1,0 +1,57 @@
+"""The reflection ρ of (m|n) onto (n|m) as a metamorphic check.
+
+ρ reads a weight right to left with v and ^ swapped and mirrors every arc
+diagram left to right (``oracles.reflect_weight``, ``oracles.reflect_diagram``).
+It maps the basis of K_m^n onto that of K_n^m, keeps degrees, and the surgery
+product and the Ext dimensions commute with it.  It needs no reference
+implementation, so it reaches (3|3), where the dense references stop, and a
+rule that treats left and right, or v and ^, unevenly breaks it.
+"""
+
+import pytest
+
+from arckit import basis, weights_in_block
+from arckit.arcalg import basis_product
+from arckit.extalg import ext_dims
+from oracles import reflect_diagram, reflect_weight
+
+# the stacked pairs of each block; ρ carries them onto those of (n|m)
+STACKED = {(2, 2): 413, (3, 2): 1179, (4, 2): 2221, (3, 3): 17641}
+
+
+def _reflection(m, n) -> dict:
+    """ρ on the basis of K_m^n, each image the ``basis`` object of K_n^m."""
+    objects = {d: d for d in basis(n, m)}
+    return {d: objects[reflect_diagram(d)] for d in basis(m, n)}
+
+
+@pytest.mark.parametrize("m,n", list(STACKED))
+def test_reflection_is_a_degree_preserving_bijection(m, n):
+    rho = _reflection(m, n)
+    assert len(set(rho.values())) == len(basis(n, m)) == len(rho)
+    assert all(image.degree == d.degree for d, image in rho.items())
+    assert all(reflect_diagram(image) == d for d, image in rho.items())
+    assert all(reflect_weight(reflect_weight(w)) == w for w in weights_in_block(m, n))
+
+
+@pytest.mark.parametrize("m,n", list(STACKED))
+def test_products_commute_with_the_reflection(m, n):
+    rho = _reflection(m, n)
+    on_cup: dict = {}
+    for d in basis(m, n):
+        on_cup.setdefault((d.cup.cups, d.cup.rays), []).append(d)
+    checked = 0
+    for a in basis(m, n):
+        for b in on_cup.get((a.cap.cups, a.cap.rays), ()):
+            want = {rho[d]: c for d, c in basis_product(a, b)}
+            assert basis_product(rho[a], rho[b]).terms == want
+            checked += 1
+    assert checked == STACKED[m, n]
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (3, 3)])
+def test_ext_dims_commute_with_the_reflection(m, n):
+    weights = weights_in_block(m, n)
+    for lam in weights:
+        for mu in weights:
+            assert ext_dims(reflect_weight(lam), reflect_weight(mu)) == ext_dims(lam, mu)

@@ -114,7 +114,8 @@ class TestHotLayers:
             product = compose(*chain)
             if product.is_zero():
                 continue
-            _, coords = split._coordinates(product)
+            where = (product.source, product.target, product.k)
+            _, coords, _ = split._coordinates(*where, product.coords)
             assert not_exact(coords.values()) == []
             assert not_exact(split.pi_coefficients(product).values()) == []
             assert not_exact(split.pi(product).coords.values()) == []
