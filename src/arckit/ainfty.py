@@ -127,8 +127,6 @@ class Splitting:
         self._index: dict[int, int] = {}  # id(class) -> position in _classes
         # per class index: source and target as positions in the block, k, j,
         # and the position among the H-classes of its hom^k
-        self._weights = weights_in_block(m, n)
-        self._weight_id = {w: i for i, w in enumerate(self._weights)}
         self._source: list[int] = []
         self._target: list[int] = []
         self._k: list[int] = []
@@ -149,8 +147,8 @@ class Splitting:
                 for position, c in enumerate(space.h_classes):
                     i = self._index[id(c)] = len(self._classes)
                     self._classes.append(c)
-                    self._source.append(self._weight_id[c.source])
-                    self._target.append(self._weight_id[c.target])
+                    self._source.append(self._table.position[c.source])
+                    self._target.append(self._table.position[c.target])
                     self._k.append(c.k)
                     self._j.append(c.j)
                     self._position.append(position)
@@ -353,7 +351,7 @@ class Splitting:
     def _space(self, s: int, t: int, k: int) -> tuple[tuple, dict]:
         """``hom_space`` and ``_hom_index`` of hom^k between the weights at
         block positions s and t, kept in ``_spaces``."""
-        lam, mu = self._weights[s], self._weights[t]
+        lam, mu = self._table.weights[s], self._table.weights[t]
         self._spaces[s, t, k] = found = (hom_space(lam, mu, k), _hom_index(lam, mu, k))
         return found
 

@@ -144,28 +144,14 @@ class AlgebraElement:
 def idempotent(weight: Weight) -> AlgebraElement:
     """e_λ, the degree-0 diagram formed by the associated cup/cap diagrams
     (the object of ``basis``)."""
-    return AlgebraElement.from_diagram(_idempotent_diagram(weight))
-
-
-@lru_cache(maxsize=None)
-def _idempotent_diagram(weight: Weight) -> OrientedCircleDiagram:
-    """The basis diagram of e_λ, built once per weight."""
-    key = (associated_cup_diagram(weight), weight.labels, associated_cap_diagram(weight))
-    return _basis_by_labels(*weight.block)[key]
+    table = _product_table(*weight.block)
+    return AlgebraElement.from_diagram(table.diagrams[table.find(weight, weight, weight)])
 
 
 def basis(m: int, n: int) -> tuple[OrientedCircleDiagram, ...]:
     """All basis diagrams of K_m^n in deterministic (α, β, ν) order, the
     diagrams of the block's product table."""
     return _product_table(m, n).diagrams
-
-
-@lru_cache(maxsize=None)
-def _basis_by_labels(
-    m: int, n: int
-) -> dict[tuple[CupDiagram, tuple[str, ...], CapDiagram], OrientedCircleDiagram]:
-    """The diagrams of ``basis`` keyed by (cup, weight labels, cap)."""
-    return {(d.cup, d.weight.labels, d.cap): d for d in basis(m, n)}
 
 
 def hom_basis(
@@ -426,8 +412,10 @@ def _surgery_product(
     plan = _compile(a, b, d, pair_picker) if pair_picker else _plan(a, b, d)
     size = a.size
     states = _carry(plan, size, _bits(lam.labels) | _bits(mu.labels) << size)
-    by_labels = _basis_by_labels(*lam.block)
-    return AlgebraElement({by_labels[a, _labels(s, size), d]: c for s, c in states.items()})
+    table = _product_table(*lam.block)
+    cup = table.cup[table.ids[OrientedCircleDiagram(a, lam, b)]]
+    cap = table.cap[table.ids[OrientedCircleDiagram(b.mirror(), mu, d)]]
+    return AlgebraElement({table.diagrams[table._ids[cup, s, cap]]: c for s, c in states.items()})
 
 
 class _ProductTable:
@@ -436,17 +424,21 @@ class _ProductTable:
 
     The diagrams (α̲, ν, β̄) are built in (α, β, ν) order, the ν that orient
     each α̲ and each β̄ found once, so only the diagrams of the basis are
-    constructed.  The diagram of id x has ``cup[x]`` and ``cap[x]`` the
-    positions of α and β in ``weights_in_block``; ``ends[α, β]`` is the
-    ids of e_α K e_β in order, ``stacking[β]`` the ids with cap position
-    β, and ``ids`` maps each diagram to its id.  ``product(a, b)`` is the
-    tuple of (id, coeff) of a·b in surgery order: empty when cap[a] !=
-    cup[b] (a's cap does not mirror b's cup), else surgered once and kept
-    in ``entries`` under a·len(basis) + b.
+    constructed.  ``weights`` is ``weights_in_block`` and ``position``
+    maps each weight to its place there.  The diagram of id x has
+    ``cup[x]`` and ``cap[x]`` the positions of α and β; ``ends[α, β]`` is
+    the ids of e_α K e_β in order, ``stacking[β]`` the ids with cap
+    position β (P(β)'s basis, in the order of ``projective_module``), and
+    ``ids`` maps each diagram to its id, ``find(α, ν, β)`` each triple of
+    weights.  ``product(a, b)`` is the tuple of (id, coeff) of a·b in
+    surgery order: empty when cap[a] != cup[b] (a's cap does not mirror
+    b's cup), else surgered once and kept in ``entries`` under
+    a·len(basis) + b.
     """
 
     def __init__(self, m: int, n: int):
-        weights = weights_in_block(m, n)
+        weights = self.weights = tuple(weights_in_block(m, n))
+        self.position = {w: i for i, w in enumerate(weights)}
         cups = [associated_cup_diagram(w) for w in weights]
         caps = [associated_cap_diagram(w) for w in weights]
         under = [[nu for nu in weights if cup_oriented(cup, nu)] for cup in cups]
@@ -468,6 +460,10 @@ class _ProductTable:
         self._middle = [_bits(x.weight.labels) for x in self.diagrams]
         self._ids = {(self.cup[x], self._middle[x], self.cap[x]): x for x in numbers}
         self.entries: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def find(self, alpha: Weight, nu: Weight, beta: Weight) -> int:
+        """The id of (α̲ ν β̄); a KeyError when ν does not orient it."""
+        return self._ids[self.position[alpha], _bits(nu.labels), self.position[beta]]
 
     def product(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
         if self.cap[a] != self.cup[b]:
@@ -612,38 +608,26 @@ class Matching:
         return (m - 1, n - 1)
 
 
-def _shift_arcs(
-    cups: Iterable[tuple[int, int]], rays: Iterable[int], at: int
-) -> tuple[set[tuple[int, int]], set[int]]:
-    shift = lambda p: p if p < at else p + 2
-    return (
-        {(shift(i), shift(j)) for i, j in cups},
-        {shift(p) for p in rays},
-    )
-
-
 def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
     """The geometric-bimodule functor for t_i on morphisms between
     projectives: insert a 'v^' pair at (i, i+1) into the middle weight and
     a matching cup/cap pair into both halves of every basis diagram (the
-    image diagrams are the objects of ``basis``)."""
+    image diagrams are the objects of ``basis``).  The pair inserted into
+    α̲ is the cup of α with 'v^' inserted, so (α̲ ν β̄) goes to the
+    diagram of the three weights with 'v^' inserted at i."""
     i = t.i
-    by_labels = _basis_by_labels(*t.source_block)
+    source, target = _product_table(*t.source_block), _product_table(*t.target_block)
     out: dict[OrientedCircleDiagram, Scalar] = {}
     for diagram, coeff in element:
         if diagram.weight.block != t.target_block:
             raise ValueError(
                 f"element lives in block {diagram.weight.block}, expected {t.target_block}"
             )
-        cup_cups, cup_rays = _shift_arcs(diagram.cup.cups, diagram.cup.rays, i)
-        cap_cups, cap_rays = _shift_arcs(diagram.cap.cups, diagram.cap.rays, i)
-        cup_cups.add((i, i + 1))
-        cap_cups.add((i, i + 1))
-        size = diagram.weight.size + 2
-        new = by_labels[
-            CupDiagram(size, frozenset(cup_cups), frozenset(cup_rays)),
-            diagram.weight.insert_down_up(i).labels,
-            CapDiagram(size, frozenset(cap_cups), frozenset(cap_rays)),
-        ]
+        x = target.ids[diagram]
+        alpha, nu, beta = (
+            w.insert_down_up(i)
+            for w in (target.weights[target.cup[x]], diagram.weight, target.weights[target.cap[x]])
+        )
+        new = source.diagrams[source.find(alpha, nu, beta)]
         out[new] = out.get(new, 0) + coeff
     return AlgebraElement(out)

@@ -39,7 +39,6 @@ __all__ = [
     "bruhat_leq",
     "associated_cup_diagram",
     "associated_cap_diagram",
-    "weights_by_cup",
     "nesting",
 ]
 
@@ -58,9 +57,14 @@ class Weight:
         m = self.labels.count(DOWN)
         if m + n != len(self.labels):
             raise ValueError(f"bad labels {self.labels!r}")
-        # counted once: block checks run in every Bruhat comparison; not a
-        # field, so equality, order, repr and pickling see only the labels
+        # counted once: block checks run in every Bruhat comparison, and
+        # weights key the product table's positions and every memo; not
+        # fields, so equality, order, repr and pickling see only the labels
         object.__setattr__(self, "_block", (m, n))
+        object.__setattr__(self, "_hash", hash((self.labels,)))  # the generated hash
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
         return (Weight, (self.labels,))
@@ -360,17 +364,6 @@ def associated_cup_diagram(weight: Weight) -> CupDiagram:
 
 def associated_cap_diagram(weight: Weight) -> CapDiagram:
     return associated_cup_diagram(weight).mirror()
-
-
-@lru_cache(maxsize=None)
-def weights_by_cup(m: int, n: int) -> dict[CupDiagram, Weight]:
-    """The weight α of the block with α̲ equal to each cup diagram; should
-    two weights share one, the first in ``weights_in_block`` order wins.
-    The dict is shared between callers and must not be modified."""
-    out: dict[CupDiagram, Weight] = {}
-    for alpha in weights_in_block(m, n):
-        out.setdefault(associated_cup_diagram(alpha), alpha)
-    return out
 
 
 @dataclass(frozen=True)

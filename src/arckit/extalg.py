@@ -346,9 +346,9 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
     weights being zero in M(μ).  dim H^k = |degree k| − rank d^k − rank
     d^{k−1}.
     """
-    labels = cell_basis(mu)[0]
+    labels, _, reps = cell_basis(mu)
     where = {label: i for i, label in enumerate(labels)}
-    table, reps = _product_table(*mu.block), _cell_ids(mu)
+    table = _product_table(*mu.block)
     # per degree: summand -> (its position in the degree, its vector of M)
     coords = []
     for comp in P.components:
@@ -374,13 +374,6 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
         if total:
             out[k] = total
     return out
-
-
-@lru_cache(maxsize=None)
-def _cell_ids(mu: Weight) -> tuple[int, ...]:
-    """The basis ids of the representatives of ``cell_basis(μ)``."""
-    ids = _product_table(*mu.block).ids
-    return tuple(ids[d] for d in cell_basis(mu)[2])
 
 
 # ---------------------------------------------------------------------------

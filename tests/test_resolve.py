@@ -21,7 +21,7 @@ from arckit import (
     weights_in_block,
 )
 from arckit import resolve
-from arckit.arcalg import hom_basis
+from arckit.arcalg import _product_table, hom_basis
 from arckit.extalg import ext_dims, hom_windows_ok, resolution
 from arckit.resolve import (
     ProjectiveComplex,
@@ -272,13 +272,20 @@ class TestLargeGenericPinned:
 REFERENCE_BLOCKS = [(2, 2), (3, 2), (2, 3), (4, 2)]
 
 
+def with_diagrams(flat) -> list:
+    """A flat cover of ``_cover_data`` with each basis id replaced by its
+    diagram, the form of the references."""
+    diagrams = _product_table(*flat[0][2].block).diagrams
+    return [(idx, diagrams[x], alpha, deg) for idx, x, alpha, deg in flat]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("block", REFERENCE_BLOCKS)
     def test_flat_differentials(self, block):
         for lam in weights_in_block(*block):
             for c in (resolution(lam), resolve_generic(lam)):
                 for comp in c.components:
-                    assert _cover_data(comp) == cover_reference(comp)
+                    assert with_diagrams(_cover_data(comp)) == cover_reference(comp)
                 for i, diff in enumerate(c.differentials, start=1):
                     source, target = c.components[i], c.components[i - 1]
                     assert _flat_differential(diff, source, target) == (
@@ -292,7 +299,7 @@ class TestAgainstReference:
 
         def both(syzygy, flat):
             got = fast(syzygy, flat)
-            assert got == head_generators_reference(syzygy, flat)
+            assert got == head_generators_reference(syzygy, with_diagrams(flat))
             calls.append(len(got))
             return got
 
@@ -319,21 +326,28 @@ def tampered(lam: Weight, old: str, new: str) -> str:
     return body.replace(old, new, 1)
 
 
+OTHER_BLOCK_OLD = "cups=(2,3) rays=0,1 | ^v^v | cups=(1,2) rays=0,3"
+OTHER_BLOCK_NEW = "cups=(2,3) rays=0,1 | vv^v | cups=(1,2) rays=0,3"
+
+
 class TestEntriesOutsideTheirSummands:
     LAM = Weight.parse("vv^^")
     # component 0 relabelled, so that every d_1 entry leaves e_src K e_tgt;
-    # a d_1 entry moved to a summand C_1 lacks
+    # a d_1 entry moved to a summand C_1 lacks; a d_2 entry replaced by a
+    # diagram of (3|1) with the cup and cap of the (2|2) one it replaces
     CASES = [
         ("summand 0 vv^^ 0", "summand 0 v^v^ 0", "entry outside e_src K e_tgt"),
         ("entry 1 0 0 ", "entry 1 7 0 ", "d_1[7,0] names a missing summand"),
+        (OTHER_BLOCK_OLD, OTHER_BLOCK_NEW, "d_2[0,0] entry outside e_src K e_tgt"),
     ]
+    IDS = ["component-0", "missing-summand", "other-block"]
 
-    @pytest.mark.parametrize("old,new,failure", CASES, ids=["component-0", "missing-summand"])
+    @pytest.mark.parametrize("old,new,failure", CASES, ids=IDS)
     def test_verify_reports_them(self, old, new, failure):
         c = resolve._deserialize(self.LAM, tampered(self.LAM, old, new))
         assert any(failure in f for f in verify_resolution(c, self.LAM))
 
-    @pytest.mark.parametrize("old,new,failure", CASES, ids=["component-0", "missing-summand"])
+    @pytest.mark.parametrize("old,new,failure", CASES, ids=IDS)
     def test_the_cache_loads_them_as_a_miss(self, old, new, failure, tmp_path):
         stored = ResolutionCache(str(tmp_path))
         key = (2, 2, str(self.LAM), "generic")
