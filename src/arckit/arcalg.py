@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .diagrams import (
     DOWN,
@@ -190,7 +190,6 @@ def algebra_dimension(m: int, n: int) -> int:
 # one component), and after is the components the cut forms, four ints
 # each, in order of their first vertex.
 
-_PairPicker = Callable[[list[tuple[int, int]]], tuple[int, int]]
 _Component = tuple[int, int, int, int]
 _Step = tuple[int, ...]
 
@@ -272,21 +271,19 @@ class _SurgeryGeometry:
                 seen |= out[-1][2]
         return out
 
-    def steps(
-        self, pair_picker: _PairPicker | None = None
-    ) -> Iterator[tuple[tuple[int, int], _Step]]:
+    def steps(self) -> Iterator[tuple[tuple[int, int], _Step]]:
         """Cut the middle pairs open one at a time into vertical segments.
 
         Each cut takes the leftmost admissible pair (one not enclosed by
-        another remaining pair), or the admissible pair ``pair_picker``
-        chooses, and yields the pair with the cut compiled into a step.
+        another remaining pair) and yields the pair with the cut compiled
+        into a step.  The product does not depend on the order.
         """
         size, middle = self.size, self.middle
         while pairs := self.middle_pairs():
             admissible = [
                 (i, j) for i, j in pairs if not any(k < i and j < l for k, l in pairs)
             ]
-            i, j = pair = pair_picker(admissible) if pair_picker else admissible[0]
+            i, j = pair = admissible[0]
             cap = self.component(i)
             cup = cap if cap[2] >> (size + i) & 1 else self.component(size + i)
             for v in (i, j, size + i, size + j):
@@ -362,22 +359,17 @@ def _cut(step: _Step, state: int) -> tuple[int, ...]:
     return (rest | _orient(after, state, "x" if "x" in kinds else "1"),)
 
 
-def _compile(
-    a: CupDiagram, b: CapDiagram, d: CapDiagram, pair_picker: _PairPicker | None = None
-) -> tuple[_Step, ...]:
-    """The cuts of the stacked pair (a, b, d), compiled in the order of ``steps``."""
-    return tuple(step for _, step in _SurgeryGeometry(a, b, d).steps(pair_picker))
-
-
 _STEPS: dict[_Step, _Step] = {}
 
 
 @lru_cache(maxsize=None)
 def _plan(a: CupDiagram, b: CapDiagram, d: CapDiagram) -> tuple[_Step, ...]:
-    """The cuts of (a, b, d) in the default order, memoized.  Equal cuts
-    of different plans are stored once, in ``_STEPS``: the 12,433 plans of
-    (4|3) hold 31,613 cuts, 4,934 of them distinct."""
-    return tuple(_STEPS.setdefault(step, step) for step in _compile(a, b, d))
+    """The cuts of the stacked pair (a, b, d) in the order of ``steps``,
+    memoized by the arc diagrams, so blocks of one size share their plans.
+    Equal cuts of different plans are stored once, in ``_STEPS``: the
+    12,433 plans of (4|3) hold 31,613 cuts, 4,934 of them distinct."""
+    steps = _SurgeryGeometry(a, b, d).steps()
+    return tuple(_STEPS.setdefault(step, step) for _, step in steps)
 
 
 def _carry(plan: tuple[_Step, ...], size: int, state: int) -> dict[int, int]:
@@ -397,25 +389,6 @@ def _carry(plan: tuple[_Step, ...], size: int, state: int) -> dict[int, int]:
     if any(state & low != state >> size for state in states):
         raise AssertionError("number lines disagree after surgery")
     return {state & low: coeff for state, coeff in states.items()}
-
-
-def _surgery_product(
-    a: CupDiagram,
-    lam: Weight,
-    b: CapDiagram,
-    mu: Weight,
-    d: CapDiagram,
-    pair_picker: _PairPicker | None = None,
-) -> AlgebraElement:
-    """Carry every orientation state through the cuts of the plan of
-    (a, b, d).  The result diagrams are the objects of ``basis``."""
-    plan = _compile(a, b, d, pair_picker) if pair_picker else _plan(a, b, d)
-    size = a.size
-    states = _carry(plan, size, _bits(lam.labels) | _bits(mu.labels) << size)
-    table = _product_table(*lam.block)
-    cup = table.cup[table.ids[OrientedCircleDiagram(a, lam, b)]]
-    cap = table.cap[table.ids[OrientedCircleDiagram(b.mirror(), mu, d)]]
-    return AlgebraElement({table.diagrams[table._ids[cup, s, cap]]: c for s, c in states.items()})
 
 
 class _ProductTable:

@@ -345,7 +345,7 @@ def _doc_multtable(args) -> dict:
                         cell = families[(xl, yl)]
                         cell["products"] += 1
                         coeffs, _ = decompose(compose(x, y), basis_of(lam, mu))
-                        nonzero = {lab for (lab, _, _), c in coeffs.items() if c}
+                        nonzero = {key[0] for key, c in coeffs.items() if c}
                         if nonzero:
                             cell["nonzero"] += 1
                             cell["results"] |= nonzero
@@ -431,8 +431,9 @@ def _doc_quiver(args) -> dict:
             {
                 "left": [g1[0], str(g1[1]), str(g1[2])],
                 "right": [g2[0], str(g2[1]), str(g2[2])],
-                "value": {
-                    f"{lab},{k},{j}": str(c) for (lab, k, j), c in coeffs.items()
+                "value": {  # a generic class's key names its position too
+                    ",".join(map(str, key if key[0] == "generic" else key[:3])): str(c)
+                    for key, c in coeffs.items()
                 },
             }
             for g1, g2, coeffs in q["relations"]

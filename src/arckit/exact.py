@@ -51,7 +51,7 @@ byte for byte.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -249,20 +249,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "SparseMatrix":
-        """The submatrix on the given distinct rows and columns, in that order."""
-        row_at = {r: i for i, r in enumerate(rows)}
-        col_at = {c: j for j, c in enumerate(cols)}
-        return SparseMatrix(
-            len(row_at),
-            len(col_at),
-            {
-                (row_at[r], col_at[c]): v
-                for (r, c), v in self.entries.items()
-                if r in row_at and c in col_at
-            },
-        )
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":

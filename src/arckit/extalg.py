@@ -382,45 +382,39 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _shelton(lam: Weight, mu: Weight, k: int, index: int | None) -> int:
-    """E^k(λ, μ), by the recursion on a 'v^' pair of λ.
-
-    ``index`` overrides the canonical choice (the smallest admissible
-    position); the result is independent of it.
-    """
+def _shelton(lam: Weight, mu: Weight, k: int) -> int:
+    """E^k(λ, μ), by the recursion on the leftmost 'v^' pair of λ."""
     if lam == mu:
         return 1 if k == 0 else 0
     if not bruhat_leq(lam, mu):
         return 0
     if k < 0 or k > length(lam) - length(mu):
         return 0
-    candidates = [i for i in range(lam.size - 1) if lam.has_down_up_at(i)]
-    i = candidates[0] if index is None else index
-    if i not in candidates:
-        raise ValueError(f"λ has no 'v^' pair at position {i}")
+    i = next(i for i in range(lam.size - 1) if lam.has_down_up_at(i))
     ls = lam.swap(i)
     if mu.has_down_up_at(i):
-        return _shelton(ls, mu.swap(i), k, None)
+        return _shelton(ls, mu.swap(i), k)
     if mu[i] == mu[i + 1]:
-        return _shelton(ls, mu, k - 1, None)
+        return _shelton(ls, mu, k - 1)
     # μ carries '^v' at (i, i+1)
     ms = mu.swap(i)
     if bruhat_leq(ls, ms) and ls != ms:
         return (
-            _shelton(ls, mu, k - 1, None)
-            - _shelton(ls, mu, k + 1, None)
-            + _shelton(ls, ms, k, None)
+            _shelton(ls, mu, k - 1)
+            - _shelton(ls, mu, k + 1)
+            + _shelton(ls, ms, k)
         )
-    return _shelton(ls, mu, k - 1, None) + _shelton(ls, mu, k, None)
+    return _shelton(ls, mu, k - 1) + _shelton(ls, mu, k)
 
 
-def shelton_dims(lam: Weight, mu: Weight, index: int | None = None) -> dict[int, int]:
-    """dim Ext^k(M(λ), M(μ)) for all k, by the weight recursion alone."""
+def shelton_dims(lam: Weight, mu: Weight) -> dict[int, int]:
+    """dim Ext^k(M(λ), M(μ)) for all k, by the weight recursion alone,
+    which always takes λ's leftmost 'v^' pair."""
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     out = {}
     for k in range(0, length(lam) - length(mu) + 1):
-        value = _shelton(lam, mu, k, index)
+        value = _shelton(lam, mu, k)
         if value < 0:
             raise AssertionError("dimension recursion produced a negative count")
         if value:
@@ -927,7 +921,8 @@ def find_homotopy(f: HomElement) -> HomElement | None:
 def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     """Write the cocycle f as Σ cᵢ·bᵢ + d(H) over the basis classes.
 
-    Returns (coefficients keyed by class label with bigrade, H).  Raises
+    Returns (coefficients keyed by (label, k, j, position), H), position
+    being the class's place among the given classes of degree k.  Raises
     ValueError if a class is not one of hom(λ, μ) with (λ, μ) that of f,
     and ArithmeticError if f is not a cocycle in the span.
     """
@@ -948,7 +943,7 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     if solution is None:
         raise ArithmeticError("element does not decompose over the basis")
     coeffs = {
-        (c.label, c.k, c.j): solution[i]
+        (c.label, c.k, c.j, i): solution[i]
         for i, c in enumerate(classes)
         if i in solution
     }
@@ -1016,7 +1011,7 @@ def ext_quiver(m: int, n: int) -> dict:
     Generators are the basis classes that never appear in the span of
     products of two non-identity classes; relations record, for every
     composable pair of generators, the decomposition of their product
-    over the basis (empty coefficients = a zero relation).
+    over the basis, keyed as by ``decompose`` (empty = a zero relation).
     """
     vertices = weights_in_block(m, n)
     bases: dict[tuple[Weight, Weight], list[ExtClass]] = {}
@@ -1037,8 +1032,8 @@ def ext_quiver(m: int, n: int) -> dict:
     generators = [
         c
         for pair, classes in bases.items()
-        for c in classes
-        if (c.label, c.k, c.j) not in spanned.get(pair, set())
+        for i, c in enumerate(classes)
+        if (c.label, c.k, c.j, sum(b.k == c.k for b in classes[:i])) not in spanned.get(pair, ())
     ]
     relations = [
         (

@@ -48,6 +48,7 @@ from .diagrams import (
     associated_cup_diagram,
     length,
     total_nesting,
+    weights_in_block,
 )
 from .exact import (
     Echelon,
@@ -58,7 +59,7 @@ from .exact import (
     rank,
     solve,
 )
-from .repmod import cell_basis, kl_poly_closed, weights_in_block
+from .repmod import cell_basis, kl_poly_closed
 
 __all__ = [
     "ProjectiveComplex",
@@ -769,8 +770,9 @@ class ResolutionCache:
     :mod:`arckit.cache`), one entry per (m, n, weight, method) key.
 
     An entry that does not parse, or whose complex has a component 0 other
-    than P(λ)⟨0⟩ or an entry outside its summands, is damaged and loads as
-    a miss, so the caller recomputes and overwrites it."""
+    than P(λ)⟨0⟩, a summand of another block or an entry outside its
+    summands, is damaged and loads as a miss, so the caller recomputes and
+    overwrites it."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -786,7 +788,8 @@ class ResolutionCache:
             c = _deserialize(Weight.parse(key[2]), body)
         except (ValueError, LookupError, ArithmeticError):  # does not parse: a miss
             return None
-        if c.components[0] != ((c.weight, 0),) or _stray_entries(c):
+        blocks = {nu.block for comp in c.components for nu, _ in comp}
+        if c.components[0] != ((c.weight, 0),) or blocks != {c.weight.block} or _stray_entries(c):
             return None
         return c
 

@@ -19,9 +19,6 @@ reference kernel uses and the sparse ``{index: scalar}`` dict that
 ``arckit`` uses everywhere, and ``vectorize`` is the dense coordinate list
 of a hom element.
 
-``restrict`` is the reference graded submatrix: dense row and column
-slicing, to check ``SparseMatrix.restrict`` against.
-
 ``hom_cohomology`` computes the cohomology dimensions of the hom complex
 between two explicit projective complexes directly with sparse linear
 algebra, without going through the Ext-algebra machinery, so it can serve
@@ -248,12 +245,6 @@ def dense(vec, length: int) -> list:
 def vectorize(f: HomElement) -> list:
     """The dense coordinate list of f over its own hom space."""
     return dense(f.coords, len(hom_space(f.source, f.target, f.k)))
-
-
-def restrict(matrix: SparseMatrix, rows, cols) -> list[list[Fraction]]:
-    """The dense submatrix on the given rows and columns, in that order."""
-    dense = matrix.dense()
-    return [[dense[r][c] for c in cols] for r in rows]
 
 
 def _hom_space(C, D, k):

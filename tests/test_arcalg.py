@@ -25,7 +25,6 @@ from arckit import (
 from arckit.arcalg import (
     _plan,
     _product_table,
-    _surgery_product,
     algebra_dimension,
     basis_product,
     hom_basis,
@@ -172,9 +171,9 @@ class TestMultiplication:
 
 
 def _direct(d1, d2, pair_picker=None):
-    return _surgery_product(
+    return AlgebraElement(dict(surgery_product_reference(
         d1.cup, d1.weight, d1.cap, d2.weight, d2.cap, pair_picker
-    )
+    )))
 
 
 def _composable_pairs(m, n):
@@ -187,26 +186,27 @@ def _composable_pairs(m, n):
 
 
 class TestAgainstReference:
-    """The compiled surgery against the depth-first reference of
-    ``tests/oracles.py``: the same terms, coefficients and term order."""
+    """The product table against the depth-first reference of
+    ``tests/oracles.py``: the same terms, coefficients and term order when
+    the reference cuts the leftmost admissible pair, as the table does, and
+    the same element when it cuts in another order."""
 
     def test_every_stacked_pair_in_every_cut_order(self):
         # (3|2) and (2|3) share cup/cap triples, so (2|3) also runs on plans
         # that (3|2) compiled
         _plan.cache_clear()
         for m, n in ((2, 2), (3, 2), (2, 3), (4, 2)):
+            table = _product_table(m, n)
+            table.entries.clear()
             pairs = _composable_pairs(m, n)
             made = _plan.cache_info().currsize
             for seed, (d1, d2) in enumerate(pairs):
+                entry = table.product(table.ids[d1], table.ids[d2])
+                terms = [(table.diagrams[c], v) for c, v in entry]
                 args = (d1.cup, d1.weight, d1.cap, d2.weight, d2.cap)
-                # each side gets its own picker: a seeded rng draws the same cuts
-                for picker in (
-                    lambda: None,
-                    lambda: lambda admissible: admissible[-1],
-                    lambda: random.Random(seed).choice,
-                ):
-                    expected = surgery_product_reference(*args, picker())
-                    assert list(_surgery_product(*args, picker())) == expected
+                assert terms == surgery_product_reference(*args)
+                for picker in (lambda admissible: admissible[-1], random.Random(seed).choice):
+                    assert _direct(d1, d2, picker) == AlgebraElement(dict(terms))
             triples = {(d1.cup, d1.cap, d2.cap) for d1, d2 in pairs}
             if (m, n) == (2, 3):
                 assert _plan.cache_info().currsize - made < len(triples)

@@ -259,6 +259,11 @@ class TestDeterminismAndCache:
         old = "cups=(2,3) rays=0,1 | ^v^v | cups=(1,2) rays=0,3"
         self._tampered_resolution_is_recomputed(tmp_path, old, old.replace("^v^v", "vv^v"))
 
+    def test_resolution_entry_with_a_summand_of_another_block_is_recomputed(self, tmp_path):
+        # P(^v)<4>, a projective of (1|1), added to C_4
+        old = "summand 4 ^^vv 4\n"
+        self._tampered_resolution_is_recomputed(tmp_path, old, old + "summand 4 ^v 4\n")
+
     def test_entry_under_other_source_is_not_served(self, tmp_path, monkeypatch):
         args = ["klpoly", "-m", "2", "-n", "2", "--lambda", "vv^^", "--mu", "^^vv"]
         cache = ["--cache", str(tmp_path)]
@@ -344,8 +349,10 @@ PINNED_DIGESTS = {
      "--format", "json"): "eb65236bd03652fcaeab728f7bfe8d8ed75880ffa2c4661d61ace2904c5ab3fd",
     ("quiver", "-m", "3", "-n", "1", "--algebra", "ext", "--format", "json"):
         "b784d6f78768de9cdf3b1b091ded1df9255a2ea36ced3337d095c4ae7bc6ad6b",
+    # re-pinned once a generic class's coefficient key names its position:
+    # the old bytes merged the coefficients of classes of one (label, k, j)
     ("quiver", "-m", "2", "-n", "3", "--algebra", "ext", "--format", "json"):
-        "ec94b680b5d198755a5b604bdd161d540cc81fa7a28265f00b90bd69f2b7967b",
+        "4a3e921b8341e49d7cbb4881d0efb82cfeaadc06aedb471fc345c056e96aceac",
     # a generic resolution of (4|2), whose radicals come from the product table
     ("resolve", "-m", "4", "-n", "2", "--lambda", "vvvv^^", "--method", "generic",
      "--verify", "--format", "json"):

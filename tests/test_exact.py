@@ -158,13 +158,6 @@ def _vectors(width):
     )
 
 
-def _ordered_subsets(n):
-    """Distinct indices below n, in any order."""
-    return st.permutations(range(n)).flatmap(
-        lambda p: st.integers(0, n).map(lambda k: p[:k])
-    )
-
-
 class TestAgainstReference:
     """The sparse incremental kernel equals the dense Fraction RREF exactly."""
 
@@ -239,15 +232,6 @@ class TestAgainstReference:
         for bad in ({3: 1}, {-1: 1}):
             with pytest.raises(ValueError):
                 span.add(bad)
-
-    @settings(max_examples=150, deadline=None)
-    @given(sparse_matrices(), st.data())
-    def test_restrict(self, a, data):
-        rows = data.draw(_ordered_subsets(a.rows))
-        cols = data.draw(_ordered_subsets(a.cols))
-        sub = a.restrict(rows, cols)
-        assert (sub.rows, sub.cols) == (len(rows), len(cols))
-        assert sub.dense() == oracles.restrict(a, rows, cols)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -19,6 +19,7 @@ from arckit import (
     ext_dims,
     resolve_generic,
     shelton_dims,
+    solve,
     weights_in_block,
 )
 from arckit.extalg import (
@@ -163,7 +164,12 @@ class TestMultiplicationTable:
             n, m = lam.to_kl()
             k, l = mid.to_kl()
             a, b = mu.to_kl()
-            basis_by_label = {c.label: c for c in ext_basis(lam, mu)}
+            # decompose keys a class by (label, k, j, place among the degree-k classes)
+            classes = ext_basis(lam, mu)
+            key_of = {
+                c.label: (c.label, c.k, c.j, [x.k for x in classes[:i]].count(c.k))
+                for i, c in enumerate(classes)
+            }
             for xl, yl in iproduct(PRODUCT_LABELS, repeat=2):
                 if not (in_range(xl, lam, mid) and in_range(yl, mid, mu)):
                     continue
@@ -179,10 +185,9 @@ class TestMultiplicationTable:
                     exponent, result = cell
                     if result in ("A", "B") or (result == "J" and a <= m):
                         expected = {}
-                    elif in_range(result, lam, mu) and result in basis_by_label:
-                        target = basis_by_label[result]
+                    elif in_range(result, lam, mu) and result in key_of:
                         sign = (-1) ** exponent(n, m, k, l, a, b)
-                        expected = {(result, target.k, target.j): sign}
+                        expected = {key_of[result]: sign}
                     else:
                         continue  # degenerate corner: no basis class to hit
                 assert coeffs == expected, (xl, yl, lam, mid, mu)
@@ -420,7 +425,16 @@ class TestDecompose:
         (f,) = [c.element for c in ext_basis(source, target) if c.label == "Id"]
         with pytest.raises(ValueError, match="outside hom"):
             decompose(f, ext_basis(other, target))
-        assert decompose(f, ext_basis(source, target))[0] == {("Id", 1, 1): 1}
+        assert decompose(f, ext_basis(source, target))[0] == {("Id", 1, 1, 0): 1}
+
+    def test_classes_of_one_bigrade_keep_their_coefficients(self):
+        # both degree-1 classes of (^v^v^, ^^v^v) are generic with j = 0
+        lam, mu = Weight.parse("^v^v^"), Weight.parse("^^v^v")
+        classes = ext_basis(lam, mu)
+        c0, c1 = [c for c in classes if c.k == 1]
+        assert (c0.label, c0.j) == (c1.label, c1.j) == ("generic", 0)
+        coeffs, _ = decompose(c0.element + c1.element, classes)
+        assert coeffs == {("generic", 1, 0, 0): 1, ("generic", 1, 0, 1): 1}
 
 
 class TestQuivers:
@@ -444,5 +458,28 @@ class TestQuivers:
         # generators over the labelled basis
         for g1, g2, coeffs in q["relations"]:
             assert g1[2] == g2[1]
-            for (label, k, j), value in coeffs.items():
+            for (label, k, j, position), value in coeffs.items():
                 assert value != 0
+
+    def test_ext_quiver_relations_keep_every_term(self):
+        # (2|3) has generic classes of one (label, k, j) in one hom space: each
+        # relation value, read back over the classes at its positions, must
+        # leave a coboundary of the product
+        q = ext_quiver(2, 3)
+        generators = []
+        for label, s, t, k, j in q["generators"]:
+            (c,) = [c for c in ext_basis(s, t) if (c.label, c.k, c.j) == (label, k, j)]
+            generators.append(c)
+        pairs = [(f, g) for f in generators for g in generators if f.target == g.source]
+        assert len(pairs) == len(q["relations"])
+        sizes = Counter()
+        for (f, g), (_, _, value) in zip(pairs, q["relations"]):
+            rest = compose(f.element, g.element)
+            classes = [c for c in ext_basis(f.source, g.target) if c.k == rest.k]
+            for (label, k, j, position), v in value.items():
+                assert (classes[position].label, classes[position].j) == (label, j)
+                rest = rest - v * classes[position].element
+            d = _differential_matrix(f.source, g.target, rest.k - 1)
+            assert solve(d, rest.coords) is not None
+            sizes[len(value)] += 1
+        assert sizes == {0: 11, 1: 51, 2: 6}

@@ -4,14 +4,24 @@
 diagram left to right (``oracles.reflect_weight``, ``oracles.reflect_diagram``).
 It maps the basis of K_m^n onto that of K_n^m, keeps degrees, and the surgery
 product, the decomposition, Cartan and Kazhdan-Lusztig polynomials, the terms
-of both resolutions and the Ext dimensions commute with it.  It needs no
-reference implementation, so it reaches (3|3), where the dense references
-stop, and a rule that treats left and right, or v and ^, unevenly breaks it.
+of both resolutions, the Ext dimensions and the splitting's count of H-classes
+per bidegree commute with it.  It needs no reference implementation, so it
+reaches (3|3), where the dense references stop, and a rule that treats left
+and right, or v and ^, unevenly breaks it.
 """
+
+from collections import Counter
 
 import pytest
 
-from arckit import basis, resolve_cone, resolve_generic, verify_resolution, weights_in_block
+from arckit import (
+    basis,
+    build_splitting,
+    resolve_cone,
+    resolve_generic,
+    verify_resolution,
+    weights_in_block,
+)
 from arckit.arcalg import basis_product
 from arckit.extalg import ext_dims
 from arckit.repmod import cartan_poly, decomposition_poly, kl_poly_closed
@@ -82,3 +92,16 @@ def test_resolutions_commute_with_the_reflection(m, n, resolve):
         assert verify_resolution(c) == []
         want = [sorted((str(reflect_weight(w)), j) for w, j in comp) for comp in c.components]
         assert [sorted((str(w), j) for w, j in comp) for comp in image.components] == want
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
+def test_split_h_counts_commute_with_the_reflection(m, n):
+    # the generic H is picked in index order and need not commute with ρ;
+    # how many classes it has in each bidegree (k, j) must
+    split, image = build_splitting(m, n, "generic"), build_splitting(n, m, "generic")
+    weights = weights_in_block(m, n)
+    for lam in weights:
+        for mu in weights:
+            counts = Counter((c.k, c.j) for c in split.h_classes(lam, mu))
+            reflected = image.h_classes(reflect_weight(lam), reflect_weight(mu))
+            assert Counter((c.k, c.j) for c in reflected) == counts

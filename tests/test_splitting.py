@@ -205,8 +205,8 @@ class TestChecksFire:
         lam, mu, k = _ext_degree(2, 2, top=False)
         original = extalg.shelton_dims
 
-        def patched(source, target, index=None):
-            dims = original(source, target, index)
+        def patched(source, target):
+            dims = original(source, target)
             if (source, target) == (lam, mu):
                 dims = {**dims, k: dims[k] + 1}
             return dims
