@@ -19,6 +19,9 @@ complements.  "canonical-n2" (n = 2 blocks only) uses the labelled
 canonical representatives as H and seeds L with the explicit homotopies
 H(F−F̃), H(J), H(A), H(B), so that Q on products of basis classes is
 given by the closed homotopy table.
+
+Ext(M(λ), M(μ)) = 0 unless λ ≤ μ, so the classes, and every chain of them,
+come from the pairs with λ ≤ μ: only those are split to find them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .arcalg import _product_table
-from .diagrams import Weight, length, weights_in_block
+from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar
 from .extalg import (
     ExtClass,
@@ -89,11 +92,13 @@ class _SpaceSplit:
 class Splitting:
     """The block-wide splitting with projection Π and homotopy Q.
 
-    Each (λ, μ) pair is split lazily, once, and cached.  For every hom^k
-    the split stores the B and H rows of the inverse of its invertible
-    [B | H | L] column matrix, so the coordinates that Π and Q read are a
-    sum over the columns at f's support, the unique solution a fresh
-    ``solve`` would return.
+    Each (λ, μ) pair is split lazily, once, and cached: ``h_classes`` and
+    ``all_h_classes`` split only pairs with λ ≤ μ, as Ext vanishes on the
+    others and no chain of classes reaches them, while Π, Q and ``verify``
+    split any pair they are given.  For every hom^k the split stores the B
+    and H rows of the inverse of its invertible [B | H | L] column matrix,
+    so the coordinates that Π and Q read are a sum over the columns at f's
+    support, the unique solution a fresh ``solve`` would return.
 
     Each hom^k is eliminated in one pass (``_build_pair``): B = d(L_{k-1})
     enters first, then H, then L (the explicit homotopies in canonical
@@ -254,9 +259,15 @@ class Splitting:
     # -- derived data -------------------------------------------------------
 
     def h_classes(self, lam: Weight, mu: Weight) -> list[ExtClass]:
+        """The H-classes of (λ, μ), [] without a split unless λ ≤ μ."""
+        if lam.block != self.block or mu.block != self.block:
+            raise ValueError("weights outside the block of this splitting")
+        if not bruhat_leq(lam, mu):
+            return []
         return [c for data in self._pair(lam, mu).values() for c in data.h_classes]
 
     def all_h_classes(self, include_idempotents: bool = True) -> list[ExtClass]:
+        """The H-classes of every pair, in block order; splits λ ≤ μ only."""
         m, n = self.block
         out = []
         for lam in weights_in_block(m, n):

@@ -419,6 +419,10 @@ def _doc_quiver(args) -> dict:
             ],
         }
     q = ext_quiver(m, n)
+
+    def factor(g):  # a generic class is named by its generator entry's k and j too
+        return [g[0], str(g[1]), str(g[2]), *(g[3:] if g[0] == "generic" else ())]
+
     return {
         "block": [m, n],
         "algebra": "ext",
@@ -429,8 +433,8 @@ def _doc_quiver(args) -> dict:
         ],
         "relations": [
             {
-                "left": [g1[0], str(g1[1]), str(g1[2])],
-                "right": [g2[0], str(g2[1]), str(g2[2])],
+                "left": factor(g1),
+                "right": factor(g2),
                 "value": {  # a generic class's key names its position too
                     ",".join(map(str, key if key[0] == "generic" else key[:3])): str(c)
                     for key, c in coeffs.items()

@@ -810,17 +810,20 @@ def _n2_candidate_labels(lam: Weight, mu: Weight) -> list[str]:
 def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     """A basis of Ext(M(λ), M(μ)) by cocycle representatives.
 
-    ``method`` is "auto" or "generic".  For n ≤ 2 and "auto" the labelled
-    canonical elements are used and verified: each must be a cocycle,
-    jointly independent modulo coboundaries, and their count per degree
-    must equal the closed dimension recursion — any mismatch is a hard
-    failure.  Otherwise the classes are the kernel basis vectors of each
-    d_k that are independent modulo coboundaries (``_degree_classes``).
+    ``method`` is "auto" or "generic".  Ext vanishes unless λ ≤ μ, so
+    either method returns [] there without computing.  For n ≤ 2 and
+    "auto" the labelled canonical elements are used and verified: each must
+    be a cocycle, jointly independent modulo coboundaries, and their count
+    per degree must equal the closed dimension recursion — any mismatch is
+    a hard failure.  Otherwise the classes are the kernel basis vectors of
+    each d_k that are independent modulo coboundaries (``_degree_classes``).
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'generic'")
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
+    if not bruhat_leq(lam, mu):
+        return []
     if method == "generic" or lam.n > 2:
         labelled = None
         degrees = [k for k in _k_range(lam, mu) if hom_space(lam, mu, k)]
@@ -1009,8 +1012,9 @@ def ext_quiver(m: int, n: int) -> dict:
     """Quiver presentation of Ext(⊕M(λ), ⊕M(λ)).
 
     Generators are the basis classes that never appear in the span of
-    products of two non-identity classes; relations record, for every
-    composable pair of generators, the decomposition of their product
+    products of two non-identity classes, each named by its entry (label,
+    source, target, k, j); relations record, for every composable pair of
+    generators, the two entries and the decomposition of their product
     over the basis, keyed as by ``decompose`` (empty = a zero relation).
     """
     vertices = weights_in_block(m, n)
@@ -1035,20 +1039,14 @@ def ext_quiver(m: int, n: int) -> dict:
         for i, c in enumerate(classes)
         if (c.label, c.k, c.j, sum(b.k == c.k for b in classes[:i])) not in spanned.get(pair, ())
     ]
-    relations = [
-        (
-            (f.label, f.source, f.target),
-            (g.label, g.source, g.target),
-            products[(id(f), id(g))],
-        )
-        for f in generators
-        for g in generators
-        if f.target == g.source
-    ]
+    entry = {id(c): (c.label, c.source, c.target, c.k, c.j) for c in generators}
     return {
         "vertices": vertices,
-        "generators": [
-            (c.label, c.source, c.target, c.k, c.j) for c in generators
+        "generators": list(entry.values()),
+        "relations": [
+            (entry[id(f)], entry[id(g)], products[(id(f), id(g))])
+            for f in generators
+            for g in generators
+            if f.target == g.source
         ],
-        "relations": relations,
     }

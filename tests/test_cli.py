@@ -177,6 +177,19 @@ class TestReports:
         doc = json.loads(out)
         assert len(doc["vertices"]) == 6
 
+    @pytest.mark.parametrize("n", ["3", "4"])
+    def test_each_relation_factor_names_one_generator(self, n):
+        code, out, _ = run(["quiver", "-m", "2", "-n", n, "--algebra", "ext", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        generators = [
+            [g["label"], g["source"], g["target"], g["k"], g["j"]] for g in doc["generators"]
+        ]
+        factors = [r[side] for r in doc["relations"] for side in ("left", "right")]
+        assert factors and any(f[0] == "generic" for f in factors)
+        for factor in factors:
+            assert sum(g[: len(factor)] == factor for g in generators) == 1
+
 
 class TestDeterminismAndCache:
     def test_json_round_trip_fixpoint(self):
@@ -349,10 +362,12 @@ PINNED_DIGESTS = {
      "--format", "json"): "eb65236bd03652fcaeab728f7bfe8d8ed75880ffa2c4661d61ace2904c5ab3fd",
     ("quiver", "-m", "3", "-n", "1", "--algebra", "ext", "--format", "json"):
         "b784d6f78768de9cdf3b1b091ded1df9255a2ea36ced3337d095c4ae7bc6ad6b",
-    # re-pinned once a generic class's coefficient key names its position:
-    # the old bytes merged the coefficients of classes of one (label, k, j)
+    # re-pinned once a generic class's coefficient key names its position
+    # (the old bytes merged the coefficients of classes of one (label, k, j)),
+    # and again once a generic relation factor carries its generator's k and
+    # j (the old factors named two generators each)
     ("quiver", "-m", "2", "-n", "3", "--algebra", "ext", "--format", "json"):
-        "4a3e921b8341e49d7cbb4881d0efb82cfeaadc06aedb471fc345c056e96aceac",
+        "b1123743d3850dbece0aa088ad9662eaf90c949f99a02c29ea703e83ea8c8a9c",
     # a generic resolution of (4|2), whose radicals come from the product table
     ("resolve", "-m", "4", "-n", "2", "--lambda", "vvvv^^", "--method", "generic",
      "--verify", "--format", "json"):

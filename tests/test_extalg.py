@@ -14,6 +14,7 @@ import oracles
 from arckit import extalg
 from arckit import (
     Weight,
+    bruhat_leq,
     cell_module,
     ext_basis,
     ext_dims,
@@ -23,6 +24,8 @@ from arckit import (
     weights_in_block,
 )
 from arckit.extalg import (
+    _coboundaries,
+    _degree_classes,
     _differential_matrix,
     basis_hom_element,
     compose,
@@ -435,6 +438,22 @@ class TestDecompose:
         assert (c0.label, c0.j) == (c1.label, c1.j) == ("generic", 0)
         coeffs, _ = decompose(c0.element + c1.element, classes)
         assert coeffs == {("generic", 1, 0, 0): 1, ("generic", 1, 0, 1): 1}
+
+
+class TestNoClassesUnlessLambdaBelowMu:
+    """Ext(M(λ), M(μ)) = 0 unless λ ≤ μ: the elimination that ``ext_basis``
+    and the splitting skip there finds no class in any degree."""
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (2, 3)])
+    def test_every_degree_has_no_class(self, m, n):
+        weights = weights_in_block(m, n)
+        pairs = [(lam, mu) for lam in weights for mu in weights if not bruhat_leq(lam, mu)]
+        assert pairs
+        for lam, mu in pairs:
+            assert ext_basis(lam, mu) == ext_basis(lam, mu, "generic") == []
+            for k in _k_range(lam, mu):
+                if hom_space(lam, mu, k):
+                    assert _degree_classes(lam, mu, k, _coboundaries(lam, mu, k).add) == []
 
 
 class TestQuivers:

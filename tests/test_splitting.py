@@ -8,7 +8,7 @@ import io
 import pytest
 
 import oracles
-from arckit import ainfty, build_splitting, extalg, weights_in_block
+from arckit import ainfty, bruhat_leq, build_splitting, extalg, weights_in_block
 from arckit.ainfty import Splitting
 from arckit.cli import main
 from arckit.exact import Echelon
@@ -263,3 +263,37 @@ class TestOnePass:
             if hom_space(lam, mu, k)
         )
         assert self._eliminations(monkeypatch, 2, 2, "generic") == nonempty
+
+
+class TestOnlyPairsAChainReaches:
+    """Ext(M(λ), M(μ)) = 0 unless λ ≤ μ, so the classes are found without
+    splitting the other pairs; Π, Q and verify still split them on demand."""
+
+    def test_all_h_classes_splits_the_pairs_with_lambda_below_mu(self):
+        split = Splitting(3, 2, "canonical-n2")
+        split.all_h_classes()
+        leq = {(lam, mu) for lam, mu in _pairs(3, 2) if bruhat_leq(lam, mu)}
+        assert len(leq) == 50
+        assert set(split._pairs) == leq
+
+    @pytest.mark.parametrize(
+        "m,n,mode", [(3, 2, "canonical-n2"), (3, 2, "generic"), (2, 3, "generic")]
+    )
+    def test_other_pairs_have_no_classes_and_split_on_demand(self, m, n, mode):
+        split = Splitting(m, n, mode)
+        others = [(lam, mu) for lam, mu in _pairs(m, n) if not bruhat_leq(lam, mu)]
+        assert others
+        for lam, mu in others:
+            assert split.h_classes(lam, mu) == []
+            assert (lam, mu) not in split._pairs
+            split.verify(lam, mu)
+            assert all(not data.h_classes for data in split._pair(lam, mu).values())
+        assert split._classes == []
+
+    def test_weights_of_another_block_are_rejected(self):
+        split = Splitting(3, 2, "generic")
+        other, own = weights_in_block(2, 3)[0], weights_in_block(3, 2)[0]
+        for lam, mu in [(other, other), (other, own), (own, other)]:
+            with pytest.raises(ValueError, match="outside the block"):
+                split.h_classes(lam, mu)
+        assert split._pairs == {}
