@@ -12,12 +12,13 @@ Two independent constructions are provided:
   basis ids of P(μ), read off the block's product table (its
   ``stacking``, the basis order of ``projective_module(μ)``), and a
   syzygy vector is a sparse ``{coordinate: scalar}`` dict.  K_m^n is
-  Koszul, hence generated in degrees 0 and 1, so the radical of a syzygy
-  comes from left multiplication by the degree-one basis diagrams alone,
-  read from the block's product table at its nonzero coordinates.  The
-  matrix of a differential (also used by :func:`verify_resolution` for
-  d² = 0 and exactness) is assembled from one right-action table per
-  basis diagram, x ↦ x·d from P(α)'s basis to P(β)'s, cached per basis id.
+  Koszul, so the resolution is linear and the syzygy after d_i is
+  generated in its lowest degree, i + 1: that degree of the kernel is a
+  basis of minimal generators, and no other degree is solved.  The
+  matrix of a differential (also used, in every degree, by
+  :func:`verify_resolution` for d² = 0 and exactness) is assembled from
+  one right-action table per basis diagram, x ↦ x·d from P(α)'s basis to
+  P(β)'s, cached per basis id and degree of x.
 
 Both return :class:`ProjectiveComplex`.  Differentials point from
 component i to component i-1, each entry being a degree-one element of
@@ -51,7 +52,6 @@ from .diagrams import (
     weights_in_block,
 )
 from .exact import (
-    Echelon,
     Scalar,
     SparseMatrix,
     kernel_basis,
@@ -421,15 +421,19 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
 
 
 @lru_cache(maxsize=None)
-def _right_action(m: int, n: int, d: int) -> tuple[tuple[int, int, Scalar], ...]:
+def _right_action(
+    m: int, n: int, d: int, degree: int | None = None
+) -> tuple[tuple[int, int, Scalar], ...]:
     """x ↦ x·d for the basis diagram of id d of K_m^n, in e_α K e_β, as
     (column, row, value) triples from the basis of P(α) to that of P(β),
-    each indexed by the table's ``stacking``."""
+    each indexed by the table's ``stacking``; only the columns x of the
+    given degree, when one is given."""
     table = _product_table(m, n)
     rows = {y: k for k, y in enumerate(table.stacking[table.cap[d]])}
     return tuple(
         (col, rows[y], v)
         for col, x in enumerate(table.stacking[table.cup[d]])
+        if degree is None or table.degree[x] == degree
         for y, v in table.product(x, d)
     )
 
@@ -470,13 +474,14 @@ def _entry_id(d: OrientedCircleDiagram, source: Weight, target: Weight) -> int |
 
 
 def _flat_differential(
-    diff: dict[tuple[int, int], AlgebraElement], source, target
+    diff: dict[tuple[int, int], AlgebraElement], source, target, degree: int | None = None
 ) -> SparseMatrix:
     """The matrix of a differential between the covers of the summand lists
     ``source`` and ``target`` in flat coordinates (columns are the source
     basis): entry (s, t) sends each basis diagram x of summand s to x·d[s,t]
     in summand t, each diagram's right-action table placed at the offsets
-    of the two summands."""
+    of the two summands.  Given a degree, only the columns of the diagrams
+    x of that degree are filled, the others left zero."""
     src_at, tgt_at = _offsets(source), _offsets(target)
     entries: dict[tuple[int, int], Scalar] = {}
     for (s, t), u in diff.items():
@@ -485,7 +490,7 @@ def _flat_differential(
             x = _entry_id(d, source[s][0], target[t][0])
             if x is None:
                 raise ValueError("image left the projective summand")
-            for col, row, v in _right_action(*block, x):
+            for col, row, v in _right_action(*block, x, degree):
                 key = (tgt_at[t] + row, src_at[s] + col)
                 entries[key] = entries.get(key, 0) + c * v
     return SparseMatrix(tgt_at[-1], src_at[-1], entries)
@@ -495,9 +500,18 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     """Minimal linear resolution of M(λ) by iterated projective covers.
 
     Works in explicit coordinates: each syzygy is carried as a list of
-    weight- and degree-homogeneous vectors inside the previous cover, the
-    head is read off by exact rank computations, and the next differential
-    comes straight from the chosen generators.
+    weight-homogeneous vectors inside the previous cover, and the next
+    differential comes straight from them.  K_m^n is Koszul
+    (Brundan–Stroppel, Khovanov's diagram algebra II), so the resolution is
+    linear: component i is ⊕P(α)⟨i⟩, and its syzygy W, the kernel of d_i,
+    is generated in its lowest degree i + 1.  K_{>0} = K_1·K and K·W = W,
+    so the radical K_{>0}·W = K_1·W lies in degrees above i + 1 and fills
+    them, W_{>i+1} = K_1·W.  The minimal generators are therefore exactly
+    a basis of W_{i+1}: only that degree of the kernel is solved, and only
+    the degree-one diagrams x of each summand of C_i, whose images x·d_i
+    have degree two in C_{i-1}, enter its matrix.  A resolution that is
+    not linear would stop early or miss generators; the exactness and
+    Kazhdan-Lusztig term checks of :func:`verify_resolution` report that.
     """
     table = _product_table(*lam.block)
     # head of M(λ): L(λ) in degree 0, so the zeroth cover is P(λ)
@@ -509,22 +523,22 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     flat = _cover_data(components[0])
     reps = {x: k for k, x in enumerate(cell_basis(lam)[2])}
     entries = {(reps[x], col): 1 for col, (_, x, _, _) in enumerate(flat) if x in reps}
-    syzygy = _homogeneous_kernel(SparseMatrix(len(reps), len(flat), entries), flat)
+    syzygy = _homogeneous_kernel(SparseMatrix(len(reps), len(flat), entries), flat, 1)
 
     while syzygy:
-        generators = _head_generators(syzygy, flat)
         diff: dict[tuple[int, int], AlgebraElement] = {}
-        for s, (_, _, vec) in enumerate(generators):
+        for s, (_, _, vec) in enumerate(syzygy):
             for c, coord in vec.items():
                 t, x, _, _ = flat[c]
                 u = diff.get((s, t), AlgebraElement())
                 diff[(s, t)] = u + coord * AlgebraElement.from_diagram(table.diagrams[x])
-        components.append([(alpha, deg) for (alpha, deg, _) in generators])
+        components.append([(alpha, deg) for (alpha, deg, _) in syzygy])
         diffs.append(diff)
-        # next syzygy: kernel of ⊕P(α_g)⟨deg_g⟩ → previous cover
+        # next syzygy: degree i + 1 of the kernel of ⊕P(α_g)⟨i⟩ → previous cover
+        i = len(components) - 1
         flat = _cover_data(components[-1])
         syzygy = _homogeneous_kernel(
-            _flat_differential(diff, components[-1], components[-2]), flat
+            _flat_differential(diff, components[-1], components[-2], 1), flat, i + 1
         )
 
     return ProjectiveComplex(
@@ -532,67 +546,31 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     )
 
 
-def _homogeneous_kernel(matrix: SparseMatrix, flat) -> list[tuple[Weight, int, dict[int, Scalar]]]:
-    """Kernel of the matrix split into (cup-weight, absolute degree) column
-    blocks, each filled in one pass over the entries, returned as
-    homogeneous vectors in the flat cover coordinates."""
-    blocks: dict[tuple[Weight, int], tuple[list[int], dict[tuple[int, int], Scalar]]] = {}
-    place = []  # column -> (its index in its block, the block's entries)
-    for k, (_, _, alpha, deg) in enumerate(flat):
-        cols, entries = blocks.setdefault((alpha, deg), ([], {}))
-        place.append((len(cols), entries))
-        cols.append(k)
-    for (r, c), v in matrix.entries.items():
-        local, entries = place[c]
-        entries[(r, local)] = v
-    out = []
-    for (alpha, deg) in sorted(blocks, key=lambda ad: (ad[1], str(ad[0]))):
-        cols, entries = blocks[(alpha, deg)]
-        for vec in kernel_basis(SparseMatrix(matrix.rows, len(cols), entries)):
-            out.append((alpha, deg, {cols[local]: v for local, v in vec.items()}))
-    return out
-
-
-def _head_generators(
-    syzygy: list[tuple[Weight, int, dict[int, Scalar]]], flat
+def _homogeneous_kernel(
+    matrix: SparseMatrix, flat, degree: int
 ) -> list[tuple[Weight, int, dict[int, Scalar]]]:
-    """Minimal homogeneous generators of the syzygy module, whose vectors
-    are sparse over the flat cover coordinates ``flat``.
-
-    The radical of the span W is K_{>0}·W, where z acts on each cover
-    summand P(μ) by left multiplication, read from the product table: z·x
-    is zero unless z stacks on x.  K_m^n is Koszul, so it is generated in
-    degrees 0 and 1 (Brundan–Stroppel, Khovanov's diagram algebra II) and
-    K_{>0} = K_1·K; W, the whole kernel of the previous differential, is a
-    submodule, so K·W = W and K_{>0}·W = K_1·W.  Only the degree-one
-    diagrams z are multiplied, and the span, hence the choice below, is
-    exact.  (A radical too small would only add generators, which the
-    Kazhdan-Lusztig term check of ``verify_resolution`` reports.)  A
-    deterministic greedy pass picks syzygy basis vectors completing the
-    radical to W, block by (weight, degree) block in increasing degree.  A
-    syzygy vector costs only the diagrams at its nonzero coordinates.
-    """
-    table = _product_table(*flat[0][2].block)
-    index = {(idx, x): k for k, (idx, x, _, _) in enumerate(flat)}
-    # greedy: keep a growing echelon of radical + chosen generators
-    span = Echelon(len(flat))
-    for _, _, vec in syzygy:
-        images: dict[int, dict[int, Scalar]] = {}
-        for c, coord in vec.items():
-            idx, x, _, _ = flat[c]
-            for z in table.stacking[table.cup[x]]:
-                if table.degree[z] == 1:
-                    for d, v in table.product(z, x):
-                        r = index[idx, d]
-                        image = images.setdefault(z, {})
-                        image[r] = image.get(r, 0) + v * coord
-        for image in images.values():
-            span.add(image)
-    return [
-        (alpha, deg, vec)
-        for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))
-        if span.add(vec)
-    ]
+    """The kernel of the matrix in one absolute degree, split into one
+    column block per cup-weight α, each filled in one pass over the
+    entries, returned as homogeneous vectors in the flat cover coordinates,
+    block by block in ``str(α)`` order.  That order fixes the summand order
+    of the next component."""
+    blocks: dict[Weight, tuple[list[int], dict[tuple[int, int], Scalar]]] = {}
+    place = {}  # column of the degree -> (its index in its block, the block's entries)
+    for k, (_, _, alpha, deg) in enumerate(flat):
+        if deg == degree:
+            cols, entries = blocks.setdefault(alpha, ([], {}))
+            place[k] = (len(cols), entries)
+            cols.append(k)
+    for (r, c), v in matrix.entries.items():
+        if c in place:
+            local, entries = place[c]
+            entries[(r, local)] = v
+    out = []
+    for alpha in sorted(blocks, key=str):
+        cols, entries = blocks[alpha]
+        for vec in kernel_basis(SparseMatrix(matrix.rows, len(cols), entries)):
+            out.append((alpha, degree, {cols[local]: v for local, v in vec.items()}))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,17 @@ action matrices of an explicit module, ``cell_module(μ)``, and ranks with
 the reference kernel; ``arckit.extalg.ext_dims`` reads each entry as one
 coefficient of one surgery product and is checked against it.
 
-``cover_reference``, ``flat_differential_reference`` and
-``head_generators_reference`` are the reference generic resolution steps:
-each cover summand's basis filtered from ``basis``, a differential's
-matrix by ``multiply`` on every basis column, and the head of a syzygy
-span with the radical from every positive-degree diagram, kept per
-(cup-weight, degree) block in a dense span.  ``arckit.resolve`` caches
-each summand's basis and each diagram's right action, and multiplies
-only by degree-one diagrams, and is checked against these.
+``cover_reference``, ``flat_differential_reference``,
+``homogeneous_kernel_reference`` and ``head_generators_reference`` are the
+reference generic resolution steps: each cover summand's basis filtered
+from ``basis``, a differential's matrix by ``multiply`` on every basis
+column, its kernel in every degree by the reference ``kernel_basis``, and
+the head of a syzygy span with the radical from every positive-degree
+diagram, kept per (cup-weight, degree) block in a dense span.
+``resolve_generic_reference`` chains them into a whole resolution that
+assumes no linearity.  ``arckit.resolve`` caches each summand's basis and
+each diagram's right action, solves only the degree-(i + 1) kernel after
+d_i and takes all of it as the generators, and is checked against these.
 
 ``surgery_product_reference`` is the reference surgery product: vertices
 are (line, position) pairs, a state is a tuple of labels, and every cut
@@ -126,6 +129,7 @@ from arckit.extalg import (
     resolution,
     zero_hom,
 )
+from arckit.resolve import ProjectiveComplex
 from tables import PRODUCT_LABELS, homotopy_in_range
 from tables import in_range as label_in_range
 
@@ -445,6 +449,58 @@ def head_generators_reference(syzygy, flat) -> list:
         for alpha, deg, vec in sorted(syzygy, key=lambda adv: (adv[1], str(adv[0])))
         if add(vec)
     ]
+
+
+def homogeneous_kernel_reference(matrix: SparseMatrix, flat) -> list:
+    """The kernel of the matrix in every degree, split into (cup-weight,
+    absolute degree) column blocks of the flat cover ``flat``, each solved
+    by the reference ``kernel_basis`` on its nonzero rows, returned as
+    sparse homogeneous vectors block by block in (degree, ``str(α)``)
+    order."""
+    blocks: dict[tuple, list[int]] = {}
+    for k, (_, _, alpha, deg) in enumerate(flat):
+        blocks.setdefault((alpha, deg), []).append(k)
+    out = []
+    for alpha, deg in sorted(blocks, key=lambda ad: (ad[1], str(ad[0]))):
+        cols = blocks[(alpha, deg)]
+        local = {c: k for k, c in enumerate(cols)}
+        rows = sorted({r for r, c in matrix.entries if c in local})
+        at = {r: k for k, r in enumerate(rows)}
+        entries = {(at[r], local[c]): v for (r, c), v in matrix.entries.items() if c in local}
+        for vec in kernel_basis(SparseMatrix(len(rows), len(cols), entries)):
+            out.append((alpha, deg, {cols[k]: v for k, v in sparse(vec).items()}))
+    return out
+
+
+def resolve_generic_reference(lam):
+    """The minimal resolution of M(λ) by iterated projective covers with no
+    use of linearity: the kernel of each differential in every degree by
+    ``homogeneous_kernel_reference``, its matrix by
+    ``flat_differential_reference``, and the generators picked from it by
+    the greedy radical pass of ``head_generators_reference``.  The
+    augmentation sends each diagram of P(λ) with middle weight λ to its own
+    basis vector of M(λ) and every other diagram to 0."""
+    components = [[(lam, 0)]]
+    diffs = []
+    flat = cover_reference(components[0])
+    reps = [k for k, (_, d, _, _) in enumerate(flat) if d.weight == lam]
+    augmentation = SparseMatrix(len(reps), len(flat), {(r, k): 1 for r, k in enumerate(reps)})
+    syzygy = homogeneous_kernel_reference(augmentation, flat)
+    while syzygy:
+        generators = head_generators_reference(syzygy, flat)
+        diff: dict = {}
+        for s, (_, _, vec) in enumerate(generators):
+            for c, coord in vec.items():
+                t, x, _, _ = flat[c]
+                u = diff.get((s, t), AlgebraElement())
+                diff[(s, t)] = u + coord * AlgebraElement.from_diagram(x)
+        components.append([(alpha, deg) for alpha, deg, _ in generators])
+        diffs.append(diff)
+        flat = cover_reference(components[-1])
+        syzygy = homogeneous_kernel_reference(
+            flat_differential_reference(diff, components[-1], components[-2]), flat
+        )
+    return ProjectiveComplex(lam, tuple(tuple(comp) for comp in components), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------

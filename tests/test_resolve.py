@@ -39,8 +39,8 @@ from arckit.resolve import (
 from oracles import (
     cover_reference,
     flat_differential_reference,
-    head_generators_reference,
     hom_cohomology,
+    resolve_generic_reference,
 )
 
 
@@ -156,7 +156,27 @@ class TestNegativeControl:
             flipped.append(block)
         broken = ProjectiveComplex(c.weight, c.components, tuple(flipped))
         failures = verify_resolution(broken, lam)
-        assert any("d^2" in msg or "square" in msg or "zero" in msg for msg in failures) or failures
+        assert any(msg.startswith("d²≠0 at component 2") for msg in failures)
+
+    def test_a_missing_generator_is_caught(self):
+        # resolve_generic takes only the degree-(i + 1) kernel as generators;
+        # a resolution short of one must fail the term and exactness checks
+        lam = Weight.parse("v^v^v")
+        c = resolve_generic(lam)
+        last = len(c.components[1]) - 1
+        d1, d2 = c.differentials[:2]
+        short = ProjectiveComplex(
+            lam,
+            (c.components[0], c.components[1][:last]) + c.components[2:],
+            (
+                {key: u for key, u in d1.items() if key[0] != last},
+                {key: u for key, u in d2.items() if key[1] != last},
+            )
+            + c.differentials[2:],
+        )
+        failures = verify_resolution(short, lam)
+        assert "terms differ from the Kazhdan-Lusztig prediction" in failures
+        assert any(msg.startswith("H_1 ≠ 0 in degree ") for msg in failures)
 
 
 class TestOracleEquivalence:
@@ -256,6 +276,9 @@ class TestGenericPinned:
 # differential matrix from one multiply per column
 LARGE_GENERIC_BLOCKS = [(2, 3), (2, 4), (3, 3), (4, 3)]
 LARGE_GENERIC_DIGEST = "14d97ef667c2db3cc8fe4e86db8dddcda5e99c8b8ed94530a9becb03dc01099b"
+# the same over the 56 weights of (5|3), recorded while every degree of
+# every kernel was still solved and the generators picked by a radical pass
+BLOCK_53_DIGEST = "36d29c5eab2c8f539d1591086c6f3637ecac3f07651693b58812eebc0c182cc9"
 
 
 class TestLargeGenericPinned:
@@ -265,6 +288,12 @@ class TestLargeGenericPinned:
             for lam in weights_in_block(*block):
                 digest.update(_serialize(resolve_generic(lam)).encode())
         assert digest.hexdigest() == LARGE_GENERIC_DIGEST
+
+    def test_block_53_is_unchanged(self):
+        digest = hashlib.sha256()
+        for lam in weights_in_block(5, 3):
+            digest.update(_serialize(resolve_generic(lam)).encode())
+        assert digest.hexdigest() == BLOCK_53_DIGEST
 
 
 # blocks on which the generic resolution's fast paths are compared with
@@ -293,20 +322,14 @@ class TestAgainstReference:
                     )
 
     @pytest.mark.parametrize("block", REFERENCE_BLOCKS + [(3, 3)])
-    def test_head_generators(self, block, monkeypatch):
-        fast = resolve._head_generators
-        calls = []
-
-        def both(syzygy, flat):
-            got = fast(syzygy, flat)
-            assert got == head_generators_reference(syzygy, with_diagrams(flat))
-            calls.append(len(got))
-            return got
-
-        monkeypatch.setattr(resolve, "_head_generators", both)
+    def test_whole_resolutions(self, block):
+        # the reference solves every degree of every kernel and keeps what
+        # its greedy radical pass keeps; the fast path trusts linearity
         for lam in weights_in_block(*block):
-            resolve_generic(lam)
-        assert sum(calls) > 0
+            reference = resolve_generic_reference(lam)
+            assert _serialize(reference) == _serialize(resolve_generic(lam))
+            for i, comp in enumerate(reference.components):
+                assert all(j == i for _, j in comp)
 
     def test_an_entry_outside_its_summands_is_refused(self):
         x, y, z = (Weight.parse(w) for w in ("v^v^", "v^^v", "vv^^"))
