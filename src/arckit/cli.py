@@ -321,8 +321,8 @@ def _doc_multtable(args) -> dict:
         for x in BASIS_LABELS
         for y in BASIS_LABELS
     }
-    # each labelled element, and each Ext basis (verified), is built once
-    element, basis_of = cache(construct_element), cache(ext_basis)
+    # each Ext basis (verified) is built once, as each labelled element is
+    basis_of = cache(ext_basis)
     for lam in ws:
         for mid in ws:
             if mid == lam:
@@ -333,13 +333,13 @@ def _doc_multtable(args) -> dict:
                 for xl in BASIS_LABELS:
                     if not in_range(xl, lam, mid):
                         continue
-                    x = element(xl, lam, mid)
+                    x = construct_element(xl, lam, mid)
                     if x.is_zero():
                         continue
                     for yl in BASIS_LABELS:
                         if not in_range(yl, mid, mu):
                             continue
-                        y = element(yl, mid, mu)
+                        y = construct_element(yl, mid, mu)
                         if y.is_zero():
                             continue
                         cell = families[(xl, yl)]

@@ -341,8 +341,10 @@ def half_degree(diagram: CupDiagram | CapDiagram, weight: Weight) -> int:
     return sum(1 for i, _ in diagram.cups if weight[i] == UP)
 
 
+@lru_cache(maxsize=None)
 def associated_cup_diagram(weight: Weight) -> CupDiagram:
-    """The unique cup diagram pairing with the weight at degree 0.
+    """The unique cup diagram pairing with the weight at degree 0, built
+    once per weight (diagrams are immutable, so callers share it).
 
     Repeatedly connect adjacent 'v^' pairs (skipping matched vertices);
     the leftovers become rays.  Equivalent to bracket matching with
@@ -362,6 +364,7 @@ def associated_cup_diagram(weight: Weight) -> CupDiagram:
     return CupDiagram(weight.size, frozenset(cups), frozenset(rays))
 
 
+@lru_cache(maxsize=None)
 def associated_cap_diagram(weight: Weight) -> CapDiagram:
     return associated_cup_diagram(weight).mirror()
 

@@ -70,7 +70,10 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def resolution(lam: Weight) -> ProjectiveComplex:
-    """The (cached, sign-normalized for n ≤ 2) linear resolution of M(λ)."""
+    """The sign-normalized (for n ≤ 2) cone resolution of M(λ), built once
+    per weight per process and shared, read-only, by every hom space, Ext
+    dimension and splitting.  For n > 2 it is the cone recursion's own
+    memoized complex; this cache holds the normalized copies for n ≤ 2."""
     return resolve_cone(lam)
 
 
@@ -88,6 +91,10 @@ class HomElement:
     ``exact.rational`` (an int, or a Fraction when not integral; the
     functions that build elements pass them through ``_nonzero``); every
     basis vector it names has shift j.
+
+    Elements are values: ``construct_element`` hands one memoized instance
+    to every caller, so an element and its ``coords`` must never be
+    mutated; the arithmetic below returns new elements.
     """
 
     source: Weight
@@ -690,9 +697,12 @@ def _bigrade(label: str, lam: Weight, mu: Weight) -> tuple[int, int]:
     return tuple(sigma + d for d in _N2_CLASSES[label][0])
 
 
+@lru_cache(maxsize=None)
 def construct_element(label: str, lam: Weight, mu: Weight) -> HomElement:
     """The canonical hom element with the given label, built from its
-    component formulas (n ≤ 2)."""
+    component formulas (n ≤ 2), once per (label, λ, μ) per process: the
+    Id-composites through the same middle weights are shared, and so is
+    the returned element, which callers must not mutate."""
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     n = lam.n

@@ -5,7 +5,11 @@ Two independent constructions are provided:
 * :func:`resolve_cone` — the inductive cone construction: delete a 'v^'
   pair to land in the smaller block, pull the resolution back through the
   geometric functor, lift the canonical degree-one inclusion to a chain map
-  by degreewise linear solves, and take the cone.
+  by degreewise linear solves, and take the cone.  The raw recursion is
+  memoized per weight, so the sub-resolutions of λ.swap(i) and λ.delete(i)
+  and their chain-map lifts are built once per process and shared by
+  every resolution of the block that reaches them; the recursion is
+  deterministic, so sharing changes no output.
 * :func:`resolve_generic` — iterated minimal projective covers computed by
   exact kernel linear algebra; used as an oracle for the first.  A cover
   ⊕P(μ)⟨j⟩ is realized in flat coordinates, each summand a block of the
@@ -87,6 +91,10 @@ class ProjectiveComplex:
     keyed by (source summand index, target summand index), with entries in
     e_source K e_target acting by right multiplication.  Component 0 is the
     single summand P(λ)⟨0⟩ carrying the augmentation onto M(λ).
+
+    The memoized constructions (the cone recursion, ``extalg.resolution``)
+    hand the same instance to every caller, so a complex, and the dicts of
+    its differentials, must never be mutated; build a new one instead.
     """
 
     weight: Weight
@@ -262,14 +270,22 @@ def _apply_functor(t: Matching, complex_: ProjectiveComplex) -> ProjectiveComple
 
 def resolve_cone(lam: Weight) -> ProjectiveComplex:
     """The inductive cone resolution of M(λ), rescaled onto the explicit
-    sign tables when n ≤ 2 and left raw otherwise."""
+    sign tables when n ≤ 2 and left raw otherwise.
+
+    The raw recursion below it runs once per weight per process; for
+    n > 2 the result is that memoized complex itself, shared with every
+    caller and with the cones built on it, so it must not be mutated."""
     out = _resolve_cone_raw(lam)
     if lam.n <= 2 and len(out) > 1:
         out = _normalize_signs(out)
     return out
 
 
+@lru_cache(maxsize=None)
 def _resolve_cone_raw(lam: Weight) -> ProjectiveComplex:
+    """The cone resolution before sign normalization, once per weight: the
+    cones of the longer weights, of this block and the next larger one,
+    read it (read-only)."""
     m, n = lam.block
     candidates = [i for i in range(lam.size - 1) if lam.has_down_up_at(i)]
     if not candidates:

@@ -380,6 +380,16 @@ PINNED_DIGESTS = {
     ("resolve", "-m", "3", "-n", "3", "--lambda", "vv^v^^", "--method", "generic",
      "--verify", "--format", "json"):
         "a677478321037b5e96b9164e8155c82d475d84f00793fe52f0765e0a247b264c",
+    # the longest weight of (5|3), resolved generically
+    ("resolve", "-m", "5", "-n", "3", "--lambda", "vvvvv^^^", "--method", "generic",
+     "--verify", "--format", "json"):
+        "d5ccb6a56b904d9b03daf0e926f5c4f7ef45c8027f3d5dd9e8a59a1a219b379d",
+    # the raw (n = 3, unnormalized) cone resolution of the longest weight of
+    # (4|3), whose recursion passes through (3|3), (2|3) and (1|3); recorded
+    # before the recursion was memoized
+    ("resolve", "-m", "4", "-n", "3", "--lambda", "vvvv^^^", "--method", "cone",
+     "--verify", "--format", "json"):
+        "551984b9cd6655f931c405a49d466a66a402ac47c4a8608a9085dbf3fe2049e6",
 }
 
 

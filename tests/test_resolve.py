@@ -20,9 +20,9 @@ from arckit import (
     verify_resolution,
     weights_in_block,
 )
-from arckit import resolve
+from arckit import diagrams, extalg, resolve
 from arckit.arcalg import _product_table, hom_basis
-from arckit.extalg import ext_dims, hom_windows_ok, resolution
+from arckit.extalg import construct_element, ext_dims, hom_windows_ok, in_range, resolution
 from arckit.resolve import (
     ProjectiveComplex,
     ResolutionCache,
@@ -396,13 +396,26 @@ CONE_BLOCKS = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (
 CONE_DIGEST = "49f3171568ae9f52cb1b0a22ed74dfa2cb1c872db97b62aefb85e0343bd031f4"
 
 
+# the same over the n = 3 blocks, whose cone resolutions stay raw (no sign
+# table), recorded before the cone recursion was memoized
+CONE_N3_BLOCKS = [(1, 3), (2, 3), (3, 3), (4, 3)]
+CONE_N3_DIGEST = "5f6d4b190c543281332fc9c8484b19bcb3ea17d1ff7c8fb031bcba82e31800cb"
+
+
+def _cone_digest(blocks) -> str:
+    digest = hashlib.sha256()
+    for block in blocks:
+        for lam in weights_in_block(*block):
+            digest.update(_serialize(resolve_cone(lam)).encode())
+    return digest.hexdigest()
+
+
 class TestConePinned:
     def test_serialization_is_unchanged(self):
-        digest = hashlib.sha256()
-        for block in CONE_BLOCKS:
-            for lam in weights_in_block(*block):
-                digest.update(_serialize(resolve_cone(lam)).encode())
-        assert digest.hexdigest() == CONE_DIGEST
+        assert _cone_digest(CONE_BLOCKS) == CONE_DIGEST
+
+    def test_raw_n3_serialization_is_unchanged(self):
+        assert _cone_digest(CONE_N3_BLOCKS) == CONE_N3_DIGEST
 
     def test_a_summand_without_an_entry_has_no_sign(self):
         lam = Weight.parse("vv^")
@@ -410,6 +423,68 @@ class TestConePinned:
         loose = c.components[:1] + (c.components[1] + ((lam, 1),),) + c.components[2:]
         with pytest.raises(AssertionError, match="has no entry"):
             _normalize_signs(ProjectiveComplex(lam, loose, c.differentials))
+
+
+MEMO_BLOCKS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
+
+
+def _clear_recursions() -> None:
+    resolve._resolve_cone_raw.cache_clear()
+    diagrams.associated_cup_diagram.cache_clear()
+    diagrams.associated_cap_diagram.cache_clear()
+
+
+class TestMemoizedRecursions:
+    """Each weight's cone recursion, arc diagrams and labelled elements are
+    built once per process; whatever order fills the caches, the values
+    are those of a cold computation."""
+
+    @pytest.mark.parametrize("m,n", MEMO_BLOCKS)
+    def test_a_warm_cone_equals_a_cold_one(self, m, n):
+        # longest weights first, so each one's recursion is already filled
+        # by the weights swept before it
+        weights = weights_in_block(m, n)[::-1]
+        warm = [_serialize(resolve_cone(lam)) for lam in weights]
+        cold = []
+        for lam in weights:
+            _clear_recursions()
+            cold.append(_serialize(resolve_cone(lam)))
+        assert warm == cold
+
+    @pytest.mark.parametrize("m,n", MEMO_BLOCKS)
+    def test_one_chain_map_lift_per_weight(self, m, n, monkeypatch):
+        lifts = Counter()
+        lift = resolve._lift_chain_map
+
+        def counting(f0, lower, upper):
+            lifts[upper.weight] += 1
+            return lift(f0, lower, upper)
+
+        monkeypatch.setattr(resolve, "_lift_chain_map", counting)
+        _clear_recursions()
+        for lam in weights_in_block(m, n)[::-1]:
+            resolve_cone(lam)
+        reached = resolve._resolve_cone_raw.cache_info().currsize
+        assert lifts and max(lifts.values()) == 1
+        assert sum(lifts.values()) < reached  # λ₀ needs no lift
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
+    def test_a_warm_labelled_element_equals_a_cold_one(self, m, n):
+        ws = weights_in_block(m, n)
+        keys = [
+            (label, lam, mu)
+            for label in extalg._N2_CLASSES
+            for lam in ws
+            for mu in ws
+            if in_range(label, lam, mu)
+        ]
+        warm = [construct_element(*key) for key in keys]
+        assert all(construct_element(*key) is f for key, f in zip(keys, warm))
+        cold = []
+        for key in keys:
+            construct_element.cache_clear()
+            cold.append(construct_element(*key))
+        assert [(f.k, f.j, f.coords) for f in warm] == [(f.k, f.j, f.coords) for f in cold]
 
 
 # sha256 of the JSON list, over weights_in_block(4, 2), of the terms() of
