@@ -322,8 +322,9 @@ def _rays_ordered_ok(weight: Weight, rays: Iterable[int]) -> bool:
     return True
 
 
-def cup_oriented(cup: CupDiagram, weight: Weight) -> bool:
-    """Is the glued diagram (cup, weight) an oriented cup diagram?"""
+def cup_oriented(cup: CupDiagram | CapDiagram, weight: Weight) -> bool:
+    """Is the glued diagram (cup, weight) an oriented cup diagram?  Given a
+    cap diagram, whose data are its mirror's, this is ``cap_oriented``."""
     if cup.size != weight.size:
         return False
     return all(
@@ -332,8 +333,9 @@ def cup_oriented(cup: CupDiagram, weight: Weight) -> bool:
 
 
 def cap_oriented(cap: CapDiagram, weight: Weight) -> bool:
-    """Is (weight, cap) an oriented cap diagram (mirror condition)?"""
-    return cup_oriented(cap.mirror(), weight)
+    """Is (weight, cap) an oriented cap diagram?  The condition on the
+    cap's data is literally the cup's, so no mirror is built."""
+    return cup_oriented(cap, weight)
 
 
 def half_degree(diagram: CupDiagram | CapDiagram, weight: Weight) -> int:

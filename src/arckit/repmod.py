@@ -88,22 +88,16 @@ def cartan_matrix(m: int, n: int) -> dict[tuple[Weight, Weight], QPoly]:
 
 
 @lru_cache(maxsize=None)
-def kl_poly_recursive(lam: Weight, mu: Weight, index: int | None = None) -> QPoly:
-    """The recursion: delete or swap at a 'v^' pair of λ.
-
-    ``index`` overrides the canonical choice (smallest i with λ carrying
-    'v^' at (i, i+1)); tests use it to check choice-independence.
-    """
+def kl_poly_recursive(lam: Weight, mu: Weight) -> QPoly:
+    """The recursion: delete or swap at the first 'v^' pair of λ, the
+    smallest i with λ carrying 'v^' at (i, i+1)."""
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     if lam == mu:
         return QPoly.one()
     if not bruhat_leq(lam, mu):
         return QPoly.zero()
-    candidates = [i for i in range(lam.size - 1) if lam.has_down_up_at(i)]
-    i = candidates[0] if index is None else index
-    if i not in candidates:
-        raise ValueError(f"λ has no 'v^' pair at position {i}")
+    i = next(i for i in range(lam.size - 1) if lam.has_down_up_at(i))
     swapped = kl_poly_recursive(lam.swap(i), mu).shift(1)
     if mu.has_down_up_at(i):
         return kl_poly_recursive(lam.delete(i), mu.delete(i)) + swapped

@@ -5,7 +5,8 @@ Two independent constructions are provided:
 * :func:`resolve_cone` — the inductive cone construction: delete a 'v^'
   pair to land in the smaller block, pull the resolution back through the
   geometric functor, lift the canonical degree-one inclusion to a chain map
-  by degreewise linear solves, and take the cone.  The raw recursion is
+  by one solve per summand against the degree-one matrices the generic
+  construction builds, and take the cone.  The raw recursion is
   memoized per weight, so the sub-resolutions of λ.swap(i) and λ.delete(i)
   and their chain-map lifts are built once per process and shared by
   every resolution of the block that reaches them; the recursion is
@@ -44,7 +45,6 @@ from .arcalg import (
     Matching,
     _product_table,
     functor_image,
-    hom_basis,
     multiply,
 )
 from .diagrams import (
@@ -159,19 +159,16 @@ def expected_terms(lam: Weight) -> list[list[tuple[Weight, int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _degree_one_elements(source: Weight, target: Weight) -> list[OrientedCircleDiagram]:
-    return [d for d in hom_basis(source, target) if d.degree == 1]
-
-
 def _canonical_inclusion(source: Weight, target: Weight) -> AlgebraElement:
     """The canonical degree-one morphism P(source) → P(target): the unique
     degree-one basis diagram of e_source K e_target with coefficient +1."""
-    elems = _degree_one_elements(source, target)
-    if len(elems) != 1:
+    table = _product_table(*source.block)
+    ids = [x for x in table.ends[source, target] if table.degree[x] == 1]
+    if len(ids) != 1:
         raise ValueError(
-            f"expected a unique degree-one diagram from {source} to {target}, got {len(elems)}"
+            f"expected a unique degree-one diagram from {source} to {target}, got {len(ids)}"
         )
-    return AlgebraElement.from_diagram(elems[0])
+    return AlgebraElement.from_diagram(table.diagrams[ids[0]])
 
 
 def _lift_chain_map(
@@ -186,66 +183,39 @@ def _lift_chain_map(
     commute on the nose: f_{k-1} ∘ d^lower_k = d^upper_k ∘ f_k, written
     with right-multiplication composition as
     Σ_t d^lower[s,t]·f_{k-1}[t,u] = Σ_t f_k[s,t]·d^upper[t,u].
-    Each f_k entry is a degree-one element; the linear system over the
-    (at most one-dimensional) degree-one hom spaces is solved with the
-    deterministic echelon convention.
+    Row s of f_k, where P(ν_s)'s generator goes, is a degree-one vector of
+    upper_k's cover with cup-weight ν_s, solved for against that column
+    block of d^upper_k's degree-one matrix with free variables set to 0.
     """
+    table = _product_table(*upper.block)
     fs: list[dict[tuple[int, int], AlgebraElement]] = [{(0, 0): f0}]
+    flat = _cover_data(upper.components[0])
     for k in range(1, len(lower)):
-        src = lower.components[k]
-        # past the end of the upper complex f_k is forced to be zero and the
-        # system below degenerates to the consistency check f_{k-1}∘d = 0
-        dst = upper.components[k] if k < len(upper) else ()
-        dst_prev = len(upper.components[k - 1]) if k - 1 < len(upper) else 0
-        # unknowns: one coefficient per degree-one basis diagram per (s, t)
-        unknowns: list[tuple[int, int, OrientedCircleDiagram]] = []
-        for s, (nu, _) in enumerate(src):
-            for t, (nu2, _) in enumerate(dst):
-                for diag in _degree_one_elements(nu, nu2):
-                    unknowns.append((s, t, diag))
-        # equations: for each (s, u) and each basis diagram appearing in
-        # f_k[s,·]·d^upper[·,u] − d^lower[s,·]·f_{k-1}[·,u] = 0
-        prev = fs[k - 1]
-        eq_index: dict[tuple[int, int, OrientedCircleDiagram], int] = {}
-
-        def eq_row(key):
-            if key not in eq_index:
-                eq_index[key] = len(eq_index)
-            return eq_index[key]
-
-        coeffs: dict[tuple[int, int], Scalar] = {}  # (row, col) -> value
-        rhs_vec: dict[int, Scalar] = {}
-        for col, (s, t, diag) in enumerate(unknowns):
-            for u in range(dst_prev):
-                du = upper.entry(k, t, u)
-                if du.is_zero():
-                    continue
-                prod = multiply(AlgebraElement.from_diagram(diag), du)
-                for d, c in prod:
-                    r = eq_row((s, u, d))
-                    coeffs[(r, col)] = coeffs.get((r, col), 0) + c
-        for s in range(len(src)):
-            for t in range(len(lower.components[k - 1])):
-                dl = lower.entry(k, s, t)
-                if dl.is_zero():
-                    continue
-                for u in range(dst_prev):
-                    fprev = prev.get((t, u))
-                    if fprev is None:
-                        continue
-                    prod = multiply(dl, fprev)
-                    for d, c in prod:
-                        r = eq_row((s, u, d))
-                        rhs_vec[r] = rhs_vec.get(r, 0) + c
-        matrix = SparseMatrix(len(eq_index), len(unknowns), coeffs)
-        solution = solve(matrix, rhs_vec)
-        if solution is None:
-            raise AssertionError("chain-map lift has no solution")
-        fk: dict[tuple[int, int], AlgebraElement] = {}
-        for col, x in solution.items():
-            s, t, diag = unknowns[col]
-            fk[(s, t)] = fk.get((s, t), AlgebraElement()) + x * AlgebraElement.from_diagram(diag)
-        fs.append({k_: v for k_, v in fk.items() if not v.is_zero()})
+        # past the end of upper, f_k = 0 and each solve only checks f_{k-1}∘d = 0
+        src = upper.components[k] if k < len(upper) else ()
+        dst = upper.components[k - 1] if k - 1 < len(upper) else ()
+        diff = upper.differentials[k - 1] if k < len(upper) else {}
+        row_of = {(u, y): r for r, (u, y, _, _) in enumerate(flat)}  # upper_{k-1}'s cover
+        flat = _cover_data(src)
+        blocks = _weight_blocks(_flat_differential(diff, src, dst, 1), flat, k + 1)
+        rhs: dict[int, dict[int, Scalar]] = {}
+        for (s, t), dl in lower.differentials[k - 1].items():
+            vec = rhs.setdefault(s, {})
+            for u in range(len(dst)):
+                if (t, u) in fs[k - 1]:
+                    for d, c in multiply(dl, fs[k - 1][t, u]):
+                        r = row_of[u, table.ids[d]]
+                        vec[r] = vec.get(r, 0) + c
+        fk: dict[tuple[int, int], dict[OrientedCircleDiagram, Scalar]] = {}
+        for s, (nu, _) in enumerate(lower.components[k]):
+            cols, block = blocks.get(nu, ([], SparseMatrix(len(row_of), 0)))
+            solution = solve(block, rhs.get(s, {}))
+            if solution is None:
+                raise AssertionError("chain-map lift has no solution")
+            for local, x in solution.items():
+                t, y, _, _ = flat[cols[local]]
+                fk.setdefault((s, t), {})[table.diagrams[y]] = x
+        fs.append({key: AlgebraElement(terms) for key, terms in fk.items()})
     return fs
 
 
@@ -437,19 +407,17 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
 
 
 @lru_cache(maxsize=None)
-def _right_action(
-    m: int, n: int, d: int, degree: int | None = None
-) -> tuple[tuple[int, int, Scalar], ...]:
+def _right_action(m: int, n: int, d: int, degree: int) -> tuple[tuple[int, int, Scalar], ...]:
     """x ↦ x·d for the basis diagram of id d of K_m^n, in e_α K e_β, as
     (column, row, value) triples from the basis of P(α) to that of P(β),
     each indexed by the table's ``stacking``; only the columns x of the
-    given degree, when one is given."""
+    given degree, so each diagram's table is built once per degree."""
     table = _product_table(m, n)
     rows = {y: k for k, y in enumerate(table.stacking[table.cap[d]])}
     return tuple(
         (col, rows[y], v)
         for col, x in enumerate(table.stacking[table.cup[d]])
-        if degree is None or table.degree[x] == degree
+        if table.degree[x] == degree
         for y, v in table.product(x, d)
     )
 
@@ -499,6 +467,9 @@ def _flat_differential(
     of the two summands.  Given a degree, only the columns of the diagrams
     x of that degree are filled, the others left zero."""
     src_at, tgt_at = _offsets(source), _offsets(target)
+    degrees = [degree]
+    if degree is None and diff:  # every degree of the block, its top read once per call
+        degrees = range(max(_product_table(*source[0][0].block).degree) + 1)
     entries: dict[tuple[int, int], Scalar] = {}
     for (s, t), u in diff.items():
         block = source[s][0].block
@@ -506,9 +477,10 @@ def _flat_differential(
             x = _entry_id(d, source[s][0], target[t][0])
             if x is None:
                 raise ValueError("image left the projective summand")
-            for col, row, v in _right_action(*block, x, degree):
-                key = (tgt_at[t] + row, src_at[s] + col)
-                entries[key] = entries.get(key, 0) + c * v
+            for deg in degrees:
+                for col, row, v in _right_action(*block, x, deg):
+                    key = (tgt_at[t] + row, src_at[s] + col)
+                    entries[key] = entries.get(key, 0) + c * v
     return SparseMatrix(tgt_at[-1], src_at[-1], entries)
 
 
@@ -539,9 +511,10 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     flat = _cover_data(components[0])
     reps = {x: k for k, x in enumerate(cell_basis(lam)[2])}
     entries = {(reps[x], col): 1 for col, (_, x, _, _) in enumerate(flat) if x in reps}
-    syzygy = _homogeneous_kernel(SparseMatrix(len(reps), len(flat), entries), flat, 1)
+    matrix = SparseMatrix(len(reps), len(flat), entries)
 
-    while syzygy:
+    # the syzygy after d_i: degree i + 1 of the kernel of ⊕P(α_g)⟨i⟩ → C_{i-1}
+    while syzygy := _homogeneous_kernel(matrix, flat, len(components)):
         diff: dict[tuple[int, int], AlgebraElement] = {}
         for s, (_, _, vec) in enumerate(syzygy):
             for c, coord in vec.items():
@@ -550,26 +523,20 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
                 diff[(s, t)] = u + coord * AlgebraElement.from_diagram(table.diagrams[x])
         components.append([(alpha, deg) for (alpha, deg, _) in syzygy])
         diffs.append(diff)
-        # next syzygy: degree i + 1 of the kernel of ⊕P(α_g)⟨i⟩ → previous cover
-        i = len(components) - 1
         flat = _cover_data(components[-1])
-        syzygy = _homogeneous_kernel(
-            _flat_differential(diff, components[-1], components[-2], 1), flat, i + 1
-        )
+        matrix = _flat_differential(diff, components[-1], components[-2], 1)
 
     return ProjectiveComplex(
         lam, tuple(tuple(comp) for comp in components), tuple(diffs)
     )
 
 
-def _homogeneous_kernel(
+def _weight_blocks(
     matrix: SparseMatrix, flat, degree: int
-) -> list[tuple[Weight, int, dict[int, Scalar]]]:
-    """The kernel of the matrix in one absolute degree, split into one
-    column block per cup-weight α, each filled in one pass over the
-    entries, returned as homogeneous vectors in the flat cover coordinates,
-    block by block in ``str(α)`` order.  That order fixes the summand order
-    of the next component."""
+) -> dict[Weight, tuple[list[int], SparseMatrix]]:
+    """The matrix's columns of one absolute degree, split into one block per
+    cup-weight α, each filled in one pass over the entries: α ↦ (the
+    block's flat columns in order, the matrix restricted to them)."""
     blocks: dict[Weight, tuple[list[int], dict[tuple[int, int], Scalar]]] = {}
     place = {}  # column of the degree -> (its index in its block, the block's entries)
     for k, (_, _, alpha, deg) in enumerate(flat):
@@ -581,12 +548,25 @@ def _homogeneous_kernel(
         if c in place:
             local, entries = place[c]
             entries[(r, local)] = v
-    out = []
-    for alpha in sorted(blocks, key=str):
-        cols, entries = blocks[alpha]
-        for vec in kernel_basis(SparseMatrix(matrix.rows, len(cols), entries)):
-            out.append((alpha, degree, {cols[local]: v for local, v in vec.items()}))
-    return out
+    return {
+        alpha: (cols, SparseMatrix(matrix.rows, len(cols), entries))
+        for alpha, (cols, entries) in blocks.items()
+    }
+
+
+def _homogeneous_kernel(
+    matrix: SparseMatrix, flat, degree: int
+) -> list[tuple[Weight, int, dict[int, Scalar]]]:
+    """The kernel of the matrix in one absolute degree, one cup-weight block
+    of ``_weight_blocks`` at a time in ``str(α)`` order, as homogeneous
+    vectors in the flat cover coordinates.  That order fixes the summand
+    order of the next component."""
+    blocks = _weight_blocks(matrix, flat, degree)
+    return [
+        (alpha, degree, {blocks[alpha][0][local]: v for local, v in vec.items()})
+        for alpha in sorted(blocks, key=str)
+        for vec in kernel_basis(blocks[alpha][1])
+    ]
 
 
 # ---------------------------------------------------------------------------

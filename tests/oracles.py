@@ -49,6 +49,19 @@ assumes no linearity.  ``arckit.resolve`` caches each summand's basis and
 each diagram's right action, solves only the degree-(i + 1) kernel after
 d_i and takes all of it as the generators, and is checked against these.
 
+``lift_chain_map_reference`` is the reference chain-map lift of the cone
+construction: one linear system per homological degree k, an unknown per
+degree-one basis diagram of every e_s K e_t, an equation per basis
+diagram of every product it meets, indexed by the diagrams themselves,
+and solved by the dense reference ``solve``.  ``arckit.resolve`` solves
+each summand s on its own against the cup-weight-ν_s column block of
+d^upper_k's degree-one matrix, and is checked against it, every f_k.
+
+``kl_poly_at`` is the Kazhdan-Lusztig recursion with its first step taken
+at a chosen 'v^' pair of λ and every later one by ``kl_poly_recursive``,
+which always takes the first pair: the recursion's value must not depend
+on that choice.
+
 ``surgery_product_reference`` is the reference surgery product: vertices
 are (line, position) pairs, a state is a tuple of labels, and every cut
 finds the components it reads again by a depth-first walk for every state.
@@ -104,7 +117,7 @@ hom^k in one tagged ``Echelon`` pass, with H from
 
 from fractions import Fraction
 
-from arckit import SparseMatrix
+from arckit import QPoly, SparseMatrix, kl_poly_recursive
 from arckit.ainfty import _class_key, _SpaceSplit, composable_tuples
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
@@ -157,6 +170,19 @@ def bruhat_leq(lam, mu) -> bool:
     if _block(lam) != _block(mu):
         raise ValueError("weights from different blocks")
     return all(relative_length(i, lam, mu) >= 0 for i in range(len(lam.labels)))
+
+
+def kl_poly_at(lam, mu, index: int) -> QPoly:
+    """p_{λ,μ} by the recursion with its first step at the 'v^' pair of λ
+    at (index, index + 1), every later step ``kl_poly_recursive``'s own."""
+    if lam == mu:
+        return QPoly.one()
+    if not bruhat_leq(lam, mu):
+        return QPoly.zero()
+    swapped = kl_poly_recursive(lam.swap(index), mu).shift(1)
+    if mu.has_down_up_at(index):
+        return kl_poly_recursive(lam.delete(index), mu.delete(index)) + swapped
+    return swapped
 
 
 def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -501,6 +527,81 @@ def resolve_generic_reference(lam):
             flat_differential_reference(diff, components[-1], components[-2]), flat
         )
     return ProjectiveComplex(lam, tuple(tuple(comp) for comp in components), tuple(diffs))
+
+
+def _degree_one_elements(source, target) -> list[OrientedCircleDiagram]:
+    return [d for d in hom_basis(source, target) if d.degree == 1]
+
+
+def lift_chain_map_reference(f0, lower, upper) -> list[dict]:
+    """Degreewise lift of f0 to a chain map f_k : lower_k → upper_k.
+
+    ``lower`` is the complex being shifted into the cone (P_•(λ'')⟨1⟩),
+    ``upper`` the functor image of the smaller-block resolution; both
+    commute on the nose: f_{k-1} ∘ d^lower_k = d^upper_k ∘ f_k, written
+    with right-multiplication composition as
+    Σ_t d^lower[s,t]·f_{k-1}[t,u] = Σ_t f_k[s,t]·d^upper[t,u].
+    Each f_k entry is a degree-one element; the linear system over the
+    (at most one-dimensional) degree-one hom spaces is solved with the
+    deterministic echelon convention, here by the dense reference ``solve``.
+    """
+    fs: list[dict[tuple[int, int], AlgebraElement]] = [{(0, 0): f0}]
+    for k in range(1, len(lower)):
+        src = lower.components[k]
+        # past the end of the upper complex f_k is forced to be zero and the
+        # system below degenerates to the consistency check f_{k-1}∘d = 0
+        dst = upper.components[k] if k < len(upper) else ()
+        dst_prev = len(upper.components[k - 1]) if k - 1 < len(upper) else 0
+        # unknowns: one coefficient per degree-one basis diagram per (s, t)
+        unknowns: list[tuple[int, int, OrientedCircleDiagram]] = []
+        for s, (nu, _) in enumerate(src):
+            for t, (nu2, _) in enumerate(dst):
+                for diag in _degree_one_elements(nu, nu2):
+                    unknowns.append((s, t, diag))
+        # equations: for each (s, u) and each basis diagram appearing in
+        # f_k[s,·]·d^upper[·,u] − d^lower[s,·]·f_{k-1}[·,u] = 0
+        prev = fs[k - 1]
+        eq_index: dict[tuple[int, int, OrientedCircleDiagram], int] = {}
+
+        def eq_row(key):
+            if key not in eq_index:
+                eq_index[key] = len(eq_index)
+            return eq_index[key]
+
+        coeffs: dict[tuple[int, int], Fraction] = {}  # (row, col) -> value
+        rhs_vec: dict[int, Fraction] = {}
+        for col, (s, t, diag) in enumerate(unknowns):
+            for u in range(dst_prev):
+                du = upper.entry(k, t, u)
+                if du.is_zero():
+                    continue
+                prod = multiply(AlgebraElement.from_diagram(diag), du)
+                for d, c in prod:
+                    r = eq_row((s, u, d))
+                    coeffs[(r, col)] = coeffs.get((r, col), 0) + c
+        for s in range(len(src)):
+            for t in range(len(lower.components[k - 1])):
+                dl = lower.entry(k, s, t)
+                if dl.is_zero():
+                    continue
+                for u in range(dst_prev):
+                    fprev = prev.get((t, u))
+                    if fprev is None:
+                        continue
+                    prod = multiply(dl, fprev)
+                    for d, c in prod:
+                        r = eq_row((s, u, d))
+                        rhs_vec[r] = rhs_vec.get(r, 0) + c
+        matrix = SparseMatrix(len(eq_index), len(unknowns), coeffs)
+        solution = solve(matrix, dense(rhs_vec, matrix.rows))
+        if solution is None:
+            raise AssertionError("chain-map lift has no solution")
+        fk: dict[tuple[int, int], AlgebraElement] = {}
+        for col, x in sparse(solution).items():
+            s, t, diag = unknowns[col]
+            fk[(s, t)] = fk.get((s, t), AlgebraElement()) + x * AlgebraElement.from_diagram(diag)
+        fs.append({k_: v for k_, v in fk.items() if not v.is_zero()})
+    return fs
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,11 @@ PINNED_DIGESTS = {
     ("resolve", "-m", "4", "-n", "3", "--lambda", "vvvv^^^", "--method", "cone",
      "--verify", "--format", "json"):
         "551984b9cd6655f931c405a49d466a66a402ac47c4a8608a9085dbf3fe2049e6",
+    # the raw cone resolution of the longest weight of (4|4); recorded while
+    # the chain-map lift still built its own equation system
+    ("resolve", "-m", "4", "-n", "4", "--lambda", "vvvv^^^^", "--method", "cone",
+     "--verify", "--format", "json"):
+        "9e0cf058b1da458d89bbebec1be40b8e7f7f19dba8d94d73f88e2a4eab9a69f6",
 }
 
 

@@ -183,6 +183,14 @@ class TestDiagrams:
                 d = OrientedCircleDiagram(cup, w, cup.mirror())
                 assert d.degree == 0
 
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_a_cap_is_oriented_exactly_when_its_mirror_cup_is(self, m, n):
+        ws = weights_in_block(m, n)
+        pairs = [(associated_cup_diagram(a).mirror(), w) for a in ws for w in ws]
+        got = [cap_oriented(cap, w) for cap, w in pairs]
+        assert got == [cup_oriented(cap.mirror(), w) for cap, w in pairs]
+        assert True in got and False in got
+
     @pytest.mark.parametrize("m,n", [(0, 2), (2, 1), (2, 2), (3, 2), (2, 3)])
     def test_weights_by_cup_matches_a_scan_of_the_block(self, m, n):
         ws = weights_in_block(m, n)

@@ -40,6 +40,7 @@ from oracles import (
     cover_reference,
     flat_differential_reference,
     hom_cohomology,
+    lift_chain_map_reference,
     resolve_generic_reference,
 )
 
@@ -402,6 +403,12 @@ CONE_N3_BLOCKS = [(1, 3), (2, 3), (3, 3), (4, 3)]
 CONE_N3_DIGEST = "5f6d4b190c543281332fc9c8484b19bcb3ea17d1ff7c8fb031bcba82e31800cb"
 
 
+# the same over the n = 4 blocks, recorded while the chain-map lift still
+# built its own equation system over the degree-one basis diagrams
+CONE_N4_BLOCKS = [(1, 4), (2, 4), (3, 4), (4, 4)]
+CONE_N4_DIGEST = "aa36bbcfdb280e249ee0014df505e64e04ff8aa8c738838b114c8f8655f785bc"
+
+
 def _cone_digest(blocks) -> str:
     digest = hashlib.sha256()
     for block in blocks:
@@ -416,6 +423,9 @@ class TestConePinned:
 
     def test_raw_n3_serialization_is_unchanged(self):
         assert _cone_digest(CONE_N3_BLOCKS) == CONE_N3_DIGEST
+
+    def test_raw_n4_serialization_is_unchanged(self):
+        assert _cone_digest(CONE_N4_BLOCKS) == CONE_N4_DIGEST
 
     def test_a_summand_without_an_entry_has_no_sign(self):
         lam = Weight.parse("vv^")
@@ -467,6 +477,25 @@ class TestMemoizedRecursions:
         reached = resolve._resolve_cone_raw.cache_info().currsize
         assert lifts and max(lifts.values()) == 1
         assert sum(lifts.values()) < reached  # λ₀ needs no lift
+
+    @pytest.mark.parametrize("m,n", MEMO_BLOCKS)
+    def test_the_lift_equals_its_reference(self, m, n, monkeypatch):
+        # every (f0, lower, upper) a cold sweep of the block hands the lift
+        calls = []
+        lift = resolve._lift_chain_map
+
+        def recording(f0, lower, upper):
+            fs = lift(f0, lower, upper)
+            calls.append((f0, lower, upper, fs))
+            return fs
+
+        monkeypatch.setattr(resolve, "_lift_chain_map", recording)
+        _clear_recursions()
+        for lam in weights_in_block(m, n):
+            _resolve_cone_raw(lam)
+        assert calls
+        for f0, lower, upper, fs in calls:
+            assert fs == lift_chain_map_reference(f0, lower, upper)
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
     def test_a_warm_labelled_element_equals_a_cold_one(self, m, n):
