@@ -19,11 +19,12 @@ Two independent constructions are provided:
   syzygy vector is a sparse ``{coordinate: scalar}`` dict.  K_m^n is
   Koszul, so the resolution is linear and the syzygy after d_i is
   generated in its lowest degree, i + 1: that degree of the kernel is a
-  basis of minimal generators, and no other degree is solved.  The
-  matrix of a differential (also used, in every degree, by
-  :func:`verify_resolution` for d² = 0 and exactness) is assembled from
-  one right-action table per basis diagram, x ↦ x·d from P(α)'s basis to
-  P(β)'s, cached per basis id and degree of x.
+  basis of minimal generators, and no other degree is solved.  A
+  differential d_i has one matrix per absolute degree of C_i, assembled
+  from one right-action table per basis diagram, x ↦ x·d from P(α)'s
+  basis to P(β)'s, cached per basis id and degree of x: both
+  constructions read degree i + 1, and :func:`verify_resolution` every
+  degree, from one call per d_i.
 
 Both return :class:`ProjectiveComplex`.  Differentials point from
 component i to component i-1, each entry being a degree-one element of
@@ -197,7 +198,7 @@ def _lift_chain_map(
         diff = upper.differentials[k - 1] if k < len(upper) else {}
         row_of = {(u, y): r for r, (u, y, _, _) in enumerate(flat)}  # upper_{k-1}'s cover
         flat = _cover_data(src)
-        blocks = _weight_blocks(_flat_differential(diff, src, dst, 1), flat, k + 1)
+        blocks = _weight_blocks(_flat_differential(diff, src, dst, [k + 1])[k + 1], flat, k + 1)
         rhs: dict[int, dict[int, Scalar]] = {}
         for (s, t), dl in lower.differentials[k - 1].items():
             vec = rhs.setdefault(s, {})
@@ -458,30 +459,30 @@ def _entry_id(d: OrientedCircleDiagram, source: Weight, target: Weight) -> int |
 
 
 def _flat_differential(
-    diff: dict[tuple[int, int], AlgebraElement], source, target, degree: int | None = None
-) -> SparseMatrix:
-    """The matrix of a differential between the covers of the summand lists
-    ``source`` and ``target`` in flat coordinates (columns are the source
-    basis): entry (s, t) sends each basis diagram x of summand s to x·d[s,t]
-    in summand t, each diagram's right-action table placed at the offsets
-    of the two summands.  Given a degree, only the columns of the diagrams
-    x of that degree are filled, the others left zero."""
+    diff: dict[tuple[int, int], AlgebraElement], source, target, degrees
+) -> dict[int, SparseMatrix]:
+    """The matrices of a differential between the covers of the summand
+    lists ``source`` and ``target`` in flat coordinates (columns are the
+    source basis), one per absolute degree D in ``degrees``, all filled in
+    one pass over the entries: entry (s, t) sends each basis diagram x of
+    summand s = P(α)⟨j⟩ with deg x = D − j to x·d[s,t] in summand t, each
+    diagram's right-action table placed at the offsets of the two
+    summands.  The columns of the other degrees are left zero."""
     src_at, tgt_at = _offsets(source), _offsets(target)
-    degrees = [degree]
-    if degree is None and diff:  # every degree of the block, its top read once per call
-        degrees = range(max(_product_table(*source[0][0].block).degree) + 1)
-    entries: dict[tuple[int, int], Scalar] = {}
+    parts: dict[int, dict[tuple[int, int], Scalar]] = {deg: {} for deg in degrees}
     for (s, t), u in diff.items():
-        block = source[s][0].block
+        alpha, j = source[s]
         for d, c in u:
-            x = _entry_id(d, source[s][0], target[t][0])
+            x = _entry_id(d, alpha, target[t][0])
             if x is None:
                 raise ValueError("image left the projective summand")
-            for deg in degrees:
-                for col, row, v in _right_action(*block, x, deg):
+            for deg, entries in parts.items():
+                for col, row, v in _right_action(*alpha.block, x, deg - j):
                     key = (tgt_at[t] + row, src_at[s] + col)
                     entries[key] = entries.get(key, 0) + c * v
-    return SparseMatrix(tgt_at[-1], src_at[-1], entries)
+    return {
+        deg: SparseMatrix(tgt_at[-1], src_at[-1], entries) for deg, entries in parts.items()
+    }
 
 
 def resolve_generic(lam: Weight) -> ProjectiveComplex:
@@ -524,7 +525,8 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
         components.append([(alpha, deg) for (alpha, deg, _) in syzygy])
         diffs.append(diff)
         flat = _cover_data(components[-1])
-        matrix = _flat_differential(diff, components[-1], components[-2], 1)
+        degree = len(components)
+        matrix = _flat_differential(diff, components[-1], components[-2], [degree])[degree]
 
     return ProjectiveComplex(
         lam, tuple(tuple(comp) for comp in components), tuple(diffs)
@@ -598,48 +600,53 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
     Returns a list of human-readable failures (empty when everything
     passes): linearity, entry degrees and hom spaces, d² = 0, term match
     with the Kazhdan-Lusztig prediction, and exactness by exact ranks on
-    the action-realized complex.  An entry outside its summands is
-    reported, and d² and exactness, which need that complex, are skipped.
+    the action-realized complex.  d² and exactness need a graded complex
+    (every summand linear, every entry of degree one inside its summands)
+    and are skipped on any other, which has failed a check above already;
+    they read each d_i once, one matrix per degree of C_i, and d² only in
+    degree i, on C_i's generators.
     """
     lam = lam if lam is not None else c.weight
-    failures: list[str] = []
 
     # linearity and component-0 shape
-    for i, comp in enumerate(c.components):
-        for w, j in comp:
-            if j != i:
-                failures.append(f"summand P({w})<{j}> in component {i} is not linear")
+    nonlinear = [
+        f"summand P({w})<{j}> in component {i} is not linear"
+        for i, comp in enumerate(c.components) for w, j in comp if j != i
+    ]
+    failures = list(nonlinear)
     if c.components[0] != ((lam, 0),):
         failures.append("component 0 is not P(λ)<0>")
 
     # entries: correct hom space, degree one
     stray = _stray_entries(c)
-    failures += stray
-    for i, diff in enumerate(c.differentials, start=1):
-        for (s, t), u in diff.items():
-            failures += [
-                f"d_{i}[{s},{t}] entry of degree {d.degree} != 1" for d, _ in u if d.degree != 1
-            ]
+    wrong_degree = [
+        f"d_{i}[{s},{t}] entry of degree {d.degree} != 1"
+        for i, diff in enumerate(c.differentials, start=1)
+        for (s, t), u in diff.items() for d, _ in u if d.degree != 1
+    ]
+    failures += stray + wrong_degree
+    graded = not (nonlinear or stray or wrong_degree)
 
     # d² = 0, on the action-realized complex: d_{i-1}·d_i kills every
     # basis vector of summand s of C_i exactly when it kills its generator,
-    # which it sends to Σ_t d_i[s,t]·d_{i-1}[t,u] in summand u of C_{i-2}
-    if not stray:
+    # of degree i, which it sends to Σ_t d_i[s,t]·d_{i-1}[t,u] in summand u
+    if graded:
         flats = [_cover_data(comp) for comp in c.components]
-        matrices = [
-            _flat_differential(diff, c.components[i], c.components[i - 1])
+        counts = [Counter(deg for *_, deg in flat) for flat in flats]
+        mats = [
+            _flat_differential(diff, c.components[i], c.components[i - 1], sorted(counts[i]))
             for i, diff in enumerate(c.differentials, start=1)
         ]
         for i in range(2, len(c)):
-            square = matrices[i - 2] @ matrices[i - 1]
-            blocks = {(flats[i][col][0], flats[i - 2][row][0]) for row, col in square.entries}
-            for s, u_ in sorted(blocks):
-                failures.append(f"d²≠0 at component {i}, blocks ({s},{u_})")
+            if i in mats[i - 2] and i in mats[i - 1]:  # else C_i or its image is empty
+                square = mats[i - 2][i] @ mats[i - 1][i]
+                blocks = {(flats[i][col][0], flats[i - 2][row][0]) for row, col in square.entries}
+                for s, u_ in sorted(blocks):
+                    failures.append(f"d²≠0 at component {i}, blocks ({s},{u_})")
 
-    # terms match the Kazhdan-Lusztig prediction
-    expected = expected_terms(lam)
+    # terms match the Kazhdan-Lusztig prediction (expected_terms is sorted)
     got = [sorted(comp, key=lambda wj: (length(wj[0]), wj[0].labels)) for comp in c.components]
-    if [sorted(e, key=lambda wj: (length(wj[0]), wj[0].labels)) for e in expected] != got:
+    if expected_terms(lam) != got:
         failures.append("terms differ from the Kazhdan-Lusztig prediction")
 
     # term bound from the labelled-cap-diagram count
@@ -651,48 +658,28 @@ def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[s
             if not (lo <= length(nu) <= length(lam) - i):
                 failures.append(f"term bound violated by P({nu}) in component {i}")
 
-    if not stray:
-        failures.extend(_check_exactness(flats, matrices, lam))
+    if graded:
+        failures.extend(_check_exactness(counts, mats, lam))
     return failures
 
 
-def _check_exactness(flats, matrices: list[SparseMatrix], lam: Weight) -> list[str]:
-    """Homology of the action-realized complex, degree by degree.  One pass
-    over each matrix's entries buckets them by degree, keeping an entry only
-    when its row and column degrees agree (the entry check reports others)."""
+def _check_exactness(counts: list[Counter], mats: list[dict], lam: Weight) -> list[str]:
+    """Homology of the action-realized complex, degree by degree, from each
+    component's coordinate count and each differential's matrix per degree."""
     failures: list[str] = []
-    counts: list[Counter] = []  # per component: degree -> number of coordinates
-    local: list[list[int]] = []  # per component: coordinate -> index in its degree
-    for flat in flats:
-        counts.append(Counter())
-        local.append([])
-        for _, _, _, deg in flat:
-            local[-1].append(counts[-1][deg])
-            counts[-1][deg] += 1
-    parts: list[dict[int, dict[tuple[int, int], Scalar]]] = [{} for _ in matrices]
-    for i, mat in enumerate(matrices):
-        for (r, c), v in mat.entries.items():
-            deg = flats[i][r][3]
-            if flats[i + 1][c][3] == deg:
-                parts[i].setdefault(deg, {})[(local[i][r], local[i + 1][c])] = v
-    degrees = sorted({deg for count in counts for deg in count})
     gdim_M = Counter(cell_basis(lam)[1])
-    for deg in degrees:
+    for deg in sorted(set().union(*counts)):
         dims = [count[deg] for count in counts]
-        ranks = [
-            rank(SparseMatrix(dims[i], dims[i + 1], part.get(deg, {})))
-            for i, part in enumerate(parts)
-        ]
-        # H_0 in this degree
-        h0 = dims[0] - (ranks[0] if ranks else 0)
+        # the rank of each d_i in this degree, then 0 for the map out of the last C_i
+        ranks = [rank(mat[deg]) if deg in mat else 0 for mat in mats] + [0]
+        h0 = dims[0] - ranks[0]
         if h0 != gdim_M[deg]:
             failures.append(f"H₀ wrong in degree {deg}: {h0} vs {gdim_M[deg]}")
-        for i in range(1, len(flats)):
-            rank_in = ranks[i] if i < len(ranks) else 0
-            kernel = dims[i] - (ranks[i - 1] if i - 1 < len(ranks) else 0)
-            if kernel != rank_in:
+        for i in range(1, len(counts)):
+            kernel = dims[i] - ranks[i - 1]
+            if kernel != ranks[i]:
                 failures.append(
-                    f"H_{i} ≠ 0 in degree {deg}: ker dim {kernel}, im dim {rank_in}"
+                    f"H_{i} ≠ 0 in degree {deg}: ker dim {kernel}, im dim {ranks[i]}"
                 )
     return failures
 

@@ -49,6 +49,16 @@ assumes no linearity.  ``arckit.resolve`` caches each summand's basis and
 each diagram's right action, solves only the degree-(i + 1) kernel after
 d_i and takes all of it as the generators, and is checked against these.
 
+``verify_homology_reference`` is the reference d² and exactness check of
+a resolution: the full matrix of every differential by
+``flat_differential_reference``, d² as the product of the full matrices,
+and each degree's homology ranked by the reference kernel on the entries
+bucketed out of them.  ``arckit.resolve.verify_resolution`` asks each d_i
+once for one matrix per degree of its source, checks d² on the
+generators only and ranks the per-degree matrices as they are; on a
+graded complex its d² and homology failures must equal these, message
+for message and in order.
+
 ``lift_chain_map_reference`` is the reference chain-map lift of the cone
 construction: one linear system per homological degree k, an unknown per
 degree-one basis diagram of every e_s K e_t, an equation per basis
@@ -115,6 +125,7 @@ hom^k in one tagged ``Echelon`` pass, with H from
 ``extalg._degree_classes``, and is checked against it pair by pair.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from arckit import QPoly, SparseMatrix, kl_poly_recursive
@@ -527,6 +538,52 @@ def resolve_generic_reference(lam):
             flat_differential_reference(diff, components[-1], components[-2]), flat
         )
     return ProjectiveComplex(lam, tuple(tuple(comp) for comp in components), tuple(diffs))
+
+
+def verify_homology_reference(c, lam) -> list[str]:
+    """The d² and exactness failures of ``verify_resolution`` on a complex
+    whose entries lie in their summands, from the full matrix of every
+    differential by ``flat_differential_reference``: d² is the product of
+    the full matrices, reported per (summand of C_i, summand of C_{i-2})
+    block, and the homology in each absolute degree is ranked by the
+    reference ``rank`` on the entries whose row and column have that
+    degree, bucketed out of the full matrices.  The graded dimension of
+    M(λ) is that of the diagrams of P(λ) with middle weight λ."""
+    flats = [cover_reference(comp) for comp in c.components]
+    matrices = [
+        flat_differential_reference(diff, c.components[i], c.components[i - 1])
+        for i, diff in enumerate(c.differentials, start=1)
+    ]
+    failures = []
+    for i in range(2, len(c)):
+        square = matrices[i - 2] @ matrices[i - 1]
+        blocks = {(flats[i][col][0], flats[i - 2][row][0]) for row, col in square.entries}
+        failures += [f"d²≠0 at component {i}, blocks ({s},{u})" for s, u in sorted(blocks)]
+    coords = [{} for _ in flats]  # per component: degree -> its coordinates in order
+    for flat, by_degree in zip(flats, coords):
+        for k, (_, _, _, deg) in enumerate(flat):
+            by_degree.setdefault(deg, []).append(k)
+    gdim_M = Counter(d.degree for _, d, _, _ in flats[0] if d.weight == lam)
+    for deg in sorted({deg for by_degree in coords for deg in by_degree}):
+        dims = [len(by_degree.get(deg, [])) for by_degree in coords]
+        ranks = []
+        for i, mat in enumerate(matrices):
+            rows = {r: k for k, r in enumerate(coords[i].get(deg, []))}
+            cols = {c_: k for k, c_ in enumerate(coords[i + 1].get(deg, []))}
+            entries = {
+                (rows[r], cols[c_]): v
+                for (r, c_), v in mat.entries.items()
+                if r in rows and c_ in cols
+            }
+            ranks.append(rank(SparseMatrix(len(rows), len(cols), entries)))
+        h0 = dims[0] - (ranks[0] if ranks else 0)
+        if h0 != gdim_M[deg]:
+            failures.append(f"H₀ wrong in degree {deg}: {h0} vs {gdim_M[deg]}")
+        for i in range(1, len(flats)):
+            kernel, image = dims[i] - ranks[i - 1], ranks[i] if i < len(ranks) else 0
+            if kernel != image:
+                failures.append(f"H_{i} ≠ 0 in degree {deg}: ker dim {kernel}, im dim {image}")
+    return failures
 
 
 def _degree_one_elements(source, target) -> list[OrientedCircleDiagram]:

@@ -42,6 +42,7 @@ from oracles import (
     hom_cohomology,
     lift_chain_map_reference,
     resolve_generic_reference,
+    verify_homology_reference,
 )
 
 
@@ -142,40 +143,45 @@ class TestN2Resolutions:
                 assert hom_windows_ok(lam, mu)
 
 
+def homology_lines(failures: list[str]) -> list[str]:
+    """The d² and homology lines of a ``verify_resolution`` failure list."""
+    return [f for f in failures if f.startswith(("d²", "H"))]
+
+
+def with_d2_entry_negated(c: ProjectiveComplex) -> ProjectiveComplex:
+    """The complex with the first entry of d_2 negated."""
+    d2 = dict(c.differentials[1])
+    key = min(d2)
+    d2[key] = -1 * d2[key]
+    diffs = (c.differentials[0], d2) + c.differentials[2:]
+    return ProjectiveComplex(c.weight, c.components, diffs)
+
+
+def without_last_summand_of_c1(c: ProjectiveComplex) -> ProjectiveComplex:
+    """The complex with C_1's last summand dropped, with its row of d_1 and
+    its column of d_2; C_1 is empty when that summand was its only one."""
+    last = len(c.components[1]) - 1
+    diffs = ({key: u for key, u in c.differentials[0].items() if key[0] != last},)
+    if len(c) > 2:
+        diffs += ({key: u for key, u in c.differentials[1].items() if key[1] != last},)
+    comps = (c.components[0], c.components[1][:last]) + c.components[2:]
+    return ProjectiveComplex(c.weight, comps, diffs + c.differentials[2:])
+
+
 class TestNegativeControl:
     def test_flipped_sign_breaks_d_squared(self):
         # flipping a single differential block must be caught
         lam = Weight.parse("vv^^")
         c = resolve_cone(lam)
         assert len(c) >= 3
-        flipped = []
-        for i, block in enumerate(c.differentials):
-            block = dict(block)
-            if i == 1:
-                key = sorted(block)[0]
-                block[key] = -1 * block[key]
-            flipped.append(block)
-        broken = ProjectiveComplex(c.weight, c.components, tuple(flipped))
-        failures = verify_resolution(broken, lam)
+        failures = verify_resolution(with_d2_entry_negated(c), lam)
         assert any(msg.startswith("d²≠0 at component 2") for msg in failures)
 
     def test_a_missing_generator_is_caught(self):
         # resolve_generic takes only the degree-(i + 1) kernel as generators;
         # a resolution short of one must fail the term and exactness checks
         lam = Weight.parse("v^v^v")
-        c = resolve_generic(lam)
-        last = len(c.components[1]) - 1
-        d1, d2 = c.differentials[:2]
-        short = ProjectiveComplex(
-            lam,
-            (c.components[0], c.components[1][:last]) + c.components[2:],
-            (
-                {key: u for key, u in d1.items() if key[0] != last},
-                {key: u for key, u in d2.items() if key[1] != last},
-            )
-            + c.differentials[2:],
-        )
-        failures = verify_resolution(short, lam)
+        failures = verify_resolution(without_last_summand_of_c1(resolve_generic(lam)), lam)
         assert "terms differ from the Kazhdan-Lusztig prediction" in failures
         assert any(msg.startswith("H_1 ≠ 0 in degree ") for msg in failures)
 
@@ -312,15 +318,24 @@ def with_diagrams(flat) -> list:
 class TestAgainstReference:
     @pytest.mark.parametrize("block", REFERENCE_BLOCKS)
     def test_flat_differentials(self, block):
+        # one matrix per absolute degree of the source cover, each with
+        # entries in that degree's columns only, and together the reference
         for lam in weights_in_block(*block):
             for c in (resolution(lam), resolve_generic(lam)):
                 for comp in c.components:
                     assert with_diagrams(_cover_data(comp)) == cover_reference(comp)
                 for i, diff in enumerate(c.differentials, start=1):
                     source, target = c.components[i], c.components[i - 1]
-                    assert _flat_differential(diff, source, target) == (
-                        flat_differential_reference(diff, source, target)
-                    )
+                    column_degree = [deg for *_, deg in _cover_data(source)]
+                    mats = _flat_differential(diff, source, target, sorted(set(column_degree)))
+                    union = {}
+                    for deg, mat in mats.items():
+                        assert all(column_degree[col] == deg for _, col in mat.entries)
+                        union.update(mat.entries)
+                    reference = flat_differential_reference(diff, source, target)
+                    shape = (reference.rows, reference.cols)
+                    assert all((mat.rows, mat.cols) == shape for mat in mats.values())
+                    assert union == reference.entries
 
     @pytest.mark.parametrize("block", REFERENCE_BLOCKS + [(3, 3)])
     def test_whole_resolutions(self, block):
@@ -336,10 +351,68 @@ class TestAgainstReference:
         x, y, z = (Weight.parse(w) for w in ("v^v^", "v^^v", "vv^^"))
         (d,) = [d for d in hom_basis(x, y) if d.degree == 1]
         entry = {(0, 0): AlgebraElement.from_diagram(d)}
-        _flat_differential(entry, [(x, 1)], [(y, 0)])
+        _flat_differential(entry, [(x, 1)], [(y, 0)], [1, 2])
         for source, target in ((z, y), (x, z)):
             with pytest.raises(ValueError, match="left the projective summand"):
-                _flat_differential(entry, [(source, 1)], [(target, 0)])
+                _flat_differential(entry, [(source, 1)], [(target, 0)], [1, 2])
+
+
+class TestVerifyAgainstReference:
+    # d² and exactness on the per-degree matrices against the full-matrix
+    # product and the bucketed ranks of oracles.verify_homology_reference
+    @pytest.mark.parametrize("block", REFERENCE_BLOCKS)
+    def test_every_weight(self, block):
+        for lam in weights_in_block(*block):
+            for c in (resolution(lam), resolve_generic(lam)):
+                failures = verify_resolution(c, lam)
+                assert failures == []
+                assert homology_lines(failures) == verify_homology_reference(c, lam)
+
+    @pytest.mark.parametrize("block", REFERENCE_BLOCKS[:3])
+    def test_tampered_graded_complexes(self, block):
+        # a dropped summand always changes the terms, and leaves C_1 empty
+        # when it was its only one; a negated entry that a sign change of
+        # one summand undoes still leaves a resolution
+        empty = failing = 0
+        for lam in weights_in_block(*block):
+            for c in (resolution(lam), resolve_generic(lam)):
+                if len(c) > 1:
+                    dropped = without_last_summand_of_c1(c)
+                    failures = verify_resolution(dropped, lam)
+                    assert "terms differ from the Kazhdan-Lusztig prediction" in failures
+                    assert homology_lines(failures) == verify_homology_reference(dropped, lam)
+                    empty += not dropped.components[1]
+                if len(c) > 2:
+                    negated = with_d2_entry_negated(c)
+                    expected = verify_homology_reference(negated, lam)
+                    assert homology_lines(verify_resolution(negated, lam)) == expected
+                    failing += bool(expected)
+        assert empty and failing
+
+    def test_an_ungraded_summand_fails_linearity_alone(self):
+        lam = Weight.parse("vv^^")
+        c = resolve_generic(lam)
+        (mu, _), *rest = c.components[1]
+        shifted = ProjectiveComplex(
+            lam, (c.components[0], ((mu, 2), *rest)) + c.components[2:], c.differentials
+        )
+        failures = verify_resolution(shifted, lam)
+        assert f"summand P({mu})<2> in component 1 is not linear" in failures
+        assert homology_lines(failures) == []
+
+    def test_an_entry_of_degree_two_fails_its_degree_alone(self):
+        # e_src K e_tgt has only odd degrees here, so the degree-2 diagram
+        # added, one of e_src K e_src, also lies outside its summands
+        lam = Weight.parse("vv^^")
+        c = resolve_generic(lam)
+        src = c.components[1][0][0]
+        two = next(d for d in hom_basis(src, src) if d.degree == 2)
+        d1 = dict(c.differentials[0])
+        d1[0, 0] = d1[0, 0] + AlgebraElement.from_diagram(two)
+        broken = ProjectiveComplex(lam, c.components, (d1,) + c.differentials[1:])
+        failures = verify_resolution(broken, lam)
+        assert "d_1[0,0] entry of degree 2 != 1" in failures
+        assert homology_lines(failures) == []
 
 
 def tampered(lam: Weight, old: str, new: str) -> str:
