@@ -90,9 +90,6 @@ class AlgebraElement:
     def terms(self) -> dict[OrientedCircleDiagram, Scalar]:
         return dict(self._terms)
 
-    def coeff(self, diagram: OrientedCircleDiagram) -> Scalar:
-        return self._terms.get(diagram, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -401,12 +398,12 @@ class _ProductTable:
     maps each weight to its place there.  The diagram of id x has
     ``cup[x]`` and ``cap[x]`` the positions of α and β; ``ends[α, β]`` is
     the ids of e_α K e_β in order, ``stacking[β]`` the ids with cap
-    position β (P(β)'s basis, in the order of ``projective_module``), and
-    ``ids`` maps each diagram to its id, ``find(α, ν, β)`` each triple of
-    weights.  ``product(a, b)`` is the tuple of (id, coeff) of a·b in
-    surgery order: empty when cap[a] != cup[b] (a's cap does not mirror
-    b's cup), else surgered once and kept in ``entries`` under
-    a·len(basis) + b.
+    position β (P(β)'s basis, in the order of ``projective_module``),
+    ``of_degree(α, β, d)`` those of e_α K e_β of degree d, and ``ids``
+    maps each diagram to its id, ``find(α, ν, β)`` each triple of weights.
+    ``product(a, b)`` is the tuple of (id, coeff) of a·b in surgery order:
+    empty when cap[a] != cup[b] (a's cap does not mirror b's cup), else
+    surgered once and kept in ``entries`` under a·len(basis) + b.
     """
 
     def __init__(self, m: int, n: int):
@@ -437,6 +434,9 @@ class _ProductTable:
     def find(self, alpha: Weight, nu: Weight, beta: Weight) -> int:
         """The id of (α̲ ν β̄); a KeyError when ν does not orient it."""
         return self._ids[self.position[alpha], _bits(nu.labels), self.position[beta]]
+
+    def of_degree(self, alpha: Weight, beta: Weight, d: int) -> list[int]:
+        return [x for x in self.ends.get((alpha, beta), ()) if self.degree[x] == d]
 
     def product(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
         if self.cap[a] != self.cup[b]:

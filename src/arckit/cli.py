@@ -596,6 +596,7 @@ def _text_quiver(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 _STEP = 40  # vertex spacing in user units
+_RAY = 30  # ray length in user units
 
 
 def _fmt(x: float) -> str:
@@ -621,7 +622,6 @@ def _svg_line_elements(
     cup_rays,
     caps,
     cap_rays,
-    ray_len: float = 30,
 ):
     size = len(labels)
     x = lambda p: x0 + _STEP / 2 + p * _STEP
@@ -639,14 +639,14 @@ def _svg_line_elements(
     for p in sorted(cup_rays):
         out.append(
             f'<line x1="{_fmt(x(p))}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(x(p))}" y2="{_fmt(y + ray_len)}" class="arc"/>'
+            f'x2="{_fmt(x(p))}" y2="{_fmt(y + _RAY)}" class="arc"/>'
         )
     for i, j in sorted(caps):
         out.append(f'<path d="{_arc_path(x(i), x(j), y, True)}" class="arc"/>')
     for p in sorted(cap_rays):
         out.append(
             f'<line x1="{_fmt(x(p))}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(x(p))}" y2="{_fmt(y - ray_len)}" class="arc"/>'
+            f'x2="{_fmt(x(p))}" y2="{_fmt(y - _RAY)}" class="arc"/>'
         )
 
 

@@ -39,7 +39,7 @@ __all__ = [
     "bruhat_leq",
     "associated_cup_diagram",
     "associated_cap_diagram",
-    "nesting",
+    "total_nesting",
 ]
 
 UP = "^"
@@ -417,14 +417,6 @@ class OrientedCircleDiagram:
         return f"OrientedCircleDiagram({str(self)!r})"
 
 
-def nesting(diagram: CupDiagram | CapDiagram, i: int) -> int:
-    """Number of cups nested inside cup i (cups ordered by right endpoint)."""
-    cups = diagram.cups_sorted()
-    if not 0 <= i < len(cups):
-        raise IndexError(f"cup index {i} out of range")
-    lo, hi = cups[i]
-    return sum(1 for a, b in cups if lo < a and b < hi)
-
-
 def total_nesting(diagram: CupDiagram | CapDiagram) -> int:
-    return sum(nesting(diagram, i) for i in range(len(diagram.cups)))
+    """The number of pairs of cups of which one is nested inside the other."""
+    return sum(lo < a and b < hi for lo, hi in diagram.cups for a, b in diagram.cups)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .arcalg import AlgebraElement, _product_table, hom_basis, idempotent, multiply
+from .arcalg import _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
 from .repmod import cell_basis
@@ -138,13 +138,13 @@ def zero_hom(lam: Weight, mu: Weight, k: int, j: int) -> HomElement:
 
 def _from_blocks(lam: Weight, mu: Weight, k: int, j: int, blocks) -> HomElement:
     """The element whose block from summand s of component p to summand t
-    of component p−k is the sum of the algebra elements given for it in
-    ``blocks``, an iterable of ((p, s, t), element)."""
-    ids, index = _product_table(*lam.block).ids, _hom_index(lam, mu, k)
+    of component p−k is the sum of the (basis id, coeff) terms given for it
+    in ``blocks``, an iterable of ((p, s, t), terms)."""
+    index = _hom_index(lam, mu, k)
     coords: dict[int, Scalar] = {}
-    for (p, s, t), u in blocks:
-        for diagram, c in u:
-            where = index[p, s, t] + ids[diagram]
+    for (p, s, t), terms in blocks:
+        for x, c in terms:
+            where = index[p, s, t] + x
             coords[where] = coords.get(where, 0) + c
     return hom_element(lam, mu, k, coords, j)
 
@@ -152,7 +152,7 @@ def _from_blocks(lam: Weight, mu: Weight, k: int, j: int, blocks) -> HomElement:
 def identity_element(lam: Weight) -> HomElement:
     """The identity chain map of P_•(λ)."""
     blocks = (
-        ((p, s, s), idempotent(nu))
+        ((p, s, s), _canonical_entry(nu, nu, 0))
         for p, comp in enumerate(resolution(lam).components)
         for s, (nu, _) in enumerate(comp)
     )
@@ -452,37 +452,40 @@ class ExtClass:
         return self.element.j
 
 
-def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> AlgebraElement:
-    """The canonical degree-d element of e_ν K e_ν'.
+def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> tuple[tuple[int, Scalar], ...]:
+    """The canonical degree-d element of e_ν K e_ν', as (basis id, coeff) terms.
 
     Degree 0 demands ν = ν' (the idempotent).  Between distinct weights
     every graded piece is at most one-dimensional, so the basis diagram of
     the requested degree is unique; equal weights in positive degree are
     resolved as a composition through the neighbour (s|s−1).
     """
-    if degree == 0:
-        if nu != nu2:
-            raise AssertionError("degree-0 entries exist only between equal weights")
-        return idempotent(nu)
-    if nu == nu2:
-        if degree != 2:
-            raise AssertionError("equal-weight entries only occur in degree 0 or 2")
+    table = _product_table(*nu.block)
+    if nu == nu2 and degree:
         s, t = nu.to_kl()
-        if t != s - 2:
-            raise AssertionError("the composed loop is only used at (s|s-2)")
+        if (degree, t) != (2, s - 2):
+            raise AssertionError("the only equal-weight loop is of degree 2 at (s|s-2)")
         mid = Weight.from_kl(nu.block[0], s, s - 1)
-        return multiply(
-            _canonical_entry(nu, mid, 1), _canonical_entry(mid, nu, 1)
-        )
-    found = [d for d in hom_basis(nu, nu2) if d.degree == degree]
+        return _times(table, _canonical_entry(nu, mid, 1), _canonical_entry(mid, nu, 1))
+    if degree == 0 and nu != nu2:
+        raise AssertionError("degree-0 entries exist only between equal weights")
+    found = table.of_degree(nu, nu2, degree)
     if len(found) > 1:
         raise AssertionError(
             f"expected at most one degree-{degree} diagram from {nu} to {nu2}, "
             f"found {len(found)}"
         )
-    if not found:
-        return AlgebraElement()
-    return AlgebraElement.from_diagram(found[0])
+    return tuple((x, 1) for x in found)
+
+
+def _times(table, first, second) -> tuple[tuple[int, Scalar], ...]:
+    """The product of two elements given as (basis id, coeff) terms."""
+    out: dict[int, Scalar] = {}
+    for a, c in first:
+        for b, c2 in second:
+            for x, v in table.product(a, b):
+                out[x] = out.get(x, 0) + c * c2 * v
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -520,8 +523,8 @@ def _build_by_rules(lam: Weight, mu: Weight, k: int, j: int, rules) -> HomElemen
                 if t is None:
                     continue
                 nu2 = tgt.components[q][t][0]
-                value = (-1) ** exponent * _canonical_entry(nu, nu2, degree)
-                blocks.append(((p, s, t), value))
+                sign, terms = (-1) ** exponent, _canonical_entry(nu, nu2, degree)
+                blocks.append(((p, s, t), [(x, sign * c) for x, c in terms]))
     return _from_blocks(lam, mu, k, j, blocks)
 
 
@@ -919,16 +922,12 @@ def _degree_classes(
 
 
 def find_homotopy(f: HomElement) -> HomElement | None:
-    """H with d(H) = f, by a deterministic solve, or None if f is not a
-    coboundary.  f = 0 yields the zero homotopy."""
-    if f.is_zero():
-        return zero_hom(f.source, f.target, f.k - 1, f.j)
-    lam, mu, k = f.source, f.target, f.k
-    matrix = _differential_matrix(lam, mu, k - 1)
-    solution = solve(matrix, f.coords)
-    if solution is None:
+    """H with d(H) = f, the homotopy of ``decompose(f, [])``, or None if f
+    is not a coboundary.  f = 0 yields the zero homotopy."""
+    try:
+        return decompose(f, [])[1]
+    except ArithmeticError:
         return None
-    return hom_element(lam, mu, k - 1, solution, f.j)
 
 
 def decompose(f: HomElement, classes: list[ExtClass] | None = None):
@@ -976,17 +975,13 @@ def end_quiver(m: int, n: int) -> dict:
     ordered pair); relations are the kernel vectors of the multiplication
     from paths of length two into degree 2.
     """
-    vertices = weights_in_block(m, n)
-    arrows = []
-    for lam in vertices:
-        for mu in vertices:
-            if lam == mu:
-                continue
-            degree_one = [d for d in hom_basis(lam, mu) if d.degree == 1]
-            if len(degree_one) > 1:
-                raise AssertionError("more than one degree-1 arrow between weights")
-            if degree_one:
-                arrows.append((lam, mu))
+    vertices, table = weights_in_block(m, n), _product_table(m, n)
+    arrows = [
+        (lam, mu)
+        for lam in vertices
+        for mu in vertices
+        if lam != mu and _canonical_entry(lam, mu, 1)
+    ]
     arrow_set = set(arrows)
     relations = []
     for lam in vertices:
@@ -998,21 +993,17 @@ def end_quiver(m: int, n: int) -> dict:
             ]
             if not paths:
                 continue
-            degree_two = sorted(
-                (d for d in hom_basis(lam, mu) if d.degree == 2), key=str
-            )
-            index = {d: i for i, d in enumerate(degree_two)}
-            entries: dict[tuple[int, int], Scalar] = {}
-            for col, (_, nu, _) in enumerate(paths):
-                product = multiply(
-                    _canonical_entry(lam, nu, 1), _canonical_entry(nu, mu, 1)
+            # the rows, degree two of e_λ K e_μ, in id order: no order of
+            # them changes the kernel basis, which reads the RREF
+            index = {x: i for i, x in enumerate(table.of_degree(lam, mu, 2))}
+            entries = {
+                (index[x], col): v
+                for col, (_, nu, _) in enumerate(paths)
+                for x, v in _times(
+                    table, _canonical_entry(lam, nu, 1), _canonical_entry(nu, mu, 1)
                 )
-                for diagram, coeff in product:
-                    if diagram.degree == 2:
-                        entries[(index[diagram], col)] = (
-                            entries.get((index[diagram], col), 0) + coeff
-                        )
-            matrix = SparseMatrix(len(degree_two), len(paths), entries)
+            }
+            matrix = SparseMatrix(len(index), len(paths), entries)
             for vec in kernel_basis(matrix):
                 relations.append([(coeff, paths[i]) for i, coeff in vec.items()])
     return {"vertices": vertices, "arrows": arrows, "relations": relations}

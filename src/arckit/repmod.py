@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arcalg import AlgebraElement, _product_table, hom_basis
+from .arcalg import AlgebraElement, _product_table
 from .diagrams import (
     DOWN,
     OrientedCircleDiagram,
@@ -70,11 +70,10 @@ def decomposition_matrix(m: int, n: int) -> dict[tuple[Weight, Weight], QPoly]:
 
 
 def cartan_poly(lam: Weight, mu: Weight) -> QPoly:
-    """c_{λ,μ}(q): graded dimension of e_λ K e_μ by direct basis count."""
-    out: dict[int, int] = {}
-    for diagram in hom_basis(lam, mu):
-        out[diagram.degree] = out.get(diagram.degree, 0) + 1
-    return QPoly(out)
+    """c_{λ,μ}(q): graded dimension of e_λ K e_μ by direct basis count (a
+    diagram's degree counts some of its cups and caps, so it is at most λ.size)."""
+    table = _product_table(*lam.block)
+    return QPoly({d: len(table.of_degree(lam, mu, d)) for d in range(lam.size + 1)})
 
 
 def cartan_matrix(m: int, n: int) -> dict[tuple[Weight, Weight], QPoly]:

@@ -164,7 +164,7 @@ def _canonical_inclusion(source: Weight, target: Weight) -> AlgebraElement:
     """The canonical degree-one morphism P(source) → P(target): the unique
     degree-one basis diagram of e_source K e_target with coefficient +1."""
     table = _product_table(*source.block)
-    ids = [x for x in table.ends[source, target] if table.degree[x] == 1]
+    ids = table.of_degree(source, target, 1)
     if len(ids) != 1:
         raise ValueError(
             f"expected a unique degree-one diagram from {source} to {target}, got {len(ids)}"
@@ -576,10 +576,24 @@ def _homogeneous_kernel(
 # ---------------------------------------------------------------------------
 
 
-def _stray_entries(c: ProjectiveComplex) -> list[str]:
-    """The entries of d_i[s,t] outside e_s K e_t, or naming a summand that
-    C_i or C_{i-1} lacks; ``_flat_differential`` cannot place them."""
-    failures = []
+def _shape_failures(c: ProjectiveComplex, lam: Weight) -> list[str]:
+    """What keeps c from being a complex of linear projectives of λ's block
+    on P(λ)⟨0⟩ whose entries are of degree one inside their summands: a
+    summand that is not linear or lies in another block, a wrong component
+    0, and each entry naming a summand that C_i or C_{i-1} lacks, lying
+    outside e_s K e_t (``_flat_differential`` cannot place these) or of a
+    degree other than one.  d² and exactness are read only on a complex
+    with none of these, and a cache entry with any of them is a miss."""
+    failures = [
+        f"summand P({w})<{j}> in component {i} is not linear"
+        for i, comp in enumerate(c.components) for w, j in comp if j != i
+    ]
+    failures += [
+        f"summand P({w}) in component {i} lies in another block"
+        for i, comp in enumerate(c.components) for w, _ in comp if w.block != lam.block
+    ]
+    if c.components[0] != ((lam, 0),):
+        failures.append("component 0 is not P(λ)<0>")
     for i, diff in enumerate(c.differentials, start=1):
         for (s, t), u in diff.items():
             if not (0 <= s < len(c.components[i]) and 0 <= t < len(c.components[i - 1])):
@@ -591,41 +605,26 @@ def _stray_entries(c: ProjectiveComplex) -> list[str]:
                 for diag, _ in u
                 if _entry_id(diag, src, tgt) is None
             ]
-    return failures
+    return failures + [
+        f"d_{i}[{s},{t}] entry of degree {d.degree} != 1"
+        for i, diff in enumerate(c.differentials, start=1)
+        for (s, t), u in diff.items() for d, _ in u if d.degree != 1
+    ]
 
 
 def verify_resolution(c: ProjectiveComplex, lam: Weight | None = None) -> list[str]:
     """Check the complex is a linear projective resolution of M(λ).
 
     Returns a list of human-readable failures (empty when everything
-    passes): linearity, entry degrees and hom spaces, d² = 0, term match
+    passes): the shape checks of ``_shape_failures``, d² = 0, term match
     with the Kazhdan-Lusztig prediction, and exactness by exact ranks on
-    the action-realized complex.  d² and exactness need a graded complex
-    (every summand linear, every entry of degree one inside its summands)
-    and are skipped on any other, which has failed a check above already;
-    they read each d_i once, one matrix per degree of C_i, and d² only in
-    degree i, on C_i's generators.
+    the action-realized complex.  d² and exactness run only when the
+    shape checks pass; they read each d_i once, one matrix per degree of
+    C_i, and d² only in degree i, on C_i's generators.
     """
     lam = lam if lam is not None else c.weight
-
-    # linearity and component-0 shape
-    nonlinear = [
-        f"summand P({w})<{j}> in component {i} is not linear"
-        for i, comp in enumerate(c.components) for w, j in comp if j != i
-    ]
-    failures = list(nonlinear)
-    if c.components[0] != ((lam, 0),):
-        failures.append("component 0 is not P(λ)<0>")
-
-    # entries: correct hom space, degree one
-    stray = _stray_entries(c)
-    wrong_degree = [
-        f"d_{i}[{s},{t}] entry of degree {d.degree} != 1"
-        for i, diff in enumerate(c.differentials, start=1)
-        for (s, t), u in diff.items() for d, _ in u if d.degree != 1
-    ]
-    failures += stray + wrong_degree
-    graded = not (nonlinear or stray or wrong_degree)
+    failures = _shape_failures(c, lam)
+    graded = not failures
 
     # d² = 0, on the action-realized complex: d_{i-1}·d_i kills every
     # basis vector of summand s of C_i exactly when it kills its generator,
@@ -730,10 +729,9 @@ class ResolutionCache:
     """Resolutions in the on-disk store under ``directory`` (see
     :mod:`arckit.cache`), one entry per (m, n, weight, method) key.
 
-    An entry that does not parse, or whose complex has a component 0 other
-    than P(λ)⟨0⟩, a summand of another block or an entry outside its
-    summands, is damaged and loads as a miss, so the caller recomputes and
-    overwrites it."""
+    An entry that does not parse, or whose complex fails a shape check of
+    :func:`verify_resolution` (``_shape_failures``), is damaged and loads
+    as a miss, so the caller recomputes and overwrites it."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -749,10 +747,7 @@ class ResolutionCache:
             c = _deserialize(Weight.parse(key[2]), body)
         except (ValueError, LookupError, ArithmeticError):  # does not parse: a miss
             return None
-        blocks = {nu.block for comp in c.components for nu, _ in comp}
-        if c.components[0] != ((c.weight, 0),) or blocks != {c.weight.block} or _stray_entries(c):
-            return None
-        return c
+        return None if _shape_failures(c, c.weight) else c
 
     def store(self, key: tuple[int, int, str, str], c: ProjectiveComplex) -> None:
         cache.store(self._path(key), _serialize(c))

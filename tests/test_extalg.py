@@ -214,6 +214,19 @@ class TestMultiplicationTable:
                     witnessed += 1
         assert witnessed > 0
 
+    def test_find_homotopy_of_zero_and_of_a_class(self):
+        # f = 0 has the zero homotopy of bidegree (k - 1, j); a basis class
+        # is a cocycle but no coboundary, so it has none
+        ws = weights_in_block(2, 2)
+        tried = 0
+        for lam, mu in iproduct(ws, repeat=2):
+            for c in ext_basis(lam, mu):
+                zero = extalg.zero_hom(lam, mu, c.k, c.j)
+                assert find_homotopy(zero) == extalg.zero_hom(lam, mu, c.k - 1, c.j)
+                assert find_homotopy(c.element) is None
+                tried += 1
+        assert tried > 20
+
 
 class TestHomotopyRegressions:
     """The explicit homotopies hit their targets under the hom

@@ -634,13 +634,16 @@ class TestCache:
 
     def test_a_summand_of_another_block_is_a_miss(self, tmp_path):
         # P(^v)<4>, a projective of (1|1), next to C_4 = P(^^vv)<4>; no entry
-        # names it, so every entry still lies in its summands
+        # names it, so every entry still lies in its summands and the block
+        # is the one shape check it fails
         cache = ResolutionCache(str(tmp_path))
         lam = Weight.parse("vv^^")
         key = (2, 2, str(lam), "generic")
         body = tampered(lam, "summand 4 ^^vv 4\n", "summand 4 ^^vv 4\nsummand 4 ^v 4\n")
         arckit.cache.store(cache._path(key), body)
-        assert not resolve._stray_entries(resolve._deserialize(lam, body))
+        assert resolve._shape_failures(resolve._deserialize(lam, body), lam) == [
+            "summand P(^v) in component 4 lies in another block"
+        ]
         assert cache.load(key) is None
 
     def test_failed_store_keeps_the_old_entry(self, tmp_path, monkeypatch):
