@@ -388,6 +388,15 @@ def _carry(plan: tuple[_Step, ...], size: int, state: int) -> dict[int, int]:
     return {state & low: coeff for state, coeff in states.items()}
 
 
+Terms = tuple[tuple[int, Scalar], ...]
+
+
+def id_terms(coeffs: Mapping[int, Scalar]) -> Terms:
+    """An element of K as (basis id, coeff) terms of its block's table:
+    increasing ids, nonzero coefficients, normalised by ``exact.rational``."""
+    return tuple((x, rational(c)) for x, c in sorted(coeffs.items()) if c)
+
+
 class _ProductTable:
     """The basis of one block, its diagrams numbered by their position (id),
     and the products of those numbers.
@@ -452,6 +461,15 @@ class _ProductTable:
                 (self._ids[self.cup[a], s, self.cap[b]], c) for s, c in states.items()
             )
         return entry
+
+    def times(self, first: Terms, second: Terms) -> Terms:
+        """The product of two elements given as ``id_terms``, as such."""
+        out: dict[int, Scalar] = {}
+        for a, c in first:
+            for b, c2 in second:
+                for x, v in self.product(a, b):
+                    out[x] = out.get(x, 0) + c * c2 * v
+        return id_terms(out)
 
 
 _product_table = lru_cache(maxsize=None)(_ProductTable)  # one table per block (m, n)
@@ -581,26 +599,23 @@ class Matching:
         return (m - 1, n - 1)
 
 
-def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
-    """The geometric-bimodule functor for t_i on morphisms between
-    projectives: insert a 'v^' pair at (i, i+1) into the middle weight and
-    a matching cup/cap pair into both halves of every basis diagram (the
-    image diagrams are the objects of ``basis``).  The pair inserted into
-    α̲ is the cup of α with 'v^' inserted, so (α̲ ν β̄) goes to the
-    diagram of the three weights with 'v^' inserted at i."""
-    i = t.i
+def _functor_id(t: Matching, x: int) -> int:
+    """The geometric-bimodule functor for t_i on basis ids: a 'v^' pair at
+    (i, i+1) in the middle weight and a cup/cap pair in both halves, so
+    (α̲ ν β̄) of t's target block goes to the id, in its source block, of
+    the diagram of the three weights with 'v^' inserted at i."""
     source, target = _product_table(*t.source_block), _product_table(*t.target_block)
-    out: dict[OrientedCircleDiagram, Scalar] = {}
-    for diagram, coeff in element:
+    alpha, beta = target.weights[target.cup[x]], target.weights[target.cap[x]]
+    return source.find(*(w.insert_down_up(t.i) for w in (alpha, target.diagrams[x].weight, beta)))
+
+
+def functor_image(t: Matching, element: AlgebraElement) -> AlgebraElement:
+    """The functor for t_i on morphisms between projectives, ``_functor_id``
+    on every basis diagram (the image diagrams are the objects of ``basis``)."""
+    source, target = _product_table(*t.source_block), _product_table(*t.target_block)
+    for diagram, _ in element:
         if diagram.weight.block != t.target_block:
             raise ValueError(
                 f"element lives in block {diagram.weight.block}, expected {t.target_block}"
             )
-        x = target.ids[diagram]
-        alpha, nu, beta = (
-            w.insert_down_up(i)
-            for w in (target.weights[target.cup[x]], diagram.weight, target.weights[target.cap[x]])
-        )
-        new = source.diagrams[source.find(alpha, nu, beta)]
-        out[new] = out.get(new, 0) + coeff
-    return AlgebraElement(out)
+    return AlgebraElement({source.diagrams[_functor_id(t, target.ids[d])]: c for d, c in element})

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .arcalg import _product_table
+from .arcalg import Terms, _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
 from .repmod import cell_basis
@@ -302,14 +302,13 @@ def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
 
 @lru_cache(maxsize=None)
 def _by_summand(lam: Weight) -> tuple[list[dict], list[dict]]:
-    """Per differential of ``resolution(λ)``, its entries as (basis id,
-    coeff) terms grouped, in entry order, by the summand they leave,
+    """Per differential of ``resolution(λ)``, its entries (``id_terms``)
+    grouped, in entry order, by the summand they leave,
     s -> [(t, terms), ...], and by the one they enter, t -> [(s, terms), ...]."""
-    ids, leaving, entering = _product_table(*lam.block).ids, [], []
+    leaving, entering = [], []
     for diff in resolution(lam).differentials:
         out, into = {}, {}
-        for (s, t), u in diff.items():
-            terms = tuple((ids[d], c) for d, c in u)
+        for (s, t), terms in diff.items():
             out.setdefault(s, []).append((t, terms))
             into.setdefault(t, []).append((s, terms))
         leaving.append(out)
@@ -371,7 +370,7 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
             if s in rows and t in cols:
                 (row, v_s), (col, v_t) = rows[s], cols[t]
                 for z, c in u:
-                    for x, a in table.product(table.ids[z], reps[v_t]):
+                    for x, a in table.product(z, reps[v_t]):
                         if x == reps[v_s]:
                             entries[row, col] = entries.get((row, col), 0) + c * a
         ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))
@@ -452,7 +451,7 @@ class ExtClass:
         return self.element.j
 
 
-def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> tuple[tuple[int, Scalar], ...]:
+def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> Terms:
     """The canonical degree-d element of e_ν K e_ν', as (basis id, coeff) terms.
 
     Degree 0 demands ν = ν' (the idempotent).  Between distinct weights
@@ -466,7 +465,7 @@ def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> tuple[tuple[int, S
         if (degree, t) != (2, s - 2):
             raise AssertionError("the only equal-weight loop is of degree 2 at (s|s-2)")
         mid = Weight.from_kl(nu.block[0], s, s - 1)
-        return _times(table, _canonical_entry(nu, mid, 1), _canonical_entry(mid, nu, 1))
+        return table.times(_canonical_entry(nu, mid, 1), _canonical_entry(mid, nu, 1))
     if degree == 0 and nu != nu2:
         raise AssertionError("degree-0 entries exist only between equal weights")
     found = table.of_degree(nu, nu2, degree)
@@ -476,16 +475,6 @@ def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> tuple[tuple[int, S
             f"found {len(found)}"
         )
     return tuple((x, 1) for x in found)
-
-
-def _times(table, first, second) -> tuple[tuple[int, Scalar], ...]:
-    """The product of two elements given as (basis id, coeff) terms."""
-    out: dict[int, Scalar] = {}
-    for a, c in first:
-        for b, c2 in second:
-            for x, v in table.product(a, b):
-                out[x] = out.get(x, 0) + c * c2 * v
-    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -999,9 +988,7 @@ def end_quiver(m: int, n: int) -> dict:
             entries = {
                 (index[x], col): v
                 for col, (_, nu, _) in enumerate(paths)
-                for x, v in _times(
-                    table, _canonical_entry(lam, nu, 1), _canonical_entry(nu, mu, 1)
-                )
+                for x, v in table.times(_canonical_entry(lam, nu, 1), _canonical_entry(nu, mu, 1))
             }
             matrix = SparseMatrix(len(index), len(paths), entries)
             for vec in kernel_basis(matrix):

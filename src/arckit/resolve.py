@@ -28,9 +28,11 @@ Two independent constructions are provided:
 
 Both return :class:`ProjectiveComplex`.  Differentials point from
 component i to component i-1, each entry being a degree-one element of
-e_μ K e_ν acting by right multiplication.  For n ≤ 2 the cone output is
-post-normalized (rescaling projective summands by units) onto the explicit
-sign tables; see :func:`sign_target_n1` / :func:`sign_target_n2`.
+e_μ K e_ν acting by right multiplication, held as basis ids of the block's
+product table; diagrams appear only in :meth:`ProjectiveComplex.entry` and
+the cache format.  For n ≤ 2 the cone output is post-normalized (rescaling
+summands by units) onto the explicit sign tables; see
+:func:`sign_target_n1` / :func:`sign_target_n2`.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cache
-from .arcalg import (
-    AlgebraElement,
-    Matching,
-    _product_table,
-    functor_image,
-    multiply,
-)
+from .arcalg import AlgebraElement, Matching, Terms, _functor_id, _product_table, id_terms
 from .diagrams import (
     OrientedCircleDiagram,
     Weight,
@@ -90,8 +86,8 @@ class ProjectiveComplex:
     ``components[i]`` lists the summands of C_i as (weight, internal shift)
     pairs; ``differentials[i-1]`` is the matrix of d_i : C_i → C_{i-1},
     keyed by (source summand index, target summand index), with entries in
-    e_source K e_target acting by right multiplication.  Component 0 is the
-    single summand P(λ)⟨0⟩ carrying the augmentation onto M(λ).
+    e_source K e_target acting by right multiplication, as ``id_terms``.
+    Component 0 is the single summand P(λ)⟨0⟩ carrying the augmentation.
 
     The memoized constructions (the cone recursion, ``extalg.resolution``)
     hand the same instance to every caller, so a complex, and the dicts of
@@ -100,7 +96,7 @@ class ProjectiveComplex:
 
     weight: Weight
     components: tuple[tuple[tuple[Weight, int], ...], ...]
-    differentials: tuple[dict[tuple[int, int], AlgebraElement], ...]
+    differentials: tuple[dict[tuple[int, int], Terms], ...]
 
     def __post_init__(self):
         if len(self.differentials) != max(len(self.components) - 1, 0):
@@ -114,27 +110,12 @@ class ProjectiveComplex:
         return self.weight.block
 
     def entry(self, i: int, s: int, t: int) -> AlgebraElement:
-        """The block of d_i from summand s of C_i to summand t of C_{i-1}."""
-        return self.differentials[i - 1].get((s, t), AlgebraElement())
+        """The block of d_i from summand s of C_i to summand t of C_{i-1}, in K."""
+        terms = self.differentials[i - 1].get((s, t), ())
+        return AlgebraElement({_product_table(*self.block).diagrams[x]: c for x, c in terms})
 
     def terms(self) -> list[list[Weight]]:
         return [sorted((w for w, _ in comp), key=lambda w: str(w)) for comp in self.components]
-
-    def rescale_summands(self, units: list[list[Scalar]]) -> "ProjectiveComplex":
-        """Change basis by a unit on each summand (an isomorphism).
-
-        An entry from summand s of C_i to summand t of C_{i-1} picks up the
-        factor units[i][s] / units[i-1][t].
-        """
-        new_diffs = []
-        for i, diff in enumerate(self.differentials, start=1):
-            new_diffs.append(
-                {
-                    (s, t): quotient(units[i][s], units[i - 1][t]) * u
-                    for (s, t), u in diff.items()
-                }
-            )
-        return ProjectiveComplex(self.weight, self.components, tuple(new_diffs))
 
 
 def expected_terms(lam: Weight) -> list[list[tuple[Weight, int]]]:
@@ -160,23 +141,20 @@ def expected_terms(lam: Weight) -> list[list[tuple[Weight, int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_inclusion(source: Weight, target: Weight) -> AlgebraElement:
+def _canonical_inclusion(source: Weight, target: Weight) -> Terms:
     """The canonical degree-one morphism P(source) → P(target): the unique
     degree-one basis diagram of e_source K e_target with coefficient +1."""
-    table = _product_table(*source.block)
-    ids = table.of_degree(source, target, 1)
+    ids = _product_table(*source.block).of_degree(source, target, 1)
     if len(ids) != 1:
         raise ValueError(
             f"expected a unique degree-one diagram from {source} to {target}, got {len(ids)}"
         )
-    return AlgebraElement.from_diagram(table.diagrams[ids[0]])
+    return ((ids[0], 1),)
 
 
 def _lift_chain_map(
-    f0: AlgebraElement,
-    lower: ProjectiveComplex,
-    upper: ProjectiveComplex,
-) -> list[dict[tuple[int, int], AlgebraElement]]:
+    f0: Terms, lower: ProjectiveComplex, upper: ProjectiveComplex
+) -> list[dict[tuple[int, int], Terms]]:
     """Degreewise lift of f0 to a chain map f_k : lower_k → upper_k.
 
     ``lower`` is the complex being shifted into the cone (P_•(λ'')⟨1⟩),
@@ -189,7 +167,7 @@ def _lift_chain_map(
     block of d^upper_k's degree-one matrix with free variables set to 0.
     """
     table = _product_table(*upper.block)
-    fs: list[dict[tuple[int, int], AlgebraElement]] = [{(0, 0): f0}]
+    fs = [{(0, 0): f0}]
     flat = _cover_data(upper.components[0])
     for k in range(1, len(lower)):
         # past the end of upper, f_k = 0 and each solve only checks f_{k-1}∘d = 0
@@ -204,10 +182,10 @@ def _lift_chain_map(
             vec = rhs.setdefault(s, {})
             for u in range(len(dst)):
                 if (t, u) in fs[k - 1]:
-                    for d, c in multiply(dl, fs[k - 1][t, u]):
-                        r = row_of[u, table.ids[d]]
+                    for y, c in table.times(dl, fs[k - 1][t, u]):
+                        r = row_of[u, y]
                         vec[r] = vec.get(r, 0) + c
-        fk: dict[tuple[int, int], dict[OrientedCircleDiagram, Scalar]] = {}
+        fk: dict[tuple[int, int], dict[int, Scalar]] = {}
         for s, (nu, _) in enumerate(lower.components[k]):
             cols, block = blocks.get(nu, ([], SparseMatrix(len(row_of), 0)))
             solution = solve(block, rhs.get(s, {}))
@@ -215,8 +193,8 @@ def _lift_chain_map(
                 raise AssertionError("chain-map lift has no solution")
             for local, x in solution.items():
                 t, y, _, _ = flat[cols[local]]
-                fk.setdefault((s, t), {})[table.diagrams[y]] = x
-        fs.append({key: AlgebraElement(terms) for key, terms in fk.items()})
+                fk.setdefault((s, t), {})[y] = x
+        fs.append({key: id_terms(terms) for key, terms in fk.items()})
     return fs
 
 
@@ -224,7 +202,8 @@ def _apply_functor(t: Matching, complex_: ProjectiveComplex) -> ProjectiveComple
     """G^{t_i} applied to a whole complex, then shifted ⟨1⟩.
 
     G^{t_i} P(γ)⟨j⟩ = P(γ with 'v^' inserted at i)⟨j-1⟩, so after the
-    global ⟨1⟩ each summand keeps its shift and the complex stays linear.
+    global ⟨1⟩ each summand keeps its shift and the complex stays linear;
+    each entry's ids go through ``_functor_id``, which is injective.
     """
     i = t.i
     comps = tuple(
@@ -232,7 +211,7 @@ def _apply_functor(t: Matching, complex_: ProjectiveComplex) -> ProjectiveComple
         for comp in complex_.components
     )
     diffs = tuple(
-        {key: functor_image(t, u) for key, u in diff.items()}
+        {key: tuple(sorted((_functor_id(t, x), c) for x, c in u)) for key, u in diff.items()}
         for diff in complex_.differentials
     )
     new_weight = complex_.weight.insert_down_up(i)
@@ -282,22 +261,19 @@ def _resolve_cone_raw(lam: Weight) -> ProjectiveComplex:
             else []
         )
         comps.append(tuple(part_u + part_l))
-    diffs: list[dict[tuple[int, int], AlgebraElement]] = []
+    diffs = []
     for k in range(1, total):
         nu_u = len(upper.components[k]) if k < len(upper) else 0
         nu_prev = len(upper.components[k - 1]) if k - 1 < len(upper) else 0
-        diff: dict[tuple[int, int], AlgebraElement] = {}
         # upper part keeps its differential
-        if k < len(upper):
-            for (s, tgt), u in upper.differentials[k - 1].items():
-                diff[(s, tgt)] = u
+        diff = dict(upper.differentials[k - 1]) if k < len(upper) else {}
         # lower part: f in column block of upper, -d in its own block
         if 1 <= k <= len(lower):
             for (s, tgt), u in fs[k - 1].items():
                 diff[(nu_u + s, tgt)] = u
             if k >= 2:
                 for (s, tgt), u in lower.differentials[k - 2].items():
-                    diff[(nu_u + s, nu_prev + tgt)] = -u
+                    diff[(nu_u + s, nu_prev + tgt)] = tuple((x, -c) for x, c in u)
         diffs.append(diff)
     return ProjectiveComplex(lam, tuple(comps), tuple(diffs))
 
@@ -380,26 +356,31 @@ def _normalize_signs(c: ProjectiveComplex) -> ProjectiveComplex:
     One sweep in homological order fixes every unit: C_0 = P(λ) keeps
     unit 1, and a linear resolution is minimal, so every summand of C_i
     (i ≥ 1) has an entry into C_{i−1}, whose units are already fixed.
+    Rescaling multiplies the entry from summand s of C_i to summand t of
+    C_{i-1} by units[i][s] / units[i-1][t], so once one unit per summand
+    fits all its entries, each entry is its sign times its diagram.
     """
     units: list[list[Scalar]] = [[1]]
+    diffs = []
     for i in range(1, len(c)):
         row: list[Scalar | None] = [None] * len(c.components[i])
+        diff = {}
         for (s, t), u in c.differentials[i - 1].items():
-            terms = list(u)
-            if len(terms) != 1:
+            if len(u) != 1:
                 raise AssertionError("differential block not a single diagram")
-            _, coeff = terms[0]
-            # the entry picks up units[i][s] / units[i-1][t] (blocks live in
-            # 1-dim spaces, so the entry is coeff times the canonical diagram)
-            unit = quotient(_target_sign(c, i, s, t) * units[i - 1][t], coeff)
+            ((x, coeff),) = u
+            sign = _target_sign(c, i, s, t)
+            unit = quotient(sign * units[i - 1][t], coeff)
             if row[s] is None:
                 row[s] = unit
             elif row[s] != unit:
                 raise AssertionError("sign table is not reachable by rescaling summands")
+            diff[s, t] = ((x, sign),)
         if None in row:
             raise AssertionError(f"a summand of C_{i} has no entry into C_{i - 1}")
         units.append(row)
-    return c.rescale_summands(units)
+        diffs.append(diff)
+    return ProjectiveComplex(c.weight, c.components, tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +428,16 @@ def _offsets(summands: list[tuple[Weight, int]]) -> list[int]:
     return out
 
 
-def _entry_id(d: OrientedCircleDiagram, source: Weight, target: Weight) -> int | None:
-    """The id of d when d lies in e_source K e_target: it has an id in the
-    block's table whose cup and cap positions are those of the two
-    weights.  None otherwise, also for a diagram of another block."""
+def _in_summands(x: int, source: Weight, target: Weight) -> bool:
+    """Whether x is the id of a diagram of e_source K e_target: an id of
+    source's block table whose cup and cap are the two weights."""
     table = _product_table(*source.block)
-    x = table.ids.get(d)
-    if x is None or table.weights[table.cup[x]] != source or table.weights[table.cap[x]] != target:
-        return None
-    return x
+    return 0 <= x < len(table.degree) and (
+        table.weights[table.cup[x]], table.weights[table.cap[x]]
+    ) == (source, target)
 
 
-def _flat_differential(
-    diff: dict[tuple[int, int], AlgebraElement], source, target, degrees
-) -> dict[int, SparseMatrix]:
+def _flat_differential(diff: dict, source, target, degrees) -> dict[int, SparseMatrix]:
     """The matrices of a differential between the covers of the summand
     lists ``source`` and ``target`` in flat coordinates (columns are the
     source basis), one per absolute degree D in ``degrees``, all filled in
@@ -472,9 +449,8 @@ def _flat_differential(
     parts: dict[int, dict[tuple[int, int], Scalar]] = {deg: {} for deg in degrees}
     for (s, t), u in diff.items():
         alpha, j = source[s]
-        for d, c in u:
-            x = _entry_id(d, alpha, target[t][0])
-            if x is None:
+        for x, c in u:
+            if not _in_summands(x, alpha, target[t][0]):
                 raise ValueError("image left the projective summand")
             for deg, entries in parts.items():
                 for col, row, v in _right_action(*alpha.block, x, deg - j):
@@ -502,10 +478,9 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     not linear would stop early or miss generators; the exactness and
     Kazhdan-Lusztig term checks of :func:`verify_resolution` report that.
     """
-    table = _product_table(*lam.block)
     # head of M(λ): L(λ) in degree 0, so the zeroth cover is P(λ)
     components: list[list[tuple[Weight, int]]] = [[(lam, 0)]]
-    diffs: list[dict[tuple[int, int], AlgebraElement]] = []
+    diffs = []
 
     # kernel of P(λ) → M(λ): a diagram of middle weight λ, the representative
     # of a basis vector of M(λ), maps to that vector, every other diagram to 0
@@ -516,17 +491,16 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
 
     # the syzygy after d_i: degree i + 1 of the kernel of ⊕P(α_g)⟨i⟩ → C_{i-1}
     while syzygy := _homogeneous_kernel(matrix, flat, len(components)):
-        diff: dict[tuple[int, int], AlgebraElement] = {}
+        terms: dict[tuple[int, int], dict[int, Scalar]] = {}
         for s, (_, _, vec) in enumerate(syzygy):
             for c, coord in vec.items():
                 t, x, _, _ = flat[c]
-                u = diff.get((s, t), AlgebraElement())
-                diff[(s, t)] = u + coord * AlgebraElement.from_diagram(table.diagrams[x])
+                terms.setdefault((s, t), {})[x] = coord
         components.append([(alpha, deg) for (alpha, deg, _) in syzygy])
-        diffs.append(diff)
+        diffs.append({key: id_terms(u) for key, u in terms.items()})
         flat = _cover_data(components[-1])
         degree = len(components)
-        matrix = _flat_differential(diff, components[-1], components[-2], [degree])[degree]
+        matrix = _flat_differential(diffs[-1], components[-1], components[-2], [degree])[degree]
 
     return ProjectiveComplex(
         lam, tuple(tuple(comp) for comp in components), tuple(diffs)
@@ -584,6 +558,7 @@ def _shape_failures(c: ProjectiveComplex, lam: Weight) -> list[str]:
     outside e_s K e_t (``_flat_differential`` cannot place these) or of a
     degree other than one.  d² and exactness are read only on a complex
     with none of these, and a cache entry with any of them is a miss."""
+    table = _product_table(*lam.block)
     failures = [
         f"summand P({w})<{j}> in component {i} is not linear"
         for i, comp in enumerate(c.components) for w, j in comp if j != i
@@ -602,13 +577,14 @@ def _shape_failures(c: ProjectiveComplex, lam: Weight) -> list[str]:
             src, tgt = c.components[i][s][0], c.components[i - 1][t][0]
             failures += [
                 f"d_{i}[{s},{t}] entry outside e_src K e_tgt"
-                for diag, _ in u
-                if _entry_id(diag, src, tgt) is None
+                for x, _ in u
+                if not _in_summands(x, src, tgt)
             ]
     return failures + [
-        f"d_{i}[{s},{t}] entry of degree {d.degree} != 1"
+        f"d_{i}[{s},{t}] entry of degree {table.degree[x]} != 1"
         for i, diff in enumerate(c.differentials, start=1)
-        for (s, t), u in diff.items() for d, _ in u if d.degree != 1
+        for (s, t), u in diff.items() for x, _ in u
+        if 0 <= x < len(table.degree) and table.degree[x] != 1
     ]
 
 
@@ -689,20 +665,24 @@ def _check_exactness(counts: list[Counter], mats: list[dict], lam: Weight) -> li
 
 
 def _serialize(c: ProjectiveComplex) -> str:
+    """The cache format, each entry's terms in the order of their diagrams' strings."""
     lines = []
     for i, comp in enumerate(c.components):
         for w, j in comp:
             lines.append(f"summand {i} {w} {j}")
     for i, diff in enumerate(c.differentials, start=1):
         for (s, t) in sorted(diff):
-            for diag, coeff in sorted(diff[(s, t)], key=lambda dc: str(dc[0])):
+            for diag, coeff in sorted(c.entry(i, s, t), key=lambda dc: str(dc[0])):
                 lines.append(f"entry {i} {s} {t} {coeff} :: {diag}")
     return "\n".join(lines) + "\n"
 
 
 def _deserialize(weight: Weight, body: str) -> ProjectiveComplex:
+    """The complex of ``_serialize``'s lines; a ValueError or LookupError when a line does
+    not parse, names no basis diagram of λ's block, or a differential the complex lacks."""
+    ids = _product_table(*weight.block).ids
     comps: dict[int, list[tuple[Weight, int]]] = {}
-    entries: dict[int, dict[tuple[int, int], AlgebraElement]] = {}
+    entries: dict[int, dict[tuple[int, int], dict[int, Scalar]]] = {}
     for line in body.splitlines():
         if not line.strip():
             continue
@@ -713,16 +693,17 @@ def _deserialize(weight: Weight, body: str) -> ProjectiveComplex:
         elif kind == "entry":
             head, diag_text = rest.split(" :: ", 1)
             i, s, t, coeff = head.split(" ")
-            diag = OrientedCircleDiagram.parse(diag_text)
-            d = entries.setdefault(int(i), {})
-            key = (int(s), int(t))
-            d[key] = d.get(key, AlgebraElement()) + Fraction(coeff) * AlgebraElement.from_diagram(diag)
+            x = ids[OrientedCircleDiagram.parse(diag_text)]
+            terms = entries.setdefault(int(i), {}).setdefault((int(s), int(t)), {})
+            terms[x] = terms.get(x, 0) + Fraction(coeff)
         else:
             raise ValueError(f"corrupt cache line: {line!r}")
     total = max(comps) + 1
+    if not set(entries) <= set(range(1, total)):
+        raise ValueError("an entry of a differential the complex lacks")
     components = tuple(tuple(comps[i]) for i in range(total))
-    diffs = tuple(entries.get(i, {}) for i in range(1, total))
-    return ProjectiveComplex(weight, components, diffs)
+    diffs = [{key: id_terms(u) for key, u in entries.get(i, {}).items()} for i in range(1, total)]
+    return ProjectiveComplex(weight, components, tuple(diffs))
 
 
 class ResolutionCache:

@@ -1,5 +1,10 @@
 """Independent oracles used by the tests.
 
+Every reference reads a complex's differential entries as
+``AlgebraElement``s through ``ProjectiveComplex.entry`` (``differential``), not
+as the (basis id, coeff) terms the complex holds; ``element`` reads such
+terms through ``basis(m, n)`` for the tests.
+
 ``relative_length`` and ``bruhat_leq`` are the reference Bruhat order:
 every prefix count recomputed from the labels, with the blocks recounted
 on each call.  ``arckit.diagrams`` compares in one pass with a running
@@ -158,6 +163,19 @@ from tables import PRODUCT_LABELS, homotopy_in_range
 from tables import in_range as label_in_range
 
 
+def differential(c, i: int) -> dict:
+    """d_i of the complex c as {(s, t): AlgebraElement}, each entry read
+    through ``ProjectiveComplex.entry``."""
+    return {(s, t): c.entry(i, s, t) for s, t in c.differentials[i - 1]}
+
+
+def element(block, terms) -> AlgebraElement:
+    """The element of K with these (basis id, coeff) terms, each id the
+    position of its diagram in ``basis`` of the block."""
+    diagrams = basis(*block)
+    return AlgebraElement({diagrams[x]: c for x, c in terms})
+
+
 def _block(weight) -> tuple[int, int]:
     labels = weight.labels
     return (sum(1 for c in labels if c == "v"), sum(1 for c in labels if c == "^"))
@@ -312,13 +330,13 @@ def _dmatrix(C, D, k, dom, cod):
         u = AlgebraElement.from_diagram(diagram)
         q = p - k
         if 1 <= q < len(D.components):
-            for (t2, u2), d_entry in D.differentials[q - 1].items():
+            for (t2, u2), d_entry in differential(D, q).items():
                 if t2 == t:
                     for dgm, c in multiply(u, d_entry):
                         add(index[(p, s, u2, dgm)], col, c)
         if p + 1 < len(C.components):
             sign = Fraction((-1) ** (k + 1))
-            for (s2, s0), d_entry in C.differentials[p].items():
+            for (s2, s0), d_entry in differential(C, p + 1).items():
                 if s0 == s:
                     for dgm, c in multiply(d_entry, u):
                         add(index[(p + 1, s2, t, dgm)], col, sign * c)
@@ -372,12 +390,12 @@ def hom_into_module_dims_reference(P, M) -> dict[int, int]:
         kept = [(s, where[nu]) for s, (nu, _) in enumerate(comp) if nu in where]
         coords.append({s: (i, v) for i, (s, v) in enumerate(kept)})
     ranks = [0] * len(P.components)
-    for k, diff in enumerate(P.differentials):
+    for k in range(len(P.differentials)):
         cols, rows = coords[k], coords[k + 1]
         if not cols or not rows:
             continue
         entries: dict[tuple[int, int], Fraction] = {}
-        for (s, t), u in diff.items():
+        for (s, t), u in differential(P, k + 1).items():
             if s in rows and t in cols:
                 (row, v_s), (col, v_t) = rows[s], cols[t]
                 for z, c in u:
@@ -516,7 +534,9 @@ def resolve_generic_reference(lam):
     ``flat_differential_reference``, and the generators picked from it by
     the greedy radical pass of ``head_generators_reference``.  The
     augmentation sends each diagram of P(λ) with middle weight λ to its own
-    basis vector of M(λ) and every other diagram to 0."""
+    basis vector of M(λ) and every other diagram to 0.  Each entry is
+    written into the complex as (basis id, coeff) terms in id order, the id
+    of a diagram its position in ``basis``."""
     components = [[(lam, 0)]]
     diffs = []
     flat = cover_reference(components[0])
@@ -537,6 +557,11 @@ def resolve_generic_reference(lam):
         syzygy = homogeneous_kernel_reference(
             flat_differential_reference(diff, components[-1], components[-2]), flat
         )
+    ids = {d: x for x, d in enumerate(basis(*lam.block))}
+    diffs = [
+        {key: tuple(sorted((ids[d], c) for d, c in u)) for key, u in diff.items()}
+        for diff in diffs
+    ]
     return ProjectiveComplex(lam, tuple(tuple(comp) for comp in components), tuple(diffs))
 
 
@@ -551,8 +576,8 @@ def verify_homology_reference(c, lam) -> list[str]:
     M(λ) is that of the diagrams of P(λ) with middle weight λ."""
     flats = [cover_reference(comp) for comp in c.components]
     matrices = [
-        flat_differential_reference(diff, c.components[i], c.components[i - 1])
-        for i, diff in enumerate(c.differentials, start=1)
+        flat_differential_reference(differential(c, i), c.components[i], c.components[i - 1])
+        for i in range(1, len(c))
     ]
     failures = []
     for i in range(2, len(c)):
@@ -955,11 +980,11 @@ def block_differential(f: HomElement) -> dict:
         q = p - f.k
         if 1 <= q < len(tgt):
             for (s, t), u in block.items():
-                for (t2, u2), d_entry in tgt.differentials[q - 1].items():
+                for (t2, u2), d_entry in differential(tgt, q).items():
                     if t2 == t:
                         add(p, s, u2, multiply(u, d_entry))
         if p + 1 < len(src):
-            for (s2, s), d_entry in src.differentials[p].items():
+            for (s2, s), d_entry in differential(src, p + 1).items():
                 for (t0, t), u in block.items():
                     if t0 == s:
                         add(p + 1, s2, t, -sign * multiply(d_entry, u))

@@ -141,13 +141,13 @@ class TestCriterion04ResolutionsN2:
         for lam in weights_in_block(m, 2):
             c = resolve_cone(lam)
             for i in range(1, len(c)):
-                for (s, t), u in c.differentials[i - 1].items():
+                for s, t in c.differentials[i - 1]:
                     (src, _), (tgt, _) = c.components[i][s], c.components[i - 1][t]
                     ta, tb = _ab_type(lam, src, i), _ab_type(lam, tgt, i - 1)
                     diagrams = [d for d in hom_basis(src, tgt) if d.degree == 1]
                     assert len(diagrams) == 1
                     sign = sign_target_n2(lam, src, ta, tgt, tb)
-                    assert u == sign * AlgebraElement.from_diagram(diagrams[0])
+                    assert c.entry(i, s, t) == sign * AlgebraElement.from_diagram(diagrams[0])
                     k1, l1 = src.to_kl()
                     k2, l2 = tgt.to_kl()
                     families.add((ta, tb, k2 - k1, l2 - l1))

@@ -21,7 +21,8 @@ from arckit import (
     weights_in_block,
 )
 from arckit import diagrams, extalg, resolve
-from arckit.arcalg import _product_table, hom_basis
+from arckit.arcalg import _product_table, basis, hom_basis
+from arckit.diagrams import OrientedCircleDiagram
 from arckit.extalg import construct_element, ext_dims, hom_windows_ok, in_range, resolution
 from arckit.resolve import (
     ProjectiveComplex,
@@ -38,6 +39,8 @@ from arckit.resolve import (
 )
 from oracles import (
     cover_reference,
+    differential,
+    element,
     flat_differential_reference,
     hom_cohomology,
     lift_chain_map_reference,
@@ -98,7 +101,7 @@ class TestN2Resolutions:
         for lam in weights_in_block(m, 2):
             c = resolve_cone(lam)
             for i in range(1, len(c)):
-                for (s, t), u in c.differentials[i - 1].items():
+                for s, t in c.differentials[i - 1]:
                     (src, _), (tgt, _) = c.components[i][s], c.components[i - 1][t]
                     sign = sign_target_n2(
                         lam,
@@ -107,7 +110,7 @@ class TestN2Resolutions:
                         tgt,
                         _ab_type(lam, tgt, i - 1),
                     )
-                    assert u == sign * _unique_degree_one(src, tgt)
+                    assert c.entry(i, s, t) == sign * _unique_degree_one(src, tgt)
 
     def test_all_seven_sign_families_appear(self):
         families = set()
@@ -152,7 +155,7 @@ def with_d2_entry_negated(c: ProjectiveComplex) -> ProjectiveComplex:
     """The complex with the first entry of d_2 negated."""
     d2 = dict(c.differentials[1])
     key = min(d2)
-    d2[key] = -1 * d2[key]
+    d2[key] = tuple((x, -c) for x, c in d2[key])
     diffs = (c.differentials[0], d2) + c.differentials[2:]
     return ProjectiveComplex(c.weight, c.components, diffs)
 
@@ -332,7 +335,7 @@ class TestAgainstReference:
                     for deg, mat in mats.items():
                         assert all(column_degree[col] == deg for _, col in mat.entries)
                         union.update(mat.entries)
-                    reference = flat_differential_reference(diff, source, target)
+                    reference = flat_differential_reference(differential(c, i), source, target)
                     shape = (reference.rows, reference.cols)
                     assert all((mat.rows, mat.cols) == shape for mat in mats.values())
                     assert union == reference.entries
@@ -349,8 +352,8 @@ class TestAgainstReference:
 
     def test_an_entry_outside_its_summands_is_refused(self):
         x, y, z = (Weight.parse(w) for w in ("v^v^", "v^^v", "vv^^"))
-        (d,) = [d for d in hom_basis(x, y) if d.degree == 1]
-        entry = {(0, 0): AlgebraElement.from_diagram(d)}
+        (d,) = _product_table(2, 2).of_degree(x, y, 1)
+        entry = {(0, 0): ((d, 1),)}
         _flat_differential(entry, [(x, 1)], [(y, 0)], [1, 2])
         for source, target in ((z, y), (x, z)):
             with pytest.raises(ValueError, match="left the projective summand"):
@@ -406,9 +409,9 @@ class TestVerifyAgainstReference:
         lam = Weight.parse("vv^^")
         c = resolve_generic(lam)
         src = c.components[1][0][0]
-        two = next(d for d in hom_basis(src, src) if d.degree == 2)
+        (two, *_) = _product_table(2, 2).of_degree(src, src, 2)
         d1 = dict(c.differentials[0])
-        d1[0, 0] = d1[0, 0] + AlgebraElement.from_diagram(two)
+        d1[0, 0] = tuple(sorted(d1[0, 0] + ((two, 1),)))
         broken = ProjectiveComplex(lam, c.components, (d1,) + c.differentials[1:])
         failures = verify_resolution(broken, lam)
         assert "d_1[0,0] entry of degree 2 != 1" in failures
@@ -425,27 +428,46 @@ def tampered(lam: Weight, old: str, new: str) -> str:
 
 OTHER_BLOCK_OLD = "cups=(2,3) rays=0,1 | ^v^v | cups=(1,2) rays=0,3"
 OTHER_BLOCK_NEW = "cups=(2,3) rays=0,1 | vv^v | cups=(1,2) rays=0,3"
+# a basis diagram of (2|2), in an entry line of d_0 or d_5, which the
+# resolution of vv^^, C_0 to C_4, lacks
+STRAY_DIAGRAM = "cups=(1,2) rays=0,3 | ^v^v | cups=(0,3);(1,2) rays="
+FIRST_SUMMAND = "summand 0 vv^^ 0\n"
 
 
 class TestEntriesOutsideTheirSummands:
     LAM = Weight.parse("vv^^")
     # component 0 relabelled, so that every d_1 entry leaves e_src K e_tgt;
-    # a d_1 entry moved to a summand C_1 lacks; a d_2 entry replaced by a
-    # diagram of (3|1) with the cup and cap of the (2|2) one it replaces
+    # a d_1 entry moved to a summand C_1 lacks
     CASES = [
         ("summand 0 vv^^ 0", "summand 0 v^v^ 0", "entry outside e_src K e_tgt"),
         ("entry 1 0 0 ", "entry 1 7 0 ", "d_1[7,0] names a missing summand"),
-        (OTHER_BLOCK_OLD, OTHER_BLOCK_NEW, "d_2[0,0] entry outside e_src K e_tgt"),
     ]
-    IDS = ["component-0", "missing-summand", "other-block"]
+    IDS = ["component-0", "missing-summand"]
+    # a d_2 entry replaced by a diagram of (3|1) with the cup and cap of the
+    # (2|2) one it replaces, which has no id in the (2|2) table; an entry
+    # of a differential the complex lacks
+    UNPARSED = [
+        (OTHER_BLOCK_OLD, OTHER_BLOCK_NEW),
+        (FIRST_SUMMAND, f"{FIRST_SUMMAND}entry 0 0 0 1 :: {STRAY_DIAGRAM}\n"),
+        (FIRST_SUMMAND, f"{FIRST_SUMMAND}entry 5 0 0 1 :: {STRAY_DIAGRAM}\n"),
+    ]
+    UNPARSED_IDS = ["other-block", "differential-0", "differential-5"]
 
     @pytest.mark.parametrize("old,new,failure", CASES, ids=IDS)
     def test_verify_reports_them(self, old, new, failure):
         c = resolve._deserialize(self.LAM, tampered(self.LAM, old, new))
         assert any(failure in f for f in verify_resolution(c, self.LAM))
 
-    @pytest.mark.parametrize("old,new,failure", CASES, ids=IDS)
-    def test_the_cache_loads_them_as_a_miss(self, old, new, failure, tmp_path):
+    @pytest.mark.parametrize("old,new", UNPARSED, ids=UNPARSED_IDS)
+    def test_entries_that_do_not_parse(self, old, new):
+        assert OrientedCircleDiagram.parse(STRAY_DIAGRAM) in _product_table(2, 2).ids
+        with pytest.raises((ValueError, LookupError)):
+            resolve._deserialize(self.LAM, tampered(self.LAM, old, new))
+
+    @pytest.mark.parametrize(
+        "old,new", [case[:2] for case in CASES] + UNPARSED, ids=IDS + UNPARSED_IDS
+    )
+    def test_the_cache_loads_them_as_a_miss(self, old, new, tmp_path):
         stored = ResolutionCache(str(tmp_path))
         key = (2, 2, str(self.LAM), "generic")
         arckit.cache.store(stored._path(key), tampered(self.LAM, old, new))
@@ -568,7 +590,8 @@ class TestMemoizedRecursions:
             _resolve_cone_raw(lam)
         assert calls
         for f0, lower, upper, fs in calls:
-            assert fs == lift_chain_map_reference(f0, lower, upper)
+            got = [{key: element(upper.block, u) for key, u in f.items()} for f in fs]
+            assert got == lift_chain_map_reference(element(upper.block, f0), lower, upper)
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
     def test_a_warm_labelled_element_equals_a_cold_one(self, m, n):
@@ -603,6 +626,32 @@ class TestBlock42:
             terms.append([[str(w) for w in row] for row in complex_.terms()])
         assert len(terms) == 15
         assert hashlib.sha256(json.dumps(terms).encode()).hexdigest() == TERMS_42_DIGEST
+
+
+class TestIdTerms:
+    """Each differential entry is (basis id, coeff) terms of the block's
+    product table; diagrams appear only in ``entry`` and the cache format."""
+
+    @pytest.mark.parametrize("block", [(2, 2), (3, 2), (2, 3)])
+    def test_both_constructions(self, block):
+        for lam in weights_in_block(*block):
+            for c in (resolve_cone(lam), resolve_generic(lam)):
+                assert resolve._deserialize(lam, _serialize(c)) == c
+                for i, diff in enumerate(c.differentials, start=1):
+                    for (s, t), u in diff.items():
+                        ids = [x for x, _ in u]
+                        assert ids == sorted(set(ids)) and all(coeff for _, coeff in u)
+                        assert all(type(x) is int and 0 <= x < len(basis(*block)) for x in ids)
+                        assert c.entry(i, s, t) == element(block, u)
+
+    @pytest.mark.parametrize("x", [-1, len(basis(2, 2))])
+    def test_an_id_outside_the_block_is_reported(self, x):
+        lam = Weight.parse("vv^^")
+        c = resolve_generic(lam)
+        d1 = dict(c.differentials[0])
+        d1[0, 0] = ((x, 1),)
+        broken = ProjectiveComplex(lam, c.components, (d1,) + c.differentials[1:])
+        assert "d_1[0,0] entry outside e_src K e_tgt" in verify_resolution(broken, lam)
 
 
 class TestCache:
