@@ -26,9 +26,9 @@ come from the pairs with λ ≤ μ: only those are split to find them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._value import Value
 from .arcalg import _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar
@@ -67,8 +67,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SpaceSplit:
+class _SpaceSplit(Value):
     """The decomposition of one hom^k(P_•(λ), P_•(μ)).
 
     B is d of ``l_prev`` (``b_count`` columns), H the representatives of
@@ -82,11 +81,18 @@ class _SpaceSplit:
     and H rows.
     """
 
-    space: tuple
-    b_count: int
-    h_classes: list[ExtClass]
-    l_prev: list[dict[int, Scalar]]  # L-basis of hom^{k-1}, preimages under d
-    inverse: list[dict[int, Scalar]]  # its B and H rows, column by column
+    _fields = ("space", "b_count", "h_classes", "l_prev", "inverse")
+    __hash__ = None
+
+    def __init__(
+        self,
+        space: tuple,
+        b_count: int,
+        h_classes: list[ExtClass],
+        l_prev: list[dict[int, Scalar]],  # L-basis of hom^{k-1}, preimages under d
+        inverse: list[dict[int, Scalar]],  # its B and H rows, column by column
+    ):
+        self._assign(space, b_count, h_classes, l_prev, inverse)
 
 
 class Splitting:

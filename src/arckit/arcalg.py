@@ -28,10 +28,10 @@ surgery; circles are re-oriented through the leftmost-vertex rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from ._value import Value
 from .diagrams import (
     DOWN,
     UP,
@@ -497,8 +497,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return total
 
 
-@dataclass(frozen=True)
-class SurgeryPanel:
+class SurgeryPanel(Value):
     """One stage of the surgery procedure on a stacked basis-diagram pair.
 
     Panels follow a single orientation branch (the lexicographically
@@ -506,17 +505,22 @@ class SurgeryPanel:
     multiplication figures show; the full product is still ``multiply``.
     """
 
-    bottom_labels: tuple[str, ...]
-    top_labels: tuple[str, ...]
-    cup_arcs: tuple[tuple[int, int], ...]
-    cup_rays: tuple[int, ...]
-    cap_arcs: tuple[tuple[int, int], ...]
-    cap_rays: tuple[int, ...]
-    middle_arcs: tuple[tuple[int, int], ...]
-    verticals: tuple[int, ...]
-    component_types: tuple[str, ...]
-    annotation: str
-    collapsed: bool = False
+    _fields = (
+        "bottom_labels", "top_labels", "cup_arcs", "cup_rays", "cap_arcs", "cap_rays",
+        "middle_arcs", "verticals", "component_types", "annotation", "collapsed",
+    )
+
+    def __init__(
+        self, bottom_labels: tuple[str, ...], top_labels: tuple[str, ...],
+        cup_arcs: tuple[tuple[int, int], ...], cup_rays: tuple[int, ...],
+        cap_arcs: tuple[tuple[int, int], ...], cap_rays: tuple[int, ...],
+        middle_arcs: tuple[tuple[int, int], ...], verticals: tuple[int, ...],
+        component_types: tuple[str, ...], annotation: str, collapsed: bool = False,
+    ):
+        self._assign(
+            bottom_labels, top_labels, cup_arcs, cup_rays, cap_arcs, cap_rays,
+            middle_arcs, verticals, component_types, annotation, collapsed,
+        )
 
 
 def surgery_trace(
@@ -535,7 +539,7 @@ def surgery_trace(
     state = _bits(x.weight.labels) | _bits(y.weight.labels) << size
     low = (1 << size) - 1
 
-    def snapshot(annotation: str) -> SurgeryPanel:
+    def snapshot(annotation: str, collapsed: bool = False) -> SurgeryPanel:
         return SurgeryPanel(
             bottom_labels=_labels(state & low, size),
             top_labels=_labels(state >> size, size),
@@ -544,11 +548,12 @@ def surgery_trace(
             cap_arcs=tuple(sorted(y.cap.cups)),
             cap_rays=tuple(sorted(y.cap.rays)),
             middle_arcs=tuple(geometry.middle_pairs()),
-            verticals=tuple(p for p in range(size) if geometry.vertical[p]),
+            verticals=() if collapsed else tuple(p for p in range(size) if geometry.vertical[p]),
             component_types=tuple(
                 _kind(start, end, state) for start, end, _, _ in geometry.components()
             ),
             annotation=annotation,
+            collapsed=collapsed,
         )
 
     panels = [snapshot("")]
@@ -566,11 +571,10 @@ def surgery_trace(
         panels.append(
             snapshot("{} -> {}".format("*".join(before), "*".join(formed)))
         )
-    # the collapsed result diagram: both lines now agree
-    last = panels[-1]
-    if last.bottom_labels != last.top_labels:
+    # the collapsed result diagram of the last state: both lines now agree
+    if panels[-1].bottom_labels != panels[-1].top_labels:
         raise AssertionError("number lines disagree after surgery")
-    panels.append(replace(last, verticals=(), annotation="result", collapsed=True))
+    panels.append(snapshot("result", collapsed=True))
     return panels
 
 
@@ -579,19 +583,18 @@ def surgery_trace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Value):
     """The crossingless matching t_i between neighbouring blocks: a cap
     joins vertices i, i+1 of the larger block's number line, all other
     strands are vertical.  Maps Λ_m^n data to Λ_{m-1}^{n-1}."""
 
-    i: int
-    source_block: tuple[int, int]  # (m, n) of the larger block
+    _fields = ("i", "source_block")
 
-    def __post_init__(self):
-        m, n = self.source_block
-        if not 0 <= self.i < m + n - 1:
-            raise ValueError(f"matching position {self.i} out of range")
+    def __init__(self, i: int, source_block: tuple[int, int]):  # (m, n) of the larger block
+        m, n = source_block
+        if not 0 <= i < m + n - 1:
+            raise ValueError(f"matching position {i} out of range")
+        self._assign(i, source_block)
 
     @property
     def target_block(self) -> tuple[int, int]:

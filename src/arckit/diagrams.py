@@ -21,10 +21,11 @@ Conventions (fixed here, used by every other module):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable
+
+from ._value import Value
 
 __all__ = [
     "UP",
@@ -46,22 +47,32 @@ UP = "^"
 DOWN = "v"
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
-    """A weight: n '^' and m 'v' labels on positions 0..m+n-1."""
+@total_ordering
+class Weight(Value):
+    """A weight: n '^' and m 'v' labels on positions 0..m+n-1, ordered by
+    their labels."""
 
-    labels: tuple[str, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        n = self.labels.count(UP)
-        m = self.labels.count(DOWN)
-        if m + n != len(self.labels):
-            raise ValueError(f"bad labels {self.labels!r}")
+    def __init__(self, labels: tuple[str, ...]):
+        n = labels.count(UP)
+        m = labels.count(DOWN)
+        if m + n != len(labels):
+            raise ValueError(f"bad labels {labels!r}")
         # counted once: block checks run in every Bruhat comparison, and
         # weights key the product table's positions and every memo; not
         # fields, so equality, order, repr and pickling see only the labels
+        self._assign(labels)
         object.__setattr__(self, "_block", (m, n))
-        object.__setattr__(self, "_hash", hash((self.labels,)))  # the generated hash
+        object.__setattr__(self, "_hash", hash((labels,)))
+
+    # weight-keyed lookups compare equal weights that are distinct objects in
+    # every Ext op, so equality reads the labels without the field tuple
+    def __eq__(self, other):
+        return self.labels == other.labels if other.__class__ is Weight else NotImplemented
+
+    def __lt__(self, other):
+        return self.labels < other.labels if other.__class__ is Weight else NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -244,19 +255,15 @@ def _validate_arcs(size: int, cups: frozenset[tuple[int, int]], rays: frozenset[
                 raise ValueError(f"ray {p} passes inside cup ({i},{j})")
 
 
-@dataclass(frozen=True)
-class _ArcDiagram:
+class _ArcDiagram(Value):
     """Non-crossing arcs on 0..size-1 plus rays: the data shared by cup and
-    cap diagrams.  The subclasses inherit the generated methods; ``__eq__``
-    compares classes, so a cup diagram never equals a cap diagram."""
+    cap diagrams.  ``__eq__`` compares classes, so a cup diagram never
+    equals a cap diagram."""
 
-    size: int
-    cups: frozenset[tuple[int, int]]
-    rays: frozenset[int]
+    _fields = ("size", "cups", "rays")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cups", frozenset(tuple(c) for c in self.cups))
-        object.__setattr__(self, "rays", frozenset(self.rays))
+    def __init__(self, size: int, cups: frozenset[tuple[int, int]], rays: frozenset[int]):
+        self._assign(size, frozenset(tuple(c) for c in cups), frozenset(rays))
         _validate_arcs(self.size, self.cups, self.rays)
 
     @classmethod
@@ -371,22 +378,20 @@ def associated_cap_diagram(weight: Weight) -> CapDiagram:
     return associated_cup_diagram(weight).mirror()
 
 
-@dataclass(frozen=True)
-class OrientedCircleDiagram:
+class OrientedCircleDiagram(Value):
     """A basis diagram: cup diagram, weight, cap diagram, all compatible."""
 
-    cup: CupDiagram
-    weight: Weight
-    cap: CapDiagram
+    _fields = ("cup", "weight", "cap")
 
-    def __post_init__(self):
-        if not cup_oriented(self.cup, self.weight):
+    def __init__(self, cup: CupDiagram, weight: Weight, cap: CapDiagram):
+        self._assign(cup, weight, cap)
+        if not cup_oriented(cup, weight):
             raise ValueError(f"cup half of {self} is not oriented")
-        if not cap_oriented(self.cap, self.weight):
+        if not cap_oriented(cap, weight):
             raise ValueError(f"cap half of {self} is not oriented")
         # the product table's ids and every action matrix are keyed by basis diagrams,
-        # so the generated field hash is computed once, not per lookup
-        object.__setattr__(self, "_hash", hash((self.cup, self.weight, self.cap)))
+        # so the field hash is computed once, not per lookup
+        object.__setattr__(self, "_hash", hash((cup, weight, cap)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -52,8 +52,9 @@ byte for byte.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._value import Value
 
 __all__ = [
     "Rational", "Scalar", "rational", "quotient", "QPoly", "SparseMatrix", "Echelon",
@@ -201,8 +202,7 @@ class QPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(Value):
     """An immutable sparse matrix over Q.
 
     ``entries`` maps ``(row, col)`` to a nonzero exact scalar: an int, or
@@ -210,18 +210,16 @@ class SparseMatrix:
     columns are 0-indexed.
     """
 
-    rows: int
-    cols: int
-    entries: Mapping[tuple[int, int], Scalar] = field(default_factory=dict)
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        clean = {}
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], Scalar] = {}):
+        clean = {}  # the one dict stored; ``entries`` is only read
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range")
             if v:
                 clean[(r, c)] = rational(v)
-        object.__setattr__(self, "entries", clean)
+        self._assign(rows, cols, clean)
 
     # -- constructors -------------------------------------------------
     @staticmethod

@@ -35,9 +35,9 @@ and never touches resolutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+from ._value import Value
 from .arcalg import Terms, _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
@@ -82,8 +82,7 @@ def resolution(lam: Weight) -> ProjectiveComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HomElement:
+class HomElement(Value):
     """A homogeneous element of hom^k(P_•(source), P_•(target)⟨j⟩).
 
     ``coords`` maps positions in ``hom_space(source, target, k)`` to the
@@ -97,11 +96,16 @@ class HomElement:
     mutated; the arithmetic below returns new elements.
     """
 
-    source: Weight
-    target: Weight
-    k: int
-    j: int
-    coords: dict[int, Scalar] = field(default_factory=dict)
+    _fields = ("source", "target", "k", "j", "coords")
+    # assignable, and so unhashable, as the dataclass was: every A∞ query
+    # builds an element, and plain stores cost a fraction of ``_assign``
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, source: Weight, target: Weight, k: int, j: int, coords: dict[int, Scalar] | None = None
+    ):
+        self.source, self.target, self.k, self.j = source, target, k, j
+        self.coords = {} if coords is None else coords
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -117,11 +121,11 @@ class HomElement:
         coords = dict(self.coords)
         for i, c in other.coords.items():
             coords[i] = coords.get(i, 0) + c
-        return replace(self, coords=_nonzero(coords))
+        return HomElement(self.source, self.target, self.k, self.j, _nonzero(coords))
 
     def __rmul__(self, scalar: Scalar) -> "HomElement":
         coords = {i: scalar * c for i, c in self.coords.items()}
-        return replace(self, coords=_nonzero(coords))
+        return HomElement(self.source, self.target, self.k, self.j, _nonzero(coords))
 
     def __sub__(self, other: "HomElement") -> "HomElement":
         return self + (-1) * other
@@ -433,14 +437,14 @@ def shelton_dims(lam: Weight, mu: Weight) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExtClass:
+class ExtClass(Value):
     """A labelled cohomology class with its canonical cocycle representative."""
 
-    label: str
-    source: Weight
-    target: Weight
-    element: HomElement
+    _fields = ("label", "source", "target", "element")
+    __hash__ = None
+
+    def __init__(self, label: str, source: Weight, target: Weight, element: HomElement):
+        self._assign(label, source, target, element)
 
     @property
     def k(self) -> int:

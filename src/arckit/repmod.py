@@ -11,9 +11,9 @@ strictly larger than μ; its basis is indexed by the oriented cup diagrams
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .arcalg import AlgebraElement, _product_table
 from .diagrams import (
     DOWN,
@@ -169,8 +169,7 @@ def kl_poly_closed(lam: Weight, mu: Weight) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(Value):
     """An explicit graded left module over K_m^n.
 
     ``labels`` name the basis vectors, ``degrees`` their internal degrees,
@@ -178,10 +177,13 @@ class GradedModule:
     module basis vectors).
     """
 
-    block: tuple[int, int]
-    labels: tuple
-    degrees: tuple[int, ...]
-    action: dict[OrientedCircleDiagram, SparseMatrix]
+    _fields = ("block", "labels", "degrees", "action")
+
+    def __init__(
+        self, block: tuple[int, int], labels: tuple, degrees: tuple[int, ...],
+        action: dict[OrientedCircleDiagram, SparseMatrix],
+    ):
+        self._assign(block, labels, degrees, action)
 
     @property
     def dim(self) -> int:

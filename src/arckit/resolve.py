@@ -38,11 +38,11 @@ summands by units) onto the explicit sign tables; see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import cache
+from ._value import Value
 from .arcalg import AlgebraElement, Matching, Terms, _functor_id, _product_table, id_terms
 from .diagrams import (
     OrientedCircleDiagram,
@@ -79,8 +79,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectiveComplex:
+class ProjectiveComplex(Value):
     """A finite complex ... → C_1 → C_0 of shifted projectives.
 
     ``components[i]`` lists the summands of C_i as (weight, internal shift)
@@ -94,13 +93,15 @@ class ProjectiveComplex:
     its differentials, must never be mutated; build a new one instead.
     """
 
-    weight: Weight
-    components: tuple[tuple[tuple[Weight, int], ...], ...]
-    differentials: tuple[dict[tuple[int, int], Terms], ...]
+    _fields = ("weight", "components", "differentials")
 
-    def __post_init__(self):
-        if len(self.differentials) != max(len(self.components) - 1, 0):
+    def __init__(
+        self, weight: Weight, components: tuple[tuple[tuple[Weight, int], ...], ...],
+        differentials: tuple[dict[tuple[int, int], Terms], ...],
+    ):
+        if len(differentials) != max(len(components) - 1, 0):
             raise ValueError("need one differential per adjacent pair")
+        self._assign(weight, components, differentials)
 
     def __len__(self) -> int:
         return len(self.components)

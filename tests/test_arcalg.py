@@ -51,15 +51,15 @@ class TestBasis:
         script = (
             "from arckit.diagrams import OrientedCircleDiagram as D\n"
             "made, raised = [0], [0]\n"
-            "post_init = D.__post_init__\n"
-            "def counted(self):\n"
+            "init = D.__init__\n"
+            "def counted(self, *args):\n"
             "    made[0] += 1\n"
             "    try:\n"
-            "        post_init(self)\n"
+            "        init(self, *args)\n"
             "    except ValueError:\n"
             "        raised[0] += 1\n"
             "        raise\n"
-            "D.__post_init__ = counted\n"
+            "D.__init__ = counted\n"
             "from arckit.arcalg import basis\n"
             "size = len(basis(4, 2))\n"
             "print(made[0], raised[0], size)\n"

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: ``import arckit`` loads no submodule,
 ``import arckit.cli`` loads no algebra module, a usage error is answered
 before any algebra module loads, and a ``--cache`` hit before any algebra
-module or hashlib (OpenSSL) does.
+module or hashlib (OpenSSL) does.  The algebra modules themselves load no
+``dataclasses``, nor the ``inspect`` and ``ast`` it pulls in.
 
 Each check runs in a subprocess and reads ``sys.modules`` there, since
 this test process has long imported everything.
@@ -120,3 +121,14 @@ def test_usage_error_loads_no_algebra_module(argv):
     out = run_cli(argv)
     assert out["code"] == 2
     assert not ALGEBRA & set(out["loaded"])
+
+
+def test_algebra_modules_load_no_dataclasses_or_inspect():
+    # the value classes are hand-written: importing dataclasses costs its
+    # decoration and a chain of modules the algebra never uses
+    out = fresh(
+        "from arckit import ainfty, arcalg, diagrams, exact, extalg, repmod, resolve\n"
+        "out['heavy'] = sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules))\n"
+    )
+    assert ALGEBRA <= set(out["loaded"])
+    assert out["heavy"] == []

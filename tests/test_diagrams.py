@@ -1,7 +1,6 @@
 """Weights, cup/cap diagrams, orientations and degrees."""
 
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -83,7 +82,7 @@ class TestWeight:
     def test_block_is_counted_once_and_stays_out_of_the_fields(self):
         w = Weight.parse("v^vv^")
         assert (w.m, w.n, w.block) == (3, 2, (3, 2))
-        assert [f.name for f in dataclasses.fields(Weight)] == ["labels"]
+        assert Weight._fields == ("labels",)  # what equality, hash and repr read
         assert repr(w) == "Weight('v^vv^')"
         assert w == Weight(("v", "^", "v", "v", "^")) and w < Weight.parse("vv^^v")
         assert w.__reduce__() == (Weight, (w.labels,))
@@ -218,7 +217,7 @@ class TestStoredHash:
 
     def test_copies_hash_like_the_original(self):
         for d in basis(2, 2):
-            for twin in (copy.copy(d), copy.deepcopy(d), dataclasses.replace(d)):
+            for twin in (copy.copy(d), copy.deepcopy(d), OrientedCircleDiagram(d.cup, d.weight, d.cap)):
                 assert twin == d
                 assert hash(twin) == hash(d)
 
