@@ -27,22 +27,22 @@ come from the pairs with λ ≤ μ: only those are split to find them.
 from __future__ import annotations
 
 from itertools import accumulate
+from types import MappingProxyType
 
-from ._value import Value
 from .arcalg import _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import Echelon, Scalar
+from .exact import Scalar
 from .extalg import (
     ExtClass,
     HomElement,
-    _check_counts,
+    _combine,
     _compose_coords,
-    _degree_classes,
-    _differential_matrix,
     _hom_index,
     _k_range,
     _labelled_basis,
     _nonzero,
+    _SpaceSplit,
+    _split_pair,
     basis_hom_element,
     hom_differential,
     hom_space,
@@ -67,32 +67,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _SpaceSplit(Value):
-    """The decomposition of one hom^k(P_•(λ), P_•(μ)).
-
-    B is d of ``l_prev`` (``b_count`` columns), H the representatives of
-    ``h_classes`` and L the next degree's ``l_prev``, each L vector a
-    sparse ``{index: value}`` dict.  ``inverse[p]`` is column p of the
-    inverse of the matrix with columns [B | H | L], restricted to its B and
-    H rows, the only coordinates Π and Q read; it comes out of the
-    ``Echelon`` pass that chose H and L: the B and H columns enter through
-    ``add_tagged`` and the L columns through ``add``, and the tag half of
-    the row with pivot p is column p of the inverse, restricted to the B
-    and H rows.
-    """
-
-    _fields = ("space", "b_count", "h_classes", "l_prev", "inverse")
-    __hash__ = None
-
-    def __init__(
-        self,
-        space: tuple,
-        b_count: int,
-        h_classes: list[ExtClass],
-        l_prev: list[dict[int, Scalar]],  # L-basis of hom^{k-1}, preimages under d
-        inverse: list[dict[int, Scalar]],  # its B and H rows, column by column
-    ):
-        self._assign(space, b_count, h_classes, l_prev, inverse)
+# the one shared, read-only memo entry of every chain whose Qλ and m vanish
+_ZERO_CHAIN = (None, MappingProxyType({}))
 
 
 class Splitting:
@@ -106,18 +82,10 @@ class Splitting:
     so the coordinates that Π and Q read are a sum over the columns at f's
     support, the unique solution a fresh ``solve`` would return.
 
-    Each hom^k is eliminated in one pass (``_build_pair``): B = d(L_{k-1})
-    enters first, then H, then L (the explicit homotopies in canonical
-    mode, then unit vectors until the span is full).  B and H enter
-    through ``Echelon.add_tagged``, whose tags make the B and H rows of the
-    inverse, and L through ``Echelon.add``.  H comes from
-    ``extalg._degree_classes``, as in ``ext_basis``: B = d(L_{k-1}) spans
-    d(hom^{k-1}), so both pick the same classes.  No rank of d_k is needed
-    to see that B ⊕ H is all of the cocycles Z: H are cocycles and B ⊆ Z,
-    so |B| + |H| ≤ dim Z; the next degree adds d(L) to its span, which
-    checks that d is injective on L, so |L| ≤ dim − dim Z; and the three
-    sizes add up to dim.  Where no next degree sees L (the last degree, or
-    below an empty hom^{k+1}), d vanishes and L must be empty.
+    ``_build_pair`` splits a pair through ``extalg._split_pair``, the one
+    routine that chooses and checks a split, and so the one ``ext_basis``
+    reads its classes from: canonical mode passes the labelled classes and
+    the explicit homotopies as seeds, generic mode neither.
 
     Every H-class gets an index when its pair is split, and one memo keyed
     by tuples of those indices holds, for each chain of classes evaluated,
@@ -170,54 +138,9 @@ class Splitting:
     def _build_pair(self, lam: Weight, mu: Weight) -> dict[int, _SpaceSplit]:
         if lam.block != self.block or mu.block != self.block:
             raise ValueError("weights outside the block of this splitting")
-        labelled, seeds = None, {}
         if self.mode == "canonical-n2":
-            labelled, seeds = _labelled_basis(lam, mu), homotopy_seeds(lam, mu)
-        out: dict[int, _SpaceSplit] = {}
-        l_prev: list[dict[int, Scalar]] = []
-        for k in _k_range(lam, mu):
-            space = hom_space(lam, mu, k)
-            dim = len(space)
-            if dim == 0:
-                if l_prev:  # d vanishes on hom^{k-1}, so L there must be empty
-                    raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
-                out[k] = _SpaceSplit(space, 0, [], l_prev, [])
-                continue
-            # one pass adds B = d(L_prev) and H tagged, then L untagged; its
-            # tag half ends up as the B and H rows of the inverse of [B | H | L]
-            span = Echelon(dim)
-            if l_prev:
-                d_prev = _differential_matrix(lam, mu, k - 1)
-                d_cols: list[dict[int, Scalar]] = [{} for _ in range(d_prev.cols)]
-                for (r, c), v in d_prev.entries.items():
-                    d_cols[c][r] = v
-                if not all(span.add_tagged(_combine(vec, d_cols)) for vec in l_prev):
-                    raise ArithmeticError("d is not injective on the chosen L")
-            # H: a complement of B = d(hom^{k-1}) inside the cocycles
-            classes = _degree_classes(lam, mu, k, span.add_tagged, labelled)
-            # L: complement of the cocycles, seeded with the explicit
-            # homotopies in canonical mode so that Q(products) matches
-            # the closed homotopy table
-            l_cols = [element.coords for element in seeds.get(k, [])]
-            if not all(span.add(vec) for vec in l_cols):
-                raise ArithmeticError("homotopy element lies in the cocycles")
-            for i in range(dim):
-                if len(span) == dim:
-                    break
-                if span.add({i: 1}):
-                    l_cols.append({i: 1})
-            # the tag half of the row with pivot p is column p of the
-            # inverse, restricted to its B and H rows
-            inverse = [
-                {c - dim: v for c, v in span.rows[p].items() if c >= dim}
-                for p in range(dim)
-            ]
-            out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)
-            l_prev = l_cols
-        if l_prev:  # the last degree: d vanishes, so L must be empty
-            raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
-        _check_counts(lam, mu, [c for data in out.values() for c in data.h_classes])
-        return out
+            return _split_pair(lam, mu, _labelled_basis(lam, mu), homotopy_seeds(lam, mu))
+        return _split_pair(lam, mu, None, {})
 
     # -- the three maps -----------------------------------------------------
 
@@ -314,7 +237,7 @@ class Splitting:
                 k = sum(self._k[i] for i in key) + 2 - len(key)
                 data, coords, h = self._coordinates(lam, mu, k, coords)
                 entry = (_q(data, coords) or None, h)
-            self._chains[key] = entry = entry or (None, {})
+            self._chains[key] = entry = entry or _ZERO_CHAIN
         return entry
 
     def _lambda(self, key: tuple[int, ...]) -> dict[int, Scalar]:
@@ -381,15 +304,6 @@ class Splitting:
 def _q(data: _SpaceSplit, coords: dict[int, Scalar]) -> dict[int, Scalar]:
     """The coordinates of Qf, from the B and H coordinates of f."""
     return _combine({i: c for i, c in coords.items() if i < data.b_count}, data.l_prev)
-
-
-def _combine(coeffs: dict[int, Scalar], vectors) -> dict[int, Scalar]:
-    """Σ coeffs[i]·vectors[i] of sparse ``{index: value}`` vectors."""
-    out: dict[int, Scalar] = {}
-    for i, coeff in coeffs.items():
-        for where, value in vectors[i].items():
-            out[where] = out.get(where, 0) + coeff * value
-    return _nonzero(out)
 
 
 def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:

@@ -310,7 +310,8 @@ def _doc_extbasis(args) -> dict:
 def _doc_multtable(args) -> dict:
     from functools import cache
 
-    from .extalg import BASIS_LABELS, compose, construct_element, decompose, ext_basis, in_range
+    from .extalg import BASIS_LABELS, compose, construct_element, in_range
+    from .extalg import _coefficients, _ext_split
 
     m, n = args.m, args.n
     if n != 2:
@@ -321,8 +322,8 @@ def _doc_multtable(args) -> dict:
         for x in BASIS_LABELS
         for y in BASIS_LABELS
     }
-    # each Ext basis (verified) is built once, as each labelled element is
-    basis_of = cache(ext_basis)
+    # each pair is split, its Ext basis verified, once, as each element is built
+    split_of = cache(_ext_split)
     for lam in ws:
         for mid in ws:
             if mid == lam:
@@ -344,7 +345,7 @@ def _doc_multtable(args) -> dict:
                             continue
                         cell = families[(xl, yl)]
                         cell["products"] += 1
-                        coeffs, _ = decompose(compose(x, y), basis_of(lam, mu))
+                        coeffs = _coefficients(split_of(lam, mu), compose(x, y))
                         nonzero = {key[0] for key, c in coeffs.items() if c}
                         if nonzero:
                             cell["nonzero"] += 1

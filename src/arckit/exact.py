@@ -33,8 +33,8 @@ all the deterministic conventions used everywhere:
   which carries the identity along as ``[M | I]``, M having the accepted
   vectors as rows.  Once the span is full, the tag half of the row with
   pivot p is row p of M^-1, restricted to the columns of the tagged
-  vectors.  ``Splitting._build_pair`` picks the columns of [B | H | L]
-  this way: B and H enter tagged and L through ``add``, since Π and Q read
+  vectors.  ``extalg._split_pair`` picks the columns of [B | H | L] this
+  way: B and H enter tagged and L through ``add``, since Π and Q read
   only the B and H coordinates.  Both accept a vector only when its
   remainder has a column below the width.  An invertible system has
   exactly one solution, so every coordinate is the scalar ``solve`` would

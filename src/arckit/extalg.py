@@ -814,7 +814,8 @@ def _n2_candidate_labels(lam: Weight, mu: Weight) -> list[str]:
 
 
 def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
-    """A basis of Ext(M(λ), M(μ)) by cocycle representatives.
+    """A basis of Ext(M(λ), M(μ)) by cocycle representatives: the H of the
+    pair's split hom^k = B ⊕ H ⊕ L (``_split_pair``, with no homotopy seeds).
 
     ``method`` is "auto" or "generic".  Ext vanishes unless λ ≤ μ, so
     either method returns [] there without computing.  For n ≤ 2 and
@@ -822,46 +823,27 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     be a cocycle, jointly independent modulo coboundaries, and their count
     per degree must equal the closed dimension recursion — any mismatch is
     a hard failure.  Otherwise the classes are the kernel basis vectors of
-    each d_k that are independent modulo coboundaries (``_degree_classes``).
+    each d_k that are independent modulo coboundaries.
     """
+    return [c for data in _ext_split(lam, mu, method).values() for c in data.h_classes]
+
+
+def _ext_split(lam: Weight, mu: Weight, method: str = "auto") -> dict[int, _SpaceSplit]:
+    """The split whose H is ``ext_basis(λ, μ, method)``; {} unless λ ≤ μ."""
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'generic'")
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     if not bruhat_leq(lam, mu):
-        return []
-    if method == "generic" or lam.n > 2:
-        labelled = None
-        degrees = [k for k in _k_range(lam, mu) if hom_space(lam, mu, k)]
-    else:
-        labelled = _labelled_basis(lam, mu)
-        degrees = sorted({c.k for c in labelled})
-    classes = [
-        c
-        for k in degrees
-        for c in _degree_classes(lam, mu, k, _coboundaries(lam, mu, k).add, labelled)
-    ]
-    _check_counts(lam, mu, classes)
-    return classes
-
-
-def _check_counts(lam: Weight, mu: Weight, classes: list[ExtClass]) -> None:
-    """The number of classes per degree must be the closed recursion's."""
-    expected = shelton_dims(lam, mu)
-    got: dict[int, int] = {}
-    for c in classes:
-        got[c.k] = got.get(c.k, 0) + 1
-    if got != expected:
-        raise ArithmeticError(
-            f"basis dimensions {got} disagree with the recursion {expected} "
-            f"for ({lam}, {mu})"
-        )
+        return {}
+    labelled = None if method == "generic" or lam.n > 2 else _labelled_basis(lam, mu)
+    return _split_pair(lam, mu, labelled, {})
 
 
 def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
     """The nonzero labelled classes, each checked to be a cocycle, in
     (k, label) order; their independence modulo the coboundaries is
-    checked by ``_degree_classes``."""
+    checked by ``_split_pair``."""
     if not bruhat_leq(lam, mu):
         return []
     if lam == mu:
@@ -882,31 +864,122 @@ def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
     return sorted(classes, key=lambda c: (c.k, c.label))
 
 
-def _coboundaries(lam: Weight, mu: Weight, k: int) -> Echelon:
-    """The span of d(hom^{k-1}) inside hom^k(λ, μ)."""
-    return Echelon.of_rows(_differential_matrix(lam, mu, k - 1).transpose())
+# ---------------------------------------------------------------------------
+# the split hom^k = B ⊕ H ⊕ L of a pair
+# ---------------------------------------------------------------------------
 
 
-def _degree_classes(
-    lam: Weight, mu: Weight, k: int, keep, labelled: list[ExtClass] | None = None
-) -> list[ExtClass]:
-    """The degree-k classes that ``keep`` adds to a span of d(hom^{k-1}) and
-    the classes kept so far, hence the same for every such span: the degree-k
-    ``labelled`` classes, each of which must be kept, or, when ``labelled``
-    is None, the kept kernel basis vectors of d_k, as "generic" classes."""
-    if labelled is None:
-        return [
-            ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
-            for vec in kernel_basis(_differential_matrix(lam, mu, k))
-            if keep(vec)
+class _SpaceSplit(Value):
+    """The decomposition of one hom^k(P_•(λ), P_•(μ)).
+
+    B is d of ``l_prev``, the L of hom^{k-1} (``b_count`` columns), H the
+    representatives of ``h_classes`` and L the next degree's ``l_prev``,
+    each L vector a sparse ``{index: value}`` dict.  ``inverse[p]``, sparse
+    too, is column p of the inverse of the matrix with columns [B | H | L],
+    restricted to its B and H rows, the only coordinates Π and Q read.
+    """
+
+    _fields = ("space", "b_count", "h_classes", "l_prev", "inverse")
+    __hash__ = None
+
+    def __init__(
+        self, space: tuple, b_count: int, h_classes: list[ExtClass], l_prev: list, inverse: list
+    ):
+        self._assign(space, b_count, h_classes, l_prev, inverse)
+
+
+def _split_pair(
+    lam: Weight, mu: Weight, labelled: list[ExtClass] | None, seeds: dict[int, list[HomElement]]
+) -> dict[int, _SpaceSplit]:
+    """Every hom^k(λ, μ) split as B ⊕ H ⊕ L: the one place a split is chosen
+    and checked, read by ``ext_basis`` (H) and ``ainfty.Splitting`` (Π, Q).
+
+    Each hom^k is one ``Echelon`` pass: B = d(L_{k-1}) and then H enter
+    through ``add_tagged``, whose tag halves become the B and H rows of the
+    inverse, then L through ``add``: the degree-k ``seeds``, then unit
+    vectors until the span is full.  H is the degree-k ``labelled``
+    classes, each of which must enter, or, when ``labelled`` is None, the
+    kernel basis vectors of d_k that enter, as "generic" classes; B spans
+    d(hom^{k-1}) for any L_{k-1}, so the seeds do not change H.  B ⊕ H is
+    all of the cocycles Z with no rank of d_k: |B| + |H| ≤ dim Z, the next
+    degree's B checks that d is injective on L, so |L| ≤ dim − dim Z, and
+    the three add up to dim; where no next degree sees L, d vanishes and L
+    must be empty.  The class counts must be the closed recursion's.
+    """
+    out: dict[int, _SpaceSplit] = {}
+    l_prev: list[dict[int, Scalar]] = []
+    for k in _k_range(lam, mu):
+        space = hom_space(lam, mu, k)
+        dim = len(space)
+        if dim == 0:
+            if l_prev:  # d vanishes on hom^{k-1}, so L there must be empty
+                raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
+            out[k] = _SpaceSplit(space, 0, [], l_prev, [])
+            continue
+        span = Echelon(dim)
+        if l_prev:
+            d_prev = _differential_matrix(lam, mu, k - 1)
+            d_cols: list[dict[int, Scalar]] = [{} for _ in range(d_prev.cols)]
+            for (r, c), v in d_prev.entries.items():
+                d_cols[c][r] = v
+            if not all(span.add_tagged(_combine(vec, d_cols)) for vec in l_prev):
+                raise ArithmeticError("d is not injective on the chosen L")
+        if labelled is None:
+            classes = [
+                ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
+                for vec in kernel_basis(_differential_matrix(lam, mu, k))
+                if span.add_tagged(vec)
+            ]
+        else:
+            classes = [c for c in labelled if c.k == k]
+            if not all(span.add_tagged(c.element.coords) for c in classes):
+                raise ArithmeticError(
+                    f"canonical degree-{k} representatives are dependent modulo "
+                    f"coboundaries for ({lam}, {mu})"
+                )
+        l_cols = [element.coords for element in seeds.get(k, [])]
+        if not all(span.add(vec) for vec in l_cols):
+            raise ArithmeticError("homotopy element lies in the cocycles")
+        for i in range(dim):
+            if len(span) == dim:
+                break
+            if span.add({i: 1}):
+                l_cols.append({i: 1})
+        inverse = [
+            {c - dim: v for c, v in span.rows[p].items() if c >= dim} for p in range(dim)
         ]
-    classes = [c for c in labelled if c.k == k]
-    if not all(keep(c.element.coords) for c in classes):
+        out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)
+        l_prev = l_cols
+    if l_prev:  # the last degree: d vanishes, so L must be empty
+        raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
+    got = {k: len(data.h_classes) for k, data in out.items() if data.h_classes}
+    expected = shelton_dims(lam, mu)
+    if got != expected:
         raise ArithmeticError(
-            f"canonical degree-{k} representatives are dependent modulo "
-            f"coboundaries for ({lam}, {mu})"
+            f"basis dimensions {got} disagree with the recursion {expected} for ({lam}, {mu})"
         )
-    return classes
+    return out
+
+
+def _combine(coeffs: dict[int, Scalar], vectors) -> dict[int, Scalar]:
+    """Σ coeffs[i]·vectors[i] of sparse ``{index: value}`` vectors."""
+    out: dict[int, Scalar] = {}
+    for i, coeff in coeffs.items():
+        for where, value in vectors[i].items():
+            out[where] = out.get(where, 0) + coeff * value
+    return _nonzero(out)
+
+
+def _coefficients(split: dict[int, _SpaceSplit], f: HomElement) -> dict:
+    """The coefficients of the cocycle f over the H-classes of its pair's
+    ``split``, keyed (label, k, j, position) as by ``decompose``: the H rows
+    of the inverse columns at f's support."""
+    if f.is_zero():
+        return {}
+    data = split[f.k]
+    coords, b = _combine(f.coords, data.inverse), data.b_count
+    h = enumerate(data.h_classes)
+    return {(c.label, c.k, c.j, i): coords[b + i] for i, c in h if b + i in coords}
 
 
 # ---------------------------------------------------------------------------
@@ -1007,13 +1080,13 @@ def ext_quiver(m: int, n: int) -> dict:
     products of two non-identity classes, each named by its entry (label,
     source, target, k, j); relations record, for every composable pair of
     generators, the two entries and the decomposition of their product
-    over the basis, keyed as by ``decompose`` (empty = a zero relation).
+    over the basis, keyed as by ``decompose`` (empty = a zero relation),
+    read off the pair's split (``_coefficients``).
     """
     vertices = weights_in_block(m, n)
-    bases: dict[tuple[Weight, Weight], list[ExtClass]] = {}
-    for lam in vertices:
-        for mu in vertices:
-            bases[(lam, mu)] = [] if lam == mu else ext_basis(lam, mu)
+    pairs = [(lam, mu) for lam in vertices for mu in vertices if lam != mu]
+    splits = {pair: _ext_split(*pair) for pair in pairs}
+    bases = {pair: [c for data in splits[pair].values() for c in data.h_classes] for pair in pairs}
     products: dict[tuple[int, int], dict] = {}  # (id(f), id(g)) -> coefficients
     spanned: dict[tuple[Weight, Weight], set] = {}
     for (lam, nu), first in bases.items():
@@ -1022,7 +1095,7 @@ def ext_quiver(m: int, n: int) -> dict:
                 continue
             for f in first:
                 for g in second:
-                    coeffs, _ = decompose(compose(f, g), bases[(lam, mu)])
+                    coeffs = _coefficients(splits[(lam, mu)], compose(f, g))
                     products[(id(f), id(g))] = coeffs
                     spanned.setdefault((lam, mu), set()).update(coeffs)
     generators = [

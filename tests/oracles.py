@@ -125,9 +125,10 @@ classes built from their closed formulas and the ranges in
 ``tests/tables.py``.  The count of that kernel basis checks that B ⊕ H
 exhausts the cocycles, and [B | H | L] is inverted by dense Gauss-Jordan
 on [M | I]; like the splitting, it keeps the L vectors sparse and, of each
-inverse column, the B and H rows.  ``Splitting._build_pair`` builds each
-hom^k in one tagged ``Echelon`` pass, with H from
-``extalg._degree_classes``, and is checked against it pair by pair.
+inverse column, the B and H rows.  ``extalg._split_pair``, which
+``Splitting._build_pair`` calls, builds each hom^k in one tagged
+``Echelon`` pass that also picks H, and is checked against it pair by
+pair.
 """
 
 from collections import Counter

@@ -439,19 +439,29 @@ PINNED_DIGESTS = {
     # two diagrams that stack and whose product is 0: the output is "0"
     ("multiply", "-m", "2", "-n", "1", ZERO_X, ZERO_Y):
         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    # the Ext quiver of (4|2) and the table of (5|2), recorded while each
+    # product was decomposed by its own solve
+    ("quiver", "-m", "4", "-n", "2", "--algebra", "ext", "--format", "json"):
+        "3e6ef570d6b33993af5b5fffb8dabe6d113da1598a33c23d4680c9afa781b89d",
+    ("multtable", "-m", "5", "-n", "2", "--format", "json"):
+        "013bbdbe5c7c821e6a0556eedfb1f0ce31b7360639711888e6cc223a41c16325",
 }
 
 # pins the installed-script step of CI checks and tier-1 does not run,
 # each too slow for tier-1: the generic resolution of the longest weight of
 # (4|4), 16 components, whose --verify ranks each d_i's per-degree matrices
-# over every degree (about 2.4 s), and the first generic A-infinity report of
-# (3|3), its products read off a larger product table than any test builds
+# over every degree (about 2.4 s), the first generic A-infinity report of
+# (3|3), its products read off a larger product table than any test builds,
+# and the Ext quiver of (3|3) (about 1 s), recorded while each product was
+# decomposed by its own solve
 CI_ONLY_DIGESTS = {
     ("resolve", "-m", "4", "-n", "4", "--lambda", "vvvv^^^^", "--method", "generic",
      "--verify", "--format", "json"):
         "b137b4604f8b92c2dd119fd4de23571bad251d918d2cdc4cfec508035f4cf254",
     ("ainfty", "-m", "3", "-n", "3", "--max-arity", "3", "--format", "json"):
         "cb7145789072602afae778c4c4ff3724a67c281e41f043681d512eacf05f0e99",
+    ("quiver", "-m", "3", "-n", "3", "--algebra", "ext", "--format", "json"):
+        "d80e1149a62d03263c7099e2af3283ac322691ac13ae4543efabd8612c8d6cec",
 }
 
 

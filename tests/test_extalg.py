@@ -24,9 +24,9 @@ from arckit import (
     weights_in_block,
 )
 from arckit.extalg import (
-    _coboundaries,
-    _degree_classes,
+    _coefficients,
     _differential_matrix,
+    _ext_split,
     basis_hom_element,
     compose,
     construct_element,
@@ -34,6 +34,7 @@ from arckit.extalg import (
     end_quiver,
     ext_quiver,
     _k_range,
+    _split_pair,
     find_homotopy,
     hom_differential,
     hom_element,
@@ -454,7 +455,7 @@ class TestDecompose:
 
 
 class TestNoClassesUnlessLambdaBelowMu:
-    """Ext(M(λ), M(μ)) = 0 unless λ ≤ μ: the elimination that ``ext_basis``
+    """Ext(M(λ), M(μ)) = 0 unless λ ≤ μ: the pair split that ``ext_basis``
     and the splitting skip there finds no class in any degree."""
 
     @pytest.mark.parametrize("m,n", [(3, 2), (2, 3)])
@@ -464,9 +465,48 @@ class TestNoClassesUnlessLambdaBelowMu:
         assert pairs
         for lam, mu in pairs:
             assert ext_basis(lam, mu) == ext_basis(lam, mu, "generic") == []
-            for k in _k_range(lam, mu):
-                if hom_space(lam, mu, k):
-                    assert _degree_classes(lam, mu, k, _coboundaries(lam, mu, k).add) == []
+            split = _split_pair(lam, mu, None, {})
+            assert list(split) == list(_k_range(lam, mu))
+            assert [k for k, data in split.items() if data.h_classes] == []
+
+
+class TestProductsReadOffTheSplit:
+    """``ext_quiver`` and ``arckit multtable`` read the coefficients of a
+    product of classes as the H rows of its pair split's inverse; the
+    reference is a fresh ``decompose`` solve of the same product."""
+
+    @pytest.mark.parametrize(
+        "m,n,method",
+        [(2, 2, "auto"), (2, 2, "generic"), (3, 2, "auto"), (3, 2, "generic"), (2, 3, "auto")],
+    )
+    def test_coefficients_equal_the_solve(self, m, n, method):
+        weights = weights_in_block(m, n)
+        splits = {
+            (lam, mu): _ext_split(lam, mu, method)
+            for lam in weights
+            for mu in weights
+            if lam != mu
+        }
+        bases = {
+            pair: [c for data in split.values() for c in data.h_classes]
+            for pair, split in splits.items()
+        }
+        products = nonzero = 0
+        for (lam, nu), first in bases.items():
+            for (nu2, mu), second in bases.items():
+                if nu2 != nu:
+                    continue
+                for f in first:
+                    for g in second:
+                        product = compose(f, g)
+                        # reading Π raises for no product outside B ⊕ H, so
+                        # the cocycle condition is checked here
+                        assert hom_differential(product).is_zero()
+                        want = decompose(product, bases[(lam, mu)])[0]
+                        assert _coefficients(splits[(lam, mu)], product) == want
+                        products += 1
+                        nonzero += bool(want)
+        assert products and nonzero
 
 
 class TestQuivers:
