@@ -35,17 +35,20 @@ from .exact import Scalar
 from .extalg import (
     ExtClass,
     HomElement,
+    _coefficients,
     _combine,
     _compose_coords,
     _hom_index,
     _k_range,
     _labelled_basis,
     _nonzero,
+    _space_split,
     _SpaceSplit,
     _split_pair,
     basis_hom_element,
     hom_differential,
     hom_space,
+    hom_element,
     homotopy_seeds,
     zero_hom,
 )
@@ -77,15 +80,13 @@ class Splitting:
     Each (λ, μ) pair is split lazily, once, and cached: ``h_classes`` and
     ``all_h_classes`` split only pairs with λ ≤ μ, as Ext vanishes on the
     others and no chain of classes reaches them, while Π, Q and ``verify``
-    split any pair they are given.  For every hom^k the split stores the B
-    and H rows of the inverse of its invertible [B | H | L] column matrix,
-    so the coordinates that Π and Q read are a sum over the columns at f's
-    support, the unique solution a fresh ``solve`` would return.
+    split any pair they are given.
 
     ``_build_pair`` splits a pair through ``extalg._split_pair``, the one
     routine that chooses and checks a split, and so the one ``ext_basis``
     reads its classes from: canonical mode passes the labelled classes and
-    the explicit homotopies as seeds, generic mode neither.
+    the explicit homotopies as seeds, generic mode neither.  Π and Q read
+    each hom^k through its ``_SpaceSplit``.
 
     Every H-class gets an index when its pair is split, and one memo keyed
     by tuples of those indices holds, for each chain of classes evaluated,
@@ -104,13 +105,12 @@ class Splitting:
         self._pairs: dict[tuple[Weight, Weight], dict[int, _SpaceSplit]] = {}
         self._classes: list[ExtClass] = []
         self._index: dict[int, int] = {}  # id(class) -> position in _classes
-        # per class index: source and target as positions in the block, k, j,
-        # and the position among the H-classes of its hom^k
+        # per class index: source and target block positions, k, j, pi_coefficients key
         self._source: list[int] = []
         self._target: list[int] = []
         self._k: list[int] = []
         self._j: list[int] = []
-        self._position: list[int] = []
+        self._keys: list[tuple] = []
         self._table = _product_table(m, n)
         # hom_space and _hom_index of hom^k, keyed by block positions and k
         self._spaces: dict[tuple[int, int, int], tuple[tuple, dict]] = {}
@@ -130,7 +130,7 @@ class Splitting:
                     self._target.append(self._table.position[c.target])
                     self._k.append(c.k)
                     self._j.append(c.j)
-                    self._position.append(position)
+                    self._keys.append(space.h_key(position))
                     # Qλ_1 = −Id, m_1 = 0
                     self._chains[(i,)] = ({x: -v for x, v in c.element.coords.items()}, {})
         return data
@@ -144,46 +144,26 @@ class Splitting:
 
     # -- the three maps -----------------------------------------------------
 
-    def _coordinates(self, lam: Weight, mu: Weight, k: int, coords: dict) -> tuple:
-        """(split of hom^k(λ, μ), B and H coordinates, H coordinates by class
-        index) of the element with these coordinates, read from the inverse
-        columns at its support."""
-        data = self._pair(lam, mu).get(k)
-        if data is None or not data.space:
-            raise ValueError("element lies outside the hom complex")
-        coords, b, index = _combine(coords, data.inverse), data.b_count, self._index
-        h = {index[id(c)]: coords[b + i] for i, c in enumerate(data.h_classes) if b + i in coords}
-        return data, coords, h
-
     def pi(self, f: HomElement) -> HomElement:
         """Projection onto H along B ⊕ L."""
         if f.is_zero():
             return f
-        out = zero_hom(f.source, f.target, f.k, f.j)
-        for i, coeff in self._coordinates(f.source, f.target, f.k, f.coords)[2].items():
-            out = out + coeff * self._classes[i].element
-        return out
+        data = _space_split(self._pair(f.source, f.target), f.k)
+        h, vectors = data.coordinates(f.coords)[1], [c.element.coords for c in data.h_classes]
+        return hom_element(f.source, f.target, f.k, _combine(h, vectors), f.j)
 
     def pi_coefficients(self, f: HomElement) -> dict:
-        """H-basis coordinates of Π(f), keyed by (label, k, j, position)."""
+        """H-basis coordinates of Π(f) keyed (label, k, j, position): ``_coefficients``."""
         if f.is_zero():
             return {}
-        return self._by_label(self._coordinates(f.source, f.target, f.k, f.coords)[2])
-
-    def _by_label(self, coeffs: dict[int, Scalar]) -> dict:
-        """H coordinates by class index, keyed by (label, k, j, position)."""
-        classes, position = self._classes, self._position
-        return {
-            (classes[i].label, classes[i].k, classes[i].j, position[i]): v
-            for i, v in coeffs.items()
-        }
+        return _coefficients(self._pair(f.source, f.target), f)
 
     def q(self, f: HomElement) -> HomElement:
         """The homotopy: zero on H and L, (d|_L)^{-1} on the boundaries."""
         if f.is_zero():
             return zero_hom(f.source, f.target, f.k - 1, f.j)
-        data, coords, _ = self._coordinates(f.source, f.target, f.k, f.coords)
-        return HomElement(f.source, f.target, f.k - 1, f.j, _q(data, coords))
+        data = _space_split(self._pair(f.source, f.target), f.k)
+        return HomElement(f.source, f.target, f.k - 1, f.j, data.q(data.coordinates(f.coords)[0]))
 
     # -- derived data -------------------------------------------------------
 
@@ -235,8 +215,10 @@ class Splitting:
             if coords:
                 lam, mu = self._classes[key[0]].source, self._classes[key[-1]].target
                 k = sum(self._k[i] for i in key) + 2 - len(key)
-                data, coords, h = self._coordinates(lam, mu, k, coords)
-                entry = (_q(data, coords) or None, h)
+                data = _space_split(self._pair(lam, mu), k)
+                (coords, h), classes = data.coordinates(coords), data.h_classes
+                h = {self._index[id(classes[i])]: v for i, v in h.items()}
+                entry = (data.q(coords) or None, h)
             self._chains[key] = entry = entry or _ZERO_CHAIN
         return entry
 
@@ -298,12 +280,8 @@ class Splitting:
     def m_coefficients(self, chain) -> dict:
         """``pi_coefficients(lambda_n(chain))`` of a composable chain of this
         splitting's H-classes, read from the memo."""
-        return self._by_label(self._entry(self._key(chain))[1])
-
-
-def _q(data: _SpaceSplit, coords: dict[int, Scalar]) -> dict[int, Scalar]:
-    """The coordinates of Qf, from the B and H coordinates of f."""
-    return _combine({i: c for i, c in coords.items() if i < data.b_count}, data.l_prev)
+        keys = self._keys
+        return {keys[i]: v for i, v in self._entry(self._key(chain))[1].items()}
 
 
 def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
@@ -353,7 +331,7 @@ def _class_key(split: Splitting, c: ExtClass) -> tuple:
     H-classes; the position (that of ``pi_coefficients`` keys) tells apart
     the generic classes, which all carry the label "generic"."""
     (i,) = split._key([c])
-    return (str(c.source), str(c.target), c.label, c.k, c.j, split._position[i])
+    return (str(c.source), str(c.target), *split._keys[i])
 
 
 def composable_tuples(

@@ -34,11 +34,11 @@ all the deterministic conventions used everywhere:
   vectors as rows.  Once the span is full, the tag half of the row with
   pivot p is row p of M^-1, restricted to the columns of the tagged
   vectors.  ``extalg._split_pair`` picks the columns of [B | H | L] this
-  way: B and H enter tagged and L through ``add``, since Π and Q read
-  only the B and H coordinates.  Both accept a vector only when its
-  remainder has a column below the width.  An invertible system has
-  exactly one solution, so every coordinate is the scalar ``solve`` would
-  give.
+  way: B and H enter tagged and L through ``add``, since ``_SpaceSplit``
+  reads only B and H (Q from B, Π from H).  Both accept a vector only
+  when its remainder has a column below the width.  An invertible system
+  has exactly one solution, so every coordinate is the scalar ``solve``
+  would give.
 
 The RREF of a row space is unique, so these answers do not depend on the
 order in which rows are added and are the same vectors a dense left to

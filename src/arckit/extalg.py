@@ -870,13 +870,13 @@ def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
 
 
 class _SpaceSplit(Value):
-    """The decomposition of one hom^k(P_•(λ), P_•(μ)).
+    """The decomposition of one hom^k(P_•(λ), P_•(μ)), and its one reader.
 
     B is d of ``l_prev``, the L of hom^{k-1} (``b_count`` columns), H the
     representatives of ``h_classes`` and L the next degree's ``l_prev``,
     each L vector a sparse ``{index: value}`` dict.  ``inverse[p]``, sparse
     too, is column p of the inverse of the matrix with columns [B | H | L],
-    restricted to its B and H rows, the only coordinates Π and Q read.
+    restricted to its B and H rows; ``coordinates`` sums those at a vector's support.
     """
 
     _fields = ("space", "b_count", "h_classes", "l_prev", "inverse")
@@ -886,6 +886,20 @@ class _SpaceSplit(Value):
         self, space: tuple, b_count: int, h_classes: list[ExtClass], l_prev: list, inverse: list
     ):
         self._assign(space, b_count, h_classes, l_prev, inverse)
+
+    def coordinates(self, coords: dict[int, Scalar]) -> tuple[dict, dict]:
+        """The [B | H] coordinates of a sparse vector, and their H part by position in H."""
+        out, b = _combine(coords, self.inverse), self.b_count
+        return out, {i: out[b + i] for i in range(len(self.h_classes)) if b + i in out}
+
+    def q(self, coordinates: dict[int, Scalar]) -> dict[int, Scalar]:
+        """Q = (d|_L)^{-1} of the B part of [B | H] ``coordinates``, via ``l_prev``."""
+        return _combine({i: c for i, c in coordinates.items() if i < self.b_count}, self.l_prev)
+
+    def h_key(self, i: int) -> tuple:
+        """(label, k, j, i) of the H-class at position i: the key of its coefficient."""
+        c = self.h_classes[i]
+        return (c.label, c.k, c.j, i)
 
 
 def _split_pair(
@@ -970,16 +984,22 @@ def _combine(coeffs: dict[int, Scalar], vectors) -> dict[int, Scalar]:
     return _nonzero(out)
 
 
+def _space_split(split: dict[int, _SpaceSplit], k: int) -> _SpaceSplit:
+    """hom^k's part of a pair's ``split``; ValueError where hom^k is empty."""
+    data = split.get(k)
+    if data is None or not data.space:
+        raise ValueError("element lies outside the hom complex")
+    return data
+
+
 def _coefficients(split: dict[int, _SpaceSplit], f: HomElement) -> dict:
-    """The coefficients of the cocycle f over the H-classes of its pair's
-    ``split``, keyed (label, k, j, position) as by ``decompose``: the H rows
-    of the inverse columns at f's support."""
+    """The coefficients of Π(f) over the H-classes of its pair's ``split``,
+    keyed (label, k, j, position) as by ``decompose``: the one keyed read
+    of a split, for ``ext_quiver``, ``multtable`` and ``pi_coefficients``."""
     if f.is_zero():
         return {}
-    data = split[f.k]
-    coords, b = _combine(f.coords, data.inverse), data.b_count
-    h = enumerate(data.h_classes)
-    return {(c.label, c.k, c.j, i): coords[b + i] for i, c in h if b + i in coords}
+    data = _space_split(split, f.k)
+    return {data.h_key(i): v for i, v in data.coordinates(f.coords)[1].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1000,9 +1020,9 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     """Write the cocycle f as Σ cᵢ·bᵢ + d(H) over the basis classes.
 
     Returns (coefficients keyed by (label, k, j, position), H), position
-    being the class's place among the given classes of degree k.  Raises
-    ValueError if a class is not one of hom(λ, μ) with (λ, μ) that of f,
-    and ArithmeticError if f is not a cocycle in the span.
+    being the place among the given classes of degree k (by default those
+    of ``ext_basis(λ, μ)``, split anew per call).  ValueError for a class
+    outside f's hom(λ, μ), ArithmeticError for f not a cocycle in the span.
     """
     lam, mu, k = f.source, f.target, f.k
     if classes is None:
@@ -1100,9 +1120,10 @@ def ext_quiver(m: int, n: int) -> dict:
                     spanned.setdefault((lam, mu), set()).update(coeffs)
     generators = [
         c
-        for pair, classes in bases.items()
-        for i, c in enumerate(classes)
-        if (c.label, c.k, c.j, sum(b.k == c.k for b in classes[:i])) not in spanned.get(pair, ())
+        for pair, split in splits.items()
+        for data in split.values()
+        for i, c in enumerate(data.h_classes)
+        if data.h_key(i) not in spanned.get(pair, ())
     ]
     entry = {id(c): (c.label, c.source, c.target, c.k, c.j) for c in generators}
     return {

@@ -21,9 +21,14 @@ from arckit.ainfty import (
 )
 from arckit.exact import solve
 from arckit.extalg import (
+    HomElement,
+    _coefficients,
     _differential_matrix,
+    _ext_split,
+    _k_range,
     basis_hom_element,
     compose,
+    hom_differential,
 )
 from tables import (
     FLAVOUR_TWINS,
@@ -73,6 +78,21 @@ def _splitting_matrix(split, lam, mu, k):
     return oracles.from_rows(columns).transpose()
 
 
+def _solved_basis_vectors(split):
+    """(split of hom^k, basis vector f, solve of f against [B | H | L]) for
+    every basis vector of every hom^k of the splitting's block."""
+    ws = weights_in_block(*split.block)
+    for lam in ws:
+        for mu in ws:
+            for k, data in split._pair(lam, mu).items():
+                if not data.space:
+                    continue
+                matrix = _splitting_matrix(split, lam, mu, k)
+                for vector in data.space:
+                    f = basis_hom_element(lam, mu, k, vector)
+                    yield data, f, solve(matrix, f.coords)
+
+
 class TestCoordinates:
     @pytest.mark.parametrize("fixture", ["split_22_canonical", "split_31_generic"])
     def test_factored_coordinates_equal_solve(self, fixture, request):
@@ -80,22 +100,61 @@ class TestCoordinates:
         # inverse; an invertible system has one solution, so they are
         # exactly the first b_count + |H| coordinates of solve's
         split = request.getfixturevalue(fixture)
-        ws = weights_in_block(*split.block)
         checked = 0
-        for lam in ws:
-            for mu in ws:
-                for k, data in split._pair(lam, mu).items():
-                    if not data.space:
-                        continue
-                    matrix = _splitting_matrix(split, lam, mu, k)
-                    kept = data.b_count + len(data.h_classes)
-                    for vector in data.space:
-                        f = basis_hom_element(lam, mu, k, vector)
-                        _, coords, _ = split._coordinates(lam, mu, k, f.coords)
-                        want = solve(matrix, f.coords)
-                        assert coords == {i: x for i, x in want.items() if i < kept}
-                        checked += 1
+        for data, f, want in _solved_basis_vectors(split):
+            kept = data.b_count + len(data.h_classes)
+            coords, _ = data.coordinates(f.coords)
+            assert coords == {i: x for i, x in want.items() if i < kept}
+            checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("fixture", ["split_22_canonical", "split_31_generic"])
+    def test_pi_coefficients_are_the_h_part_of_solve(self, fixture, request):
+        # Π of any vector, cocycle or not, keeps the H coordinates of its
+        # unique [B | H | L] decomposition, keyed (label, k, j, position)
+        split = request.getfixturevalue(fixture)
+        checked = cocycles = 0
+        for data, f, want in _solved_basis_vectors(split):
+            b = data.b_count
+            assert split.pi_coefficients(f) == {
+                (c.label, c.k, c.j, i): want[b + i]
+                for i, c in enumerate(data.h_classes)
+                if b + i in want
+            }
+            checked += 1
+            cocycles += hom_differential(f).is_zero()
+        assert checked > cocycles > 0
+
+    def test_elements_outside_the_complex_are_refused(self, split_22_canonical):
+        # a degree past the last component of the resolution reads no split
+        split = split_22_canonical
+        lam = weights_in_block(2, 2)[0]
+        f = HomElement(lam, lam, max(_k_range(lam, lam)) + 1, 0, {0: 1})
+        for read in (split.pi, split.q, split.pi_coefficients):
+            with pytest.raises(ValueError, match="outside the hom complex"):
+                read(f)
+
+    @pytest.mark.parametrize(
+        "fixture,count", [("split_22_canonical", 60), ("split_32_canonical", 380)]
+    )
+    def test_seeds_leave_the_h_coordinates_of_cocycles(self, fixture, count, request):
+        # the homotopy seeds move L, and with it the next degree's B, but
+        # never a cocycle's H coordinates: Π of every product of two
+        # non-idempotent classes reads the same off the seeded split as off
+        # ext_basis's unseeded one
+        split = request.getfixturevalue(fixture)
+        unseeded = {}
+        products = 0
+        for a1, a2 in composable_tuples(split.all_h_classes(include_idempotents=False), 2):
+            product = compose(a1, a2)
+            if product.is_zero():
+                continue
+            pair = (product.source, product.target)
+            if pair not in unseeded:
+                unseeded[pair] = _ext_split(*pair)
+            assert split.pi_coefficients(product) == _coefficients(unseeded[pair], product)
+            products += 1
+        assert products == count
 
 
 class TestM2:

@@ -114,8 +114,8 @@ class TestHotLayers:
             product = compose(*chain)
             if product.is_zero():
                 continue
-            where = (product.source, product.target, product.k)
-            _, coords, _ = split._coordinates(*where, product.coords)
+            data = split._pair(product.source, product.target)[product.k]
+            coords, _ = data.coordinates(product.coords)
             assert not_exact(coords.values()) == []
             assert not_exact(split.pi_coefficients(product).values()) == []
             assert not_exact(split.pi(product).coords.values()) == []

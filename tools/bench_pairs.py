@@ -5,14 +5,22 @@
 Pair i runs every workload of CHANGE_DIR's BENCHMARK.json with --seed i+1 in both
 checkouts, the parent first in even pairs.  OUT keeps each run's last stdout line, the
 medians, the parent's IQR and the change's wins per end-to-end metric, and ``frontier``:
-one cold CLI process per command and checkout.
+one cold CLI process per command and checkout, with its wall time, the peak memory it
+reads itself (VmHWM of /proc/self/status at exit; the ru_maxrss of wait4 also counts the
+parent's high-water mark) and whether its stdout has the pinned sha256 prefix.
 """
 
-import argparse, json, os, platform, statistics, subprocess, sys, time
+import argparse, hashlib, json, os, platform, statistics, subprocess, sys, time
 from pathlib import Path
 
-FRONTIER = ["cartan -m 2 -n 2", "quiver -m 2 -n 2 --algebra ext",
-            "ainfty -m 3 -n 2 --mode canonical --max-arity 5"]
+FRONTIER = {"cartan -m 2 -n 2": "27a2dc8e", "quiver -m 2 -n 2 --algebra ext": "c45efe23",
+            "ainfty -m 3 -n 2 --mode canonical --max-arity 5": "b2d770ac",
+            "ainfty -m 3 -n 3 --max-arity 4 --format json": "bec879ae",
+            "multtable -m 5 -n 2 --format json": "013bbdbe",
+            "quiver -m 3 -n 3 --algebra ext --format json": "d80e1149"}
+CHILD = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line for line in "
+         "open('/proc/self/status') if line.startswith('VmHWM:')))); "
+         "from arckit.cli import main; sys.exit(main())")
 SIDES = ("parent", "change")
 
 
@@ -23,13 +31,14 @@ def bench(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def cold_cli(root: str, command: str) -> float:
+def cold_cli(root: str, command: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
-    script = "import sys; from arckit.cli import main; sys.exit(main())"
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-c", script, *command.split()], env=env,
-                   stdout=subprocess.DEVNULL, check=True)
-    return time.perf_counter() - start
+    done = subprocess.run([sys.executable, "-c", CHILD, *command.split()], env=env,
+                          capture_output=True, check=True)
+    return {"wall_s": time.perf_counter() - start,
+            "vmhwm_kb": int(done.stderr.decode().splitlines()[-1].split()[1]),
+            "sha256_ok": hashlib.sha256(done.stdout).hexdigest().startswith(FRONTIER[command])}
 
 
 def describe(root: str) -> dict:
