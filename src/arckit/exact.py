@@ -31,14 +31,11 @@ all the deterministic conventions used everywhere:
 * a basis that is picked greedily and then inverted is picked and
   inverted in one pass: each vector enters through ``Echelon.add_tagged``,
   which carries the identity along as ``[M | I]``, M having the accepted
-  vectors as rows.  Once the span is full, the tag half of the row with
-  pivot p is row p of M^-1, restricted to the columns of the tagged
-  vectors.  ``extalg._split_pair`` picks the columns of [B | H | L] this
-  way: B and H enter tagged and L through ``add``, since ``_SpaceSplit``
-  reads only B and H (Q from B, Π from H).  Both accept a vector only
-  when its remainder has a column below the width.  An invertible system
-  has exactly one solution, so every coordinate is the scalar ``solve``
-  would give.
+  vectors as rows, so the tag half of a row gives the tagged coordinates of
+  its value half, modulo the vectors that entered through ``add``
+  (``extalg._split_pair`` reads the B and H rows of the inverse of
+  [B | H | L] this way).  An invertible system has exactly one solution,
+  so every coordinate is the scalar ``solve`` would give.
 
 The RREF of a row space is unique, so these answers do not depend on the
 order in which rows are added and are the same vectors a dense left to
@@ -359,12 +356,12 @@ class Echelon:
         number of vectors accepted before it.  Untagged vectors may follow
         through ``add``, but no tagged one after them.
 
-        The tag half (columns ``width`` and up) of each row is the
-        combination of the tagged vectors that gives the row.  Once
-        ``width`` vectors are in, the value halves are the identity, so the
-        tag half of the row with pivot p is row p of the inverse of the
-        matrix whose rows are the accepted vectors, in order, restricted to
-        the columns of the tagged ones.
+        The tag half (columns ``width`` and up) of each row gives the
+        tagged coordinates of its value half, modulo the untagged vectors.
+        So if the accepted vectors and the unit vectors at the columns that
+        are no pivot are the columns of a matrix, the tag half of the row
+        with pivot p is column p of its inverse, restricted to the tagged
+        vectors' rows; at a column that is no pivot, that part is 0.
         """
         return self._extend(vec, self.width + len(self.rows))
 

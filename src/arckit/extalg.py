@@ -908,17 +908,19 @@ def _split_pair(
     """Every hom^k(λ, μ) split as B ⊕ H ⊕ L: the one place a split is chosen
     and checked, read by ``ext_basis`` (H) and ``ainfty.Splitting`` (Π, Q).
 
-    Each hom^k is one ``Echelon`` pass: B = d(L_{k-1}) and then H enter
-    through ``add_tagged``, whose tag halves become the B and H rows of the
-    inverse, then L through ``add``: the degree-k ``seeds``, then unit
-    vectors until the span is full.  H is the degree-k ``labelled``
-    classes, each of which must enter, or, when ``labelled`` is None, the
-    kernel basis vectors of d_k that enter, as "generic" classes; B spans
-    d(hom^{k-1}) for any L_{k-1}, so the seeds do not change H.  B ⊕ H is
-    all of the cocycles Z with no rank of d_k: |B| + |H| ≤ dim Z, the next
-    degree's B checks that d is injective on L, so |L| ≤ dim − dim Z, and
-    the three add up to dim; where no next degree sees L, d vanishes and L
-    must be empty.  The class counts must be the closed recursion's.
+    Each hom^k is one ``Echelon`` pass with the columns reversed, so that a
+    row's pivot is its vector's last nonzero column: B = d(L_{k-1}) and H
+    enter through ``add_tagged``, then the degree-k ``seeds`` through
+    ``add``.  H is the degree-k ``labelled`` classes, each of which must
+    enter, or, when ``labelled`` is None, the kernel basis vectors of d_k
+    that enter, as "generic" classes; B spans d(hom^{k-1}) for any L_{k-1},
+    so the seeds do not change H.  L is the seeds, then e_p for each column
+    p that is no pivot (the unit vectors e_0, e_1, … a greedy completion
+    keeps), so the tag halves are the B and H rows of the inverse of
+    [B | H | L].  B ⊕ H is all of the cocycles Z with no rank of d_k:
+    |B| + |H| ≤ dim Z, the next degree's B checks that d is injective on L,
+    so |L| ≤ dim − dim Z, and the three add up to dim; where no next degree
+    sees L, d vanishes and L must be empty.  The counts must be the recursion's.
     """
     out: dict[int, _SpaceSplit] = {}
     l_prev: list[dict[int, Scalar]] = []
@@ -930,38 +932,33 @@ def _split_pair(
                 raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
             out[k] = _SpaceSplit(space, 0, [], l_prev, [])
             continue
-        span = Echelon(dim)
+        span, last = Echelon(dim), dim - 1
         if l_prev:
             d_prev = _differential_matrix(lam, mu, k - 1)
             d_cols: list[dict[int, Scalar]] = [{} for _ in range(d_prev.cols)]
             for (r, c), v in d_prev.entries.items():
-                d_cols[c][r] = v
+                d_cols[c][last - r] = v
             if not all(span.add_tagged(_combine(vec, d_cols)) for vec in l_prev):
                 raise ArithmeticError("d is not injective on the chosen L")
         if labelled is None:
             classes = [
                 ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
                 for vec in kernel_basis(_differential_matrix(lam, mu, k))
-                if span.add_tagged(vec)
+                if span.add_tagged(_reversed(vec, last))
             ]
         else:
             classes = [c for c in labelled if c.k == k]
-            if not all(span.add_tagged(c.element.coords) for c in classes):
+            if not all(span.add_tagged(_reversed(c.element.coords, last)) for c in classes):
                 raise ArithmeticError(
                     f"canonical degree-{k} representatives are dependent modulo "
                     f"coboundaries for ({lam}, {mu})"
                 )
         l_cols = [element.coords for element in seeds.get(k, [])]
-        if not all(span.add(vec) for vec in l_cols):
+        if not all(span.add(_reversed(vec, last)) for vec in l_cols):
             raise ArithmeticError("homotopy element lies in the cocycles")
-        for i in range(dim):
-            if len(span) == dim:
-                break
-            if span.add({i: 1}):
-                l_cols.append({i: 1})
-        inverse = [
-            {c - dim: v for c, v in span.rows[p].items() if c >= dim} for p in range(dim)
-        ]
+        rows = {last - r: row for r, row in span.rows.items()}
+        l_cols += [{p: 1} for p in range(dim) if p not in rows]
+        inverse = [{c - dim: v for c, v in rows.get(p, {}).items() if c >= dim} for p in range(dim)]
         out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)
         l_prev = l_cols
     if l_prev:  # the last degree: d vanishes, so L must be empty
@@ -973,6 +970,11 @@ def _split_pair(
             f"basis dimensions {got} disagree with the recursion {expected} for ({lam}, {mu})"
         )
     return out
+
+
+def _reversed(vec: dict[int, Scalar], last: int) -> dict[int, Scalar]:
+    """``vec`` with its columns reversed, c ↦ last − c."""
+    return {last - c: v for c, v in vec.items()}
 
 
 def _combine(coeffs: dict[int, Scalar], vectors) -> dict[int, Scalar]:

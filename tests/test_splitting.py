@@ -63,6 +63,16 @@ SPLIT_DIGESTS = {
     (3, 2, "generic"): "dd30bef689f775ac9a7e89cd4b1bf7dcc0ee4379d7c9c2b3703089141b7c01d3",
     (2, 3, "generic"): "8ffa928aeaa95f7f0fb346d06fce6a5e993cecda477a68f10ff98dc3d956ad72",
     (4, 2, "canonical-n2"): "f34a6bee1571194460264ab0273d01f9737d98f4646c82a3f1635a914cf82804",
+    # these two, and the CI-only pin below, recorded from the build that
+    # completed L by trying each unit vector in turn
+    (3, 3, "generic"): "fda82f370b74823a609c4d96264680d51bc3aef6573d641de76cb4341c530365",
+    (2, 4, "generic"): "b928a8f87483bc54efd0a02db1774e82f35ed5fd7527ca9150baca5a703e39df",
+}
+
+# split_digest pins the installed-script step of CI checks and tier-1 does
+# not run: the (4|3) generic split takes several seconds
+CI_ONLY_SPLIT_DIGESTS = {
+    (4, 3, "generic"): "07056ebb0473020fd81eba88acb05aeed62f2a25b35810d62b0df97f9ce1f7e3",
 }
 
 # sha256 of the stdout of `arckit ainfty ... --format json`
@@ -231,7 +241,8 @@ class TestChecksFire:
 
 class TestOnePass:
     """The build eliminates each hom^k once: the tagged pass, plus the
-    kernel of d_k in generic mode."""
+    kernel of d_k in generic mode.  Only the homotopy seeds enter that pass
+    untagged: L's unit vectors are read off its pivots, not tried."""
 
     def _eliminations(self, monkeypatch, m, n, mode) -> int:
         for lam in weights_in_block(m, n):
@@ -263,6 +274,39 @@ class TestOnePass:
             if hom_space(lam, mu, k)
         )
         assert self._eliminations(monkeypatch, 2, 2, "generic") == nonempty
+
+    @pytest.mark.parametrize("mode,seeds", [("generic", 0), ("canonical-n2", 26)])
+    def test_only_seeds_enter_untagged(self, monkeypatch, mode, seeds):
+        split = Splitting(3, 2, mode)
+        if mode == "canonical-n2":
+            assert seeds == sum(
+                len(vectors)
+                for lam, mu in _pairs(3, 2)
+                for vectors in extalg.homotopy_seeds(lam, mu).values()
+            )
+        where, calls, original = ["outside"], [], Echelon.add
+
+        def within(name, function):
+            def run(*args):
+                where.append(name)
+                try:
+                    return function(*args)
+                finally:
+                    where.pop()
+
+            return run
+
+        def counted(span, vec):
+            calls.append(where[-1])
+            return original(span, vec)
+
+        monkeypatch.setattr(ainfty, "_split_pair", within("split", ainfty._split_pair))
+        # kernel_basis's own elimination is not part of the split's pass
+        monkeypatch.setattr(Echelon, "of_rows", staticmethod(within("kernel", Echelon.of_rows)))
+        monkeypatch.setattr(Echelon, "add", counted)
+        for lam, mu in _pairs(3, 2):
+            split._pair(lam, mu)
+        assert calls.count("split") == seeds
 
 
 class TestOnlyPairsAChainReaches:

@@ -7,7 +7,10 @@ checkouts, the parent first in even pairs.  OUT keeps each run's last stdout lin
 medians, the parent's IQR and the change's wins per end-to-end metric, and ``frontier``:
 one cold CLI process per command and checkout, with its wall time, the peak memory it
 reads itself (VmHWM of /proc/self/status at exit; the ru_maxrss of wait4 also counts the
-parent's high-water mark) and whether its stdout has the pinned sha256 prefix.
+parent's high-water mark) and whether its stdout has the pinned sha256 prefix, and one
+process per checkout that builds the (4|3) generic split and counts its 1,575 classes.
+PARENT_DIR and CHANGE_DIR must each be the top of a git checkout, so that OUT names
+their SHAs; the tool exits non-zero on a `git archive` export.
 """
 
 import argparse, hashlib, json, os, platform, statistics, subprocess, sys, time
@@ -18,9 +21,10 @@ FRONTIER = {"cartan -m 2 -n 2": "27a2dc8e", "quiver -m 2 -n 2 --algebra ext": "c
             "ainfty -m 3 -n 3 --max-arity 4 --format json": "bec879ae",
             "multtable -m 5 -n 2 --format json": "013bbdbe",
             "quiver -m 3 -n 3 --algebra ext --format json": "d80e1149"}
-CHILD = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line for line in "
-         "open('/proc/self/status') if line.startswith('VmHWM:')))); "
-         "from arckit.cli import main; sys.exit(main())")
+HWM = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line for line in "
+       "open('/proc/self/status') if line.startswith('VmHWM:')))); ")
+CLI = "from arckit.cli import main; sys.exit(main())"
+SPLIT_43 = "from arckit import build_splitting; print(len(build_splitting(4, 3, 'generic').all_h_classes()))"
 SIDES = ("parent", "change")
 
 
@@ -31,19 +35,20 @@ def bench(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def cold_cli(root: str, command: str) -> dict:
+def cold(root: str, code: str, argv: list, check) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", CHILD, *command.split()], env=env,
-                          capture_output=True, check=True)
+    done = subprocess.run([sys.executable, "-c", HWM + code, *argv], env=env, capture_output=True, check=True)
     return {"wall_s": time.perf_counter() - start,
-            "vmhwm_kb": int(done.stderr.decode().splitlines()[-1].split()[1]),
-            "sha256_ok": hashlib.sha256(done.stdout).hexdigest().startswith(FRONTIER[command])}
+            "vmhwm_kb": int(done.stderr.decode().splitlines()[-1].split()[1]), **check(done.stdout)}
 
 
 def describe(root: str) -> dict:
     def git(*args):
         return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout.strip()
+    if git("rev-parse", "--show-toplevel") != str(Path(root).resolve()):
+        sys.exit(f"{root} is not the top of a git checkout, so its SHA cannot be recorded; "
+                 "make one with `git worktree add DIR SHA` or `git clone`")
     files = sorted(Path(root, "src", "arckit").glob("*.py"))
     return {"head": git("rev-parse", "HEAD"), "src_uncommitted": bool(git("status", "--porcelain", "src")),
             "wc_l_src_arckit": sum(len(p.read_text().splitlines()) for p in files)}
@@ -74,7 +79,10 @@ def main() -> None:
                 "parent_median": statistics.median(before), "change_median": statistics.median(after),
                 "parent_iqr": q3 - q1, "change_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after))}
         report["workloads"][workload] = {"summary": summary, "runs": runs}
-    report["frontier"] = {cmd: {side: cold_cli(getattr(args, side), cmd) for side in SIDES} for cmd in FRONTIER}
+    jobs = {cmd: (CLI, cmd.split(), lambda out, pin=pin: {
+        "sha256_ok": hashlib.sha256(out).hexdigest().startswith(pin)}) for cmd, pin in FRONTIER.items()}
+    jobs["(4|3) generic split"] = (SPLIT_43, [], lambda out: {"classes": int(out), "classes_ok": int(out) == 1575})
+    report["frontier"] = {name: {side: cold(getattr(args, side), *job) for side in SIDES} for name, job in jobs.items()}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 
