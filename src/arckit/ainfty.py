@@ -22,15 +22,21 @@ given by the closed homotopy table.
 
 Ext(M(λ), M(μ)) = 0 unless λ ≤ μ, so the classes, and every chain of them,
 come from the pairs with λ ≤ μ: only those are split to find them.
+
+λ_n, Qλ and m_n of a chain of classes of bidegrees (k_i, j_i) are
+homogeneous of bidegree (Σk_i + 2 − n, Σj_i), Qλ one degree lower: d
+preserves the shift j, the split's B, H and L are homogeneous (so Π and Q
+keep j), and composition adds shifts.  So λ_n = 0 whenever hom^k(λ, μ) has
+no basis vector of shift j, and the chain memo answers such a chain
+without evaluating a cut.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from types import MappingProxyType
 
 from .arcalg import _product_table
-from .diagrams import Weight, bruhat_leq, length, weights_in_block
+from .diagrams import Weight, bruhat_leq, weights_in_block
 from .exact import Scalar
 from .extalg import (
     ExtClass,
@@ -61,7 +67,6 @@ __all__ = [
     "stasheff_check",
     "vanishing_report",
     "composable_tuples",
-    "lambda_degree_bound_holds",
 ]
 
 
@@ -112,8 +117,8 @@ class Splitting:
         self._j: list[int] = []
         self._keys: list[tuple] = []
         self._table = _product_table(m, n)
-        # hom_space and _hom_index of hom^k, keyed by block positions and k
-        self._spaces: dict[tuple[int, int, int], tuple[tuple, dict]] = {}
+        # hom_space, _hom_index and the shifts of hom^k, keyed by block positions and k
+        self._spaces: dict[tuple[int, int, int], tuple[tuple, dict, frozenset]] = {}
         self._chains: dict[tuple[int, ...], tuple[dict | None, dict[int, Scalar]]] = {}
 
     # -- construction -------------------------------------------------------
@@ -206,15 +211,19 @@ class Splitting:
         except KeyError:
             raise ValueError("arguments must be H-classes of this splitting") from None
 
-    def _entry(self, key: tuple[int, ...]) -> tuple[dict | None, dict[int, Scalar]]:
+    def _entry(
+        self, key: tuple[int, ...], k: int | None = None, j: int | None = None
+    ) -> tuple[dict | None, dict[int, Scalar]]:
         """(coordinates of Qλ or None, m-coefficients by class index) of the
-        chain of classes ``key``."""
+        chain of classes ``key``, whose λ_n has bidegree (k, j): read off
+        the key on a miss when not given."""
         entry = self._chains.get(key)
         if entry is None:
-            coords = self._lambda(key)
+            if k is None:
+                k, j = self._bidegree(key)
+            coords = self._lambda(key, k, j)
             if coords:
                 lam, mu = self._classes[key[0]].source, self._classes[key[-1]].target
-                k = sum(self._k[i] for i in key) + 2 - len(key)
                 data = _space_split(self._pair(lam, mu), k)
                 (coords, h), classes = data.coordinates(coords), data.h_classes
                 h = {self._index[id(classes[i])]: v for i, v in h.items()}
@@ -222,32 +231,61 @@ class Splitting:
             self._chains[key] = entry = entry or _ZERO_CHAIN
         return entry
 
-    def _lambda(self, key: tuple[int, ...]) -> dict[int, Scalar]:
-        """The coordinates of λ_n of a chain, from the memoized Qλ of its
-        cuts (empty unless the chain is composable)."""
-        source, target, degree = self._source, self._target, self._k
+    def _bidegree(self, key: tuple[int, ...]) -> tuple[int, int]:
+        """(Σk_i + 2 − n, Σj_i): the bidegree of λ_n of the chain ``key``."""
+        degree, shift = self._k, self._j
+        k, j = 2 - len(key), 0
+        for i in key:
+            k += degree[i]
+            j += shift[i]
+        return k, j
+
+    def _vanishes(self, key: tuple[int, ...], k: int, j: int) -> bool:
+        """Whether hom^k from the source of the chain ``key`` to its target
+        has no vector of shift j, so that its (k, j) piece is 0."""
+        s, t = self._source[key[0]], self._target[key[-1]]
+        return j not in (self._spaces.get((s, t, k)) or self._space(s, t, k))[2]
+
+    def _lambda(self, key: tuple[int, ...], k: int, j: int) -> dict[int, Scalar]:
+        """The coordinates of λ_n of a chain of bidegree (k, j), from the
+        memoized Qλ of its cuts (empty unless the chain is composable).
+
+        λ_n lies in the (k, j) piece of hom^k: B, H and L are homogeneous
+        (``hom_element`` refuses mixed shifts, d preserves j, and the
+        echelon form of homogeneous vectors splits by j), so Q keeps j, and
+        composition adds shifts.  Where that piece is empty λ_n = 0, and no
+        cut is evaluated.
+        """
+        source, target, degree, shift = self._source, self._target, self._k, self._j
         previous = key[0]
         for i in key[1:]:
             if target[previous] != source[i]:
                 return {}
             previous = i
+        if self._vanishes(key, k, j):
+            return {}
         if len(key) == 2:
             f, g = (self._classes[i].element.coords for i in key)
             return self._product(key[:1], key[1:], degree[key[0]], degree[key[1]], f, g)
         n = len(key)
-        prefix: list[int] = []  # prefix[i]: the degrees of the first i classes
+        total = k + n - 2  # the degrees of all n classes
+        left_degrees = left_shift = 0
         coords: dict[int, Scalar] = {}
         for cut in range(1, n):
-            left = self._entry(key[:cut])[0]
-            right = None if left is None else self._entry(key[cut:])[0]
+            left_degrees += degree[key[cut - 1]]
+            left_shift += shift[key[cut - 1]]
+            k_len, l_len = cut, n - cut
+            right_degrees = total - left_degrees
+            # the sub-chains' λ, of bidegree (degrees + 2 − length, shift)
+            left = self._entry(key[:cut], left_degrees + 2 - k_len, left_shift)[0]
+            if left is None:
+                continue
+            right = self._entry(key[cut:], right_degrees + 2 - l_len, j - left_shift)[0]
             if right is None:
                 continue
-            prefix = prefix or list(accumulate((degree[i] for i in key), initial=0))
             # with the left-to-right composition the Leibniz rule puts the
             # sign on the right factor, so the Koszul weight carries the
             # left degrees against l − 1 and the right ones against k − 1
-            k_len, l_len = cut, n - cut
-            left_degrees, right_degrees = prefix[cut], prefix[n] - prefix[cut]
             exponent = k_len + (l_len - 1) * left_degrees + (k_len - 1) * right_degrees
             sign = 1 if exponent % 2 else -1  # −(−1)^exponent
             # Qλ of a chain of c classes of total degree K lies in degree K + 1 − c
@@ -270,11 +308,14 @@ class Splitting:
         index = (spaces.get((s, u, k + l)) or self._space(s, u, k + l))[1]
         return _compose_coords(self._table.product, f_space, g_space, index, k, f, g)
 
-    def _space(self, s: int, t: int, k: int) -> tuple[tuple, dict]:
-        """``hom_space`` and ``_hom_index`` of hom^k between the weights at
-        block positions s and t, kept in ``_spaces``."""
+    def _space(self, s: int, t: int, k: int) -> tuple[tuple, dict, frozenset]:
+        """``hom_space``, ``_hom_index`` and the set of shifts of hom^k
+        between the weights at block positions s and t, kept in ``_spaces``."""
         lam, mu = self._table.weights[s], self._table.weights[t]
-        self._spaces[s, t, k] = found = (hom_space(lam, mu, k), _hom_index(lam, mu, k))
+        space = hom_space(lam, mu, k)
+        self._spaces[s, t, k] = found = (
+            space, _hom_index(lam, mu, k), frozenset(vector[4] for vector in space)
+        )
         return found
 
     def m_coefficients(self, chain) -> dict:
@@ -299,26 +340,13 @@ def lambda_n(split: Splitting, chain) -> HomElement:
     if len(chain) < 2:
         raise ValueError("λ_n needs at least two arguments")
     key = split._key(chain)
-    k, j = 2 - len(key), 0
-    for i in key:
-        k += split._k[i]
-        j += split._j[i]
-    return HomElement(chain[0].source, chain[-1].target, k, j, split._lambda(key))
+    k, j = split._bidegree(key)
+    return HomElement(chain[0].source, chain[-1].target, k, j, split._lambda(key, k, j))
 
 
 def m_n(split: Splitting, chain) -> HomElement:
     """m_n = Π(λ_n); m_2 is the multiplication on Ext."""
     return split.pi(lambda_n(split, chain))
-
-
-def lambda_degree_bound_holds(elements) -> bool:
-    """The inequality from the general vanishing bound: with
-    k_i = l(μ_i) − l(μ_{i+1}) − d_i, a nonzero λ_l needs Σd_i ≤ n²+2−l."""
-    n = elements[0].source.n
-    total_d = sum(
-        length(a.source) - length(a.target) - a.k for a in elements
-    )
-    return total_d <= n * n + 2 - len(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +433,9 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
         if left is None or right is None:
             return {}
         keys = split._key((a, b)), split._key((c, d))
+        chain = keys[0] + keys[1]
+        if split._vanishes(chain, *split._bidegree(chain)):  # the piece of λ_4(a, b, c, d)
+            return {}
         return split._product(*keys, a.k + b.k - 1, c.k + d.k - 1, left, right)
 
     q2_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 2))

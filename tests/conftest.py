@@ -40,3 +40,8 @@ def split_22_generic():
 @pytest.fixture(scope="session")
 def split_32_generic():
     return build_splitting(3, 2, "generic")
+
+
+@pytest.fixture(scope="session")
+def split_23_generic():
+    return build_splitting(2, 3, "generic")

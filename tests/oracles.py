@@ -107,6 +107,10 @@ flag by applying Q again; every product is ``block_compose`` read back by
 the same quantities off one memo per splitting and is checked against
 these.
 
+``lambda_degree_bound_holds`` is the paper's general vanishing bound as an
+inequality on a chain of classes: with k_i = l(μ_i) − l(μ_{i+1}) − d_i, a
+nonzero λ_l needs Σd_i ≤ n² + 2 − l.
+
 ``reflect_weight`` and ``reflect_diagram`` are the reflection ρ of
 (m|n) onto (n|m): the labels read right to left with v and ^ swapped, and
 every arc (i, j) sent to (N−1−j, N−1−i) and every ray r to N−1−r.  They are
@@ -145,6 +149,7 @@ from arckit.diagrams import (
     associated_cap_diagram,
     associated_cup_diagram,
     cup_oriented,
+    length,
     weights_in_block,
 )
 from arckit.extalg import (
@@ -1092,6 +1097,16 @@ def lambda_n(split, items) -> HomElement:
 
 def m_n(split, items) -> HomElement:
     return split.pi(lambda_n(split, items))
+
+
+def lambda_degree_bound_holds(elements) -> bool:
+    """The inequality from the general vanishing bound: with
+    k_i = l(μ_i) − l(μ_{i+1}) − d_i, a nonzero λ_l needs Σd_i ≤ n²+2−l."""
+    n = elements[0].source.n
+    total_d = sum(
+        length(a.source) - length(a.target) - a.k for a in elements
+    )
+    return total_d <= n * n + 2 - len(elements)
 
 
 def stasheff_total(split, chain) -> HomElement | None:

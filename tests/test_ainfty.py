@@ -14,11 +14,7 @@ from arckit import (
     vanishing_report,
     weights_in_block,
 )
-from arckit.ainfty import (
-    _class_key,
-    composable_tuples,
-    lambda_degree_bound_holds,
-)
+from arckit.ainfty import Splitting, _class_key, composable_tuples
 from arckit.exact import solve
 from arckit.extalg import (
     HomElement,
@@ -29,6 +25,7 @@ from arckit.extalg import (
     basis_hom_element,
     compose,
     hom_differential,
+    hom_space,
 )
 from tables import (
     FLAVOUR_TWINS,
@@ -280,7 +277,7 @@ class TestGeneralVanishing:
         split = split_22_canonical
         classes = split.all_h_classes()
         for chain in composable_tuples(classes, 3):
-            if not lambda_degree_bound_holds(chain):
+            if not oracles.lambda_degree_bound_holds(chain):
                 assert lambda_n(split, chain).is_zero()
 
 
@@ -314,10 +311,6 @@ class TestStasheff:
 class TestClassKeys:
     """Every generic class carries the label "generic", so a report key
     tells the classes of one hom^k apart by their H position."""
-
-    @pytest.fixture(scope="class")
-    def split_23_generic(self):
-        return build_splitting(2, 3, "generic")
 
     @pytest.mark.parametrize("fixture", ["split_32_generic", "split_23_generic"])
     def test_every_class_has_its_own_key(self, fixture, request):
@@ -401,3 +394,69 @@ class TestMemoAgainstReference:
             lambda_n(other, chain)
         with pytest.raises(ValueError):
             m_n(split, [c.element for c in chain])
+
+
+def _bidegree(chain) -> tuple[int, int]:
+    return sum(a.k for a in chain) + 2 - len(chain), sum(a.j for a in chain)
+
+
+def _piece_is_empty(chain) -> bool:
+    """Whether hom^k(source, target) has no vector of shift j, (k, j) the
+    bidegree of the chain's λ_n."""
+    k, j = _bidegree(chain)
+    return all(vector[4] != j for vector in hom_space(chain[0].source, chain[-1].target, k))
+
+
+class TestZeroByBidegree:
+    """λ_n of a chain is homogeneous of bidegree (Σk_i + 2 − n, Σj_i), so the
+    memo answers 0 without evaluating a cut where that piece of hom^k is
+    empty; the reference in ``tests/oracles.py`` has no such check."""
+
+    @pytest.mark.parametrize("fixture", ["split_32_canonical", "split_23_generic"])
+    def test_empty_pieces_are_zero_in_the_reference(self, fixture, request):
+        split = request.getfixturevalue(fixture)
+        empty = {}
+        for arity in range(2, 6):
+            chains = _chains(split, [arity])
+            empty[arity] = [chain for chain in chains if _piece_is_empty(chain)]
+        # every chain of arity 4 and 5 is settled by its bidegree alone
+        assert {arity: len(chains) for arity, chains in empty.items()} == {
+            2: 56, 3: 409, 4: 1552, 5: 1120,
+        }
+        sample = random.Random(36).sample(empty[5], 300)
+        for chain in empty[2] + empty[3] + empty[4] + sample:
+            assert oracles.lambda_n(split, chain).is_zero()
+            assert lambda_n(split, chain).is_zero()
+
+    @pytest.mark.parametrize("fixture", ["split_32_canonical", "split_23_generic"])
+    def test_memo_entries_are_homogeneous(self, fixture, request):
+        split = request.getfixturevalue(fixture)
+        vanishing_report(split, 5)
+        nonzero = 0
+        for key, (q, m) in split._chains.items():
+            chain = [split._classes[i] for i in key]
+            k, j = _bidegree(chain)
+            space = hom_space(chain[0].source, chain[-1].target, k - 1)
+            assert all(space[i][4] == j for i in q or {})
+            assert all((split._classes[i].k, split._classes[i].j) == (k, j) for i in m)
+            nonzero += len(key) > 1 and q is not None
+        assert nonzero > 0
+
+    def test_no_product_for_arities_four_and_five(self, monkeypatch):
+        # a fresh split, so that no memo entry of an earlier test is read
+        split = build_splitting(3, 2, "canonical-n2")
+        classes = split.all_h_classes(include_idempotents=False)
+        calls = []
+        product = Splitting._product
+
+        def counted(self, *args):
+            calls.append(args[:2])
+            return product(self, *args)
+
+        monkeypatch.setattr(Splitting, "_product", counted)
+        chains = composable_tuples(classes, 4) + composable_tuples(classes, 5)
+        assert len(chains) == 2672
+        for chain in chains:
+            assert lambda_n(split, chain).is_zero()
+            assert split.m_coefficients(chain) == {}
+        assert calls == []

@@ -452,14 +452,17 @@ PINNED_DIGESTS = {
 # (4|4), 16 components, whose --verify ranks each d_i's per-degree matrices
 # over every degree (about 2.4 s), the first generic A-infinity report of
 # (3|3), its products read off a larger product table than any test builds,
-# and the Ext quiver of (3|3) (about 1 s), recorded while each product was
-# decomposed by its own solve
+# the (3|3) report to arity 6, where every arity-6 chain is zero by its
+# bidegree (about 25 s), and the Ext quiver of (3|3) (about 1 s), recorded
+# while each product was decomposed by its own solve
 CI_ONLY_DIGESTS = {
     ("resolve", "-m", "4", "-n", "4", "--lambda", "vvvv^^^^", "--method", "generic",
      "--verify", "--format", "json"):
         "b137b4604f8b92c2dd119fd4de23571bad251d918d2cdc4cfec508035f4cf254",
     ("ainfty", "-m", "3", "-n", "3", "--max-arity", "3", "--format", "json"):
         "cb7145789072602afae778c4c4ff3724a67c281e41f043681d512eacf05f0e99",
+    ("ainfty", "-m", "3", "-n", "3", "--max-arity", "6", "--format", "json"):
+        "d279a15e05c2eee8d6f4ea1e17e2b066cf6dd64b74d5d1f50dc49713e9da39d6",
     ("quiver", "-m", "3", "-n", "3", "--algebra", "ext", "--format", "json"):
         "d80e1149a62d03263c7099e2af3283ac322691ac13ae4543efabd8612c8d6cec",
 }

@@ -4,7 +4,10 @@
 
 Pair i runs every workload of CHANGE_DIR's BENCHMARK.json with --seed i+1 in both
 checkouts, the parent first in even pairs.  OUT keeps each run's last stdout line, the
-medians, the parent's IQR and the change's wins per end-to-end metric, and ``frontier``:
+medians, the parent's IQR and the change's wins per end-to-end metric and per raw time
+(``wall_raw`` and, but for cli-session, ``setup_raw``: the median over a run's passes of
+the unscaled seconds in its ``.bench_out/<workload>-seed<i>-trace0-<pid>/result.json``,
+beside the rescaled ``wall_s`` and ``setup_s``), and ``frontier``:
 one cold CLI process per command and checkout, with its wall time, the peak memory it
 reads itself (VmHWM of /proc/self/status at exit; the ru_maxrss of wait4 also counts the
 parent's high-water mark) and whether its stdout has the pinned sha256 prefix, and one
@@ -19,6 +22,7 @@ from pathlib import Path
 FRONTIER = {"cartan -m 2 -n 2": "27a2dc8e", "quiver -m 2 -n 2 --algebra ext": "c45efe23",
             "ainfty -m 3 -n 2 --mode canonical --max-arity 5": "b2d770ac",
             "ainfty -m 3 -n 3 --max-arity 4 --format json": "bec879ae",
+            "ainfty -m 3 -n 3 --max-arity 6 --format json": "d279a15e",
             "multtable -m 5 -n 2 --format json": "013bbdbe",
             "quiver -m 3 -n 3 --algebra ext --format json": "d80e1149"}
 HWM = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line for line in "
@@ -31,8 +35,17 @@ SIDES = ("parent", "change")
 def bench(root: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    proc = subprocess.Popen(argv, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv, out, err)
+    result = json.loads(out.splitlines()[-1])
+    # run.py names its run directory after its own pid, the child's
+    run_dir = Path(root, ".bench_out", f"{workload}-seed{seed}-trace0-{proc.pid}")
+    passes = json.loads((run_dir / "result.json").read_text())["passes"]
+    result["raw"] = {name: statistics.median(p[name] for p in passes)
+                     for name in ("wall_raw", "setup_raw") if name in passes[0]}
+    return result
 
 
 def cold(root: str, code: str, argv: list, check) -> dict:
@@ -70,12 +83,15 @@ def main() -> None:
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 runs[side].append(bench(getattr(args, side), workload, i + 1, args.seconds))
+        series = {m["name"]: (m["better"], [[r["metrics"][m["name"]]["value"] for r in runs[s]] for s in SIDES])
+                  for m in spec["end_to_end"]}
+        for name in runs["parent"][0]["raw"]:
+            series[name] = ("lower", [[r["raw"][name] for r in runs[s]] for s in SIDES])
         summary = {}
-        for metric in spec["end_to_end"]:
-            before, after = ([r["metrics"][metric["name"]]["value"] for r in runs[s]] for s in SIDES)
+        for name, (better, (before, after)) in series.items():
             q1, _, q3 = statistics.quantiles(before, n=4)
-            sign = 1 if metric["better"] == "lower" else -1
-            summary[metric["name"]] = {
+            sign = 1 if better == "lower" else -1
+            summary[name] = {
                 "parent_median": statistics.median(before), "change_median": statistics.median(after),
                 "parent_iqr": q3 - q1, "change_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after))}
         report["workloads"][workload] = {"summary": summary, "runs": runs}
