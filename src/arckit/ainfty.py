@@ -29,10 +29,19 @@ preserves the shift j, the split's B, H and L are homogeneous (so Π and Q
 keep j), and composition adds shifts.  So λ_n = 0 whenever hom^k(λ, μ) has
 no basis vector of shift j, and the chain memo answers such a chain
 without evaluating a cut.
+
+A chain of classes is read once (``Splitting._read``): one loop over its
+classes gives their indices, the bidegree and whether the chain composes,
+so ``lambda_n`` and ``m_coefficients`` answer 0 for a chain that does not
+compose or whose (k, j) piece is empty without evaluating anything.  The
+reports enumerate the composable tuples of class indices lazily, one
+arity at a time, in ``composable_tuples`` order (both read ``_chains``),
+and name each class through the one per-class key list.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from types import MappingProxyType
 
 from .arcalg import _product_table
@@ -205,23 +214,40 @@ class Splitting:
 
     # -- the chain memo -----------------------------------------------------
 
-    def _key(self, chain) -> tuple[int, ...]:
+    def _read(self, chain) -> tuple[tuple[int, ...], int, int, bool]:
+        """One pass over a chain of this splitting's H-classes: its tuple of
+        class indices, the bidegree (Σk_i + 2 − n, Σj_i) of its λ_n and
+        whether it composes (target_i = source_{i+1}); ValueError for any
+        other argument."""
+        index, source, target, degree, shift = (
+            self._index, self._source, self._target, self._k, self._j
+        )
+        key: list[int] = []
+        k, j, composes, end = 2 - len(chain), 0, True, None
         try:
-            return tuple([self._index[id(c)] for c in chain])
+            for c in chain:
+                i = index[id(c)]
+                if end != source[i] and end is not None:
+                    composes = False
+                end = target[i]
+                key.append(i)
+                k += degree[i]
+                j += shift[i]
         except KeyError:
             raise ValueError("arguments must be H-classes of this splitting") from None
+        return tuple(key), k, j, composes
 
     def _entry(
         self, key: tuple[int, ...], k: int | None = None, j: int | None = None
     ) -> tuple[dict | None, dict[int, Scalar]]:
         """(coordinates of Qλ or None, m-coefficients by class index) of the
-        chain of classes ``key``, whose λ_n has bidegree (k, j): read off
-        the key on a miss when not given."""
+        composable chain of classes ``key``, whose λ_n has bidegree (k, j):
+        read off the key on a miss when not given."""
         entry = self._chains.get(key)
         if entry is None:
             if k is None:
                 k, j = self._bidegree(key)
-            coords = self._lambda(key, k, j)
+            coords = {} if self._vanishes(key, k, j) else self._lambda(key, k, j)
             if coords:
                 lam, mu = self._classes[key[0]].source, self._classes[key[-1]].target
                 data = _space_split(self._pair(lam, mu), k)
@@ -247,23 +273,17 @@ class Splitting:
         return j not in (self._spaces.get((s, t, k)) or self._space(s, t, k))[2]
 
     def _lambda(self, key: tuple[int, ...], k: int, j: int) -> dict[int, Scalar]:
-        """The coordinates of λ_n of a chain of bidegree (k, j), from the
-        memoized Qλ of its cuts (empty unless the chain is composable).
+        """The coordinates of λ_n of a composable chain of bidegree (k, j)
+        whose (k, j) piece is not empty, from the memoized Qλ of its cuts.
 
         λ_n lies in the (k, j) piece of hom^k: B, H and L are homogeneous
         (``hom_element`` refuses mixed shifts, d preserves j, and the
         echelon form of homogeneous vectors splits by j), so Q keeps j, and
-        composition adds shifts.  Where that piece is empty λ_n = 0, and no
-        cut is evaluated.
+        composition adds shifts.  Where that piece is empty λ_n = 0, so the
+        callers (``lambda_n``, ``m_coefficients`` and a memo miss) ask
+        ``_vanishes`` first and evaluate no cut.
         """
-        source, target, degree, shift = self._source, self._target, self._k, self._j
-        previous = key[0]
-        for i in key[1:]:
-            if target[previous] != source[i]:
-                return {}
-            previous = i
-        if self._vanishes(key, k, j):
-            return {}
+        degree, shift = self._k, self._j
         if len(key) == 2:
             f, g = (self._classes[i].element.coords for i in key)
             return self._product(key[:1], key[1:], degree[key[0]], degree[key[1]], f, g)
@@ -319,10 +339,14 @@ class Splitting:
         return found
 
     def m_coefficients(self, chain) -> dict:
-        """``pi_coefficients(lambda_n(chain))`` of a composable chain of this
-        splitting's H-classes, read from the memo."""
+        """``pi_coefficients(lambda_n(chain))`` of a chain of this splitting's
+        H-classes, read from the memo: {} without a memo entry when the
+        chain does not compose or its (k, j) piece is empty."""
+        key, k, j, composes = self._read(chain)
+        if not composes or self._vanishes(key, k, j):
+            return {}
         keys = self._keys
-        return {keys[i]: v for i, v in self._entry(self._key(chain))[1].items()}
+        return {keys[i]: v for i, v in self._entry(key, k, j)[1].items()}
 
 
 def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
@@ -336,12 +360,17 @@ def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
 
 def lambda_n(split: Splitting, chain) -> HomElement:
     """λ_n(a_1, …, a_n) of the splitting's own H-classes, from the
-    splitting's memo of Qλ on every proper sub-chain."""
+    splitting's memo of Qλ on every proper sub-chain.
+
+    One pass over the chain gives its class indices, its bidegree
+    (Σk_i + 2 − n, Σj_i) and whether it composes; λ_n is 0, with no cut
+    evaluated, when it does not compose or hom^k(λ, μ) has no vector of
+    shift j.  ValueError for a class of another splitting."""
     if len(chain) < 2:
         raise ValueError("λ_n needs at least two arguments")
-    key = split._key(chain)
-    k, j = split._bidegree(key)
-    return HomElement(chain[0].source, chain[-1].target, k, j, split._lambda(key, k, j))
+    key, k, j, composes = split._read(chain)
+    coords = split._lambda(key, k, j) if composes and not split._vanishes(key, k, j) else {}
+    return HomElement(chain[0].source, chain[-1].target, k, j, coords)
 
 
 def m_n(split: Splitting, chain) -> HomElement:
@@ -354,38 +383,51 @@ def m_n(split: Splitting, chain) -> HomElement:
 # ---------------------------------------------------------------------------
 
 
-def _class_key(split: Splitting, c: ExtClass) -> tuple:
-    """(source, target, label, k, j, position) of one of the splitting's
-    H-classes; the position (that of ``pi_coefficients`` keys) tells apart
+def _class_key(split: Splitting, i: int) -> tuple:
+    """(source, target, label, k, j, position) of the splitting's H-class at
+    index i; the position (that of ``pi_coefficients`` keys) tells apart
     the generic classes, which all carry the label "generic"."""
-    (i,) = split._key([c])
+    c = split._classes[i]
     return (str(c.source), str(c.target), *split._keys[i])
+
+
+def _chains(items, source, target, arity: int) -> Iterator[tuple]:
+    """Lazily, every tuple of ``arity`` of the ``items`` in which
+    target[x] = source[y] for each x followed by y, in lexicographic order
+    of the items' positions; each arity is extended from the one below a
+    tuple at a time, so only the current tuple of each length is held.
+    ValueError for an arity below one."""
+    if arity < 1:
+        raise ValueError("composable tuples need at least one class")
+    by_source: dict = {}
+    for x in items:
+        by_source.setdefault(source[x], []).append(x)
+    following = {x: by_source.get(target[x], ()) for x in items}
+    chains = ((x,) for x in items)
+    for _ in range(arity - 1):
+        chains = (chain + (y,) for chain in chains for y in following[chain[-1]])
+    return chains
 
 
 def composable_tuples(
     classes: list[ExtClass], arity: int
 ) -> list[tuple[ExtClass, ...]]:
-    """All composable tuples of the given length (target_i = source_{i+1});
-    ValueError for a length below one."""
-    if arity < 1:
-        raise ValueError("composable tuples need at least one class")
-    by_source: dict[Weight, list[ExtClass]] = {}
-    for c in classes:
-        by_source.setdefault(c.source, []).append(c)
-    out: list[tuple[ExtClass, ...]] = []
+    """All composable tuples of the given length (target_i = source_{i+1}),
+    in lexicographic order of the classes' positions; ValueError for a
+    length below one."""
+    source, target = [c.source for c in classes], [c.target for c in classes]
+    return [
+        tuple([classes[p] for p in chain])
+        for chain in _chains(range(len(classes)), source, target, arity)
+    ]
 
-    def extend(chain: list[ExtClass]):
-        if len(chain) == arity:
-            out.append(tuple(chain))
-            return
-        for c in by_source.get(chain[-1].target, []):
-            chain.append(c)
-            extend(chain)
-            chain.pop()
 
-    for c in classes:
-        extend([c])
-    return out
+def _index_tuples(split: Splitting, arity: int) -> Iterator[tuple[int, ...]]:
+    """The composable tuples of the splitting's non-idempotent H-classes as
+    tuples of class indices, lazily and in ``composable_tuples`` order."""
+    index = split._index
+    items = [index[id(c)] for c in split.all_h_classes(include_idempotents=False)]
+    return _chains(items, split._source, split._target, arity)
 
 
 def stasheff_check(split: Splitting, arity: int) -> dict:
@@ -396,69 +438,78 @@ def stasheff_check(split: Splitting, arity: int) -> dict:
     The inner m_s lands in H, so by multilinearity each term is a sum of
     products of memo entries: the coefficient of each class the inner m_s
     lands on times the outer m on the chain with that class in its place.
+    Each arity's chains are enumerated once, as tuples of class indices.
     """
-    classes = split.all_h_classes(include_idempotents=False)
+    degree = split._k
     violations = []
     checked = 0
     for n in range(2, arity + 1):
-        for chain in composable_tuples(classes, n):
-            key = split._key(chain)
+        for key in _index_tuples(split, n):
             total: dict = {}
             for s in range(2, n):  # s = n would need the outer m_1, which is 0
                 for r in range(0, n - s + 1):
-                    t = n - s - r
                     inner = split._entry(key[r : r + s])[1]
-                    sign = (-1) ** (r + s * t + s * sum(a.k for a in chain[:r]))
+                    if not inner:
+                        continue
+                    t = n - s - r
+                    sign = (-1) ** (r + s * t + s * sum([degree[i] for i in key[:r]]))
                     for h, coeff in inner.items():
                         outer = split._entry(key[:r] + (h,) + key[r + s :])[1]
                         for where, value in outer.items():
                             total[where] = total.get(where, 0) + sign * coeff * value
             checked += 1
             if any(total.values()):
-                violations.append(tuple(_class_key(split, c) for c in chain))
+                violations.append(tuple([_class_key(split, i) for i in key]))
     return {"arity": arity, "checked": checked, "violations": violations}
+
+
+def _q2q2_nonzero(split: Splitting, key: tuple[int, ...]) -> bool:
+    """Whether Qλ(a, b)·Qλ(c, d) ≠ 0 for the chain (a, b, c, d) ``key``;
+    the product lies in the (k, j) piece of λ_4(a, b, c, d), and Qλ_2 in
+    degree k_a + k_b − 1."""
+    left, right = split._entry(key[:2])[0], split._entry(key[2:])[0]
+    if left is None or right is None or split._vanishes(key, *split._bidegree(key)):
+        return False
+    degree = split._k
+    k, l = degree[key[0]] + degree[key[1]] - 1, degree[key[2]] + degree[key[3]] - 1
+    return bool(split._product(key[:2], key[2:], k, l, left, right))
 
 
 def vanishing_report(split: Splitting, arity: int) -> dict:
     """Per-arity zero/nonzero summary plus the intermediate vanishing facts
-    Q(λ_2)·Q(λ_2) = 0 and Q(λ_3) = 0 (when they hold)."""
-    classes = split.all_h_classes(include_idempotents=False)
+    Qλ_2 = 0, Q(λ_2)·Q(λ_2) = 0 and Q(λ_3) = 0 (when they hold).
+
+    Each arity's chains are enumerated once, as tuples of class indices,
+    and the facts read the same chains and memo entries as the summary:
+    arities 2 and 3 are evaluated, and arity 4 is enumerated, even when
+    ``arity`` is smaller."""
     m, n = split.block
-
-    def q_lambda(chain) -> dict | None:
-        return split._entry(split._key(chain))[0]
-
-    def q2q2(a, b, c, d) -> dict:  # Qλ(a, b)·Qλ(c, d), Qλ_2 lying in degree k_a + k_b − 1
-        left, right = q_lambda((a, b)), q_lambda((c, d))
-        if left is None or right is None:
-            return {}
-        keys = split._key((a, b)), split._key((c, d))
-        chain = keys[0] + keys[1]
-        if split._vanishes(chain, *split._bidegree(chain)):  # the piece of λ_4(a, b, c, d)
-            return {}
-        return split._product(*keys, a.k + b.k - 1, c.k + d.k - 1, left, right)
-
-    q2_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 2))
-    q2q2_zero = not any(q2q2(*c) for c in composable_tuples(classes, 4))
-    q3_zero = all(q_lambda(c) is None for c in composable_tuples(classes, 3))
-
+    q_zero = {2: True, 3: True}  # no chain of that arity has a nonzero Qλ
+    q2q2_zero = True
     per_arity: dict[int, dict] = {}
-    for width in range(2, arity + 1):
+    for width in range(2, max(arity, 4) + 1):
         max_abs = 0
         nonzero = []
-        for chain in composable_tuples(classes, width):
-            coeffs = split._entry(split._key(chain))[1]
+        for key in _index_tuples(split, width):
+            if width == 4 and q2q2_zero and _q2q2_nonzero(split, key):
+                q2q2_zero = False
+            if width > max(arity, 3):
+                continue
+            q, coeffs = split._entry(key)
+            if q is not None and width in q_zero:
+                q_zero[width] = False
             if coeffs:
-                nonzero.append(tuple(_class_key(split, c) for c in chain))
+                nonzero.append(tuple([_class_key(split, i) for i in key]))
                 max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))
-        per_arity[width] = {"max_abs_coefficient": max_abs, "nonzero_tuples": nonzero}
+        if width <= arity:
+            per_arity[width] = {"max_abs_coefficient": max_abs, "nonzero_tuples": nonzero}
 
     return {
         "block": split.block,
         "mode": split.mode,
         "general_bound": n * n + 2,
-        "q_lambda2_zero": q2_zero,
+        "q_lambda2_zero": q_zero[2],
         "q_lambda2_products_zero": q2q2_zero,
-        "q_lambda3_zero": q3_zero,
+        "q_lambda3_zero": q_zero[3],
         "per_arity": per_arity,
     }

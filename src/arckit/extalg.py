@@ -57,13 +57,10 @@ __all__ = [
     "in_range",
     "homotopy_element",
     "homotopy_seeds",
-    "nullhomotopic_element",
     "compose",
     "decompose",
-    "find_homotopy",
     "end_quiver",
     "ext_quiver",
-    "hom_windows_ok",
     "identity_element",
 ]
 
@@ -774,29 +771,11 @@ def homotopy_seeds(lam: Weight, mu: Weight) -> dict[int, list[HomElement]]:
     return out
 
 
-def nullhomotopic_element(label: str, lam: Weight, mu: Weight) -> HomElement:
-    """The nullhomotopic product families A and B (n = 2)."""
-    if label not in {"A", "B"}:
-        raise ValueError(f"unknown nullhomotopic label {label!r}")
-    return construct_element(label, lam, mu)
-
-
 def _in_window(sigma: int, k: int, j: int) -> bool:
     """The admissible bigrades of degree-0 chain maps between linear n=2
     resolutions: k−j ∈ {0,…,4} with k ≥ σ − w(k−j), w = (2,3,4,3,2)."""
     widths = {0: 2, 1: 3, 2: 4, 3: 3, 4: 2}
     return k - j in widths and k >= sigma - widths[k - j]
-
-
-def hom_windows_ok(lam: Weight, mu: Weight) -> bool:
-    """Every nonzero graded piece of hom(P_•(λ), P_•(μ)) sits in one of
-    the five admissible (k, j) windows (n = 2)."""
-    sigma = _sigma(lam, mu)
-    return all(
-        _in_window(sigma, k, j)
-        for k in _k_range(lam, mu)
-        for _, _, _, _, j in hom_space(lam, mu, k)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1007,15 +986,6 @@ def _coefficients(split: dict[int, _SpaceSplit], f: HomElement) -> dict:
 # ---------------------------------------------------------------------------
 # homotopies and decomposition
 # ---------------------------------------------------------------------------
-
-
-def find_homotopy(f: HomElement) -> HomElement | None:
-    """H with d(H) = f, the homotopy of ``decompose(f, [])``, or None if f
-    is not a coboundary.  f = 0 yields the zero homotopy."""
-    try:
-        return decompose(f, [])[1]
-    except ArithmeticError:
-        return None
 
 
 def decompose(f: HomElement, classes: list[ExtClass] | None = None):

@@ -103,9 +103,17 @@ objects of ``basis``; both are checked against these.
 reference A-infinity operations: every λ_n by the recursion from scratch,
 every Stasheff term through fresh inner and outer m_n, and each vanishing
 flag by applying Q again; every product is ``block_compose`` read back by
-``from_blocks``, not ``arckit.extalg.compose``.  ``arckit.ainfty`` reads
-the same quantities off one memo per splitting and is checked against
+``from_blocks``, not ``arckit.extalg.compose``.  Their chains come from
+``composable_tuples``, a depth-first search over class objects, and each
+class is named by ``class_key``, which finds its position among the
+classes of its hom^k.  ``arckit.ainfty`` reads the same quantities off one
+memo per splitting, over chains of class indices, and is checked against
 these.
+
+``nullhomotopic_element``, ``find_homotopy`` and ``hom_windows_ok`` are
+checks only tests call: the A and B product families, the homotopy half
+of ``decompose(f, [])``, and the five admissible (k, j) windows of the
+n = 2 hom complex.
 
 ``lambda_degree_bound_holds`` is the paper's general vanishing bound as an
 inequality on a chain of classes: with k_i = l(μ_i) − l(μ_{i+1}) − d_i, a
@@ -139,7 +147,7 @@ from collections import Counter
 from fractions import Fraction
 
 from arckit import QPoly, SparseMatrix, kl_poly_recursive
-from arckit.ainfty import _class_key, _SpaceSplit, composable_tuples
+from arckit.ainfty import _SpaceSplit
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
     CapDiagram,
@@ -156,8 +164,11 @@ from arckit.extalg import (
     ExtClass,
     HomElement,
     _differential_matrix,
+    _in_window,
     _k_range,
+    _sigma,
     construct_element,
+    decompose,
     hom_element,
     hom_space,
     homotopy_seeds,
@@ -1099,6 +1110,33 @@ def m_n(split, items) -> HomElement:
     return split.pi(lambda_n(split, items))
 
 
+def nullhomotopic_element(label: str, lam, mu) -> HomElement:
+    """The nullhomotopic product families A and B (n = 2)."""
+    if label not in {"A", "B"}:
+        raise ValueError(f"unknown nullhomotopic label {label!r}")
+    return construct_element(label, lam, mu)
+
+
+def hom_windows_ok(lam, mu) -> bool:
+    """Every nonzero graded piece of hom(P_•(λ), P_•(μ)) sits in one of
+    the five admissible (k, j) windows (n = 2)."""
+    sigma = _sigma(lam, mu)
+    return all(
+        _in_window(sigma, k, j)
+        for k in _k_range(lam, mu)
+        for _, _, _, _, j in hom_space(lam, mu, k)
+    )
+
+
+def find_homotopy(f: HomElement) -> HomElement | None:
+    """H with d(H) = f, the homotopy of ``decompose(f, [])``, or None if f
+    is not a coboundary.  f = 0 yields the zero homotopy."""
+    try:
+        return decompose(f, [])[1]
+    except ArithmeticError:
+        return None
+
+
 def lambda_degree_bound_holds(elements) -> bool:
     """The inequality from the general vanishing bound: with
     k_i = l(μ_i) − l(μ_{i+1}) − d_i, a nonzero λ_l needs Σd_i ≤ n²+2−l."""
@@ -1133,6 +1171,37 @@ def stasheff_total(split, chain) -> HomElement | None:
     return total
 
 
+def composable_tuples(classes: list[ExtClass], arity: int) -> list[tuple]:
+    """Every tuple of ``arity`` classes with target_i = source_{i+1}, by
+    depth-first extension of each class in turn."""
+    by_source: dict = {}
+    for c in classes:
+        by_source.setdefault(c.source, []).append(c)
+    out: list[tuple] = []
+
+    def extend(chain: list):
+        if len(chain) == arity:
+            out.append(tuple(chain))
+            return
+        for c in by_source.get(chain[-1].target, []):
+            chain.append(c)
+            extend(chain)
+            chain.pop()
+
+    for c in classes:
+        extend([c])
+    return out
+
+
+def class_key(split, c: ExtClass) -> tuple:
+    """(source, target, label, k, j, position) of one of the splitting's
+    H-classes, position being its place among the classes of its hom^k:
+    the key the reports of ``arckit.ainfty`` name it by."""
+    same_k = [x for x in split.h_classes(c.source, c.target) if x.k == c.k]
+    position = next(i for i, x in enumerate(same_k) if x is c)
+    return (str(c.source), str(c.target), c.label, c.k, c.j, position)
+
+
 def stasheff_check(split, arity: int) -> dict:
     classes = split.all_h_classes(include_idempotents=False)
     violations = []
@@ -1142,7 +1211,7 @@ def stasheff_check(split, arity: int) -> dict:
             total = stasheff_total(split, chain)
             checked += 1
             if total is not None and not total.is_zero():
-                violations.append(tuple(_class_key(split, c) for c in chain))
+                violations.append(tuple(class_key(split, c) for c in chain))
     return {"arity": arity, "checked": checked, "violations": violations}
 
 
@@ -1179,7 +1248,7 @@ def vanishing_report(split, arity: int) -> dict:
         for chain in composable_tuples(classes, width):
             coeffs = split.pi_coefficients(lambda_n(split, chain))
             if coeffs:
-                nonzero.append(tuple(_class_key(split, c) for c in chain))
+                nonzero.append(tuple(class_key(split, c) for c in chain))
                 max_abs = max(max_abs, max(abs(v) for v in coeffs.values()))
         per_arity[width] = {
             "max_abs_coefficient": max_abs,

@@ -44,11 +44,10 @@ from arckit.extalg import (
     construct_element,
     decompose,
     hom_differential,
-    hom_windows_ok,
     homotopy_element,
 )
 from arckit.resolve import _ab_type, expected_terms, sign_target_n1, sign_target_n2
-from oracles import hom_cohomology, surgery_product_reference
+from oracles import hom_cohomology, hom_windows_ok, surgery_product_reference
 from tables import (
     FLAVOUR_TWINS,
     MULT_TABLE,

@@ -14,7 +14,8 @@ from arckit import (
     vanishing_report,
     weights_in_block,
 )
-from arckit.ainfty import Splitting, _class_key, composable_tuples
+from arckit import ainfty
+from arckit.ainfty import Splitting, _class_key, _index_tuples, composable_tuples
 from arckit.exact import solve
 from arckit.extalg import (
     HomElement,
@@ -317,7 +318,9 @@ class TestClassKeys:
         split = request.getfixturevalue(fixture)
         classes = split.all_h_classes()
         assert len(classes) == 110
-        assert len({_class_key(split, c) for c in classes}) == 110
+        keys = [_class_key(split, split._index[id(c)]) for c in classes]
+        assert keys == [oracles.class_key(split, c) for c in classes]
+        assert len(set(keys)) == 110
 
     def test_violations_are_distinct(self, split_32_generic, split_23_generic):
         violations = stasheff_check(split_32_generic, 4)["violations"]
@@ -363,7 +366,7 @@ class TestMemoAgainstReference:
         flagged = set(stasheff_check(split, 4)["violations"])
         assert flagged
         chains = _chains(split, range(2, 5))
-        keys = [tuple(_class_key(split, c) for c in chain) for chain in chains]
+        keys = [tuple(oracles.class_key(split, c) for c in chain) for chain in chains]
         assert len(set(keys)) == len(keys)
         hits = [c for c, key in zip(chains, keys) if key in flagged]
         misses = [c for c, key in zip(chains, keys) if key not in flagged]
@@ -460,3 +463,66 @@ class TestZeroByBidegree:
             assert lambda_n(split, chain).is_zero()
             assert split.m_coefficients(chain) == {}
         assert calls == []
+
+
+class TestOnePassRead:
+    """``Splitting._read`` reads a chain of classes once, for its class
+    indices, its bidegree and whether it composes, and the reports
+    enumerate tuples of class indices; both against the object-level
+    reference in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("fixture", ["split_32_canonical", "split_23_generic"])
+    def test_index_tuples_follow_the_reference_order(self, fixture, request):
+        split = request.getfixturevalue(fixture)
+        classes = split.all_h_classes(include_idempotents=False)
+        for arity in range(1, 6):
+            want = oracles.composable_tuples(classes, arity)
+            assert composable_tuples(classes, arity) == want
+            tuples = _index_tuples(split, arity)
+            assert iter(tuples) is tuples  # lazy: one arity, a tuple at a time
+            assert list(tuples) == [tuple(split._index[id(c)] for c in chain) for chain in want]
+
+    def test_counted_work(self, monkeypatch):
+        # a fresh split, so that no memo entry of an earlier test is read
+        split = build_splitting(3, 2, "canonical-n2")
+        chains = _chains(split, range(2, 6))
+        assert len(chains) == 4232
+        calls = {"_lambda": 0, "composable_tuples": 0}
+        evaluate, enumerate_ = Splitting._lambda, ainfty.composable_tuples
+
+        def counted_lambda(self, *args):
+            calls["_lambda"] += 1
+            return evaluate(self, *args)
+
+        def counted_tuples(*args):
+            calls["composable_tuples"] += 1
+            return enumerate_(*args)
+
+        monkeypatch.setattr(Splitting, "_lambda", counted_lambda)
+        monkeypatch.setattr(ainfty, "composable_tuples", counted_tuples)
+        for chain in chains:
+            split.pi_coefficients(lambda_n(split, chain))
+        # 1,095 chains with a nonempty (k, j) piece and 324 memo misses
+        assert calls["_lambda"] == 1419
+        vanishing_report(split, 5)
+        stasheff_check(split, 5)
+        assert calls["composable_tuples"] == 0
+
+    def test_a_chain_that_does_not_compose_is_zero(self, split_32_canonical, monkeypatch):
+        split = split_32_canonical
+        classes = split.all_h_classes(include_idempotents=False)
+        pairs = [(a, b) for a in classes for b in classes if a.target != b.source]
+        triples = [(a, b, c) for (a, b) in composable_tuples(classes, 2) for c in classes[:20]
+                   if b.target != c.source]
+        rng = random.Random(37)
+        chains = rng.sample(pairs, 200) + rng.sample(triples, 200)
+        monkeypatch.setattr(Splitting, "_lambda", None)  # never evaluated
+        entries = len(split._chains)
+        for chain in chains:
+            k, j = _bidegree(chain)
+            want = HomElement(chain[0].source, chain[-1].target, k, j, {})
+            assert lambda_n(split, chain) == want
+            assert split.m_coefficients(chain) == {}
+        assert len(split._chains) == entries  # the memo holds composable chains only
+        with pytest.raises(ValueError):
+            split.m_coefficients([c.element for c in chains[0]])

@@ -23,7 +23,7 @@ from arckit import (
 from arckit import diagrams, extalg, resolve
 from arckit.arcalg import _product_table, basis, hom_basis
 from arckit.diagrams import OrientedCircleDiagram
-from arckit.extalg import construct_element, ext_dims, hom_windows_ok, in_range, resolution
+from arckit.extalg import construct_element, ext_dims, in_range, resolution
 from arckit.resolve import (
     ProjectiveComplex,
     ResolutionCache,
@@ -43,6 +43,7 @@ from oracles import (
     element,
     flat_differential_reference,
     hom_cohomology,
+    hom_windows_ok,
     lift_chain_map_reference,
     resolve_generic_reference,
     verify_homology_reference,

@@ -7,16 +7,17 @@ checkouts, the parent first in even pairs.  OUT keeps each run's last stdout lin
 medians, the parent's IQR and the change's wins per end-to-end metric and per raw time
 (``wall_raw`` and, but for cli-session, ``setup_raw``: the median over a run's passes of
 the unscaled seconds in its ``.bench_out/<workload>-seed<i>-trace0-<pid>/result.json``,
-beside the rescaled ``wall_s`` and ``setup_s``), and ``frontier``:
-one cold CLI process per command and checkout, with its wall time, the peak memory it
-reads itself (VmHWM of /proc/self/status at exit; the ru_maxrss of wait4 also counts the
-parent's high-water mark) and whether its stdout has the pinned sha256 prefix, and one
-process per checkout that builds the (4|3) generic split and counts its 1,575 classes.
+beside the rescaled ``wall_s`` and ``setup_s``), and ``frontier``: 3 cold processes per
+checkout, sides alternating, of each CLI command and of a (4|3) generic split that must have
+1,575 classes.  A run keeps its wall and CPU time (ru_utime + ru_stime of os.wait4), the peak
+memory it reads itself (VmHWM at exit; wait4's ru_maxrss also counts the parent's) and whether
+its stdout has the pinned sha256 prefix; a side, the median wall, its min-max range, the
+median CPU time and the highest VmHWM.
 PARENT_DIR and CHANGE_DIR must each be the top of a git checkout, so that OUT names
 their SHAs; the tool exits non-zero on a `git archive` export.
 """
 
-import argparse, hashlib, json, os, platform, statistics, subprocess, sys, time
+import argparse, hashlib, json, os, platform, statistics, subprocess, sys, tempfile, time
 from pathlib import Path
 
 FRONTIER = {"cartan -m 2 -n 2": "27a2dc8e", "quiver -m 2 -n 2 --algebra ext": "c45efe23",
@@ -30,6 +31,7 @@ HWM = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line f
 CLI = "from arckit.cli import main; sys.exit(main())"
 SPLIT_43 = "from arckit import build_splitting; print(len(build_splitting(4, 3, 'generic').all_h_classes()))"
 SIDES = ("parent", "change")
+FRONTIER_RUNS = 3
 
 
 def bench(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -50,10 +52,38 @@ def bench(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 def cold(root: str, code: str, argv: list, check) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", HWM + code, *argv], env=env, capture_output=True, check=True)
-    return {"wall_s": time.perf_counter() - start,
-            "vmhwm_kb": int(done.stderr.decode().splitlines()[-1].split()[1]), **check(done.stdout)}
+    argv = [sys.executable, "-c", HWM + code, *argv]
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            out = proc.stdout.read()
+        # reap the child here, not through proc.wait, so that wait4 gives its own rusage
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv, out, err.read())
+        hwm = int(err.read().decode().splitlines()[-1].split()[1])
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "vmhwm_kb": hwm, **check(out)}
+
+
+def alternate(count: int, run) -> dict:
+    """run(side, i) for each i < count on both sides, the parent first when i is even."""
+    runs = {side: [] for side in SIDES}
+    for i in range(count):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run(side, i))
+    return runs
+
+
+def frontier(roots: dict, job) -> dict:
+    runs = alternate(FRONTIER_RUNS, lambda side, i: cold(roots[side], *job))
+    return {side: {"wall_s": statistics.median(r["wall_s"] for r in got),
+                   "wall_range": [min(r["wall_s"] for r in got), max(r["wall_s"] for r in got)],
+                   "cpu_s": statistics.median(r["cpu_s"] for r in got),
+                   "vmhwm_kb": max(r["vmhwm_kb"] for r in got), "runs": got} for side, got in runs.items()}
 
 
 def describe(root: str) -> dict:
@@ -75,14 +105,12 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=10)
     args = parser.parse_args()
     spec = json.loads(Path(args.change, "BENCHMARK.json").read_text())
+    roots = {side: getattr(args, side) for side in SIDES}
     report = {"nproc": os.cpu_count(), "python": platform.python_version(), "pairs": args.pairs,
-              "seconds": args.seconds, **{side: describe(getattr(args, side)) for side in SIDES},
+              "seconds": args.seconds, **{side: describe(roots[side]) for side in SIDES},
               "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = {side: [] for side in SIDES}
-        for i in range(args.pairs):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs[side].append(bench(getattr(args, side), workload, i + 1, args.seconds))
+        runs = alternate(args.pairs, lambda side, i: bench(roots[side], workload, i + 1, args.seconds))
         series = {m["name"]: (m["better"], [[r["metrics"][m["name"]]["value"] for r in runs[s]] for s in SIDES])
                   for m in spec["end_to_end"]}
         for name in runs["parent"][0]["raw"]:
@@ -98,7 +126,7 @@ def main() -> None:
     jobs = {cmd: (CLI, cmd.split(), lambda out, pin=pin: {
         "sha256_ok": hashlib.sha256(out).hexdigest().startswith(pin)}) for cmd, pin in FRONTIER.items()}
     jobs["(4|3) generic split"] = (SPLIT_43, [], lambda out: {"classes": int(out), "classes_ok": int(out) == 1575})
-    report["frontier"] = {name: {side: cold(getattr(args, side), *job) for side in SIDES} for name, job in jobs.items()}
+    report["frontier"] = {name: frontier(roots, job) for name, job in jobs.items()}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 
