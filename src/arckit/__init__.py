@@ -22,9 +22,8 @@ _EXPORTS = {
         ("repmod", "cartan_matrix cell_module decomposition_matrix kl_poly_closed "
          "kl_poly_recursive projective_module"),
         ("resolve", "ProjectiveComplex resolve_cone resolve_generic verify_resolution"),
-        ("extalg", "ExtClass HomElement ext_basis ext_dims ext_quiver end_quiver "
-         "shelton_dims"),
-        ("ainfty", "Splitting build_splitting lambda_n m_n stasheff_check "
+        ("extalg", "ExtClass HomElement ext_basis ext_dims end_quiver shelton_dims"),
+        ("ainfty", "Splitting build_splitting ext_quiver lambda_n m_n stasheff_check "
          "vanishing_report"),
     )
     for name in names.split()

@@ -15,10 +15,13 @@ with the formal seed Qλ_1 = −Id, and m_n = Π(λ_n).  With these signs the
 Stasheff identities fail on (3|2) from arity 4 on (ROADMAP item 1).
 
 Two splitting modes are supported.  "generic" picks deterministic echelon
-complements.  "canonical-n2" (n = 2 blocks only) uses the labelled
-canonical representatives as H and seeds L with the explicit homotopies
-H(F−F̃), H(J), H(A), H(B), so that Q on products of basis classes is
-given by the closed homotopy table.
+complements.  "canonical-n2" (blocks with n ≤ 2) uses the labelled
+canonical representatives as H and, for n = 2, seeds L with the explicit
+homotopies H(F−F̃), H(J), H(A), H(B), so that Q on products of basis
+classes is given by the closed homotopy table; n < 2 has no seeds.
+
+m_2 is the Yoneda product on Ext, so ``ext_quiver`` reads its generators
+and relations off the memo of one splitting of the block.
 
 Ext(M(λ), M(μ)) = 0 unless λ ≤ μ, so the classes, and every chain of them,
 come from the pairs with λ ≤ μ: only those are split to find them.
@@ -50,7 +53,6 @@ from .exact import Scalar
 from .extalg import (
     ExtClass,
     HomElement,
-    _coefficients,
     _combine,
     _compose_coords,
     _hom_index,
@@ -76,6 +78,7 @@ __all__ = [
     "stasheff_check",
     "vanishing_report",
     "composable_tuples",
+    "ext_quiver",
 ]
 
 
@@ -98,8 +101,9 @@ class Splitting:
 
     ``_build_pair`` splits a pair through ``extalg._split_pair``, the one
     routine that chooses and checks a split, and so the one ``ext_basis``
-    reads its classes from: canonical mode passes the labelled classes and
-    the explicit homotopies as seeds, generic mode neither.  Π and Q read
+    reads its classes from: canonical mode (n ≤ 2) passes the labelled
+    classes and the explicit homotopies as seeds (none unless n = 2),
+    generic mode neither.  Π and Q read
     each hom^k through its ``_SpaceSplit``.
 
     Every H-class gets an index when its pair is split, and one memo keyed
@@ -112,8 +116,8 @@ class Splitting:
     def __init__(self, m: int, n: int, mode: str = "generic"):
         if mode not in ("generic", "canonical-n2"):
             raise ValueError(f"unknown splitting mode {mode!r}")
-        if mode == "canonical-n2" and n != 2:
-            raise ValueError("mode 'canonical-n2' requires an n = 2 block")
+        if mode == "canonical-n2" and n > 2:
+            raise ValueError("mode 'canonical-n2' requires a block with n ≤ 2")
         self.block = (m, n)
         self.mode = mode
         self._pairs: dict[tuple[Weight, Weight], dict[int, _SpaceSplit]] = {}
@@ -167,10 +171,12 @@ class Splitting:
         return hom_element(f.source, f.target, f.k, _combine(h, vectors), f.j)
 
     def pi_coefficients(self, f: HomElement) -> dict:
-        """H-basis coordinates of Π(f) keyed (label, k, j, position): ``_coefficients``."""
+        """H-basis coordinates of Π(f), keyed (label, k, j, position) as by
+        ``decompose``: the one keyed read of a split, with no solve."""
         if f.is_zero():
             return {}
-        return _coefficients(self._pair(f.source, f.target), f)
+        data = _space_split(self._pair(f.source, f.target), f.k)
+        return {data.h_key(i): v for i, v in data.coordinates(f.coords)[1].items()}
 
     def q(self, f: HomElement) -> HomElement:
         """The homotopy: zero on H and L, (d|_L)^{-1} on the boundaries."""
@@ -512,4 +518,41 @@ def vanishing_report(split: Splitting, arity: int) -> dict:
         "q_lambda2_products_zero": q2q2_zero,
         "q_lambda3_zero": q_zero[3],
         "per_arity": per_arity,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the Ext quiver
+# ---------------------------------------------------------------------------
+
+
+def ext_quiver(m: int, n: int) -> dict:
+    """Quiver presentation of Ext(⊕M(λ), ⊕M(λ)), read off the m_2 of one
+    splitting of the block: canonical-n2 for n ≤ 2, generic otherwise.
+
+    Generators are the non-idempotent classes that no m_2 of two of them
+    reaches, in ``all_h_classes`` order, each named by its entry (label,
+    source, target, k, j); relations record, for every composable pair of
+    generators, the two entries and their m_2 over the classes, keyed as by
+    ``decompose`` (empty = a zero relation).
+    """
+    split = Splitting(m, n, "canonical-n2" if n <= 2 else "generic")
+    reached: set[int] = set()
+    for key in _index_tuples(split, 2):
+        reached.update(split._entry(key)[1])
+    index, keys, source, target = split._index, split._keys, split._source, split._target
+    entry = {
+        index[id(c)]: (c.label, c.source, c.target, c.k, c.j)
+        for c in split.all_h_classes(include_idempotents=False)
+        if index[id(c)] not in reached
+    }
+    return {
+        "vertices": weights_in_block(m, n),
+        "generators": list(entry.values()),
+        "relations": [
+            (entry[f], entry[g], {keys[i]: v for i, v in split._entry((f, g))[1].items()})
+            for f in entry
+            for g in entry
+            if target[f] == source[g]
+        ],
     }

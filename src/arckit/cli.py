@@ -308,10 +308,8 @@ def _doc_extbasis(args) -> dict:
 
 
 def _doc_multtable(args) -> dict:
-    from functools import cache
-
+    from .ainfty import Splitting
     from .extalg import BASIS_LABELS, compose, construct_element, in_range
-    from .extalg import _coefficients, _ext_split
 
     m, n = args.m, args.n
     if n != 2:
@@ -322,8 +320,9 @@ def _doc_multtable(args) -> dict:
         for x in BASIS_LABELS
         for y in BASIS_LABELS
     }
-    # each pair is split, its Ext basis verified, once, as each element is built
-    split_of = cache(_ext_split)
+    # each pair is split, its Ext basis verified, once, as its first product
+    # is read; J and F̃ are not always H classes, so Π reads each product
+    split = Splitting(m, n, "canonical-n2")
     for lam in ws:
         for mid in ws:
             if mid == lam:
@@ -345,7 +344,7 @@ def _doc_multtable(args) -> dict:
                             continue
                         cell = families[(xl, yl)]
                         cell["products"] += 1
-                        coeffs = _coefficients(split_of(lam, mu), compose(x, y))
+                        coeffs = split.pi_coefficients(compose(x, y))
                         nonzero = {key[0] for key, c in coeffs.items() if c}
                         if nonzero:
                             cell["nonzero"] += 1
@@ -400,7 +399,8 @@ def _doc_ainfty(args) -> dict:
 
 
 def _doc_quiver(args) -> dict:
-    from .extalg import end_quiver, ext_quiver
+    from .ainfty import ext_quiver
+    from .extalg import end_quiver
 
     m, n = args.m, args.n
     _block_weights(m, n)

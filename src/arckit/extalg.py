@@ -60,7 +60,6 @@ __all__ = [
     "compose",
     "decompose",
     "end_quiver",
-    "ext_quiver",
     "identity_element",
 ]
 
@@ -804,19 +803,14 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     a hard failure.  Otherwise the classes are the kernel basis vectors of
     each d_k that are independent modulo coboundaries.
     """
-    return [c for data in _ext_split(lam, mu, method).values() for c in data.h_classes]
-
-
-def _ext_split(lam: Weight, mu: Weight, method: str = "auto") -> dict[int, _SpaceSplit]:
-    """The split whose H is ``ext_basis(λ, μ, method)``; {} unless λ ≤ μ."""
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'generic'")
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
     if not bruhat_leq(lam, mu):
-        return {}
+        return []
     labelled = None if method == "generic" or lam.n > 2 else _labelled_basis(lam, mu)
-    return _split_pair(lam, mu, labelled, {})
+    return [c for data in _split_pair(lam, mu, labelled, {}).values() for c in data.h_classes]
 
 
 def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
@@ -973,16 +967,6 @@ def _space_split(split: dict[int, _SpaceSplit], k: int) -> _SpaceSplit:
     return data
 
 
-def _coefficients(split: dict[int, _SpaceSplit], f: HomElement) -> dict:
-    """The coefficients of Π(f) over the H-classes of its pair's ``split``,
-    keyed (label, k, j, position) as by ``decompose``: the one keyed read
-    of a split, for ``ext_quiver``, ``multtable`` and ``pi_coefficients``."""
-    if f.is_zero():
-        return {}
-    data = _space_split(split, f.k)
-    return {data.h_key(i): v for i, v in data.coordinates(f.coords)[1].items()}
-
-
 # ---------------------------------------------------------------------------
 # homotopies and decomposition
 # ---------------------------------------------------------------------------
@@ -1063,48 +1047,3 @@ def end_quiver(m: int, n: int) -> dict:
             for vec in kernel_basis(matrix):
                 relations.append([(coeff, paths[i]) for i, coeff in vec.items()])
     return {"vertices": vertices, "arrows": arrows, "relations": relations}
-
-
-def ext_quiver(m: int, n: int) -> dict:
-    """Quiver presentation of Ext(⊕M(λ), ⊕M(λ)).
-
-    Generators are the basis classes that never appear in the span of
-    products of two non-identity classes, each named by its entry (label,
-    source, target, k, j); relations record, for every composable pair of
-    generators, the two entries and the decomposition of their product
-    over the basis, keyed as by ``decompose`` (empty = a zero relation),
-    read off the pair's split (``_coefficients``).
-    """
-    vertices = weights_in_block(m, n)
-    pairs = [(lam, mu) for lam in vertices for mu in vertices if lam != mu]
-    splits = {pair: _ext_split(*pair) for pair in pairs}
-    bases = {pair: [c for data in splits[pair].values() for c in data.h_classes] for pair in pairs}
-    products: dict[tuple[int, int], dict] = {}  # (id(f), id(g)) -> coefficients
-    spanned: dict[tuple[Weight, Weight], set] = {}
-    for (lam, nu), first in bases.items():
-        for (nu2, mu), second in bases.items():
-            if nu2 != nu:
-                continue
-            for f in first:
-                for g in second:
-                    coeffs = _coefficients(splits[(lam, mu)], compose(f, g))
-                    products[(id(f), id(g))] = coeffs
-                    spanned.setdefault((lam, mu), set()).update(coeffs)
-    generators = [
-        c
-        for pair, split in splits.items()
-        for data in split.values()
-        for i, c in enumerate(data.h_classes)
-        if data.h_key(i) not in spanned.get(pair, ())
-    ]
-    entry = {id(c): (c.label, c.source, c.target, c.k, c.j) for c in generators}
-    return {
-        "vertices": vertices,
-        "generators": list(entry.values()),
-        "relations": [
-            (entry[id(f)], entry[id(g)], products[(id(f), id(g))])
-            for f in generators
-            for g in generators
-            if f.target == g.source
-        ],
-    }

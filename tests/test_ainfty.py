@@ -2,11 +2,14 @@
 higher products, vanishing theorems and Stasheff identities."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import arckit
 import oracles
 from arckit import (
+    bruhat_leq,
     build_splitting,
     lambda_n,
     m_n,
@@ -14,17 +17,17 @@ from arckit import (
     vanishing_report,
     weights_in_block,
 )
-from arckit import ainfty
+from arckit import ainfty, extalg
 from arckit.ainfty import Splitting, _class_key, _index_tuples, composable_tuples
 from arckit.exact import solve
 from arckit.extalg import (
     HomElement,
-    _coefficients,
     _differential_matrix,
-    _ext_split,
     _k_range,
     basis_hom_element,
     compose,
+    decompose,
+    ext_basis,
     hom_differential,
     hom_space,
 )
@@ -138,8 +141,8 @@ class TestCoordinates:
     def test_seeds_leave_the_h_coordinates_of_cocycles(self, fixture, count, request):
         # the homotopy seeds move L, and with it the next degree's B, but
         # never a cocycle's H coordinates: Π of every product of two
-        # non-idempotent classes reads the same off the seeded split as off
-        # ext_basis's unseeded one
+        # non-idempotent classes off the seeded split is its solve over
+        # ext_basis's classes, which no seed touches
         split = request.getfixturevalue(fixture)
         unseeded = {}
         products = 0
@@ -149,8 +152,8 @@ class TestCoordinates:
                 continue
             pair = (product.source, product.target)
             if pair not in unseeded:
-                unseeded[pair] = _ext_split(*pair)
-            assert split.pi_coefficients(product) == _coefficients(unseeded[pair], product)
+                unseeded[pair] = ext_basis(*pair)
+            assert split.pi_coefficients(product) == decompose(product, unseeded[pair])[0]
             products += 1
         assert products == count
 
@@ -526,3 +529,42 @@ class TestOnePassRead:
         assert len(split._chains) == entries  # the memo holds composable chains only
         with pytest.raises(ValueError):
             split.m_coefficients([c.element for c in chains[0]])
+
+
+class TestExtQuiver:
+    """``ext_quiver`` reads m_2 off the memo of one splitting of the block:
+    no product is composed again, and each pair is split once."""
+
+    def test_counted_work(self, monkeypatch):
+        # the labelled elements compose Id-composites when first built, once
+        # per process: build them before counting
+        Splitting(3, 2, "canonical-n2").all_h_classes()
+        composed = 0
+        split_pairs = Counter()
+        compose, split_pair = extalg.compose, extalg._split_pair
+
+        def counted_compose(f, g):
+            nonlocal composed
+            composed += 1
+            return compose(f, g)
+
+        def counted_split_pair(lam, mu, *args):
+            split_pairs[(lam, mu)] += 1
+            return split_pair(lam, mu, *args)
+
+        monkeypatch.setattr(extalg, "compose", counted_compose)
+        monkeypatch.setattr(extalg, "_split_pair", counted_split_pair)
+        monkeypatch.setattr(ainfty, "_split_pair", counted_split_pair)
+        arckit.ext_quiver(3, 2)
+        assert composed == 0
+        weights = weights_in_block(3, 2)
+        below = [(lam, mu) for lam in weights for mu in weights if lam != mu and bruhat_leq(lam, mu)]
+        assert split_pairs == Counter(below)
+
+    def test_the_public_name_is_the_splitting_reader(self):
+        assert arckit.ext_quiver is ainfty.ext_quiver
+        assert not hasattr(extalg, "ext_quiver")
+
+    def test_canonical_mode_needs_n_at_most_two(self):
+        with pytest.raises(ValueError):
+            Splitting(2, 3, "canonical-n2")

@@ -445,6 +445,12 @@ PINNED_DIGESTS = {
         "3e6ef570d6b33993af5b5fffb8dabe6d113da1598a33c23d4680c9afa781b89d",
     ("multtable", "-m", "5", "-n", "2", "--format", "json"):
         "013bbdbe5c7c821e6a0556eedfb1f0ce31b7360639711888e6cc223a41c16325",
+    # the Ext quivers of (5|2) and (2|4), recorded while ext_quiver composed
+    # each pair of classes and read Π of the product off a second split
+    ("quiver", "-m", "5", "-n", "2", "--algebra", "ext", "--format", "json"):
+        "4f6022666310f1b2402445dee2aef1a57f4fff9be084265f885d60e7e6dc7dc6",
+    ("quiver", "-m", "2", "-n", "4", "--algebra", "ext", "--format", "json"):
+        "d163565d148a494354c236d445ddec6bba81d00ef567e3a0083c3975cd5b0ee1",
 }
 
 # pins the installed-script step of CI checks and tier-1 does not run,

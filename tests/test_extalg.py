@@ -18,21 +18,20 @@ from arckit import (
     cell_module,
     ext_basis,
     ext_dims,
+    ext_quiver,
     resolve_generic,
     shelton_dims,
     solve,
     weights_in_block,
 )
+from arckit.ainfty import Splitting, composable_tuples
 from arckit.extalg import (
-    _coefficients,
     _differential_matrix,
-    _ext_split,
     basis_hom_element,
     compose,
     construct_element,
     decompose,
     end_quiver,
-    ext_quiver,
     _k_range,
     _split_pair,
     hom_differential,
@@ -473,41 +472,33 @@ class TestNoClassesUnlessLambdaBelowMu:
 
 
 class TestProductsReadOffTheSplit:
-    """``ext_quiver`` and ``arckit multtable`` read the coefficients of a
-    product of classes as the H rows of its pair split's inverse; the
-    reference is a fresh ``decompose`` solve of the same product."""
+    """``ext_quiver`` reads the product of two classes as m_2 off the
+    splitting's memo, the H rows of its pair split's inverse; the reference
+    is a fresh ``decompose`` solve of the same product over the same classes."""
 
     @pytest.mark.parametrize(
-        "m,n,method",
-        [(2, 2, "auto"), (2, 2, "generic"), (3, 2, "auto"), (3, 2, "generic"), (2, 3, "auto")],
+        "m,n,mode",
+        [
+            (2, 2, "canonical-n2"),
+            (2, 2, "generic"),
+            (3, 2, "canonical-n2"),
+            (3, 2, "generic"),
+            (2, 3, "generic"),
+            (3, 1, "canonical-n2"),
+        ],
     )
-    def test_coefficients_equal_the_solve(self, m, n, method):
-        weights = weights_in_block(m, n)
-        splits = {
-            (lam, mu): _ext_split(lam, mu, method)
-            for lam in weights
-            for mu in weights
-            if lam != mu
-        }
-        bases = {
-            pair: [c for data in split.values() for c in data.h_classes]
-            for pair, split in splits.items()
-        }
+    def test_coefficients_equal_the_solve(self, m, n, mode):
+        split = Splitting(m, n, mode)
         products = nonzero = 0
-        for (lam, nu), first in bases.items():
-            for (nu2, mu), second in bases.items():
-                if nu2 != nu:
-                    continue
-                for f in first:
-                    for g in second:
-                        product = compose(f, g)
-                        # reading Π raises for no product outside B ⊕ H, so
-                        # the cocycle condition is checked here
-                        assert hom_differential(product).is_zero()
-                        want = decompose(product, bases[(lam, mu)])[0]
-                        assert _coefficients(splits[(lam, mu)], product) == want
-                        products += 1
-                        nonzero += bool(want)
+        for f, g in composable_tuples(split.all_h_classes(include_idempotents=False), 2):
+            product = compose(f, g)
+            # reading Π raises for no product outside B ⊕ H, so the cocycle
+            # condition is checked here
+            assert hom_differential(product).is_zero()
+            want = decompose(product, split.h_classes(f.source, g.target))[0]
+            assert split.m_coefficients((f, g)) == want
+            products += 1
+            nonzero += bool(want)
         assert products and nonzero
 
 
