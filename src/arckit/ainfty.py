@@ -103,8 +103,8 @@ class Splitting:
     routine that chooses and checks a split, and so the one ``ext_basis``
     reads its classes from: canonical mode (n ≤ 2) passes the labelled
     classes and the explicit homotopies as seeds (none unless n = 2),
-    generic mode neither.  Π and Q read
-    each hom^k through its ``_SpaceSplit``.
+    generic mode neither.  Π and Q read each hom^k through its
+    ``_SpaceSplit``.
 
     Every H-class gets an index when its pair is split, and one memo keyed
     by tuples of those indices holds, for each chain of classes evaluated,
