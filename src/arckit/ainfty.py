@@ -400,19 +400,24 @@ def _class_key(split: Splitting, i: int) -> tuple:
 def _chains(items, source, target, arity: int) -> Iterator[tuple]:
     """Lazily, every tuple of ``arity`` of the ``items`` in which
     target[x] = source[y] for each x followed by y, in lexicographic order
-    of the items' positions; each arity is extended from the one below a
-    tuple at a time, so only the current tuple of each length is held.
-    ValueError for an arity below one."""
+    of the items' positions, depth first with no recursion: only the current
+    tuple is held, and an iterator per place.  ValueError for an arity below one."""
     if arity < 1:
         raise ValueError("composable tuples need at least one class")
     by_source: dict = {}
     for x in items:
         by_source.setdefault(source[x], []).append(x)
-    following = {x: by_source.get(target[x], ()) for x in items}
-    chains = ((x,) for x in items)
-    for _ in range(arity - 1):
-        chains = (chain + (y,) for chain in chains for y in following[chain[-1]])
-    return chains
+    chain, places = [], [iter(items)]
+    while places:
+        for x in places[-1]:
+            if len(chain) + 1 < arity:
+                chain.append(x)
+                places.append(iter(by_source.get(target[x], ())))
+                break
+            yield (*chain, x)
+        else:  # the last place is used up: step back from it
+            places.pop()
+            del chain[-1:]  # no item stands before the first place
 
 
 def composable_tuples(

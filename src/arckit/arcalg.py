@@ -51,7 +51,6 @@ __all__ = [
     "AlgebraElement",
     "Matching",
     "basis",
-    "algebra_dimension",
     "idempotent",
     "hom_basis",
     "basis_product",
@@ -158,10 +157,6 @@ def hom_basis(
     objects, in ν order (empty for weights of different blocks)."""
     table = _product_table(*alpha.block)
     return tuple(table.diagrams[x] for x in table.ends.get((alpha, beta), ()))
-
-
-def algebra_dimension(m: int, n: int) -> int:
-    return len(basis(m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ is its sparse coordinates over that basis.
 The differential is d(f) = f∘d_target − (−1)^k d_source∘f, so degree-k
 cocycles are chain maps that commute (k even) or anticommute (k odd) with
 the differentials.  Composition is written left to right: (f·g)(x) =
-g(f(x)).  Both act on basis vectors: d is one sparse matrix per k, built
-from the differentials of the two resolutions, and a product of two
-basis vectors is the surgery product of their diagrams, read from the
-block's product table by basis id.
+g(f(x)).  Both act on basis vectors: d is computed by columns from the
+differentials of the two resolutions and held only by the routine that
+reads it, and a product of two basis vectors is the surgery product of
+their diagrams, read from the block's product table by basis id.
 
 Canonical representatives carry the labels Id, F, Ftilde, G, K, J (and
 the nullhomotopic products A, B with their homotopies); their component
@@ -160,9 +160,9 @@ def identity_element(lam: Weight) -> HomElement:
 
 
 def hom_differential(f: HomElement) -> HomElement:
-    """d(f) = f∘d_target − (−1)^k d_source∘f, of bidegree (k+1, j)."""
-    coords = _differential_matrix(f.source, f.target, f.k).apply(f.coords)
-    return HomElement(f.source, f.target, f.k + 1, f.j, coords)
+    """d(f) = f∘d_target − (−1)^k d_source∘f, of bidegree (k+1, j), from d's columns at f."""
+    coords = _combine(f.coords, _d_columns(f.source, f.target, f.k, f.coords))
+    return HomElement(f.source, f.target, f.k + 1, f.j, dict(sorted(coords.items())))
 
 
 def compose(f, g) -> HomElement:
@@ -262,9 +262,20 @@ def hom_element(
     return HomElement(lam, mu, k, j, out)
 
 
-@lru_cache(maxsize=None)
 def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
-    """Matrix of d: hom^k → hom^{k+1} in the ``hom_space`` bases.
+    """Matrix of d: hom^k → hom^{k+1} in the ``hom_space`` bases, built anew per call."""
+    columns = _d_columns(lam, mu, k, range(len(hom_space(lam, mu, k))))
+    return _from_columns(len(hom_space(lam, mu, k + 1)), columns.values())
+
+
+def _from_columns(rows: int, columns) -> SparseMatrix:
+    """The matrix whose columns are the sparse ``{row: value}`` ``columns``, in order."""
+    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    return SparseMatrix(rows, len(columns), entries)
+
+
+def _d_columns(lam: Weight, mu: Weight, k: int, cols) -> dict[int, dict[int, Scalar]]:
+    """The columns ``cols`` of d: hom^k → hom^{k+1}, as ``{row: value}`` dicts by column.
 
     Column i is d of basis vector i, read straight off the differentials
     of the two resolutions: the vector's diagram times each entry of d_q
@@ -273,31 +284,29 @@ def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
     """
     src, tgt = resolution(lam), resolution(mu)
     leaving, entering = _by_summand(mu)[0], _by_summand(lam)[1]
-    dom, cod = hom_space(lam, mu, k), hom_space(lam, mu, k + 1)
-    # uncached: the matrix is cached, so this index is read once, and
-    # keeping it would only hold memory
-    index = _hom_index.__wrapped__(lam, mu, k + 1)
+    dom, index = hom_space(lam, mu, k), _hom_index(lam, mu, k + 1)
     product = _product_table(*lam.block).product
     sign = 1 if k % 2 else -1  # −(−1)^k
-    entries: dict[tuple[int, int], Scalar] = {}
-    for col, (p, s, t, a, _) in enumerate(dom):
+    out = {}
+    for col in cols:
+        p, s, t, a, _ = dom[col]
         q = p - k
+        column: dict[int, Scalar] = {}
         if 1 <= q < len(tgt):
             for u, terms in leaving[q - 1].get(t, ()):
                 base = index.get((p, s, u))  # None: every product below is 0
                 for b, c in terms:
                     for x, v in product(a, b):
-                        key = (base + x, col)
-                        entries[key] = entries.get(key, 0) + c * v
+                        column[base + x] = column.get(base + x, 0) + c * v
         if p + 1 < len(src):
             for s2, terms in entering[p].get(s, ()):
                 base = index.get((p + 1, s2, t))
                 for b, c in terms:
                     scale = sign * c
                     for x, v in product(b, a):
-                        key = (base + x, col)
-                        entries[key] = entries.get(key, 0) + scale * v
-    return SparseMatrix(len(cod), len(dom), entries)
+                        column[base + x] = column.get(base + x, 0) + scale * v
+        out[col] = _nonzero(column)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -814,9 +823,8 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
 
 
 def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
-    """The nonzero labelled classes, each checked to be a cocycle, in
-    (k, label) order; their independence modulo the coboundaries is
-    checked by ``_split_pair``."""
+    """The nonzero labelled classes, in (k, label) order; ``_split_pair``
+    checks that they are cocycles, independent modulo the coboundaries."""
     if not bruhat_leq(lam, mu):
         return []
     if lam == mu:
@@ -830,11 +838,7 @@ def _labelled_basis(lam: Weight, mu: Weight) -> list[ExtClass]:
             canonical_class(label, lam, mu)
             for label in _n2_candidate_labels(lam, mu)
         ]
-    classes = [c for c in classes if not c.element.is_zero()]
-    for c in classes:
-        if not hom_differential(c.element).is_zero():
-            raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
-    return sorted(classes, key=lambda c: (c.k, c.label))
+    return sorted((c for c in classes if not c.element.is_zero()), key=lambda c: (c.k, c.label))
 
 
 # ---------------------------------------------------------------------------
@@ -883,20 +887,21 @@ def _split_pair(
 
     Each hom^k is one ``Echelon`` pass with the columns reversed, so that a
     row's pivot is its vector's last nonzero column: B = d(L_{k-1}) and H
-    enter through ``add_tagged``, then the degree-k ``seeds`` through
-    ``add``.  H is the degree-k ``labelled`` classes, each of which must
-    enter, or, when ``labelled`` is None, the kernel basis vectors of d_k
+    enter through ``add_tagged``, then the degree-k ``seeds`` through ``add``.
+    H is the degree-k ``labelled`` classes, each of which must be a cocycle
+    and enter, or, when ``labelled`` is None, the kernel basis vectors of d_k
     that enter, as "generic" classes; B spans d(hom^{k-1}) for any L_{k-1},
-    so the seeds do not change H.  L is the seeds, then e_p for each column
-    p that is no pivot (the unit vectors e_0, e_1, … a greedy completion
-    keeps), so the tag halves are the B and H rows of the inverse of
-    [B | H | L].  B ⊕ H is all of the cocycles Z with no rank of d_k:
-    |B| + |H| ≤ dim Z, the next degree's B checks that d is injective on L,
-    so |L| ≤ dim − dim Z, and the three add up to dim; where no next degree
-    sees L, d vanishes and L must be empty.  The counts must be the recursion's.
+    so the seeds do not change H.  L is the seeds, then e_p for each column p
+    that is no pivot (the unit vectors e_0, e_1, … a greedy completion keeps),
+    so the tag halves are the B and H rows of the inverse of [B | H | L].
+    B ⊕ H is all of the cocycles Z with no rank of d_k: |B| + |H| ≤ dim Z, the
+    next degree's B checks that d is injective on L, so |L| ≤ dim − dim Z, and
+    the three add up to dim; where no next degree sees L, d vanishes and L
+    must be empty.  The counts must be the recursion's.  d_k is built once, by
+    ``_d_columns``, where the kernel, a labelled class or L_k reads it.
     """
     out: dict[int, _SpaceSplit] = {}
-    l_prev: list[dict[int, Scalar]] = []
+    l_prev, d_prev = [], {}  # L of hom^{k-1}, and the columns of d_{k-1} that B reads
     for k in _k_range(lam, mu):
         space = hom_space(lam, mu, k)
         dim = len(space)
@@ -906,26 +911,24 @@ def _split_pair(
             out[k] = _SpaceSplit(space, 0, [], l_prev, [])
             continue
         span, last = Echelon(dim), dim - 1
-        if l_prev:
-            d_prev = _differential_matrix(lam, mu, k - 1)
-            d_cols: list[dict[int, Scalar]] = [{} for _ in range(d_prev.cols)]
-            for (r, c), v in d_prev.entries.items():
-                d_cols[c][last - r] = v
-            if not all(span.add_tagged(_combine(vec, d_cols)) for vec in l_prev):
-                raise ArithmeticError("d is not injective on the chosen L")
+        if not all(span.add_tagged(_reversed(_combine(vec, d_prev), last)) for vec in l_prev):
+            raise ArithmeticError("d is not injective on the chosen L")
         if labelled is None:
+            d = _d_columns(lam, mu, k, range(dim))
             classes = [
                 ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
-                for vec in kernel_basis(_differential_matrix(lam, mu, k))
+                for vec in kernel_basis(_from_columns(len(hom_space(lam, mu, k + 1)), d.values()))
                 if span.add_tagged(_reversed(vec, last))
             ]
         else:
             classes = [c for c in labelled if c.k == k]
-            if not all(span.add_tagged(_reversed(c.element.coords, last)) for c in classes):
-                raise ArithmeticError(
-                    f"canonical degree-{k} representatives are dependent modulo "
-                    f"coboundaries for ({lam}, {mu})"
-                )
+            d = _d_columns(lam, mu, k, range(dim)) if classes else {}
+            for c in classes:
+                if _combine(c.element.coords, d):
+                    raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
+                if not span.add_tagged(_reversed(c.element.coords, last)):
+                    raise ArithmeticError(f"canonical degree-{k} representatives are dependent "
+                                          f"modulo coboundaries for ({lam}, {mu})")
         l_cols = [element.coords for element in seeds.get(k, [])]
         if not all(span.add(_reversed(vec, last)) for vec in l_cols):
             raise ArithmeticError("homotopy element lies in the cocycles")
@@ -933,6 +936,7 @@ def _split_pair(
         l_cols += [{p: 1} for p in range(dim) if p not in rows]
         inverse = [{c - dim: v for c, v in rows.get(p, {}).items() if c >= dim} for p in range(dim)]
         out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)
+        d_prev = d or (_d_columns(lam, mu, k, range(dim)) if l_cols else {})
         l_prev = l_cols
     if l_prev:  # the last degree: d vanishes, so L must be empty
         raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
@@ -986,14 +990,10 @@ def decompose(f: HomElement, classes: list[ExtClass] | None = None):
     if any((c.source, c.target) != (lam, mu) for c in classes):
         raise ValueError(f"a class lies outside hom({lam}, {mu})")
     classes = [c for c in classes if c.k == k]
-    boundary = _differential_matrix(lam, mu, k - 1)
-    # columns [classes | d(hom^{k-1})]
+    boundary = _d_columns(lam, mu, k - 1, range(len(hom_space(lam, mu, k - 1))))
     width = len(classes)
-    entries = {(r, width + c): v for (r, c), v in boundary.entries.items()}
-    for i, c in enumerate(classes):
-        entries.update(((r, i), v) for r, v in c.element.coords.items())
-    matrix = SparseMatrix(boundary.rows, width + boundary.cols, entries)
-    solution = solve(matrix, f.coords)
+    columns = [c.element.coords for c in classes] + list(boundary.values())
+    solution = solve(_from_columns(len(hom_space(lam, mu, k)), columns), f.coords)
     if solution is None:
         raise ArithmeticError("element does not decompose over the basis")
     coeffs = {

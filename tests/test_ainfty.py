@@ -343,6 +343,10 @@ class TestComposableTuples:
         classes = split_21_generic.all_h_classes()
         assert composable_tuples(classes, 1) == [(c,) for c in classes]
 
+    def test_an_arity_beyond_the_recursion_limit(self, split_22_canonical):
+        classes = split_22_canonical.all_h_classes(include_idempotents=False)
+        assert composable_tuples(classes, 1500) == oracles.composable_tuples(classes, 1500)
+
 
 def _chains(split, arities):
     classes = split.all_h_classes(include_idempotents=False)

@@ -16,6 +16,7 @@ from arckit import (
     OrientedCircleDiagram,
     Weight,
     basis,
+    decomposition_matrix,
     functor_image,
     idempotent,
     multiply,
@@ -25,7 +26,6 @@ from arckit import (
 from arckit.arcalg import (
     _plan,
     _product_table,
-    algebra_dimension,
     basis_product,
     hom_basis,
 )
@@ -39,8 +39,11 @@ def _elt(d):
 
 class TestBasis:
     def test_dimension_formula(self):
-        for m, n in ((2, 1), (3, 1), (2, 2), (3, 2)):
-            assert len(basis(m, n)) == algebra_dimension(m, n)
+        # dim K = Σ_{λ,μ} c_{λμ}(1) and C = DᵀD: Σ_ν (Σ_λ d_{λν}(1))², with no product read
+        for m, n, dim in ((2, 1, 9), (3, 1, 13), (2, 2, 47), (3, 2, 101), (4, 2, 171), (3, 3, 539)):
+            weights, d = weights_in_block(m, n), decomposition_matrix(m, n)
+            columns = [sum(d[lam, nu](1) for lam in weights if (lam, nu) in d) for nu in weights]
+            assert len(basis(m, n)) == sum(c * c for c in columns) == dim
 
     def test_basis_degrees_nonnegative(self):
         assert all(d.degree >= 0 for d in basis(2, 2))

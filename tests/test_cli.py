@@ -120,6 +120,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_a_large_max_arity_is_no_traceback(self):
+        # each arity's tuples are enumerated without recursion, so an arity
+        # above the interpreter's recursion limit is answered, not crashed on
+        code, out, err = run(
+            ["ainfty", "-m", "1", "-n", "1", "--max-arity", "1200", "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["products"]) == 1199
+
     def test_max_arity_below_two_is_usage_error(self):
         code, out, _ = run(["ainfty", "-m", "1", "-n", "1", "--max-arity", "1"])
         assert code == 2

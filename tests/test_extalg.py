@@ -306,6 +306,30 @@ class TestFastPathsAgainstReference:
                 want = oracles._dmatrix(C, D, k, dom, cod)
                 assert _differential_matrix(lam, mu, k).entries == want.entries
 
+    def test_differential_reads_the_support_columns_alone(self, monkeypatch):
+        asked, original = [], extalg._d_columns
+
+        def recorded(lam, mu, k, cols):
+            asked.append(list(cols))
+            return original(lam, mu, k, cols)
+
+        monkeypatch.setattr(extalg, "_d_columns", recorded)
+        lam = mu = weights_in_block(3, 2)[9]  # the pair of (3|2) with the largest hom spaces
+        moved = 0
+        for k in _k_range(lam, mu):
+            space = hom_space(lam, mu, k)
+            j = Counter(vector[4] for vector in space).most_common(1)[0][0] if space else 0
+            # every other basis vector of the commonest shift, with assorted coefficients
+            support = [i for i, vector in enumerate(space) if vector[4] == j][::2]
+            f = hom_element(lam, mu, k, {i: 1 + i % 3 for i in support}, j)
+            asked.clear()
+            d_f = hom_differential(f)
+            assert asked == [list(f.coords)]
+            full = _differential_matrix(lam, mu, k)
+            assert d_f.coords == full.apply(f.coords)
+            moved += not d_f.is_zero() and len(f.coords) > 1
+        assert moved
+
     @staticmethod
     def _assert_matches(f, g):
         for x in (f, g):
@@ -364,6 +388,7 @@ class TestBlock42:
             return real_rank(matrix)
 
         monkeypatch.setattr(extalg, "_differential_matrix", forbidden)
+        monkeypatch.setattr(extalg, "_d_columns", forbidden)
         monkeypatch.setattr(extalg, "hom_space", forbidden)
         monkeypatch.setattr(extalg, "rank", counting)
         ws = weights_in_block(4, 2)

@@ -174,7 +174,7 @@ def _without_cocycles(monkeypatch, lam, mu, k):
     matrix = _differential_matrix(lam, mu, k)
     original = extalg.kernel_basis
     monkeypatch.setattr(
-        extalg, "kernel_basis", lambda d: [] if d is matrix else original(d)
+        extalg, "kernel_basis", lambda d: [] if d == matrix else original(d)
     )
 
 
@@ -195,6 +195,28 @@ class TestChecksFire:
         with pytest.raises(ArithmeticError, match="dependent modulo coboundaries"):
             Splitting(2, 2, "canonical-n2")._pair(lam, mu)
         with pytest.raises(ArithmeticError, match="dependent modulo coboundaries"):
+            ext_basis(lam, mu)
+
+    def test_h_representative_that_is_no_cocycle(self, monkeypatch):
+        # a class (λ ≠ μ) and a basis vector of its degree that d moves
+        label, lam, mu, vector = next(
+            (c.label, lam, mu, f)
+            for lam, mu in _pairs(2, 2)
+            for c in (ext_basis(lam, mu) if lam != mu else [])
+            for f in (basis_hom_element(lam, mu, c.k, v) for v in hom_space(lam, mu, c.k))
+            if not hom_differential(f).is_zero()
+        )
+        original = extalg.canonical_class
+
+        def patched(which, source, target):
+            if (which, source, target) == (label, lam, mu):
+                return ExtClass(label, lam, mu, vector)
+            return original(which, source, target)
+
+        monkeypatch.setattr(extalg, "canonical_class", patched)
+        with pytest.raises(ArithmeticError, match=f"canonical {label} .* not a cocycle"):
+            Splitting(2, 2, "canonical-n2")._pair(lam, mu)
+        with pytest.raises(ArithmeticError, match=f"canonical {label} .* not a cocycle"):
             ext_basis(lam, mu)
 
     def test_d_not_injective_on_l(self, monkeypatch):
@@ -261,10 +283,29 @@ class TestOnePass:
         return len(calls)
 
     def test_canonical_build(self, monkeypatch):
-        _differential_matrix.cache_clear()
         assert self._eliminations(monkeypatch, 3, 2, "canonical-n2") == 0
-        # d_{k-1} is built only for a nonempty L-basis of hom^{k-1}
-        assert _differential_matrix.cache_info().misses <= 400
+        # d_k is built once, and only where a labelled class of degree k or
+        # a nonempty L_k (for the next degree's B) reads it
+        built, original = [], extalg._d_columns
+
+        def counted(lam, mu, k, cols):
+            built.append((lam, mu, k))
+            return original(lam, mu, k, cols)
+
+        monkeypatch.setattr(extalg, "_d_columns", counted)
+        split = Splitting(3, 2, "canonical-n2")
+        split.all_h_classes()
+        read = {
+            (lam, mu, k)
+            for (lam, mu), pair in split._pairs.items()
+            for k, data in pair.items()
+            if data.h_classes or (k + 1 in pair and pair[k + 1].l_prev)
+        }
+        assert len(built) == len(set(built))
+        assert set(built) == read
+        # the 206 d_k the cached build made, and d_0 of the one pair λ = λ
+        # whose L_0 is empty: the identity is now checked to be a cocycle too
+        assert len(built) <= 207
 
     def test_generic_build(self, monkeypatch):
         nonempty = sum(

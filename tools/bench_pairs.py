@@ -8,8 +8,10 @@ medians, the parent's IQR and the change's wins per end-to-end metric and per ra
 (``wall_raw`` and, but for cli-session, ``setup_raw``: the median over a run's passes of
 the unscaled seconds in its ``.bench_out/<workload>-seed<i>-trace0-<pid>/result.json``,
 beside the rescaled ``wall_s`` and ``setup_s``), and ``frontier``: 3 cold processes per
-checkout, sides alternating, of each CLI command and of a (4|3) generic split that must have
-1,575 classes.  A run keeps its wall and CPU time (ru_utime + ru_stime of os.wait4), the peak
+checkout, sides alternating, of each CLI command, of a (4|3) generic split that must have
+1,575 classes, and of ``resolve_generic`` then ``verify_resolution`` on each weight of (4|4),
+which must find no failure and whose ``_serialize`` texts, joined in block order, have the
+pinned sha256 prefix.  A run keeps its wall and CPU time (ru_utime + ru_stime of os.wait4), the peak
 memory it reads itself (VmHWM at exit; wait4's ru_maxrss also counts the parent's) and whether
 its stdout has the pinned sha256 prefix; a side, the median wall, its min-max range, the
 median CPU time and the highest VmHWM.
@@ -31,6 +33,12 @@ HWM = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line f
        "open('/proc/self/status') if line.startswith('VmHWM:')))); ")
 CLI = "from arckit.cli import main; sys.exit(main())"
 SPLIT_43 = "from arckit import build_splitting; print(len(build_splitting(4, 3, 'generic').all_h_classes()))"
+RESOLVE_44 = ("import hashlib; from arckit import weights_in_block; "
+              "from arckit.resolve import _serialize, resolve_generic, verify_resolution; "
+              "done = [(len(verify_resolution(c, w)), _serialize(c)) "
+              "for w in weights_in_block(4, 4) for c in [resolve_generic(w)]]; "
+              "print(hashlib.sha256(''.join(t for _, t in done).encode()).hexdigest(), "
+              "sum(f for f, _ in done))")
 SIDES = ("parent", "change")
 FRONTIER_RUNS = 3
 
@@ -127,6 +135,8 @@ def main() -> None:
     jobs = {cmd: (CLI, cmd.split(), lambda out, pin=pin: {
         "sha256_ok": hashlib.sha256(out).hexdigest().startswith(pin)}) for cmd, pin in FRONTIER.items()}
     jobs["(4|3) generic split"] = (SPLIT_43, [], lambda out: {"classes": int(out), "classes_ok": int(out) == 1575})
+    jobs["(4|4) resolve_generic + verify_resolution"] = (RESOLVE_44, [], lambda out: {
+        "sha256_ok": out.startswith(b"9043ff3b"), "failures": int(out.split()[1])})
     report["frontier"] = {name: frontier(roots, job) for name, job in jobs.items()}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
