@@ -303,8 +303,8 @@ class TestOnePass:
         }
         assert len(built) == len(set(built))
         assert set(built) == read
-        # the 206 d_k the cached build made, and d_0 of the one pair λ = λ
-        # whose L_0 is empty: the identity is now checked to be a cocycle too
+        # 206 degrees with a nonempty L_k or a class other than Id, and the
+        # one d_0 that only the identity's cocycle check reads (L_0 empty)
         assert len(built) <= 207
 
     def test_generic_build(self, monkeypatch):

@@ -11,10 +11,10 @@ beside the rescaled ``wall_s`` and ``setup_s``), and ``frontier``: 3 cold proces
 checkout, sides alternating, of each CLI command, of a (4|3) generic split that must have
 1,575 classes, and of ``resolve_generic`` then ``verify_resolution`` on each weight of (4|4),
 which must find no failure and whose ``_serialize`` texts, joined in block order, have the
-pinned sha256 prefix.  A run keeps its wall and CPU time (ru_utime + ru_stime of os.wait4), the peak
-memory it reads itself (VmHWM at exit; wait4's ru_maxrss also counts the parent's) and whether
-its stdout has the pinned sha256 prefix; a side, the median wall, its min-max range, the
-median CPU time and the highest VmHWM.
+pinned sha256 prefix.  A run keeps its wall and CPU time (ru_utime + ru_stime of os.wait4),
+the peak memory it reads itself (VmHWM at exit; wait4's ru_maxrss also counts the parent's)
+and whether its stdout has the pinned sha256 prefix; a side, the median wall, its min-max
+range, the median CPU time and the highest VmHWM.
 PARENT_DIR and CHANGE_DIR must each be the top of a git checkout, so that OUT names
 their SHAs; the tool exits non-zero on a `git archive` export.
 """
