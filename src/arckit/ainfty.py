@@ -401,21 +401,26 @@ def _chains(items, source, target, arity: int) -> Iterator[tuple]:
     """Lazily, every tuple of ``arity`` of the ``items`` in which
     target[x] = source[y] for each x followed by y, in lexicographic order
     of the items' positions, depth first with no recursion: only the current
-    tuple is held, and an iterator per place.  ValueError for an arity below one."""
+    tuple is held, an iterator per place but the last, and the last two
+    places are walked in one loop.  ValueError for an arity below one."""
     if arity < 1:
         raise ValueError("composable tuples need at least one class")
+    if arity == 1:
+        yield from ((x,) for x in items)
+        return
     by_source: dict = {}
     for x in items:
         by_source.setdefault(source[x], []).append(x)
     chain, places = [], [iter(items)]
     while places:
         for x in places[-1]:
-            if len(chain) + 1 < arity:
+            if len(chain) + 2 < arity:
                 chain.append(x)
                 places.append(iter(by_source.get(target[x], ())))
                 break
-            yield (*chain, x)
-        else:  # the last place is used up: step back from it
+            for y in by_source.get(target[x], ()):
+                yield (*chain, x, y)
+        else:  # the place is used up: step back from it
             places.pop()
             del chain[-1:]  # no item stands before the first place
 

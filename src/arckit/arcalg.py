@@ -7,7 +7,8 @@ together, and the generalized surgery procedure is iterated on the
 symmetric middle section:
 
 * pick a symmetric cup/cap pair that can be connected without crossings
-  (one not enclosed by another remaining pair; we take the leftmost),
+  (one not enclosed by another remaining pair; we take the pair with the
+  leftmost left endpoint, which nothing to its right can enclose),
 * read off the kinds of the component(s) through the pair
   (1 = anticlockwise circle, x = clockwise circle, y = line),
 * cut the pair open into two vertical segments and re-orient by
@@ -188,46 +189,48 @@ _Step = tuple[int, ...]
 
 class _SurgeryGeometry:
     """The arcs of one stacked basis pair, cut open one middle pair at a
-    time by ``steps``."""
+    time by ``steps``.
+
+    ``outer[v]`` is v's partner along a cup of a or a cap of d, ``inner[v]``
+    along a middle arc or a vertical segment (w = v ± size), -1 for none.
+    """
+
+    __slots__ = ("size", "ends", "outer", "inner", "cuts")
 
     def __init__(self, a: CupDiagram, b: CapDiagram, d: CapDiagram):
         size = self.size = a.size
-        # infinite ends: line-0 rays of a (down), line-1 rays of d (up)
-        self.ends = _mask(a.rays) | _mask(d.rays) << size
-        self.outer = [-1] * (2 * size)
-        self.middle = [-1] * (2 * size)
-        for shift, partners, cups in (
-            (0, self.outer, a.cups),
-            (size, self.outer, d.cups),
-            (0, self.middle, b.cups),
-            (size, self.middle, b.cups),
-        ):
-            for i, j in cups:
-                partners[i + shift], partners[j + shift] = j + shift, i + shift
-        self.vertical = [p in b.rays for p in range(size)]
+        ends = 0  # infinite ends: line-0 rays of a (down), line-1 rays of d (up)
+        for p in a.rays:
+            ends |= 1 << p
+        for p in d.rays:
+            ends |= 1 << p + size
+        self.ends = ends
+        outer = self.outer = [-1] * (2 * size)
+        inner = self.inner = [-1] * (2 * size)
+        for i, j in a.cups:
+            outer[i], outer[j] = j, i
+        for i, j in d.cups:
+            outer[i + size], outer[j + size] = j + size, i + size
+        for i, j in b.cups:
+            inner[i], inner[j], inner[i + size], inner[j + size] = j, i, j + size, i + size
+        for p in b.rays:
+            inner[p], inner[p + size] = p + size, p
+        self.cuts = sorted(b.cups)
 
     def middle_pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in enumerate(self.middle[: self.size]) if i < j]
+        return [(i, j) for i, j in enumerate(self.inner[: self.size]) if i < j < self.size]
 
-    def _walk(self, start: int) -> tuple[int, int]:
-        """start's component as (mask, vertices labelled like start).
-
-        Outer arcs and middle arcs or verticals alternate along a
-        component, so it is walked from start one way and then the other.
-        """
-        size, outer, middle, vertical = self.size, self.outer, self.middle, self.vertical
+    def component(self, start: int) -> _Component:
+        """start's component, walked from start one way and then the other:
+        outer arcs and inner arcs alternate along it.  A step along an arc
+        flips the label, one along a vertical segment keeps it."""
+        size, outer, inner = self.size, self.outer, self.inner
         mask = same = 1 << start
-        for by_outer in (True, False):
+        for partners in (outer, inner):
             v, up = start, 1
-            while True:
-                if by_outer:
-                    w, up = outer[v], up ^ 1
-                elif middle[v] >= 0:
-                    w, up = middle[v], up ^ 1
-                else:
-                    w = (v + size if v < size else v - size) if vertical[v % size] else -1
-                if w < 0:
-                    break
+            while (w := partners[v]) >= 0:
+                if partners is outer or (w - v) % size:
+                    up ^= 1
                 bit = 1 << w
                 if mask & bit:
                     if (same >> w & 1) != up:
@@ -236,16 +239,11 @@ class _SurgeryGeometry:
                 mask |= bit
                 if up:
                     same |= bit
-                v, by_outer = w, not by_outer
-        return mask, same
-
-    def component(self, v: int) -> _Component:
-        mask, same = self._walk(v)
+                v, partners = w, inner if partners is outer else outer
         ends = mask & self.ends
         if ends:
             start, end = (ends & -ends).bit_length() - 1, ends.bit_length() - 1
         else:  # the lowest position, on line 0 if both lines have it
-            size = self.size
             folded = (mask | mask >> size) & ((1 << size) - 1)
             start = (folded & -folded).bit_length() - 1
             if not mask >> start & 1:
@@ -264,29 +262,31 @@ class _SurgeryGeometry:
         return out
 
     def steps(self) -> Iterator[tuple[tuple[int, int], _Step]]:
-        """Cut the middle pairs open one at a time into vertical segments.
+        """Cut the middle pairs open one at a time into vertical segments,
+        in order of their left endpoints, and yield each pair with its cut
+        compiled into a step.
 
-        Each cut takes the leftmost admissible pair (one not enclosed by
-        another remaining pair) and yields the pair with the cut compiled
-        into a step.  The product does not depend on the order.
+        A pair can be cut without crossings when no remaining pair encloses
+        it, and a pair enclosing (i, j) has its left endpoint left of i: so
+        the remaining pair with the leftmost left endpoint is never enclosed
+        and needs no test.  The product does not depend on the order.
         """
-        size, middle = self.size, self.middle
-        while pairs := self.middle_pairs():
-            admissible = [
-                (i, j) for i, j in pairs if not any(k < i and j < l for k, l in pairs)
-            ]
-            i, j = pair = admissible[0]
-            cap = self.component(i)
-            cup = cap if cap[2] >> (size + i) & 1 else self.component(size + i)
-            for v in (i, j, size + i, size + j):
-                middle[v] = -1
-            self.vertical[i] = self.vertical[j] = True
-            after = [self.component(i)]
-            if not after[0][2] >> j & 1:
-                # in order of their first vertex, the lowest bit of the mask
-                after = sorted(after + [self.component(j)], key=lambda c: c[2] & -c[2])
-            keep = (1 << 2 * size) - 1 ^ sum(c[2] for c in after)  # disjoint masks
-            yield pair, (keep, *cap[:2], *cup[:2], *(x for c in after for x in c))
+        size, inner, full = self.size, self.inner, (1 << 2 * self.size) - 1
+        component = self.component
+        for pair in self.cuts:
+            i, j = pair
+            cap = component(i)
+            cup = cap if cap[2] >> (size + i) & 1 else component(size + i)
+            inner[i], inner[size + i] = size + i, i
+            inner[j], inner[size + j] = size + j, j
+            first = component(i)
+            if first[2] >> j & 1:
+                yield pair, (full ^ first[2], *cap[:2], *cup[:2], *first)
+                continue
+            second = component(j)
+            if second[2] & -second[2] < first[2] & -first[2]:  # by their lowest bits
+                first, second = second, first
+            yield pair, (full ^ first[2] ^ second[2], *cap[:2], *cup[:2], *first, *second)
 
 
 def _mask(positions: Iterable[int]) -> int:
@@ -543,7 +543,9 @@ def surgery_trace(
             cap_arcs=tuple(sorted(y.cap.cups)),
             cap_rays=tuple(sorted(y.cap.rays)),
             middle_arcs=tuple(geometry.middle_pairs()),
-            verticals=() if collapsed else tuple(p for p in range(size) if geometry.vertical[p]),
+            verticals=() if collapsed else tuple(
+                p for p in range(size) if geometry.inner[p] == p + size
+            ),
             component_types=tuple(
                 _kind(start, end, state) for start, end, _, _ in geometry.components()
             ),

@@ -12,10 +12,10 @@ all the deterministic conventions used everywhere:
   almost all arithmetic stays on ints; a float is never a scalar, and
   ``/`` is never applied to two ints (``quotient`` divides exactly);
 * a vector is a sparse ``{index: scalar}`` dict, the one format in and
-  out of this module: ``Echelon`` takes such dicts, and ``kernel_basis``,
-  ``solve`` and ``SparseMatrix.apply`` return them, holding only the
-  nonzero entries in increasing index order.  An index outside the
-  vector's length raises ValueError;
+  out of this module: ``Echelon`` takes such dicts, and ``kernel_basis``
+  and ``solve`` return them, holding only the nonzero entries in
+  increasing index order.  An index outside the vector's length raises
+  ValueError;
 * the one elimination is ``Echelon``: the reduced row echelon form (RREF)
   of a span, stored as sparse ``{col: scalar}`` rows keyed by pivot
   column and grown one vector at a time.  ``add`` reduces the new vector
@@ -220,27 +220,12 @@ class SparseMatrix(Value):
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> "SparseMatrix":
         return SparseMatrix(rows, cols, {})
 
     # -- access --------------------------------------------------------
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         return self.entries.get(key, 0)
-
-    def dense(self) -> list[list[Scalar]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -275,18 +260,6 @@ class SparseMatrix(Value):
             for c, w in by_row.get(k, ()):
                 out[(r, c)] = out.get((r, c), 0) + v * w
         return SparseMatrix(self.rows, other.cols, out)
-
-    def apply(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
-        """The product with a sparse ``{col: value}`` vector, as a sparse
-        ``{row: value}`` one."""
-        if vec and (min(vec) < 0 or max(vec) >= self.cols):
-            raise ValueError("vector index out of range")
-        out: dict[int, Scalar] = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x:
-                out[r] = out.get(r, 0) + v * x
-        return {r: rational(v) for r, v in sorted(out.items()) if v}
 
 
 def _subtract(target: dict[int, Scalar], f: Scalar, row: dict[int, Scalar]) -> None:

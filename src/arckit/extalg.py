@@ -898,7 +898,9 @@ def _split_pair(
     next degree's B checks that d is injective on L, so |L| ≤ dim − dim Z, and
     the three add up to dim; where no next degree sees L, d vanishes and L
     must be empty.  The counts must be the recursion's.  d_k is built once, by
-    ``_d_columns``, where the kernel, a labelled class or L_k reads it.
+    ``_d_columns``: whole for the generic kernel, else after the pass and only
+    at the columns a labelled class's cocycle check or L_k (for the next
+    degree's B) reads, and the pass's checks then run in the pass's order.
     """
     out: dict[int, _SpaceSplit] = {}
     l_prev, d_prev = [], {}  # L of hom^{k-1}, and the columns of d_{k-1} that B reads
@@ -920,24 +922,28 @@ def _split_pair(
                 for vec in kernel_basis(_from_columns(len(hom_space(lam, mu, k + 1)), d.values()))
                 if span.add_tagged(_reversed(vec, last))
             ]
+            entered = []
         else:
             classes = [c for c in labelled if c.k == k]
-            d = _d_columns(lam, mu, k, range(dim)) if classes else {}
-            for c in classes:
-                if _combine(c.element.coords, d):
-                    raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
-                if not span.add_tagged(_reversed(c.element.coords, last)):
-                    raise ArithmeticError(f"canonical degree-{k} representatives are dependent "
-                                          f"modulo coboundaries for ({lam}, {mu})")
+            entered = [span.add_tagged(_reversed(c.element.coords, last)) for c in classes]
         l_cols = [element.coords for element in seeds.get(k, [])]
-        if not all(span.add(_reversed(vec, last)) for vec in l_cols):
-            raise ArithmeticError("homotopy element lies in the cocycles")
+        seeded = all(span.add(_reversed(vec, last)) for vec in l_cols)
         rows = {last - r: row for r, row in span.rows.items()}
         l_cols += [{p: 1} for p in range(dim) if p not in rows]
+        if labelled is not None:  # d_k where the cocycle checks and the next B read it
+            cols = sorted({p for vec in [c.element.coords for c in classes] + l_cols for p in vec})
+            d = _d_columns(lam, mu, k, cols) if cols else {}
+        for c, ok in zip(classes, entered):  # the pass's checks, in its order
+            if _combine(c.element.coords, d):
+                raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
+            if not ok:
+                raise ArithmeticError(f"canonical degree-{k} representatives are dependent "
+                                      f"modulo coboundaries for ({lam}, {mu})")
+        if not seeded:
+            raise ArithmeticError("homotopy element lies in the cocycles")
         inverse = [{c - dim: v for c, v in rows.get(p, {}).items() if c >= dim} for p in range(dim)]
         out[k] = _SpaceSplit(space, len(l_prev), classes, l_prev, inverse)
-        d_prev = d or (_d_columns(lam, mu, k, range(dim)) if l_cols else {})
-        l_prev = l_cols
+        d_prev, l_prev = d, l_cols
     if l_prev:  # the last degree: d vanishes, so L must be empty
         raise ArithmeticError("B ⊕ H does not exhaust the cocycles")
     got = {k: len(data.h_classes) for k, data in out.items() if data.h_classes}

@@ -18,7 +18,10 @@ can be checked against it for exact equality.
 ``not_exact`` is the reference scalar convention: it lists the values
 that are neither an ``int`` nor a ``Fraction`` with denominator > 1.
 
-``from_rows`` builds a sparse matrix from dense rows for the tests.
+``from_rows`` builds a sparse matrix from dense rows for the tests, and
+``dense_rows`` reads them back; ``identity``, ``transpose`` and ``apply``
+(a matrix times a sparse vector, in the vector format of ``arckit.exact``)
+are the matrix helpers only the tests use.
 ``sparse`` and ``dense`` convert a vector between the dense list the
 reference kernel uses and the sparse ``{index: scalar}`` dict that
 ``arckit`` uses everywhere, and ``vectorize`` is the dense coordinate list
@@ -82,6 +85,10 @@ are (line, position) pairs, a state is a tuple of labels, and every cut
 finds the components it reads again by a depth-first walk for every state.
 ``arckit.arcalg`` compiles the cuts of each cup/cap triple once into
 bitmask steps and is checked against it, term order included.
+``plan_reference`` reads those steps off the same walk, rescanning the
+remaining pairs for the leftmost admissible one after every cut;
+``arckit.arcalg`` cuts in the order of the left endpoints, sorted once,
+and is checked against it, plan for plan.
 
 ``blocks``, ``block_compose`` and ``block_differential`` are the reference
 hom complex: an element as nested blocks ``{p: {(s, t): AlgebraElement}}``
@@ -147,6 +154,7 @@ from collections import Counter
 from fractions import Fraction
 
 from arckit import QPoly, SparseMatrix, kl_poly_recursive
+from arckit.exact import rational
 from arckit.ainfty import _SpaceSplit
 from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
 from arckit.diagrams import (
@@ -238,7 +246,7 @@ def _rref(matrix: SparseMatrix) -> tuple[list[list[Fraction]], list[int]]:
     to bottom) with a nonzero entry is the pivot row.  Every entry is read
     in as a ``Fraction``, so no step divides two ints.
     """
-    m = [[Fraction(v) for v in row] for row in matrix.dense()]
+    m = [[Fraction(v) for v in row] for row in dense_rows(matrix)]
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[int] = []
     row = 0
@@ -316,6 +324,36 @@ def dense(vec, length: int) -> list:
     for i, v in vec.items():
         out[i] = v
     return out
+
+
+def dense_rows(matrix: SparseMatrix) -> list[list]:
+    """The dense rows of a sparse matrix; the inverse of ``from_rows``."""
+    out = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        out[r][c] = v
+    return out
+
+
+def identity(n: int) -> SparseMatrix:
+    return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def transpose(matrix: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(matrix.cols, matrix.rows, {(c, r): v for (r, c), v in matrix.entries.items()})
+
+
+def apply(matrix: SparseMatrix, vec) -> dict:
+    """The product with a sparse ``{col: value}`` vector, as a sparse
+    ``{row: value}`` one holding only the nonzero entries, in increasing
+    index order; ValueError for an index outside the columns."""
+    if vec and (min(vec) < 0 or max(vec) >= matrix.cols):
+        raise ValueError("vector index out of range")
+    out = {}
+    for (r, c), v in matrix.entries.items():
+        x = vec.get(c)
+        if x:
+            out[r] = out.get(r, 0) + v * x
+    return {r: rational(v) for r, v in sorted(out.items()) if v}
 
 
 def vectorize(f: HomElement) -> list:
@@ -901,6 +939,35 @@ class _Geometry:
             yield cap, cup, after
 
 
+def plan_reference(a, b, d) -> tuple:
+    """The cuts of ``arckit.arcalg._plan`` for the stacked triple (a, b, d),
+    found by ``_Geometry.steps``, which rescans the remaining pairs for the
+    leftmost admissible one after every cut: each cut as (keep, cap,
+    cap_end, cup, cup_end) and (start, end, mask, same) per component
+    formed, with vertex (line, p) numbered line * size + p."""
+    geometry = _Geometry(a, b, d)
+    size = geometry.size
+
+    def number(v) -> int:
+        return v[0] * size + v[1]
+
+    def start_end(vertices) -> tuple[int, int]:
+        ends = sorted(number(v) for v in vertices if v in geometry.infinite_ends)
+        return (ends[0], ends[-1]) if ends else (number(_leftmost(vertices)), -1)
+
+    plan = []
+    for cap, cup, after in geometry.steps():
+        formed = []
+        for vertices in after:
+            start, end = start_end(vertices)
+            labels = geometry.propagate((start // size, start % size), "^")
+            formed += [start, end, sum(1 << number(v) for v in vertices),
+                       sum(1 << number(v) for v, label in labels.items() if label == "^")]
+        keep = (1 << 2 * size) - 1 ^ sum(formed[2::4])
+        plan.append((keep, *start_end(cap), *start_end(cup), *formed))
+    return tuple(plan)
+
+
 def _apply_rule(geometry, labels, cap, cup, after) -> list[dict]:
     """The relabelings of the components ``after`` that one cut gives one
     state, each with coefficient 1."""
@@ -1343,7 +1410,7 @@ def build_pair(split, lam, mu) -> dict:
             continue
         d_k = _differential_matrix(lam, mu, k)
         cocycles = kernel_basis(d_k)
-        d_prev = _differential_matrix(lam, mu, k - 1).dense()
+        d_prev = dense_rows(_differential_matrix(lam, mu, k - 1))
         span = _DenseSpan()
         b_cols = [_times(d_prev, vec) for vec in l_prev]
         if not all(span.add(vec) for vec in b_cols):
@@ -1357,7 +1424,7 @@ def build_pair(split, lam, mu) -> dict:
         else:
             classes = [c for c in labelled if c.k == k]
             h_cols = [vectorize(c.element) for c in classes]
-            dense = d_k.dense()
+            dense = dense_rows(d_k)
             if any(any(_times(dense, vec)) for vec in h_cols):
                 raise ArithmeticError("a labelled class is not a cocycle")
             if not all(span.add(vec) for vec in h_cols):

@@ -70,13 +70,13 @@ def _splitting_matrix(split, lam, mu, k):
     data = pair[k]
     dim = len(data.space)
     d_prev = _differential_matrix(lam, mu, k - 1)
-    b_cols = [oracles.dense(d_prev.apply(v), dim) for v in data.l_prev]
+    b_cols = [oracles.dense(oracles.apply(d_prev, v), dim) for v in data.l_prev]
     h_cols = [oracles.vectorize(c.element) for c in data.h_classes]
     l_next = pair[k + 1].l_prev if k + 1 in pair else []
     l_cols = [oracles.dense(v, dim) for v in l_next]
     columns = b_cols + h_cols + l_cols
     assert len(columns) == dim
-    return oracles.from_rows(columns).transpose()
+    return oracles.transpose(oracles.from_rows(columns))
 
 
 def _solved_basis_vectors(split):

@@ -30,7 +30,8 @@ from arckit.arcalg import (
     hom_basis,
 )
 from arckit.cli import render_trace_svg
-from oracles import constructed_hom_basis, surgery_product_reference
+from arckit.diagrams import associated_cap_diagram, associated_cup_diagram
+from oracles import constructed_hom_basis, plan_reference, surgery_product_reference
 
 
 def _elt(d):
@@ -216,6 +217,17 @@ class TestAgainstReference:
             else:
                 assert _plan.cache_info().currsize - made == len(triples)
 
+
+    @pytest.mark.parametrize("block", [(2, 2), (3, 2), (4, 2), (2, 4), (3, 3)])
+    def test_every_plan_equals_the_rescanning_reference(self, block):
+        # every (cup, cap, cap) triple of the block, stacked or not: the cuts
+        # in order of their left endpoints against the leftmost admissible
+        # pair found by a rescan after every cut
+        weights = weights_in_block(*block)
+        cups = [associated_cup_diagram(w) for w in weights]
+        caps = [associated_cap_diagram(w) for w in weights]
+        for a, b, d in iproduct(cups, caps, caps):
+            assert _plan(a, b, d) == plan_reference(a, b, d)
 
 class TestProductMemo:
     """``multiply`` reads basis products from one table per block, on basis

@@ -57,17 +57,17 @@ class TestSparseMatrix:
         a = oracles.from_rows([[1, 2], [2, 4], [0, 1]])
         assert rank(a) == 2
         assert rank(SparseMatrix.zeros(3, 4)) == 0
-        assert rank(SparseMatrix.identity(5)) == 5
+        assert rank(oracles.identity(5)) == 5
 
     def test_matmul_and_apply(self):
         a = oracles.from_rows([[1, 2], [3, 4]])
         b = oracles.from_rows([[0, 1], [1, 0]])
-        assert (a @ b).dense() == [[2, 1], [4, 3]]
-        assert a.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
-        assert a.apply({1: 1}) == a.apply({0: 0, 1: 1}) == {0: 2, 1: 4}
+        assert oracles.dense_rows(a @ b) == [[2, 1], [4, 3]]
+        assert oracles.apply(a, {0: 1, 1: 1}) == {0: 3, 1: 7}
+        assert oracles.apply(a, {1: 1}) == oracles.apply(a, {0: 0, 1: 1}) == {0: 2, 1: 4}
         for bad in ({2: 0}, {0: 1, 1: 1, 2: 1}, {2: 1}, {-1: 1}):
             with pytest.raises(ValueError):
-                a.apply(bad)
+                oracles.apply(a, bad)
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy)
@@ -76,17 +76,17 @@ class TestSparseMatrix:
         kernel = kernel_basis(a)
         assert rank(a) + len(kernel) == a.cols
         for vec in kernel:
-            assert a.apply(vec) == {}
+            assert oracles.apply(a, vec) == {}
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_strategy, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
     def test_solve_consistent_system(self, rows, x0):
         a = oracles.from_rows(rows)
         x0 = oracles.sparse((x0 * a.cols)[: a.cols])
-        b = a.apply(x0)
+        b = oracles.apply(a, x0)
         x = solve(a, b)
         assert x is not None
-        assert a.apply(x) == b
+        assert oracles.apply(a, x) == b
 
     def test_solve_inconsistent(self):
         a = oracles.from_rows([[1, 0], [1, 0]])
@@ -142,7 +142,7 @@ def systems(draw):
     a = draw(sparse_matrices())
     if draw(st.booleans()):
         x0 = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
-        return a, oracles.dense(a.apply(oracles.sparse(x0)), a.rows)
+        return a, oracles.dense(oracles.apply(a, oracles.sparse(x0)), a.rows)
     return a, draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
 
 
@@ -218,11 +218,11 @@ class TestAgainstReference:
             if c >= width
         })
         a = oracles.from_rows(picked)
-        assert tags @ a == SparseMatrix.identity(width)
+        assert tags @ a == oracles.identity(width)
         for i in range(width):
             unit = [int(r == i) for r in range(width)]
-            column = oracles.dense(tags.transpose().apply({i: 1}), width)
-            assert column == oracles.solve(a.transpose(), unit)
+            column = oracles.dense(oracles.apply(oracles.transpose(tags), {i: 1}), width)
+            assert column == oracles.solve(oracles.transpose(a), unit)
 
     def test_reduce_leaves_nothing_of_the_span(self):
         span = Echelon(3)
@@ -275,9 +275,9 @@ class TestVectorFormat:
         for vec, dense in zip(kernel, want):
             assert _well_formed(vec, a.cols) == dense
         x = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
-        image = a.apply(oracles.sparse(x))
+        image = oracles.apply(a, oracles.sparse(x))
         assert _well_formed(image, a.rows) == [
-            sum(v * y for v, y in zip(row, x)) for row in a.dense()
+            sum(v * y for v, y in zip(row, x)) for row in oracles.dense_rows(a)
         ]
         b = data.draw(st.lists(st.integers(-3, 3), min_size=a.rows, max_size=a.rows))
         got, want = solve(a, oracles.sparse(b)), oracles.solve(a, b)

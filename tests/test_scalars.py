@@ -18,7 +18,7 @@ from arckit import (
 from arckit.ainfty import composable_tuples
 from arckit.exact import kernel_basis, rational
 from arckit.extalg import _differential_matrix, _k_range, compose, identity_element
-from oracles import dense, from_rows, not_exact, vectorize
+from oracles import apply, dense, from_rows, not_exact, transpose, vectorize
 
 
 def _differential_coefficients(complex_):
@@ -93,12 +93,12 @@ class TestHotLayers:
                         # L that the next degree keeps as its preimages
                         dim = len(data.space)
                         d_prev = _differential_matrix(lam, mu, k - 1)
-                        columns = [dense(d_prev.apply(vec), dim) for vec in data.l_prev]
+                        columns = [dense(apply(d_prev, vec), dim) for vec in data.l_prev]
                         columns += [vectorize(c.element) for c in data.h_classes]
                         l_next = pair[k + 1].l_prev if k + 1 in pair else []
                         columns += [dense(vec, dim) for vec in l_next]
                         assert not_exact(v for col in columns for v in col) == []
-                        matrix = from_rows(columns).transpose()
+                        matrix = transpose(from_rows(columns))
                         # the stored B and H rows of the inverse, times the
                         # matrix, are the B and H rows of the identity
                         kept = data.b_count + len(data.h_classes)

@@ -285,11 +285,13 @@ class TestOnePass:
     def test_canonical_build(self, monkeypatch):
         assert self._eliminations(monkeypatch, 3, 2, "canonical-n2") == 0
         # d_k is built once, and only where a labelled class of degree k or
-        # a nonempty L_k (for the next degree's B) reads it
-        built, original = [], extalg._d_columns
+        # a nonempty L_k (for the next degree's B) reads it, at the columns
+        # they read
+        built, columns, original = [], [], extalg._d_columns
 
         def counted(lam, mu, k, cols):
             built.append((lam, mu, k))
+            columns.append(len(cols))
             return original(lam, mu, k, cols)
 
         monkeypatch.setattr(extalg, "_d_columns", counted)
@@ -306,6 +308,9 @@ class TestOnePass:
         # 206 degrees with a nonempty L_k or a class other than Id, and the
         # one d_0 that only the identity's cocycle check reads (L_0 empty)
         assert len(built) <= 207
+        # the supports of those classes and of L_k: 829 of the 1,460
+        # columns of the d_k built
+        assert sum(columns) == 829
 
     def test_generic_build(self, monkeypatch):
         nonempty = sum(

@@ -1,10 +1,14 @@
-"""Alternating parent/change runs of benchmarks/run.py, as one JSON file (stdlib only).
+"""Alternating parent/change/control runs of benchmarks/run.py, as one JSON file (stdlib only).
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json --pairs 10 --seconds 10
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR CONTROL_DIR OUT.json --pairs 10 --seconds 10
 
-Pair i runs every workload of CHANGE_DIR's BENCHMARK.json with --seed i+1 in both
-checkouts, the parent first in even pairs.  OUT keeps each run's last stdout line, the
-medians, the parent's IQR and the change's wins per end-to-end metric and per raw time
+Pair i runs every workload of CHANGE_DIR's BENCHMARK.json with --seed i+1 in each
+checkout, the parent first in even pairs and last in odd ones.  CONTROL_DIR, a second
+checkout of the parent's commit, runs as a third side, an A/A control: the spread of its
+per-pair changes is what the host alone moves a metric.  OUT keeps each run's last stdout
+line, the medians, the parent's IQR and, per other side, its wins, its median per-pair
+change (``<side>_pct``, percent of the parent's value) and, for the control, the range of
+those changes (``control_pct_range``), per end-to-end metric and per raw time
 (``wall_raw`` and, but for cli-session, ``setup_raw``: the median over a run's passes of
 the unscaled seconds in its ``.bench_out/<workload>-seed<i>-trace0-<pid>/result.json``,
 beside the rescaled ``wall_s`` and ``setup_s``), and ``frontier``: 3 cold processes per
@@ -15,8 +19,9 @@ pinned sha256 prefix.  A run keeps its wall and CPU time (ru_utime + ru_stime of
 the peak memory it reads itself (VmHWM at exit; wait4's ru_maxrss also counts the parent's)
 and whether its stdout has the pinned sha256 prefix; a side, the median wall, its min-max
 range, the median CPU time and the highest VmHWM.
-PARENT_DIR and CHANGE_DIR must each be the top of a git checkout, so that OUT names
-their SHAs; the tool exits non-zero on a `git archive` export.
+PARENT_DIR, CHANGE_DIR and CONTROL_DIR must each be the top of a git checkout, so that OUT
+names their SHAs; the tool exits non-zero on a `git archive` export, and on a control
+checked out at another commit than the parent.
 """
 
 import argparse, hashlib, json, os, platform, statistics, subprocess, sys, tempfile, time
@@ -39,7 +44,7 @@ RESOLVE_44 = ("import hashlib; from arckit import weights_in_block; "
               "for w in weights_in_block(4, 4) for c in [resolve_generic(w)]]; "
               "print(hashlib.sha256(''.join(t for _, t in done).encode()).hexdigest(), "
               "sum(f for f, _ in done))")
-SIDES = ("parent", "change")
+SIDES = ("parent", "change", "control")
 FRONTIER_RUNS = 3
 
 
@@ -78,17 +83,17 @@ def cold(root: str, code: str, argv: list, check) -> dict:
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "vmhwm_kb": hwm, **check(out)}
 
 
-def alternate(count: int, run) -> dict:
-    """run(side, i) for each i < count on both sides, the parent first when i is even."""
-    runs = {side: [] for side in SIDES}
+def alternate(sides: tuple, count: int, run) -> dict:
+    """run(side, i) for each i < count on every side, in order when i is even, else reversed."""
+    runs = {side: [] for side in sides}
     for i in range(count):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+        for side in sides if i % 2 == 0 else sides[::-1]:
             runs[side].append(run(side, i))
     return runs
 
 
 def frontier(roots: dict, job) -> dict:
-    runs = alternate(FRONTIER_RUNS, lambda side, i: cold(roots[side], *job))
+    runs = alternate(tuple(roots), FRONTIER_RUNS, lambda side, i: cold(roots[side], *job))
     return {side: {"wall_s": statistics.median(r["wall_s"] for r in got),
                    "wall_range": [min(r["wall_s"] for r in got), max(r["wall_s"] for r in got)],
                    "cpu_s": statistics.median(r["cpu_s"] for r in got),
@@ -108,7 +113,7 @@ def describe(root: str) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for name in ("parent", "change", "out"):
+    for name in (*SIDES, "out"):
         parser.add_argument(name)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10)
@@ -116,21 +121,29 @@ def main() -> None:
     spec = json.loads(Path(args.change, "BENCHMARK.json").read_text())
     roots = {side: getattr(args, side) for side in SIDES}
     report = {"nproc": os.cpu_count(), "python": platform.python_version(), "pairs": args.pairs,
-              "seconds": args.seconds, **{side: describe(roots[side]) for side in SIDES},
+              "seconds": args.seconds, **{side: describe(root) for side, root in roots.items()},
               "workloads": {}}
+    if report["control"]["head"] != report["parent"]["head"]:
+        sys.exit("the control must be a checkout of the parent's commit")
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = alternate(args.pairs, lambda side, i: bench(roots[side], workload, i + 1, args.seconds))
-        series = {m["name"]: (m["better"], [[r["metrics"][m["name"]]["value"] for r in runs[s]] for s in SIDES])
+        runs = alternate(tuple(roots), args.pairs,
+                         lambda side, i: bench(roots[side], workload, i + 1, args.seconds))
+        series = {m["name"]: (m["better"], {s: [r["metrics"][m["name"]]["value"] for r in runs[s]] for s in roots})
                   for m in spec["end_to_end"]}
         for name in runs["parent"][0]["raw"]:
-            series[name] = ("lower", [[r["raw"][name] for r in runs[s]] for s in SIDES])
+            series[name] = ("lower", {s: [r["raw"][name] for r in runs[s]] for s in roots})
         summary = {}
-        for name, (better, (before, after)) in series.items():
+        for name, (better, values) in series.items():
+            before = values.pop("parent")
             q1, _, q3 = statistics.quantiles(before, n=4)
             sign = 1 if better == "lower" else -1
-            summary[name] = {
-                "parent_median": statistics.median(before), "change_median": statistics.median(after),
-                "parent_iqr": q3 - q1, "change_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after))}
+            entry = summary[name] = {"parent_median": statistics.median(before), "parent_iqr": q3 - q1}
+            for side, after in values.items():
+                pct = [100 * (a - b) / b if b else 0.0 for b, a in zip(before, after)]
+                entry.update({f"{side}_median": statistics.median(after), f"{side}_pct": statistics.median(pct),
+                              f"{side}_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after))})
+                if side == "control":
+                    entry["control_pct_range"] = [min(pct), max(pct)]
         report["workloads"][workload] = {"summary": summary, "runs": runs}
     jobs = {cmd: (CLI, cmd.split(), lambda out, pin=pin: {
         "sha256_ok": hashlib.sha256(out).hexdigest().startswith(pin)}) for cmd, pin in FRONTIER.items()}
