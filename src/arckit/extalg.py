@@ -922,7 +922,6 @@ def _split_pair(
                 for vec in kernel_basis(_from_columns(len(hom_space(lam, mu, k + 1)), d.values()))
                 if span.add_tagged(_reversed(vec, last))
             ]
-            entered = []
         else:
             classes = [c for c in labelled if c.k == k]
             entered = [span.add_tagged(_reversed(c.element.coords, last)) for c in classes]
@@ -933,12 +932,12 @@ def _split_pair(
         if labelled is not None:  # d_k where the cocycle checks and the next B read it
             cols = sorted({p for vec in [c.element.coords for c in classes] + l_cols for p in vec})
             d = _d_columns(lam, mu, k, cols) if cols else {}
-        for c, ok in zip(classes, entered):  # the pass's checks, in its order
-            if _combine(c.element.coords, d):
-                raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
-            if not ok:
-                raise ArithmeticError(f"canonical degree-{k} representatives are dependent "
-                                      f"modulo coboundaries for ({lam}, {mu})")
+            for c, ok in zip(classes, entered):  # the pass's checks, in its order
+                if _combine(c.element.coords, d):
+                    raise ArithmeticError(f"canonical {c.label} representative is not a cocycle")
+                if not ok:
+                    raise ArithmeticError(f"canonical degree-{k} representatives are dependent "
+                                          f"modulo coboundaries for ({lam}, {mu})")
         if not seeded:
             raise ArithmeticError("homotopy element lies in the cocycles")
         inverse = [{c - dim: v for c, v in rows.get(p, {}).items() if c >= dim} for p in range(dim)]

@@ -193,7 +193,8 @@ class TestAgainstReference:
     """The product table against the depth-first reference of
     ``tests/oracles.py``: the same terms, coefficients and term order when
     the reference cuts the leftmost admissible pair, as the table does, and
-    the same element when it cuts in another order."""
+    the same element when it cuts in another order; and each compiled plan
+    against the one read off that reference's walk."""
 
     def test_every_stacked_pair_in_every_cut_order(self):
         # (3|2) and (2|3) share cup/cap triples, so (2|3) also runs on plans
