@@ -42,7 +42,7 @@ from .arcalg import Terms, _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
 from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
 from .repmod import cell_basis
-from .resolve import ProjectiveComplex, _ab_type, resolve_cone
+from .resolve import ProjectiveComplex, _ab_type, _resolve_cone_raw, resolve_cone
 
 __all__ = [
     "HomElement",
@@ -67,9 +67,10 @@ __all__ = [
 @lru_cache(maxsize=None)
 def resolution(lam: Weight) -> ProjectiveComplex:
     """The sign-normalized (for n ≤ 2) cone resolution of M(λ), built once
-    per weight per process and shared, read-only, by every hom space, Ext
-    dimension and splitting.  For n > 2 it is the cone recursion's own
-    memoized complex; this cache holds the normalized copies for n ≤ 2."""
+    per weight per process and shared, read-only, by every hom space and
+    splitting.  For n > 2 it is the cone recursion's own memoized complex;
+    this cache holds the normalized copies for n ≤ 2.  Ext dimensions do
+    not read it: no rank reads a sign, so ``ext_dims`` takes the raw cone."""
     return resolve_cone(lam)
 
 
@@ -332,21 +333,21 @@ def _k_range(lam: Weight, mu: Weight) -> range:
 def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     """dim Ext^k(M(λ), M(μ)) for all k, by rank counts, zeros omitted.
 
-    By definition Ext^k(M(λ), M(μ)) = H^k Hom(P_•(λ), M(μ)) for the
-    projective resolution P_• = ``resolution(λ)``, so the dimensions need
-    neither a resolution of M(μ) nor the hom complex of the two.  A map
-    P(ν)⟨a⟩ → M(μ) is fixed by the image of e_ν, an element of e_ν M(μ);
-    the basis vector α of M(μ) (the labels of ``cell_basis(μ)``) lies in
-    e_α M(μ), so e_ν M(μ) is spanned by vector ν when ν is a label and is
-    zero otherwise.  Degree k of the complex thus has one coordinate per
-    summand of P_k whose weight labels M(μ), and only ranks are needed: a
-    sign on a differential changes no rank, so none is tracked.  Each
-    matrix entry is one coefficient of one surgery product, so no action
-    matrix of M(μ) is built.
+    By definition Ext^k(M(λ), M(μ)) = H^k Hom(P_•(λ), M(μ)) for any
+    projective resolution, here the cone ``_resolve_cone_raw(λ)``, so the
+    dimensions need neither a resolution of M(μ) nor the hom complex of
+    the two.  A map P(ν)⟨a⟩ → M(μ) is fixed by the image of e_ν, an
+    element of e_ν M(μ); the basis vector α of M(μ) (the labels of
+    ``cell_basis(μ)``) lies in e_α M(μ), so e_ν M(μ) is spanned by vector
+    ν when ν is a label and is zero otherwise.  Degree k of the complex
+    thus has one coordinate per summand of P_k whose weight labels M(μ),
+    and only ranks are needed: a sign on a differential changes no rank,
+    so ``resolution``'s rescaling is skipped.  Each matrix entry is one
+    coefficient of one surgery product: no action matrix of M(μ) is built.
     """
     if lam.block != mu.block:
         raise ValueError("weights from different blocks")
-    return _hom_into_module_dims(resolution(lam), mu)
+    return _hom_into_module_dims(_resolve_cone_raw(lam), mu)
 
 
 def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
@@ -358,8 +359,9 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
     the pulled-back differential sends coordinate t to u·(vector of t):
     its entry at (s, t) is the coefficient of the representative of
     vector s in u·(representative of vector t), terms of other middle
-    weights being zero in M(μ).  dim H^k = |degree k| − rank d^k − rank
-    d^{k−1}.
+    weights being zero in M(μ).  Surgery is homogeneous, so a term z of u
+    with deg z + deg rep_t ≠ deg rep_s has no coefficient there and is
+    not multiplied.  dim H^k = |degree k| − rank d^k − rank d^{k−1}.
     """
     labels, _, reps = cell_basis(mu)
     where = {label: i for i, label in enumerate(labels)}
@@ -378,7 +380,10 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
         for (s, t), u in diff.items():
             if s in rows and t in cols:
                 (row, v_s), (col, v_t) = rows[s], cols[t]
+                gap = table.degree[reps[v_s]] - table.degree[reps[v_t]]
                 for z, c in u:
+                    if table.degree[z] != gap:
+                        continue  # z·rep_t is homogeneous of another degree than rep_s
                     for x, a in table.product(z, reps[v_t]):
                         if x == reps[v_s]:
                             entries[row, col] = entries.get((row, col), 0) + c * a

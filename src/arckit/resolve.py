@@ -394,13 +394,17 @@ def _right_action(m: int, n: int, d: int, degree: int) -> tuple[tuple[int, int, 
     """x ↦ x·d for the basis diagram of id d of K_m^n, in e_α K e_β, as
     (column, row, value) triples from the basis of P(α) to that of P(β),
     each indexed by the table's ``stacking``; only the columns x of the
-    given degree, so each diagram's table is built once per degree."""
+    given degree, so each diagram's table is built once per degree.
+    K_m^n is graded and surgery homogeneous, so x·d lies in degree
+    deg x + deg d of e_γ K e_β, γ the cup weight of x: an x whose γ has
+    no diagram of that degree in P(β) multiplies to 0 and is not surgered."""
     table = _product_table(m, n)
     rows = {y: k for k, y in enumerate(table.stacking[table.cap[d]])}
+    reached = {table.cup[y] for y in rows if table.degree[y] == degree + table.degree[d]}
     return tuple(
         (col, rows[y], v)
         for col, x in enumerate(table.stacking[table.cup[d]])
-        if table.degree[x] == degree
+        if table.degree[x] == degree and table.cup[x] in reached
         for y, v in table.product(x, d)
     )
 

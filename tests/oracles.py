@@ -56,6 +56,10 @@ diagram, kept per (cup-weight, degree) block in a dense span.
 assumes no linearity.  ``arckit.resolve`` caches each summand's basis and
 each diagram's right action, solves only the degree-(i + 1) kernel after
 d_i and takes all of it as the generators, and is checked against these.
+``right_action_reference`` is a diagram's right-action table with every x
+of the degree surgered; ``arckit.resolve._right_action`` skips each x
+whose product lands in an empty graded piece, and must give the same
+table.
 
 ``verify_homology_reference`` is the reference d² and exactness check of
 a resolution: the full matrix of every differential by
@@ -156,7 +160,7 @@ from fractions import Fraction
 from arckit import QPoly, SparseMatrix, kl_poly_recursive
 from arckit.exact import rational
 from arckit.ainfty import _SpaceSplit
-from arckit.arcalg import AlgebraElement, basis, hom_basis, multiply
+from arckit.arcalg import AlgebraElement, _product_table, basis, hom_basis, multiply
 from arckit.diagrams import (
     CapDiagram,
     CupDiagram,
@@ -516,6 +520,21 @@ def flat_differential_reference(diff, source, target) -> SparseMatrix:
                     raise AssertionError("image left the projective summand")
                 entries[(r, col)] = entries.get((r, col), 0) + c
     return SparseMatrix(len(target_flat), len(source_flat), entries)
+
+
+def right_action_reference(m, n, d, degree) -> tuple:
+    """x ↦ x·d for the basis id d, as ``arckit.resolve._right_action`` gives
+    it: (column, row, value) triples indexed by the table's ``stacking``,
+    from every x of the degree in P(cup of d), each surgered, whatever
+    the degree of the piece its product lands in."""
+    table = _product_table(m, n)
+    rows = {y: k for k, y in enumerate(table.stacking[table.cap[d]])}
+    return tuple(
+        (col, rows[y], v)
+        for col, x in enumerate(table.stacking[table.cup[d]])
+        if table.degree[x] == degree
+        for y, v in table.product(x, d)
+    )
 
 
 def head_generators_reference(syzygy, flat) -> list:

@@ -2,7 +2,9 @@
 ``import arckit.cli`` loads no algebra module, a usage error is answered
 before any algebra module loads, and a ``--cache`` hit before any algebra
 module or hashlib (OpenSSL) does.  The algebra modules themselves load no
-``dataclasses``, nor the ``inspect`` and ``ast`` it pulls in.
+``dataclasses``, nor the ``inspect`` and ``ast`` it pulls in.  The work
+of a cold pass is counted there too: surgery products and compiled
+surgery plans, numbers that no timing noise can move.
 
 Each check runs in a subprocess and reads ``sys.modules`` there, since
 this test process has long imported everything.
@@ -132,3 +134,46 @@ def test_algebra_modules_load_no_dataclasses_or_inspect():
     )
     assert ALGEBRA <= set(out["loaded"])
     assert out["heavy"] == []
+
+
+def _counting_surgeries(script: str) -> dict:
+    """Run ``script`` in a new interpreter, counting each surgery product
+    (an ``arcalg._carry`` call) and, after it, the compiled plans."""
+    return fresh(
+        "from arckit import arcalg\n"
+        "carry, out['surgeries'] = arcalg._carry, 0\n"
+        "def counted(*args):\n"
+        "    out['surgeries'] += 1\n"
+        "    return carry(*args)\n"
+        "arcalg._carry = counted\n"
+        + script
+        + "out['plans'] = arcalg._plan.cache_info().currsize\n"
+    )
+
+
+def test_counted_work_of_a_homalg_pass():
+    # the homalg-42 pass of benchmarks/worker.py: each x·d and z·rep_t
+    # whose degree has no basis diagram where it lands is 0 unsurgered
+    out = _counting_surgeries(
+        "from arckit import extalg, resolve, weights_in_block\n"
+        "weights = weights_in_block(4, 2)\n"
+        "arcalg.basis(4, 2)\n"
+        "for lam in weights:\n"
+        "    assert resolve.verify_resolution(resolve.resolve_generic(lam), lam) == []\n"
+        "for lam in weights:\n"
+        "    for mu in weights:\n"
+        "        extalg.ext_dims(lam, mu)\n"
+    )
+    assert (out["surgeries"], out["plans"]) == (293, 222)
+
+
+def test_a_cold_split_compiles_its_plans():
+    # the (3|2) canonical-n2 split of ainfty-32.  This number moves only on
+    # purpose: skipping empty pieces inside _ProductTable.product would
+    # drop 42 of these plans and move ainfty-32's rescaled metrics with
+    # its raw times flat (ROADMAP item 5, defect 12)
+    out = _counting_surgeries(
+        "from arckit import build_splitting\n"
+        "build_splitting(3, 2, 'canonical-n2').all_h_classes()\n"
+    )
+    assert out["plans"] == 221

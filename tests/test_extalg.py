@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 
-from arckit import extalg
+from arckit import extalg, resolve
 from arckit import (
     Weight,
     bruhat_leq,
@@ -417,6 +417,14 @@ class TestSmallComplex:
             for mu in ws:
                 dims = extalg._hom_into_module_dims(generic, mu)
                 assert dims == ext_dims(lam, mu)
+
+    @pytest.mark.parametrize("block", [(3, 1), (2, 2), (3, 2), (4, 2)])
+    def test_the_signs_resolution_fixes_change_no_dim(self, block):
+        # ext_dims reads the cone before resolution() rescales its summands
+        ws = weights_in_block(*block)
+        for lam, mu in iproduct(ws, repeat=2):
+            dims = extalg._hom_into_module_dims(resolve._resolve_cone_raw(lam), mu)
+            assert dims == extalg._hom_into_module_dims(extalg.resolution(lam), mu)
 
     @pytest.mark.parametrize("block", [(2, 2), (3, 2), (2, 3), (4, 2)])
     def test_equals_the_count_over_the_action_matrices(self, block):

@@ -46,6 +46,7 @@ from oracles import (
     hom_windows_ok,
     lift_chain_map_reference,
     resolve_generic_reference,
+    right_action_reference,
     verify_homology_reference,
 )
 
@@ -340,6 +341,16 @@ class TestAgainstReference:
                     shape = (reference.rows, reference.cols)
                     assert all((mat.rows, mat.cols) == shape for mat in mats.values())
                     assert union == reference.entries
+
+    @pytest.mark.parametrize("block", REFERENCE_BLOCKS + [(3, 3)])
+    def test_right_action_tables(self, block):
+        # the x whose products land in an empty graded piece are skipped,
+        # not surgered; the reference surgers every x of the degree
+        table = _product_table(*block)
+        for d in range(len(table.degree)):
+            for degree in range(max(table.degree) + 1):
+                want = right_action_reference(*block, d, degree)
+                assert resolve._right_action(*block, d, degree) == want
 
     @pytest.mark.parametrize("block", REFERENCE_BLOCKS + [(3, 3)])
     def test_whole_resolutions(self, block):

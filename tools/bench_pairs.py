@@ -33,7 +33,8 @@ FRONTIER = {"cartan -m 2 -n 2": "27a2dc8e", "quiver -m 2 -n 2 --algebra ext": "c
             "ainfty -m 3 -n 3 --max-arity 6 --format json": "d279a15e",
             "multtable -m 5 -n 2 --format json": "013bbdbe",
             "quiver -m 5 -n 2 --algebra ext --format json": "4f602266",
-            "quiver -m 3 -n 3 --algebra ext --format json": "d80e1149"}
+            "quiver -m 3 -n 3 --algebra ext --format json": "d80e1149",
+            "extdim -m 4 -n 4 --all --oracle shelton --format json": "537163ff"}
 HWM = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(next(line for line in "
        "open('/proc/self/status') if line.startswith('VmHWM:')))); ")
 CLI = "from arckit.cli import main; sys.exit(main())"
