@@ -2,9 +2,9 @@
 ``import arckit.cli`` loads no algebra module, a usage error is answered
 before any algebra module loads, and a ``--cache`` hit before any algebra
 module or hashlib (OpenSSL) does.  The algebra modules themselves load no
-``dataclasses``, nor the ``inspect`` and ``ast`` it pulls in.  The work
-of a cold pass is counted there too: surgery products and compiled
-surgery plans, numbers that no timing noise can move.
+``dataclasses``, nor the ``inspect`` and ``ast`` it pulls in.  A cold
+pass also counts its work, surgery products and compiled surgery plans:
+numbers that no timing noise can move.
 
 Each check runs in a subprocess and reads ``sys.modules`` there, since
 this test process has long imported everything.
