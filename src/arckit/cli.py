@@ -255,6 +255,9 @@ def _doc_extdim(args) -> dict:
     m, n = args.m, args.n
     ws = _block_weights(m, n)
     if args.all:
+        weights = [getattr(args, w + x) for w in ("lam", "mu") for x in ("", "_j", "_kl")]
+        if any(w is not None for w in weights):
+            raise UsageError("--all takes no weight flags")
         pairs = [(lam, mu) for lam in ws for mu in ws]
     else:
         lam = _parse_weight(args, "lam", m, n)

@@ -340,9 +340,10 @@ def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     element of e_ν M(μ); the basis vector α of M(μ) (the labels of
     ``cell_basis(μ)``) lies in e_α M(μ), so e_ν M(μ) is spanned by vector
     ν when ν is a label and is zero otherwise.  Degree k of the complex
-    thus has one coordinate per summand of P_k whose weight labels M(μ),
-    and only ranks are needed: a sign on a differential changes no rank,
-    so ``resolution``'s rescaling is skipped.  Each matrix entry is one
+    thus has one coordinate per summand of P_k whose weight is a key of
+    the per-μ map ``_module_vectors``.  Only ranks are needed, and only of
+    the differentials with an entry: a sign changes no rank, so
+    ``resolution``'s rescaling is skipped.  Each matrix entry is one
     coefficient of one surgery product: no action matrix of M(μ) is built.
     """
     if lam.block != mu.block:
@@ -350,27 +351,37 @@ def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     return _hom_into_module_dims(_resolve_cone_raw(lam), mu)
 
 
+@lru_cache(maxsize=None)
+def _module_vectors(mu: Weight) -> dict[Weight, tuple[int, int]]:
+    """``cell_basis(μ)`` as one map: label -> (representative id, degree)."""
+    labels, degrees, reps = cell_basis(mu)
+    return {label: (x, d) for label, x, d in zip(labels, reps, degrees)}
+
+
 def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
     """Cohomology dimensions {k: dim} of Hom(P, M(μ)), zeros omitted.
 
     Coordinate s of degree k is the map sending the generator of summand s
-    of P_k to the basis vector of M(μ) named by its weight.  The entry u of
-    d_{k+1} from summand s to summand t acts by right multiplication, so
-    the pulled-back differential sends coordinate t to u·(vector of t):
-    its entry at (s, t) is the coefficient of the representative of
-    vector s in u·(representative of vector t), terms of other middle
-    weights being zero in M(μ).  Surgery is homogeneous, so a term z of u
-    with deg z + deg rep_t ≠ deg rep_s has no coefficient there and is
-    not multiplied.  dim H^k = |degree k| − rank d^k − rank d^{k−1}.
+    of P_k to the basis vector of M(μ) its weight keys in
+    ``_module_vectors(μ)``.  The entry u of d_{k+1} from summand s to
+    summand t acts by right multiplication, so the pulled-back differential
+    sends coordinate t to u·(vector of t): its entry at (s, t) is the
+    coefficient of the representative of vector s in u·(representative of
+    vector t), terms of other middle weights being zero in M(μ).  Surgery
+    is homogeneous, so a term z of u with deg z + deg rep_t ≠ deg rep_s
+    has no coefficient there and is not multiplied; a d with no entry
+    needs no rank call.  dim H^k = |degree k| − rank d^k − rank d^{k−1}.
     """
-    labels, _, reps = cell_basis(mu)
-    where = {label: i for i, label in enumerate(labels)}
+    vectors = _module_vectors(mu)
     table = _product_table(*mu.block)
-    # per degree: summand -> (its position in the degree, its vector of M)
-    coords = []
+    coords = []  # per degree: summand -> (its position in it, (rep id, rep degree))
     for comp in P.components:
-        kept = [(s, where[nu]) for s, (nu, _) in enumerate(comp) if nu in where]
-        coords.append({s: (i, v) for i, (s, v) in enumerate(kept)})
+        kept = {}
+        for s, (nu, _) in enumerate(comp):
+            vector = vectors.get(nu)
+            if vector is not None:
+                kept[s] = (len(kept), vector)
+        coords.append(kept)
     ranks = [0] * len(P.components)  # ranks[k]: d^k, Hom(P_k, M) → Hom(P_{k+1}, M)
     for k, diff in enumerate(P.differentials):  # diff is d_{k+1}: P_{k+1} → P_k
         cols, rows = coords[k], coords[k + 1]
@@ -379,15 +390,15 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
         entries: dict[tuple[int, int], Scalar] = {}
         for (s, t), u in diff.items():
             if s in rows and t in cols:
-                (row, v_s), (col, v_t) = rows[s], cols[t]
-                gap = table.degree[reps[v_s]] - table.degree[reps[v_t]]
+                (row, (rep_s, deg_s)), (col, (rep_t, deg_t)) = rows[s], cols[t]
                 for z, c in u:
-                    if table.degree[z] != gap:
+                    if table.degree[z] != deg_s - deg_t:
                         continue  # z·rep_t is homogeneous of another degree than rep_s
-                    for x, a in table.product(z, reps[v_t]):
-                        if x == reps[v_s]:
+                    for x, a in table.product(z, rep_t):
+                        if x == rep_s:
                             entries[row, col] = entries.get((row, col), 0) + c * a
-        ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))
+        if entries:
+            ranks[k] = rank(SparseMatrix(len(rows), len(cols), entries))
     out = {}
     for k, degree in enumerate(coords):
         total = len(degree) - ranks[k] - (ranks[k - 1] if k else 0)

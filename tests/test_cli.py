@@ -129,6 +129,15 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["products"]) == 1199
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "vv^^"], ["--lambda", "vv^"], ["--mu", "v^v^"], ["--kl", "1,2"],
+        ["--mu-kl", "1,2"], ["--j", "1"], ["--mu-j", "1"],
+    ])
+    def test_extdim_all_with_a_weight_flag_is_usage_error(self, flags):
+        code, out, err = run(["extdim", "-m", "2", "-n", "2", "--all", *flags])
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+
     def test_max_arity_below_two_is_usage_error(self):
         code, out, _ = run(["ainfty", "-m", "1", "-n", "1", "--max-arity", "1"])
         assert code == 2
