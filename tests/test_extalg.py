@@ -399,8 +399,8 @@ class TestBlock42:
 
     def test_only_differentials_with_an_entry_are_ranked(self, monkeypatch):
         """A count no timing noise moves: the 225 ext_dims calls on (4|2)
-        rank 30 matrices, each with an entry (150 calls, 120 of them empty,
-        when every differential between two kept degrees was ranked)."""
+        rank 30 matrices, each with an entry; a differential without one
+        has rank 0 and is not ranked."""
         ranked = []
         real_rank = extalg.rank
 
