@@ -171,8 +171,8 @@ class Splitting:
         return hom_element(f.source, f.target, f.k, _combine(h, vectors), f.j)
 
     def pi_coefficients(self, f: HomElement) -> dict:
-        """H-basis coordinates of Π(f), keyed (label, k, j, position) as by
-        ``decompose``: the one keyed read of a split, with no solve."""
+        """H-basis coordinates of Π(f), keyed (label, k, j, position), position
+        among the classes of degree k: the one keyed read of a split, with no solve."""
         if f.is_zero():
             return {}
         data = _space_split(self._pair(f.source, f.target), f.k)
@@ -544,7 +544,7 @@ def ext_quiver(m: int, n: int) -> dict:
     reaches, in ``all_h_classes`` order, each named by its entry (label,
     source, target, k, j); relations record, for every composable pair of
     generators, the two entries and their m_2 over the classes, keyed as by
-    ``decompose`` (empty = a zero relation).
+    ``Splitting.pi_coefficients`` (empty = a zero relation).
     """
     split = Splitting(m, n, "canonical-n2" if n <= 2 else "generic")
     reached: set[int] = set()

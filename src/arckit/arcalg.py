@@ -470,6 +470,30 @@ class _ProductTable:
 _product_table = lru_cache(maxsize=None)(_ProductTable)  # one table per block (m, n)
 
 
+def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> Terms:
+    """The canonical degree-d element of e_ν K e_ν', as (basis id, coeff) terms:
+    the basis diagram of that degree with coefficient +1.
+
+    Between distinct weights every graded piece is at most one-dimensional,
+    and degree 0 holds only the idempotent; equal weights in positive
+    degree are resolved as a composition through the neighbour (s|s−1).
+    ValueError when e_ν K e_ν' has no diagram of degree d.
+    """
+    table = _product_table(*nu.block)
+    if nu == nu2 and degree:
+        s, t = nu.to_kl()
+        if (degree, t) != (2, s - 2):
+            raise AssertionError("the only equal-weight loop is of degree 2 at (s|s-2)")
+        mid = Weight.from_kl(nu.block[0], s, s - 1)
+        return table.times(_canonical_entry(nu, mid, 1), _canonical_entry(mid, nu, 1))
+    found = table.of_degree(nu, nu2, degree)
+    if len(found) != 1:
+        raise ValueError(
+            f"expected a unique degree-{degree} diagram from {nu} to {nu2}, found {len(found)}"
+        )
+    return ((found[0], 1),)
+
+
 def basis_product(
     d1: OrientedCircleDiagram, d2: OrientedCircleDiagram
 ) -> AlgebraElement:

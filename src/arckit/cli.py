@@ -118,6 +118,10 @@ def _parse_diagram(text: str, m: int, n: int) -> OrientedCircleDiagram:
     return d
 
 
+def _any_weight_flag(args) -> bool:
+    return any(getattr(args, w + x) is not None for w in ("lam", "mu") for x in ("", "_j", "_kl"))
+
+
 def _block_weights(m: int, n: int):
     from .diagrams import weights_in_block
 
@@ -134,7 +138,7 @@ def _doc_basis(args) -> dict:
 
     m, n = args.m, args.n
     _block_weights(m, n)
-    if args.lam is not None or args.lam_j is not None or args.lam_kl is not None:
+    if _any_weight_flag(args):  # a μ flag alone fails on the missing λ
         lam = _parse_weight(args, "lam", m, n)
         mu = _parse_weight(args, "mu", m, n)
         diagrams = hom_basis(lam, mu)
@@ -232,7 +236,10 @@ def _doc_resolve(args) -> dict:
         fn = resolve_cone if args.method == "cone" else resolve_generic
         complex_ = fn(lam)
         if stored:
-            stored.store(key, complex_)
+            try:
+                stored.store(key, complex_)
+            except OSError:
+                pass  # an unwritable cache: main warns when it stores the document there
     doc = {
         "block": [m, n],
         "lambda": str(lam),
@@ -255,8 +262,7 @@ def _doc_extdim(args) -> dict:
     m, n = args.m, args.n
     ws = _block_weights(m, n)
     if args.all:
-        weights = [getattr(args, w + x) for w in ("lam", "mu") for x in ("", "_j", "_kl")]
-        if any(w is not None for w in weights):
+        if _any_weight_flag(args):
             raise UsageError("--all takes no weight flags")
         pairs = [(lam, mu) for lam in ws for mu in ws]
     else:
@@ -903,7 +909,10 @@ def main(argv=None) -> int:
         if document is None:
             document = make_document(args)
             if cache_file:
-                cache.store(cache_file, json.dumps(document, indent=2, sort_keys=True))
+                try:
+                    cache.store(cache_file, json.dumps(document, indent=2, sort_keys=True))
+                except OSError as e:  # the answer stands without its cache entry
+                    print(f"warning: the result was not cached: {e}", file=sys.stderr)
         if args.format == "json":
             _emit(args, json.dumps(document, indent=2, sort_keys=True))
         else:

@@ -38,9 +38,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._value import Value
-from .arcalg import Terms, _product_table
+from .arcalg import _canonical_entry, _product_table
 from .diagrams import Weight, bruhat_leq, length, weights_in_block
-from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational, solve
+from .exact import Echelon, Scalar, SparseMatrix, kernel_basis, rank, rational
 from .repmod import cell_basis
 from .resolve import ProjectiveComplex, _ab_type, _resolve_cone_raw, resolve_cone
 
@@ -58,7 +58,6 @@ __all__ = [
     "homotopy_element",
     "homotopy_seeds",
     "compose",
-    "decompose",
     "end_quiver",
     "identity_element",
 ]
@@ -263,18 +262,6 @@ def hom_element(
     return HomElement(lam, mu, k, j, out)
 
 
-def _differential_matrix(lam: Weight, mu: Weight, k: int) -> SparseMatrix:
-    """Matrix of d: hom^k → hom^{k+1} in the ``hom_space`` bases, built anew per call."""
-    columns = _d_columns(lam, mu, k, range(len(hom_space(lam, mu, k))))
-    return _from_columns(len(hom_space(lam, mu, k + 1)), columns.values())
-
-
-def _from_columns(rows: int, columns) -> SparseMatrix:
-    """The matrix whose columns are the sparse ``{row: value}`` ``columns``, in order."""
-    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
-    return SparseMatrix(rows, len(columns), entries)
-
-
 def _d_columns(lam: Weight, mu: Weight, k: int, cols) -> dict[int, dict[int, Scalar]]:
     """The columns ``cols`` of d: hom^k → hom^{k+1}, as ``{row: value}`` dicts by column.
 
@@ -474,32 +461,6 @@ class ExtClass(Value):
     @property
     def j(self) -> int:
         return self.element.j
-
-
-def _canonical_entry(nu: Weight, nu2: Weight, degree: int) -> Terms:
-    """The canonical degree-d element of e_ν K e_ν', as (basis id, coeff) terms.
-
-    Degree 0 demands ν = ν' (the idempotent).  Between distinct weights
-    every graded piece is at most one-dimensional, so the basis diagram of
-    the requested degree is unique; equal weights in positive degree are
-    resolved as a composition through the neighbour (s|s−1).
-    """
-    table = _product_table(*nu.block)
-    if nu == nu2 and degree:
-        s, t = nu.to_kl()
-        if (degree, t) != (2, s - 2):
-            raise AssertionError("the only equal-weight loop is of degree 2 at (s|s-2)")
-        mid = Weight.from_kl(nu.block[0], s, s - 1)
-        return table.times(_canonical_entry(nu, mid, 1), _canonical_entry(mid, nu, 1))
-    if degree == 0 and nu != nu2:
-        raise AssertionError("degree-0 entries exist only between equal weights")
-    found = table.of_degree(nu, nu2, degree)
-    if len(found) > 1:
-        raise AssertionError(
-            f"expected at most one degree-{degree} diagram from {nu} to {nu2}, "
-            f"found {len(found)}"
-        )
-    return tuple((x, 1) for x in found)
 
 
 @lru_cache(maxsize=None)
@@ -933,9 +894,10 @@ def _split_pair(
             raise ArithmeticError("d is not injective on the chosen L")
         if labelled is None:
             d = _d_columns(lam, mu, k, range(dim))
+            entries = {(r, c): v for c, column in d.items() for r, v in column.items()}
             classes = [
                 ExtClass("generic", lam, mu, hom_element(lam, mu, k, vec))
-                for vec in kernel_basis(_from_columns(len(hom_space(lam, mu, k + 1)), d.values()))
+                for vec in kernel_basis(SparseMatrix(len(hom_space(lam, mu, k + 1)), dim, entries))
                 if span.add_tagged(_reversed(vec, last))
             ]
         else:
@@ -993,40 +955,6 @@ def _space_split(split: dict[int, _SpaceSplit], k: int) -> _SpaceSplit:
 
 
 # ---------------------------------------------------------------------------
-# homotopies and decomposition
-# ---------------------------------------------------------------------------
-
-
-def decompose(f: HomElement, classes: list[ExtClass] | None = None):
-    """Write the cocycle f as Σ cᵢ·bᵢ + d(H) over the basis classes.
-
-    Returns (coefficients keyed by (label, k, j, position), H), position
-    being the place among the given classes of degree k (by default those
-    of ``ext_basis(λ, μ)``, split anew per call).  ValueError for a class
-    outside f's hom(λ, μ), ArithmeticError for f not a cocycle in the span.
-    """
-    lam, mu, k = f.source, f.target, f.k
-    if classes is None:
-        classes = ext_basis(lam, mu)
-    if any((c.source, c.target) != (lam, mu) for c in classes):
-        raise ValueError(f"a class lies outside hom({lam}, {mu})")
-    classes = [c for c in classes if c.k == k]
-    boundary = _d_columns(lam, mu, k - 1, range(len(hom_space(lam, mu, k - 1))))
-    width = len(classes)
-    columns = [c.element.coords for c in classes] + list(boundary.values())
-    solution = solve(_from_columns(len(hom_space(lam, mu, k)), columns), f.coords)
-    if solution is None:
-        raise ArithmeticError("element does not decompose over the basis")
-    coeffs = {
-        (c.label, c.k, c.j, i): solution[i]
-        for i, c in enumerate(classes)
-        if i in solution
-    }
-    homotopy = {i - width: v for i, v in solution.items() if i >= width}
-    return coeffs, hom_element(lam, mu, k - 1, homotopy, f.j)
-
-
-# ---------------------------------------------------------------------------
 # quivers
 # ---------------------------------------------------------------------------
 
@@ -1043,7 +971,7 @@ def end_quiver(m: int, n: int) -> dict:
         (lam, mu)
         for lam in vertices
         for mu in vertices
-        if lam != mu and _canonical_entry(lam, mu, 1)
+        if lam != mu and table.of_degree(lam, mu, 1)
     ]
     arrow_set = set(arrows)
     relations = []

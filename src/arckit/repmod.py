@@ -189,12 +189,6 @@ class GradedModule(Value):
     def dim(self) -> int:
         return len(self.labels)
 
-    def graded_dimension(self) -> QPoly:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return QPoly(out)
-
     def act(self, element: AlgebraElement) -> SparseMatrix:
         total = SparseMatrix.zeros(self.dim, self.dim)
         for diagram, coeff in element:

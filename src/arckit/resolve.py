@@ -43,7 +43,15 @@ from functools import lru_cache
 
 from . import cache
 from ._value import Value
-from .arcalg import AlgebraElement, Matching, Terms, _functor_id, _product_table, id_terms
+from .arcalg import (
+    AlgebraElement,
+    Matching,
+    Terms,
+    _canonical_entry,
+    _functor_id,
+    _product_table,
+    id_terms,
+)
 from .diagrams import (
     OrientedCircleDiagram,
     Weight,
@@ -142,17 +150,6 @@ def expected_terms(lam: Weight) -> list[list[tuple[Weight, int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_inclusion(source: Weight, target: Weight) -> Terms:
-    """The canonical degree-one morphism P(source) → P(target): the unique
-    degree-one basis diagram of e_source K e_target with coefficient +1."""
-    ids = _product_table(*source.block).of_degree(source, target, 1)
-    if len(ids) != 1:
-        raise ValueError(
-            f"expected a unique degree-one diagram from {source} to {target}, got {len(ids)}"
-        )
-    return ((ids[0], 1),)
-
-
 def _lift_chain_map(
     f0: Terms, lower: ProjectiveComplex, upper: ProjectiveComplex
 ) -> list[dict[tuple[int, int], Terms]]:
@@ -248,7 +245,7 @@ def _resolve_cone_raw(lam: Weight) -> ProjectiveComplex:
     t = Matching(i, (m, n))
     upper = _apply_functor(t, _resolve_cone_raw(lam_deleted))
     lower = _resolve_cone_raw(lam_swapped)
-    f0 = _canonical_inclusion(lam_swapped, lam)
+    f0 = _canonical_entry(lam_swapped, lam, 1)
     fs = _lift_chain_map(f0, lower, upper)
 
     # cone components: C_k = upper_k ⊕ lower_{k-1}⟨1⟩; all shifts equal k
@@ -433,15 +430,6 @@ def _offsets(summands: list[tuple[Weight, int]]) -> list[int]:
     return out
 
 
-def _in_summands(x: int, source: Weight, target: Weight) -> bool:
-    """Whether x is the id of a diagram of e_source K e_target: an id of
-    source's block table whose cup and cap are the two weights."""
-    table = _product_table(*source.block)
-    return 0 <= x < len(table.degree) and (
-        table.weights[table.cup[x]], table.weights[table.cap[x]]
-    ) == (source, target)
-
-
 def _flat_differential(diff: dict, source, target, degrees) -> dict[int, SparseMatrix]:
     """The matrices of a differential between the covers of the summand
     lists ``source`` and ``target`` in flat coordinates (columns are the
@@ -454,8 +442,9 @@ def _flat_differential(diff: dict, source, target, degrees) -> dict[int, SparseM
     parts: dict[int, dict[tuple[int, int], Scalar]] = {deg: {} for deg in degrees}
     for (s, t), u in diff.items():
         alpha, j = source[s]
+        ends = _product_table(*alpha.block).ends.get((alpha, target[t][0]), ())
         for x, c in u:
-            if not _in_summands(x, alpha, target[t][0]):
+            if x not in ends:
                 raise ValueError("image left the projective summand")
             for deg, entries in parts.items():
                 for col, row, v in _right_action(*alpha.block, x, deg - j):
@@ -583,7 +572,7 @@ def _shape_failures(c: ProjectiveComplex, lam: Weight) -> list[str]:
             failures += [
                 f"d_{i}[{s},{t}] entry outside e_src K e_tgt"
                 for x, _ in u
-                if not _in_summands(x, src, tgt)
+                if x not in table.ends.get((src, tgt), ())
             ]
     return failures + [
         f"d_{i}[{s},{t}] entry of degree {table.degree[x]} != 1"

@@ -27,6 +27,15 @@ reference kernel uses and the sparse ``{index: scalar}`` dict that
 ``arckit`` uses everywhere, and ``vectorize`` is the dense coordinate list
 of a hom element.
 
+``differential_matrix`` is d: hom^k → hom^{k+1} as one whole matrix, every
+column of ``arckit.extalg._d_columns`` at once; the package builds d by
+columns only where it reads them.  ``decompose`` writes a cocycle over a
+list of classes plus a coboundary by one ``arckit.exact.solve`` against
+the classes and every column of d_{k−1}; the package reads Ext coordinates
+off the split alone (``Splitting.pi_coefficients``, ``ext_quiver``) and is
+checked against it.  ``graded_dimension`` counts an explicit module's
+basis vectors by degree.
+
 ``hom_cohomology`` computes the cohomology dimensions of the hom complex
 between two explicit projective complexes directly with sparse linear
 algebra, without going through the Ext-algebra machinery, so it can serve
@@ -157,7 +166,7 @@ pair.
 from collections import Counter
 from fractions import Fraction
 
-from arckit import QPoly, SparseMatrix, kl_poly_recursive
+from arckit import QPoly, SparseMatrix, exact, kl_poly_recursive
 from arckit.exact import rational
 from arckit.ainfty import _SpaceSplit
 from arckit.arcalg import AlgebraElement, _product_table, basis, hom_basis, multiply
@@ -175,12 +184,12 @@ from arckit.diagrams import (
 from arckit.extalg import (
     ExtClass,
     HomElement,
-    _differential_matrix,
+    _d_columns,
     _in_window,
     _k_range,
     _sigma,
     construct_element,
-    decompose,
+    ext_basis,
     hom_element,
     hom_space,
     homotopy_seeds,
@@ -365,6 +374,45 @@ def vectorize(f: HomElement) -> list:
     return dense(f.coords, len(hom_space(f.source, f.target, f.k)))
 
 
+def differential_matrix(lam, mu, k: int) -> SparseMatrix:
+    """Matrix of d: hom^k → hom^{k+1} in the ``hom_space`` bases, every
+    column of ``_d_columns`` at once, built anew per call."""
+    columns = _d_columns(lam, mu, k, range(len(hom_space(lam, mu, k))))
+    entries = {(r, c): v for c, column in columns.items() for r, v in column.items()}
+    return SparseMatrix(len(hom_space(lam, mu, k + 1)), len(columns), entries)
+
+
+def decompose(f: HomElement, classes=None):
+    """Write the cocycle f as Σ cᵢ·bᵢ + d(H) over the basis classes.
+
+    Returns (coefficients keyed by (label, k, j, position), H), position
+    being the place among the given classes of degree k (by default those
+    of ``ext_basis(λ, μ)``, split anew per call).  ValueError for a class
+    outside f's hom(λ, μ), ArithmeticError for f not a cocycle in the span.
+    """
+    lam, mu, k = f.source, f.target, f.k
+    if classes is None:
+        classes = ext_basis(lam, mu)
+    if any((c.source, c.target) != (lam, mu) for c in classes):
+        raise ValueError(f"a class lies outside hom({lam}, {mu})")
+    classes = [c for c in classes if c.k == k]
+    boundary = _d_columns(lam, mu, k - 1, range(len(hom_space(lam, mu, k - 1))))
+    width = len(classes)
+    columns = [c.element.coords for c in classes] + list(boundary.values())
+    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    matrix = SparseMatrix(len(hom_space(lam, mu, k)), len(columns), entries)
+    solution = exact.solve(matrix, f.coords)
+    if solution is None:
+        raise ArithmeticError("element does not decompose over the basis")
+    coeffs = {
+        (c.label, c.k, c.j, i): solution[i]
+        for i, c in enumerate(classes)
+        if i in solution
+    }
+    homotopy = {i - width: v for i, v in solution.items() if i >= width}
+    return coeffs, hom_element(lam, mu, k - 1, homotopy, f.j)
+
+
 def _hom_space(C, D, k):
     out = []
     for p, comp in enumerate(C.components):
@@ -431,7 +479,7 @@ def ext_dims_hom_complex(lam, mu) -> dict[int, int]:
             continue
         for i in (k - 1, k):
             if i not in ranks:
-                ranks[i] = rank(_differential_matrix(lam, mu, i))
+                ranks[i] = rank(differential_matrix(lam, mu, i))
         total = len(space) - ranks[k] - ranks[k - 1]
         if total:
             out[k] = total
@@ -781,6 +829,11 @@ def module_action(m, n, module_basis, act_on_basis) -> dict:
         if not mat.is_zero():
             out[z] = mat
     return out
+
+
+def graded_dimension(module) -> QPoly:
+    """Σ_d (number of basis vectors of degree d)·q^d of an explicit module."""
+    return QPoly(Counter(module.degrees))
 
 
 def projective_action(lam) -> tuple[list, dict]:
@@ -1427,9 +1480,9 @@ def build_pair(split, lam, mu) -> dict:
             out[k] = _SpaceSplit(space, 0, [], [sparse(v) for v in l_prev], [])
             l_prev = []
             continue
-        d_k = _differential_matrix(lam, mu, k)
+        d_k = differential_matrix(lam, mu, k)
         cocycles = kernel_basis(d_k)
-        d_prev = dense_rows(_differential_matrix(lam, mu, k - 1))
+        d_prev = dense_rows(differential_matrix(lam, mu, k - 1))
         span = _DenseSpan()
         b_cols = [_times(d_prev, vec) for vec in l_prev]
         if not all(span.add(vec) for vec in b_cols):

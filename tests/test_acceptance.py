@@ -42,12 +42,11 @@ from arckit.arcalg import basis, basis_product, hom_basis
 from arckit.extalg import (
     compose,
     construct_element,
-    decompose,
     hom_differential,
     homotopy_element,
 )
 from arckit.resolve import _ab_type, expected_terms, sign_target_n1, sign_target_n2
-from oracles import hom_cohomology, hom_windows_ok, surgery_product_reference
+from oracles import decompose, hom_cohomology, hom_windows_ok, surgery_product_reference
 from tables import (
     FLAVOUR_TWINS,
     MULT_TABLE,

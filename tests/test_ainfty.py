@@ -22,15 +22,14 @@ from arckit.ainfty import Splitting, _class_key, _index_tuples, composable_tuple
 from arckit.exact import solve
 from arckit.extalg import (
     HomElement,
-    _differential_matrix,
     _k_range,
     basis_hom_element,
     compose,
-    decompose,
     ext_basis,
     hom_differential,
     hom_space,
 )
+from oracles import decompose, differential_matrix
 from tables import (
     FLAVOUR_TWINS,
     NONZERO_FAMILIES,
@@ -69,7 +68,7 @@ def _splitting_matrix(split, lam, mu, k):
     pair = split._pair(lam, mu)
     data = pair[k]
     dim = len(data.space)
-    d_prev = _differential_matrix(lam, mu, k - 1)
+    d_prev = differential_matrix(lam, mu, k - 1)
     b_cols = [oracles.dense(oracles.apply(d_prev, v), dim) for v in data.l_prev]
     h_cols = [oracles.vectorize(c.element) for c in data.h_classes]
     l_next = pair[k + 1].l_prev if k + 1 in pair else []

@@ -138,6 +138,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--mu", "vv^"], ["--mu", "v^v^"], ["--mu-j", "1"], ["--mu-j", "5"], ["--mu-kl", "1,0"],
+    ])
+    def test_basis_mu_without_lambda_is_usage_error(self, flags):
+        code, out, err = run(["basis", "-m", "2", "-n", "1", *flags])
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+
     def test_max_arity_below_two_is_usage_error(self):
         code, out, _ = run(["ainfty", "-m", "1", "-n", "1", "--max-arity", "1"])
         assert code == 2
@@ -350,6 +358,25 @@ class TestDeterminismAndCache:
         )
         assert code == 0
         assert any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["cartan", "-m", "2", "-n", "1"],
+        ["resolve", "-m", "2", "-n", "1", "--lambda", "vv^", "--verify"],
+    ])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_an_unwritable_cache_warns_and_answers(self, tmp_path, monkeypatch, args, via):
+        # a cache location that is a regular file: no entry can be written
+        # under it, so the run answers as uncached, with one warning line
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        _, want, _ = run(args)
+        if via == "env":
+            monkeypatch.setenv("ARCKIT_CACHE", str(blocker))
+        code, out, err = run(args + (["--cache", str(blocker)] if via == "flag" else []))
+        assert (code, out) == (0, want)
+        assert err.startswith("warning:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
 
 # sha256 of stdout, or of the -o file for render, recorded while the n = 2

@@ -17,8 +17,8 @@ from arckit import (
 )
 from arckit.ainfty import composable_tuples
 from arckit.exact import kernel_basis, rational
-from arckit.extalg import _differential_matrix, _k_range, compose, identity_element
-from oracles import apply, dense, from_rows, not_exact, transpose, vectorize
+from arckit.extalg import _k_range, compose, identity_element
+from oracles import apply, dense, differential_matrix, from_rows, not_exact, transpose, vectorize
 
 
 def _differential_coefficients(complex_):
@@ -61,7 +61,7 @@ class TestHotLayers:
         for lam in ws:
             for mu in ws:
                 for k in _k_range(lam, mu):
-                    d = _differential_matrix(lam, mu, k)
+                    d = differential_matrix(lam, mu, k)
                     assert not_exact(d.entries.values()) == [], (lam, mu, k)
                     for vec in kernel_basis(d):
                         assert not_exact(vec.values()) == [], (lam, mu, k)
@@ -92,7 +92,7 @@ class TestHotLayers:
                         # the [B | H | L] matrix: B = d(L_{k-1}), H, and the
                         # L that the next degree keeps as its preimages
                         dim = len(data.space)
-                        d_prev = _differential_matrix(lam, mu, k - 1)
+                        d_prev = differential_matrix(lam, mu, k - 1)
                         columns = [dense(apply(d_prev, vec), dim) for vec in data.l_prev]
                         columns += [vectorize(c.element) for c in data.h_classes]
                         l_next = pair[k + 1].l_prev if k + 1 in pair else []

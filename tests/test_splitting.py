@@ -14,7 +14,6 @@ from arckit.cli import main
 from arckit.exact import Echelon
 from arckit.extalg import (
     ExtClass,
-    _differential_matrix,
     _k_range,
     basis_hom_element,
     ext_basis,
@@ -171,7 +170,7 @@ def _ext_degree(m, n, top: bool):
 
 def _without_cocycles(monkeypatch, lam, mu, k):
     """Make the generic choice of H see no cocycles in hom^k(λ, μ)."""
-    matrix = _differential_matrix(lam, mu, k)
+    matrix = oracles.differential_matrix(lam, mu, k)
     original = extalg.kernel_basis
     monkeypatch.setattr(
         extalg, "kernel_basis", lambda d: [] if d == matrix else original(d)
