@@ -30,10 +30,13 @@ def _names(tree) -> Counter:
 
 
 def _uncalled() -> list[tuple[str, str]]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     outside = "\n".join(
-        path.read_text() for folder in ("benchmarks", "demos", "tools")
+        path.read_text(encoding="utf-8") for folder in ("benchmarks", "demos", "tools")
         for path in sorted((ROOT / folder).rglob("*.py"))
     )
     found = []
