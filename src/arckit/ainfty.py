@@ -243,17 +243,14 @@ class Splitting:
             raise ValueError("arguments must be H-classes of this splitting") from None
         return tuple(key), k, j, composes
 
-    def _entry(
-        self, key: tuple[int, ...], k: int | None = None, j: int | None = None
-    ) -> tuple[dict | None, dict[int, Scalar]]:
+    def _entry(self, key: tuple[int, ...]) -> tuple[dict | None, dict[int, Scalar]]:
         """(coordinates of Qλ or None, m-coefficients by class index) of the
-        composable chain of classes ``key``, whose λ_n has bidegree (k, j):
-        read off the key on a miss when not given."""
+        composable chain of classes ``key``; a miss reads the bidegree (k, j)
+        of its λ_n off the key."""
         entry = self._chains.get(key)
         if entry is None:
-            if k is None:
-                k, j = self._bidegree(key)
-            coords = {} if self._vanishes(key, k, j) else self._lambda(key, k, j)
+            k, j = self._bidegree(key)
+            coords = {} if self._vanishes(key, k, j) else self._lambda(key, k)
             if coords:
                 lam, mu = self._classes[key[0]].source, self._classes[key[-1]].target
                 data = _space_split(self._pair(lam, mu), k)
@@ -278,9 +275,9 @@ class Splitting:
         s, t = self._source[key[0]], self._target[key[-1]]
         return j not in (self._spaces.get((s, t, k)) or self._space(s, t, k))[2]
 
-    def _lambda(self, key: tuple[int, ...], k: int, j: int) -> dict[int, Scalar]:
-        """The coordinates of λ_n of a composable chain of bidegree (k, j)
-        whose (k, j) piece is not empty, from the memoized Qλ of its cuts.
+    def _lambda(self, key: tuple[int, ...], k: int) -> dict[int, Scalar]:
+        """The coordinates of λ_n of a composable chain of degree k whose
+        (k, j) piece is not empty, from the memoized Qλ of its cuts.
 
         λ_n lies in the (k, j) piece of hom^k: B, H and L are homogeneous
         (``hom_element`` refuses mixed shifts, d preserves j, and the
@@ -289,24 +286,22 @@ class Splitting:
         callers (``lambda_n``, ``m_coefficients`` and a memo miss) ask
         ``_vanishes`` first and evaluate no cut.
         """
-        degree, shift = self._k, self._j
+        degree = self._k
         if len(key) == 2:
             f, g = (self._classes[i].element.coords for i in key)
             return self._product(key[:1], key[1:], degree[key[0]], degree[key[1]], f, g)
         n = len(key)
         total = k + n - 2  # the degrees of all n classes
-        left_degrees = left_shift = 0
+        left_degrees = 0
         coords: dict[int, Scalar] = {}
         for cut in range(1, n):
             left_degrees += degree[key[cut - 1]]
-            left_shift += shift[key[cut - 1]]
             k_len, l_len = cut, n - cut
             right_degrees = total - left_degrees
-            # the sub-chains' λ, of bidegree (degrees + 2 − length, shift)
-            left = self._entry(key[:cut], left_degrees + 2 - k_len, left_shift)[0]
+            left = self._entry(key[:cut])[0]
             if left is None:
                 continue
-            right = self._entry(key[cut:], right_degrees + 2 - l_len, j - left_shift)[0]
+            right = self._entry(key[cut:])[0]
             if right is None:
                 continue
             # with the left-to-right composition the Leibniz rule puts the
@@ -352,7 +347,7 @@ class Splitting:
         if not composes or self._vanishes(key, k, j):
             return {}
         keys = self._keys
-        return {keys[i]: v for i, v in self._entry(key, k, j)[1].items()}
+        return {keys[i]: v for i, v in self._entry(key)[1].items()}
 
 
 def build_splitting(m: int, n: int, mode: str = "generic") -> Splitting:
@@ -375,7 +370,7 @@ def lambda_n(split: Splitting, chain) -> HomElement:
     if len(chain) < 2:
         raise ValueError("λ_n needs at least two arguments")
     key, k, j, composes = split._read(chain)
-    coords = split._lambda(key, k, j) if composes and not split._vanishes(key, k, j) else {}
+    coords = split._lambda(key, k) if composes and not split._vanishes(key, k, j) else {}
     return HomElement(chain[0].source, chain[-1].target, k, j, coords)
 
 

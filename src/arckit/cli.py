@@ -79,8 +79,9 @@ def _parse_weight(args, name: str, m: int, n: int) -> Weight:
 
     flag = "lambda" if name == "lam" else name
     text = getattr(args, name)
-    j = getattr(args, f"{name}_j")
-    kl = getattr(args, f"{name}_kl")
+    # render's --weight has no shorthand flags
+    j = getattr(args, f"{name}_j", None)
+    kl = getattr(args, f"{name}_kl", None)
     given = [x for x in (text, j, kl) if x is not None]
     if len(given) != 1:
         raise UsageError(f"give exactly one weight flag for --{flag}")
@@ -283,7 +284,7 @@ def _doc_extdim(args) -> dict:
         }
         total += row["total"]
         if args.oracle == "shelton":
-            oracle = {k: d for k, d in shelton_dims(lam, mu).items() if d}
+            oracle = shelton_dims(lam, mu)
             row["oracle_dims"] = {str(k): d for k, d in sorted(oracle.items())}
             row["match"] = oracle == dims
             all_match = all_match and row["match"]
@@ -329,6 +330,18 @@ def _doc_multtable(args) -> dict:
         for x in BASIS_LABELS
         for y in BASIS_LABELS
     }
+    # each ordered pair of distinct weights: its nonzero labelled elements,
+    # in label order
+    elements = {
+        (lam, mu): [
+            (label, f)
+            for label in BASIS_LABELS
+            if in_range(label, lam, mu) and not (f := construct_element(label, lam, mu)).is_zero()
+        ]
+        for lam in ws
+        for mu in ws
+        if lam != mu
+    }
     # each pair is split, its Ext basis verified, once, as its first product
     # is read; J and F̃ are not always H classes, so Π reads each product
     split = Splitting(m, n, "canonical-n2")
@@ -339,18 +352,8 @@ def _doc_multtable(args) -> dict:
             for mu in ws:
                 if mu == mid:
                     continue
-                for xl in BASIS_LABELS:
-                    if not in_range(xl, lam, mid):
-                        continue
-                    x = construct_element(xl, lam, mid)
-                    if x.is_zero():
-                        continue
-                    for yl in BASIS_LABELS:
-                        if not in_range(yl, mid, mu):
-                            continue
-                        y = construct_element(yl, mid, mu)
-                        if y.is_zero():
-                            continue
+                for xl, x in elements[lam, mid]:
+                    for yl, y in elements[mid, mu]:
                         cell = families[(xl, yl)]
                         cell["products"] += 1
                         coeffs = split.pi_coefficients(compose(x, y))
@@ -379,10 +382,7 @@ def _doc_ainfty(args) -> dict:
     from .ainfty import build_splitting, stasheff_check, vanishing_report
 
     _block_weights(m, n)
-    mode = "canonical-n2" if args.mode == "canonical" else "generic"
-    if mode == "canonical-n2" and n != 2:
-        raise ValueError("canonical mode requires an n=2 block")
-    split = build_splitting(m, n, mode)
+    split = build_splitting(m, n, "canonical-n2" if args.mode == "canonical" else "generic")
     report = vanishing_report(split, args.max_arity)
     stasheff = stasheff_check(split, args.max_arity)
     return {
@@ -762,37 +762,26 @@ def render_trace_svg(panels) -> str:
     return _svg_document(len(panels) * panel_w, height, body)
 
 
-def _run_render(args) -> str:
+def _doc_render(args) -> dict:
     from .arcalg import idempotent, surgery_trace
-    from .diagrams import Weight
 
     m, n = args.m, args.n
     _block_weights(m, n)
-    chosen = [
-        x
-        for x in (
-            args.weight,
-            args.diagram,
-            args.product,
-        )
-        if x
-    ]
-    if len(chosen) != 1:
+    if len([x for x in (args.weight, args.diagram, args.product) if x]) != 1:
         raise UsageError("give exactly one of --weight/--diagram/--product")
     if args.weight:
-        try:
-            w = Weight.parse(args.weight)
-        except ValueError as e:
-            raise UsageError(f"malformed weight {args.weight!r}: {e}") from None
-        if w.block != (m, n):
-            raise ValueError(f"weight {w} not in block ({m}|{n})")
-        (diagram, _), = list(idempotent(w))
-        return render_diagram_svg(diagram)
-    if args.diagram:
-        return render_diagram_svg(_parse_diagram(args.diagram, m, n))
-    x = _parse_diagram(args.product[0], m, n)
-    y = _parse_diagram(args.product[1], m, n)
-    return render_trace_svg(surgery_trace(x, y))
+        (diagram, _), = list(idempotent(_parse_weight(args, "weight", m, n)))
+        svg = render_diagram_svg(diagram)
+    elif args.diagram:
+        svg = render_diagram_svg(_parse_diagram(args.diagram, m, n))
+    else:
+        x, y = (_parse_diagram(d, m, n) for d in args.product)
+        svg = render_trace_svg(surgery_trace(x, y))
+    return {"block": [m, n], "svg": svg}
+
+
+def _text_render(doc: dict) -> str:
+    return doc["svg"]
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +790,7 @@ def _run_render(args) -> str:
 
 
 # the one list of subcommands: name -> (help, weight flags, document,
-# text renderer, further arguments as {flag: add_argument keywords});
-# render writes SVG and has neither a document nor a text renderer
+# text renderer, further arguments as {flag: add_argument keywords})
 _COMMANDS = {
     "basis": ("list algebra basis diagrams", ("lam", "mu"), _doc_basis, _text_basis, {}),
     "multiply": ("product of two basis diagrams", (), _doc_multiply, _text_multiply, {
@@ -833,7 +821,7 @@ _COMMANDS = {
     "quiver": ("quiver with relations", (), _doc_quiver, _text_quiver, {
         "--algebra": dict(choices=("end", "ext"), default="end"),
     }),
-    "render": ("deterministic SVG rendering", (), None, None, {
+    "render": ("deterministic SVG rendering", (), _doc_render, _text_render, {
         "--weight": dict(metavar="WEIGHT", help="render e_lambda"),
         "--diagram": dict(metavar="DIAGRAM", help="render one basis diagram"),
         "--product": dict(nargs=2, metavar=("X", "Y"), help="render the surgery trace of X*Y"),
@@ -885,11 +873,12 @@ def _load_document(path: str) -> dict | None:
 
 
 def _emit(args, text: str):
+    text = text if text.endswith("\n") else text + "\n"
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
@@ -901,9 +890,6 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     _, _, make_document, render_text, _ = _COMMANDS[args.subcommand]
     try:
-        if args.subcommand == "render":
-            _emit(args, _run_render(args))
-            return 0
         cache_file = _cache_path(args.cache, args) if args.cache else None
         document = _load_document(cache_file) if cache_file else None
         if document is None:

@@ -324,13 +324,12 @@ def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     projective resolution, here the cone ``_resolve_cone_raw(λ)``, so the
     dimensions need neither a resolution of M(μ) nor the hom complex of
     the two.  A map P(ν)⟨a⟩ → M(μ) is fixed by the image of e_ν, an
-    element of e_ν M(μ); the basis vector α of M(μ) (the labels of
+    element of e_ν M(μ); the basis vector α of M(μ) (a key of
     ``cell_basis(μ)``) lies in e_α M(μ), so e_ν M(μ) is spanned by vector
-    ν when ν is a label and is zero otherwise.  Degree k of the complex
-    thus has one coordinate per summand of P_k whose weight is a key of
-    the per-μ map ``_module_vectors``.  Only ranks are needed, and only of
-    the differentials with an entry: a sign changes no rank, so
-    ``resolution``'s rescaling is skipped.  Each matrix entry is one
+    ν when ν is a key and is zero otherwise.  Degree k of the complex
+    thus has one coordinate per summand of P_k whose weight is such a
+    key.  Only ranks are needed, and only of the differentials with an
+    entry: a sign changes no rank, so ``resolution``'s rescaling is skipped.  Each matrix entry is one
     coefficient of one surgery product: no action matrix of M(μ) is built.
     """
     if lam.block != mu.block:
@@ -338,19 +337,12 @@ def ext_dims(lam: Weight, mu: Weight) -> dict[int, int]:
     return _hom_into_module_dims(_resolve_cone_raw(lam), mu)
 
 
-@lru_cache(maxsize=None)
-def _module_vectors(mu: Weight) -> dict[Weight, tuple[int, int]]:
-    """``cell_basis(μ)`` as one map: label -> (representative id, degree)."""
-    labels, degrees, reps = cell_basis(mu)
-    return {label: (x, d) for label, x, d in zip(labels, reps, degrees)}
-
-
 def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
     """Cohomology dimensions {k: dim} of Hom(P, M(μ)), zeros omitted.
 
     Coordinate s of degree k is the map sending the generator of summand s
     of P_k to the basis vector of M(μ) its weight keys in
-    ``_module_vectors(μ)``.  The entry u of d_{k+1} from summand s to
+    ``cell_basis(μ)``.  The entry u of d_{k+1} from summand s to
     summand t acts by right multiplication, so the pulled-back differential
     sends coordinate t to u·(vector of t): its entry at (s, t) is the
     coefficient of the representative of vector s in u·(representative of
@@ -359,7 +351,7 @@ def _hom_into_module_dims(P: ProjectiveComplex, mu: Weight) -> dict[int, int]:
     has no coefficient there and is not multiplied; a d with no entry
     needs no rank call.  dim H^k = |degree k| − rank d^k − rank d^{k−1}.
     """
-    vectors = _module_vectors(mu)
+    vectors = cell_basis(mu)
     table = _product_table(*mu.block)
     coords = []  # per degree: summand -> (its position in it, (rep id, rep degree))
     for comp in P.components:
@@ -663,7 +655,6 @@ BASIS_LABELS = ("Id", "F", "Ftilde", "G", "K", "J")
 _HOMOTOPY_LABELS = ("H(F-Ftilde)", "H(J)", "H(A)", "H(B)")
 
 
-@lru_cache(maxsize=None)
 def in_range(label: str, lam: Weight, mu: Weight) -> bool:
     """Whether λ → μ lies in the defining range of the labelled class (n = 2)."""
     return _N2_CLASSES[label][1](*lam.to_kl(), *mu.to_kl())
@@ -791,8 +782,6 @@ def ext_basis(lam: Weight, mu: Weight, method: str = "auto") -> list[ExtClass]:
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'generic'")
-    if lam.block != mu.block:
-        raise ValueError("weights from different blocks")
     if not bruhat_leq(lam, mu):
         return []
     labelled = None if method == "generic" or lam.n > 2 else _labelled_basis(lam, mu)

@@ -90,8 +90,6 @@ def cartan_matrix(m: int, n: int) -> dict[tuple[Weight, Weight], QPoly]:
 def kl_poly_recursive(lam: Weight, mu: Weight) -> QPoly:
     """The recursion: delete or swap at the first 'v^' pair of λ, the
     smallest i with λ carrying 'v^' at (i, i+1)."""
-    if lam.block != mu.block:
-        raise ValueError("weights from different blocks")
     if lam == mu:
         return QPoly.one()
     if not bruhat_leq(lam, mu):
@@ -141,8 +139,6 @@ def _chamber_labellings(
 
 def kl_poly_closed(lam: Weight, mu: Weight) -> QPoly:
     """The closed form: sum over labelled cap diagrams of μ̄."""
-    if lam.block != mu.block:
-        raise ValueError("weights from different blocks")
     if not bruhat_leq(lam, mu):
         return QPoly.zero()
     cap = associated_cap_diagram(mu)
@@ -240,18 +236,18 @@ def projective_module(lam: Weight) -> GradedModule:
 
 
 @lru_cache(maxsize=None)
-def cell_basis(mu: Weight) -> tuple[tuple[Weight, ...], tuple[int, ...], tuple[int, ...]]:
-    """The basis of M(μ): the weights α with α̲ μ oriented, in
-    ``weights_in_block`` order, their degrees, and the id of the basis
-    diagram (α̲ μ μ̄) whose class in P(μ) is the vector α."""
+def cell_basis(mu: Weight) -> dict[Weight, tuple[int, int]]:
+    """The basis of M(μ), shared by every caller, who must not mutate it:
+    {α: (id, degree)} over the weights α with α̲ μ oriented, in
+    ``weights_in_block`` order, where the basis diagram (α̲ μ μ̄) of that
+    id and degree is the representative in P(μ) of the vector α."""
     table = _product_table(*mu.block)
-    labels = tuple(
-        alpha
-        for alpha in weights_in_block(*mu.block)
-        if cup_oriented(associated_cup_diagram(alpha), mu)
-    )
-    reps = tuple(table.find(alpha, mu, mu) for alpha in labels)
-    return labels, tuple(table.degree[x] for x in reps), reps
+    out = {}
+    for alpha in weights_in_block(*mu.block):
+        if cup_oriented(associated_cup_diagram(alpha), mu):
+            x = table.find(alpha, mu, mu)
+            out[alpha] = (x, table.degree[x])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +258,8 @@ def cell_module(mu: Weight) -> GradedModule:
     the class of (α̲ μ μ̄) corresponds to the oriented cup diagram (α̲ μ|.
     """
     m, n = mu.block
-    labels, degrees, reps = cell_basis(mu)
+    basis = cell_basis(mu)
+    reps = [x for x, _ in basis.values()]
     index = {x: k for k, x in enumerate(reps)}
 
     def rows_of(product) -> dict[int, Scalar]:
@@ -272,7 +269,7 @@ def cell_module(mu: Weight) -> GradedModule:
 
     return GradedModule(
         block=(m, n),
-        labels=labels,
-        degrees=degrees,
+        labels=tuple(basis),
+        degrees=tuple(d for _, d in basis.values()),
         action=_action_matrices(m, n, reps, rows_of),
     )

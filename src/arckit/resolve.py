@@ -128,21 +128,17 @@ class ProjectiveComplex(Value):
 
 
 def expected_terms(lam: Weight) -> list[list[tuple[Weight, int]]]:
-    """Per homological degree i, the multiset of summands (μ, ⟨i⟩) read off
-    from the combinatorial Kazhdan-Lusztig polynomials: the multiplicity of
-    P(μ)⟨i⟩ in P_i(λ) is the q^i-coefficient of p_{λ,μ}."""
+    """Per homological degree i, the multiset of summands (μ, ⟨i⟩), in
+    ``weights_in_block`` order, read off from the combinatorial
+    Kazhdan-Lusztig polynomials: the multiplicity of P(μ)⟨i⟩ in P_i(λ) is
+    the q^i-coefficient of p_{λ,μ}."""
     m, n = lam.block
     per_degree: dict[int, list[tuple[Weight, int]]] = {}
     for mu in weights_in_block(m, n):
         p = kl_poly_closed(lam, mu)
         for e, c in p.coeffs.items():
             per_degree.setdefault(e, []).extend([(mu, e)] * c)
-    top = max(per_degree, default=0)
-    out = []
-    for i in range(top + 1):
-        comp = sorted(per_degree.get(i, []), key=lambda wj: (length(wj[0]), wj[0].labels))
-        out.append(comp)
-    return out
+    return [per_degree.get(i, []) for i in range(max(per_degree, default=0) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +475,7 @@ def resolve_generic(lam: Weight) -> ProjectiveComplex:
     # kernel of P(λ) → M(λ): a diagram of middle weight λ, the representative
     # of a basis vector of M(λ), maps to that vector, every other diagram to 0
     flat = _cover_data(components[0])
-    reps = {x: k for k, x in enumerate(cell_basis(lam)[2])}
+    reps = {x: k for k, (x, _) in enumerate(cell_basis(lam).values())}
     entries = {(reps[x], col): 1 for col, (_, x, _, _) in enumerate(flat) if x in reps}
     matrix = SparseMatrix(len(reps), len(flat), entries)
 
@@ -636,7 +632,7 @@ def _check_exactness(counts: list[Counter], mats: list[dict], lam: Weight) -> li
     """Homology of the action-realized complex, degree by degree, from each
     component's coordinate count and each differential's matrix per degree."""
     failures: list[str] = []
-    gdim_M = Counter(cell_basis(lam)[1])
+    gdim_M = Counter(d for _, d in cell_basis(lam).values())
     for deg in sorted(set().union(*counts)):
         dims = [count[deg] for count in counts]
         # the rank of each d_i in this degree, then 0 for the map out of the last C_i

@@ -365,6 +365,24 @@ class TestMemoAgainstReference:
         assert vanishing_report(split, 5) == oracles.vanishing_report(split, 5)
         assert stasheff_check(split, 5) == oracles.stasheff_check(split, 5)
 
+    def test_the_facts_of_the_33_report_hold_from_scratch(self):
+        # (3|3) is the one tier-1 block where two halves' nonzero Qλ_2
+        # multiply to nonzero; the reference report takes about 9 s there, so
+        # the first chain each fact finds nonzero is evaluated from scratch
+        split = build_splitting(3, 3, "generic")
+        report = vanishing_report(split, 2)
+        facts = ("q_lambda2_zero", "q_lambda2_products_zero", "q_lambda3_zero")
+        assert [report[fact] for fact in facts] == [False, False, False]
+
+        def q(key):
+            return split.q(oracles.lambda_n(split, [split._classes[i] for i in key]))
+
+        for arity in (2, 3):
+            key = next(key for key in _index_tuples(split, arity) if split._entry(key)[0])
+            assert q(key).coords == split._entry(key)[0]
+        key = next(key for key in _index_tuples(split, 4) if ainfty._q2q2_nonzero(split, key))
+        assert not oracles._compose(q(key[:2]), q(key[2:])).is_zero()
+
     def test_stasheff_flags_equal_the_reference(self, split_32_canonical):
         # every chain the memo flags, and a sample of those it does not,
         # evaluated term by term with fresh inner and outer m_n

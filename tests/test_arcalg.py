@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -167,6 +168,26 @@ class TestMultiplication:
             "cups=(0,3);(1,2) rays=4 | ^v^vv | cups=(0,3);(1,2) rays=4"
         )
         assert multiply(_elt(x), _elt(y)) == _elt(expected)
+
+    def test_operators_agree_with_multiply_and_the_terms(self):
+        elements = [_elt(d) for d in basis(2, 1)]
+        elements += [x + Fraction(1, 2) * y for x, y in zip(elements, elements[1:])]
+        for x in elements:
+            for y in elements:
+                assert x * y == multiply(x, y)
+                assert x - y == x + y * -1
+        for x in elements:
+            assert (-x).terms == {d: -c for d, c in x.terms.items()}
+            assert (x - x).is_zero() and -(-x) == x
+            assert hash(x) == hash(AlgebraElement(x.terms))
+        assert len(set(elements + [AlgebraElement(x.terms) for x in elements])) == len(elements)
+
+    def test_repr_lists_the_terms_in_diagram_order(self):
+        d1, d2 = sorted(basis(2, 1)[:2], key=str)
+        assert repr(AlgebraElement()) == "AlgebraElement(0)"
+        assert repr(_elt(d2) * 3 + _elt(d1) * Fraction(-1, 2)) == (
+            f"AlgebraElement(-1/2 * ({d1}) + 3 * ({d2}))"
+        )
 
     def test_mismatched_middle_is_zero(self):
         x = OrientedCircleDiagram.parse("cups=(0,1) rays=2 | v^v | cups=(0,1) rays=2")

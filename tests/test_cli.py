@@ -151,6 +151,25 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv, code", [
+        (["klpoly", "-m", "2", "-n", "2", "--j", "1", "--mu-kl", "2,1"], 2),
+        (["klpoly", "-m", "2", "-n", "1", "--kl", "1,0", "--mu-j", "1"], 2),
+        (["klpoly", "-m", "2", "-n", "2", "--kl", "3", "--mu-kl", "2,1"], 2),
+        (["extdim", "-m", "2", "-n", "2", "--kl", "3,1", "--mu-kl", "3"], 2),
+        (["multiply", "-m", "2", "-n", "1", TRACE_X, TRACE_Y], 1),
+        (["render", "-m", "1", "-n", "1"], 2),
+        (["render", "-m", "1", "-n", "1", "--weight", "v^", "--product", TRACE_X, TRACE_Y], 2),
+        (["render", "-m", "1", "-n", "1", "--weight", "vx"], 2),
+        (["render", "-m", "1", "-n", "1", "--weight", "v^v"], 1),
+        (["render", "-m", "2", "-n", "1", "--weight", "v^"], 1),
+        (["multtable", "-m", "2", "-n", "1"], 1),
+        (["ainfty", "-m", "2", "-n", "3", "--mode", "canonical"], 1),
+    ], ids=lambda x: " ".join(x[:7]) if isinstance(x, list) else str(x))
+    def test_rejected_input_prints_nothing_and_no_traceback(self, argv, code):
+        got, out, err = run(argv)
+        assert (got, out) == (code, "")
+        assert err and "Traceback" not in err
+
 
 class TestReports:
     def test_extdim_oracle_total(self):
@@ -496,6 +515,10 @@ PINNED_DIGESTS = {
         "4f6022666310f1b2402445dee2aef1a57f4fff9be084265f885d60e7e6dc7dc6",
     ("quiver", "-m", "2", "-n", "4", "--algebra", "ext", "--format", "json"):
         "d163565d148a494354c236d445ddec6bba81d00ef567e3a0083c3975cd5b0ee1",
+    # canonical mode on an n = 1 block: 24 identities checked, 0 violations,
+    # and the per-arity counts of generic mode
+    ("ainfty", "-m", "3", "-n", "1", "--mode", "canonical", "--format", "json"):
+        "b0411cc6d9ba969c97722a41bc2cc16ba994eb774d8f477c5688d6b9f36d8735",
 }
 
 # pins the installed-script step of CI checks and tier-1 does not run,
@@ -624,6 +647,18 @@ class TestRender:
         )
         assert code == 0
         assert target.read_bytes() == (DATA / "trace_golden.svg").read_bytes()
+
+    @pytest.mark.parametrize("picture", [["--weight", "v^"], ["--product", TRACE_X, TRACE_Y]])
+    def test_json_document_holds_the_svg_that_o_writes(self, picture, tmp_path):
+        m, n = ("1", "1") if picture[0] == "--weight" else ("3", "2")
+        argv = ["render", "-m", m, "-n", n, *picture]
+        code, out, err = run(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert sorted(doc) == ["block", "svg"] and doc["block"] == [int(m), int(n)]
+        target = tmp_path / "out.svg"
+        assert run(argv + ["-o", str(target)])[0] == 0
+        assert doc["svg"].encode() == target.read_bytes()
 
     def test_invalid_diagram_is_usage_error(self):
         code, _, _ = run(

@@ -98,6 +98,7 @@ def test_import_cli_loads_no_algebra_module():
     [
         ["cartan", "-m", "2", "-n", "2", "--format", "json"],
         ["ainfty", "-m", "2", "-n", "2", "--mode", "canonical", "--max-arity", "5"],
+        ["render", "-m", "1", "-n", "1", "--weight", "v^"],
     ],
 )
 def test_warm_cache_hit_loads_no_algebra_module(argv, tmp_path):

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -18,12 +19,18 @@ from arckit import (
     Weight,
     associated_cup_diagram,
     bruhat_leq,
+    ext_basis,
+    ext_dims,
+    kl_poly_closed,
+    kl_poly_recursive,
     length,
     relative_length,
+    shelton_dims,
     weights_in_block,
 )
 from arckit.arcalg import basis
 from arckit.diagrams import cap_oriented, cup_oriented
+from arckit.repmod import decomposition_poly
 
 import oracles
 
@@ -133,6 +140,18 @@ class TestBruhat:
         for fn in (relative_length, oracles.relative_length):
             with pytest.raises(ValueError):
                 fn(0, lam, mu)
+
+    # every public function that compares two weights; bruhat_leq holds the
+    # block check for those that call it
+    @pytest.mark.parametrize("fn", [
+        bruhat_leq, partial(relative_length, 0), kl_poly_recursive, kl_poly_closed,
+        decomposition_poly, ext_dims, shelton_dims, ext_basis,
+    ], ids=lambda fn: getattr(fn, "__name__", "relative_length"))
+    @pytest.mark.parametrize("one, other", [("vvv^", "vv^^"), ("vv^", "vv^^")])
+    def test_every_weight_comparison_rejects_another_block(self, fn, one, other):
+        for lam, mu in ((one, other), (other, one)):
+            with pytest.raises(ValueError, match="^weights from different blocks$"):
+                fn(Weight.parse(lam), Weight.parse(mu))
 
     def test_strictly_compatible_with_length(self):
         ws = weights_in_block(3, 2)

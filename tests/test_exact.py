@@ -26,6 +26,13 @@ class TestQPoly:
         assert p.shift(3) == QPoly({4: 1, 3: 1})
         assert QPoly.q_power(5, -2) == QPoly({5: -2})
 
+    def test_equality_with_an_int_hash_and_repr(self):
+        assert QPoly({0: 3}) == 3 and 3 == QPoly({0: 3}) and QPoly() == 0
+        assert QPoly({1: 3}) != 3 and QPoly({0: 1}) != "1"
+        assert hash(QPoly({2: 1, 0: 1})) == hash(QPoly({0: 1, 2: 1}))
+        assert len({QPoly({1: 2}), QPoly({1: 1}) * 2, QPoly.zero(), QPoly()}) == 2
+        assert repr(QPoly({2: -3, 0: 2, 1: 0})) == "QPoly({2: -3, 0: 2})"
+
     def test_evaluation_and_degree(self):
         p = QPoly({3: 2, 1: 1})
         assert p(1) == 3
