@@ -366,9 +366,10 @@ class TestMemoAgainstReference:
         assert stasheff_check(split, 5) == oracles.stasheff_check(split, 5)
 
     def test_the_facts_of_the_33_report_hold_from_scratch(self):
-        # (3|3) is the one tier-1 block where two halves' nonzero Qλ_2
-        # multiply to nonzero; the reference report takes about 9 s there, so
-        # the first chain each fact finds nonzero is evaluated from scratch
+        # on (3|3) two halves' nonzero Qλ_2 multiply to nonzero (on the
+        # smaller blocks each such product lands in an empty (k, j) piece);
+        # the reference report takes about 9 s there, so the first chain
+        # each fact finds nonzero is evaluated from scratch
         split = build_splitting(3, 3, "generic")
         report = vanishing_report(split, 2)
         facts = ("q_lambda2_zero", "q_lambda2_products_zero", "q_lambda3_zero")
