@@ -75,8 +75,6 @@ def _add_weight(p: argparse.ArgumentParser, name: str):
 
 
 def _parse_weight(args, name: str, m: int, n: int) -> Weight:
-    from .diagrams import Weight
-
     flag = "lambda" if name == "lam" else name
     text = getattr(args, name)
     # render's --weight has no shorthand flags
@@ -85,6 +83,8 @@ def _parse_weight(args, name: str, m: int, n: int) -> Weight:
     given = [x for x in (text, j, kl) if x is not None]
     if len(given) != 1:
         raise UsageError(f"give exactly one weight flag for --{flag}")
+    from .diagrams import Weight
+
     if text is not None:
         try:
             w = Weight.parse(text)
@@ -135,13 +135,14 @@ def _block_weights(m: int, n: int):
 
 
 def _doc_basis(args) -> dict:
+    m, n = args.m, args.n
+    lam = mu = None
+    if _any_weight_flag(args):  # a μ flag alone fails on the missing λ, before any algebra loads
+        lam, mu = _parse_weight(args, "lam", m, n), _parse_weight(args, "mu", m, n)
     from .arcalg import basis, hom_basis
 
-    m, n = args.m, args.n
     _block_weights(m, n)
-    if _any_weight_flag(args):  # a μ flag alone fails on the missing λ
-        lam = _parse_weight(args, "lam", m, n)
-        mu = _parse_weight(args, "mu", m, n)
+    if lam is not None:
         diagrams = hom_basis(lam, mu)
         scope = f"e_lambda K e_mu for lambda={lam}, mu={mu}"
     else:
@@ -258,13 +259,13 @@ def _doc_resolve(args) -> dict:
 
 
 def _doc_extdim(args) -> dict:
+    if args.all and _any_weight_flag(args):
+        raise UsageError("--all takes no weight flags")
     from .extalg import ext_dims, shelton_dims
 
     m, n = args.m, args.n
     ws = _block_weights(m, n)
     if args.all:
-        if _any_weight_flag(args):
-            raise UsageError("--all takes no weight flags")
         pairs = [(lam, mu) for lam in ws for mu in ws]
     else:
         lam = _parse_weight(args, "lam", m, n)
@@ -763,12 +764,12 @@ def render_trace_svg(panels) -> str:
 
 
 def _doc_render(args) -> dict:
+    if len([x for x in (args.weight, args.diagram, args.product) if x]) != 1:
+        raise UsageError("give exactly one of --weight/--diagram/--product")
     from .arcalg import idempotent, surgery_trace
 
     m, n = args.m, args.n
     _block_weights(m, n)
-    if len([x for x in (args.weight, args.diagram, args.product) if x]) != 1:
-        raise UsageError("give exactly one of --weight/--diagram/--product")
     if args.weight:
         (diagram, _), = list(idempotent(_parse_weight(args, "weight", m, n)))
         svg = render_diagram_svg(diagram)

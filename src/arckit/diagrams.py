@@ -47,37 +47,38 @@ UP = "^"
 DOWN = "v"
 
 
+_WEIGHTS: dict[tuple[str, ...], "Weight"] = {}  # labels -> their one Weight
+
+
 @total_ordering
 class Weight(Value):
     """A weight: n '^' and m 'v' labels on positions 0..m+n-1, ordered by
-    their labels."""
+    their labels.  Each label tuple has exactly one Weight, so weights are
+    equal, and hash, by identity: every weight-keyed dict and memo hits
+    without a Python-level ``__hash__`` or ``__eq__`` call."""
 
     _fields = ("labels",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, labels: tuple[str, ...]):
-        n = labels.count(UP)
-        m = labels.count(DOWN)
-        if m + n != len(labels):
-            raise ValueError(f"bad labels {labels!r}")
-        # counted once: block checks run in every Bruhat comparison, and
-        # weights key the product table's positions and every memo; not
-        # fields, so equality, order, repr and pickling see only the labels
-        self._assign(labels)
-        object.__setattr__(self, "_block", (m, n))
-        object.__setattr__(self, "_hash", hash((labels,)))
-
-    # weight-keyed lookups compare equal weights that are distinct objects in
-    # every Ext op, so equality reads the labels without the field tuple
-    def __eq__(self, other):
-        return self.labels == other.labels if other.__class__ is Weight else NotImplemented
+    def __new__(cls, labels: tuple[str, ...]):
+        weight = _WEIGHTS.get(labels)
+        if weight is None:
+            n = labels.count(UP)
+            m = labels.count(DOWN)
+            if m + n != len(labels):
+                raise ValueError(f"bad labels {labels!r}")
+            # counted once: block checks run in every Bruhat comparison; not
+            # a field, so order, repr and pickling see only the labels
+            weight = object.__new__(cls)
+            weight._assign(labels)
+            object.__setattr__(weight, "_block", (m, n))
+            weight = _WEIGHTS.setdefault(labels, weight)  # racing threads keep one
+        return weight
 
     def __lt__(self, other):
         return self.labels < other.labels if other.__class__ is Weight else NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
+    def __reduce__(self):  # copies and unpickled weights are the one instance
         return (Weight, (self.labels,))
 
     # -- constructors -------------------------------------------------
@@ -390,15 +391,17 @@ class OrientedCircleDiagram(Value):
         if not cap_oriented(cap, weight):
             raise ValueError(f"cap half of {self} is not oriented")
         # the product table's ids and every action matrix are keyed by basis diagrams,
-        # so the field hash is computed once, not per lookup
+        # so the field hash, whose weight part is an identity hash, is computed
+        # once, not per lookup
         object.__setattr__(self, "_hash", hash((cup, weight, cap)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # rebuild through the constructor: the stored hash mixes str hashes,
-        # which differ between processes, so it must not be pickled or copied
+        # rebuild through the constructor: the stored hash mixes the weight's
+        # identity hash, which differs between processes, so it must not be
+        # pickled or copied
         return (OrientedCircleDiagram, (self.cup, self.weight, self.cap))
 
     @staticmethod

@@ -519,6 +519,10 @@ PINNED_DIGESTS = {
     # and the per-arity counts of generic mode
     ("ainfty", "-m", "3", "-n", "1", "--mode", "canonical", "--format", "json"):
         "b0411cc6d9ba969c97722a41bc2cc16ba994eb774d8f477c5688d6b9f36d8735",
+    # every Ext dimension of (3|3), recorded while weights were equal by
+    # their labels and hashed like them
+    ("extdim", "-m", "3", "-n", "3", "--all"):
+        "aa40e2dfbda33c56ad69fd0bb7765ffff323eacd315d3b7c649073e432e8e056",
 }
 
 # pins the installed-script step of CI checks and tier-1 does not run,

@@ -118,6 +118,10 @@ def test_warm_cache_hit_loads_no_algebra_module(argv, tmp_path):
     [
         ["basis", "-m", "2", "-n", "1", "--bogus"],
         ["ainfty", "-m", "2", "-n", "2", "--max-arity", "1"],
+        ["render", "-m", "1", "-n", "1"],
+        ["render", "-m", "1", "-n", "1", "--weight", "v^", "--diagram", "cups=(0,1) rays= | v^ | cups=(0,1) rays="],
+        ["extdim", "-m", "2", "-n", "2", "--all", "--kl", "1,2"],
+        ["basis", "-m", "2", "-n", "1", "--mu", "vv^"],
     ],
 )
 def test_usage_error_loads_no_algebra_module(argv):

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -28,9 +29,11 @@ from arckit import (
     shelton_dims,
     weights_in_block,
 )
-from arckit.arcalg import basis
-from arckit.diagrams import cap_oriented, cup_oriented
+from arckit.arcalg import _product_table, basis
+from arckit.diagrams import _WEIGHTS, cap_oriented, cup_oriented
+from arckit.extalg import resolution
 from arckit.repmod import decomposition_poly
+from arckit.resolve import _deserialize, _resolve_cone_raw, _serialize, resolve_generic
 
 import oracles
 
@@ -104,6 +107,74 @@ class TestWeight:
         for i in range(len(w) - 1):
             if w.has_down_up_at(i):
                 assert w.swap(i).swap(i) == w
+
+
+class TestOneObjectPerWeight:
+    """Each label tuple has exactly one Weight, however it is made, so every
+    weight-keyed dict and memo hits by identity."""
+
+    def test_constructors_and_local_moves_return_the_one_instance(self):
+        w = Weight.parse("v^v^")
+        assert Weight(("v", "^", "v", "^")) is w and Weight.parse(" v^v^\n") is w
+        assert Weight.from_kl(2, 3, 1) is w
+        assert Weight.zero(2, 2) is Weight.parse("^^vv")
+        assert Weight.from_j(3, 1) is Weight.parse("v^vv")
+        assert w.swap(0) is Weight.parse("^vv^")
+        assert w.delete(0) is Weight.parse("v^")
+        assert Weight.parse("v^").insert_down_up(0) is w
+        assert copy.copy(w) is w and copy.deepcopy(w) is w and pickle.loads(pickle.dumps(w)) is w
+        assert copy.deepcopy([w, {w: 1}])[0] is w
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (2, 3)])
+    def test_block_and_table_weights_are_the_one_instances(self, m, n):
+        table = _product_table(m, n)
+        assert all(a is b for a, b in zip(weights_in_block(m, n), table.weights, strict=True))
+        assert all(Weight(w.labels) is w is _WEIGHTS[w.labels] for w in table.weights)
+
+    def test_resolution_summands_are_the_table_instances(self):
+        table = _product_table(4, 2)
+
+        def summands(c):
+            return [w for comp in c.components for w, _ in comp]
+
+        # the 120 summand weights of the (4|2) cone resolutions ext_dims reads
+        cone = [w for lam in table.weights for w in summands(_resolve_cone_raw(lam))]
+        assert len(cone) == 120
+        assert sum(w is table.weights[table.position[w]] for w in cone) == 120
+        lam = Weight.parse("vv^v^v")
+        for c in (resolve_generic(lam), resolution(lam), _deserialize(lam, _serialize(resolve_generic(lam)))):
+            assert c.weight is lam
+            assert all(w is table.weights[table.position[w]] for w in summands(c))
+
+    def test_malformed_labels_raise_and_leave_nothing_in_the_table(self):
+        for labels in (("v", "x"), ("^", "", "v"), ("vv",), ("v", "^", "^ ")):
+            before = len(_WEIGHTS)
+            with pytest.raises(ValueError):
+                Weight(labels)
+            assert labels not in _WEIGHTS and len(_WEIGHTS) == before
+
+    def test_threads_that_build_one_new_weight_get_one_object(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(40):
+                labels = tuple(format(trial, "b").replace("0", "v").replace("1", "^")) + ("v",) * 41
+                assert labels not in _WEIGHTS  # 42 or more labels: no other test builds it
+                start, built = threading.Barrier(8), []
+
+                def build():
+                    start.wait()
+                    built.append(Weight(labels))
+
+                threads = [threading.Thread(target=build) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(built) == 8 and all(w is _WEIGHTS[labels] for w in built)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBruhat:
@@ -228,7 +299,8 @@ class TestDiagrams:
 
 class TestStoredHash:
     """A basis diagram hashes once, at construction, and never carries that
-    hash into another process: it mixes str hashes, which are per process."""
+    hash into another process: it mixes its weight's identity hash, which is
+    per process."""
 
     def test_hash_is_the_field_hash(self):
         for d in basis(2, 2):
@@ -256,3 +328,4 @@ class TestStoredHash:
         assert their_str_hash != hash("v^")  # the two processes hash differently
         position = {d: k for k, d in enumerate(basis(2, 2))}
         assert [position[d] for d in diagrams] == list(range(len(basis(2, 2))))
+        assert all(d.weight is x.weight for d, x in zip(diagrams, basis(2, 2)))  # unpickled: the one instance
